@@ -525,6 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     except (RowLimitError, OrderLimitError, SeriesBudgetError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        print(f"resource limit: result overflows the double range ({exc})", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,11 +38,6 @@ from fractions import Fraction
 
 import mpmath as mp
 
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _ratio = Fraction
-
 __all__ = [
     "EULER_GAMMA",
     "GAMMA_DIGITS",
@@ -357,13 +352,13 @@ def _log_power_series(beta: int, n: int) -> list:
     if cached is not None and len(cached) > n:
         return cached[: n + 1]
     if beta == 0:
-        series = [_ratio(1)] + [_ratio(0)] * n
+        series = [Fraction(1)] + [Fraction(0)] * n
     elif beta == 1:
-        series = [_ratio(0)] + [_ratio(1, m) for m in range(1, n + 1)]
+        series = [Fraction(0)] + [Fraction(1, m) for m in range(1, n + 1)]
     else:
         lo = _log_power_series(beta // 2, n)
         hi = _log_power_series(beta - beta // 2, n)
-        series = [_ratio(0)] * (n + 1)
+        series = [Fraction(0)] * (n + 1)
         for i in range(1, n + 1):
             ai = lo[i]
             if not ai:
@@ -381,7 +376,7 @@ def _geometric_passes(series: list, alpha: int) -> list:
     geometric series (running prefix sums), realizing the binomial series."""
     out = series
     for _ in range(alpha):
-        acc = _ratio(0)
+        acc = Fraction(0)
         nxt = []
         for v in out:
             acc += v
@@ -406,11 +401,11 @@ def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
         value = hi[n]
     else:
         lo = _log_power_series(lo_beta, n)
-        value = _ratio(0)
+        value = Fraction(0)
         for i in range(1, n + 1):
             if lo[i]:
                 value += lo[i] * hi[n - i]
-    return Fraction(int(value.numerator), int(value.denominator))
+    return value
 
 
 def highprec_coefficient(alpha: int, beta: int, n: int, prec_bits: int = 240):

@@ -18,6 +18,12 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_cli_process(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "momentlab.cli", *argv], capture_output=True, text=True
+    )
+
+
 class TestTable:
     def test_csv_golden(self):
         code, out, _ = run_cli("table", "--model", "cycles", "--n", "3")
@@ -79,6 +85,14 @@ class TestMoment:
             6 * 1.0986122886681098 + 6 * (0.5772156649015329 - 2), rel=1e-12
         )
 
+    def test_double_overflow_exit_code(self):
+        proc = run_cli_process(
+            "moment", "--model", "quicksort", "--n", "50", "--s", "200", "--mode", "asym"
+        )
+        assert proc.returncode == 3
+        assert "double range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_asym_needs_valid_domain(self):
         code, _, err = run_cli(
             "moment", "--model", "cycles", "--n", "1", "--s", "1", "--mode", "asym"
@@ -120,6 +134,12 @@ class TestTransfer:
         code, _, err = run_cli("transfer", "--alpha", "1", "--beta", "7", "--n", "10")
         assert code == 3
         assert "budget" in err
+
+    def test_double_overflow_exit_code(self):
+        proc = run_cli_process("transfer", "--alpha", "200", "--beta", "1", "--n", "2")
+        assert proc.returncode == 3
+        assert "double range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_invalid_arguments(self):
         assert run_cli("transfer", "--alpha", "0", "--beta", "0", "--n", "10")[0] == 2

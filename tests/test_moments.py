@@ -136,6 +136,15 @@ class TestFirstMomentIdentities:
         for n, table in enumerate(quicksort_rows_60):
             assert factorial_moment(table, 1) == quicksort_mean(n)
 
+    def test_quicksort_variance_closed_form(self, quicksort_rows_120):
+        # Var = 7n^2 - 4(n+1)^2 H_n^(2) - 2(n+1) H_n + 13n
+        for n, table in enumerate(quicksort_rows_120):
+            mean = factorial_moment(table, 1)
+            variance = factorial_moment(table, 2) + mean - mean**2
+            assert variance == (
+                7 * n**2 - 4 * (n + 1) ** 2 * harmonic(n, 2) - 2 * (n + 1) * harmonic(n) + 13 * n
+            )
+
     def test_quicksort_mean_certified_by_enumeration(self):
         for n in range(8):
             total = sum(

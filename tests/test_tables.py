@@ -2,6 +2,7 @@
 structural invariants."""
 
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -99,11 +100,65 @@ class TestInvariants:
         assert all(c == 0 for c in counts[:first_nonzero])
         assert first_nonzero > 0
 
-    def test_batch_rows_match_single_rows(self):
+    def test_batch_rows_match_single_rows(self, quicksort_rows_60):
         for model in Model:
             rows = distribution_tables(model, 12)
             for n in (0, 5, 12):
                 assert rows[n] == distribution_table(model, n)
+        for n, row in enumerate(quicksort_rows_60):
+            assert row == distribution_table(Model.QUICKSORT, n)
+
+
+@lru_cache(maxsize=None)
+def naive_quicksort_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of n! times the quicksort PGF by schoolbook convolution:
+    A_m = z^(m-1) sum_j C(m-1, j-1) A_(m-j) A_(j-1), in Python ints."""
+    rows = [(1,)]
+    for m in range(1, n + 1):
+        acc = [0] * (m * (m - 1) // 2 + 1)
+        for j in range(1, m + 1):
+            weight = math.comb(m - 1, j - 1)
+            right = rows[j - 1]
+            for a, x in enumerate(rows[m - j]):
+                if x:
+                    for b, y in enumerate(right):
+                        acc[a + b + m - 1] += weight * x * y
+        rows.append(tuple(acc))
+    return tuple(rows)
+
+
+class TestQuicksortRoute:
+    """The multi-modular quicksort rows against routes that share none of it."""
+
+    def test_matches_naive_convolution(self):
+        naive = naive_quicksort_rows(30)
+        assert [row.counts for row in distribution_tables(Model.QUICKSORT, 30)] == list(naive)
+        for n in (0, 1, 2, 17, 29, 30):
+            assert quicksort_counts(n).counts == naive[n]
+
+    @pytest.mark.parametrize("n", [45, 46, 64, 65])
+    def test_transform_size_doubles(self, n, quicksort_rows_120):
+        # the row length n(n-1)/2 + 1 crosses a power of two between 45 and
+        # 46 and between 64 and 65; the fixture reads these rows from the
+        # transform of size 8192 instead
+        table = quicksort_counts(n)
+        assert table == quicksort_rows_120[n]
+        assert table == distribution_tables(Model.QUICKSORT, n)[n]
+        table.check()
+        if n <= 46:
+            assert table.counts == naive_quicksort_rows(46)[n]
+
+    def test_counts_are_python_ints(self, quicksort_rows_120):
+        rows = [distribution_table(model, 9) for model in Model]
+        rows += distribution_tables(Model.INVERSIONS, 9) + distribution_tables(Model.CYCLES, 9)
+        rows += quicksort_rows_120
+        for row in rows:
+            assert all(type(c) is int for c in row.counts)
+
+    def test_prime_coverage_limit(self):
+        # the primes p = 1 (mod 2^20) below 2^31 multiply to fewer bits than 1025!
+        with pytest.raises(RowLimitError, match="2\\^31"):
+            quicksort_counts(1025, limit=1025)
 
 
 class TestLimits:
