@@ -528,6 +528,9 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:
         print(f"resource limit: result overflows the double range ({exc})", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"resource limit: out of memory ({exc})", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

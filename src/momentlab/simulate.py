@@ -19,11 +19,34 @@ across runs and platforms.
 Per-trial falling factorials are exact integers and are accumulated as
 exact integer sums, so parallel execution reproduces the sequential result
 bit for bit.
+
+Batch route
+-----------
+The estimator counts whole blocks of trials in numpy, drawing the same
+words from the same streams as the scalar ``random_permutation``,
+``count_cycles``, ``count_inversions`` and ``quicksort_comparisons``, which
+stay as the per-sample API and the tests' reference:
+
+- cycles and inversions: ``_permutation_batch`` shuffles blocks of
+  min(4096, 2_000_000 // n) trials, one row each, and ``_cycles_batch``
+  (pointer doubling) or ``_inversions_batch`` (a flattened bottom-up
+  merge) counts them in chunks of at most 2^16 entries (one row if n is
+  larger), which keeps the counting temporaries below the block's size;
+- quicksort: ``_quicksort_batch`` runs blocks of 4096 trials in lockstep,
+  one stack of subproblem sizes per trial.
+
+Each block's costs are reduced to distinct values and multiplicities, and
+(X)_s and its square are summed as Python ints.  The lockstep spreads
+numpy's per-call cost over the live trials of a block, about 30 us per
+step, so with few trials at large n it is slower than the scalar loop:
+quicksort at n = 10^5 takes about 2 s for 10 or 20 trials where the scalar
+loop took 0.09 s per trial, and is faster from about 30 trials on.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,7 +73,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-_BATCH = 4096  # trials per vectorized permutation block
+_BATCH = 4096  # trials per vectorized block
+_COUNT_CHUNK = 1 << 16  # permutation entries counted at once
+_STACK_COLUMNS = 64  # initial lockstep quicksort stack depth; doubles as needed
 
 
 def _mix64(z: int) -> int:
@@ -105,12 +130,42 @@ def random_permutation(n: int, rng: TrialStream) -> list[int]:
     return arr
 
 
-# -- vectorized batch twin of random_permutation ----------------------------
+# -- vectorized batch twins ---------------------------------------------------
 
 def _mix64_np(z):
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def _stream_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """SplitMix64 states of the streams of trials start..stop-1 before
+    their first word: base_i, as uint64.  A stream that has drawn t words
+    is at state base_i + t * GOLDEN."""
+    idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    return _mix64_np(np.uint64(seed) + idx * np.uint64(_GOLDEN))
+
+
+def _randbelow_batch(state: np.ndarray, bound) -> np.ndarray:
+    """``TrialStream.randbelow`` run once on every lane, as uint64.
+
+    ``state`` holds each lane's stream state and is advanced in place by
+    the words drawn.  ``bound`` is a uint64 scalar or one uint64 bound per
+    lane.  The rejection threshold 2^64 mod bound is below the bound, so it
+    is only computed, in uint64 as ((2^64 - 1) mod bound + 1) mod bound,
+    when some word is below the bound.
+    """
+    golden = np.uint64(_GOLDEN)
+    state += golden
+    word = _mix64_np(state)
+    if (word < bound).any():
+        threshold = (np.uint64(_MASK64) % bound + np.uint64(1)) % bound
+        rejected = word < threshold
+        while rejected.any():
+            state[rejected] += golden
+            word[rejected] = _mix64_np(state[rejected])
+            rejected = word < threshold
+    return word % bound
 
 
 def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
@@ -121,28 +176,109 @@ def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     is mixed and swapped with numpy for speed.
     """
     trials = stop - start
-    idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
-    base = _mix64_np(np.uint64(seed) + idx * np.uint64(_GOLDEN))
-    counter = np.ones(trials, dtype=np.uint64)
+    state = _stream_states(seed, start, stop)
     arr = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
     rows = np.arange(trials)
     for pos in range(n - 1, 0, -1):
-        bound = pos + 1
-        threshold = np.uint64((1 << 64) % bound)
-        word = _mix64_np(base + counter * np.uint64(_GOLDEN))
-        counter += np.uint64(1)
-        rejected = word < threshold
-        while rejected.any():
-            word[rejected] = _mix64_np(
-                base[rejected] + counter[rejected] * np.uint64(_GOLDEN)
-            )
-            counter[rejected] += np.uint64(1)
-            rejected = word < threshold
-        j = (word % np.uint64(bound)).astype(np.int64)
+        j = _randbelow_batch(state, np.uint64(pos + 1)).astype(np.int64)
         swapped = arr[rows, pos].copy()
         arr[rows, pos] = arr[rows, j]
         arr[rows, j] = swapped
     return arr
+
+
+def _cycles_batch(perms: np.ndarray) -> np.ndarray:
+    """``count_cycles`` of every row, by pointer doubling.
+
+    After k rounds of ``low = min(low, low[succ]); succ = succ[succ]``,
+    low[i] is the least position among i and its next 2^k - 1 successors;
+    once 2^k >= n that is the least position of i's cycle, so each cycle
+    has exactly one position with low[i] == i.
+    """
+    rows, n = perms.shape
+    pos = np.arange(rows * n, dtype=np.int64)
+    succ = (perms - 1 + pos[::n, None]).ravel()
+    low = pos
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low[succ])
+        succ = succ[succ]
+    return (low == pos).reshape(rows, n).sum(axis=1)
+
+
+def _inversions_batch(perms: np.ndarray) -> np.ndarray:
+    """``count_inversions`` of every row, by a flattened bottom-up merge.
+
+    Rows are padded to a power of two ``width`` with n+1, n+2, ..., which
+    add no inversions, and values are stored doubled.  At each level the
+    right run of every pair of sorted runs gets its low bit set, and
+    ``np.sort`` merges each pair.  A right element merged to place k of its
+    pair, with j right elements before it, has k - j left elements below
+    it and half - (k - j) above it; summed over the pair's right elements
+    this is half^2 + half(half-1)/2 minus the sum of their places.
+    """
+    rows, n = perms.shape
+    width = 1 << (n - 1).bit_length()
+    runs = np.empty((rows, width), dtype=np.int64)
+    runs[:, :n] = perms
+    runs[:, n:] = np.arange(n + 1, width + 1, dtype=np.int64)
+    runs <<= 1
+    inversions = np.zeros(rows, dtype=np.int64)
+    half = 1
+    while half < width:
+        place = np.arange(width, dtype=np.int64) % (2 * half)
+        merged = np.sort(
+            (runs + (place >= half)).reshape(-1, 2 * half), axis=1
+        ).reshape(rows, width)
+        right = merged & 1
+        pairs = width // (2 * half)
+        inversions += pairs * (half * half + half * (half - 1) // 2) - right @ place
+        runs = merged - right
+        half *= 2
+    return inversions
+
+
+def _quicksort_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+    """``quicksort_comparisons`` of trials start..stop-1, in lockstep.
+
+    Every trial keeps its own stack of subproblem sizes; each step pops one
+    size per live trial and draws its pivot rank with that trial's stream,
+    in the scalar order.  Sizes below 2 are never pushed: the scalar code
+    pops them without drawing, so skipping them keeps every word in place.
+    Finished trials are dropped from the lanes, which stay contiguous.
+    """
+    result = np.zeros(stop - start, dtype=np.int64)
+    if n < 2:
+        return result
+    one, two = np.uint64(1), np.uint64(2)
+    lane = np.arange(stop - start)
+    state = _stream_states(seed, start, stop)
+    total = np.zeros(lane.size, dtype=np.uint64)
+    stack = np.full((lane.size, _STACK_COLUMNS), n, dtype=np.uint64)
+    depth = np.ones(lane.size, dtype=np.intp)
+    rows = np.arange(lane.size)
+    while lane.size:
+        depth -= 1
+        size = stack[rows, depth]
+        rest = size - one
+        total += rest
+        rank = _randbelow_batch(state, size)
+        if depth.max() + 2 > stack.shape[1]:
+            stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
+        # write both parts, keeping each only if it is at least 2
+        stack[rows, depth] = rank
+        depth += rank >= two
+        rest -= rank
+        stack[rows, depth] = rest
+        depth += rest >= two
+        if depth.min() == 0:
+            done = depth == 0
+            result[lane[done]] = total[done]
+            live = ~done
+            lane, state, total, stack, depth = (
+                part[live] for part in (lane, state, total, stack, depth)
+            )
+            rows = np.arange(lane.size)
+    return result
 
 
 # -- cost statistics ---------------------------------------------------------
@@ -276,24 +412,32 @@ class MomentEstimate:
     seed: int
 
 
+def _trial_costs(model: Model, n: int, seed: int, start: int, stop: int):
+    """Costs of trials start..stop-1 in order, as one int64 array per
+    counted block or chunk (see module docstring for the rule)."""
+    if model is Model.QUICKSORT:
+        for lo in range(start, stop, _BATCH):
+            yield _quicksort_batch(seed, n, lo, min(lo + _BATCH, stop))
+        return
+    counter = _cycles_batch if model is Model.CYCLES else _inversions_batch
+    block = max(1, min(_BATCH, 2_000_000 // n))  # cap permutation memory
+    chunk = max(1, _COUNT_CHUNK // n)  # cap counting temporaries
+    for lo in range(start, stop, block):
+        perms = _permutation_batch(seed, n, lo, min(lo + block, stop))
+        for row in range(0, len(perms), chunk):
+            yield counter(perms[row:row + chunk])
+
+
 def _accumulate_range(model: Model, n: int, s: int, seed: int, start: int, stop: int):
     """Exact integer sums of (X)_s and (X)_s^2 over trials start..stop-1."""
     total = 0
     total_sq = 0
-    if model is Model.QUICKSORT:
-        for i in range(start, stop):
-            ff = math.perm(quicksort_comparisons(n, TrialStream(seed, i)), s)
-            total += ff
-            total_sq += ff * ff
-        return total, total_sq
-    counter = count_cycles if model is Model.CYCLES else count_inversions
-    block = max(1, min(_BATCH, 2_000_000 // max(n, 1)))  # cap batch memory
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        for row in _permutation_batch(seed, n, lo, hi).tolist():
-            ff = math.perm(counter(row), s)
-            total += ff
-            total_sq += ff * ff
+    for costs in _trial_costs(model, n, seed, start, stop):
+        values, counts = np.unique(costs, return_counts=True)
+        for value, count in zip(values.tolist(), counts.tolist()):
+            ff = math.perm(value, s)
+            total += count * ff
+            total_sq += count * ff * ff
     return total, total_sq
 
 
@@ -314,7 +458,8 @@ def estimate_factorial_moment(
 
     Per-trial streams make the result a pure function of (model, n, s,
     trials, seed); ``threads`` only changes how trial ranges are divided
-    among worker processes, never the result.
+    among worker processes, never the result.  At most one worker per CPU
+    is started, since more only add start-up cost.
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
@@ -324,15 +469,16 @@ def estimate_factorial_moment(
         raise ValueError(f"n must be positive, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
-    if threads == 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1:
         total, total_sq = _accumulate_range(model, n, s, seed, 0, trials)
     else:
-        step = -(-trials // threads)
+        step = -(-trials // workers)
         ranges = [
             (model, n, s, seed, lo, min(lo + step, trials))
             for lo in range(0, trials, step)
         ]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             parts = list(pool.map(_range_worker, ranges))
         total = sum(p[0] for p in parts)
         total_sq = sum(p[1] for p in parts)

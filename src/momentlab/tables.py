@@ -53,11 +53,13 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 
 # Measured single-row builds at each cap, CPU time and peak RSS of the
 # process, on a 2-core x86-64 box with Python 3.11 and numpy 2.4: quicksort
-# 120 in 3.1 s and 142 MB (70 in 0.27 s); cycles 5000 in 30 s and 74 MB;
-# inversions 1000 in 222 s and 1.6 GB.
+# 120 in 3.1 s and 142 MB (70 in 0.27 s); cycles 5000 in 30 s and 74 MB.
+# Inversions is the largest multiple of 50 whose `table --format csv`
+# request finishes within 30 s CPU and 1536 MiB: 500 in 23.5-26 s and
+# 239 MB, while 550 took 30.2 s and 305 MB (1000 took 222 s and 1.6 GB).
 DEFAULT_ROW_LIMITS = {
     "cycles": 5000,
-    "inversions": 1000,
+    "inversions": 500,
     "quicksort": 120,
 }
 

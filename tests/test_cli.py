@@ -49,6 +49,11 @@ class TestTable:
         assert code == 3
         assert "cap" in err
 
+    def test_inversions_row_cap_exit_code(self):
+        code, _, err = run_cli("table", "--model", "inversions", "--n", "501")
+        assert code == 3
+        assert "cap" in err
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "5")
         code, _, _ = run_cli("table", "--model", "cycles", "--n", "6")
@@ -172,6 +177,15 @@ class TestSimulate:
         fields = row.split(",")
         assert fields[:5] == ["quicksort", "1", "10", "500", "1"]
         assert float(fields[5]) > 0 and float(fields[6]) > 0
+
+    def test_out_of_memory_exit_code(self):
+        proc = run_cli_process(
+            "simulate", "--model", "cycles", "--n", "1000000000000", "--s", "1",
+            "--trials", "2", "--seed", "1",
+        )
+        assert proc.returncode == 3
+        assert "resource limit: out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_validation(self):
         assert run_cli("simulate", "--model", "cycles", "--n", "5", "--s", "1",

@@ -2,10 +2,12 @@
 distribution checks, and estimator accuracy."""
 
 import math
+import os
 from fractions import Fraction
 from itertools import permutations
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,14 @@ from momentlab import (
     sample_cost,
     trial_stream,
 )
-from momentlab.simulate import TrialStream, _permutation_batch
+from momentlab import simulate
+from momentlab.simulate import (
+    TrialStream,
+    _permutation_batch,
+    _randbelow_batch,
+    _stream_states,
+    _trial_costs,
+)
 
 
 class TestTrialStream:
@@ -242,3 +251,123 @@ class TestEstimator:
         assert sample_cost(Model.CYCLES, 1, trial_stream(0)) == 1
         assert sample_cost(Model.INVERSIONS, 1, trial_stream(0)) == 0
         assert sample_cost(Model.QUICKSORT, 2, trial_stream(0)) == 1
+
+
+def scalar_costs(model, n, seed, start, stop):
+    return [sample_cost(model, n, TrialStream(seed, i)) for i in range(start, stop)]
+
+
+def batch_costs(model, n, seed, start, stop):
+    return [c for chunk in _trial_costs(model, n, seed, start, stop) for c in chunk.tolist()]
+
+
+class TestBatchRoute:
+    """The numpy counters against the scalar per-sample reference."""
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_small_n_matches_scalar(self, model, n):
+        assert batch_costs(model, n, 5, 0, 50) == scalar_costs(model, n, 5, 0, 50)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        model=st.sampled_from(list(Model)),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 10**6),
+    )
+    def test_matches_scalar(self, model, n, seed, start):
+        assert batch_costs(model, n, seed, start, start + 12) == scalar_costs(
+            model, n, seed, start, start + 12
+        )
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_trial_range_spanning_count_chunks(self, model):
+        # n = 3000 counts 21 rows per chunk, so 50 trials span three chunks
+        n, seed = 3000, 2**63 + 9
+        assert batch_costs(model, n, seed, 7, 57) == scalar_costs(model, n, seed, 7, 57)
+
+    def test_quicksort_stack_grows(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_STACK_COLUMNS", 1)
+        assert batch_costs(Model.QUICKSORT, 300, 3, 0, 40) == scalar_costs(
+            Model.QUICKSORT, 300, 3, 0, 40
+        )
+
+    def test_bounded_draw_matches_randbelow_near_2_63(self):
+        # bounds just above 2^63 reject about half the words drawn
+        bounds = [2**63 + 1, 2**63 + 12345, 3 * 2**62, 2**64 - 1, 2**63, 6, 1]
+        lanes, seed = 70, 2**64 - 3
+        streams = [TrialStream(seed, i) for i in range(lanes)]
+        state = _stream_states(seed, 0, lanes)
+
+        def assert_same_words_drawn():
+            expected = [(r.base + r.counter * 0x9E3779B97F4A7C15) % 2**64 for r in streams]
+            assert state.tolist() == expected
+
+        for step in range(6):
+            bound = [bounds[(i + step) % len(bounds)] for i in range(lanes)]
+            drawn = _randbelow_batch(state, np.array(bound, dtype=np.uint64))
+            assert drawn.tolist() == [r.randbelow(b) for r, b in zip(streams, bound)]
+            assert_same_words_drawn()
+        scalar_bound = 2**63 + 7
+        drawn = _randbelow_batch(state, np.uint64(scalar_bound))
+        assert drawn.tolist() == [r.randbelow(scalar_bound) for r in streams]
+        assert_same_words_drawn()
+        # rejected words were redrawn: more words than draws
+        assert sum(r.counter for r in streams) > 7 * lanes
+
+    # Values computed with the per-trial scalar counters before the batch route.
+    GOLDEN = [
+        (Model.CYCLES, 40, 2, 3000, 77, "0x1.0a2a53490b9afp+4", "0x1.004a9484fab29p-2"),
+        (Model.CYCLES, 3000, 3, 50, 2**63 + 5, "0x1.07b3333333333p+9", "0x1.0421c335c1e23p+6"),
+        (Model.INVERSIONS, 20, 2, 2000, 5, "0x1.1fd676c8b4396p+13", "0x1.0795b392d85dep+6"),
+        (Model.INVERSIONS, 700, 1, 60, 11, "0x1.dbdaf77777777p+16", "0x1.68220e2980622p+8"),
+        (Model.QUICKSORT, 30, 2, 3000, 4, "0x1.0138cf87d9c55p+14", "0x1.3891b1572b36ep+6"),
+        (Model.QUICKSORT, 500, 3, 200, 2**64 - 1, "0x1.a064aaf9d35c3p+36", "0x1.8f17676221a93p+30"),
+    ]
+
+    @pytest.mark.parametrize("model,n,s,trials,seed,mean,stderr", GOLDEN)
+    def test_golden_estimates(self, model, n, s, trials, seed, mean, stderr):
+        est = estimate_factorial_moment(model, n, s, trials, seed)
+        assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in this process, so no worker is started."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingExecutor.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCount:
+    ARGS = dict(model=Model.INVERSIONS, n=30, s=2, trials=500, seed=8)
+
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "asked", [])
+
+    def test_at_most_one_worker_per_cpu(self):
+        est = estimate_factorial_moment(**self.ARGS, threads=10_000)
+        assert all(w <= (os.cpu_count() or 1) for w in RecordingExecutor.asked)
+        assert est == estimate_factorial_moment(**self.ARGS, threads=1)
+
+    def test_pool_sized_by_cpus_and_ranges(self, monkeypatch):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        est = estimate_factorial_moment(**self.ARGS, threads=10_000)
+        few = estimate_factorial_moment(**{**self.ARGS, "trials": 2}, threads=10_000)
+        assert RecordingExecutor.asked == [3, 2]
+        assert est == estimate_factorial_moment(**self.ARGS, threads=1)
+        assert few == estimate_factorial_moment(**{**self.ARGS, "trials": 2})
