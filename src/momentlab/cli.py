@@ -46,8 +46,10 @@ from .transfer import (
 CROSSCHECK_TOLERANCE = 1e-10
 CROSSCHECK_MAX_S = 10
 
-# cycles rows are cheap up to here; beyond, the high-precision series oracle
-# supplies exact moments
+# cycles moments come from exact table rows up to here and print as exact
+# rationals; above it they come from the high-precision oracle as a 240-bit
+# approximation and print as floats.  The cutoff stays because it fixes
+# that output format, not for speed.
 _CYCLES_TABLE_CUTOFF = 200
 
 

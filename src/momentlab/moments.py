@@ -29,16 +29,26 @@ def falling_factorial(k: int, s: int) -> int:
     return math.perm(k, s)
 
 
+def _harmonic_split(lo: int, hi: int, r: int) -> tuple[int, int]:
+    """(p, q) with p/q = sum of 1/j^r for lo <= j < hi, by binary splitting:
+    q is the product of the j^r and nothing is reduced."""
+    if hi <= lo:
+        return 0, 1
+    if hi - lo == 1:
+        return 1, lo**r
+    mid = (lo + hi) // 2
+    p1, q1 = _harmonic_split(lo, mid, r)
+    p2, q2 = _harmonic_split(mid, hi, r)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
 def harmonic(n: int, r: int = 1) -> Fraction:
     """Generalized harmonic number: sum of 1/j^r for j = 1..n, exactly."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    total = Fraction(0)
-    for j in range(1, n + 1):
-        total += Fraction(1, j**r)
-    return total
+    return Fraction(*_harmonic_split(1, n + 1, r))
 
 
 def factorial_moment(table: DistributionTable, s: int) -> Fraction:
@@ -73,4 +83,5 @@ def quicksort_mean(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return 2 * (n + 1) * harmonic(n) - 4 * n
+    p, q = _harmonic_split(1, n + 1, 1)
+    return Fraction(2 * (n + 1) * p - 4 * n * q, q)

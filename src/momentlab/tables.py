@@ -53,12 +53,18 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 
 # Measured single-row builds at each cap, CPU time and peak RSS of the
 # process, on a 2-core x86-64 box with Python 3.11 and numpy 2.4: quicksort
-# 120 in 3.1 s and 142 MB (70 in 0.27 s); cycles 5000 in 30 s and 74 MB.
+# 120 in 3.1 s and 142 MB (70 in 0.27 s).
 # Inversions is the largest multiple of 50 whose `table --format csv`
 # request finishes within 30 s CPU and 1536 MiB: 500 in 23.5-26 s and
 # 239 MB, while 550 took 30.2 s and 305 MB (1000 took 222 s and 1.6 GB).
+# Cycles is the largest multiple of 500 whose `table --format csv` and
+# `--format json` requests finish within those limits with room for the
+# host's speed, which drifts by up to a fifth: 4000 in 17.8-19.6 s and
+# 60 MB; 4500 took 27.0-28.7 s and 67 MB, and 5000 38 s and 75 MB.  From
+# n = 1600 these requests end in exit 2 once the row is built: its counts
+# pass Python's 4300-digit limit on integer-to-text conversion.
 DEFAULT_ROW_LIMITS = {
-    "cycles": 5000,
+    "cycles": 4000,
     "inversions": 500,
     "quicksort": 120,
 }

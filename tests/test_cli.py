@@ -54,6 +54,11 @@ class TestTable:
         assert code == 3
         assert "cap" in err
 
+    def test_cycles_row_cap_exit_code(self):
+        code, _, err = run_cli("table", "--model", "cycles", "--n", "4001")
+        assert code == 3
+        assert "cap" in err
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "5")
         code, _, _ = run_cli("table", "--model", "cycles", "--n", "6")
@@ -239,6 +244,122 @@ class TestCompare:
         )
         assert code == 0
         assert len(out.splitlines()) == 3
+
+
+# Pinned from the series-convolution oracles that the product-tree and
+# polygamma routes replaced.  Above the table cutoff a cycles moment prints as
+# the double of a 240-bit value, and abs_err and rel_err of the high-precision
+# report use about 200 bits of it.
+ORACLE_GRID = "201,4567,65432,100000"
+CYCLES_GOLDEN = {
+    (1, 'double'): [
+        (201, '5.88300607249955', 5.8805205729606085, 0.0024854995389453904, 0.00042248801179451426),
+        (4567, '9.00393695515094', 9.003827478086533, 0.00010947706440767035, 1.215879952880402e-05),
+        (65432, '11.6659900208178', 11.665982379316343, 7.641501504451753e-06, 6.55023833452246e-07),
+        (100000, '12.0901461298634', 12.090141129871762, 4.999991665144421e-06, 4.135592416698856e-07),
+    ],
+    (2, 'double'): [
+        (201, '32.9697891511891', 34.247344285205244, 1.2775551340161897, 0.038749266128385744),
+        (4567, '79.4261655636337', 80.73573133133837, 1.3095657677046972, 0.016487838213158048),
+        (65432, '134.450404381899', 135.76196695071167, 1.3115625688131445, 0.009754991625668358),
+        (100000, '144.526709374553', 145.83833461640913, 1.3116252418557224, 0.009075313812456165),
+    ],
+    (3, 'double'): [
+        (201, '177.069636754491', 197.85832440124156, 20.788687646750077, 0.11740402266467494),
+        (4567, '687.934478426744', 721.315474167215, 33.38099574047135, 0.048523510286635534),
+        (65432, '1532.52197738363', 1576.4076496853363, 43.88567230170338, 0.02863624336182526),
+        (100000, '1709.97840513021', 1755.534342451105, 45.55593732089028, 0.026641235459006395),
+    ],
+    (4, 'double'): [
+        (201, '915.429099095627', 1135.3980169239187, 219.96891782829198, 0.24029050206684963),
+        (4567, '5860.66395141613', 6423.625405884993, 562.9614544688675, 0.09605762403982195),
+        (65432, '17292.5512714298', 18267.440444416105, 974.8891729862735, 0.056376248807019726),
+        (100000, '20041.3867315434', 21092.172303218787, 1050.7855716753402, 0.0524307816495299),
+    ],
+    (5, 'double'): [
+        (201, '4571.56307268709', 6477.949880133053, 1906.3868074459624, 0.4170098448024735),
+        (4567, '49179.9231636815', 57039.78016032373, 7859.856996642193, 0.15981840741155431),
+        (65432, '193312.491595011', 211290.50854444757, 17978.01694943651, 0.09299976841176094),
+        (100000, '232847.743204611', 252973.6099144984, 20125.866709887225, 0.08643359146582728),
+    ],
+    (6, 'double'): [
+        (201, '22113.9691102756', 36775.968798059104, 14661.999687783544, 0.6630198140672379),
+        (4567, '406996.445371366', 505176.7482996173, 98180.30292825168, 0.24123135237376986),
+        (65432, '2142399.36395193', 2439724.18910865, 297324.8251567236, 0.13878123292954606),
+        (100000, '2683437.1063061', 3029218.9190921355, 345781.81278603943, 0.1288578040355221),
+    ],
+    (1, 'high'): [
+        (201, '5.88300607249955', 5.8805205729606085, 0.002485499538945317, 0.0004224880117945018),
+        (4567, '9.00393695515094', 9.003827478086531, 0.00010947706440919453, 1.2158799528973297e-05),
+        (65432, '11.6659900208178', 11.665982379316343, 7.641501504052635e-06, 6.550238334180339e-07),
+        (100000, '12.0901461298634', 12.09014112987176, 4.999991666666667e-06, 4.1355924179579355e-07),
+    ],
+    (2, 'high'): [
+        (201, '32.9697891511891', 34.247344285205244, 1.2775551340161941, 0.038749266128385876),
+        (4567, '79.4261655636337', 80.73573133133836, 1.3095657677046866, 0.016487838213157916),
+        (65432, '134.450404381899', 135.7619669507117, 1.311562568813168, 0.009754991625668535),
+        (100000, '144.526709374553', 145.8383346164091, 1.3116252418557113, 0.009075313812456088),
+    ],
+    (3, 'high'): [
+        (201, '177.069636754491', 197.85832440124156, 20.788687646750073, 0.11740402266467491),
+        (4567, '687.934478426744', 721.3154741672149, 33.38099574047117, 0.04852351028663527),
+        (65432, '1532.52197738363', 1576.4076496853365, 43.88567230170348, 0.028636243361825325),
+        (100000, '1709.97840513021', 1755.5343424511047, 45.555937320890074, 0.026641235459006273),
+    ],
+    (4, 'high'): [
+        (201, '915.429099095627', 1135.3980169239187, 219.96891782829206, 0.2402905020668497),
+        (4567, '5860.66395141613', 6423.625405884991, 562.9614544688654, 0.09605762403982158),
+        (65432, '17292.5512714298', 18267.44044441611, 974.8891729862771, 0.05637624880701994),
+        (100000, '20041.3867315434', 21092.172303218787, 1050.7855716753381, 0.0524307816495298),
+    ],
+    (5, 'high'): [
+        (201, '4571.56307268709', 6477.949880133053, 1906.3868074459624, 0.4170098448024735),
+        (4567, '49179.9231636815', 57039.78016032371, 7859.856996642174, 0.15981840741155393),
+        (65432, '193312.491595011', 211290.5085444476, 17978.016949436533, 0.09299976841176105),
+        (100000, '232847.743204611', 252973.60991449837, 20125.8667098872, 0.08643359146582717),
+    ],
+    (6, 'high'): [
+        (201, '22113.9691102756', 36775.968798059104, 14661.999687783547, 0.663019814067238),
+        (4567, '406996.445371366', 505176.74829961715, 98180.30292825149, 0.24123135237376941),
+        (65432, '2142399.36395193', 2439724.1891086507, 297324.8251567241, 0.13878123292954625),
+        (100000, '2683437.1063061', 3029218.919092135, 345781.81278603914, 0.128857804035522),
+    ],
+}
+TRANSFER_GOLDEN = {
+    (1, 0, 2): (1.0, 1.0, '1', 0.0, 0.0),
+    (2, 3, 7): (6.9347939952129405, 21.933333333333334, '329/15', 14.998539338120393, 0.6838239819811729),
+    (3, 6, 5): (1.495863567614958, 0.0, '0', 1.495863567614958, None),
+    (4, 2, 20): (3656.5813581564257, 5972.459853404703, '50052391875767/8380532160', 2315.878495248277, 0.38775957513185644),
+    (5, 6, 30): (531788.5734296758, 1585391.2631223963, '80939368358179669454245550867/51053244861947328000000', 1053602.6896927205, 0.6645695067208023),
+    (2, 1, 60): (220.293613627418, 225.472095190056, '728328391892028565820385571/3230237388259077233637600', 5.178481562637984, 0.02296728363779524),
+}
+
+
+class TestOracleGolden:
+    @pytest.mark.parametrize("s, precision", sorted(CYCLES_GOLDEN))
+    def test_cycles_compare_json(self, s, precision):
+        code, out, _ = run_cli(
+            "compare", "--model", "cycles", "--s", str(s), "--n-grid", ORACLE_GRID,
+            "--precision", precision, "--format", "json",
+        )
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert {r["source"] for r in rows} == {"oracle"}
+        assert [
+            (r["n"], r["exact"], r["asym"], r["abs_err"], r["rel_err"]) for r in rows
+        ] == CYCLES_GOLDEN[s, precision]
+
+    @pytest.mark.parametrize("alpha, beta, n", sorted(TRANSFER_GOLDEN))
+    def test_transfer_json(self, alpha, beta, n):
+        code, out, _ = run_cli(
+            "transfer", "--alpha", str(alpha), "--beta", str(beta), "--n", str(n),
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert tuple(
+            payload[k] for k in ("estimate", "oracle", "oracle_exact", "abs_err", "rel_err")
+        ) == TRANSFER_GOLDEN[alpha, beta, n]
 
 
 class TestVerify:

@@ -3,9 +3,12 @@ oracle, each checked against an independent route."""
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momentlab import (
     EULER_GAMMA,
@@ -208,7 +211,61 @@ class TestSingularExpansionInvariants:
             LogPowerTerm(1.0, 1, -1)
 
 
+def convolution_series(alpha: int, beta: int, n: int) -> list[Fraction]:
+    """Coefficients 0..n of (1-u)^(-alpha) log(1/(1-u))^beta from the series
+    themselves: beta exact convolutions with sum_m u^m/m, then alpha running
+    prefix sums (the geometric series)."""
+    log = [Fraction(0)] + [Fraction(1, m) for m in range(1, n + 1)]
+    series = [Fraction(1)] + [Fraction(0)] * n
+    for _ in range(beta):
+        series = [sum((series[i] * log[m - i] for i in range(m)), Fraction(0)) for m in range(n + 1)]
+    for _ in range(alpha):
+        series = list(accumulate(series))
+    return series
+
+
 class TestExactCoefficient:
+    @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
+    @pytest.mark.parametrize("beta", range(7))
+    def test_matches_series_convolution(self, alpha, beta):
+        series = convolution_series(alpha, beta, 60)
+        assert [exact_coefficient(alpha, beta, n) for n in range(61)] == series
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 6, 7, 31, 32, 33, 64, 65, 150, 401])
+    def test_log_power_coefficients_are_stirling_numbers(self, m):
+        # [u^m] log(1/(1-u))^beta = beta! |s(m, beta)| / m!, and |s(m, beta)|
+        # counts the permutations of m with beta cycles; the factor 1/(1-u)
+        # makes exact_coefficient(1, beta, .) the running sum of these
+        counts = cycle_counts(m).counts
+        for beta in range(7):
+            stirling = counts[beta] if beta <= m else 0
+            expected = Fraction(math.factorial(beta) * stirling, math.factorial(m))
+            assert exact_coefficient(1, beta, m) - exact_coefficient(1, beta, m - 1) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=st.integers(1, 10),
+        beta=st.integers(0, 6),
+        n=st.one_of(st.integers(0, 8), st.integers(0, 700)),
+    )
+    @example(alpha=1, beta=0, n=0)
+    @example(alpha=10, beta=6, n=0)
+    @example(alpha=1, beta=6, n=5)
+    @example(alpha=3, beta=4, n=1)
+    @example(alpha=1, beta=6, n=6)
+    @example(alpha=10, beta=6, n=6)
+    @example(alpha=2, beta=3, n=3)
+    def test_highprec_matches_exact(self, alpha, beta, n):
+        exact = exact_coefficient(alpha, beta, n)
+        hp = highprec_coefficient(alpha, beta, n)
+        if n < beta:
+            assert exact == 0
+            assert hp == 0
+            return
+        with mp.workprec(320):
+            reference = mp.mpf(exact.numerator) / exact.denominator
+            assert abs(hp - reference) <= reference * mp.mpf(2) ** -200
+
     def test_log_times_geometric_gives_harmonic(self):
         assert exact_coefficient(1, 1, 3) == Fraction(11, 6)
 
