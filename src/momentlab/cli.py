@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .expansions import asymptotic_moment, coefficient_crosscheck
 from .moments import factorial_moment, quicksort_mean
 from .simulate import estimate_factorial_moment
@@ -112,6 +110,7 @@ def compare_rows(
         exact, source = _exact_moment(model, n, s)
         asym = asymptotic_moment(model, n, s, high_precision=high_precision)
         if high_precision:
+            import mpmath as mp
             with mp.workdps(60):
                 exact_hp = (
                     mp.mpf(exact.numerator) / exact.denominator

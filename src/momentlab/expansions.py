@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
-
 from .moments import harmonic
 from .tables import Model
 from .transfer import (
@@ -92,6 +90,7 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
     if high_precision:
+        import mpmath as mp
         with mp.workdps(60):
             gamma = mp.mpf(GAMMA_DIGITS)
             if model is Model.CYCLES:

@@ -41,19 +41,24 @@ numpy's per-call cost over the live trials of a block, about 30 us per
 step, so with few trials at large n it is slower than the scalar loop:
 quicksort at n = 10^5 takes about 2 s for 10 or 20 trials where the scalar
 loop took 0.09 s per trial, and is faster from about 30 trials on.
+
+numpy and the process pool are imported inside the functions that use
+them, not at module level: every CLI request is a fresh process, and most
+requests import this module through the CLI without simulating.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .tables import Model
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TrialStream",
@@ -133,6 +138,7 @@ def random_permutation(n: int, rng: TrialStream) -> list[int]:
 # -- vectorized batch twins ---------------------------------------------------
 
 def _mix64_np(z):
+    import numpy as np
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
@@ -142,6 +148,7 @@ def _stream_states(seed: int, start: int, stop: int) -> np.ndarray:
     """SplitMix64 states of the streams of trials start..stop-1 before
     their first word: base_i, as uint64.  A stream that has drawn t words
     is at state base_i + t * GOLDEN."""
+    import numpy as np
     idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
     return _mix64_np(np.uint64(seed) + idx * np.uint64(_GOLDEN))
 
@@ -155,6 +162,7 @@ def _randbelow_batch(state: np.ndarray, bound) -> np.ndarray:
     is only computed, in uint64 as ((2^64 - 1) mod bound + 1) mod bound,
     when some word is below the bound.
     """
+    import numpy as np
     golden = np.uint64(_GOLDEN)
     state += golden
     word = _mix64_np(state)
@@ -175,6 +183,7 @@ def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     trial's ``TrialStream`` (asserted in the test suite); the whole batch
     is mixed and swapped with numpy for speed.
     """
+    import numpy as np
     trials = stop - start
     state = _stream_states(seed, start, stop)
     arr = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
@@ -195,6 +204,7 @@ def _cycles_batch(perms: np.ndarray) -> np.ndarray:
     once 2^k >= n that is the least position of i's cycle, so each cycle
     has exactly one position with low[i] == i.
     """
+    import numpy as np
     rows, n = perms.shape
     pos = np.arange(rows * n, dtype=np.int64)
     succ = (perms - 1 + pos[::n, None]).ravel()
@@ -216,6 +226,7 @@ def _inversions_batch(perms: np.ndarray) -> np.ndarray:
     it and half - (k - j) above it; summed over the pair's right elements
     this is half^2 + half(half-1)/2 minus the sum of their places.
     """
+    import numpy as np
     rows, n = perms.shape
     width = 1 << (n - 1).bit_length()
     runs = np.empty((rows, width), dtype=np.int64)
@@ -246,6 +257,7 @@ def _quicksort_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     pops them without drawing, so skipping them keeps every word in place.
     Finished trials are dropped from the lanes, which stay contiguous.
     """
+    import numpy as np
     result = np.zeros(stop - start, dtype=np.int64)
     if n < 2:
         return result
@@ -430,6 +442,7 @@ def _trial_costs(model: Model, n: int, seed: int, start: int, stop: int):
 
 def _accumulate_range(model: Model, n: int, s: int, seed: int, start: int, stop: int):
     """Exact integer sums of (X)_s and (X)_s^2 over trials start..stop-1."""
+    import numpy as np
     total = 0
     total_sq = 0
     for costs in _trial_costs(model, n, seed, start, stop):
@@ -473,6 +486,12 @@ def estimate_factorial_moment(
     if workers == 1:
         total, total_sq = _accumulate_range(model, n, s, seed, 0, trials)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # imported here once, numpy is inherited by the forked workers,
+        # which would otherwise each import it
+        import numpy  # noqa: F401
+
         step = -(-trials // workers)
         ranges = [
             (model, n, s, seed, lo, min(lo + step, trials))

@@ -22,6 +22,10 @@ The cycles and inversions recurrences keep only the previous row, so a
 single row costs the memory of a few rows, not of the whole triangle.
 Rows are dense over k = 0 .. k_max with structural zeros stored
 explicitly, and every row sums to n! exactly.
+
+numpy is imported inside the quicksort functions that use it, not at
+module level: every CLI request is a fresh process, and the cycles and
+inversions routes, like most requests, never need it.
 """
 
 from __future__ import annotations
@@ -32,8 +36,10 @@ import functools
 import math
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Model",
@@ -54,6 +60,11 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 # Measured single-row builds at each cap, CPU time and peak RSS of the
 # process, on a 2-core x86-64 box with Python 3.11 and numpy 2.4: quicksort
 # 120 in 3.1 s and 142 MB (70 in 0.27 s).
+# Above the quicksort cap, through MOMENTLAB_ROW_LIMIT, the PGF values of
+# _pgf_values grow as (n+1) x primes x N x 4 bytes, and N doubles at n = 182.
+# _VALUES_BUDGET admits n <= 181 (407 MiB): `table --model quicksort --n 181`
+# took 24.2 s and 553 MB under a 1536 MiB address-space limit.  Row 182
+# (823 MiB) is refused at once; unrefused it took 53 s and 990 MB.
 # Inversions is the largest multiple of 50 whose `table --format csv`
 # request finishes within 30 s CPU and 1536 MiB: 500 in 23.5-26 s and
 # 239 MB, while 550 took 30.2 s and 305 MB (1000 took 222 s and 1.6 GB).
@@ -174,6 +185,7 @@ def _inversion_rows(n: int):
 _PRIME_BOUND = 1 << 31  # residue products stay below 2^62
 _PAIRS_PER_REDUCTION = 4  # four products below p^2 sum below 2^64
 _TRANSFORM_ELEMENTS = 1 << 21  # residues per inverse-transform batch
+_VALUES_BUDGET = 512 << 20  # bytes of PGF values held at once (see DEFAULT_ROW_LIMITS)
 
 
 def _is_prime(p: int) -> bool:
@@ -229,6 +241,7 @@ def _ntt_moduli(size: int, n: int) -> tuple[tuple[int, int], ...]:
 
 def _powers(bases: list[int], count: int, p: np.ndarray) -> np.ndarray:
     """bases[i]^e modulo p[i] for e = 0 .. count-1, shape (len(bases), count)."""
+    import numpy as np
     out = np.ones((len(bases), 1), dtype=np.uint64)
     while out.shape[1] < count:
         step = [pow(b, out.shape[1], int(q)) for b, q in zip(bases, p[:, 0])]
@@ -243,6 +256,7 @@ def _pgf_values(n: int, moduli, size: int) -> np.ndarray:
     in 32 bits and multiplied in 64.  The recurrence pairs j with m+1-j,
     whose products coincide.
     """
+    import numpy as np
     primes = [q for q, _ in moduli]
     p = np.array(primes, dtype=np.uint64)[:, None]
     points = _powers([w for _, w in moduli], size, p)
@@ -274,6 +288,7 @@ def _dft(x: np.ndarray, roots: list[int], p: np.ndarray) -> np.ndarray:
     Radix-2 Stockham transform along the last axis, whose length L is a
     power of two; roots[i] has order L modulo p[i].
     """
+    import numpy as np
     length = x.shape[-1]
     twiddles = _powers(roots, max(length // 2, 1), p)
     q = p[:, :, None]
@@ -296,6 +311,7 @@ def _garner_digits(residues: np.ndarray, primes: list[int]) -> np.ndarray:
 
     ``residues[i]`` holds x mod primes[i]; the digits have the same shape.
     """
+    import numpy as np
     digits = residues.astype(np.int64)
     for i, q in enumerate(primes):
         for j in range(i):
@@ -307,6 +323,7 @@ def _from_digits(digits: np.ndarray, primes: list[int], slot: int) -> list[int]:
     """Python ints from Garner digits, shape (primes, count), by Horner's rule
     on one packed integer per digit level: ``slot``-byte fields, wide enough
     for the product of the primes, so no field carries into the next."""
+    import numpy as np
     count = digits.shape[1]
     fields = np.zeros((len(primes), count, slot), dtype=np.uint8)
     fields[:, :, :4] = digits.astype("<u4").view(np.uint8).reshape(len(primes), count, 4)
@@ -329,8 +346,15 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
     (N / N_m)-th root, modulo as many primes as m! needs; rows of equal
     N_m share one inverse transform.
     """
+    import numpy as np
     size = _transform_size(n)
     moduli = _ntt_moduli(size, n)
+    held = (n + 1) * len(moduli) * size * 4  # the uint32 values of _pgf_values
+    if held > _VALUES_BUDGET:
+        raise RowLimitError(
+            f"quicksort row {n} would hold {held >> 20} MiB of residues, over the "
+            f"{_VALUES_BUDGET >> 20} MiB budget"
+        )
     values = _pgf_values(n, moduli, size)
     primes = [q for q, _ in moduli]
     wanted = range(n + 1) if every else [n]

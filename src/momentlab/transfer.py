@@ -50,8 +50,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath as mp
-
 __all__ = [
     "EULER_GAMMA",
     "GAMMA_DIGITS",
@@ -130,6 +128,7 @@ def _psi_derivatives(alpha: int, top: int, dps: int) -> tuple:
     psi(a)      = -gamma + H_{a-1}
     psi^(i)(a)  = (-1)^(i+1) * i! * (zeta(i+1) - sum_{j<a} j^-(i+1))   (i >= 1)
     """
+    import mpmath as mp
     with mp.workdps(dps):
         gamma = mp.mpf(GAMMA_DIGITS)
         h = mp.mpf(0)
@@ -150,6 +149,7 @@ def _recip_gamma_derivatives(alpha: int, top: int, dps: int) -> tuple:
 
     From g' = -psi*g:  g^(m+1) = -sum_i C(m,i) psi^(i) g^(m-i).
     """
+    import mpmath as mp
     psi = _psi_derivatives(alpha, max(top - 1, 0), dps)
     with mp.workdps(dps):
         g = [mp.mpf(1) / mp.factorial(alpha - 1)]
@@ -163,6 +163,7 @@ def _recip_gamma_derivatives(alpha: int, top: int, dps: int) -> tuple:
 
 def _ck(alpha: int, k: int, dps: int = _WORK_DPS):
     """C_k at ``alpha`` as an mpf at ``dps`` digits."""
+    import mpmath as mp
     if alpha < 1:
         raise ValueError(f"alpha must be a positive integer, got {alpha}")
     if k < 0:
@@ -284,6 +285,7 @@ def transfer_term(
     a, b = term.alpha, term.beta
     top = _bracket_orders(b, order)
     if high_precision:
+        import mpmath as mp
         with mp.workdps(_WORK_DPS):
             logn = mp.log(n)
             bracket = mp.mpf(0)
@@ -330,6 +332,7 @@ def transfer_expansion(
     if n < 2:
         raise ValueError(f"transfer requires n >= 2, got {n}")
     if high_precision:
+        import mpmath as mp
         with mp.workdps(_WORK_DPS):
             return mp.fsum(
                 transfer_term(t, n, order=order, high_precision=True)
@@ -412,6 +415,7 @@ def highprec_coefficient(alpha: int, beta: int, n: int, prec_bits: int = 240):
     directly.  Kept apart from the exact oracle, whose product tree costs
     seconds at n = 50000, so that each checks the other.  Returns an mpf.
     """
+    import mpmath as mp
     _check_oracle_budget(alpha, beta, n)
     if prec_bits < 200:
         raise ValueError(f"prec_bits must be >= 200, got {prec_bits}")

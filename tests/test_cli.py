@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -18,10 +20,15 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "momentlab.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "momentlab.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def children_cpu_seconds():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 class TestTable:
@@ -58,6 +65,19 @@ class TestTable:
         code, _, err = run_cli("table", "--model", "cycles", "--n", "4001")
         assert code == 3
         assert "cap" in err
+
+    def test_quicksort_memory_budget_exit_code(self):
+        # row 182 doubles the transform size: its residues would take 823 MiB
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "table", "--model", "quicksort", "--n", "182",
+            env={**os.environ, "MOMENTLAB_ROW_LIMIT": "1024"},
+        )
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit:")
+        assert "MiB" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "5")
@@ -381,6 +401,76 @@ class TestVerify:
         assert payload["schema"] == 1
         assert payload["passed"] is True
         assert len(payload["results"]) == 60
+
+
+# Runs one request in a fresh interpreter and prints its exit code and which
+# heavy modules it loaded; the test process itself already holds them all.
+IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+import momentlab.cli
+code = None
+if sys.argv[1:]:
+    with redirect_stdout(io.StringIO()):
+        code = momentlab.cli.main(sys.argv[1:])
+heavy = ("numpy", "mpmath", "concurrent.futures.process")
+print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+class TestImports:
+    """Every request is a fresh process, so numpy, mpmath and the process
+    pool are imported only on the routes that use them."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            pytest.param((), [], id="import-only"),
+            pytest.param(("table", "--model", "cycles", "--n", "30"), [], id="table-cycles"),
+            pytest.param(("table", "--model", "inversions", "--n", "20"), [], id="table-inversions"),
+            pytest.param(
+                ("moment", "--model", "inversions", "--n", "20", "--s", "2", "--mode", "exact"),
+                [],
+                id="moment-inversions-exact",
+            ),
+            pytest.param(
+                ("moment", "--model", "inversions", "--n", "20", "--s", "2", "--mode", "both"),
+                [],
+                id="moment-inversions-both",
+            ),
+            pytest.param(
+                ("transfer", "--alpha", "2", "--beta", "3", "--n", "500"), ["mpmath"], id="transfer"
+            ),
+            pytest.param(
+                ("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,5000"),
+                ["mpmath"],
+                id="compare-cycles-oracle",
+            ),
+            pytest.param(
+                ("compare", "--model", "quicksort", "--s", "1", "--n-grid", "2000"),
+                [],
+                id="compare-quicksort-mean",
+            ),
+            pytest.param(("verify",), ["mpmath"], id="verify"),
+            pytest.param(
+                ("table", "--model", "quicksort", "--n", "30"), ["numpy"], id="table-quicksort"
+            ),
+            pytest.param(
+                ("simulate", "--model", "cycles", "--n", "50", "--s", "2", "--trials", "100",
+                 "--seed", "1", "--threads", "1"),
+                ["numpy"],
+                id="simulate-one-worker",
+            ),
+        ],
+    )
+    def test_heavy_modules_loaded(self, argv, loaded):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == (0 if argv else None)
+        assert modules == loaded
 
 
 class TestParser:

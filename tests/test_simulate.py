@@ -1,6 +1,7 @@
 """Monte Carlo machinery: pinned RNG reproducibility, exhaustive
 distribution checks, and estimator accuracy."""
 
+import concurrent.futures
 import math
 import os
 from fractions import Fraction
@@ -356,7 +357,7 @@ class TestWorkerCount:
 
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "asked", [])
 
     def test_at_most_one_worker_per_cpu(self):
