@@ -18,6 +18,7 @@ from .tables import (
     row_limit,
 )
 from .moments import (
+    exact_moment,
     factorial_moment,
     falling_factorial,
     harmonic,
@@ -71,6 +72,7 @@ __all__ = [
     "k_max",
     "quicksort_counts",
     "row_limit",
+    "exact_moment",
     "factorial_moment",
     "falling_factorial",
     "harmonic",

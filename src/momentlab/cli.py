@@ -10,6 +10,19 @@ simulate  Monte Carlo factorial moment with standard error (seeded, exact
 compare   convergence report of asymptotic vs. exact moments over an n-grid
 verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
 
+Exact moments of ``moment`` and ``compare`` come from
+``moments.exact_moment``; ``compare`` names the route in its ``source``
+field:
+
+  closed-form  quicksort, s = 1, at every n: 2(n+1)H_n - 4n
+  pgf          inversions at s <= 6, every n; quicksort at s = 0 and
+               2 <= s <= 6, n <= QUICKSORT_PGF_MAX_N: Taylor coefficients
+               of the PGF at z = 1, no distribution row
+  table        cycles (in ``compare`` up to n = 200), and every model at
+               s > 6, inside the row caps: summation over the exact row
+  oracle       cycles in ``compare`` above n = 200: the high-precision
+               series oracle, printed as a float
+
 Conventions: natural logarithms everywhere (the gamma-constant corrections
 only hold for ln); CSV has a header row, counts as exact decimal integers,
 rationals as "p/q", reals with 15 significant digits, LF line endings; JSON
@@ -29,13 +42,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expansions import asymptotic_moment, coefficient_crosscheck
-from .moments import factorial_moment, quicksort_mean
+# factorial_moment and quicksort_mean are not called here; perfbench's
+# traced replay wraps them under these names
+from .moments import exact_moment, factorial_moment, quicksort_mean  # noqa: F401
 from .simulate import estimate_factorial_moment
-from .tables import Model, RowLimitError, distribution_table, row_limit
+from .tables import Model, RowLimitError, distribution_table
 from .transfer import (
     LogPowerTerm,
     OrderLimitError,
     SeriesBudgetError,
+    check_double_range,
     exact_coefficient,
     highprec_coefficient,
     transfer_term,
@@ -44,10 +60,10 @@ from .transfer import (
 CROSSCHECK_TOLERANCE = 1e-10
 CROSSCHECK_MAX_S = 10
 
-# cycles moments come from exact table rows up to here and print as exact
-# rationals; above it they come from the high-precision oracle as a 240-bit
-# approximation and print as floats.  The cutoff stays because it fixes
-# that output format, not for speed.
+# In `compare`, cycles moments come from exact table rows up to here and
+# print as exact rationals; above it they come from the high-precision
+# oracle as a 240-bit approximation and print as floats.  The cutoff stays
+# because it fixes that output format, not for speed.
 _CYCLES_TABLE_CUTOFF = 200
 
 
@@ -76,25 +92,7 @@ class ReportRow:
     asym: float
     abs_err: float
     rel_err: float | None  # None when exact == 0
-    source: str  # table | closed-form | oracle
-
-
-def _exact_moment(model: Model, n: int, s: int):
-    """Exact s-th moment at n with its provenance label.
-
-    Prefers tables; falls back to the high-precision series oracle for
-    cycles (the moment series is exactly the log-power series there) and
-    to the certified closed form for the quicksort mean.
-    """
-    if model is Model.CYCLES and n > _CYCLES_TABLE_CUTOFF:
-        return highprec_coefficient(1, s, n), "oracle"
-    if model is Model.QUICKSORT and n > row_limit(model):
-        if s == 1:
-            return quicksort_mean(n), "closed-form"
-        raise RowLimitError(
-            f"quicksort moments with s >= 2 need exact rows; n={n} is over the cap"
-        )
-    return factorial_moment(distribution_table(model, n), s), "table"
+    source: str  # table | pgf | closed-form | oracle
 
 
 def compare_rows(
@@ -107,7 +105,11 @@ def compare_rows(
     """
     rows = []
     for n in grid:
-        exact, source = _exact_moment(model, n, s)
+        if model is Model.CYCLES and n > _CYCLES_TABLE_CUTOFF:
+            # the moment series of cycles is exactly a log-power series
+            exact, source = highprec_coefficient(1, s, n), "oracle"
+        else:
+            exact, source = exact_moment(model, n, s)
         asym = asymptotic_moment(model, n, s, high_precision=high_precision)
         if high_precision:
             import mpmath as mp
@@ -181,7 +183,7 @@ def _cmd_moment(args) -> int:
     want_asym = args.mode in ("asym", "both")
     if want_asym and (args.n < 2 or args.s < 1):
         raise CommandError(2, "asymptotic moments require --n >= 2 and --s >= 1")
-    exact = factorial_moment(distribution_table(model, args.n), args.s) if want_exact else None
+    exact = exact_moment(model, args.n, args.s)[0] if want_exact else None
     asym = asymptotic_moment(model, args.n, args.s) if want_asym else None
     if args.format == "csv":
         _emit_csv(
@@ -211,10 +213,10 @@ def _cmd_transfer(args) -> int:
         raise CommandError(2, "--n must be >= 2")
     if args.order is not None and args.order < 0:
         raise CommandError(2, "--order must be nonnegative")
+    high_precision = args.precision == "high"
+    check_double_range(args.alpha, args.beta, args.n, high_precision=high_precision)
     term = LogPowerTerm(Fraction(1), args.alpha, args.beta)
-    estimate = transfer_term(
-        term, args.n, order=args.order, high_precision=args.precision == "high"
-    )
+    estimate = transfer_term(term, args.n, order=args.order, high_precision=high_precision)
     oracle = exact_coefficient(args.alpha, args.beta, args.n)
     estimate_f = float(estimate)
     oracle_f = float(oracle)

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,6 +67,7 @@ __all__ = [
     "gamma_recip_derivative",
     "transfer_term",
     "transfer_expansion",
+    "check_double_range",
     "exact_coefficient",
     "highprec_coefficient",
 ]
@@ -339,6 +341,43 @@ def transfer_expansion(
                 for t in expansion.terms
             )
     return math.fsum(transfer_term(t, n, order=order) for t in expansion.terms)
+
+
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# Natural-log slack of a refusal: the lgamma values below are far closer to
+# the truth than a factor e, so every refused request is past the double
+# range, and none that fits it is refused.
+_RANGE_MARGIN = 1.0
+
+
+def check_double_range(alpha: int, beta: int, n: int, *, high_precision: bool = False) -> None:
+    """Raise OverflowError, before any work, when a report of the estimate
+    and the exact oracle at (alpha, beta, n) must pass the double range.
+
+    * The oracle is beta! [t^beta] prod_(j<n) (alpha + j + t) / n!.  That
+      coefficient sums C(n, beta) products, each missing beta of the n
+      factors alpha + j and so at least prod_(j<n) (alpha + j) over
+      (alpha + n - 1)^beta.  For n >= beta the oracle is therefore at least
+      prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta), and when
+      that passes the range so does the oracle's conversion to a double.
+    * The double-precision estimate converts n^(alpha-1) and (alpha-1)! to
+      doubles on the way to their quotient, so either one past the range
+      fails too.  The high-precision estimate does not.
+
+    This costs a few ``math.lgamma`` calls, where the request itself would
+    run O(alpha) polygamma sums first.
+    """
+    bound = _LOG_DOUBLE_MAX + _RANGE_MARGIN
+    logs = []
+    if n >= beta:
+        logs.append(
+            math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)
+            - beta * math.log(alpha + n - 1)
+        )
+    if not high_precision:
+        logs += [(alpha - 1) * math.log(n), math.lgamma(alpha)]
+    if any(value > bound for value in logs):
+        raise OverflowError(f"alpha={alpha}, beta={beta}, n={n} does not fit doubles")
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
+from fractions import Fraction
 
 import pytest
 
+from momentlab import harmonic, quicksort_mean
 from momentlab.cli import main
+from momentlab.moments import QUICKSORT_PGF_MAX_N
 
 
 def run_cli(*argv):
@@ -171,6 +174,19 @@ class TestTransfer:
         assert "double range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("precision", ["double", "high"])
+    def test_double_overflow_refused_at_once(self, precision):
+        # the oracle C(n + alpha - 1, n)-sized value is past the double range;
+        # unrefused, the request ran for over 20 s before failing
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "transfer", "--alpha", "3000000", "--beta", "1", "--n", "100", "--precision", precision
+        )
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 3
+        assert "double range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_invalid_arguments(self):
         assert run_cli("transfer", "--alpha", "0", "--beta", "0", "--n", "10")[0] == 2
         assert run_cli("transfer", "--alpha", "1", "--beta", "0", "--n", "1")[0] == 2
@@ -242,10 +258,25 @@ class TestCompare:
         assert out.splitlines()[1].split(",")[7] == "closed-form"
 
     def test_quicksort_higher_moments_need_tables(self):
-        code, _, _ = run_cli(
-            "compare", "--model", "quicksort", "--s", "2", "--n-grid", "1000"
+        # s = 2..6 come from the PGF up to its cap; above it, exit 3 at once
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "compare", "--model", "quicksort", "--s", "2", "--n-grid", str(QUICKSORT_PGF_MAX_N + 1)
         )
-        assert code == 3
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit:")
+        assert "Traceback" not in proc.stderr
+        n = QUICKSORT_PGF_MAX_N
+        code, out, _ = run_cli("compare", "--model", "quicksort", "--s", "2", "--n-grid", str(n))
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert row[7] == "pgf"
+        # E[(X)_2] = Var + mean^2 - mean, with
+        # Var = 7n^2 - 4(n+1)^2 H_n^(2) - 2(n+1) H_n + 13n
+        mean = quicksort_mean(n)
+        variance = 7 * n**2 - 4 * (n + 1) ** 2 * harmonic(n, 2) - 2 * (n + 1) * harmonic(n) + 13 * n
+        assert Fraction(row[3]) == variance + mean**2 - mean
 
     def test_grid_validation(self):
         assert run_cli("compare", "--model", "cycles", "--s", "1",
@@ -450,6 +481,16 @@ class TestImports:
                 ("compare", "--model", "quicksort", "--s", "1", "--n-grid", "2000"),
                 [],
                 id="compare-quicksort-mean",
+            ),
+            pytest.param(
+                ("moment", "--model", "quicksort", "--n", "31", "--s", "3", "--mode", "exact"),
+                [],
+                id="moment-quicksort-pgf",
+            ),
+            pytest.param(
+                ("compare", "--model", "quicksort", "--s", "3", "--n-grid", "60"),
+                [],
+                id="compare-quicksort-pgf",
             ),
             pytest.param(("verify",), ["mpmath"], id="verify"),
             pytest.param(

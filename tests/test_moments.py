@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from momentlab import (
     DistributionTable,
     Model,
+    RowLimitError,
     cycle_counts,
     distribution_tables,
     factorial_moment,
@@ -22,6 +23,15 @@ from momentlab import (
     moment_sequence,
     quicksort_counts,
     quicksort_mean,
+)
+from momentlab.moments import (
+    PGF_MAX_S,
+    QUICKSORT_PGF_MAX_N,
+    _inversions_pgf,
+    _inversions_polynomial,
+    _pgf_moment,
+    _quicksort_pgf,
+    exact_moment,
 )
 from momentlab.simulate import comparisons_first_pivot
 
@@ -163,3 +173,77 @@ def test_cycle_mean_times_factorial_is_integer_row_identity():
     for n in (1, 7, 23, 50):
         counts = cycle_counts(n).counts
         assert sum(k * c for k, c in enumerate(counts)) == math.factorial(n) * harmonic(n)
+
+
+class TestExactMoment:
+    """Each route of ``exact_moment`` against an independent one: the table
+    rows, the direct truncated product, and the paper's coefficients."""
+
+    def test_quicksort_matches_rows(self, quicksort_rows_120):
+        polys = _quicksort_pgf(120, PGF_MAX_S)
+        for n, table in enumerate(quicksort_rows_120):
+            for s in range(PGF_MAX_S + 1):
+                assert _pgf_moment(polys[n], n, s) == factorial_moment(table, s), (n, s)
+        # every truncation order, through the routing
+        for n in (0, 1, 2, 7, 120):
+            table = quicksort_rows_120[n]
+            for s in range(PGF_MAX_S + 1):
+                value, route = exact_moment(Model.QUICKSORT, n, s)
+                assert value == factorial_moment(table, s), (n, s)
+                assert route == ("closed-form" if s == 1 else "pgf")
+
+    def test_inversions_match_rows(self):
+        for n, table in enumerate(distribution_tables(Model.INVERSIONS, 100)):
+            for s in range(PGF_MAX_S + 1):
+                assert exact_moment(Model.INVERSIONS, n, s) == (factorial_moment(table, s), "pgf")
+
+    @pytest.mark.parametrize("n", [150, 500])
+    def test_inversions_match_direct_product(self, n):
+        # above 2s the engine evaluates its interpolated polynomial
+        for s in range(1, PGF_MAX_S + 1):
+            direct = _pgf_moment(_inversions_pgf(n, s), n, s)
+            assert exact_moment(Model.INVERSIONS, n, s)[0] == direct
+
+    @pytest.mark.parametrize("s", range(1, PGF_MAX_S + 1))
+    def test_inversions_top_coefficients_are_the_papers(self, s):
+        # beta_s(n) = n^2s/4^s + s(2s-11)/(9*4^s) n^(2s-1) + O(n^(2s-2))
+        coefficients = _inversions_polynomial(s)
+        assert len(coefficients) == 2 * s + 1
+        assert coefficients[2 * s] == Fraction(1, 4**s)
+        assert coefficients[2 * s - 1] == Fraction(s * (2 * s - 11), 9 * 4**s)
+
+    def test_mass_guard(self):
+        n, s = 4, 2
+        poly = _inversions_pgf(n, s)
+        assert _pgf_moment(poly, n, s) == factorial_moment(inversion_counts(n), s)
+        with pytest.raises(ValueError, match="mass"):
+            _pgf_moment([poly[0] + 1] + poly[1:], n, s)
+
+    def test_quicksort_mean_and_variance_guard(self, monkeypatch):
+        def broken(n, s):
+            polys = _quicksort_pgf(n, s)
+            polys[n] = polys[n][:2] + (polys[n][2] + 1,) + polys[n][3:]
+            return polys
+
+        monkeypatch.setattr("momentlab.moments._quicksort_pgf", broken)
+        with pytest.raises(ValueError, match="mean or variance"):
+            exact_moment(Model.QUICKSORT, 9, 3)
+
+    def test_routes(self):
+        assert exact_moment(Model.QUICKSORT, 20000, 1) == (quicksort_mean(20000), "closed-form")
+        assert exact_moment(Model.CYCLES, 30, 2) == (factorial_moment(cycle_counts(30), 2), "table")
+        table = inversion_counts(12)
+        assert exact_moment(Model.INVERSIONS, 12, 7) == (factorial_moment(table, 7), "table")
+        # a polynomial in n: no cap, exact at any size
+        value, route = exact_moment(Model.INVERSIONS, 10**9, PGF_MAX_S)
+        assert route == "pgf" and value.denominator < 10**6
+
+    def test_quicksort_cap(self):
+        with pytest.raises(RowLimitError, match="capped"):
+            exact_moment(Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2)
+
+    def test_rejects_negative_arguments(self):
+        with pytest.raises(ValueError):
+            exact_moment(Model.INVERSIONS, -1, 2)
+        with pytest.raises(ValueError):
+            exact_moment(Model.QUICKSORT, 5, -1)
