@@ -15,11 +15,13 @@ Exact moments of ``moment`` and ``compare`` come from
 field:
 
   closed-form  quicksort, s = 1, at every n: 2(n+1)H_n - 4n
-  pgf          inversions at s <= 6, every n; quicksort at s = 0 and
-               2 <= s <= 6, n <= QUICKSORT_PGF_MAX_N: Taylor coefficients
-               of the PGF at z = 1, no distribution row
-  table        cycles (in ``compare`` up to n = 200), and every model at
-               s > 6, inside the row caps: summation over the exact row
+  pgf          at s <= 6, no distribution row: Taylor coefficients of the
+               PGF at z = 1.  Inversions at every n; quicksort at s = 0
+               and 2 <= s <= 6, n <= QUICKSORT_PGF_MAX_N; cycles inside
+               the cycles row cap (in ``compare`` up to n = 200) from the
+               exact log-power oracle
+  table        every model at s > 6, inside the row caps: summation over
+               the exact row (cycles in ``compare`` up to n = 200)
   oracle       cycles in ``compare`` above n = 200: the high-precision
                series oracle, printed as a float
 
@@ -60,8 +62,8 @@ from .transfer import (
 CROSSCHECK_TOLERANCE = 1e-10
 CROSSCHECK_MAX_S = 10
 
-# In `compare`, cycles moments come from exact table rows up to here and
-# print as exact rationals; above it they come from the high-precision
+# In `compare`, cycles moments come from `exact_moment` up to here and print
+# as exact rationals; above it they come from the high-precision
 # oracle as a 240-bit approximation and print as floats.  The cutoff stays
 # because it fixes that output format, not for speed.
 _CYCLES_TABLE_CUTOFF = 200

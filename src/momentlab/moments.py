@@ -7,10 +7,13 @@ s! [t^s] P_n(1+t) of the probability generating function P_n at z = 1.
 ``exact_moment`` is the one entry point and names the route it took:
 
 * ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, at every n;
-* ``pgf`` -- inversions and quicksort at s <= PGF_MAX_S, from the first
-  s + 1 Taylor coefficients of n! P_n(1+t), with no distribution row;
-* ``table`` -- cycles, and every s > PGF_MAX_S: direct summation over the
-  exact table row (``factorial_moment``), inside the row caps.
+* ``pgf`` -- every model at s <= PGF_MAX_S, from the first s + 1 Taylor
+  coefficients of n! P_n(1+t), with no distribution row.  For cycles
+  n! P_n(z) = z(z+1)...(z+n-1), so the moment is the log-power coefficient
+  [u^n] (1-u)^(-1) log^s(1/(1-u)) of ``transfer.exact_coefficient``, kept
+  inside the cycles row cap;
+* ``table`` -- every s > PGF_MAX_S: direct summation over the exact table
+  row (``factorial_moment``), inside the row caps.
 
 Every result is an exact rational.
 """
@@ -23,7 +26,15 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
-from .tables import DistributionTable, Model, RowLimitError, distribution_table, distribution_tables
+from .tables import (
+    DistributionTable,
+    Model,
+    RowLimitError,
+    _check_row_request,
+    distribution_table,
+    distribution_tables,
+)
+from .transfer import exact_coefficient
 
 __all__ = [
     "PGF_MAX_S",
@@ -202,9 +213,10 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
     """Exact s-th factorial moment at size n, and the route that gave it:
     ``closed-form``, ``pgf`` or ``table`` (see the module docstring).
 
-    Quicksort ``pgf`` moments are capped at n <= QUICKSORT_PGF_MAX_N; a
-    request above it raises ``RowLimitError`` before any work.  Inversions
-    ``pgf`` moments evaluate a polynomial in n and need no cap.
+    Quicksort ``pgf`` moments are capped at n <= QUICKSORT_PGF_MAX_N and
+    cycles ``pgf`` moments at the cycles row cap; a request above its cap
+    raises ``RowLimitError`` before any work.  Inversions ``pgf`` moments
+    evaluate a polynomial in n and need no cap.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -217,6 +229,10 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
         for c in reversed(_inversions_polynomial(s)):
             value = value * n + c
         return value, "pgf"
+    if model is Model.CYCLES and s <= PGF_MAX_S:
+        # the oracle is cheap past the cap, but the moment's digits are not
+        _check_row_request(model, n, None)
+        return exact_coefficient(1, s, n), "pgf"
     if model is Model.QUICKSORT and s <= PGF_MAX_S:
         if n > QUICKSORT_PGF_MAX_N:
             raise RowLimitError(

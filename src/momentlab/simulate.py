@@ -25,22 +25,41 @@ Batch route
 The estimator counts whole blocks of trials in numpy, drawing the same
 words from the same streams as the scalar ``random_permutation``,
 ``count_cycles``, ``count_inversions`` and ``quicksort_comparisons``, which
-stay as the per-sample API and the tests' reference:
+stay as the per-sample API and the tests' reference.
 
-- cycles and inversions: ``_permutation_batch`` shuffles blocks of
-  min(4096, 2_000_000 // n) trials, one row each, and ``_cycles_batch``
-  (pointer doubling) or ``_inversions_batch`` (a flattened bottom-up
-  merge) counts them in chunks of at most 2^16 entries (one row if n is
-  larger), which keeps the counting temporaries below the block's size;
+The descending Fisher-Yates shuffle draws its words in a fixed order: word
+t (t = 1..n-1) of a trial serves pos = n - t and gives
+j = word mod (pos + 1).  ``randbelow`` rejects a word only when it is below
+2^64 mod (pos + 1), which is less than pos + 1, so for every lane whose
+words are all at least their bound (all but a share below n^2 / 2^65) the
+draws are one vectorised (words x lanes) mix, ``_shuffle_draws``.  A lane
+with some word below its bound takes its cost from the scalar route, which
+redraws exactly as the stream does.  The draws are mixed at most
+``_COUNT_CHUNK`` = 2^16 words at a time, so no temporary grows with the
+block.
+
+- cycles: the shuffle closes a cycle exactly when step pos draws j = pos,
+  so count_cycles = 1 + #{pos : j = pos} and no permutation is built (the
+  Feller coupling: W. Feller, "The fundamental limit theorems in
+  probability", Bull. AMS 51 (1945); R. Arratia, A. D. Barbour and
+  S. Tavare, *Logarithmic Combinatorial Structures*, EMS 2003, ch. 1).
+  ``_feller_cycles`` counts chunks of max(1, 2^16 // n) trials.
+- inversions: ``_permutation_batch`` shuffles blocks of
+  min(512, 2_000_000 // n) trials in lockstep, three fancy-index
+  operations per position on all of the block's rows, and
+  ``_inversions_batch`` (a flattened bottom-up merge) counts them in chunks
+  of max(1, 2^16 // n) rows, which keeps the counting temporaries below
+  the block's size.  Lockstep over 512 rows measured no slower at n = 200
+  and 1000 than over 4096, with an eighth of the array.
 - quicksort: ``_quicksort_batch`` runs blocks of 4096 trials in lockstep,
-  one stack of subproblem sizes per trial.
+  one stack of subproblem sizes per trial; its draw order follows its
+  stack, so its words cannot be drawn ahead.  The lockstep spreads numpy's
+  per-call cost over the live trials, about 30 us per step, so a block of
+  fewer than ``_LOCKSTEP_MIN_TRIALS`` = 30 trials runs the scalar loop,
+  which draws the same words.
 
 Each block's costs are reduced to distinct values and multiplicities, and
-(X)_s and its square are summed as Python ints.  The lockstep spreads
-numpy's per-call cost over the live trials of a block, about 30 us per
-step, so with few trials at large n it is slower than the scalar loop:
-quicksort at n = 10^5 takes about 2 s for 10 or 20 trials where the scalar
-loop took 0.09 s per trial, and is faster from about 30 trials on.
+(X)_s and its square are summed as Python ints.
 
 numpy and the process pool are imported inside the functions that use
 them, not at module level: every CLI request is a fresh process, and most
@@ -78,9 +97,17 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-_BATCH = 4096  # trials per vectorized block
+_BATCH = 4096  # trials per lockstep quicksort block
+_SHUFFLE_LANES = 512  # permutations shuffled in lockstep
 _COUNT_CHUNK = 1 << 16  # permutation entries counted at once
 _STACK_COLUMNS = 64  # initial lockstep quicksort stack depth; doubles as needed
+# Quicksort blocks with fewer trials run the scalar loop.  Lockstep costs
+# about the same for any block this small, the scalar loop grows with the
+# trials; CPU seconds, lockstep against scalar, at 10, 20, 30 and 40 trials
+# (Python 3.11, numpy 2.4, 2-core x86-64): n = 10^5 2.25/0.76, 2.12/1.56,
+# 2.41/2.78, 2.73/3.94; n = 10^4 0.22/0.07, 0.23/0.17, 0.23/0.24,
+# 0.22/0.29; n = 1000 0.023 against 0.016, 0.023 and 0.031 at 20-40.
+_LOCKSTEP_MIN_TRIALS = 30
 
 
 def _mix64(z: int) -> int:
@@ -176,43 +203,75 @@ def _randbelow_batch(state: np.ndarray, bound) -> np.ndarray:
     return word % bound
 
 
+def _shuffle_draws(base: np.ndarray, n: int, first: int, last: int):
+    """The Fisher-Yates draws j = word mod (pos + 1) of words first..last-1
+    of the lanes with stream states ``base``, one row per word (word t
+    serves pos = n - t) and one column per lane, and the lanes where one of
+    those words is below its bound and may have been rejected (see the
+    module docstring).
+    """
+    import numpy as np
+    t = np.arange(first, last, dtype=np.uint64)
+    words = _mix64_np(t[:, None] * np.uint64(_GOLDEN) + base)
+    bound = (np.uint64(n + 1) - t)[:, None]
+    rejected = (words < bound).any(axis=0)
+    return np.remainder(words, bound, out=words), rejected
+
+
 def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     """Permutations for trials start..stop-1, one per row.
 
     Word-for-word identical to driving ``random_permutation`` with each
-    trial's ``TrialStream`` (asserted in the test suite); the whole batch
-    is mixed and swapped with numpy for speed.
+    trial's ``TrialStream`` (asserted in the test suite).  The draws are
+    mixed by ``_shuffle_draws`` about ``_COUNT_CHUNK`` words at a time, and
+    each position is swapped on every lane at once in a position-major
+    array, where slot k of lane i sits at flat index k * lanes + i.  A lane
+    where a word may have been rejected is shuffled again by
+    ``random_permutation``.
     """
     import numpy as np
-    trials = stop - start
-    state = _stream_states(seed, start, stop)
-    arr = np.tile(np.arange(1, n + 1, dtype=np.int64), (trials, 1))
-    rows = np.arange(trials)
-    for pos in range(n - 1, 0, -1):
-        j = _randbelow_batch(state, np.uint64(pos + 1)).astype(np.int64)
-        swapped = arr[rows, pos].copy()
-        arr[rows, pos] = arr[rows, j]
-        arr[rows, j] = swapped
-    return arr
+    lanes = stop - start
+    base = _stream_states(seed, start, stop)
+    slots = np.repeat(np.arange(1, n + 1, dtype=np.int64), lanes).reshape(n, lanes)
+    flat = slots.reshape(-1)
+    lane = np.arange(lanes, dtype=np.intp)
+    suspect = np.zeros(lanes, dtype=bool)
+    step = max(1, _COUNT_CHUNK // lanes)
+    for first in range(1, n, step):
+        last = min(first + step, n)
+        j, rejected = _shuffle_draws(base, n, first, last)
+        suspect |= rejected
+        at = j.astype(np.intp)
+        at *= lanes
+        at += lane
+        for pos, where in zip(range(n - first, n - last, -1), at):
+            held = slots[pos].copy()
+            slots[pos] = flat[where]
+            flat[where] = held
+    perms = slots.T
+    for i in np.flatnonzero(suspect).tolist():
+        perms[i] = random_permutation(n, TrialStream(seed, start + i))
+    return perms
 
 
-def _cycles_batch(perms: np.ndarray) -> np.ndarray:
-    """``count_cycles`` of every row, by pointer doubling.
-
-    After k rounds of ``low = min(low, low[succ]); succ = succ[succ]``,
-    low[i] is the least position among i and its next 2^k - 1 successors;
-    once 2^k >= n that is the least position of i's cycle, so each cycle
-    has exactly one position with low[i] == i.
+def _feller_cycles(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+    """``count_cycles`` of the permutations of trials start..stop-1,
+    without building them (the Feller coupling, see the module docstring):
+    1 + the number of steps whose draw j equals its pos.
     """
     import numpy as np
-    rows, n = perms.shape
-    pos = np.arange(rows * n, dtype=np.int64)
-    succ = (perms - 1 + pos[::n, None]).ravel()
-    low = pos
-    for _ in range((n - 1).bit_length()):
-        low = np.minimum(low, low[succ])
-        succ = succ[succ]
-    return (low == pos).reshape(rows, n).sum(axis=1)
+    base = _stream_states(seed, start, stop)
+    cycles = np.ones(stop - start, dtype=np.int64)
+    suspect = np.zeros(stop - start, dtype=bool)
+    for first in range(1, n, _COUNT_CHUNK):
+        last = min(first + _COUNT_CHUNK, n)
+        j, rejected = _shuffle_draws(base, n, first, last)
+        pos = np.arange(n - first, n - last, -1, dtype=np.uint64)
+        cycles += (j == pos[:, None]).sum(axis=0)
+        suspect |= rejected
+    for i in np.flatnonzero(suspect).tolist():
+        cycles[i] = count_cycles(random_permutation(n, TrialStream(seed, start + i)))
+    return cycles
 
 
 def _inversions_batch(perms: np.ndarray) -> np.ndarray:
@@ -427,17 +486,27 @@ class MomentEstimate:
 def _trial_costs(model: Model, n: int, seed: int, start: int, stop: int):
     """Costs of trials start..stop-1 in order, as one int64 array per
     counted block or chunk (see module docstring for the rule)."""
-    if model is Model.QUICKSORT:
+    import numpy as np
+    chunk = max(1, _COUNT_CHUNK // n)  # cap draw and counting temporaries
+    if model is Model.CYCLES:
+        for lo in range(start, stop, chunk):
+            yield _feller_cycles(seed, n, lo, min(lo + chunk, stop))
+    elif model is Model.INVERSIONS:
+        block = max(1, min(_SHUFFLE_LANES, 2_000_000 // n))  # cap permutation memory
+        for lo in range(start, stop, block):
+            perms = _permutation_batch(seed, n, lo, min(lo + block, stop))
+            for row in range(0, len(perms), chunk):
+                yield _inversions_batch(perms[row:row + chunk])
+    else:
         for lo in range(start, stop, _BATCH):
-            yield _quicksort_batch(seed, n, lo, min(lo + _BATCH, stop))
-        return
-    counter = _cycles_batch if model is Model.CYCLES else _inversions_batch
-    block = max(1, min(_BATCH, 2_000_000 // n))  # cap permutation memory
-    chunk = max(1, _COUNT_CHUNK // n)  # cap counting temporaries
-    for lo in range(start, stop, block):
-        perms = _permutation_batch(seed, n, lo, min(lo + block, stop))
-        for row in range(0, len(perms), chunk):
-            yield counter(perms[row:row + chunk])
+            hi = min(lo + _BATCH, stop)
+            if hi - lo < _LOCKSTEP_MIN_TRIALS:
+                yield np.array(
+                    [quicksort_comparisons(n, TrialStream(seed, i)) for i in range(lo, hi)],
+                    dtype=np.int64,
+                )
+            else:
+                yield _quicksort_batch(seed, n, lo, hi)
 
 
 def _accumulate_range(model: Model, n: int, s: int, seed: int, start: int, stop: int):

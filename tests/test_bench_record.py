@@ -46,6 +46,34 @@ def test_collects_runs(tmp_path):
     assert first == {"workload": "moments", "seed": 1, "side": "parent", "cpu_s": 3.7,
                      "setup_s": 0.14, "peak_rss_mb": 20.0, "fail_frac": 0.5}
     assert payload["runs"][3]["side"] == "change" and payload["runs"][3]["fail_frac"] == 0
+    moments = payload["summary"]["moments"]
+    assert moments["pairs"] == 3
+    cpu = moments["metrics"]["cpu_s"]
+    assert cpu["parent"] == pytest.approx({"q1": 3.65, "median": 3.7, "q3": 3.75})
+    assert cpu["change"] == pytest.approx({"q1": 3.15, "median": 3.2, "q3": 3.45})
+    assert cpu["change_won"] == 2
+    assert moments["metrics"]["fail_frac"]["change_won"] == 3
+    assert moments["metrics"]["peak_rss_mb"]["change_won"] == 0  # ties are not wins
+
+
+def test_summary_pairs_only_shared_seeds(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed, cpu_s in [(1, 3.0), (2, 2.0), (3, 1.0)]:
+        write_run(parent, "montecarlo", seed, cpu_s, [None])
+    write_run(change, "montecarlo", 2, 1.5, [None])
+    write_run(change, "montecarlo", 9, 0.5, [None])  # no parent run of seed 9
+    write_run(change, "tables", 1, 4.0, [None])  # no parent run of tables
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--parent", str(parent), "--change", str(change), "--out", str(out)])
+    summary = json.loads(out.read_text())["summary"]
+    montecarlo = summary["montecarlo"]
+    assert montecarlo["pairs"] == 1
+    assert montecarlo["metrics"]["cpu_s"]["change_won"] == 1
+    assert montecarlo["metrics"]["cpu_s"]["parent"] == {"q1": 1.5, "median": 2.0, "q3": 2.5}
+    assert montecarlo["metrics"]["cpu_s"]["change"] == {"q1": 0.75, "median": 1.0, "q3": 1.25}
+    tables = summary["tables"]
+    assert tables["pairs"] == 0 and "parent" not in tables["metrics"]["cpu_s"]
+    assert tables["metrics"]["cpu_s"]["change"] == {"q1": 4.0, "median": 4.0, "q3": 4.0}
 
 
 def test_no_records_is_an_error(tmp_path):

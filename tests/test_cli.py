@@ -126,6 +126,13 @@ class TestMoment:
         assert "double range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_cycles_row_cap_exit_code(self):
+        code, _, err = run_cli(
+            "moment", "--model", "cycles", "--n", "4001", "--s", "1", "--mode", "exact"
+        )
+        assert code == 3
+        assert "exceeds the configured cap" in err
+
     def test_asym_needs_valid_domain(self):
         code, _, err = run_cli(
             "moment", "--model", "cycles", "--n", "1", "--s", "1", "--mode", "asym"
@@ -220,8 +227,9 @@ class TestSimulate:
         assert float(fields[5]) > 0 and float(fields[6]) > 0
 
     def test_out_of_memory_exit_code(self):
+        # inversions shuffles whole permutations; cycles builds none
         proc = run_cli_process(
-            "simulate", "--model", "cycles", "--n", "1000000000000", "--s", "1",
+            "simulate", "--model", "inversions", "--n", "1000000000000", "--s", "1",
             "--trials", "2", "--seed", "1",
         )
         assert proc.returncode == 3
@@ -248,7 +256,7 @@ class TestCompare:
         rows = [line.split(",") for line in lines[1:]]
         rels = [float(r[6]) for r in rows]
         assert rels == sorted(rels, reverse=True)
-        assert [r[7] for r in rows] == ["table", "oracle", "oracle"]
+        assert [r[7] for r in rows] == ["pgf", "oracle", "oracle"]
 
     def test_closed_form_source_for_big_quicksort_mean(self):
         code, out, _ = run_cli(

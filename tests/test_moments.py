@@ -23,6 +23,7 @@ from momentlab import (
     moment_sequence,
     quicksort_counts,
     quicksort_mean,
+    row_limit,
 )
 from momentlab.moments import (
     PGF_MAX_S,
@@ -231,12 +232,25 @@ class TestExactMoment:
 
     def test_routes(self):
         assert exact_moment(Model.QUICKSORT, 20000, 1) == (quicksort_mean(20000), "closed-form")
-        assert exact_moment(Model.CYCLES, 30, 2) == (factorial_moment(cycle_counts(30), 2), "table")
+        assert exact_moment(Model.CYCLES, 30, 2) == (factorial_moment(cycle_counts(30), 2), "pgf")
+        assert exact_moment(Model.CYCLES, 30, 7) == (factorial_moment(cycle_counts(30), 7), "table")
         table = inversion_counts(12)
         assert exact_moment(Model.INVERSIONS, 12, 7) == (factorial_moment(table, 7), "table")
         # a polynomial in n: no cap, exact at any size
         value, route = exact_moment(Model.INVERSIONS, 10**9, PGF_MAX_S)
         assert route == "pgf" and value.denominator < 10**6
+
+    def test_cycles_match_rows(self):
+        for n, table in enumerate(distribution_tables(Model.CYCLES, 200)):
+            for s in range(PGF_MAX_S + 1):
+                assert exact_moment(Model.CYCLES, n, s) == (factorial_moment(table, s), "pgf"), (n, s)
+
+    def test_cycles_mean_is_harmonic(self):
+        assert exact_moment(Model.CYCLES, 3500, 1) == (harmonic(3500), "pgf")
+
+    def test_cycles_cap(self):
+        with pytest.raises(RowLimitError, match="cap"):
+            exact_moment(Model.CYCLES, row_limit(Model.CYCLES) + 1, 1)
 
     def test_quicksort_cap(self):
         with pytest.raises(RowLimitError, match="capped"):

@@ -33,9 +33,17 @@ from momentlab import (
 )
 from momentlab import simulate
 from momentlab.simulate import (
+    _GOLDEN,
+    _LOCKSTEP_MIN_TRIALS,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     TrialStream,
+    _mix64,
     _permutation_batch,
+    _quicksort_batch,
     _randbelow_batch,
+    _shuffle_draws,
     _stream_states,
     _trial_costs,
 )
@@ -331,6 +339,83 @@ class TestBatchRoute:
     def test_golden_estimates(self, model, n, s, trials, seed, mean, stderr):
         est = estimate_factorial_moment(model, n, s, trials, seed)
         assert (est.mean.hex(), est.stderr.hex()) == (mean, stderr)
+
+
+def _unxorshift(z, k):
+    """Inverse of z -> z ^ (z >> k) on 64-bit words."""
+    x = z
+    for _ in range(64 // k + 1):
+        x = z ^ (x >> k)
+    return x
+
+
+def unmix64(z):
+    """Inverse of ``mix64``: its xor-shifts and odd multipliers are
+    invertible mod 2^64."""
+    z = _unxorshift(z, 31)
+    z = z * pow(_MIX2, -1, 1 << 64) & _MASK64
+    z = _unxorshift(z, 27)
+    z = z * pow(_MIX1, -1, 1 << 64) & _MASK64
+    return _unxorshift(z, 30)
+
+
+class TestDrawMatrix:
+    """The Fisher-Yates draws taken all at once, the Feller cycle count and
+    the fallback of lanes whose words may have been rejected."""
+
+    def test_unmix64(self):
+        for z in (0, 1, 2**63, _MASK64, 0x0123456789ABCDEF):
+            assert unmix64(_mix64(z)) == z == _mix64(unmix64(z))
+
+    @pytest.mark.parametrize("model", [Model.CYCLES, Model.INVERSIONS])
+    def test_rejected_word_falls_back_to_scalar(self, model):
+        # word t of trial 3 is mix64(0) = 0; it serves pos = n - t, whose
+        # bound 7 is not a power of two, so 0 < 2^64 mod 7 is rejected
+        n, t, trial = 10, 4, 3
+        seed = (unmix64(-t * _GOLDEN & _MASK64) - (trial + 1) * _GOLDEN) & _MASK64
+        stream = TrialStream(seed, trial)
+        for _ in range(t - 1):
+            stream.next_uint64()
+        assert stream.next_uint64() == 0
+        stream.counter = t - 1
+        stream.randbelow(n - t + 1)
+        assert stream.counter == t + 1  # the zero word was redrawn
+        rejected = _shuffle_draws(_stream_states(seed, 0, 8), n, 1, n)[1]
+        assert rejected.tolist() == [i == trial for i in range(8)]
+        assert batch_costs(model, n, seed, 0, 8) == scalar_costs(model, n, seed, 0, 8)
+        assert _permutation_batch(seed, n, 0, 8).tolist() == [
+            random_permutation(n, trial_stream(seed, i)) for i in range(8)
+        ]
+
+    def test_cycles_build_no_permutation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the cycles route shuffled a permutation")
+
+        expected = scalar_costs(Model.CYCLES, 200, 7, 0, 300)
+        monkeypatch.setattr(simulate, "_permutation_batch", refuse)
+        monkeypatch.setattr(simulate, "random_permutation", refuse)
+        assert batch_costs(Model.CYCLES, 200, 7, 0, 300) == expected
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_draws_span_chunks(self, model, monkeypatch):
+        # 64-word chunks split each row of n = 150 into three column spans
+        monkeypatch.setattr(simulate, "_COUNT_CHUNK", 64)
+        assert batch_costs(model, 150, 11, 5, 45) == scalar_costs(model, 150, 11, 5, 45)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**64 - 1), start=st.integers(0, 10**6))
+    def test_quicksort_lockstep_matches_scalar(self, n, seed, start):
+        # blocks this small run the scalar loop in the estimator
+        assert _quicksort_batch(seed, n, start, start + 12).tolist() == scalar_costs(
+            Model.QUICKSORT, n, seed, start, start + 12
+        )
+
+    def test_quicksort_few_trials_run_scalar(self, monkeypatch):
+        few = _LOCKSTEP_MIN_TRIALS - 1
+        lockstep = _quicksort_batch(13, 400, 0, few).tolist()
+        assert lockstep == scalar_costs(Model.QUICKSORT, 400, 13, 0, few)
+        monkeypatch.setattr(simulate, "_quicksort_batch", None)
+        assert batch_costs(Model.QUICKSORT, 400, 13, 0, few) == lockstep
 
 
 class RecordingExecutor:

@@ -4,18 +4,22 @@
 
 Reads the untraced run records ``DIR/.bench_out/run-<workload>-<seed>-trace0.json``
 that ``perfbench/run.py --trace 0`` leaves in each checkout, and writes one
-entry per run (workload, seed, side, the end-to-end metrics and fail_frac)
-and the environment the first run reported.  It runs none of the benchmark
-and changes none of its files.
+entry per run (workload, seed, side, the end-to-end metrics and fail_frac),
+the environment the first run reported, and a summary per workload and
+metric: each side's median and quartiles over its runs, and the number of
+pairs (runs of both sides with the same seed) in which the change is lower.
+It runs none of the benchmark and changes none of its files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 from pathlib import Path
 
 METRICS = ("cpu_s", "setup_s", "peak_rss_mb")  # all lower-is-better
+SUMMARISED = METRICS + ("fail_frac",)  # lower is better here too
 
 
 def runs(root: Path, side: str) -> list[dict]:
@@ -36,6 +40,40 @@ def runs(root: Path, side: str) -> list[dict]:
     return entries
 
 
+def quartiles(values: list[float]) -> dict:
+    """Median and quartiles, by linear interpolation between the sorted
+    values (``statistics.quantiles``, inclusive method)."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summary(entries: list[dict]) -> dict:
+    """Per workload: the seeds run by both sides, and per metric each
+    side's quartiles and the pairs in which the change is lower."""
+    result = {}
+    for workload in sorted({e["workload"] for e in entries}):
+        sides = {
+            side: {e["seed"]: e for e in entries if e["workload"] == workload and e["side"] == side}
+            for side in ("parent", "change")
+        }
+        paired = sides["parent"].keys() & sides["change"].keys()
+        metrics = {}
+        for name in SUMMARISED:
+            metrics[name] = {
+                side: quartiles([e[name] for e in runs.values()])
+                for side, runs in sides.items()
+                if runs
+            }
+            metrics[name]["change_won"] = sum(
+                sides["change"][seed][name] < sides["parent"][seed][name] for seed in paired
+            )
+        result[workload] = {"pairs": len(paired), "metrics": metrics}
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -46,7 +84,12 @@ def main(argv: list[str] | None = None) -> int:
     if not entries:
         parser.error("no .bench_out/run-*-trace0.json records in either checkout")
     environments = [e.pop("environment") for e in entries]
-    payload = {"schema": 1, "environment": environments[0], "runs": entries}
+    payload = {
+        "schema": 2,
+        "environment": environments[0],
+        "summary": summary(entries),
+        "runs": entries,
+    }
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
     return 0
 
