@@ -6,7 +6,8 @@ table     exact distribution row as k,count pairs (CSV) or a dense array (JSON)
 moment    exact and/or two-term asymptotic factorial moment at one size
 transfer  log-power coefficient estimate vs. the exact series oracle
 simulate  Monte Carlo factorial moment with standard error (seeded, exact
-          reproducibility independent of --threads)
+          reproducibility independent of --threads); requests of more
+          than 2^31 draws, (n - 1) x trials, exit 3 before any work
 compare   convergence report of asymptotic vs. exact moments over an n-grid
 verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
 
@@ -47,7 +48,7 @@ from .expansions import asymptotic_moment, coefficient_crosscheck
 # factorial_moment and quicksort_mean are not called here; perfbench's
 # traced replay wraps them under these names
 from .moments import exact_moment, factorial_moment, quicksort_mean  # noqa: F401
-from .simulate import estimate_factorial_moment
+from .simulate import DrawLimitError, estimate_factorial_moment
 from .tables import Model, RowLimitError, distribution_table
 from .transfer import (
     LogPowerTerm,
@@ -527,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (RowLimitError, OrderLimitError, SeriesBudgetError) as exc:
+    except (RowLimitError, OrderLimitError, SeriesBudgetError, DrawLimitError) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:

@@ -29,10 +29,11 @@ from operator import mul
 from .tables import (
     DistributionTable,
     Model,
+    ROW_LIMIT_ENV,
     RowLimitError,
-    _check_row_request,
     distribution_table,
     distribution_tables,
+    row_limit,
 )
 from .transfer import exact_coefficient
 
@@ -230,8 +231,16 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
             value = value * n + c
         return value, "pgf"
     if model is Model.CYCLES and s <= PGF_MAX_S:
-        # the oracle is cheap past the cap, but the moment's digits are not
-        _check_row_request(model, n, None)
+        # The oracle is cheap past the cap, but the moment's text is not:
+        # at n = 4000 the s = 6 numerator has 4247 digits, and by n = 4060
+        # it passes Python's 4300-digit limit on integer-to-text conversion
+        # (s = 1 passes it near n = 9900).  The cap keeps every order printable.
+        cap = row_limit(model)
+        if n > cap:
+            raise RowLimitError(
+                f"cycles moment at n={n} exceeds the configured cap {cap}; "
+                f"set {ROW_LIMIT_ENV} to raise it"
+            )
         return exact_coefficient(1, s, n), "pgf"
     if model is Model.QUICKSORT and s <= PGF_MAX_S:
         if n > QUICKSORT_PGF_MAX_N:

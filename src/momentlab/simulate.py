@@ -33,10 +33,11 @@ j = word mod (pos + 1).  ``randbelow`` rejects a word only when it is below
 2^64 mod (pos + 1), which is less than pos + 1, so for every lane whose
 words are all at least their bound (all but a share below n^2 / 2^65) the
 draws are one vectorised (words x lanes) mix, ``_shuffle_draws``.  A lane
-with some word below its bound takes its cost from the scalar route, which
-redraws exactly as the stream does.  The draws are mixed at most
-``_COUNT_CHUNK`` = 2^16 words at a time, so no temporary grows with the
-block.
+with some word below its bound is drawn again on its own, exactly as the
+stream does: cycles by ``_lane_cycles``, which applies the rejection rule
+to a chunk of words at a time, inversions by ``random_permutation``.  The
+draws are mixed at most ``_COUNT_CHUNK`` = 2^16 words at a time, so no
+temporary grows with the block.
 
 - cycles: the shuffle closes a cycle exactly when step pos draws j = pos,
   so count_cycles = 1 + #{pos : j = pos} and no permutation is built (the
@@ -59,7 +60,9 @@ block.
   which draws the same words.
 
 Each block's costs are reduced to distinct values and multiplicities, and
-(X)_s and its square are summed as Python ints.
+(X)_s and its square are summed as Python ints.  An estimate that needs
+more than ``MAX_DRAWS`` = 2^31 draws, (n - 1) x trials, is refused before
+any work; the measurements behind the cap are next to it.
 
 numpy and the process pool are imported inside the functions that use
 them, not at module level: every CLI request is a fresh process, and most
@@ -89,6 +92,8 @@ __all__ = [
     "quicksort_comparisons",
     "comparisons_first_pivot",
     "sample_cost",
+    "DrawLimitError",
+    "MAX_DRAWS",
     "estimate_factorial_moment",
 ]
 
@@ -108,6 +113,16 @@ _STACK_COLUMNS = 64  # initial lockstep quicksort stack depth; doubles as needed
 # 2.41/2.78, 2.73/3.94; n = 10^4 0.22/0.07, 0.23/0.17, 0.23/0.24,
 # 0.22/0.29; n = 1000 0.023 against 0.016, 0.023 and 0.031 at 20-40.
 _LOCKSTEP_MIN_TRIALS = 30
+# Cap on the draws of one estimate, (n - 1) x trials: every trial of every
+# model draws at most n - 1 bounded words, one per Fisher-Yates step or
+# quicksort partition.  Draws per CPU second, by the CLI (same box):
+# cycles 5.9e7 (n = 10^7, 10 trials), quicksort 1.0e6 (n = 10^6, 10
+# trials, scalar loop) and 3.6e6 (n = 10^5, 100 trials, lockstep),
+# inversions 6.3e5 (n = 10^6, 4 trials) and 1.8e6 (n = 10^5, 40 trials).
+# At the cap, cycles at n = 2^30 + 1 with 2 trials took 64 s and 34 MB;
+# the slowest rate above, inversions at n = 10^6, would need about an hour.
+# n = 10^12 with 2 trials would need hours to weeks and is refused at once.
+MAX_DRAWS = 1 << 31
 
 
 def _mix64(z: int) -> int:
@@ -270,7 +285,31 @@ def _feller_cycles(seed: int, n: int, start: int, stop: int) -> np.ndarray:
         cycles += (j == pos[:, None]).sum(axis=0)
         suspect |= rejected
     for i in np.flatnonzero(suspect).tolist():
-        cycles[i] = count_cycles(random_permutation(n, TrialStream(seed, start + i)))
+        cycles[i] = _lane_cycles(seed, n, start + i)
+    return cycles
+
+
+def _lane_cycles(seed: int, n: int, index: int) -> int:
+    """``count_cycles`` of trial ``index``'s permutation by the Feller
+    coupling, drawing as ``randbelow`` does: the words are mixed at most
+    ``_COUNT_CHUNK`` at a time, and a chunk ends at its first rejected
+    word, so the next chunk redraws that word's pos from the next word.
+    """
+    import numpy as np
+    base = np.uint64(TrialStream(seed, index).base)
+    cycles = 1
+    drawn = 0  # words drawn so far
+    pos = n - 1
+    while pos > 0:
+        k = np.arange(min(_COUNT_CHUNK, pos), dtype=np.uint64)
+        words = _mix64_np((k + np.uint64(drawn + 1)) * np.uint64(_GOLDEN) + base)
+        bound = np.uint64(pos + 1) - k
+        threshold = (np.uint64(_MASK64) % bound + np.uint64(1)) % bound
+        rejected = np.flatnonzero(words < threshold)
+        take = int(rejected[0]) if rejected.size else k.size
+        cycles += int((words[:take] % bound[:take] == bound[:take] - np.uint64(1)).sum())
+        drawn += take + (take < k.size)
+        pos -= take
     return cycles
 
 
@@ -470,6 +509,10 @@ def sample_cost(model: Model, n: int, rng: TrialStream) -> int:
 
 # -- moment estimation -------------------------------------------------------
 
+class DrawLimitError(RuntimeError):
+    """Requested estimate needs more than MAX_DRAWS draws (resource guard)."""
+
+
 @dataclass(frozen=True)
 class MomentEstimate:
     """Empirical factorial moment: sample mean of (X)_s with its standard
@@ -541,7 +584,9 @@ def estimate_factorial_moment(
     Per-trial streams make the result a pure function of (model, n, s,
     trials, seed); ``threads`` only changes how trial ranges are divided
     among worker processes, never the result.  At most one worker per CPU
-    is started, since more only add start-up cost.
+    is started, since more only add start-up cost.  A request of more than
+    MAX_DRAWS draws, (n - 1) x trials, raises ``DrawLimitError`` before any
+    work.
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
@@ -551,6 +596,11 @@ def estimate_factorial_moment(
         raise ValueError(f"n must be positive, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
+    if (n - 1) * trials > MAX_DRAWS:
+        raise DrawLimitError(
+            f"{model} estimate needs (n-1) x trials = {(n - 1) * trials} draws, "
+            f"above the cap {MAX_DRAWS}"
+        )
     workers = min(threads, os.cpu_count() or 1)
     if workers == 1:
         total, total_sq = _accumulate_range(model, n, s, seed, 0, trials)

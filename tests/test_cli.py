@@ -227,13 +227,32 @@ class TestSimulate:
         assert float(fields[5]) > 0 and float(fields[6]) > 0
 
     def test_out_of_memory_exit_code(self):
-        # inversions shuffles whole permutations; cycles builds none
-        proc = run_cli_process(
-            "simulate", "--model", "inversions", "--n", "1000000000000", "--s", "1",
-            "--trials", "2", "--seed", "1",
+        # inversions at n = 2^27 holds 1 GiB slots, past this address space;
+        # one BLAS thread keeps numpy's own reservations small
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentlab.cli", "simulate", "--model", "inversions",
+             "--n", str(1 << 27), "--s", "1", "--trials", "2", "--seed", "1"],
+            capture_output=True, text=True, preexec_fn=limit_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
         )
         assert proc.returncode == 3
         assert "resource limit: out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("model", ["cycles", "inversions", "quicksort"])
+    def test_draw_limit_exit_code(self, model):
+        # 2 x 10^12 draws: hours for cycles, which holds no permutation
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "simulate", "--model", model, "--n", "1000000000000", "--s", "1",
+            "--trials", "2", "--seed", "1",
+        )
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 3
+        assert "resource limit:" in proc.stderr and "draws, above the cap" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_validation(self):

@@ -39,6 +39,7 @@ from momentlab.simulate import (
     _MIX1,
     _MIX2,
     TrialStream,
+    _lane_cycles,
     _mix64,
     _permutation_batch,
     _quicksort_batch,
@@ -387,14 +388,32 @@ class TestDrawMatrix:
             random_permutation(n, trial_stream(seed, i)) for i in range(8)
         ]
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 1 << 16])
+    @pytest.mark.parametrize("n,t,trial", [(10, 4, 3), (10, 1, 0), (10, 9, 2), (12, 5, 6)])
+    def test_lane_cycles_redraws_rejected_word(self, n, t, trial, chunk, monkeypatch):
+        # word t is 0 and rejected at bound n - t + 1; chunks of 1-4 words
+        # put it at every place in its chunk
+        seed = (unmix64(-t * _GOLDEN & _MASK64) - (trial + 1) * _GOLDEN) & _MASK64
+        expected = count_cycles(random_permutation(n, trial_stream(seed, trial)))
+        monkeypatch.setattr(simulate, "_COUNT_CHUNK", chunk)
+        assert _lane_cycles(seed, n, trial) == expected
+        for i in range(4):
+            assert _lane_cycles(seed + i, 57, i) == count_cycles(
+                random_permutation(57, trial_stream(seed + i, i))
+            )
+
     def test_cycles_build_no_permutation(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the cycles route shuffled a permutation")
 
+        # the second seed's trial 3 rejects its fourth word
+        rejecting = (unmix64(-4 * _GOLDEN & _MASK64) - 4 * _GOLDEN) & _MASK64
         expected = scalar_costs(Model.CYCLES, 200, 7, 0, 300)
+        expected_rejecting = scalar_costs(Model.CYCLES, 10, rejecting, 0, 8)
         monkeypatch.setattr(simulate, "_permutation_batch", refuse)
         monkeypatch.setattr(simulate, "random_permutation", refuse)
         assert batch_costs(Model.CYCLES, 200, 7, 0, 300) == expected
+        assert batch_costs(Model.CYCLES, 10, rejecting, 0, 8) == expected_rejecting
 
     @pytest.mark.parametrize("model", list(Model))
     def test_draws_span_chunks(self, model, monkeypatch):
