@@ -163,10 +163,12 @@ def _opt(value, formatter=_fmt_real):
 def _cmd_table(args) -> int:
     table = distribution_table(Model(args.model), args.n)
     if args.format == "csv":
-        _emit_csv(
-            ["k", "count"],
-            [[str(k), str(c)] for k, c in enumerate(table.counts) if c],
-        )
+        # the fields are plain digits, which csv.writer never quotes, so these
+        # are its bytes; every line is built before the first is written, so a
+        # count past the integer-to-text digit limit leaves stdout empty
+        lines = [f"{k},{c}\n" for k, c in enumerate(table.counts) if c]
+        sys.stdout.write("k,count\n")
+        sys.stdout.writelines(lines)
     else:
         _emit_json(
             {

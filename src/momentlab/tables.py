@@ -3,9 +3,14 @@
 Every table row is exact, in arbitrary-precision integers:
 
 * ``cycles``      -- permutations of n counted by number of cycles,
-                     via ``T[n][k] = (n-1) T[n-1][k] + T[n-1][k-1]``.
-* ``inversions``  -- permutations counted by number of inversions, via an
-                     n-wide sliding-window sum over the previous row.
+                     via ``T[n][k] = (n-1) T[n-1][k] + T[n-1][k-1]``, the
+                     coefficients of x(x+1)...(x+n-1).
+* ``inversions``  -- permutations counted by number of inversions, the
+                     coefficients of prod_(j<=n) (1 + z + ... + z^(j-1)):
+                     each row is the previous one convolved with n ones,
+                     taken as differences of its prefix sums.  The rows are
+                     palindromic, so only the first half of each is
+                     computed and the rest mirrored.
 * ``quicksort``   -- permutations counted by total comparisons used when
                      sorted with a fixed-pivot quicksort (equivalently,
                      pivot histories of randomized quicksort).  Row n is
@@ -33,7 +38,9 @@ from __future__ import annotations
 import collections
 import enum
 import functools
+import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -66,14 +73,17 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 # took 24.2 s and 553 MB under a 1536 MiB address-space limit.  Row 182
 # (823 MiB) is refused at once; unrefused it took 53 s and 990 MB.
 # Inversions is the largest multiple of 50 whose `table --format csv`
-# request finishes within 30 s CPU and 1536 MiB: 500 in 23.5-26 s and
-# 239 MB, while 550 took 30.2 s and 305 MB (1000 took 222 s and 1.6 GB).
+# request finished within 30 s CPU and 1536 MiB with the sliding-window
+# builder: 500 in 23.5-26 s and 239 MB, while 550 took 30.2 s and 305 MB
+# (1000 took 222 s and 1.6 GB).  With the prefix sums over the palindromic
+# half, 500 takes 7.1 s and 233 MB (CSV) and 7.5 s and 471 MB (JSON).
 # Cycles is the largest multiple of 500 whose `table --format csv` and
 # `--format json` requests finish within those limits with room for the
 # host's speed, which drifts by up to a fifth: 4000 in 17.8-19.6 s and
-# 60 MB; 4500 took 27.0-28.7 s and 67 MB, and 5000 38 s and 75 MB.  From
-# n = 1600 these requests end in exit 2 once the row is built: its counts
-# pass Python's 4300-digit limit on integer-to-text conversion.
+# 60 MB; 4500 took 27.0-28.7 s and 67 MB, and 5000 38 s and 75 MB.  With
+# the row built by `map`, 4000 takes 16.4-16.9 s and 41 MB.  From n = 1559
+# these requests end in exit 2 once the row is built: its counts pass
+# Python's 4300-digit limit on integer-to-text conversion.
 DEFAULT_ROW_LIMITS = {
     "cycles": 4000,
     "inversions": 500,
@@ -151,29 +161,41 @@ def _check_row_request(model: Model, n: int, limit: int | None) -> None:
 
 
 def _cycle_rows(n: int):
-    """Rows 0..n of the cycles table, each built from the one before."""
+    """Rows 0..n of the cycles table, each built from the one before.
+
+    Row m is [0, (m-1) row[1] + row[0], ..., (m-1) row[m-1] + row[m-2], 1],
+    taken in one pass of ``map`` over the previous row, so the loop over k
+    runs in C.
+    """
     row = [1]
     yield row
     for m in range(1, n + 1):
-        row = [0] + [(m - 1) * row[k] + row[k - 1] for k in range(1, m)] + [1]
+        # map stops at the shorter argument, row[1:], so row[k-1] runs to k = m-1
+        row = [0, *map(operator.add, map(operator.mul, itertools.islice(row, 1, None),
+                                         itertools.repeat(m - 1)), row), 1]
         yield row
 
 
 def _inversion_rows(n: int):
-    """Rows 0..n of the inversions table, each built from the one before."""
+    """Rows 0..n of the inversions table, each built from the one before.
+
+    Row m is the previous row convolved with m ones:
+    new[k] = prefix[min(k+1, L)] - prefix[max(k-m+1, 0)], where L is the
+    length of the previous row and prefix[i] the sum of its first i
+    entries.  Row m is palindromic, so only its first half is computed,
+    from the prefix sums up to that half, and then mirrored; the sums and
+    differences run as ``itertools.accumulate`` and ``map`` in C.
+    """
     row = [1]
     yield row
     for m in range(1, n + 1):
-        # prefix[i] = sum of row[:i]; new[k] = prefix[min(k+1, len)] - prefix[k-m+1]
-        prefix = [0] * (len(row) + 1)
-        for i, c in enumerate(row):
-            prefix[i + 1] = prefix[i] + c
-        top = len(row)
-        new = [0] * (m * (m - 1) // 2 + 1)
-        for k in range(len(new)):
-            hi = prefix[k + 1] if k + 1 <= top else prefix[top]
-            lo = prefix[k - m + 1] if k - m + 1 > 0 else 0
-            new[k] = hi - lo
+        length = m * (m - 1) // 2 + 1
+        half = (length + 1) // 2  # never more than len(row), so k + 1 <= L below
+        prefix = list(itertools.accumulate(itertools.islice(row, half), initial=0))
+        # new[k] for k < half: prefix[k+1] - (0 while k < m-1, then prefix[k-m+1])
+        new = list(map(operator.sub, itertools.islice(prefix, 1, None),
+                       itertools.chain(itertools.repeat(0, m - 1), prefix)))
+        new.extend(reversed(new[: length - half]))
         yield new
         row = new
 

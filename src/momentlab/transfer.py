@@ -16,8 +16,7 @@ k > beta, so it has exactly beta+1 terms.
 This module provides:
 
 * ``gamma_recip_derivative`` -- the C_k coefficients, from the recurrence
-  g' = -psi*g with polygamma values at positive integers expressed through
-  embedded gamma/zeta constants;
+  g' = -psi*g with polygamma values at positive integers from ``mp.psi``;
 * ``transfer_term`` / ``transfer_expansion`` -- numeric evaluation of the
   expansion above for single terms and for term lists with a tracked
   dominated-remainder class;
@@ -75,7 +74,8 @@ __all__ = [
 # Euler-Mascheroni constant and zeta(2..17), 52 significant digits each.
 # Values as tabulated in standard references; the test suite re-derives
 # every one of them by direct series summation with Euler-Maclaurin tail
-# corrections.
+# corrections, and checks the polygamma values at 1 against them:
+# psi(1) = -gamma and psi^(i)(1) = (-1)^(i+1) i! zeta(i+1).
 GAMMA_DIGITS = "0.5772156649015328606065120900824024310421593359399236"
 ZETA_DIGITS = {
     2: "1.644934066848226436472415166646025189218949901206798",
@@ -98,7 +98,8 @@ ZETA_DIGITS = {
 
 EULER_GAMMA = float(Fraction(GAMMA_DIGITS.replace(".", "")) / 10**52)
 
-# Largest derivative order k supported by the embedded zeta table.
+# Largest derivative order k: C_k needs psi .. psi^(k-1), and the embedded
+# zeta table pins psi^(i)(1) up to i = 16.
 MAX_DERIVATIVE_ORDER = 16
 
 # Budget guards for the coefficient oracles.  At the cap, `transfer --alpha 3
@@ -112,7 +113,7 @@ _WORK_DPS = 60  # internal working precision for the C_k recurrence
 
 
 class OrderLimitError(RuntimeError):
-    """Derivative order above the embedded-constant table (resource guard)."""
+    """Derivative order above MAX_DERIVATIVE_ORDER (resource guard)."""
 
 
 class SeriesBudgetError(RuntimeError):
@@ -124,25 +125,14 @@ class SeriesBudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _psi_derivatives(alpha: int, top: int, dps: int) -> tuple:
-    """psi(alpha), psi'(alpha), ..., psi^(top)(alpha) at ``dps`` digits.
-
-    psi(a)      = -gamma + H_{a-1}
-    psi^(i)(a)  = (-1)^(i+1) * i! * (zeta(i+1) - sum_{j<a} j^-(i+1))   (i >= 1)
-    """
+def _polygamma(i: int, alpha: int, dps: int):
+    """psi^(i)(alpha) at ``dps`` digits, by ``mp.psi``: its cost hardly
+    grows with alpha, where the sums -gamma + H_(alpha-1) and
+    zeta(i+1) - sum_(j<alpha) j^-(i+1) take O(alpha) terms and lose the
+    digits their difference cancels."""
     import mpmath as mp
     with mp.workdps(dps):
-        gamma = mp.mpf(GAMMA_DIGITS)
-        h = mp.mpf(0)
-        for j in range(1, alpha):
-            h += mp.mpf(1) / j
-        out = [h - gamma]
-        for i in range(1, top + 1):
-            tail = mp.mpf(ZETA_DIGITS[i + 1])
-            for j in range(1, alpha):
-                tail -= mp.mpf(1) / mp.mpf(j) ** (i + 1)
-            out.append((-1) ** (i + 1) * mp.factorial(i) * tail)
-        return tuple(out)
+        return mp.psi(i, alpha)
 
 
 @functools.lru_cache(maxsize=None)
@@ -152,7 +142,7 @@ def _recip_gamma_derivatives(alpha: int, top: int, dps: int) -> tuple:
     From g' = -psi*g:  g^(m+1) = -sum_i C(m,i) psi^(i) g^(m-i).
     """
     import mpmath as mp
-    psi = _psi_derivatives(alpha, max(top - 1, 0), dps)
+    psi = [_polygamma(i, alpha, dps) for i in range(top)]
     with mp.workdps(dps):
         g = [mp.mpf(1) / mp.factorial(alpha - 1)]
         for m in range(top):

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
+import csv
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 from momentlab import harmonic, quicksort_mean
 from momentlab.cli import main
 from momentlab.moments import QUICKSORT_PGF_MAX_N
+from momentlab.tables import Model, distribution_table
 
 
 def run_cli(*argv):
@@ -93,6 +95,30 @@ class TestTable:
     def test_negative_n(self):
         code, _, _ = run_cli("table", "--model", "cycles", "--n", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("model, n", [("cycles", 300), ("inversions", 60), ("quicksort", 30)])
+    def test_csv_matches_csv_writer(self, model, n):
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["k", "count"])
+        writer.writerows([k, c] for k, c in enumerate(distribution_table(Model(model), n).counts) if c)
+        code, out, _ = run_cli("table", "--model", model, "--n", str(n))
+        assert code == 0
+        assert out == expected.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_digit_limit_leaves_stdout_empty(self, fmt):
+        # the counts of cycles row 400 run to 869 digits; every line is built
+        # before the first is written, so the failed request prints nothing
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli("table", "--model", "cycles", "--n", "400", "--format", fmt)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        assert out == ""
+        assert "limit" in err
 
 
 class TestMoment:
@@ -193,6 +219,16 @@ class TestTransfer:
         assert proc.returncode == 3
         assert "double range" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_high_precision_large_alpha_is_fast(self):
+        # its polygamma values at alpha = 3 x 10^6 once took O(alpha) sums, 24 s
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "transfer", "--alpha", "3000000", "--beta", "1", "--n", "2", "--precision", "high"
+        )
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("alpha,beta,n,")
 
     def test_invalid_arguments(self):
         assert run_cli("transfer", "--alpha", "0", "--beta", "0", "--n", "10")[0] == 2

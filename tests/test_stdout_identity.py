@@ -1,0 +1,72 @@
+"""tools/stdout_identity.py: exit codes and stdout of two checkouts compared
+over a benchmark's request lists."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "stdout_identity.py"
+spec = importlib.util.spec_from_file_location("stdout_identity", TOOL)
+stdout_identity = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(stdout_identity)
+
+# A stand-in CLI that echoes its argv; BODY changes what it prints.
+STUB = """import sys
+argv = sys.argv[1:]
+{body}
+print(" ".join(argv))
+"""
+
+
+def stub_checkout(root: Path, body: str = "") -> Path:
+    package = root / "src" / "momentlab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB.format(body=body))
+    return root
+
+
+def test_checkout_against_itself():
+    argvs = [
+        ("table", "--model", "cycles", "--n", "5", "--format", "json"),
+        ("moment", "--model", "inversions", "--n", "9", "--s", "2", "--mode", "exact"),
+        ("table", "--model", "cycles", "--n", "-1"),  # exit 2, empty stdout
+    ]
+    assert stdout_identity.differences(ROOT, ROOT, argvs) == []
+    assert stdout_identity.run(ROOT, argvs[0])[0] == 0
+
+
+def test_requests_are_the_benchmark_lists():
+    # perfbench/run.py --seconds 30 builds its lists for 30 / 3 seconds
+    lists = [stdout_identity._workloads().build("tables", seed, 10) for seed in (1, 7)]
+    argvs = stdout_identity.requests("tables", [1, 7])
+    assert len(lists[0]) == 8
+    assert argvs == list(dict.fromkeys(lists[0] + lists[1]))  # each once, in order of first use
+
+
+def test_same_stub_reports_nothing(tmp_path, capsys):
+    stub = stub_checkout(tmp_path / "stub")
+    code = stdout_identity.main(["--parent", str(stub), "--change", str(stub),
+                                 "--workload", "tables", "--seeds", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == "tables seeds 1: 8 requests, 0 differ\n"
+
+
+def test_changed_stub_is_caught(tmp_path, capsys):
+    parent = stub_checkout(tmp_path / "parent")
+    # prints one more field for JSON requests and exits 2 for inversions ones
+    change = stub_checkout(tmp_path / "change", body=(
+        'if "json" in argv:\n    argv = argv + ["!"]\n'
+        'if "inversions" in argv:\n    print(" ".join(argv))\n    sys.exit(2)'
+    ))
+    code = stdout_identity.main(["--parent", str(parent), "--change", str(change),
+                                 "--workload", "tables", "--seeds", "1"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    argvs = stdout_identity.requests("tables", [1])
+    expected = [a for a in argvs if "json" in a or "inversions" in a]
+    assert 0 < len(expected) < len(argvs) == 8
+    assert lines[-1] == f"tables seeds 1: 8 requests, {len(expected)} differ"
+    assert [line.split(": ")[1] for line in lines[:-1]] == [" ".join(a) for a in expected]
+    assert all("exit 0 -> 2" in line for line in lines[:-1] if "inversions" in line)
+    assert any("exit 0 -> 0" in line for line in lines[:-1])

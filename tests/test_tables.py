@@ -109,6 +109,35 @@ class TestInvariants:
             assert row == distribution_table(Model.QUICKSORT, n)
 
 
+def schoolbook_product(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of the product of two polynomials, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+class TestRowBuilders:
+    """The prefix-sum and map builders against products expanded term by term."""
+
+    def test_inversions_match_product_of_geometric_sums(self):
+        # rows 0..40 have lengths of both parities, so both mirror cases run
+        expected = [1]
+        for m, table in enumerate(distribution_tables(Model.INVERSIONS, 40)):
+            if m:
+                expected = schoolbook_product(expected, [1] * m)  # 1 + z + ... + z^(m-1)
+            assert list(table.counts) == expected
+        assert {len(table.counts) % 2 for table in distribution_tables(Model.INVERSIONS, 40)} == {0, 1}
+
+    def test_cycles_match_rising_factorial(self):
+        expected = [1]
+        for m, table in enumerate(distribution_tables(Model.CYCLES, 150)):
+            if m:
+                expected = schoolbook_product(expected, [m - 1, 1])  # x + m - 1
+            assert list(table.counts) == expected
+
+
 @lru_cache(maxsize=None)
 def naive_quicksort_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n of n! times the quicksort PGF by schoolbook convolution:

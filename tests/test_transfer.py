@@ -27,7 +27,7 @@ from momentlab import (
     transfer_expansion,
     transfer_term,
 )
-from momentlab.transfer import GAMMA_DIGITS, MAX_DERIVATIVE_ORDER, ZETA_DIGITS
+from momentlab.transfer import GAMMA_DIGITS, MAX_DERIVATIVE_ORDER, ZETA_DIGITS, _polygamma
 
 
 class TestEmbeddedConstants:
@@ -91,6 +91,25 @@ class TestGammaRecipDerivative:
             )
         value = gamma_recip_derivative(alpha, k)
         assert value == pytest.approx(float(reference), rel=1e-8)
+
+    def test_polygamma_against_embedded_zeta(self):
+        # psi(1) = -gamma and psi^(i)(1) = (-1)^(i+1) i! zeta(i+1), from the
+        # tabulated digits, for every order C_k up to the cap needs
+        with mp.workdps(60):
+            assert abs(_polygamma(0, 1, 60) + mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -50
+            for i in range(1, MAX_DERIVATIVE_ORDER):
+                expected = (-1) ** (i + 1) * mp.factorial(i) * mp.mpf(ZETA_DIGITS[i + 1])
+                assert abs(_polygamma(i, 1, 60) / expected - 1) < mp.mpf(10) ** -50
+
+    def test_polygamma_steps_by_reciprocal_powers(self):
+        # psi^(i)(a + 1) - psi^(i)(a) = (-1)^i i! / a^(i+1), the terms the
+        # finite sums at integer arguments add one at a time
+        with mp.workdps(60):
+            for alpha in (1, 2, 3, 7, 30, 1000, 3_000_000):
+                for i in range(MAX_DERIVATIVE_ORDER):
+                    step = _polygamma(i, alpha + 1, 60) - _polygamma(i, alpha, 60)
+                    expected = (-1) ** i * mp.factorial(i) / mp.mpf(alpha) ** (i + 1)
+                    assert abs(step / expected - 1) < mp.mpf(10) ** -40
 
     def test_order_cap(self):
         gamma_recip_derivative(1, MAX_DERIVATIVE_ORDER)

@@ -1,0 +1,86 @@
+"""Check that two checkouts print the same bytes for a benchmark's requests.
+
+    python3 tools/stdout_identity.py --parent DIR --change DIR --workload W --seeds 1,7,2026
+
+Builds the request lists that ``perfbench/run.py --seconds 30`` runs for each
+seed, from this repository's ``perfbench/workloads.py`` (imported, never
+changed), and runs every distinct request once in each checkout as a fresh
+``python -m momentlab.cli`` process with ``DIR/src`` on the path.  Lists each
+request whose exit code or stdout bytes differ and exits 1 if any do, else 0.
+It runs none of the benchmark's measured code: no launcher, no limits, no
+checks against references.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+# `perfbench/run.py --seconds 30` runs its list three times over and builds
+# it for a third of the seconds
+LIST_SECONDS = 30 / 3
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def requests(workload: str, seeds: list[int]) -> list[tuple]:
+    """The distinct requests of the lists of ``seeds``, in order of first use."""
+    build = _workloads().build
+    return list(dict.fromkeys(argv for seed in seeds for argv in build(workload, seed, LIST_SECONDS)))
+
+
+def run(root: Path, argv: tuple) -> tuple[int, bytes]:
+    """Exit code and stdout of one request in the checkout at ``root``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MOMENTLAB_")}
+    # the benchmark's own environment: the checkout's sources, one BLAS thread
+    env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "momentlab.cli", *argv],
+        cwd=root, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode, proc.stdout
+
+
+def differences(parent: Path, change: Path, argvs: list[tuple]) -> list[tuple]:
+    """(argv, parent result, change result) for each request whose exit code
+    or stdout differs between the two checkouts."""
+    found = []
+    for argv in argvs:
+        before, after = run(parent, argv), run(change, argv)
+        if before != after:
+            found.append((argv, before, after))
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True, help="tables, moments or montecarlo")
+    parser.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 1,7,2026")
+    args = parser.parse_args(argv)
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+        argvs = requests(args.workload, seeds)
+    except ValueError as exc:
+        parser.error(str(exc))
+    found = differences(args.parent.resolve(), args.change.resolve(), argvs)
+    for request, (code_a, out_a), (code_b, out_b) in found:
+        print(f"differs: {' '.join(request)}: exit {code_a} -> {code_b}, "
+              f"stdout {len(out_a)} -> {len(out_b)} bytes")
+    print(f"{args.workload} seeds {args.seeds}: {len(argvs)} requests, {len(found)} differ")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
