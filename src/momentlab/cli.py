@@ -26,11 +26,24 @@ field:
   oracle       cycles in ``compare`` above n = 200: the high-precision
                series oracle, printed as a float
 
+Each subcommand builds one record, and CSV and JSON are two views of it.
+The CSV view prints the record's columns under a header row, one line per
+entry of its row list (``compare``, ``verify``) or one line for the record
+itself.  The JSON view prints the whole record after a "schema": 1 and a
+"command" field, so it also carries the fields only JSON prints: ``mode``
+of ``moment``, ``oracle_exact`` of ``transfer``, ``tolerance`` and
+``passed`` of ``verify``.  A field that only one view prints is turned into
+text only by that view: ``oracle_exact`` stays an exact rational until the
+JSON encoder writes it.
+
 Conventions: natural logarithms everywhere (the gamma-constant corrections
 only hold for ln); CSV has a header row, counts as exact decimal integers,
-rationals as "p/q", reals with 15 significant digits, LF line endings; JSON
-carries a "schema": 1 field.  Output is deterministic: identical flags (and
-seed) give byte-identical bytes, data on stdout, diagnostics on stderr.
+rationals as "p/q", reals with 15 significant digits, LF line endings.
+Output is deterministic: identical flags (and seed) give byte-identical
+bytes, data on stdout, diagnostics on stderr.  Every byte of a request's
+output is built before the first is written, so a request that fails while
+formatting (such as on Python's 4300-digit limit on integer-to-text
+conversion) leaves stdout empty.
 Exit codes: 0 success, 2 invalid arguments, 3 resource limit exceeded,
 4 verification failure.
 """
@@ -41,7 +54,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .expansions import asymptotic_moment, coefficient_crosscheck
@@ -76,32 +88,18 @@ class CommandError(Exception):
         self.code = code
 
 
-def _fmt_real(x) -> str:
-    return format(float(x), ".15g")
-
-
 def _fmt_exact(value) -> str:
     if isinstance(value, (Fraction, int)):
         return str(value)
-    return _fmt_real(value)
-
-
-@dataclass(frozen=True)
-class ReportRow:
-    model: str
-    s: int
-    n: int
-    exact: str
-    asym: float
-    abs_err: float
-    rel_err: float | None  # None when exact == 0
-    source: str  # table | pgf | closed-form | oracle
+    return format(float(value), ".15g")
 
 
 def compare_rows(
     model: Model, s: int, grid: list[int], *, high_precision: bool = False
-) -> list[ReportRow]:
-    """Convergence study: one ReportRow per grid point.
+) -> list[dict]:
+    """Convergence study: one row per grid point, with keys n, exact (text),
+    asym, abs_err, rel_err (None when exact == 0) and source (table, pgf,
+    closed-form or oracle).
 
     ``high_precision`` evaluates the asymptotic side and the error
     arithmetic in >= 200-bit floats instead of doubles.
@@ -129,31 +127,55 @@ def compare_rows(
             exact_f = float(exact)
             abs_err = abs(asym - exact_f)
             rel_err = abs_err / abs(exact_f) if exact_f != 0 else None
-        rows.append(
-            ReportRow(
-                model.value, s, n, _fmt_exact(exact), asym, abs_err, rel_err, source
-            )
-        )
+        rows.append({
+            "n": n,
+            "exact": _fmt_exact(exact),
+            "asym": asym,
+            "abs_err": abs_err,
+            "rel_err": rel_err,
+            "source": source,
+        })
     return rows
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output
 # ---------------------------------------------------------------------------
 
-def _emit_csv(header: list[str], rows: list[list[str]]) -> None:
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".15g")
+    return str(value)
+
+
+def _fraction_text(value) -> str:
+    """JSON encoder hook: an exact rational prints as "p/q" text."""
+    if isinstance(value, Fraction):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def _emit(args, record: dict, columns: tuple[str, ...], rows: str | None = None) -> None:
+    """Write ``record`` to stdout in ``args.format``.
+
+    JSON prints the whole record after its schema and command.  CSV prints
+    ``columns`` for each entry of ``record[rows]``, or for ``record`` itself
+    when ``rows`` is None; a column an entry lacks comes from ``record``.
+    """
+    if args.format == "json":
+        encoder = json.JSONEncoder(ensure_ascii=False, indent=2, default=_fraction_text)
+        # the chunks are written as they are, never joined into a second copy
+        chunks = list(encoder.iterencode({"schema": 1, "command": args.command, **record}))
+        chunks.append("\n")
+        sys.stdout.writelines(chunks)
+        return
+    entries = [record] if rows is None else record[rows]
+    lines = [[_cell((entry if c in entry else record)[c]) for c in columns] for entry in entries]
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, ensure_ascii=False, indent=2))
-    sys.stdout.write("\n")
-
-
-def _opt(value, formatter=_fmt_real):
-    return "" if value is None else formatter(value)
+    writer.writerow(columns)
+    writer.writerows(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +192,7 @@ def _cmd_table(args) -> int:
         sys.stdout.write("k,count\n")
         sys.stdout.writelines(lines)
     else:
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "table",
-                "model": args.model,
-                "n": args.n,
-                "counts": list(table.counts),
-            }
-        )
+        _emit(args, {"model": args.model, "n": args.n, "counts": list(table.counts)}, ())
     return 0
 
 
@@ -190,24 +204,15 @@ def _cmd_moment(args) -> int:
         raise CommandError(2, "asymptotic moments require --n >= 2 and --s >= 1")
     exact = exact_moment(model, args.n, args.s)[0] if want_exact else None
     asym = asymptotic_moment(model, args.n, args.s) if want_asym else None
-    if args.format == "csv":
-        _emit_csv(
-            ["model", "s", "n", "exact", "asym"],
-            [[args.model, str(args.s), str(args.n), _opt(exact, _fmt_exact), _opt(asym)]],
-        )
-    else:
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "moment",
-                "model": args.model,
-                "s": args.s,
-                "n": args.n,
-                "mode": args.mode,
-                "exact": None if exact is None else _fmt_exact(exact),
-                "asym": None if asym is None else float(asym),
-            }
-        )
+    record = {
+        "model": args.model,
+        "s": args.s,
+        "n": args.n,
+        "mode": args.mode,
+        "exact": exact,
+        "asym": None if asym is None else float(asym),
+    }
+    _emit(args, record, ("model", "s", "n", "exact", "asym"))
     return 0
 
 
@@ -226,39 +231,21 @@ def _cmd_transfer(args) -> int:
     estimate_f = float(estimate)
     oracle_f = float(oracle)
     abs_err = abs(estimate_f - oracle_f)
-    rel_err = abs_err / abs(oracle_f) if oracle_f != 0 else None
-    if args.format == "csv":
-        _emit_csv(
-            ["alpha", "beta", "n", "order", "estimate", "oracle", "abs_err", "rel_err"],
-            [
-                [
-                    str(args.alpha),
-                    str(args.beta),
-                    str(args.n),
-                    "" if args.order is None else str(args.order),
-                    _fmt_real(estimate_f),
-                    _fmt_real(oracle_f),
-                    _fmt_real(abs_err),
-                    _opt(rel_err),
-                ]
-            ],
-        )
-    else:
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "transfer",
-                "alpha": args.alpha,
-                "beta": args.beta,
-                "n": args.n,
-                "order": args.order,
-                "estimate": estimate_f,
-                "oracle": oracle_f,
-                "oracle_exact": str(oracle),
-                "abs_err": abs_err,
-                "rel_err": rel_err,
-            }
-        )
+    record = {
+        "alpha": args.alpha,
+        "beta": args.beta,
+        "n": args.n,
+        "order": args.order,
+        "estimate": estimate_f,
+        "oracle": oracle_f,
+        # the JSON view alone prints the exact oracle, as text that can pass
+        # the integer-to-text digit limit, so it stays a Fraction until then
+        "oracle_exact": oracle,
+        "abs_err": abs_err,
+        "rel_err": abs_err / abs(oracle_f) if oracle_f != 0 else None,
+    }
+    columns = ("alpha", "beta", "n", "order", "estimate", "oracle", "abs_err", "rel_err")
+    _emit(args, record, columns)
     return 0
 
 
@@ -272,35 +259,16 @@ def _cmd_simulate(args) -> int:
     est = estimate_factorial_moment(
         Model(args.model), args.n, args.s, args.trials, args.seed, threads=args.threads
     )
-    if args.format == "csv":
-        _emit_csv(
-            ["model", "s", "n", "trials", "seed", "mean", "stderr"],
-            [
-                [
-                    args.model,
-                    str(est.s),
-                    str(est.n),
-                    str(est.trials),
-                    str(est.seed),
-                    _fmt_real(est.mean),
-                    _fmt_real(est.stderr),
-                ]
-            ],
-        )
-    else:
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "simulate",
-                "model": args.model,
-                "s": est.s,
-                "n": est.n,
-                "trials": est.trials,
-                "seed": est.seed,
-                "mean": est.mean,
-                "stderr": est.stderr,
-            }
-        )
+    record = {
+        "model": args.model,
+        "s": est.s,
+        "n": est.n,
+        "trials": est.trials,
+        "seed": est.seed,
+        "mean": est.mean,
+        "stderr": est.stderr,
+    }
+    _emit(args, record, tuple(record))
     return 0
 
 
@@ -323,43 +291,8 @@ def _cmd_compare(args) -> int:
     rows = compare_rows(
         Model(args.model), args.s, grid, high_precision=args.precision == "high"
     )
-    if args.format == "csv":
-        _emit_csv(
-            ["model", "s", "n", "exact", "asym", "abs_err", "rel_err", "source"],
-            [
-                [
-                    r.model,
-                    str(r.s),
-                    str(r.n),
-                    r.exact,
-                    _fmt_real(r.asym),
-                    _fmt_real(r.abs_err),
-                    _opt(r.rel_err),
-                    r.source,
-                ]
-                for r in rows
-            ],
-        )
-    else:
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "compare",
-                "model": args.model,
-                "s": args.s,
-                "rows": [
-                    {
-                        "n": r.n,
-                        "exact": r.exact,
-                        "asym": r.asym,
-                        "abs_err": r.abs_err,
-                        "rel_err": r.rel_err,
-                        "source": r.source,
-                    }
-                    for r in rows
-                ],
-            }
-        )
+    columns = ("model", "s", "n", "exact", "asym", "abs_err", "rel_err", "source")
+    _emit(args, {"model": args.model, "s": args.s, "rows": rows}, columns, "rows")
     return 0
 
 
@@ -388,42 +321,8 @@ def _cmd_verify(args) -> int:
                         "status": "ok" if ok else "FAIL",
                     }
                 )
-    if args.format == "csv":
-        _emit_csv(
-            [
-                "model",
-                "s",
-                "coefficient",
-                "scale",
-                "from_transfer",
-                "from_theorem",
-                "rel_err",
-                "status",
-            ],
-            [
-                [
-                    r["model"],
-                    str(r["s"]),
-                    r["coefficient"],
-                    r["scale"],
-                    _fmt_real(r["from_transfer"]),
-                    _fmt_real(r["from_theorem"]),
-                    _fmt_real(r["rel_err"]),
-                    r["status"],
-                ]
-                for r in rows
-            ],
-        )
-    else:
-        _emit_json(
-            {
-                "schema": 1,
-                "command": "verify",
-                "tolerance": CROSSCHECK_TOLERANCE,
-                "results": rows,
-                "passed": failures == 0,
-            }
-        )
+    record = {"tolerance": CROSSCHECK_TOLERANCE, "results": rows, "passed": failures == 0}
+    _emit(args, record, tuple(rows[0]), "results")
     if failures:
         print(f"verify: {failures} coefficient check(s) failed", file=sys.stderr)
         return 4

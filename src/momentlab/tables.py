@@ -76,7 +76,9 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 # request finished within 30 s CPU and 1536 MiB with the sliding-window
 # builder: 500 in 23.5-26 s and 239 MB, while 550 took 30.2 s and 305 MB
 # (1000 took 222 s and 1.6 GB).  With the prefix sums over the palindromic
-# half, 500 takes 7.1 s and 233 MB (CSV) and 7.5 s and 471 MB (JSON).
+# half, 500 takes 7.0 s and 233 MB (CSV) and 7.1 s and 234 MB (JSON): the
+# JSON text is written chunk by chunk, never joined into one string, so it
+# peaks like the CSV lines (joined, it took 471 MB).
 # Cycles is the largest multiple of 500 whose `table --format csv` and
 # `--format json` requests finish within those limits with room for the
 # host's speed, which drifts by up to a fifth: 4000 in 17.8-19.6 s and

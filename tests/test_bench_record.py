@@ -30,18 +30,39 @@ def write_run(root: Path, workload: str, seed: int, cpu_s: float, reasons: list)
     (out / f"run-{workload}-{seed}-trace0.json").write_text(json.dumps(record))
 
 
+def write_traced_run(root: Path, workload: str, seed: int, self_s: float):
+    record = {
+        "workload": workload,
+        "seed": seed,
+        "seconds": 3.0,
+        "trace": 1,
+        "environment": {**ENVIRONMENT, "momentlab": str(root / "src/momentlab/cli.py")},
+        "setup_and_calibration_seconds": [],
+        "problems": [],
+        "metrics": {"tables.cycles_s": 0.3, "cli.table_s": 0.58, "cli.self_s": self_s},
+    }
+    (root / ".bench_out" / f"run-{workload}-{seed}-trace1.json").write_text(json.dumps(record))
+
+
 def test_collects_runs(tmp_path):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed, (before, after) in enumerate([(3.7, 3.1), (3.8, 3.2), (3.6, 3.7)], start=1):
         write_run(parent, "moments", seed, before, [None, "exit 2"])
         write_run(change, "moments", seed, after, [None, None])
-    # a traced record carries no end-to-end metrics and is left out
-    (change / ".bench_out" / "run-moments-1-trace1.json").write_text("{}")
+    # a traced record carries no end-to-end metrics: it is kept apart from the runs
+    write_traced_run(parent, "moments", 1, 0.21)
+    write_traced_run(change, "moments", 1, 0.15)
     out = tmp_path / "BENCH.json"
     assert bench_record.main(["--parent", str(parent), "--change", str(change), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
+    assert payload["schema"] == 3
     assert payload["environment"] == ENVIRONMENT
     assert len(payload["runs"]) == 6
+    assert payload["traced"] == [
+        {"workload": "moments", "seed": 1, "side": side,
+         "metrics": {"tables.cycles_s": 0.3, "cli.table_s": 0.58, "cli.self_s": self_s}}
+        for side, self_s in (("parent", 0.21), ("change", 0.15))
+    ]
     first = payload["runs"][0]
     assert first == {"workload": "moments", "seed": 1, "side": "parent", "cpu_s": 3.7,
                      "setup_s": 0.14, "peak_rss_mb": 20.0, "fail_frac": 0.5}
@@ -65,7 +86,9 @@ def test_summary_pairs_only_shared_seeds(tmp_path):
     write_run(change, "tables", 1, 4.0, [None])  # no parent run of tables
     out = tmp_path / "BENCH.json"
     bench_record.main(["--parent", str(parent), "--change", str(change), "--out", str(out)])
-    summary = json.loads(out.read_text())["summary"]
+    payload = json.loads(out.read_text())
+    assert payload["traced"] == []
+    summary = payload["summary"]
     montecarlo = summary["montecarlo"]
     assert montecarlo["pairs"] == 1
     assert montecarlo["metrics"]["cpu_s"]["change_won"] == 1

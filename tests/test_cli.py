@@ -1,12 +1,14 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 
@@ -120,6 +122,24 @@ class TestTable:
         assert out == ""
         assert "limit" in err
 
+    @pytest.mark.parametrize("model, n", [("cycles", "600"), ("inversions", "120")])
+    def test_json_peaks_like_csv(self, model, n):
+        # JSON chunks joined into one string would hold a row's digits twice;
+        # the CSV lines hold them once.  Output goes to a sink that keeps none.
+        def peak(*fmt):
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    code = main(["table", "--model", model, "--n", n, *fmt])
+                    return code, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        csv_code, csv_peak = peak()
+        json_code, json_peak = peak("--format", "json")
+        assert csv_code == json_code == 0
+        assert json_peak <= 1.2 * csv_peak
+
 
 class TestMoment:
     def test_exact_rational_output(self):
@@ -229,6 +249,18 @@ class TestTransfer:
         assert children_cpu_seconds() - start < 2
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("alpha,beta,n,")
+
+    def test_exact_oracle_text_only_for_json(self):
+        # the oracle H_10000 has a 4346-digit numerator, past Python's
+        # integer-to-text limit; only the JSON view prints it as text
+        argv = ("transfer", "--alpha", "1", "--beta", "1", "--n", "10000")
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert out.splitlines()[1].startswith("1,1,10000,,9.78755603687772,9.78760603604438,")
+        code, out, err = run_cli(*argv, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "limit" in err
 
     def test_invalid_arguments(self):
         assert run_cli("transfer", "--alpha", "0", "--beta", "0", "--n", "10")[0] == 2
@@ -495,6 +527,114 @@ class TestVerify:
         assert payload["schema"] == 1
         assert payload["passed"] is True
         assert len(payload["results"]) == 60
+
+
+# Every subcommand's stdout in each format, byte for byte: JSON indentation
+# and key order, CSV float formatting and empty cells.
+STDOUT_GOLDEN = [
+    (
+        'moment --model quicksort --n 12 --s 2 --mode exact --format csv',
+        'model,s,n,exact,asym\nquicksort,2,12,110282483/103950,\n',
+    ),
+    (
+        'moment --model quicksort --n 12 --s 2 --mode exact --format json',
+        '{\n  "schema": 1,\n  "command": "moment",\n  "model": "quicksort",\n  "s": 2,\n  "n": 12,\n  "mode": "exact",\n  "exact": "110282483/103950",\n  "asym": null\n}\n',
+    ),
+    (
+        'moment --model quicksort --n 12 --s 2 --mode asym --format csv',
+        'model,s,n,exact,asym\nquicksort,2,12,,-516.217796835918\n',
+    ),
+    (
+        'moment --model quicksort --n 12 --s 2 --mode asym --format json',
+        '{\n  "schema": 1,\n  "command": "moment",\n  "model": "quicksort",\n  "s": 2,\n  "n": 12,\n  "mode": "asym",\n  "exact": null,\n  "asym": -516.2177968359179\n}\n',
+    ),
+    (
+        'moment --model quicksort --n 12 --s 2 --mode both --format csv',
+        'model,s,n,exact,asym\nquicksort,2,12,110282483/103950,-516.217796835918\n',
+    ),
+    (
+        'moment --model quicksort --n 12 --s 2 --mode both --format json',
+        '{\n  "schema": 1,\n  "command": "moment",\n  "model": "quicksort",\n  "s": 2,\n  "n": 12,\n  "mode": "both",\n  "exact": "110282483/103950",\n  "asym": -516.2177968359179\n}\n',
+    ),
+    (
+        'transfer --alpha 3 --beta 2 --n 40 --precision double --format csv',
+        'alpha,beta,n,order,estimate,oracle,abs_err,rel_err\n3,2,40,,5805.07851247438,6560.01854203271,754.940029558329,0.11508199629637\n',
+    ),
+    (
+        'transfer --alpha 3 --beta 2 --n 40 --precision double --format json',
+        '{\n  "schema": 1,\n  "command": "transfer",\n  "alpha": 3,\n  "beta": 2,\n  "n": 40,\n  "order": null,\n  "estimate": 5805.078512474381,\n  "oracle": 6560.01854203271,\n  "oracle_exact": "27752776328749275686628563/4230594189776436768000",\n  "abs_err": 754.9400295583291,\n  "rel_err": 0.11508199629637035\n}\n',
+    ),
+    (
+        'transfer --alpha 3 --beta 2 --n 40 --precision high --format csv',
+        'alpha,beta,n,order,estimate,oracle,abs_err,rel_err\n3,2,40,,5805.07851247438,6560.01854203271,754.940029558329,0.11508199629637\n',
+    ),
+    (
+        'transfer --alpha 3 --beta 2 --n 40 --precision high --format json',
+        '{\n  "schema": 1,\n  "command": "transfer",\n  "alpha": 3,\n  "beta": 2,\n  "n": 40,\n  "order": null,\n  "estimate": 5805.078512474381,\n  "oracle": 6560.01854203271,\n  "oracle_exact": "27752776328749275686628563/4230594189776436768000",\n  "abs_err": 754.9400295583291,\n  "rel_err": 0.11508199629637035\n}\n',
+    ),
+    (
+        'transfer --alpha 3 --beta 2 --n 40 --order 0 --precision double --format csv',
+        'alpha,beta,n,order,estimate,oracle,abs_err,rel_err\n3,2,40,0,10886.2653015871,6560.01854203271,4326.24675955444,0.659486971238635\n',
+    ),
+    (
+        'transfer --alpha 3 --beta 2 --n 40 --order 0 --precision double --format json',
+        '{\n  "schema": 1,\n  "command": "transfer",\n  "alpha": 3,\n  "beta": 2,\n  "n": 40,\n  "order": 0,\n  "estimate": 10886.265301587146,\n  "oracle": 6560.01854203271,\n  "oracle_exact": "27752776328749275686628563/4230594189776436768000",\n  "abs_err": 4326.246759554436,\n  "rel_err": 0.6594869712386346\n}\n',
+    ),
+    (
+        'transfer --alpha 3 --beta 2 --n 40 --order 0 --precision high --format csv',
+        'alpha,beta,n,order,estimate,oracle,abs_err,rel_err\n3,2,40,0,10886.2653015871,6560.01854203271,4326.24675955444,0.659486971238635\n',
+    ),
+    (
+        'transfer --alpha 3 --beta 2 --n 40 --order 0 --precision high --format json',
+        '{\n  "schema": 1,\n  "command": "transfer",\n  "alpha": 3,\n  "beta": 2,\n  "n": 40,\n  "order": 0,\n  "estimate": 10886.265301587146,\n  "oracle": 6560.01854203271,\n  "oracle_exact": "27752776328749275686628563/4230594189776436768000",\n  "abs_err": 4326.246759554436,\n  "rel_err": 0.6594869712386346\n}\n',
+    ),
+    (
+        'simulate --model inversions --n 20 --s 2 --trials 200 --seed 7 --format csv',
+        'model,s,n,trials,seed,mean,stderr\ninversions,2,20,200,7,8933.54,199.7815232376\n',
+    ),
+    (
+        'simulate --model inversions --n 20 --s 2 --trials 200 --seed 7 --format json',
+        '{\n  "schema": 1,\n  "command": "simulate",\n  "model": "inversions",\n  "s": 2,\n  "n": 20,\n  "trials": 200,\n  "seed": 7,\n  "mean": 8933.54,\n  "stderr": 199.7815232375999\n}\n',
+    ),
+    (
+        'compare --model inversions --s 5 --n-grid 2,12 --format csv',
+        'model,s,n,exact,asym,abs_err,rel_err,source\ninversions,5,2,0,0.722222222222222,0.722222222222222,,pgf\ninversions,5,12,91060981/2,57666816,12136325.5,0.266553805301087,pgf\n',
+    ),
+    (
+        'compare --model inversions --s 5 --n-grid 2,12 --format json',
+        '{\n  "schema": 1,\n  "command": "compare",\n  "model": "inversions",\n  "s": 5,\n  "rows": [\n    {\n      "n": 2,\n      "exact": "0",\n      "asym": 0.7222222222222222,\n      "abs_err": 0.7222222222222222,\n      "rel_err": null,\n      "source": "pgf"\n    },\n    {\n      "n": 12,\n      "exact": "91060981/2",\n      "asym": 57666816.0,\n      "abs_err": 12136325.5,\n      "rel_err": 0.2665538053010872,\n      "source": "pgf"\n    }\n  ]\n}\n',
+    ),
+    (
+        'compare --model cycles --s 2 --n-grid 10,300 --precision high --format csv',
+        'model,s,n,exact,asym,abs_err,rel_err,source\ncycles,2,10,177133/25200,7.96007448136823,0.930987179780928,0.132447804364401,pgf\ncycles,2,300,37.8302591499224,39.11775970532,1.28750055539761,0.0340336171183815,oracle\n',
+    ),
+    (
+        'compare --model cycles --s 2 --n-grid 10,300 --precision high --format json',
+        '{\n  "schema": 1,\n  "command": "compare",\n  "model": "cycles",\n  "s": 2,\n  "rows": [\n    {\n      "n": 10,\n      "exact": "177133/25200",\n      "asym": 7.96007448136823,\n      "abs_err": 0.9309871797809284,\n      "rel_err": 0.13244780436440073,\n      "source": "pgf"\n    },\n    {\n      "n": 300,\n      "exact": "37.8302591499224",\n      "asym": 39.11775970532,\n      "abs_err": 1.2875005553976053,\n      "rel_err": 0.03403361711838145,\n      "source": "oracle"\n    }\n  ]\n}\n',
+    ),
+    (
+        'table --model inversions --n 4 --format json',
+        '{\n  "schema": 1,\n  "command": "table",\n  "model": "inversions",\n  "n": 4,\n  "counts": [\n    1,\n    3,\n    5,\n    6,\n    5,\n    3,\n    1\n  ]\n}\n',
+    ),
+]
+VERIFY_SHA256 = {
+    'csv': 'dc8a42eeb63d5c940487e008a47a7208c8e50056a4db31c7cbe718bd1c6a16cf',
+    'json': '93e97789fc442e21ce64aca848c2009bf57e5cee19c9ede04cc85c29a8058b24',
+}
+
+
+class TestStdoutGolden:
+    @pytest.mark.parametrize("argv, expected", STDOUT_GOLDEN, ids=[a for a, _ in STDOUT_GOLDEN])
+    def test_bytes(self, argv, expected):
+        code, out, _ = run_cli(*argv.split())
+        assert code == 0
+        assert out == expected
+
+    @pytest.mark.parametrize("fmt", sorted(VERIFY_SHA256))
+    def test_verify_bytes(self, fmt):
+        code, out, _ = run_cli("verify", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[fmt]
 
 
 # Runs one request in a fresh interpreter and prints its exit code and which

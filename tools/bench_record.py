@@ -8,6 +8,9 @@ entry per run (workload, seed, side, the end-to-end metrics and fail_frac),
 the environment the first run reported, and a summary per workload and
 metric: each side's median and quartiles over its runs, and the number of
 pairs (runs of both sides with the same seed) in which the change is lower.
+The traced run records ``run-<workload>-<seed>-trace1.json`` of
+``--trace 1`` add one entry per run under ``traced``: workload, seed, side
+and the per-layer metrics.
 It runs none of the benchmark and changes none of its files.
 """
 
@@ -36,6 +39,20 @@ def runs(root: Path, side: str) -> list[dict]:
             **{name: record["metrics"][name] for name in METRICS},
             "fail_frac": len(failed) / len(requests),
             "environment": {k: v for k, v in record["environment"].items() if k != "momentlab"},
+        })
+    return entries
+
+
+def traced(root: Path, side: str) -> list[dict]:
+    """One entry per traced run record under ``root/.bench_out``."""
+    entries = []
+    for path in sorted((root / ".bench_out").glob("run-*-trace1.json")):
+        record = json.loads(path.read_text())
+        entries.append({
+            "workload": record["workload"],
+            "seed": record["seed"],
+            "side": side,
+            "metrics": record["metrics"],
         })
     return entries
 
@@ -85,10 +102,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("no .bench_out/run-*-trace0.json records in either checkout")
     environments = [e.pop("environment") for e in entries]
     payload = {
-        "schema": 2,
+        "schema": 3,
         "environment": environments[0],
         "summary": summary(entries),
         "runs": entries,
+        "traced": traced(args.parent, "parent") + traced(args.change, "change"),
     }
     args.out.write_text(json.dumps(payload, indent=1) + "\n")
     return 0
