@@ -2,107 +2,96 @@
 coefficient asymptotics for three classic permutation statistics (cycle
 counts, inversion counts, randomized-quicksort comparisons), with Monte
 Carlo validation and a CSV/JSON command-line front end.
+
+Every public name is imported from its submodule on first use (PEP 562),
+not when the package is: every CLI request is a fresh process that
+compiles the modules it imports, and most requests need only one or two
+of the five submodules (tables, moments, transfer, expansions, simulate).
 """
 
-from .tables import (
-    DEFAULT_ROW_LIMITS,
-    DistributionTable,
-    Model,
-    RowLimitError,
-    cycle_counts,
-    distribution_table,
-    distribution_tables,
-    inversion_counts,
-    k_max,
-    quicksort_counts,
-    row_limit,
-)
-from .moments import (
-    exact_moment,
-    factorial_moment,
-    falling_factorial,
-    harmonic,
-    moment_sequence,
-    quicksort_mean,
-)
-from .transfer import (
-    EULER_GAMMA,
-    LogPowerTerm,
-    NO_REMAINDER,
-    OrderLimitError,
-    RemainderClass,
-    SeriesBudgetError,
-    SingularExpansion,
-    exact_coefficient,
-    gamma_recip_derivative,
-    highprec_coefficient,
-    transfer_expansion,
-    transfer_term,
-)
-from .expansions import (
-    CoefficientCheck,
-    asymptotic_moment,
-    coefficient_crosscheck,
-    singular_expansion,
-)
-from .simulate import (
-    MomentEstimate,
-    TrialStream,
-    comparisons_first_pivot,
-    count_cycles,
-    count_inversions,
-    estimate_factorial_moment,
-    quicksort_comparisons,
-    random_permutation,
-    sample_cost,
-    trial_stream,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ROW_LIMITS",
-    "DistributionTable",
-    "Model",
-    "RowLimitError",
-    "cycle_counts",
-    "distribution_table",
-    "distribution_tables",
-    "inversion_counts",
-    "k_max",
-    "quicksort_counts",
-    "row_limit",
-    "exact_moment",
-    "factorial_moment",
-    "falling_factorial",
-    "harmonic",
-    "moment_sequence",
-    "quicksort_mean",
-    "EULER_GAMMA",
-    "LogPowerTerm",
-    "NO_REMAINDER",
-    "OrderLimitError",
-    "RemainderClass",
-    "SeriesBudgetError",
-    "SingularExpansion",
-    "exact_coefficient",
-    "gamma_recip_derivative",
-    "highprec_coefficient",
-    "transfer_expansion",
-    "transfer_term",
-    "CoefficientCheck",
-    "asymptotic_moment",
-    "coefficient_crosscheck",
-    "singular_expansion",
-    "MomentEstimate",
-    "TrialStream",
-    "comparisons_first_pivot",
-    "count_cycles",
-    "count_inversions",
-    "estimate_factorial_moment",
-    "quicksort_comparisons",
-    "random_permutation",
-    "sample_cost",
-    "trial_stream",
-    "__version__",
-]
+# The public names of each submodule, in the order of ``__all__``.
+_EXPORTS = {
+    "tables": (
+        "DEFAULT_ROW_LIMITS",
+        "DistributionTable",
+        "Model",
+        "RowLimitError",
+        "cycle_counts",
+        "distribution_table",
+        "distribution_tables",
+        "inversion_counts",
+        "k_max",
+        "quicksort_counts",
+        "row_limit",
+    ),
+    "moments": (
+        "exact_moment",
+        "factorial_moment",
+        "falling_factorial",
+        "harmonic",
+        "moment_sequence",
+        "quicksort_mean",
+    ),
+    "transfer": (
+        "EULER_GAMMA",
+        "LogPowerTerm",
+        "NO_REMAINDER",
+        "OrderLimitError",
+        "RemainderClass",
+        "SeriesBudgetError",
+        "SingularExpansion",
+        "exact_coefficient",
+        "gamma_recip_derivative",
+        "highprec_coefficient",
+        "transfer_expansion",
+        "transfer_term",
+    ),
+    "expansions": (
+        "CoefficientCheck",
+        "asymptotic_moment",
+        "coefficient_crosscheck",
+        "singular_expansion",
+    ),
+    "simulate": (
+        "MomentEstimate",
+        "TrialStream",
+        "comparisons_first_pivot",
+        "count_cycles",
+        "count_inversions",
+        "estimate_factorial_moment",
+        "quicksort_comparisons",
+        "random_permutation",
+        "sample_cost",
+        "trial_stream",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
+
+
+def _first_use(namespace: dict, exports: dict[str, tuple[str, ...]]):
+    """A module ``__getattr__`` (PEP 562) for the module whose globals are
+    ``namespace``: it imports the submodule that ``exports`` lists a name
+    under, binds the name in ``namespace`` so that later lookups find it
+    there, and returns it."""
+    owner = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        try:
+            module = owner[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _first_use(globals(), _EXPORTS)

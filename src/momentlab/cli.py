@@ -36,6 +36,14 @@ of ``moment``, ``oracle_exact`` of ``transfer``, ``tolerance`` and
 text only by that view: ``oracle_exact`` stays an exact rational until the
 JSON encoder writes it.
 
+The layers' names (``distribution_table``, ``exact_moment``,
+``transfer_term`` and the rest) are bound on first use, by this module's
+``__getattr__``, and the handlers call them through the module object.
+Every request is a fresh process that compiles each module it imports, so
+a request loads only the submodules its route runs: ``table`` only
+``tables``, ``transfer`` only ``transfer``.  A function set on this module
+from outside, such as a wrapper that times a layer, is the one that runs.
+
 Conventions: natural logarithms everywhere (the gamma-constant corrections
 only hold for ln); CSV has a header row, counts as exact decimal integers,
 rationals as "p/q", reals with 15 significant digits, LF line endings.
@@ -51,26 +59,42 @@ Exit codes: 0 success, 2 invalid arguments, 3 resource limit exceeded,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from fractions import Fraction
 
-from .expansions import asymptotic_moment, coefficient_crosscheck
-# factorial_moment and quicksort_mean are not called here; perfbench's
-# traced replay wraps them under these names
-from .moments import exact_moment, factorial_moment, quicksort_mean  # noqa: F401
-from .simulate import DrawLimitError, estimate_factorial_moment
-from .tables import Model, RowLimitError, distribution_table
-from .transfer import (
-    LogPowerTerm,
-    OrderLimitError,
-    SeriesBudgetError,
-    check_double_range,
-    exact_coefficient,
-    highprec_coefficient,
-    transfer_term,
+from . import _first_use
+
+# The values of tables.Model, spelled out so that parsing loads no layer.
+MODELS = ("cycles", "inversions", "quicksort")
+# The resource guards' exceptions, by submodule; each exits 3.
+_RESOURCE_ERRORS = (
+    ("tables", "RowLimitError"),
+    ("transfer", "OrderLimitError"),
+    ("transfer", "SeriesBudgetError"),
+    ("simulate", "DrawLimitError"),
 )
+
+__getattr__ = _first_use(
+    globals(),
+    {
+        "tables": ("Model", "distribution_table"),
+        # factorial_moment and quicksort_mean are not called here; perfbench's
+        # traced replay wraps them under these names
+        "moments": ("exact_moment", "factorial_moment", "quicksort_mean"),
+        "transfer": (
+            "LogPowerTerm",
+            "check_double_range",
+            "exact_coefficient",
+            "highprec_coefficient",
+            "transfer_term",
+        ),
+        "expansions": ("asymptotic_moment", "coefficient_crosscheck"),
+        "simulate": ("estimate_factorial_moment",),
+    },
+)
+# This module: the handlers look the layers' names up on it, so that
+# ``__getattr__`` binds each on first use and a name set on the module from
+# outside is the one called.
+_layers = sys.modules[__name__]
 
 CROSSCHECK_TOLERANCE = 1e-10
 CROSSCHECK_MAX_S = 10
@@ -89,13 +113,15 @@ class CommandError(Exception):
 
 
 def _fmt_exact(value) -> str:
+    from fractions import Fraction
+
     if isinstance(value, (Fraction, int)):
         return str(value)
     return format(float(value), ".15g")
 
 
 def compare_rows(
-    model: Model, s: int, grid: list[int], *, high_precision: bool = False
+    model, s: int, grid: list[int], *, high_precision: bool = False
 ) -> list[dict]:
     """Convergence study: one row per grid point, with keys n, exact (text),
     asym, abs_err, rel_err (None when exact == 0) and source (table, pgf,
@@ -106,13 +132,15 @@ def compare_rows(
     """
     rows = []
     for n in grid:
-        if model is Model.CYCLES and n > _CYCLES_TABLE_CUTOFF:
+        if model is _layers.Model.CYCLES and n > _CYCLES_TABLE_CUTOFF:
             # the moment series of cycles is exactly a log-power series
-            exact, source = highprec_coefficient(1, s, n), "oracle"
+            exact, source = _layers.highprec_coefficient(1, s, n), "oracle"
         else:
-            exact, source = exact_moment(model, n, s)
-        asym = asymptotic_moment(model, n, s, high_precision=high_precision)
+            exact, source = _layers.exact_moment(model, n, s)
+        asym = _layers.asymptotic_moment(model, n, s, high_precision=high_precision)
         if high_precision:
+            from fractions import Fraction
+
             import mpmath as mp
             with mp.workdps(60):
                 exact_hp = (
@@ -152,6 +180,8 @@ def _cell(value) -> str:
 
 def _fraction_text(value) -> str:
     """JSON encoder hook: an exact rational prints as "p/q" text."""
+    from fractions import Fraction
+
     if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
@@ -165,12 +195,16 @@ def _emit(args, record: dict, columns: tuple[str, ...], rows: str | None = None)
     when ``rows`` is None; a column an entry lacks comes from ``record``.
     """
     if args.format == "json":
+        import json
+
         encoder = json.JSONEncoder(ensure_ascii=False, indent=2, default=_fraction_text)
         # the chunks are written as they are, never joined into a second copy
         chunks = list(encoder.iterencode({"schema": 1, "command": args.command, **record}))
         chunks.append("\n")
         sys.stdout.writelines(chunks)
         return
+    import csv
+
     entries = [record] if rows is None else record[rows]
     lines = [[_cell((entry if c in entry else record)[c]) for c in columns] for entry in entries]
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -183,7 +217,7 @@ def _emit(args, record: dict, columns: tuple[str, ...], rows: str | None = None)
 # ---------------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
-    table = distribution_table(Model(args.model), args.n)
+    table = _layers.distribution_table(_layers.Model(args.model), args.n)
     if args.format == "csv":
         # the fields are plain digits, which csv.writer never quotes, so these
         # are its bytes; every line is built before the first is written, so a
@@ -197,13 +231,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    model = Model(args.model)
+    model = _layers.Model(args.model)
     want_exact = args.mode in ("exact", "both")
     want_asym = args.mode in ("asym", "both")
     if want_asym and (args.n < 2 or args.s < 1):
         raise CommandError(2, "asymptotic moments require --n >= 2 and --s >= 1")
-    exact = exact_moment(model, args.n, args.s)[0] if want_exact else None
-    asym = asymptotic_moment(model, args.n, args.s) if want_asym else None
+    exact = _layers.exact_moment(model, args.n, args.s)[0] if want_exact else None
+    asym = _layers.asymptotic_moment(model, args.n, args.s) if want_asym else None
     record = {
         "model": args.model,
         "s": args.s,
@@ -217,6 +251,8 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    from fractions import Fraction
+
     if args.alpha < 1 or args.beta < 0:
         raise CommandError(2, "--alpha must be >= 1 and --beta >= 0")
     if args.n < 2:
@@ -224,10 +260,12 @@ def _cmd_transfer(args) -> int:
     if args.order is not None and args.order < 0:
         raise CommandError(2, "--order must be nonnegative")
     high_precision = args.precision == "high"
-    check_double_range(args.alpha, args.beta, args.n, high_precision=high_precision)
-    term = LogPowerTerm(Fraction(1), args.alpha, args.beta)
-    estimate = transfer_term(term, args.n, order=args.order, high_precision=high_precision)
-    oracle = exact_coefficient(args.alpha, args.beta, args.n)
+    _layers.check_double_range(args.alpha, args.beta, args.n, high_precision=high_precision)
+    term = _layers.LogPowerTerm(Fraction(1), args.alpha, args.beta)
+    estimate = _layers.transfer_term(
+        term, args.n, order=args.order, high_precision=high_precision
+    )
+    oracle = _layers.exact_coefficient(args.alpha, args.beta, args.n)
     estimate_f = float(estimate)
     oracle_f = float(oracle)
     abs_err = abs(estimate_f - oracle_f)
@@ -256,8 +294,8 @@ def _cmd_simulate(args) -> int:
         raise CommandError(2, "--seed must be a 64-bit unsigned integer")
     if args.threads < 1:
         raise CommandError(2, "--threads must be positive")
-    est = estimate_factorial_moment(
-        Model(args.model), args.n, args.s, args.trials, args.seed, threads=args.threads
+    est = _layers.estimate_factorial_moment(
+        _layers.Model(args.model), args.n, args.s, args.trials, args.seed, threads=args.threads
     )
     record = {
         "model": args.model,
@@ -289,7 +327,7 @@ def _cmd_compare(args) -> int:
         raise CommandError(2, "--s must be >= 1")
     grid = _parse_grid(args.n_grid)
     rows = compare_rows(
-        Model(args.model), args.s, grid, high_precision=args.precision == "high"
+        _layers.Model(args.model), args.s, grid, high_precision=args.precision == "high"
     )
     columns = ("model", "s", "n", "exact", "asym", "abs_err", "rel_err", "source")
     _emit(args, {"model": args.model, "s": args.s, "rows": rows}, columns, "rows")
@@ -299,9 +337,9 @@ def _cmd_compare(args) -> int:
 def _cmd_verify(args) -> int:
     rows = []
     failures = 0
-    for model in Model:
+    for model in _layers.Model:
         for s in range(1, CROSSCHECK_MAX_S + 1):
-            check = coefficient_crosscheck(model, s)
+            check = _layers.coefficient_crosscheck(model, s)
             for which, scale, pair, err in (
                 ("leading", check.leading_scale, check.leading, check.rel_errors()[0]),
                 ("second", check.second_scale, check.second, check.rel_errors()[1]),
@@ -339,7 +377,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--model", choices=[m.value for m in Model], required=True,
+        "--model", choices=MODELS, required=True,
         help="which cost statistic",
     )
 
@@ -421,6 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resource_errors() -> tuple[type[Exception], ...]:
+    """The resource guards' exceptions in the submodules this process has
+    loaded: a submodule that is not loaded cannot have raised one."""
+    return tuple(
+        getattr(sys.modules[f"momentlab.{module}"], name)
+        for module, name in _RESOURCE_ERRORS
+        if f"momentlab.{module}" in sys.modules
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -429,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (RowLimitError, OrderLimitError, SeriesBudgetError, DrawLimitError) as exc:
+    except _resource_errors() as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:

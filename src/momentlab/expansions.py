@@ -26,11 +26,10 @@ the latter must cancel against C_1(s+1) = gamma - H_s.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .moments import harmonic
 from .tables import Model
 from .transfer import (
     EULER_GAMMA,
@@ -70,6 +69,9 @@ def singular_expansion(model: Model, s: int) -> SingularExpansion:
             (LogPowerTerm(lead, 2 * s + 1, 0), LogPowerTerm(second, 2 * s, 0)),
             RemainderClass(0, 2 * s - 1),
         )
+    # imported here, so that ``asymptotic_moment`` requests load no ``moments``
+    from .moments import harmonic
+
     lead = Fraction(2**s * math.factorial(s))
     second = s * (harmonic(s) - 2) * 2**s * math.factorial(s)
     return SingularExpansion(
@@ -118,21 +120,21 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
     )
 
 
-@dataclass(frozen=True)
-class CoefficientCheck:
+class CoefficientCheck(
+    collections.namedtuple(
+        "CoefficientCheck", "model s leading_scale second_scale leading second"
+    )
+):
     """Two leading asymptotic coefficients, from two independent routes.
 
-    ``leading`` and ``second`` are (from_transfer, from_theorem) pairs:
-    the first entry extracted by transferring the singular expansion
-    symbolically in n, the second from the stated asymptotic formula.
+    ``leading_scale`` and ``second_scale`` name the powers of n and ln n the
+    coefficients multiply.  ``leading`` and ``second`` are (from_transfer,
+    from_theorem) pairs of floats: the first entry extracted by transferring
+    the singular expansion symbolically in n, the second from the stated
+    asymptotic formula.
     """
 
-    model: Model
-    s: int
-    leading_scale: str
-    second_scale: str
-    leading: tuple[float, float]
-    second: tuple[float, float]
+    __slots__ = ()
 
     def rel_errors(self) -> tuple[float, float]:
         lt, lth = self.leading

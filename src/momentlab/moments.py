@@ -35,7 +35,6 @@ from .tables import (
     distribution_tables,
     row_limit,
 )
-from .transfer import exact_coefficient
 
 __all__ = [
     "PGF_MAX_S",
@@ -241,6 +240,8 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
                 f"cycles moment at n={n} exceeds the configured cap {cap}; "
                 f"set {ROW_LIMIT_ENV} to raise it"
             )
+        # only this route needs the oracle, so only it loads ``transfer``
+        from .transfer import exact_coefficient
         return exact_coefficient(1, s, n), "pgf"
     if model is Model.QUICKSORT and s <= PGF_MAX_S:
         if n > QUICKSORT_PGF_MAX_N:

@@ -65,15 +65,15 @@ more than ``MAX_DRAWS`` = 2^31 draws, (n - 1) x trials, is refused before
 any work; the measurements behind the cap are next to it.
 
 numpy and the process pool are imported inside the functions that use
-them, not at module level: every CLI request is a fresh process, and most
-requests import this module through the CLI without simulating.
+them, not at module level, so importing this module for its scalar
+counters loads neither.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -513,17 +513,12 @@ class DrawLimitError(RuntimeError):
     """Requested estimate needs more than MAX_DRAWS draws (resource guard)."""
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
-    """Empirical factorial moment: sample mean of (X)_s with its standard
-    error, plus everything needed to reproduce it."""
+class MomentEstimate(collections.namedtuple("MomentEstimate", "s n trials mean stderr seed")):
+    """Empirical factorial moment: sample ``mean`` of (X)_s with its
+    ``stderr`` (floats), plus the ints ``s``, ``n``, ``trials`` and ``seed``
+    that reproduce it."""
 
-    s: int
-    n: int
-    trials: int
-    mean: float
-    stderr: float
-    seed: int
+    __slots__ = ()
 
 
 def _trial_costs(model: Model, n: int, seed: int, start: int, stop: int):

@@ -42,7 +42,6 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -126,17 +125,15 @@ def k_max(model: Model, n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(collections.namedtuple("DistributionTable", "model n counts")):
     """One exact row: counts[k] permutations of n with statistic value k.
 
-    ``counts`` is dense over 0..k_max(model, n) and sums to n! exactly.
-    Instances are immutable and safe to share across threads.
+    Fields ``model`` (a Model), ``n`` and ``counts``, a tuple of ints dense
+    over 0..k_max(model, n) that sums to n! exactly.  Instances are
+    immutable and safe to share across threads.
     """
 
-    model: Model
-    n: int
-    counts: tuple[int, ...]
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(self.counts)

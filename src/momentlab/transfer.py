@@ -44,10 +44,10 @@ Natural logarithms throughout.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 __all__ = [
@@ -184,32 +184,28 @@ def gamma_recip_derivative(alpha: int, k: int) -> float:
 # Singular-expansion data types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LogPowerTerm:
-    """One term c * (1-u)^(-alpha) * log(1/(1-u))^beta of a singular expansion."""
+class LogPowerTerm(collections.namedtuple("LogPowerTerm", "coeff alpha beta")):
+    """One term c * (1-u)^(-alpha) * log(1/(1-u))^beta of a singular expansion:
+    ``coeff`` a float or Fraction, ``alpha`` >= 1 and ``beta`` >= 0 ints."""
 
-    coeff: float | Fraction
-    alpha: int
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError(f"alpha must be a positive integer, got {self.alpha}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {self.beta}")
+    def __new__(cls, coeff, alpha, beta):
+        if alpha < 1:
+            raise ValueError(f"alpha must be a positive integer, got {alpha}")
+        if beta < 0:
+            raise ValueError(f"beta must be nonnegative, got {beta}")
+        return super().__new__(cls, coeff, alpha, beta)
 
 
-@dataclass(frozen=True)
-class RemainderClass:
+class RemainderClass(collections.namedtuple("RemainderClass", "p q present", defaults=(True,))):
     """Dominated tail: an unspecified combination of log-power terms with
     (1-u)-exponent j and log-exponent i where j < q (any i), or j = q and
     i <= p.  Contributes nothing to numeric evaluation; carried so reports
     can label estimates as two-term (etc.) with an explicitly unmodeled tail.
     """
 
-    p: int
-    q: int
-    present: bool = True
+    __slots__ = ()
 
     def absorbs(self, alpha: int, beta: int) -> bool:
         """Would a (1-u)^(-alpha) log^beta term be swallowed by this tail?"""
@@ -221,28 +217,28 @@ class RemainderClass:
 NO_REMAINDER = RemainderClass(0, 0, present=False)
 
 
-@dataclass(frozen=True)
-class SingularExpansion:
+class SingularExpansion(collections.namedtuple("SingularExpansion", "terms remainder")):
     """Ordered log-power terms plus a dominated remainder class.
 
-    Terms must be strictly decreasing in (alpha, beta) lexicographic order
-    and must each strictly dominate the remainder class.
+    ``terms`` is stored as a tuple of LogPowerTerm; ``remainder`` defaults
+    to NO_REMAINDER.  Terms must be strictly decreasing in (alpha, beta)
+    lexicographic order and must each strictly dominate the remainder class.
     """
 
-    terms: tuple[LogPowerTerm, ...]
-    remainder: RemainderClass = field(default=NO_REMAINDER)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        keys = [(t.alpha, t.beta) for t in self.terms]
+    def __new__(cls, terms, remainder=NO_REMAINDER):
+        terms = tuple(terms)
+        keys = [(t.alpha, t.beta) for t in terms]
         if any(nxt >= cur for nxt, cur in zip(keys[1:], keys)):
             raise ValueError("terms must be strictly decreasing in (alpha, beta)")
-        for t in self.terms:
-            if self.remainder.absorbs(t.alpha, t.beta):
+        for t in terms:
+            if remainder.absorbs(t.alpha, t.beta):
                 raise ValueError(
                     f"term (alpha={t.alpha}, beta={t.beta}) does not dominate "
-                    f"the remainder class ({self.remainder.p}, {self.remainder.q})"
+                    f"the remainder class ({remainder.p}, {remainder.q})"
                 )
+        return super().__new__(cls, terms, remainder)
 
 
 # ---------------------------------------------------------------------------

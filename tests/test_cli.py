@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -717,7 +719,163 @@ class TestImports:
         assert modules == loaded
 
 
+# Imports the module named first in a fresh interpreter, runs the request
+# that follows, if any, and prints its exit code, the momentlab submodules
+# loaded besides the CLI, and whether dataclasses was loaded on the way.
+LAYER_PROBE = """
+import importlib, io, json, sys
+from contextlib import redirect_stdout
+before = set(sys.modules)
+importlib.import_module(sys.argv[1])
+code = None
+if sys.argv[2:]:
+    with redirect_stdout(io.StringIO()):
+        code = sys.modules["momentlab.cli"].main(sys.argv[2:])
+layers = sorted(m for m in sys.modules if m.startswith("momentlab.") and m != "momentlab.cli")
+print(json.dumps([code, layers, "dataclasses" in set(sys.modules) - before]))
+"""
+
+TRANSFER_ARGV = ("transfer", "--alpha", "2", "--beta", "1", "--n", "50")
+SIMULATE_ARGV = (
+    "simulate", "--model", "cycles", "--n", "50", "--s", "2", "--trials", "100", "--seed", "1"
+)
+
+
+class TestLayerImports:
+    """Every request is a fresh process that compiles the modules it
+    imports, so it loads only the momentlab submodules its route runs, and
+    none loads dataclasses."""
+
+    @pytest.mark.parametrize(
+        "argv, code, layers",
+        [
+            pytest.param(("momentlab",), None, [], id="import-package"),
+            pytest.param(("momentlab.cli",), None, [], id="import-cli"),
+            pytest.param(
+                ("momentlab.cli", "table", "--model", "inversions", "--n", "20"),
+                0, ["tables"], id="table",
+            ),
+            pytest.param(
+                ("momentlab.cli", "table", "--model", "cycles", "--n", "5000"),
+                3, ["tables"], id="table-over-cap",
+            ),
+            pytest.param(("momentlab.cli", *TRANSFER_ARGV), 0, ["transfer"], id="transfer"),
+            pytest.param(
+                ("momentlab.cli", *SIMULATE_ARGV), 0, ["simulate", "tables"], id="simulate"
+            ),
+            pytest.param(
+                ("momentlab.cli", "moment", "--model", "inversions", "--n", "20", "--s", "2",
+                 "--mode", "exact"),
+                0, ["moments", "tables"], id="moment-inversions-exact",
+            ),
+            pytest.param(
+                ("momentlab.cli", "moment", "--model", "cycles", "--n", "20", "--s", "2",
+                 "--mode", "exact"),
+                0, ["moments", "tables", "transfer"], id="moment-cycles-exact",
+            ),
+            pytest.param(
+                ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "2",
+                 "--mode", "asym"),
+                0, ["expansions", "tables", "transfer"], id="moment-asym",
+            ),
+            pytest.param(
+                ("momentlab.cli", "compare", "--model", "cycles", "--s", "2", "--n-grid",
+                 "150,300"),
+                0, ["expansions", "moments", "tables", "transfer"], id="compare",
+            ),
+            pytest.param(
+                ("momentlab.cli", "verify"),
+                0, ["expansions", "moments", "tables", "transfer"], id="verify",
+            ),
+        ],
+    )
+    def test_route_loads_only_its_modules(self, argv, code, layers):
+        proc = subprocess.run(
+            [sys.executable, "-c", LAYER_PROBE, *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        got_code, got_layers, dataclasses_loaded = json.loads(proc.stdout)
+        assert got_code == code
+        assert got_layers == [f"momentlab.{name}" for name in layers]
+        assert not dataclasses_loaded
+
+
+REPLAY = Path(__file__).resolve().parent.parent / "perfbench" / "replay.py"
+
+# Resolves every name perfbench's traced replay wraps, in a fresh
+# interpreter as the replay does, and prints those that do not resolve.
+SHIMS_PROBE = """
+import importlib, importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_replay", sys.argv[1])
+replay = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(replay)
+print(json.dumps([
+    f"{module}.{attr}" for module, attr, *_ in replay.SHIMS
+    if not hasattr(importlib.import_module(module), attr)
+]))
+"""
+
+# A request that calls each name the replay wraps on momentlab.cli, except
+# factorial_moment and quicksort_mean, which the CLI no longer calls.
+SHIM_REQUESTS = {
+    "distribution_table": ("table", "--model", "cycles", "--n", "5"),
+    "exact_coefficient": TRANSFER_ARGV,
+    "transfer_term": TRANSFER_ARGV,
+    "highprec_coefficient": ("compare", "--model", "cycles", "--s", "2", "--n-grid", "300"),
+    "asymptotic_moment": (
+        "moment", "--model", "inversions", "--n", "20", "--s", "2", "--mode", "asym"
+    ),
+    "coefficient_crosscheck": ("verify",),
+    "estimate_factorial_moment": SIMULATE_ARGV,
+}
+
+
+def replay_shims():
+    """perfbench/replay.py's SHIMS, read from the file as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_replay", REPLAY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SHIMS
+
+
+class TestReplayNames:
+    """perfbench's traced replay sets wrappers on momentlab.cli by name, so
+    each name must resolve there and a wrapper set on it must be what runs."""
+
+    def test_every_shim_resolves_in_a_fresh_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", SHIMS_PROBE, str(REPLAY)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+
+    def test_every_cli_shim_has_a_request(self):
+        names = {attr for module, attr, *_ in replay_shims() if module == "momentlab.cli"}
+        assert names - {"factorial_moment", "quicksort_mean"} == set(SHIM_REQUESTS)
+
+    @pytest.mark.parametrize("name", sorted(SHIM_REQUESTS))
+    def test_wrapper_set_on_cli_runs(self, name, monkeypatch):
+        import momentlab.cli as cli
+
+        calls = []
+        original = getattr(cli, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+        code, _, _ = run_cli(*SHIM_REQUESTS[name])
+        assert code == 0
+        assert calls
+
+
 class TestParser:
+    def test_model_choices_are_the_models(self):
+        from momentlab.cli import MODELS
+
+        assert list(MODELS) == [m.value for m in Model]
+
     def test_unknown_model_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--model", "heapsort", "--n", "3"])
