@@ -7,7 +7,8 @@ moment    exact and/or two-term asymptotic factorial moment at one size
 transfer  log-power coefficient estimate vs. the exact series oracle
 simulate  Monte Carlo factorial moment with standard error (seeded, exact
           reproducibility independent of --threads); requests of more
-          than 2^31 draws, (n - 1) x trials, exit 3 before any work
+          than 2^31 draws, (n - 1) x trials, and inversions requests
+          past a 512 MiB memory budget (n > 2^23) exit 3 before any work
 compare   convergence report of asymptotic vs. exact moments over an n-grid
 verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
 

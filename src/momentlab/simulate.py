@@ -34,10 +34,11 @@ j = word mod (pos + 1).  ``randbelow`` rejects a word only when it is below
 words are all at least their bound (all but a share below n^2 / 2^65) the
 draws are one vectorised (words x lanes) mix, ``_shuffle_draws``.  A lane
 with some word below its bound is drawn again on its own, exactly as the
-stream does: cycles by ``_lane_cycles``, which applies the rejection rule
-to a chunk of words at a time, inversions by ``random_permutation``.  The
-draws are mixed at most ``_COUNT_CHUNK`` = 2^16 words at a time, so no
-temporary grows with the block.
+stream does, by ``_lane_draws``, which applies the rejection rule to a
+chunk of words at a time: cycles are counted from its draws by
+``_lane_cycles``, and inversions shuffled by ``_lane_permutation`` into an
+int32 array.  The draws are mixed at most ``_COUNT_CHUNK`` = 2^16 words at
+a time, so no temporary grows with the block.
 
 - cycles: the shuffle closes a cycle exactly when step pos draws j = pos,
   so count_cycles = 1 + #{pos : j = pos} and no permutation is built (the
@@ -46,12 +47,22 @@ temporary grows with the block.
   S. Tavare, *Logarithmic Combinatorial Structures*, EMS 2003, ch. 1).
   ``_feller_cycles`` counts chunks of max(1, 2^16 // n) trials.
 - inversions: ``_permutation_batch`` shuffles blocks of
-  min(512, 2_000_000 // n) trials in lockstep, three fancy-index
-  operations per position on all of the block's rows, and
-  ``_inversions_batch`` (a flattened bottom-up merge) counts them in chunks
-  of max(1, 2^16 // n) rows, which keeps the counting temporaries below
-  the block's size.  Lockstep over 512 rows measured no slower at n = 200
-  and 1000 than over 4096, with an eighth of the array.
+  ``_shuffle_block(n)`` = min(2048, 2_000_000 // n) trials in lockstep,
+  three fancy-index operations per position on all of the block's lanes,
+  into a position-major int32 array whose row k holds slot k of every
+  lane.  Up to n = ``_BITSET_MAX_N`` = 6000, ``_bitset_inversions``
+  counts the block in one sweep over its rows.  Each lane keeps a bitset
+  of the values it has seen, in (n >> 6) + 1 uint64 words, and a running
+  count of its seen values in the words below each word.  Slot k then adds
+  k minus its seen values below its own value v: the count for the words
+  below v's word plus the popcount (``np.bitwise_count``, numpy >= 2.0) of
+  the bits below v in it.  That is O(n^2 / 64) word operations per trial,
+  a few numpy calls per position on all of the block's lanes.  Above the
+  crossover ``_inversions_batch``, a flattened bottom-up merge in
+  O(n log n), counts the block in chunks of max(1, 2^16 // n) rows, which
+  keeps its temporaries below the block's size.  An inversions estimate
+  whose block and merge would hold more than ``_INVERSIONS_BUDGET`` bytes
+  is refused before any work.
 - quicksort: ``_quicksort_batch`` runs blocks of 4096 trials in lockstep,
   one stack of subproblem sizes per trial; its draw order follows its
   stack, so its words cannot be drawn ahead.  The lockstep spreads numpy's
@@ -103,8 +114,27 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _BATCH = 4096  # trials per lockstep quicksort block
-_SHUFFLE_LANES = 512  # permutations shuffled in lockstep
+# Permutations shuffled and counted in lockstep.  The shuffle and the
+# bitset each run a few numpy calls per position on all of a block's lanes,
+# so wider blocks spread the calls' fixed cost.  At n = 200 the bitset took
+# 0.013, 0.0057 and 0.0037 ms per trial on blocks of 512, 2048 and 4096
+# lanes (the merge 0.022-0.027 on any), and `simulate --model inversions
+# --n 200 --trials 5000` peaked at 31.8, 33.6 and 34.9 MB RSS, where a
+# quicksort request of the same size peaks at 33.2 MB.  2048 lanes hold
+# 1.6 MB of slots at n = 200.
+_SHUFFLE_LANES = 2048
+_SHUFFLE_ENTRIES = 2_000_000  # cap on the slots of one block
 _COUNT_CHUNK = 1 << 16  # permutation entries counted at once
+# Largest n whose inversions are counted by the bitset; the merge counts
+# above it.  The bitset costs O(n^2 / 64) per trial, the merge O(w log w)
+# for n padded to the power of two w.  CPU ms per trial, bitset against
+# merge, on blocks of _shuffle_block(n) lanes (Python 3.11, numpy 2.4,
+# 2-core x86-64): n = 500 0.017/0.058, 2000 0.15/0.22, 4096 0.55/0.51,
+# 4500 0.65/1.06, 5500 0.96/1.11, 6000 1.15/1.17, 6500 1.36/1.08, 7000
+# 1.48/1.02, 8192 1.89/0.98.  Past 8192 the merge doubles its width, and
+# the bitset is ahead again up to about n = 9000 (8193: 1.98/2.42, 9500:
+# 2.53/2.39), a stretch left to the merge so that one n splits the routes.
+_BITSET_MAX_N = 6000
 _STACK_COLUMNS = 64  # initial lockstep quicksort stack depth; doubles as needed
 # Quicksort blocks with fewer trials run the scalar loop.  Lockstep costs
 # about the same for any block this small, the scalar loop grows with the
@@ -118,11 +148,22 @@ _LOCKSTEP_MIN_TRIALS = 30
 # quicksort partition.  Draws per CPU second, by the CLI (same box):
 # cycles 5.9e7 (n = 10^7, 10 trials), quicksort 1.0e6 (n = 10^6, 10
 # trials, scalar loop) and 3.6e6 (n = 10^5, 100 trials, lockstep),
-# inversions 6.3e5 (n = 10^6, 4 trials) and 1.8e6 (n = 10^5, 40 trials).
+# inversions 6.2e5 (n = 10^6, 4 trials) and 1.6e6 (n = 10^5, 40 trials),
+# medians of 3, the same as before the bitset route, whose n these are
+# above (first measured at 6.3e5 and 1.8e6 on a faster day).
 # At the cap, cycles at n = 2^30 + 1 with 2 trials took 64 s and 34 MB;
 # the slowest rate above, inversions at n = 10^6, would need about an hour.
 # n = 10^12 with 2 trials would need hours to weeks and is refused at once.
 MAX_DRAWS = 1 << 31
+# Memory budget of one worker on the inversions route, ``_inversions_bytes``:
+# a block's int32 slots and, above _BITSET_MAX_N, the merge's runs and sort
+# temporaries, about seven int64 arrays of its rows padded to a power of
+# two.  `simulate --model inversions --trials 2` held, above the imports,
+# 61 MiB at n = 2^20 and 121 MiB at n = 2^21 (4 bytes a slot and 56 a
+# padded entry), and 117 MiB at n = 2^20 + 1, padded to 2^21.  The budget
+# admits n <= 2^23 (480 MiB by the model), which took 35 s and peaked at
+# 454 MiB RSS; n = 2^27 would hold 7.5 GiB and is refused at once.
+_INVERSIONS_BUDGET = 512 << 20
 
 
 def _mix64(z: int) -> int:
@@ -240,14 +281,14 @@ def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     trial's ``TrialStream`` (asserted in the test suite).  The draws are
     mixed by ``_shuffle_draws`` about ``_COUNT_CHUNK`` words at a time, and
     each position is swapped on every lane at once in a position-major
-    array, where slot k of lane i sits at flat index k * lanes + i.  A lane
-    where a word may have been rejected is shuffled again by
-    ``random_permutation``.
+    array, where slot k of lane i sits at flat index k * lanes + i, so the
+    transpose of the result is that array.  A lane where a word may have
+    been rejected is shuffled again by ``_lane_permutation``.
     """
     import numpy as np
     lanes = stop - start
     base = _stream_states(seed, start, stop)
-    slots = np.repeat(np.arange(1, n + 1, dtype=np.int64), lanes).reshape(n, lanes)
+    slots = np.repeat(np.arange(1, n + 1, dtype=np.int32), lanes).reshape(n, lanes)
     flat = slots.reshape(-1)
     lane = np.arange(lanes, dtype=np.intp)
     suspect = np.zeros(lanes, dtype=bool)
@@ -265,7 +306,7 @@ def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
             flat[where] = held
     perms = slots.T
     for i in np.flatnonzero(suspect).tolist():
-        perms[i] = random_permutation(n, TrialStream(seed, start + i))
+        perms[i] = _lane_permutation(seed, n, start + i)
     return perms
 
 
@@ -289,15 +330,15 @@ def _feller_cycles(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     return cycles
 
 
-def _lane_cycles(seed: int, n: int, index: int) -> int:
-    """``count_cycles`` of trial ``index``'s permutation by the Feller
-    coupling, drawing as ``randbelow`` does: the words are mixed at most
-    ``_COUNT_CHUNK`` at a time, and a chunk ends at its first rejected
-    word, so the next chunk redraws that word's pos from the next word.
+def _lane_draws(seed: int, n: int, index: int):
+    """The Fisher-Yates draws of trial ``index`` as ``randbelow`` makes
+    them, chunk by chunk: yields (pos, j), where j[t] is the draw of
+    position pos - t.  The words are mixed at most ``_COUNT_CHUNK`` at a
+    time, and a chunk ends at its first rejected word, so the next chunk
+    redraws that word's pos from the next word.
     """
     import numpy as np
     base = np.uint64(TrialStream(seed, index).base)
-    cycles = 1
     drawn = 0  # words drawn so far
     pos = n - 1
     while pos > 0:
@@ -307,10 +348,66 @@ def _lane_cycles(seed: int, n: int, index: int) -> int:
         threshold = (np.uint64(_MASK64) % bound + np.uint64(1)) % bound
         rejected = np.flatnonzero(words < threshold)
         take = int(rejected[0]) if rejected.size else k.size
-        cycles += int((words[:take] % bound[:take] == bound[:take] - np.uint64(1)).sum())
+        yield pos, words[:take] % bound[:take]
         drawn += take + (take < k.size)
         pos -= take
+
+
+def _lane_cycles(seed: int, n: int, index: int) -> int:
+    """``count_cycles`` of trial ``index``'s permutation by the Feller
+    coupling, from the draws of ``_lane_draws``."""
+    import numpy as np
+    cycles = 1
+    for pos, j in _lane_draws(seed, n, index):
+        cycles += int((j == np.arange(pos, pos - j.size, -1, dtype=np.uint64)).sum())
     return cycles
+
+
+def _lane_permutation(seed: int, n: int, index: int) -> np.ndarray:
+    """``random_permutation`` of trial ``index`` as an int32 array, 4 bytes
+    a slot, swapped by the draws of ``_lane_draws`` through a memoryview,
+    whose items are read and written at list speed."""
+    import numpy as np
+    perm = np.arange(1, n + 1, dtype=np.int32)
+    slot = memoryview(perm)
+    for pos, j in _lane_draws(seed, n, index):
+        for p, q in zip(range(pos, pos - j.size, -1), j.tolist()):
+            slot[p], slot[q] = slot[q], slot[p]
+    return perm
+
+
+def _bitset_inversions(slots: np.ndarray) -> np.ndarray:
+    """``count_inversions`` of every lane of a position-major block, where
+    row k holds slot k of every lane, by one sweep from left to right.
+
+    Each lane keeps the values it has seen as a bitset of n + 1 bits in
+    (n >> 6) + 1 uint64 words, value v at bit v & 63 of word v >> 6, and
+    ``below`` counts, for each word, the lane's seen values in the words
+    below it.  Of the k values seen before slot k, below[v >> 6] plus the
+    popcount of the bits below v in its word are smaller than its value v,
+    and the rest are inversions.
+    """
+    import numpy as np
+    n, lanes = slots.shape
+    words = (n >> 6) + 1
+    one = np.uint64(1)
+    bits = np.zeros(words * lanes, dtype=np.uint64)  # word w of lane i at w * lanes + i
+    below = np.zeros((words, lanes), dtype=np.int16)  # n <= _BITSET_MAX_N < 2^15
+    flat_below = below.reshape(-1)
+    word_index = np.arange(words)[:, None]
+    lane = np.arange(lanes)
+    smaller = np.zeros(lanes, dtype=np.int64)  # pairs of slots in increasing order
+    for v in slots:
+        w = (v >> 6).astype(np.intp)
+        at = w * lanes
+        at += lane
+        word = bits[at]
+        bit = one << (v & 63).astype(np.uint64)
+        smaller += np.bitwise_count(word & (bit - one))
+        smaller += flat_below[at]
+        bits[at] = word | bit
+        below += word_index > w
+    return n * (n - 1) // 2 - smaller
 
 
 def _inversions_batch(perms: np.ndarray) -> np.ndarray:
@@ -510,7 +607,8 @@ def sample_cost(model: Model, n: int, rng: TrialStream) -> int:
 # -- moment estimation -------------------------------------------------------
 
 class DrawLimitError(RuntimeError):
-    """Requested estimate needs more than MAX_DRAWS draws (resource guard)."""
+    """Requested estimate needs more than MAX_DRAWS draws, or more memory
+    than _INVERSIONS_BUDGET (resource guard)."""
 
 
 class MomentEstimate(collections.namedtuple("MomentEstimate", "s n trials mean stderr seed")):
@@ -530,11 +628,15 @@ def _trial_costs(model: Model, n: int, seed: int, start: int, stop: int):
         for lo in range(start, stop, chunk):
             yield _feller_cycles(seed, n, lo, min(lo + chunk, stop))
     elif model is Model.INVERSIONS:
-        block = max(1, min(_SHUFFLE_LANES, 2_000_000 // n))  # cap permutation memory
+        block = _shuffle_block(n)
         for lo in range(start, stop, block):
             perms = _permutation_batch(seed, n, lo, min(lo + block, stop))
-            for row in range(0, len(perms), chunk):
-                yield _inversions_batch(perms[row:row + chunk])
+            if n <= _BITSET_MAX_N:
+                yield _bitset_inversions(perms.T)
+            else:
+                for row in range(0, len(perms), chunk):
+                    yield _inversions_batch(perms[row:row + chunk])
+            del perms  # before the next block is shuffled
     else:
         for lo in range(start, stop, _BATCH):
             hi = min(lo + _BATCH, stop)
@@ -545,6 +647,20 @@ def _trial_costs(model: Model, n: int, seed: int, start: int, stop: int):
                 )
             else:
                 yield _quicksort_batch(seed, n, lo, hi)
+
+
+def _shuffle_block(n: int) -> int:
+    """Lanes of one inversions block at size n."""
+    return max(1, min(_SHUFFLE_LANES, _SHUFFLE_ENTRIES // n))
+
+
+def _inversions_bytes(n: int) -> int:
+    """Bytes the inversions route holds at once at size n (see
+    ``_INVERSIONS_BUDGET``)."""
+    held = 4 * n * _shuffle_block(n)
+    if n > _BITSET_MAX_N:
+        held += 56 * max(1, _COUNT_CHUNK // n) * (1 << (n - 1).bit_length())
+    return held
 
 
 def _accumulate_range(model: Model, n: int, s: int, seed: int, start: int, stop: int):
@@ -580,8 +696,9 @@ def estimate_factorial_moment(
     trials, seed); ``threads`` only changes how trial ranges are divided
     among worker processes, never the result.  At most one worker per CPU
     is started, since more only add start-up cost.  A request of more than
-    MAX_DRAWS draws, (n - 1) x trials, raises ``DrawLimitError`` before any
-    work.
+    MAX_DRAWS draws, (n - 1) x trials, or an inversions request that would
+    hold more than ``_INVERSIONS_BUDGET`` bytes in a worker, raises
+    ``DrawLimitError`` before any work.
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
@@ -595,6 +712,11 @@ def estimate_factorial_moment(
         raise DrawLimitError(
             f"{model} estimate needs (n-1) x trials = {(n - 1) * trials} draws, "
             f"above the cap {MAX_DRAWS}"
+        )
+    if model is Model.INVERSIONS and _inversions_bytes(n) > _INVERSIONS_BUDGET:
+        raise DrawLimitError(
+            f"inversions estimate at n = {n} would hold {_inversions_bytes(n) >> 20} MiB "
+            f"of permutations and merge runs, over the {_INVERSIONS_BUDGET >> 20} MiB budget"
         )
     workers = min(threads, os.cpu_count() or 1)
     if workers == 1:

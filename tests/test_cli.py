@@ -297,19 +297,39 @@ class TestSimulate:
         assert float(fields[5]) > 0 and float(fields[6]) > 0
 
     def test_out_of_memory_exit_code(self):
-        # inversions at n = 2^27 holds 1 GiB slots, past this address space;
-        # one BLAS thread keeps numpy's own reservations small
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
+        # n = 2^23 is inside the inversions memory budget; the child caps its
+        # address space at what it maps once numpy and the CLI are loaded,
+        # plus 32 MiB, so the first block's 64 MiB of slots cannot be had
+        child = (
+            "import resource, sys, numpy\n"
+            "from momentlab.cli import main\n"
+            "mapped = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (mapped + (32 << 20),) * 2)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        start = children_cpu_seconds()
         proc = subprocess.run(
-            [sys.executable, "-m", "momentlab.cli", "simulate", "--model", "inversions",
-             "--n", str(1 << 27), "--s", "1", "--trials", "2", "--seed", "1"],
-            capture_output=True, text=True, preexec_fn=limit_address_space,
+            [sys.executable, "-c", child, "simulate", "--model", "inversions",
+             "--n", str(1 << 23), "--s", "1", "--trials", "2", "--seed", "1"],
+            capture_output=True, text=True,
             env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
         )
+        assert children_cpu_seconds() - start < 2
         assert proc.returncode == 3
         assert "resource limit: out of memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_inversions_memory_budget_exit_code(self):
+        # n = 2^27 is inside the draw cap but would hold about 8 GiB
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "simulate", "--model", "inversions", "--n", str(1 << 27), "--s", "1",
+            "--trials", "2", "--seed", "1",
+        )
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit:")
+        assert "MiB budget" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("model", ["cycles", "inversions", "quicksort"])

@@ -33,13 +33,20 @@ from momentlab import (
 )
 from momentlab import simulate
 from momentlab.simulate import (
+    _BITSET_MAX_N,
     _GOLDEN,
+    _INVERSIONS_BUDGET,
     _LOCKSTEP_MIN_TRIALS,
     _MASK64,
     _MIX1,
     _MIX2,
+    DrawLimitError,
     TrialStream,
+    _bitset_inversions,
+    _inversions_batch,
+    _inversions_bytes,
     _lane_cycles,
+    _lane_permutation,
     _mix64,
     _permutation_batch,
     _quicksort_batch,
@@ -414,6 +421,69 @@ class TestDrawMatrix:
         monkeypatch.setattr(simulate, "random_permutation", refuse)
         assert batch_costs(Model.CYCLES, 200, 7, 0, 300) == expected
         assert batch_costs(Model.CYCLES, 10, rejecting, 0, 8) == expected_rejecting
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 1 << 16])
+    @pytest.mark.parametrize("n,t,trial", [(10, 4, 3), (10, 1, 0), (10, 9, 2), (12, 5, 6)])
+    def test_lane_permutation_redraws_rejected_word(self, n, t, trial, chunk, monkeypatch):
+        # as for cycles: word t is 0 and rejected, at every place in its chunk
+        seed = (unmix64(-t * _GOLDEN & _MASK64) - (trial + 1) * _GOLDEN) & _MASK64
+        expected = random_permutation(n, trial_stream(seed, trial))
+        monkeypatch.setattr(simulate, "_COUNT_CHUNK", chunk)
+        lane = _lane_permutation(seed, n, trial)
+        assert lane.tolist() == expected
+        assert _bitset_inversions(lane[:, None]).tolist() == [count_inversions(expected)]
+        for i in range(4):
+            assert _lane_permutation(seed + i, 57, i).tolist() == random_permutation(
+                57, trial_stream(seed + i, i)
+            )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 10**6),
+        lanes=st.integers(1, 7),
+    )
+    def test_bitset_matches_scalar_across_blocks(self, n, seed, start, lanes):
+        # blocks of 1-7 lanes split the 15 trials at every offset
+        expected = scalar_costs(Model.INVERSIONS, n, seed, start, start + 15)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulate, "_SHUFFLE_LANES", lanes)
+            assert batch_costs(Model.INVERSIONS, n, seed, start, start + 15) == expected
+
+    @pytest.mark.parametrize("n", [3000, _BITSET_MAX_N - 1, _BITSET_MAX_N, _BITSET_MAX_N + 1])
+    def test_inversion_routes_at_the_crossover(self, n):
+        seed, start = 2**64 - 17, 4
+        assert batch_costs(Model.INVERSIONS, n, seed, start, start + 3) == scalar_costs(
+            Model.INVERSIONS, n, seed, start, start + 3
+        )
+        perms = _permutation_batch(seed, n, start, start + 3)
+        assert _bitset_inversions(perms.T).tolist() == _inversions_batch(perms).tolist()
+
+    def test_inversions_below_the_crossover_merge_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the bitset route merged or shuffled a lane in Python")
+
+        # trial 3 of the second seed rejects its fourth word, and trial 203
+        # of the third its fifth, in a block of 300 lanes
+        rejecting = (unmix64(-4 * _GOLDEN & _MASK64) - 4 * _GOLDEN) & _MASK64
+        wide = (unmix64(-5 * _GOLDEN & _MASK64) - 204 * _GOLDEN) & _MASK64
+        assert _shuffle_draws(_stream_states(wide, 0, 300), 40, 1, 40)[1].tolist() == [
+            i == 203 for i in range(300)
+        ]
+        cases = [(200, 7, 300), (10, rejecting, 8), (40, wide, 300), (_BITSET_MAX_N, 3, 2)]
+        expected = [scalar_costs(Model.INVERSIONS, n, seed, 0, m) for n, seed, m in cases]
+        monkeypatch.setattr(simulate, "_inversions_batch", refuse)
+        monkeypatch.setattr(simulate, "random_permutation", refuse)
+        for (n, seed, m), costs in zip(cases, expected):
+            assert batch_costs(Model.INVERSIONS, n, seed, 0, m) == costs
+
+    def test_inversions_memory_budget(self):
+        # the budget admits n <= 2^23 and refuses more before any work
+        assert _inversions_bytes(1 << 23) <= _INVERSIONS_BUDGET < _inversions_bytes((1 << 23) + 1)
+        assert max(_inversions_bytes(n) for n in range(1, 20_000, 7)) < 32 << 20
+        with pytest.raises(DrawLimitError, match="MiB budget"):
+            estimate_factorial_moment(Model.INVERSIONS, (1 << 23) + 1, 1, 2, 0)
 
     @pytest.mark.parametrize("model", list(Model))
     def test_draws_span_chunks(self, model, monkeypatch):
