@@ -50,10 +50,13 @@ a time, so no temporary grows with the block.
   ``_shuffle_block(n)`` = min(2048, 2_000_000 // n) trials in lockstep,
   three fancy-index operations per position on all of the block's lanes,
   into a position-major int32 array whose row k holds slot k of every
-  lane.  Up to n = ``_BITSET_MAX_N`` = 6000, ``_bitset_inversions``
-  counts the block in one sweep over its rows.  Each lane keeps a bitset
-  of the values it has seen, in (n >> 6) + 1 uint64 words, and a running
-  count of its seen values in the words below each word.  Slot k then adds
+  lane; a block of fewer than ``_LOCKSTEP_MIN_LANES`` = 6 lanes (n above
+  about 3.3 x 10^5, or few trials) is shuffled by ``_lane_permutation``
+  one lane at a time, which costs less there.  Up to n =
+  ``_BITSET_MAX_N`` = 6000, ``_bitset_inversions`` counts the block in one
+  sweep over its rows.  Each lane keeps a bitset of the values it has
+  seen, in (n >> 6) + 1 uint64 words, and a running count of its seen
+  values in the words below each word.  Slot k then adds
   k minus its seen values below its own value v: the count for the words
   below v's word plus the popcount (``np.bitwise_count``, numpy >= 2.0) of
   the bits below v in it.  That is O(n^2 / 64) word operations per trial,
@@ -124,6 +127,14 @@ _BATCH = 4096  # trials per lockstep quicksort block
 # 1.6 MB of slots at n = 200.
 _SHUFFLE_LANES = 2048
 _SHUFFLE_ENTRIES = 2_000_000  # cap on the slots of one block
+# Blocks of fewer lanes are shuffled one lane at a time.  The lockstep pays
+# three numpy calls per position whatever the lanes, the per-lane swap
+# loop a fixed cost per slot.  CPU seconds, lockstep against per lane
+# (Python 3.11, numpy 2.4, 2-core x86-64), at 2, 4, 6, 8 and 10 lanes:
+# n = 2 x 10^5 0.33/0.12, 0.34/0.22, 0.33-0.36/0.31-0.33, 0.37/0.43,
+# 0.38/0.56; n = 2 x 10^4 0.032/0.011, 0.034/0.022, 0.024-0.034/0.023-0.030,
+# 0.034/0.041, 0.036/0.053; n = 10^6 1.80/0.57 at 2 lanes and 1.87/0.33 at 1.
+_LOCKSTEP_MIN_LANES = 6
 _COUNT_CHUNK = 1 << 16  # permutation entries counted at once
 # Largest n whose inversions are counted by the bitset; the merge counts
 # above it.  The bitset costs O(n^2 / 64) per trial, the merge O(w log w)
@@ -148,11 +159,11 @@ _LOCKSTEP_MIN_TRIALS = 30
 # quicksort partition.  Draws per CPU second, by the CLI (same box):
 # cycles 5.9e7 (n = 10^7, 10 trials), quicksort 1.0e6 (n = 10^6, 10
 # trials, scalar loop) and 3.6e6 (n = 10^5, 100 trials, lockstep),
-# inversions 6.2e5 (n = 10^6, 4 trials) and 1.6e6 (n = 10^5, 40 trials),
-# medians of 3, the same as before the bitset route, whose n these are
-# above (first measured at 6.3e5 and 1.8e6 on a faster day).
+# inversions 1.1e6 (n = 10^6, 4 trials, blocks of 2 lanes shuffled one
+# lane at a time; 6.9e5 in lockstep) and 1.6e6 (n = 10^5, 40 trials),
+# medians of 3, above the n of the bitset route.
 # At the cap, cycles at n = 2^30 + 1 with 2 trials took 64 s and 34 MB;
-# the slowest rate above, inversions at n = 10^6, would need about an hour.
+# the slowest rates above, 1.0e6-1.1e6, would need about half an hour.
 # n = 10^12 with 2 trials would need hours to weeks and is refused at once.
 MAX_DRAWS = 1 << 31
 # Memory budget of one worker on the inversions route, ``_inversions_bytes``:
@@ -283,10 +294,14 @@ def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     each position is swapped on every lane at once in a position-major
     array, where slot k of lane i sits at flat index k * lanes + i, so the
     transpose of the result is that array.  A lane where a word may have
-    been rejected is shuffled again by ``_lane_permutation``.
+    been rejected is shuffled again by ``_lane_permutation``, as is every
+    lane of a block of fewer than ``_LOCKSTEP_MIN_LANES``.
     """
     import numpy as np
     lanes = stop - start
+    if lanes < _LOCKSTEP_MIN_LANES:
+        perms = [_lane_permutation(seed, n, i) for i in range(start, stop)]
+        return np.stack(perms, axis=1).T
     base = _stream_states(seed, start, stop)
     slots = np.repeat(np.arange(1, n + 1, dtype=np.int32), lanes).reshape(n, lanes)
     flat = slots.reshape(-1)

@@ -16,12 +16,18 @@ Every table row is exact, in arbitrary-precision integers:
                      pivot histories of randomized quicksort).  Row n is
                      n! times the PGF P_n(z) = z^(n-1)/n sum_j P_(j-1) P_(n-j).
                      The recurrence runs pointwise at the N-th roots of
-                     unity modulo word-size primes p = 1 (mod N), with N a
-                     power of two above the row length; an inverse
-                     number-theoretic transform recovers each row modulo
-                     every prime, and Garner's Chinese remaindering rebuilds
-                     the counts (all in [0, n!]) from enough primes that
-                     their product exceeds n!.
+                     unity modulo primes p = 1 (mod N) below 2^29, so 64
+                     residue products sum below 2^64 and each sum of pair
+                     products is reduced once per 64 pairs.  Row n is zero
+                     below kmin(n), the fewest comparisons over all pivot
+                     choices, so N = 2^a 3^b need only cover its support,
+                     n(n-1)/2 - kmin(n) + 1 entries: the values then give
+                     the row modulo z^N - 1, one count per residue class.
+                     A mixed-radix inverse number-theoretic transform
+                     recovers each row modulo every prime, and Garner's
+                     Chinese remaindering rebuilds the counts (all in
+                     [0, n!]) from enough primes that their product
+                     exceeds n!.
 
 The cycles and inversions recurrences keep only the previous row, so a
 single row costs the memory of a few rows, not of the whole triangle.
@@ -65,12 +71,14 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 
 # Measured single-row builds at each cap, CPU time and peak RSS of the
 # process, on a 2-core x86-64 box with Python 3.11 and numpy 2.4: quicksort
-# 120 in 3.1 s and 142 MB (70 in 0.27 s).
+# `table --model quicksort --n 120` in 2.5-2.6 s and 122 MB (n = 70 in
+# 0.48-0.60 s and 37 MB), against 3.7 s and 136 MB (0.61-0.73 s and 43 MB)
+# with power-of-two transforms over the whole row length.
 # Above the quicksort cap, through MOMENTLAB_ROW_LIMIT, the PGF values of
-# _pgf_values grow as (n+1) x primes x N x 4 bytes, and N doubles at n = 182.
-# _VALUES_BUDGET admits n <= 181 (407 MiB): `table --model quicksort --n 181`
-# took 24.2 s and 553 MB under a 1536 MiB address-space limit.  Row 182
-# (823 MiB) is refused at once; unrefused it took 53 s and 990 MB.
+# _pgf_values grow as (n+1) x primes x N x 4 bytes.  _VALUES_BUDGET admits
+# n <= 188 (N = 17496, 40 primes, 505 MiB): `table --model quicksort --n
+# 188` took 22.7 s and 687 MB under a 1536 MiB address-space limit.  Row
+# 189 needs a 41st prime (519 MiB) and is refused at once.
 # Inversions is the largest multiple of 50 whose `table --format csv`
 # request finished within 30 s CPU and 1536 MiB with the sliding-window
 # builder: 500 in 23.5-26 s and 239 MB, while 550 took 30.2 s and 305 MB
@@ -203,8 +211,8 @@ def _inversion_rows(n: int):
 # quicksort rows by multi-modular evaluation
 # ---------------------------------------------------------------------------
 
-_PRIME_BOUND = 1 << 31  # residue products stay below 2^62
-_PAIRS_PER_REDUCTION = 4  # four products below p^2 sum below 2^64
+_PRIME_BOUND = 1 << 29  # residue products stay below 2^58
+_PAIRS_PER_REDUCTION = 64  # 64 products below p^2 sum below 2^64
 _TRANSFORM_ELEMENTS = 1 << 21  # residues per inverse-transform batch
 _VALUES_BUDGET = 512 << 20  # bytes of PGF values held at once (see DEFAULT_ROW_LIMITS)
 
@@ -231,10 +239,11 @@ def _is_prime(p: int) -> bool:
 
 
 def _root_of_unity(p: int, size: int) -> int:
-    """A primitive size-th root of unity modulo the prime p = 1 (mod size)."""
+    """A primitive size-th root of unity modulo the prime p = 1 (mod size),
+    for size = 2^a 3^b: its order divides size and no size / f for f = 2, 3."""
     for g in range(2, p):
         w = pow(g, (p - 1) // size, p)
-        if size == 1 or pow(w, size // 2, p) == p - 1:
+        if all(pow(w, size // f, p) != 1 for f in (2, 3) if size % f == 0):
             return w
     raise ValueError(f"no primitive {size}-th root of unity modulo {p}")
 
@@ -242,7 +251,7 @@ def _root_of_unity(p: int, size: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _ntt_moduli(size: int, n: int) -> tuple[tuple[int, int], ...]:
     """(prime, primitive size-th root) pairs, primes p = 1 (mod size) below
-    2^31 taken largest first until their product exceeds n!."""
+    2^29 taken largest first until their product exceeds n!."""
     bound = math.factorial(n)
     moduli, product = [], 1
     for p in range((_PRIME_BOUND - 2) // size * size + 1, max(size, n), -size):
@@ -253,7 +262,7 @@ def _ntt_moduli(size: int, n: int) -> tuple[tuple[int, int], ...]:
             product *= p
     if product <= bound:
         raise RowLimitError(
-            f"quicksort row {n} needs primes p = 1 (mod {size}) below 2^31 whose "
+            f"quicksort row {n} needs primes p = 1 (mod {size}) below 2^29 whose "
             f"product exceeds n! ({bound.bit_length()} bits); they give only "
             f"{product.bit_length() - 1} bits"
         )
@@ -306,24 +315,35 @@ def _pgf_values(n: int, moduli, size: int) -> np.ndarray:
 def _dft(x: np.ndarray, roots: list[int], p: np.ndarray) -> np.ndarray:
     """sum_t x[..., i, t] roots[i]^(t k) mod p[i] for k = 0 .. L-1.
 
-    Radix-2 Stockham transform along the last axis, whose length L is a
-    power of two; roots[i] has order L modulo p[i].
+    Mixed-radix Stockham transform along the last axis, whose length L is
+    2^a 3^b; roots[i] has order L modulo p[i].
     """
     import numpy as np
     length = x.shape[-1]
-    twiddles = _powers(roots, max(length // 2, 1), p)
+    twiddles = _powers(roots, length, p)
     q = p[:, :, None]
     # axes (..., prime, done, rest): done-point transforms of the rest
-    # interleaved subsequences, merged pairwise until one remains
+    # interleaved subsequences, merged radix at a time until one remains
     out = x[..., None, :]
     done = 1
     while done < length:
-        half = length // (2 * done)
-        even, odd = out[..., :half], out[..., half:]
-        t = odd * twiddles[:, ::half, None] % q
-        out = np.concatenate([even + t, even + (q - t)], axis=-2)
-        out = np.minimum(out, out - q)  # wraps below q, so this reduces [0, 2q)
-        done *= 2
+        radix = 3 if length // done % 3 == 0 else 2
+        rest = length // (radix * done)
+        head, *tails = (out[..., c * rest : (c + 1) * rest] for c in range(radix))
+        t = [tail * twiddles[:, : c * rest * done : c * rest, None] % q
+             for c, tail in enumerate(tails, 1)]
+        if radix == 2:
+            blocks = [head + t[0], head + (q - t[0])]
+        else:
+            # X_j = T_0 + w^j T_1 + w^(2j) T_2 for w = roots^(L/3), and
+            # w^2 = -1 - w, so one product u = w (T_1 - T_2) serves j = 1, 2
+            u = (t[0] + (q - t[1])) * twiddles[:, length // 3, None, None] % q
+            blocks = [head + t[0] + t[1], head + (q - t[1]) + u, head + (q - t[0]) + (q - u)]
+        out = np.concatenate(blocks, axis=-2)
+        # out - q wraps below q, so each pass takes [0, rq) to [0, (r-1)q)
+        for _ in range(radix - 1):
+            out = np.minimum(out, out - q)
+        done *= radix
     return out[..., 0]
 
 
@@ -355,20 +375,53 @@ def _from_digits(digits: np.ndarray, primes: list[int], slot: int) -> list[int]:
     return [int.from_bytes(raw[k : k + slot], "little") for k in range(0, count * slot, slot)]
 
 
-def _transform_size(m: int) -> int:
-    """Smallest power of two at least the length m(m-1)/2 + 1 of row m."""
-    return 1 << (m * (m - 1) // 2).bit_length()
+def _fewest_comparisons(n: int) -> list[int]:
+    """kmin(m) for m = 0 .. n: the fewest comparisons quicksort makes on m
+    keys over all pivot choices, m - 1 + min_j kmin(j-1) + kmin(m-j)."""
+    best = [0]
+    for m in range(1, n + 1):
+        best.append(m - 1 + min(map(operator.add, best, reversed(best))))
+    return best
+
+
+def _width(m: int, kmin: int) -> int:
+    """Entries of row m from its first possible nonzero count, kmin, to its last."""
+    return m * (m - 1) // 2 - kmin + 1
+
+
+def _smooth_numbers(limit: int) -> list[int]:
+    """The numbers 2^a 3^b up to ``limit``, ascending."""
+    numbers, t = [], 1
+    while t <= limit:
+        numbers += [t << a for a in range((limit // t).bit_length())]
+        t *= 3
+    return sorted(numbers)
+
+
+def _transform_size(n: int) -> int:
+    """Smallest N = 2^a 3^b at least the width of row n.
+
+    Row n is zero below kmin(n), so its values at the N-th roots of unity
+    give the row modulo z^N - 1 with at most one nonzero count per residue
+    class.
+    """
+    width = _width(n, _fewest_comparisons(n)[n])
+    return next(size for size in _smooth_numbers(2 * width) if size >= width)
 
 
 def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
     """Row n, or rows 0..n when ``every``, of the quicksort table.
 
-    Row m is read from the values at its own transform size N_m, every
-    (N / N_m)-th root, modulo as many primes as m! needs; rows of equal
-    N_m share one inverse transform.
+    Row m is read from the values at the smallest divisor N_m of N at least
+    its width, every (N / N_m)-th root, modulo as many primes as m! needs;
+    rows of equal N_m share one inverse transform.  Count k of row m sits at
+    index k mod N_m of the transform, and the kmin(m) counts below its
+    support are written as zeros.
     """
     import numpy as np
     size = _transform_size(n)
+    kmin = _fewest_comparisons(n)
+    divisors = [d for d in _smooth_numbers(size) if size % d == 0]
     moduli = _ntt_moduli(size, n)
     held = (n + 1) * len(moduli) * size * 4  # the uint32 values of _pgf_values
     if held > _VALUES_BUDGET:
@@ -381,7 +434,8 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
     wanted = range(n + 1) if every else [n]
     groups = collections.defaultdict(list)
     for m in wanted:
-        groups[_transform_size(m)].append(m)
+        width = _width(m, kmin[m])
+        groups[next(d for d in divisors if d >= width)].append(m)
     rows = {}
     for length, members in groups.items():
         bound, count, product = math.factorial(max(members)), 0, 1
@@ -402,8 +456,9 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
             )[:, :, None]
             coefficients = _dft(values[chunk, :count, ::stride] * scale % p, roots, p)
             for m, residues in zip(chunk, coefficients):
-                digits = _garner_digits(residues[:, : m * (m - 1) // 2 + 1], group_primes)
-                rows[m] = _from_digits(digits, group_primes, slot)
+                support = np.arange(kmin[m], m * (m - 1) // 2 + 1) % length
+                digits = _garner_digits(residues.take(support, axis=1), group_primes)
+                rows[m] = [0] * kmin[m] + _from_digits(digits, group_primes, slot)
     return [rows[m] for m in wanted]
 
 

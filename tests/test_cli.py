@@ -76,10 +76,10 @@ class TestTable:
         assert "cap" in err
 
     def test_quicksort_memory_budget_exit_code(self):
-        # row 182 doubles the transform size: its residues would take 823 MiB
+        # row 189 is the first past the budget: N = 17496 and 41 primes, 519 MiB
         start = children_cpu_seconds()
         proc = run_cli_process(
-            "table", "--model", "quicksort", "--n", "182",
+            "table", "--model", "quicksort", "--n", "189",
             env={**os.environ, "MOMENTLAB_ROW_LIMIT": "1024"},
         )
         assert children_cpu_seconds() - start < 2
@@ -577,6 +577,11 @@ STDOUT_GOLDEN = [
     (
         'moment --model quicksort --n 12 --s 2 --mode both --format json',
         '{\n  "schema": 1,\n  "command": "moment",\n  "model": "quicksort",\n  "s": 2,\n  "n": 12,\n  "mode": "both",\n  "exact": "110282483/103950",\n  "asym": -516.2177968359179\n}\n',
+    ),
+    (
+        # the lead term n^4 / 16 fits a double though n^4 does not
+        f'moment --model inversions --n {2 * 10**77} --s 2 --mode asym --format csv',
+        f'model,s,n,exact,asym\ninversions,2,{2 * 10**77},,1e+308\n',
     ),
     (
         'transfer --alpha 3 --beta 2 --n 40 --precision double --format csv',

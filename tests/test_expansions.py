@@ -88,6 +88,12 @@ class TestAsymptoticMoment:
         assert value == pytest.approx(636.48, abs=5e-3)
         assert float(quicksort_mean(100)) == pytest.approx(647.85, abs=5e-3)
 
+    def test_inversions_lead_past_the_largest_double(self):
+        # n^4 = 1.6e309 passes the largest double, while n^4 / 16 does not:
+        # the int / int division rounds once, where float(n**4) / 16 would
+        # raise OverflowError
+        assert asymptotic_moment(Model.INVERSIONS, 2 * 10**77, 2) == 1e308
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             asymptotic_moment(Model.CYCLES, 1, 1)

@@ -36,6 +36,7 @@ from momentlab.simulate import (
     _BITSET_MAX_N,
     _GOLDEN,
     _INVERSIONS_BUDGET,
+    _LOCKSTEP_MIN_LANES,
     _LOCKSTEP_MIN_TRIALS,
     _MASK64,
     _MIX1,
@@ -115,6 +116,16 @@ class TestRandomPermutation:
             random_permutation(17, trial_stream(seed, i)) for i in range(3, 40)
         ]
         assert batch == scalar
+
+    @pytest.mark.parametrize("lanes", [1, _LOCKSTEP_MIN_LANES - 1, _LOCKSTEP_MIN_LANES])
+    def test_batch_matches_across_lane_crossover(self, lanes):
+        # blocks of fewer than _LOCKSTEP_MIN_LANES lanes are shuffled one
+        # lane at a time, into the same layout as the lockstep's rows
+        seed, n, start = 2**63 + 5, 300, 11
+        wide = _permutation_batch(seed, n, start, start + 40)
+        perms = _permutation_batch(seed, n, start, start + lanes)
+        assert perms.tolist() == wide[:lanes].tolist()
+        assert perms.dtype == wide.dtype and perms.T.flags.c_contiguous
 
     def test_uniformity_chi_square(self):
         # all 24 outcomes for n = 4 over 1e5 draws; reject only below p = 1e-6

@@ -1,14 +1,17 @@
 """Distribution-table recurrences against brute-force enumeration and
 structural invariants."""
 
+import itertools
 import math
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_histogram, pivot_sequence_distribution
+from momentlab import tables
 from momentlab import (
     DistributionTable,
     Model,
@@ -165,17 +168,51 @@ class TestQuicksortRoute:
         for n in (0, 1, 2, 17, 29, 30):
             assert quicksort_counts(n).counts == naive[n]
 
-    @pytest.mark.parametrize("n", [45, 46, 64, 65])
-    def test_transform_size_doubles(self, n, quicksort_rows_120):
-        # the row length n(n-1)/2 + 1 crosses a power of two between 45 and
-        # 46 and between 64 and 65; the fixture reads these rows from the
-        # transform of size 8192 instead
+    @pytest.mark.parametrize("n", [10, 15, 18, 25, 41, 43, 44, 68, 69])
+    def test_transform_size_edges(self, n, quicksort_rows_120):
+        # N = 27, 243, 729 and 2187 at n = 10, 25, 41 and 69 use radix 3
+        # only; rows 15 and 18 fill N = 72 and 108 with no slack; N steps
+        # from 768 to 864 between 43 and 44 and from 2048 to 2187 between 68
+        # and 69.  The fixture reads these rows at divisors of its N = 6561.
         table = quicksort_counts(n)
         assert table == quicksort_rows_120[n]
         assert table == distribution_tables(Model.QUICKSORT, n)[n]
         table.check()
         if n <= 46:
             assert table.counts == naive_quicksort_rows(46)[n]
+
+    def test_fewest_comparisons_start_each_row(self, quicksort_rows_120):
+        kmin = tables._fewest_comparisons(120)
+        for n, row in enumerate(quicksort_rows_120):
+            assert kmin[n] == next(k for k, c in enumerate(row.counts) if c)
+
+    def test_transform_size_is_smallest_smooth_width(self):
+        def smooth(m):
+            for f in (2, 3):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+
+        kmin = tables._fewest_comparisons(200)
+        for n in range(201):
+            width = n * (n - 1) // 2 - kmin[n] + 1
+            assert tables._transform_size(n) == next(m for m in itertools.count(width) if smooth(m))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 6, 9, 12, 27, 48])
+    def test_dft_matches_direct_sum(self, size):
+        moduli = tables._ntt_moduli(size, 20)
+        primes = [q for q, _ in moduli]
+        for q, w in moduli:
+            assert pow(w, size, q) == 1
+            assert all(pow(w, size // f, q) != 1 for f in (2, 3) if size % f == 0)
+        x = np.array([[[(2654435761 * t + 40503 * r + i) % q for t in range(size)]
+                       for i, q in enumerate(primes)] for r in range(2)], dtype=np.uint64)
+        got = tables._dft(x, [w for _, w in moduli], np.array(primes, dtype=np.uint64)[:, None])
+        for r in range(2):
+            for i, (q, w) in enumerate(moduli):
+                expected = [sum(int(x[r, i, t]) * pow(w, t * k, q) for t in range(size)) % q
+                            for k in range(size)]
+                assert got[r, i].tolist() == expected
 
     def test_counts_are_python_ints(self, quicksort_rows_120):
         rows = [distribution_table(model, 9) for model in Model]
@@ -185,8 +222,8 @@ class TestQuicksortRoute:
             assert all(type(c) is int for c in row.counts)
 
     def test_prime_coverage_limit(self):
-        # the primes p = 1 (mod 2^20) below 2^31 multiply to fewer bits than 1025!
-        with pytest.raises(RowLimitError, match="2\\^31"):
+        # the primes p = 1 (mod 2^19) below 2^29 multiply to fewer bits than 1025!
+        with pytest.raises(RowLimitError, match="2\\^29"):
             quicksort_counts(1025, limit=1025)
 
 
