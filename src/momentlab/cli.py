@@ -82,6 +82,7 @@ __getattr__ = _first_use(
         # traced replay wraps them under these names
         "moments": ("exact_moment", "factorial_moment", "quicksort_mean"),
         "transfer": (
+            "_arithmetic",
             "LogPowerTerm",
             "check_double_range",
             "exact_coefficient",
@@ -139,23 +140,11 @@ def compare_rows(
         else:
             exact, source = _layers.exact_moment(model, n, s)
         asym = _layers.asymptotic_moment(model, n, s, high_precision=high_precision)
-        if high_precision:
-            from fractions import Fraction
-
-            import mpmath as mp
-            with mp.workdps(60):
-                exact_hp = (
-                    mp.mpf(exact.numerator) / exact.denominator
-                    if isinstance(exact, Fraction)
-                    else exact
-                )
-                abs_err = abs(asym - exact_hp)
-                rel_err = float(abs_err / abs(exact_hp)) if exact_hp != 0 else None
-                abs_err, asym = float(abs_err), float(asym)
-        else:
-            exact_f = float(exact)
-            abs_err = abs(asym - exact_f)
-            rel_err = abs_err / abs(exact_f) if exact_f != 0 else None
+        with _layers._arithmetic(high_precision) as r:
+            exact_r = r.real(exact)
+            abs_err = abs(asym - exact_r)
+            rel_err = float(abs_err / abs(exact_r)) if exact_r != 0 else None
+            abs_err, asym = float(abs_err), float(asym)
         rows.append({
             "n": n,
             "exact": _fmt_exact(exact),

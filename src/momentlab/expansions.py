@@ -33,11 +33,11 @@ from fractions import Fraction
 from .tables import Model
 from .transfer import (
     EULER_GAMMA,
-    GAMMA_DIGITS,
     LogPowerTerm,
     NO_REMAINDER,
     RemainderClass,
     SingularExpansion,
+    _arithmetic,
     gamma_recip_derivative,
 )
 
@@ -91,33 +91,17 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
         raise ValueError(f"asymptotic evaluation requires n >= 2, got {n}")
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
-    if high_precision:
-        import mpmath as mp
-        with mp.workdps(60):
-            gamma = mp.mpf(GAMMA_DIGITS)
-            if model is Model.CYCLES:
-                logn = mp.log(n)
-                return logn**s + gamma * s * logn ** (s - 1)
-            if model is Model.INVERSIONS:
-                return (
-                    mp.mpf(n ** (2 * s)) / 4**s
-                    + mp.mpf(s * (2 * s - 11)) / (9 * 4**s) * n ** (2 * s - 1)
-                )
-            logn = mp.log(n)
-            return 2**s * n**s * logn**s + 2**s * s * (gamma - 2) * n**s * logn ** (
-                s - 1
-            )
-    if model is Model.CYCLES:
-        logn = math.log(n)
-        return logn**s + EULER_GAMMA * s * logn ** (s - 1)
-    if model is Model.INVERSIONS:
-        lead = n ** (2 * s) / 4**s
-        return lead + s * (2 * s - 11) / (9 * 4**s) * n ** (2 * s - 1)
-    logn = math.log(n)
-    return (
-        2**s * n**s * logn**s
-        + 2**s * s * (EULER_GAMMA - 2) * n**s * logn ** (s - 1)
-    )
+    with _arithmetic(high_precision) as r:
+        if model is Model.INVERSIONS:
+            lead = r.num(n ** (2 * s)) / 4**s
+            return lead + r.num(s * (2 * s - 11)) / (9 * 4**s) * n ** (2 * s - 1)
+        logn = r.log(n)
+        if model is Model.CYCLES:
+            return logn**s + r.gamma * s * logn ** (s - 1)
+        return (
+            2**s * n**s * logn**s
+            + 2**s * s * (r.gamma - 2) * n**s * logn ** (s - 1)
+        )
 
 
 class CoefficientCheck(

@@ -21,8 +21,13 @@ This module provides:
   expansion above for single terms and for term lists with a tracked
   dominated-remainder class;
 * ``exact_coefficient`` / ``highprec_coefficient`` -- two oracles for
-  [u^n] (1-u)^(-alpha) log(1/(1-u))^beta, exact and in >= 200-bit floating
-  point, that do not use the expansion they check.
+  [u^n] (1-u)^(-alpha) log(1/(1-u))^beta, exact and as a 240-bit float,
+  that do not use the expansion they check.
+
+Each estimate, here and in ``expansions.asymptotic_moment`` and the error
+columns of ``cli.compare_rows``, is one formula written over the private
+arithmetic record ``_arithmetic(high_precision)``: doubles, or mpf at 60
+digits.  Only the mpf record imports mpmath.
 
 Both oracles rest on one identity.  Since
 (1-u)^(-alpha-t) = (1-u)^(-alpha) exp(t log(1/(1-u))) and its coefficients
@@ -35,9 +40,12 @@ at degree beta and normalises one ``Fraction`` at the end.  The
 high-precision oracle takes the product's logarithm instead: its power sums
 in 1/(alpha + j) are differences of polygamma values, and Newton's
 identities turn them into the t^beta coefficient in O(beta^2) operations
-whatever n is.  The two are kept apart: the product tree's integers grow
-with n (at n = 50000 it takes seconds where the polygamma route takes
-milliseconds), and sharing no arithmetic, each checks the other.
+whatever n is, so the n budget ``ORACLE_MAX_N`` binds the exact oracle
+only; the high-precision oracle budgets the min(n, alpha - 1) factors of
+its exact binomial C(n + alpha - 1, n) instead.  The two are kept apart:
+the product tree's integers grow with n (at n = 50000 it takes seconds
+where the polygamma route takes milliseconds), and sharing no arithmetic,
+each checks the other.
 
 Natural logarithms throughout.
 """
@@ -45,6 +53,7 @@ Natural logarithms throughout.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import math
 import sys
@@ -102,14 +111,17 @@ EULER_GAMMA = float(Fraction(GAMMA_DIGITS.replace(".", "")) / 10**52)
 # zeta table pins psi^(i)(1) up to i = 16.
 MAX_DERIVATIVE_ORDER = 16
 
-# Budget guards for the coefficient oracles.  At the cap, `transfer --alpha 3
-# --beta 6 --n 100000` took 12.6 s CPU and 38 MB (alpha 1: 13.0 s, 38 MB) on a
-# 2-core x86-64 box with Python 3.11, within a 30 s and 1536 MiB request
-# limit; the product tree and the final normalisation take nearly all of it.
+# Budget guards for the coefficient oracles.  ORACLE_MAX_N caps n of the
+# exact oracle and min(n, alpha - 1) of the high-precision one; the beta cap
+# binds both.  At the cap, `transfer --alpha 3 --beta 6 --n 100000` took
+# 12.6 s CPU and 38 MB (alpha 1: 13.0 s, 38 MB) on a 2-core x86-64 box with
+# Python 3.11, within a 30 s and 1536 MiB request limit; the product tree
+# and the final normalisation take nearly all of it.
 ORACLE_MAX_N = 100_000
 ORACLE_MAX_BETA = 6
 
-_WORK_DPS = 60  # internal working precision for the C_k recurrence
+_WORK_DPS = 60  # working precision of C_k and of the high-precision estimates
+_ORACLE_BITS = 240  # precision of the high-precision oracle's result
 
 
 class OrderLimitError(RuntimeError):
@@ -125,25 +137,25 @@ class SeriesBudgetError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _polygamma(i: int, alpha: int, dps: int):
-    """psi^(i)(alpha) at ``dps`` digits, by ``mp.psi``: its cost hardly
+def _polygamma(i: int, alpha: int):
+    """psi^(i)(alpha) at _WORK_DPS digits, by ``mp.psi``: its cost hardly
     grows with alpha, where the sums -gamma + H_(alpha-1) and
     zeta(i+1) - sum_(j<alpha) j^-(i+1) take O(alpha) terms and lose the
     digits their difference cancels."""
     import mpmath as mp
-    with mp.workdps(dps):
+    with mp.workdps(_WORK_DPS):
         return mp.psi(i, alpha)
 
 
 @functools.lru_cache(maxsize=None)
-def _recip_gamma_derivatives(alpha: int, top: int, dps: int) -> tuple:
+def _recip_gamma_derivatives(alpha: int, top: int) -> tuple:
     """g(alpha), g'(alpha), ..., g^(top)(alpha) for g = 1/Gamma.
 
     From g' = -psi*g:  g^(m+1) = -sum_i C(m,i) psi^(i) g^(m-i).
     """
     import mpmath as mp
-    psi = [_polygamma(i, alpha, dps) for i in range(top)]
-    with mp.workdps(dps):
+    psi = [_polygamma(i, alpha) for i in range(top)]
+    with mp.workdps(_WORK_DPS):
         g = [mp.mpf(1) / mp.factorial(alpha - 1)]
         for m in range(top):
             nxt = mp.mpf(0)
@@ -153,8 +165,8 @@ def _recip_gamma_derivatives(alpha: int, top: int, dps: int) -> tuple:
         return tuple(g)
 
 
-def _ck(alpha: int, k: int, dps: int = _WORK_DPS):
-    """C_k at ``alpha`` as an mpf at ``dps`` digits."""
+def _ck(alpha: int, k: int):
+    """C_k at ``alpha`` as an mpf at _WORK_DPS digits."""
     import mpmath as mp
     if alpha < 1:
         raise ValueError(f"alpha must be a positive integer, got {alpha}")
@@ -165,8 +177,8 @@ def _ck(alpha: int, k: int, dps: int = _WORK_DPS):
             f"order {k} exceeds the embedded constant table "
             f"(max {MAX_DERIVATIVE_ORDER})"
         )
-    with mp.workdps(dps):
-        return mp.factorial(alpha - 1) * _recip_gamma_derivatives(alpha, k, dps)[k]
+    with mp.workdps(_WORK_DPS):
+        return mp.factorial(alpha - 1) * _recip_gamma_derivatives(alpha, k)[k]
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,6 +190,39 @@ def gamma_recip_derivative(alpha: int, k: int) -> float:
     60 digits internally).
     """
     return float(_ck(alpha, k))
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic of an estimate: doubles or 60-digit mpf
+# ---------------------------------------------------------------------------
+
+# Each estimate is one formula over these fields.  ``num`` leaves an int an
+# int for doubles, so that int ** int stays exact and int / int rounds once,
+# and gives an mpf otherwise; ``real`` gives a float or an mpf (a Fraction as
+# p/q rounded once, an mpf at its own precision).
+_Arithmetic = collections.namedtuple("_Arithmetic", "real num log factorial fsum ck gamma")
+
+_DOUBLE = _Arithmetic(
+    float, lambda x: x, math.log, math.factorial, math.fsum, gamma_recip_derivative, EULER_GAMMA
+)
+
+
+@contextlib.contextmanager
+def _arithmetic(high_precision: bool):
+    """The double record, or with ``high_precision`` the mpf record inside
+    ``mp.workdps(_WORK_DPS)``; only the latter imports mpmath."""
+    if not high_precision:
+        yield _DOUBLE
+        return
+    import mpmath as mp
+
+    def real(x):
+        if isinstance(x, Fraction):
+            return mp.mpf(x.numerator) / x.denominator
+        return x if isinstance(x, mp.mpf) else mp.mpf(x)
+
+    with mp.workdps(_WORK_DPS):
+        yield _Arithmetic(real, mp.mpf, mp.log, mp.factorial, mp.fsum, _ck, mp.mpf(GAMMA_DIGITS))
 
 
 # ---------------------------------------------------------------------------
@@ -272,37 +317,12 @@ def transfer_term(
         raise ValueError(f"transfer requires n >= 2, got {n}")
     a, b = term.alpha, term.beta
     top = _bracket_orders(b, order)
-    if high_precision:
-        import mpmath as mp
-        with mp.workdps(_WORK_DPS):
-            logn = mp.log(n)
-            bracket = mp.mpf(0)
-            for k in range(top + 1):
-                bracket += (
-                    _ck(a, k)
-                    / mp.factorial(k)
-                    * math.perm(b, k)
-                    / logn**k
-                )
-            c = term.coeff
-            cval = mp.mpf(c.numerator) / c.denominator if isinstance(c, Fraction) else mp.mpf(c)
-            return (
-                cval
-                * mp.mpf(n) ** (a - 1)
-                / mp.factorial(a - 1)
-                * logn**b
-                * bracket
-            )
-    logn = math.log(n)
-    bracket = 0.0
-    for k in range(top + 1):
-        bracket += (
-            gamma_recip_derivative(a, k)
-            / math.factorial(k)
-            * math.perm(b, k)
-            / logn**k
-        )
-    return float(term.coeff) * n ** (a - 1) / math.factorial(a - 1) * logn**b * bracket
+    with _arithmetic(high_precision) as r:
+        logn = r.log(n)
+        bracket = r.real(0)
+        for k in range(top + 1):
+            bracket += r.ck(a, k) / r.factorial(k) * math.perm(b, k) / logn**k
+        return r.real(term.coeff) * r.num(n) ** (a - 1) / r.factorial(a - 1) * logn**b * bracket
 
 
 def transfer_expansion(
@@ -319,14 +339,11 @@ def transfer_expansion(
     """
     if n < 2:
         raise ValueError(f"transfer requires n >= 2, got {n}")
-    if high_precision:
-        import mpmath as mp
-        with mp.workdps(_WORK_DPS):
-            return mp.fsum(
-                transfer_term(t, n, order=order, high_precision=True)
-                for t in expansion.terms
-            )
-    return math.fsum(transfer_term(t, n, order=order) for t in expansion.terms)
+    with _arithmetic(high_precision) as r:
+        return r.fsum(
+            transfer_term(t, n, order=order, high_precision=high_precision)
+            for t in expansion.terms
+        )
 
 
 _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
@@ -371,14 +388,13 @@ def check_double_range(alpha: int, beta: int, n: int, *, high_precision: bool = 
 # ---------------------------------------------------------------------------
 
 def _check_oracle_budget(alpha: int, beta: int, n: int) -> None:
+    """The arguments and the beta budget both oracles share."""
     if alpha < 1:
         raise ValueError(f"alpha must be a positive integer, got {alpha}")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if n > ORACLE_MAX_N:
-        raise SeriesBudgetError(f"oracle budget is n <= {ORACLE_MAX_N}, got {n}")
     if beta > ORACLE_MAX_BETA:
         raise SeriesBudgetError(f"oracle budget is beta <= {ORACLE_MAX_BETA}, got {beta}")
 
@@ -419,13 +435,15 @@ def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     ``highprec_coefficient``.  Budgeted at n <= 100000, beta <= 6.
     """
     _check_oracle_budget(alpha, beta, n)
+    if n > ORACLE_MAX_N:
+        raise SeriesBudgetError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
     poly = _rising_product(alpha, alpha + n, beta)
     coeff = poly[beta] if beta < len(poly) else 0
     return Fraction(math.factorial(beta) * coeff, math.factorial(n))
 
 
-def highprec_coefficient(alpha: int, beta: int, n: int, prec_bits: int = 240):
-    """[u^n] of (1-u)^(-alpha) log(1/(1-u))^beta in >= 200-bit arithmetic.
+def highprec_coefficient(alpha: int, beta: int, n: int):
+    """[u^n] of (1-u)^(-alpha) log(1/(1-u))^beta as a 240-bit mpf.
 
     The logarithm of the product in ``exact_coefficient`` gives the value as
     C(n + alpha - 1, n) * beta! * e_beta, where e_k is the k-th elementary
@@ -433,20 +451,25 @@ def highprec_coefficient(alpha: int, beta: int, n: int, prec_bits: int = 240):
     e_k = (1/k) sum_{i<=k} (-1)^(i-1) p_i e_(k-i) build it from the power sums
     p_i = sum_{j<n} (alpha + j)^(-i)
         = (-1)^(i-1) (psi^(i-1)(alpha + n) - psi^(i-1)(alpha)) / (i-1)!,
-    so the cost is O(beta^2) polygamma and mpf operations whatever n is.
-    Works at ``prec_bits`` + 32 guard bits and rounds to ``prec_bits``.  For
-    n < beta the product has degree n, so the coefficient is exactly 0; the
-    identities would leave a rounding residue there, so 0 is returned
-    directly.  Kept apart from the exact oracle, whose product tree costs
-    seconds at n = 50000, so that each checks the other.  Returns an mpf.
+    so the cost is O(beta^2) polygamma and mpf operations whatever n is, plus
+    the min(n, alpha - 1) factors of the exact binomial.  So n itself is not
+    budgeted, only min(n, alpha - 1) <= 100000 (0.7 s at alpha = 100000;
+    alpha = 10^6, n = 10^7 took 47 s) and beta <= 6.  Works with 32 guard
+    bits and rounds to 240.  For n < beta the product has degree n, so the
+    coefficient is exactly 0; the identities would leave a rounding residue
+    there, so 0 is returned directly.  Kept apart from the exact oracle, whose product tree
+    costs seconds at n = 50000, so that each checks the other.
     """
     import mpmath as mp
     _check_oracle_budget(alpha, beta, n)
-    if prec_bits < 200:
-        raise ValueError(f"prec_bits must be >= 200, got {prec_bits}")
+    if min(n, alpha - 1) > ORACLE_MAX_N:
+        raise SeriesBudgetError(
+            f"high-precision oracle budget is min(n, alpha - 1) <= {ORACLE_MAX_N}, "
+            f"got alpha={alpha}, n={n}"
+        )
     if n < beta:
         return mp.mpf(0)
-    with mp.workprec(prec_bits + 32):
+    with mp.workprec(_ORACLE_BITS + 32):
         p = [None]
         for i in range(1, beta + 1):
             diff = mp.psi(i - 1, alpha + n) - mp.psi(i - 1, alpha)
@@ -455,5 +478,5 @@ def highprec_coefficient(alpha: int, beta: int, n: int, prec_bits: int = 240):
         for k in range(1, beta + 1):
             e.append(mp.fsum((-1) ** (i - 1) * p[i] * e[k - i] for i in range(1, k + 1)) / k)
         value = math.comb(n + alpha - 1, n) * math.factorial(beta) * e[beta]
-    with mp.workprec(prec_bits):
+    with mp.workprec(_ORACLE_BITS):
         return +value

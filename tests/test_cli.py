@@ -395,6 +395,15 @@ class TestCompare:
         variance = 7 * n**2 - 4 * (n + 1) ** 2 * harmonic(n, 2) - 2 * (n + 1) * harmonic(n) + 13 * n
         assert Fraction(row[3]) == variance + mean**2 - mean
 
+    def test_cycles_oracle_past_the_exact_oracle_budget(self):
+        # the high-precision oracle's cost does not grow with n, so the exact
+        # oracle's n budget does not bind it
+        start = children_cpu_seconds()
+        proc = run_cli_process("compare", "--model", "cycles", "--s", "2", "--n-grid", "150000")
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[1].split(",")[7] == "oracle"
+
     def test_grid_validation(self):
         assert run_cli("compare", "--model", "cycles", "--s", "1",
                        "--n-grid", "10,x")[0] == 2
@@ -638,6 +647,32 @@ STDOUT_GOLDEN = [
     (
         'compare --model cycles --s 2 --n-grid 10,300 --precision high --format json',
         '{\n  "schema": 1,\n  "command": "compare",\n  "model": "cycles",\n  "s": 2,\n  "rows": [\n    {\n      "n": 10,\n      "exact": "177133/25200",\n      "asym": 7.96007448136823,\n      "abs_err": 0.9309871797809284,\n      "rel_err": 0.13244780436440073,\n      "source": "pgf"\n    },\n    {\n      "n": 300,\n      "exact": "37.8302591499224",\n      "asym": 39.11775970532,\n      "abs_err": 1.2875005553976053,\n      "rel_err": 0.03403361711838145,\n      "source": "oracle"\n    }\n  ]\n}\n',
+    ),
+    (
+        'compare --model inversions --s 2 --n-grid 10,20 --precision high --format csv',
+        'model,s,n,exact,asym,abs_err,rel_err,source\ninversions,2,10,515,527.777777777778,12.7777777777778,0.0248112189859763,pgf\ninversions,2,20,18335/2,9222.22222222222,54.7222222222222,0.00596915431930431,pgf\n',
+    ),
+    (
+        'compare --model inversions --s 2 --n-grid 10,20 --precision high --format json',
+        '{\n  "schema": 1,\n  "command": "compare",\n  "model": "inversions",\n  "s": 2,\n  "rows": [\n    {\n      "n": 10,\n      "exact": "515",\n      "asym": 527.7777777777778,\n      "abs_err": 12.777777777777779,\n      "rel_err": 0.02481121898597627,\n      "source": "pgf"\n    },\n    {\n      "n": 20,\n      "exact": "18335/2",\n      "asym": 9222.222222222223,\n      "abs_err": 54.72222222222222,\n      "rel_err": 0.005969154319304306,\n      "source": "pgf"\n    }\n  ]\n}\n',
+    ),
+    (
+        'compare --model quicksort --s 3 --n-grid 12,60 --precision high --format csv',
+        'model,s,n,exact,asym,abs_err,rel_err,source\nquicksort,3,12,14271940259/415800,-152234.796975744,186558.84762269,5.43522236176665,pgf\nquicksort,3,60,193480937127139369951257768711911066060774109423691/5212552565637110306298738816531196228800000,-5040606.97159816,42158877.6635103,1.13579854011616,pgf\n',
+    ),
+    (
+        'compare --model quicksort --s 3 --n-grid 12,60 --precision high --format json',
+        '{\n  "schema": 1,\n  "command": "compare",\n  "model": "quicksort",\n  "s": 3,\n  "rows": [\n    {\n      "n": 12,\n      "exact": "14271940259/415800",\n      "asym": -152234.79697574445,\n      "abs_err": 186558.84762269008,\n      "rel_err": 5.435222361766652,\n      "source": "pgf"\n    },\n    {\n      "n": 60,\n      "exact": "193480937127139369951257768711911066060774109423691/5212552565637110306298738816531196228800000",\n      "asym": -5040606.97159816,\n      "abs_err": 42158877.6635103,\n      "rel_err": 1.1357985401161612,\n      "source": "pgf"\n    }\n  ]\n}\n',
+    ),
+    (
+        # an mpf power and mp.factorial at huge alpha; the estimate is below the
+        # double range and prints as -0
+        'transfer --alpha 3000000 --beta 1 --n 2 --precision high --format csv',
+        'alpha,beta,n,order,estimate,oracle,abs_err,rel_err\n3000000,1,2,,-0,3000000.5,3000000.5,1\n',
+    ),
+    (
+        'transfer --alpha 3000000 --beta 1 --n 2 --precision high --format json',
+        '{\n  "schema": 1,\n  "command": "transfer",\n  "alpha": 3000000,\n  "beta": 1,\n  "n": 2,\n  "order": null,\n  "estimate": -0.0,\n  "oracle": 3000000.5,\n  "oracle_exact": "6000001/2",\n  "abs_err": 3000000.5,\n  "rel_err": 1.0\n}\n',
     ),
     (
         'table --model inversions --n 4 --format json',

@@ -94,6 +94,16 @@ class TestAsymptoticMoment:
         # raise OverflowError
         assert asymptotic_moment(Model.INVERSIONS, 2 * 10**77, 2) == 1e308
 
+    def test_inversions_denominator_past_the_largest_double(self):
+        # 9 * 4^512 passes the double range, while s(2s-11) / (9 * 4^s) as
+        # one int / int division does not
+        assert asymptotic_moment(Model.INVERSIONS, 2, 512) == 28815.222222222223
+
+    def test_inversions_lead_past_the_largest_double_high_precision(self):
+        # the 60-digit estimate rounds n^4 to an mpf before dividing by 16
+        value = asymptotic_moment(Model.INVERSIONS, 2 * 10**77, 2, high_precision=True)
+        assert value._mpf_ == (0, 7151111669042734884346220195904089706134613496013204087912247, 821, 203)
+
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             asymptotic_moment(Model.CYCLES, 1, 1)

@@ -27,7 +27,13 @@ from momentlab import (
     transfer_expansion,
     transfer_term,
 )
-from momentlab.transfer import GAMMA_DIGITS, MAX_DERIVATIVE_ORDER, ZETA_DIGITS, _polygamma
+from momentlab.transfer import (
+    GAMMA_DIGITS,
+    MAX_DERIVATIVE_ORDER,
+    ORACLE_MAX_N,
+    ZETA_DIGITS,
+    _polygamma,
+)
 
 
 class TestEmbeddedConstants:
@@ -96,10 +102,10 @@ class TestGammaRecipDerivative:
         # psi(1) = -gamma and psi^(i)(1) = (-1)^(i+1) i! zeta(i+1), from the
         # tabulated digits, for every order C_k up to the cap needs
         with mp.workdps(60):
-            assert abs(_polygamma(0, 1, 60) + mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -50
+            assert abs(_polygamma(0, 1) + mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -50
             for i in range(1, MAX_DERIVATIVE_ORDER):
                 expected = (-1) ** (i + 1) * mp.factorial(i) * mp.mpf(ZETA_DIGITS[i + 1])
-                assert abs(_polygamma(i, 1, 60) / expected - 1) < mp.mpf(10) ** -50
+                assert abs(_polygamma(i, 1) / expected - 1) < mp.mpf(10) ** -50
 
     def test_polygamma_steps_by_reciprocal_powers(self):
         # psi^(i)(a + 1) - psi^(i)(a) = (-1)^i i! / a^(i+1), the terms the
@@ -107,7 +113,7 @@ class TestGammaRecipDerivative:
         with mp.workdps(60):
             for alpha in (1, 2, 3, 7, 30, 1000, 3_000_000):
                 for i in range(MAX_DERIVATIVE_ORDER):
-                    step = _polygamma(i, alpha + 1, 60) - _polygamma(i, alpha, 60)
+                    step = _polygamma(i, alpha + 1) - _polygamma(i, alpha)
                     expected = (-1) ** i * mp.factorial(i) / mp.mpf(alpha) ** (i + 1)
                     assert abs(step / expected - 1) < mp.mpf(10) ** -40
 
@@ -132,6 +138,13 @@ class TestTransferTerm:
         # C(n+alpha-1, alpha-1) is strictly larger for alpha >= 2
         assert transfer_term(LogPowerTerm(1.0, 2, 0), 10) == 10.0
         assert exact_coefficient(2, 0, 10) == 11
+
+    def test_double_power_of_n_rounds_once(self):
+        # n^(alpha-1) is an exact int that rounds once on the way to a double;
+        # float(n) ** 2 would round twice and give 6.6513973236455675e+38
+        assert transfer_term(LogPowerTerm(1.0, 3, 0), 3**41) == 6.651397323645567e+38
+        # at alpha = 1 an n past the double range never becomes a double
+        assert transfer_term(LogPowerTerm(1.0, 1, 1), 10**400) == 921.6112528625198
 
     def test_harmonic_estimate(self):
         expected = math.log(1000) + EULER_GAMMA
@@ -321,8 +334,20 @@ class TestExactCoefficient:
             exact_coefficient(1, 1, 100_001)
         with pytest.raises(ValueError):
             exact_coefficient(0, 1, 10)
-        with pytest.raises(ValueError):
-            highprec_coefficient(1, 1, 100, prec_bits=64)
+        with pytest.raises(SeriesBudgetError):
+            highprec_coefficient(1, 7, 10)
+        # its exact binomial C(n + alpha - 1, n) takes min(n, alpha - 1) factors
+        with pytest.raises(SeriesBudgetError):
+            highprec_coefficient(ORACLE_MAX_N + 2, 1, ORACLE_MAX_N + 1)
+
+    def test_highprec_has_no_n_budget(self):
+        # its cost does not grow with n, so only the exact oracle caps n
+        n = ORACLE_MAX_N + 1
+        hp = highprec_coefficient(1, 1, n)
+        reference = harmonic(n)
+        with mp.workprec(320):
+            exact = mp.mpf(reference.numerator) / reference.denominator
+            assert abs(hp - exact) <= exact * mp.mpf(2) ** -200
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("beta", [0, 1, 2, 3])
