@@ -70,7 +70,11 @@ _EXPORTS = {
     ),
 }
 
-__all__ = [name for names in _EXPORTS.values() for name in names] + ["__version__"]
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["ResourceLimitError", "__version__"]
+
+
+class ResourceLimitError(RuntimeError):
+    """A request past a resource guard; the CLI exits 3.  Catching it loads no submodule."""
 
 
 def _first_use(namespace: dict, exports: dict[str, tuple[str, ...]]):

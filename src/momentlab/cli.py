@@ -16,14 +16,14 @@ Exact moments of ``moment`` and ``compare`` come from
 ``moments.exact_moment``; ``compare`` names the route in its ``source``
 field:
 
-  closed-form  quicksort, s = 1, at every n: 2(n+1)H_n - 4n
-  pgf          at s <= 6, no distribution row: Taylor coefficients of the
-               PGF at z = 1.  Inversions at every n; quicksort at s = 0
-               and 2 <= s <= 6, n <= QUICKSORT_PGF_MAX_N; cycles inside
-               the cycles row cap (in ``compare`` up to n = 200) from the
-               exact log-power oracle
-  table        every model at s > 6, inside the row caps: summation over
-               the exact row (cycles in ``compare`` up to n = 200)
+  closed-form  quicksort, s = 1, at every n: 2(n+1)H_n - 4n; and the 0 of
+               inversions and quicksort at s > 6 past the support, k_max
+  pgf          Taylor coefficients of the PGF at z = 1, no row: cycles at
+               every s inside the row cap (in ``compare`` up to n = 200);
+               inversions at s <= 6; quicksort at s = 0 and 2 <= s <= 6,
+               n <= QUICKSORT_PGF_MAX_N
+  table        inversions and quicksort at 6 < s <= k_max, inside the row
+               caps: summation over the exact row
   oracle       cycles in ``compare`` above n = 200: the high-precision
                series oracle, printed as a float
 
@@ -62,17 +62,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import _first_use
+from . import ResourceLimitError, _first_use
 
 # The values of tables.Model, spelled out so that parsing loads no layer.
 MODELS = ("cycles", "inversions", "quicksort")
-# The resource guards' exceptions, by submodule; each exits 3.
-_RESOURCE_ERRORS = (
-    ("tables", "RowLimitError"),
-    ("transfer", "OrderLimitError"),
-    ("transfer", "SeriesBudgetError"),
-    ("simulate", "DrawLimitError"),
-)
 
 __getattr__ = _first_use(
     globals(),
@@ -101,11 +94,10 @@ _layers = sys.modules[__name__]
 CROSSCHECK_TOLERANCE = 1e-10
 CROSSCHECK_MAX_S = 10
 
-# In `compare`, cycles moments come from `exact_moment` up to here and print
-# as exact rationals; above it they come from the high-precision
-# oracle as a 240-bit approximation and print as floats.  The cutoff stays
-# because it fixes that output format, not for speed.
-_CYCLES_TABLE_CUTOFF = 200
+# In `compare`, cycles moments up to here come from `exact_moment` and print as
+# exact rationals; above it, from the high-precision oracle, as a 240-bit value
+# printed as a float.  The cutoff fixes that output format, not a cost.
+_CYCLES_EXACT_MAX_N = 200
 
 
 class CommandError(Exception):
@@ -134,7 +126,7 @@ def compare_rows(
     """
     rows = []
     for n in grid:
-        if model is _layers.Model.CYCLES and n > _CYCLES_TABLE_CUTOFF:
+        if model is _layers.Model.CYCLES and n > _CYCLES_EXACT_MAX_N:
             # the moment series of cycles is exactly a log-power series
             exact, source = _layers.highprec_coefficient(1, s, n), "oracle"
         else:
@@ -449,16 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resource_errors() -> tuple[type[Exception], ...]:
-    """The resource guards' exceptions in the submodules this process has
-    loaded: a submodule that is not loaded cannot have raised one."""
-    return tuple(
-        getattr(sys.modules[f"momentlab.{module}"], name)
-        for module, name in _RESOURCE_ERRORS
-        if f"momentlab.{module}" in sys.modules
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -467,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except _resource_errors() as exc:
+    except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:

@@ -6,14 +6,13 @@ E[(X)_s] with (X)_s = X(X-1)...(X-s+1), the Taylor coefficient
 s! [t^s] P_n(1+t) of the probability generating function P_n at z = 1.
 ``exact_moment`` is the one entry point and names the route it took:
 
-* ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, at every n;
-* ``pgf`` -- every model at s <= PGF_MAX_S, from the first s + 1 Taylor
-  coefficients of n! P_n(1+t), with no distribution row.  For cycles
-  n! P_n(z) = z(z+1)...(z+n-1), so the moment is the log-power coefficient
-  [u^n] (1-u)^(-1) log^s(1/(1-u)) of ``transfer.exact_coefficient``, kept
-  inside the cycles row cap;
-* ``table`` -- every s > PGF_MAX_S: direct summation over the exact table
-  row (``factorial_moment``), inside the row caps.
+* ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, at every n, and
+  the 0 of inversions and quicksort at s > max(PGF_MAX_S, k_max(model, n));
+* ``pgf`` -- from the first s + 1 Taylor coefficients of n! P_n(1+t), with
+  no row: cycles at every s inside the cycles row cap, where n! P_n(1+t) is
+  (1+t)(2+t)...(n+t), and inversions and quicksort at s <= PGF_MAX_S;
+* ``table`` -- inversions and quicksort at PGF_MAX_S < s <= k_max: direct
+  summation over the exact row (``factorial_moment``), inside the row caps.
 
 Every result is an exact rational.
 """
@@ -33,6 +32,7 @@ from .tables import (
     RowLimitError,
     distribution_table,
     distribution_tables,
+    k_max,
     row_limit,
 )
 
@@ -47,8 +47,8 @@ __all__ = [
     "exact_moment",
 ]
 
-# Largest moment order taken from PGF Taylor coefficients; above it moments
-# come from table rows.
+# Largest inversions and quicksort moment order taken from PGF Taylor
+# coefficients; above it those moments come from table rows.
 PGF_MAX_S = 6
 # Cap on n for quicksort moments from the PGF: the largest multiple of 50
 # whose request finishes within 30 s CPU and 1536 MiB with room for the
@@ -214,9 +214,9 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
     ``closed-form``, ``pgf`` or ``table`` (see the module docstring).
 
     Quicksort ``pgf`` moments are capped at n <= QUICKSORT_PGF_MAX_N and
-    cycles ``pgf`` moments at the cycles row cap; a request above its cap
-    raises ``RowLimitError`` before any work.  Inversions ``pgf`` moments
-    evaluate a polynomial in n and need no cap.
+    cycles moments at the cycles row cap; a request above its cap raises
+    ``RowLimitError`` before any work.  Inversions ``pgf`` moments evaluate
+    a polynomial in n and need no cap.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -229,20 +229,21 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
         for c in reversed(_inversions_polynomial(s)):
             value = value * n + c
         return value, "pgf"
-    if model is Model.CYCLES and s <= PGF_MAX_S:
-        # The oracle is cheap past the cap, but the moment's text is not:
-        # at n = 4000 the s = 6 numerator has 4247 digits, and by n = 4060
-        # it passes Python's 4300-digit limit on integer-to-text conversion
-        # (s = 1 passes it near n = 9900).  The cap keeps every order printable.
+    if model is Model.CYCLES:
+        # The row's cap: the product costs about what the row does (n = s =
+        # 4000: 18.5-19.5 s against 18.2-18.7 s), and at n = 4060 the s = 6
+        # numerator passes Python's 4300-digit limit on integer-to-text output.
         cap = row_limit(model)
         if n > cap:
             raise RowLimitError(
                 f"cycles moment at n={n} exceeds the configured cap {cap}; "
                 f"set {ROW_LIMIT_ENV} to raise it"
             )
-        # only this route needs the oracle, so only it loads ``transfer``
-        from .transfer import exact_coefficient
-        return exact_coefficient(1, s, n), "pgf"
+        if s > n:
+            return Fraction(0), "pgf"
+        # only this route needs the product, so only it loads ``transfer``
+        from .transfer import _rising_sequential
+        return _pgf_moment(_rising_sequential(1, n + 1, s), n, s), "pgf"
     if model is Model.QUICKSORT and s <= PGF_MAX_S:
         if n > QUICKSORT_PGF_MAX_N:
             raise RowLimitError(
@@ -256,4 +257,6 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
             if (_pgf_moment(poly, n, 1), _pgf_moment(poly, n, 2)) != (mean, variance + mean**2 - mean):
                 raise ValueError(f"quicksort PGF of size {n} disagrees with the mean or variance")
         return _pgf_moment(poly, n, s), "pgf"
+    if s > k_max(model, n):
+        return Fraction(0), "closed-form"
     return factorial_moment(distribution_table(model, n), s), "table"

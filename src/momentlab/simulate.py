@@ -91,6 +91,7 @@ import os
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import ResourceLimitError
 from .tables import Model
 
 if TYPE_CHECKING:
@@ -621,7 +622,7 @@ def sample_cost(model: Model, n: int, rng: TrialStream) -> int:
 
 # -- moment estimation -------------------------------------------------------
 
-class DrawLimitError(RuntimeError):
+class DrawLimitError(ResourceLimitError):
     """Requested estimate needs more than MAX_DRAWS draws, or more memory
     than _INVERSIONS_BUDGET (resource guard)."""
 

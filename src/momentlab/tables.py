@@ -50,6 +50,8 @@ import operator
 import os
 from typing import TYPE_CHECKING
 
+from . import ResourceLimitError
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -111,7 +113,7 @@ class Model(enum.Enum):
         return self.value
 
 
-class RowLimitError(RuntimeError):
+class RowLimitError(ResourceLimitError):
     """Requested row exceeds the configured cap (resource guard, not math)."""
 
 

@@ -55,9 +55,13 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
+import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
+
+from . import ResourceLimitError
 
 __all__ = [
     "EULER_GAMMA",
@@ -124,11 +128,11 @@ _WORK_DPS = 60  # working precision of C_k and of the high-precision estimates
 _ORACLE_BITS = 240  # precision of the high-precision oracle's result
 
 
-class OrderLimitError(RuntimeError):
+class OrderLimitError(ResourceLimitError):
     """Derivative order above MAX_DERIVATIVE_ORDER (resource guard)."""
 
 
-class SeriesBudgetError(RuntimeError):
+class SeriesBudgetError(ResourceLimitError):
     """Exact series coefficient request above the configured budget."""
 
 
@@ -399,22 +403,24 @@ def _check_oracle_budget(alpha: int, beta: int, n: int) -> None:
         raise SeriesBudgetError(f"oracle budget is beta <= {ORACLE_MAX_BETA}, got {beta}")
 
 
-def _rising_product(lo: int, hi: int, top: int) -> list[int]:
-    """Coefficients of t^0..t^top of (lo + t)(lo + 1 + t)...(hi - 1 + t).
+def _rising_sequential(lo: int, hi: int, top: int) -> list[int]:
+    """Coefficients of t^0..t^min(top, hi - lo) of (lo + t)...(hi - 1 + t),
+    truncated at degree ``top``: each factor maps poly[k] to
+    a poly[k] + poly[k - 1] in one pass of ``map``, so the loop runs in C."""
+    poly = [1]
+    for a in range(lo, hi):
+        nxt = [a * poly[0], *map(operator.add, map(operator.mul, poly[1:], itertools.repeat(a)), poly)]
+        if len(poly) <= top:
+            nxt.append(poly[-1])
+        poly = nxt
+    return poly
 
-    A balanced product tree of integer polynomials truncated at degree
-    ``top``; runs of up to 32 factors are multiplied in one at a time.
-    """
+
+def _rising_product(lo: int, hi: int, top: int) -> list[int]:
+    """``_rising_sequential(lo, hi, top)`` by a balanced product tree, truncated
+    at degree ``top``, whose leaves are runs of up to 32 factors."""
     if hi - lo <= 32:
-        poly = [1]
-        for a in range(lo, hi):
-            nxt = [a * c for c in poly]
-            if len(nxt) <= top:
-                nxt.append(0)
-            for k in range(1, len(nxt)):
-                nxt[k] += poly[k - 1]
-            poly = nxt
-        return poly
+        return _rising_sequential(lo, hi, top)
     mid = (lo + hi) // 2
     left, right = _rising_product(lo, mid, top), _rising_product(mid, hi, top)
     out = [0] * min(len(left) + len(right) - 1, top + 1)

@@ -1,6 +1,7 @@
 """The package's public names, bound on first use, and its immutable data
 types."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -47,6 +48,33 @@ class TestPublicNames:
         assert missing == []
         assert not_starred == []
         assert unknown == "module 'momentlab' has no attribute 'no_such_name'"
+
+    def test_resource_limit_error_is_the_packages_own(self):
+        # bound by the package itself, so catching it loads no submodule
+        probe = (
+            "import json, sys, momentlab; momentlab.ResourceLimitError; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('momentlab.'))))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+        assert "ResourceLimitError" in momentlab.__all__
+        assert momentlab.ResourceLimitError.__module__ == "momentlab"
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("tables", "RowLimitError"),
+            ("transfer", "OrderLimitError"),
+            ("transfer", "SeriesBudgetError"),
+            ("simulate", "DrawLimitError"),
+        ],
+    )
+    def test_resource_guards_share_one_base(self, module, name):
+        error = getattr(importlib.import_module(f"momentlab.{module}"), name)
+        assert error.__module__ == f"momentlab.{module}"
+        assert issubclass(error, momentlab.ResourceLimitError)
+        assert issubclass(error, RuntimeError)
 
     def test_names_are_the_submodules_objects(self):
         from momentlab import simulate, tables, transfer

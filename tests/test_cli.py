@@ -181,6 +181,29 @@ class TestMoment:
         assert code == 3
         assert "exceeds the configured cap" in err
 
+    def test_cycles_exact_from_the_product(self):
+        # the bytes this request printed when it summed the 3501-entry row,
+        # which took 12 s of CPU
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "moment", "--model", "cycles", "--n", "3500", "--s", "7", "--mode", "exact"
+        )
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "c3b1e5700852ce67f89b03c372bfd58fa22054f5af39d3259dda06c7269e3376"
+        )
+
+    def test_zero_past_the_support_builds_no_row(self):
+        # k_max = 500 * 499 / 2 = 124750 inversions
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "moment", "--model", "inversions", "--n", "500", "--s", "124751", "--mode", "exact"
+        )
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "model,s,n,exact,asym\ninversions,124751,500,0,\n"
+
     def test_asym_needs_valid_domain(self):
         code, _, err = run_cli(
             "moment", "--model", "cycles", "--n", "1", "--s", "1", "--mode", "asym"
@@ -403,6 +426,21 @@ class TestCompare:
         assert children_cpu_seconds() - start < 2
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1].split(",")[7] == "oracle"
+
+    @pytest.mark.parametrize(
+        "model, sources",
+        [
+            ("cycles", ["pgf", "pgf", "pgf"]),
+            ("inversions", ["closed-form", "closed-form", "table"]),
+            ("quicksort", ["closed-form", "closed-form", "table"]),
+        ],
+    )
+    def test_sources_above_the_pgf_orders(self, model, sources):
+        code, out, _ = run_cli("compare", "--model", model, "--s", "7", "--n-grid", "3,4,5")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [r[7] for r in rows] == sources
+        assert [r[3] for r in rows[:2]] == ["0", "0"]
 
     def test_grid_validation(self):
         assert run_cli("compare", "--model", "cycles", "--s", "1",

@@ -1,6 +1,7 @@
 """Exact factorial moments: examples, closed-form identities, and
 order-monotonicity properties."""
 
+import hashlib
 import math
 from fractions import Fraction
 from itertools import permutations
@@ -233,7 +234,7 @@ class TestExactMoment:
     def test_routes(self):
         assert exact_moment(Model.QUICKSORT, 20000, 1) == (quicksort_mean(20000), "closed-form")
         assert exact_moment(Model.CYCLES, 30, 2) == (factorial_moment(cycle_counts(30), 2), "pgf")
-        assert exact_moment(Model.CYCLES, 30, 7) == (factorial_moment(cycle_counts(30), 7), "table")
+        assert exact_moment(Model.CYCLES, 30, 7) == (factorial_moment(cycle_counts(30), 7), "pgf")
         table = inversion_counts(12)
         assert exact_moment(Model.INVERSIONS, 12, 7) == (factorial_moment(table, 7), "table")
         # a polynomial in n: no cap, exact at any size
@@ -242,8 +243,64 @@ class TestExactMoment:
 
     def test_cycles_match_rows(self):
         for n, table in enumerate(distribution_tables(Model.CYCLES, 200)):
-            for s in range(PGF_MAX_S + 1):
+            orders = range(n + 3) if n <= 60 else [*range(PGF_MAX_S + 1), 7, 10, 50, n, n + 1]
+            for s in orders:
                 assert exact_moment(Model.CYCLES, n, s) == (factorial_moment(table, s), "pgf"), (n, s)
+
+    @pytest.mark.parametrize(
+        "n, s, digest",
+        [
+            # the exact text each request printed when it summed a table row
+            (3500, 7, "551571011538308eda31e86c287815dc2894f448f9be7acff2c455510293b533"),
+            (1500, 300, "d6e100ecf524e2d5b3235d3920f15394ed1891017f30681f2d3647a8e5c5f50d"),
+        ],
+    )
+    def test_cycles_pinned_from_rows(self, n, s, digest):
+        value, route = exact_moment(Model.CYCLES, n, s)
+        assert route == "pgf"
+        assert hashlib.sha256(str(value).encode()).hexdigest() == digest
+
+    def test_cycles_mass_guard(self, monkeypatch):
+        from momentlab import transfer
+
+        product = transfer._rising_sequential
+
+        def corrupted(lo, hi, top):
+            poly = product(lo, hi, top)
+            return [poly[0] - 1] + poly[1:]
+
+        monkeypatch.setattr(transfer, "_rising_sequential", corrupted)
+        with pytest.raises(ValueError, match="mass"):
+            exact_moment(Model.CYCLES, 12, 8)
+
+    @pytest.mark.parametrize(
+        "model, n, route",
+        [
+            (Model.CYCLES, 0, "pgf"),
+            (Model.CYCLES, 9, "pgf"),
+            (Model.CYCLES, 4000, "pgf"),
+            (Model.INVERSIONS, 2, "pgf"),
+            (Model.INVERSIONS, 3, "pgf"),
+            (Model.INVERSIONS, 4, "closed-form"),
+            (Model.INVERSIONS, 500, "closed-form"),
+            (Model.QUICKSORT, 1, "closed-form"),
+            (Model.QUICKSORT, 3, "pgf"),
+            (Model.QUICKSORT, 4, "closed-form"),
+            (Model.QUICKSORT, 120, "closed-form"),
+        ],
+    )
+    def test_zero_past_the_support(self, model, n, route):
+        s = k_max(model, n) + 1
+        assert exact_moment(model, n, s) == (0, route)
+        if n <= 9:
+            assert factorial_moment(distribution_tables(model, n)[n], s) == 0
+
+    def test_zero_past_the_support_needs_no_row(self):
+        # no row is built, so the row caps do not bind
+        n = row_limit(Model.INVERSIONS) + 1
+        assert exact_moment(Model.INVERSIONS, n, k_max(Model.INVERSIONS, n) + 1) == (0, "closed-form")
+        n = row_limit(Model.QUICKSORT) + 1
+        assert exact_moment(Model.QUICKSORT, n, k_max(Model.QUICKSORT, n) + 1) == (0, "closed-form")
 
     def test_cycles_mean_is_harmonic(self):
         assert exact_moment(Model.CYCLES, 3500, 1) == (harmonic(3500), "pgf")

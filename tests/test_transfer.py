@@ -33,6 +33,8 @@ from momentlab.transfer import (
     ORACLE_MAX_N,
     ZETA_DIGITS,
     _polygamma,
+    _rising_product,
+    _rising_sequential,
 )
 
 
@@ -254,6 +256,22 @@ def convolution_series(alpha: int, beta: int, n: int) -> list[Fraction]:
     for _ in range(alpha):
         series = list(accumulate(series))
     return series
+
+
+class TestRisingProduct:
+    @pytest.mark.parametrize("length", [0, 1, 5, 31, 32, 33, 64, 65, 150])
+    def test_tree_and_sequential_agree(self, length):
+        # the tree multiplies runs of up to 32 factors by the sequential loop
+        # and the runs' products pairwise, so past 32 factors their paths part
+        for lo in (1, 2, 7):
+            hi = lo + length
+            poly = [1]
+            for a in range(lo, hi):  # (lo + t)...(hi - 1 + t) in full
+                poly = [x + y for x, y in zip([a * c for c in poly] + [0], [0] + poly)]
+            for top in sorted({0, 1, 6, 40, max(length - 1, 0), length, 200}):
+                expected = poly[: top + 1]
+                assert _rising_sequential(lo, hi, top) == expected, (lo, hi, top)
+                assert _rising_product(lo, hi, top) == expected, (lo, hi, top)
 
 
 class TestExactCoefficient:
