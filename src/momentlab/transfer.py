@@ -16,7 +16,7 @@ k > beta, so it has exactly beta+1 terms.
 This module provides:
 
 * ``gamma_recip_derivative`` -- the C_k coefficients, from the recurrence
-  g' = -psi*g with polygamma values at positive integers from ``mp.psi``;
+  g' = -psi*g with polygamma values at positive integers;
 * ``transfer_term`` / ``transfer_expansion`` -- numeric evaluation of the
   expansion above for single terms and for term lists with a tracked
   dominated-remainder class;
@@ -28,6 +28,19 @@ Each estimate, here and in ``expansions.asymptotic_moment`` and the error
 columns of ``cli.compare_rows``, is one formula written over the private
 arithmetic record ``_arithmetic(high_precision)``: doubles, or mpf at 60
 digits.  Only the mpf record imports mpmath.
+
+The polygamma values psi^(i)(x) at integers x >= 1 come by two routes that
+share no arithmetic.  The double record, ``gamma_recip_derivative`` and
+``_double_coefficient``, the double-precision oracle of ``cli.compare_rows``,
+take them at 60 digits in ``decimal`` from ``_decimal_polygamma``: the
+embedded constants and exact reciprocal power sums for small x, the
+Stirling series above.  So no double-precision request imports mpmath.  The
+mpf record's ``_ck`` and ``highprec_coefficient`` take them from
+``mp.psi``, whose exact bits high-precision output depends on (the -0 of
+``transfer --alpha 3000000 --beta 1 --n 2 --precision high`` among them).
+Both routes stay: each is the check of the other.  The C_k recurrence and
+the oracle's Newton identities are each written once, over either route's
+numbers.
 
 Both oracles rest on one identity.  Since
 (1-u)^(-alpha-t) = (1-u)^(-alpha) exp(t log(1/(1-u))) and its coefficients
@@ -42,7 +55,9 @@ in 1/(alpha + j) are differences of polygamma values, and Newton's
 identities turn them into the t^beta coefficient in O(beta^2) operations
 whatever n is, so the n budget ``ORACLE_MAX_N`` binds the exact oracle
 only; the high-precision oracle budgets the min(n, alpha - 1) factors of
-its exact binomial C(n + alpha - 1, n) instead.  The two are kept apart:
+its exact binomial C(n + alpha - 1, n) instead, and beta up to
+``MAX_DERIVATIVE_ORDER``, where the exact oracle stops at
+``ORACLE_MAX_BETA``.  The two are kept apart:
 the product tree's integers grow with n (at n = 50000 it takes seconds
 where the polygamma route takes milliseconds), and sharing no arithmetic,
 each checks the other.
@@ -54,6 +69,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import decimal
 import functools
 import itertools
 import math
@@ -116,11 +132,14 @@ EULER_GAMMA = float(Fraction(GAMMA_DIGITS.replace(".", "")) / 10**52)
 MAX_DERIVATIVE_ORDER = 16
 
 # Budget guards for the coefficient oracles.  ORACLE_MAX_N caps n of the
-# exact oracle and min(n, alpha - 1) of the high-precision one; the beta cap
-# binds both.  At the cap, `transfer --alpha 3 --beta 6 --n 100000` took
-# 12.6 s CPU and 38 MB (alpha 1: 13.0 s, 38 MB) on a 2-core x86-64 box with
-# Python 3.11, within a 30 s and 1536 MiB request limit; the product tree
-# and the final normalisation take nearly all of it.
+# exact oracle and min(n, alpha - 1) of the polygamma ones.  ORACLE_MAX_BETA
+# caps beta of the exact oracle only; the polygamma oracles, whose cost is
+# O(beta) polygamma values, take beta up to MAX_DERIVATIVE_ORDER (the 240-bit
+# one took 6-29 ms for beta = 7 and 16 at n = 201..10^9).  At the cap,
+# `transfer --alpha 3 --beta 6 --n 100000` took 12.6 s CPU and 38 MB (alpha 1:
+# 13.0 s, 38 MB) on a 2-core x86-64 box with Python 3.11, within a 30 s and
+# 1536 MiB request limit; the product tree and the final normalisation take
+# nearly all of it.
 ORACLE_MAX_N = 100_000
 ORACLE_MAX_BETA = 6
 
@@ -140,6 +159,52 @@ class SeriesBudgetError(ResourceLimitError):
 # C_k coefficients: derivatives of 1/Gamma at positive integers
 # ---------------------------------------------------------------------------
 
+# Bernoulli numbers B_2, B_4, ..., B_66 as (numerator, denominator): the
+# Stirling series of ``_decimal_polygamma`` needs these 33 terms at
+# x >= _STIRLING_MIN_X, where its first omitted term is below 10^-64 of the
+# value for every order i < MAX_DERIVATIVE_ORDER.  The test suite re-derives
+# them from the recurrence sum_(j<=m) C(m+1, j) B_j = 0.
+_BERNOULLI = (
+    (1, 6),
+    (-1, 30),
+    (1, 42),
+    (-1, 30),
+    (5, 66),
+    (-691, 2730),
+    (7, 6),
+    (-3617, 510),
+    (43867, 798),
+    (-174611, 330),
+    (854513, 138),
+    (-236364091, 2730),
+    (8553103, 6),
+    (-23749461029, 870),
+    (8615841276005, 14322),
+    (-7709321041217, 510),
+    (2577687858367, 6),
+    (-26315271553053477373, 1919190),
+    (2929993913841559, 6),
+    (-261082718496449122051, 13530),
+    (1520097643918070802691, 1806),
+    (-27833269579301024235023, 690),
+    (596451111593912163277961, 282),
+    (-5609403368997817686249127547, 46410),
+    (495057205241079648212477525, 66),
+    (-801165718135489957347924991853, 1590),
+    (29149963634884862421418123812691, 798),
+    (-2479392929313226753685415739663229, 870),
+    (84483613348880041862046775994036021, 354),
+    (-1215233140483755572040304994079820246041491, 56786730),
+    (12300585434086858541953039857403386151, 6),
+    (-106783830147866529886385444979142647942017, 510),
+    (1472600022126335654051619428551932342241899101, 64722),
+)
+# The smallest x that ``_decimal_polygamma`` takes from the Stirling series;
+# below it, the embedded constants serve.
+_STIRLING_MIN_X = 64
+_DECIMAL = decimal.Context(prec=_WORK_DPS)  # the decimal route's arithmetic
+
+
 @functools.lru_cache(maxsize=None)
 def _polygamma(i: int, alpha: int):
     """psi^(i)(alpha) at _WORK_DPS digits, by ``mp.psi``: its cost hardly
@@ -152,26 +217,56 @@ def _polygamma(i: int, alpha: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _recip_gamma_derivatives(alpha: int, top: int) -> tuple:
-    """g(alpha), g'(alpha), ..., g^(top)(alpha) for g = 1/Gamma.
+def _decimal_polygamma(i: int, x: int) -> decimal.Decimal:
+    """psi^(i)(x) for an integer x >= 1 as a Decimal at _WORK_DPS digits,
+    with no mpmath.
+
+    Below _STIRLING_MIN_X, from the embedded constants and exact reciprocal
+    power sums, psi(x) = -gamma + H_(x-1) and
+    psi^(i)(x) = (-1)^(i+1) i! (zeta(i+1) - H^(i+1)_(x-1)), as one Fraction
+    rounded once.  There the constants' 52 digits lose what the difference
+    cancels, so at x = 63, i = 15 about 23 digits are left, ample for a
+    double.  From _STIRLING_MIN_X on, from the Stirling series
+    psi^(i)(x) = [i = 0] ln x + (-1)^(i+1) ([i > 0] (i-1)!/x^i + i!/(2x^(i+1))
+                 + sum_k B_2k (2k+i-1)!/(2k)! x^-(2k+i)),
+    over the 33 terms of _BERNOULLI, to nearly all 60 digits.
+    """
+    if x < _STIRLING_MIN_X:
+        powers = sum(Fraction(1, j ** (i + 1)) for j in range(1, x))
+        if i == 0:
+            value = powers - Fraction(GAMMA_DIGITS)
+        else:
+            value = (-1) ** (i + 1) * math.factorial(i) * (Fraction(ZETA_DIGITS[i + 1]) - powers)
+        with decimal.localcontext(_DECIMAL):
+            return decimal.Decimal(value.numerator) / value.denominator
+    with decimal.localcontext(_DECIMAL):
+        inv = 1 / decimal.Decimal(x)
+        inv2 = inv * inv
+        power = inv**i
+        total = math.factorial(i) * power * inv / 2
+        if i:
+            total += math.factorial(i - 1) * power
+        for k, (num, den) in enumerate(_BERNOULLI, 1):
+            power *= inv2
+            total += num * math.factorial(2 * k + i - 1) * power / (den * math.factorial(2 * k))
+        value = (-1) ** (i + 1) * total
+        return value + decimal.Decimal(x).ln() if i == 0 else value
+
+
+def _recip_gamma_recurrence(psi: list, g0, top: int) -> list:
+    """g(alpha), g'(alpha), ..., g^(top)(alpha) for g = c/Gamma, where
+    g0 = g(alpha) and psi[i] = psi^(i)(alpha), in the arithmetic of their
+    type (mpf or Decimal, at its working precision).
 
     From g' = -psi*g:  g^(m+1) = -sum_i C(m,i) psi^(i) g^(m-i).
     """
-    import mpmath as mp
-    psi = [_polygamma(i, alpha) for i in range(top)]
-    with mp.workdps(_WORK_DPS):
-        g = [mp.mpf(1) / mp.factorial(alpha - 1)]
-        for m in range(top):
-            nxt = mp.mpf(0)
-            for i in range(m + 1):
-                nxt -= mp.binomial(m, i) * psi[i] * g[m - i]
-            g.append(nxt)
-        return tuple(g)
+    g = [g0]
+    for m in range(top):
+        g.append(-sum(math.comb(m, i) * psi[i] * g[m - i] for i in range(m + 1)))
+    return g
 
 
-def _ck(alpha: int, k: int):
-    """C_k at ``alpha`` as an mpf at _WORK_DPS digits."""
-    import mpmath as mp
+def _check_order(alpha: int, k: int) -> None:
     if alpha < 1:
         raise ValueError(f"alpha must be a positive integer, got {alpha}")
     if k < 0:
@@ -181,6 +276,22 @@ def _ck(alpha: int, k: int):
             f"order {k} exceeds the embedded constant table "
             f"(max {MAX_DERIVATIVE_ORDER})"
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _recip_gamma_derivatives(alpha: int, top: int) -> tuple:
+    """g(alpha), g'(alpha), ..., g^(top)(alpha) for g = 1/Gamma, as mpf at
+    _WORK_DPS digits from ``mp.psi``."""
+    import mpmath as mp
+    psi = [_polygamma(i, alpha) for i in range(top)]
+    with mp.workdps(_WORK_DPS):
+        return tuple(_recip_gamma_recurrence(psi, mp.mpf(1) / mp.factorial(alpha - 1), top))
+
+
+def _ck(alpha: int, k: int):
+    """C_k at ``alpha`` as an mpf at _WORK_DPS digits, from ``mp.psi``."""
+    import mpmath as mp
+    _check_order(alpha, k)
     with mp.workdps(_WORK_DPS):
         return mp.factorial(alpha - 1) * _recip_gamma_derivatives(alpha, k)[k]
 
@@ -190,10 +301,16 @@ def gamma_recip_derivative(alpha: int, k: int) -> float:
     """C_k = (alpha-1)! * [d^k/dx^k 1/Gamma(x)] at x = alpha.
 
     C_0 = 1 for every alpha; C_1 at alpha = 1 is the Euler-Mascheroni
-    constant.  Accurate to double precision (the recurrence itself runs at
-    60 digits internally).
+    constant.  Accurate to double precision: the recurrence runs at 60
+    digits in ``decimal``, on ``_decimal_polygamma``, and g(alpha) = 1
+    gives C_k itself, so no mpmath is imported.  The mpf record's ``_ck``
+    runs the same recurrence on ``mp.psi``; the two polygamma routes share
+    no arithmetic, and the tests hold each to the other.
     """
-    return float(_ck(alpha, k))
+    _check_order(alpha, k)
+    psi = [_decimal_polygamma(i, alpha) for i in range(k)]
+    with decimal.localcontext(_DECIMAL):
+        return float(_recip_gamma_recurrence(psi, decimal.Decimal(1), k)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +508,16 @@ def check_double_range(alpha: int, beta: int, n: int, *, high_precision: bool = 
 # Exact-rational coefficient oracle
 # ---------------------------------------------------------------------------
 
-def _check_oracle_budget(alpha: int, beta: int, n: int) -> None:
-    """The arguments and the beta budget both oracles share."""
+def _check_oracle_budget(alpha: int, beta: int, n: int, max_beta: int) -> None:
+    """The arguments every oracle takes, and its beta budget."""
     if alpha < 1:
         raise ValueError(f"alpha must be a positive integer, got {alpha}")
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if beta > ORACLE_MAX_BETA:
-        raise SeriesBudgetError(f"oracle budget is beta <= {ORACLE_MAX_BETA}, got {beta}")
+    if beta > max_beta:
+        raise SeriesBudgetError(f"oracle budget is beta <= {max_beta}, got {beta}")
 
 
 def _rising_sequential(lo: int, hi: int, top: int) -> list[int]:
@@ -440,7 +557,7 @@ def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     the Gamma-derivative expansion it serves to check, nor with
     ``highprec_coefficient``.  Budgeted at n <= 100000, beta <= 6.
     """
-    _check_oracle_budget(alpha, beta, n)
+    _check_oracle_budget(alpha, beta, n, ORACLE_MAX_BETA)
     if n > ORACLE_MAX_N:
         raise SeriesBudgetError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
     poly = _rising_product(alpha, alpha + n, beta)
@@ -448,41 +565,71 @@ def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     return Fraction(math.factorial(beta) * coeff, math.factorial(n))
 
 
-def highprec_coefficient(alpha: int, beta: int, n: int):
-    """[u^n] of (1-u)^(-alpha) log(1/(1-u))^beta as a 240-bit mpf.
-
-    The logarithm of the product in ``exact_coefficient`` gives the value as
-    C(n + alpha - 1, n) * beta! * e_beta, where e_k is the k-th elementary
-    symmetric function of the 1/(alpha + j), j < n.  Newton's identities
-    e_k = (1/k) sum_{i<=k} (-1)^(i-1) p_i e_(k-i) build it from the power sums
-    p_i = sum_{j<n} (alpha + j)^(-i)
-        = (-1)^(i-1) (psi^(i-1)(alpha + n) - psi^(i-1)(alpha)) / (i-1)!,
-    so the cost is O(beta^2) polygamma and mpf operations whatever n is, plus
-    the min(n, alpha - 1) factors of the exact binomial.  So n itself is not
-    budgeted, only min(n, alpha - 1) <= 100000 (0.7 s at alpha = 100000;
-    alpha = 10^6, n = 10^7 took 47 s) and beta <= 6.  Works with 32 guard
-    bits and rounds to 240.  For n < beta the product has degree n, so the
-    coefficient is exactly 0; the identities would leave a rounding residue
-    there, so 0 is returned directly.  Kept apart from the exact oracle, whose product tree
-    costs seconds at n = 50000, so that each checks the other.
-    """
-    import mpmath as mp
-    _check_oracle_budget(alpha, beta, n)
+def _check_polygamma_oracle(alpha: int, beta: int, n: int) -> None:
+    """The budget of both polygamma oracles: beta up to the polygamma orders
+    C_k needs, and the min(n, alpha - 1) factors of the exact binomial."""
+    _check_oracle_budget(alpha, beta, n, MAX_DERIVATIVE_ORDER)
     if min(n, alpha - 1) > ORACLE_MAX_N:
         raise SeriesBudgetError(
             f"high-precision oracle budget is min(n, alpha - 1) <= {ORACLE_MAX_N}, "
             f"got alpha={alpha}, n={n}"
         )
+
+
+def _newton_coefficient(psi, one, fsum, alpha: int, beta: int, n: int):
+    """C(n + alpha - 1, n) * beta! * e_beta in the arithmetic of ``one`` (mpf
+    or Decimal, at its working precision), with ``psi(i, x)`` the polygamma
+    function of that arithmetic and ``fsum`` its sum.
+
+    e_k is the k-th elementary symmetric function of the 1/(alpha + j),
+    j < n.  Newton's identities e_k = (1/k) sum_{i<=k} (-1)^(i-1) p_i e_(k-i)
+    build it from the power sums
+    p_i = sum_{j<n} (alpha + j)^(-i)
+        = (-1)^(i-1) (psi^(i-1)(alpha + n) - psi^(i-1)(alpha)) / (i-1)!.
+    """
+    p = [None]
+    for i in range(1, beta + 1):
+        diff = psi(i - 1, alpha + n) - psi(i - 1, alpha)
+        p.append((-1) ** (i - 1) * diff / math.factorial(i - 1))
+    e = [one]
+    for k in range(1, beta + 1):
+        e.append(fsum((-1) ** (i - 1) * p[i] * e[k - i] for i in range(1, k + 1)) / k)
+    return math.comb(n + alpha - 1, n) * math.factorial(beta) * e[beta]
+
+
+def highprec_coefficient(alpha: int, beta: int, n: int):
+    """[u^n] of (1-u)^(-alpha) log(1/(1-u))^beta as a 240-bit mpf.
+
+    The logarithm of the product in ``exact_coefficient`` gives the value as
+    C(n + alpha - 1, n) * beta! * e_beta, which ``_newton_coefficient``
+    builds from ``mp.psi`` differences, so the cost is O(beta^2) polygamma
+    and mpf operations whatever n is, plus the min(n, alpha - 1) factors of
+    the exact binomial.  So n itself is not budgeted, only
+    min(n, alpha - 1) <= 100000 (0.7 s at alpha = 100000; alpha = 10^6,
+    n = 10^7 took 47 s) and beta <= MAX_DERIVATIVE_ORDER.  Works with 32
+    guard bits and rounds to 240.  For n < beta the product has degree n, so
+    the coefficient is exactly 0; the identities would leave a rounding
+    residue there, so 0 is returned directly.  Kept apart from the exact
+    oracle, whose product tree costs seconds at n = 50000, so that each
+    checks the other.
+    """
+    import mpmath as mp
+    _check_polygamma_oracle(alpha, beta, n)
     if n < beta:
         return mp.mpf(0)
     with mp.workprec(_ORACLE_BITS + 32):
-        p = [None]
-        for i in range(1, beta + 1):
-            diff = mp.psi(i - 1, alpha + n) - mp.psi(i - 1, alpha)
-            p.append((-1) ** (i - 1) * diff / math.factorial(i - 1))
-        e = [mp.mpf(1)]
-        for k in range(1, beta + 1):
-            e.append(mp.fsum((-1) ** (i - 1) * p[i] * e[k - i] for i in range(1, k + 1)) / k)
-        value = math.comb(n + alpha - 1, n) * math.factorial(beta) * e[beta]
+        value = _newton_coefficient(mp.psi, mp.mpf(1), mp.fsum, alpha, beta, n)
     with mp.workprec(_ORACLE_BITS):
         return +value
+
+
+def _double_coefficient(alpha: int, beta: int, n: int) -> float:
+    """[u^n] of (1-u)^(-alpha) log(1/(1-u))^beta as a double, with no
+    mpmath: the identities of ``highprec_coefficient`` at _WORK_DPS digits
+    in ``decimal``, on ``_decimal_polygamma``, under the same budget; 0.0
+    for n < beta."""
+    _check_polygamma_oracle(alpha, beta, n)
+    if n < beta:
+        return 0.0
+    with decimal.localcontext(_DECIMAL):
+        return float(_newton_coefficient(_decimal_polygamma, decimal.Decimal(1), sum, alpha, beta, n))

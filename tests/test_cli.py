@@ -18,7 +18,7 @@ import pytest
 
 from momentlab import harmonic, quicksort_mean
 from momentlab.cli import main
-from momentlab.moments import QUICKSORT_PGF_MAX_N
+from momentlab.moments import QUICKSORT_PGF_MAX_N, exact_moment
 from momentlab.tables import Model, distribution_table
 
 
@@ -427,6 +427,21 @@ class TestCompare:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[1].split(",")[7] == "oracle"
 
+    @pytest.mark.parametrize("precision", ["double", "high"])
+    def test_cycles_oracle_answers_every_order_of_c_k(self, precision):
+        # the polygamma oracles take beta up to 16, past the exact oracle's 6
+        argv = ("compare", "--model", "cycles", "--n-grid", "201", "--precision", precision)
+        code, out, err = run_cli(*argv, "--s", "7")
+        assert code == 0, err
+        row = out.splitlines()[1].split(",")
+        assert row[7] == "oracle"
+        assert row[3] == format(float(exact_moment(Model.CYCLES, 201, 7)[0]), ".15g")
+        assert run_cli(*argv, "--s", "16")[0] == 0
+        code, out, err = run_cli(*argv, "--s", "17")
+        assert code == 3
+        assert out == ""
+        assert err == "resource limit: oracle budget is beta <= 16, got 17\n"
+
     @pytest.mark.parametrize(
         "model, sources",
         [
@@ -754,7 +769,8 @@ print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 
 class TestImports:
     """Every request is a fresh process, so numpy, mpmath and the process
-    pool are imported only on the routes that use them."""
+    pool are imported only on the routes that use them: mpmath only under
+    ``--precision high``."""
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -773,12 +789,23 @@ class TestImports:
                 id="moment-inversions-both",
             ),
             pytest.param(
-                ("transfer", "--alpha", "2", "--beta", "3", "--n", "500"), ["mpmath"], id="transfer"
+                ("transfer", "--alpha", "2", "--beta", "3", "--n", "500"), [], id="transfer"
+            ),
+            pytest.param(
+                ("transfer", "--alpha", "2", "--beta", "3", "--n", "500", "--precision", "high"),
+                ["mpmath"],
+                id="transfer-high",
             ),
             pytest.param(
                 ("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,5000"),
-                ["mpmath"],
+                [],
                 id="compare-cycles-oracle",
+            ),
+            pytest.param(
+                ("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,5000",
+                 "--precision", "high"),
+                ["mpmath"],
+                id="compare-cycles-oracle-high",
             ),
             pytest.param(
                 ("compare", "--model", "quicksort", "--s", "1", "--n-grid", "2000"),
@@ -795,7 +822,7 @@ class TestImports:
                 [],
                 id="compare-quicksort-pgf",
             ),
-            pytest.param(("verify",), ["mpmath"], id="verify"),
+            pytest.param(("verify",), [], id="verify"),
             pytest.param(
                 ("table", "--model", "quicksort", "--n", "30"), ["numpy"], id="table-quicksort"
             ),
@@ -919,7 +946,9 @@ SHIM_REQUESTS = {
     "distribution_table": ("table", "--model", "cycles", "--n", "5"),
     "exact_coefficient": TRANSFER_ARGV,
     "transfer_term": TRANSFER_ARGV,
-    "highprec_coefficient": ("compare", "--model", "cycles", "--s", "2", "--n-grid", "300"),
+    "highprec_coefficient": (
+        "compare", "--model", "cycles", "--s", "2", "--n-grid", "300", "--precision", "high"
+    ),
     "asymptotic_moment": (
         "moment", "--model", "inversions", "--n", "20", "--s", "2", "--mode", "asym"
     ),

@@ -1,8 +1,10 @@
 """tools/stdout_identity.py: exit codes and stdout of two checkouts compared
-over a benchmark's request lists."""
+over a benchmark's request lists or a file of requests."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "stdout_identity.py"
@@ -70,3 +72,63 @@ def test_changed_stub_is_caught(tmp_path, capsys):
     assert [line.split(": ")[1] for line in lines[:-1]] == [" ".join(a) for a in expected]
     assert all("exit 0 -> 2" in line for line in lines[:-1] if "inversions" in line)
     assert any("exit 0 -> 0" in line for line in lines[:-1])
+
+
+def test_argv_file_requests(tmp_path, capsys):
+    argv_file = tmp_path / "requests.txt"
+    argv_file.write_text(
+        "# a comment\n"
+        "transfer --alpha 2 --beta 1 --n 50\n"
+        "\n"
+        "  compare --model cycles   --s 2 --n-grid 300  \n"
+        "transfer --alpha 2 --beta 1 --n 50\n"  # a repeat runs once
+        "verify --format json\n"
+    )
+    assert stdout_identity.read_argv_file(argv_file) == [
+        ("transfer", "--alpha", "2", "--beta", "1", "--n", "50"),
+        ("compare", "--model", "cycles", "--s", "2", "--n-grid", "300"),
+        ("verify", "--format", "json"),
+    ]
+    parent = stub_checkout(tmp_path / "parent")
+    change = stub_checkout(tmp_path / "change", body='if "verify" in argv:\n    sys.exit(4)')
+    code = stdout_identity.main(["--parent", str(parent), "--change", str(change),
+                                 "--argv-file", str(argv_file)])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "differs: verify --format json: exit 0 -> 4, stdout 21 -> 0 bytes",
+        "requests.txt: 3 requests, 1 differ",
+    ]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [],
+        ["--workload", "tables"],
+        ["--argv-file", "requests.txt", "--seeds", "1"],
+    ],
+)
+def test_argv_file_or_workload(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        stdout_identity.main(["--parent", ".", "--change", ".", *args])
+    assert exc.value.code == 2
+    assert "--argv-file" in capsys.readouterr().err
+
+
+def test_checked_in_moments_list():
+    # requests the workload lists leave out: every transfer and compare of
+    # the list is outside three seeds' lists, which do hold both verify requests
+    argvs = stdout_identity.read_argv_file(ROOT / "tools" / "moments_outside_workloads.txt")
+    workload = set(stdout_identity.requests("moments", [1, 7, 2026]))
+    assert [a for a in argvs if a in workload] == [("verify", "--format", "csv"),
+                                                    ("verify", "--format", "json")]
+    transfers = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "transfer"]
+    assert {(o["alpha"], o["beta"], o["n"]) for o in transfers} == {
+        (str(a), str(b), str(n)) for a in (1, 7, 40, 171) for b in range(7) for n in (2, 1000, 100000)
+    }
+    assert {o.get("precision") for o in transfers} == {None, "high"}
+    assert any("order" in o for o in transfers)
+    compares = [a for a in argvs if a[0] == "compare"]
+    assert len(compares) == 12
+    assert {a[a.index("--precision") + 1] for a in compares} == {"double", "high"}

@@ -32,10 +32,27 @@ from momentlab.transfer import (
     MAX_DERIVATIVE_ORDER,
     ORACLE_MAX_N,
     ZETA_DIGITS,
+    _BERNOULLI,
+    _STIRLING_MIN_X,
+    _ck,
+    _decimal_polygamma,
+    _double_coefficient,
     _polygamma,
     _rising_product,
     _rising_sequential,
 )
+from momentlab.moments import exact_moment
+from momentlab.tables import Model
+
+
+def _decimal_polygamma_mpf(i, x):
+    return mp.mpf(str(_decimal_polygamma(i, x)))
+
+
+# The two routes to psi^(i)(x) at integer x: mpmath's, which the mpf record
+# and the high-precision oracle use, and the decimal one of the double record
+# and the double-precision oracle.  They share no arithmetic.
+POLYGAMMA_ROUTES = {"mpmath": _polygamma, "decimal": _decimal_polygamma_mpf}
 
 
 class TestEmbeddedConstants:
@@ -100,24 +117,73 @@ class TestGammaRecipDerivative:
         value = gamma_recip_derivative(alpha, k)
         assert value == pytest.approx(float(reference), rel=1e-8)
 
-    def test_polygamma_against_embedded_zeta(self):
+    @pytest.mark.parametrize("route", sorted(POLYGAMMA_ROUTES))
+    def test_polygamma_against_embedded_zeta(self, route):
         # psi(1) = -gamma and psi^(i)(1) = (-1)^(i+1) i! zeta(i+1), from the
         # tabulated digits, for every order C_k up to the cap needs
+        psi = POLYGAMMA_ROUTES[route]
         with mp.workdps(60):
-            assert abs(_polygamma(0, 1) + mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -50
+            assert abs(psi(0, 1) + mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -50
             for i in range(1, MAX_DERIVATIVE_ORDER):
                 expected = (-1) ** (i + 1) * mp.factorial(i) * mp.mpf(ZETA_DIGITS[i + 1])
-                assert abs(_polygamma(i, 1) / expected - 1) < mp.mpf(10) ** -50
+                assert abs(psi(i, 1) / expected - 1) < mp.mpf(10) ** -50
 
-    def test_polygamma_steps_by_reciprocal_powers(self):
+    @pytest.mark.parametrize("route", sorted(POLYGAMMA_ROUTES))
+    def test_polygamma_steps_by_reciprocal_powers(self, route):
         # psi^(i)(a + 1) - psi^(i)(a) = (-1)^i i! / a^(i+1), the terms the
         # finite sums at integer arguments add one at a time
+        psi = POLYGAMMA_ROUTES[route]
         with mp.workdps(60):
             for alpha in (1, 2, 3, 7, 30, 1000, 3_000_000):
                 for i in range(MAX_DERIVATIVE_ORDER):
-                    step = _polygamma(i, alpha + 1) - _polygamma(i, alpha)
+                    step = psi(i, alpha + 1) - psi(i, alpha)
                     expected = (-1) ** i * mp.factorial(i) / mp.mpf(alpha) ** (i + 1)
                     assert abs(step / expected - 1) < mp.mpf(10) ** -40
+
+    def test_decimal_polygamma_against_mpmath(self):
+        # the Stirling side carries all 60 digits; below it the 52 digits of
+        # the embedded constants lose what zeta(i+1) - H^(i+1)_(x-1) cancels,
+        # at worst about 23 digits at x = 63, i = 15
+        with mp.workdps(60):
+            for x in (*range(1, _STIRLING_MIN_X + 3), 1000, 3_000_000, 10**9, 2 * 10**77):
+                bound = mp.mpf(10) ** (-55 if x >= _STIRLING_MIN_X else -22)
+                for i in range(MAX_DERIVATIVE_ORDER):
+                    assert abs(_decimal_polygamma_mpf(i, x) / _polygamma(i, x) - 1) < bound, (i, x)
+
+    def test_bernoulli_table(self):
+        # sum_(j<=m) C(m+1, j) B_j = 0 for m >= 1, from B_0 = 1
+        b = [Fraction(1)]
+        for m in range(1, 2 * len(_BERNOULLI) + 1):
+            b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+        assert [Fraction(*entry) for entry in _BERNOULLI] == b[2::2]
+
+    def test_stirling_series_is_long_enough(self):
+        # the first omitted term of the series at the smallest x it serves is
+        # far below the 60 digits kept, for every polygamma order C_k needs
+        k, x = len(_BERNOULLI) + 1, _STIRLING_MIN_X
+        with mp.workdps(60):
+            for i in range(MAX_DERIVATIVE_ORDER):
+                omitted = abs(mp.bernoulli(2 * k)) * mp.factorial(2 * k + i - 1) / (
+                    mp.factorial(2 * k) * mp.mpf(x) ** (2 * k + i)
+                )
+                assert omitted < abs(_polygamma(i, x)) * mp.mpf(10) ** -64
+
+    @pytest.mark.parametrize(
+        "alphas",
+        [
+            pytest.param(range(1, 201), id="1-200"),
+            pytest.param(
+                [m * 10**e for e in range(3, 9) for m in (1, 3)] + [10**9, 123_457, 99_999_989],
+                id="1e3-1e9",
+            ),
+        ],
+    )
+    def test_decimal_and_mpmath_records_agree(self, alphas):
+        # the double record rounds the decimal recurrence, the mpf record
+        # carries the mpmath one; each double is the same
+        for alpha in alphas:
+            for k in range(MAX_DERIVATIVE_ORDER + 1):
+                assert gamma_recip_derivative(alpha, k) == float(_ck(alpha, k)), (alpha, k)
 
     def test_order_cap(self):
         gamma_recip_derivative(1, MAX_DERIVATIVE_ORDER)
@@ -352,11 +418,36 @@ class TestExactCoefficient:
             exact_coefficient(1, 1, 100_001)
         with pytest.raises(ValueError):
             exact_coefficient(0, 1, 10)
-        with pytest.raises(SeriesBudgetError):
-            highprec_coefficient(1, 7, 10)
-        # its exact binomial C(n + alpha - 1, n) takes min(n, alpha - 1) factors
-        with pytest.raises(SeriesBudgetError):
-            highprec_coefficient(ORACLE_MAX_N + 2, 1, ORACLE_MAX_N + 1)
+        # the polygamma oracles take O(beta) polygamma values, up to the
+        # orders C_k needs
+        for oracle in (highprec_coefficient, _double_coefficient):
+            with pytest.raises(SeriesBudgetError):
+                oracle(1, MAX_DERIVATIVE_ORDER + 1, 10)
+            # the exact binomial C(n + alpha - 1, n) takes min(n, alpha - 1) factors
+            with pytest.raises(SeriesBudgetError):
+                oracle(ORACLE_MAX_N + 2, 1, ORACLE_MAX_N + 1)
+            with pytest.raises(ValueError):
+                oracle(0, 1, 10)
+            assert oracle(1, MAX_DERIVATIVE_ORDER, MAX_DERIVATIVE_ORDER - 1) == 0
+
+    @pytest.mark.parametrize("n", [201, 1000, 4000])
+    @pytest.mark.parametrize("s", [7, MAX_DERIVATIVE_ORDER])
+    def test_polygamma_oracles_past_the_exact_budget(self, n, s):
+        # beta past the exact oracle's 6, checked against the cycles moment
+        # of the truncated rising product, which is the same coefficient
+        exact, _ = exact_moment(Model.CYCLES, n, s)
+        hp = highprec_coefficient(1, s, n)
+        with mp.workprec(320):
+            reference = mp.mpf(exact.numerator) / exact.denominator
+            assert abs(hp - reference) <= reference * mp.mpf(2) ** -240
+        assert _double_coefficient(1, s, n) == float(exact)
+
+    def test_double_oracle_is_the_rounded_highprec_oracle(self):
+        grid = [201, 202, 1000, 4567, 65_432, 100_001, 3 * 10**6, 2**40 + 3]
+        grid += [10**e + 7 for e in range(15, 78, 8)] + [2 * 10**77]
+        for n in grid:
+            for s in range(1, MAX_DERIVATIVE_ORDER + 1):
+                assert _double_coefficient(1, s, n) == float(highprec_coefficient(1, s, n)), (n, s)
 
     def test_highprec_has_no_n_budget(self):
         # its cost does not grow with n, so only the exact oracle caps n

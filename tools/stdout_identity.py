@@ -1,10 +1,13 @@
 """Check that two checkouts print the same bytes for a benchmark's requests.
 
     python3 tools/stdout_identity.py --parent DIR --change DIR --workload W --seeds 1,7,2026
+    python3 tools/stdout_identity.py --parent DIR --change DIR --argv-file PATH
 
 Builds the request lists that ``perfbench/run.py --seconds 30`` runs for each
 seed, from this repository's ``perfbench/workloads.py`` (imported, never
-changed), and runs every distinct request once in each checkout as a fresh
+changed), or reads the requests of ``PATH``: one per line, its words split on
+whitespace, with blank lines and lines starting with ``#`` skipped.  Runs
+every distinct request once in each checkout as a fresh
 ``python -m momentlab.cli`` process with ``DIR/src`` on the path.  Lists each
 request whose exit code or stdout bytes differ and exits 1 if any do, else 0.
 It runs none of the benchmark's measured code: no launcher, no limits, no
@@ -39,6 +42,12 @@ def requests(workload: str, seeds: list[int]) -> list[tuple]:
     return list(dict.fromkeys(argv for seed in seeds for argv in build(workload, seed, LIST_SECONDS)))
 
 
+def read_argv_file(path: Path) -> list[tuple]:
+    """The distinct requests of ``path``, in order of first use."""
+    lines = (line.strip() for line in path.read_text().splitlines())
+    return list(dict.fromkeys(tuple(line.split()) for line in lines if line and not line.startswith("#")))
+
+
 def run(root: Path, argv: tuple) -> tuple[int, bytes]:
     """Exit code and stdout of one request in the checkout at ``root``."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MOMENTLAB_")}
@@ -66,19 +75,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", required=True, help="tables, moments or montecarlo")
-    parser.add_argument("--seeds", required=True, help="comma-separated seeds, e.g. 1,7,2026")
+    parser.add_argument("--workload", help="tables, moments or montecarlo")
+    parser.add_argument("--seeds", help="comma-separated seeds, e.g. 1,7,2026")
+    parser.add_argument("--argv-file", type=Path, help="requests, one per line, instead of a workload")
     args = parser.parse_args(argv)
+    if args.argv_file is None and (args.workload is None or args.seeds is None):
+        parser.error("give --workload and --seeds, or --argv-file")
+    if args.argv_file is not None and (args.workload is not None or args.seeds is not None):
+        parser.error("--argv-file replaces --workload and --seeds")
     try:
-        seeds = [int(s) for s in args.seeds.split(",")]
-        argvs = requests(args.workload, seeds)
-    except ValueError as exc:
+        if args.argv_file is not None:
+            argvs, label = read_argv_file(args.argv_file), args.argv_file.name
+        else:
+            seeds = [int(s) for s in args.seeds.split(",")]
+            argvs, label = requests(args.workload, seeds), f"{args.workload} seeds {args.seeds}"
+    except (OSError, ValueError) as exc:
         parser.error(str(exc))
     found = differences(args.parent.resolve(), args.change.resolve(), argvs)
     for request, (code_a, out_a), (code_b, out_b) in found:
         print(f"differs: {' '.join(request)}: exit {code_a} -> {code_b}, "
               f"stdout {len(out_a)} -> {len(out_b)} bytes")
-    print(f"{args.workload} seeds {args.seeds}: {len(argvs)} requests, {len(found)} differ")
+    print(f"{label}: {len(argvs)} requests, {len(found)} differ")
     return 1 if found else 0
 
 
