@@ -62,6 +62,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 resource limit exceeded,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import ResourceLimitError, _first_use
@@ -448,6 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # read when a layer loads numpy: no BLAS routine runs, and idle threads cost CPU
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

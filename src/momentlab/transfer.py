@@ -48,8 +48,8 @@ are the binomials C(n + alpha + t - 1, n),
 
     [u^n] (1-u)^(-alpha) log(1/(1-u))^beta = beta! [t^beta] prod_{j<n} (alpha + j + t) / n!.
 
-The exact oracle expands the product with an integer product tree truncated
-at degree beta and normalises one ``Fraction`` at the end.  The
+The exact oracle expands the product by ``tables._rising``, loaded on its
+first call, and normalises one ``Fraction`` at the end.  The
 high-precision oracle takes the product's logarithm instead: its power sums
 in 1/(alpha + j) are differences of polygamma values, and Newton's
 identities turn them into the t^beta coefficient in O(beta^2) operations
@@ -58,7 +58,7 @@ only; the high-precision oracle budgets the min(n, alpha - 1) factors of
 its exact binomial C(n + alpha - 1, n) instead, and beta up to
 ``MAX_DERIVATIVE_ORDER``, where the exact oracle stops at
 ``ORACLE_MAX_BETA``.  The two are kept apart:
-the product tree's integers grow with n (at n = 50000 it takes seconds
+the product's integers grow with n (at n = 50000 it takes seconds
 where the polygamma route takes milliseconds), and sharing no arithmetic,
 each checks the other.
 
@@ -71,9 +71,7 @@ import collections
 import contextlib
 import decimal
 import functools
-import itertools
 import math
-import operator
 import sys
 from fractions import Fraction
 
@@ -136,8 +134,8 @@ MAX_DERIVATIVE_ORDER = 16
 # caps beta of the exact oracle only; the polygamma oracles, whose cost is
 # O(beta) polygamma values, take beta up to MAX_DERIVATIVE_ORDER (the 240-bit
 # one took 6-29 ms for beta = 7 and 16 at n = 201..10^9).  At the cap,
-# `transfer --alpha 3 --beta 6 --n 100000` took 12.6 s CPU and 38 MB (alpha 1:
-# 13.0 s, 38 MB) on a 2-core x86-64 box with Python 3.11, within a 30 s and
+# `transfer --alpha 3 --beta 6 --n 100000` took 9.4-11.1 s CPU and 19 MB (alpha 1:
+# 11.7-12.1 s, 19 MB) on a 2-core x86-64 box with Python 3.11, within a 30 s and
 # 1536 MiB request limit; the product tree and the final normalisation take
 # nearly all of it.
 ORACLE_MAX_N = 100_000
@@ -520,47 +518,21 @@ def _check_oracle_budget(alpha: int, beta: int, n: int, max_beta: int) -> None:
         raise SeriesBudgetError(f"oracle budget is beta <= {max_beta}, got {beta}")
 
 
-def _rising_sequential(lo: int, hi: int, top: int) -> list[int]:
-    """Coefficients of t^0..t^min(top, hi - lo) of (lo + t)...(hi - 1 + t),
-    truncated at degree ``top``: each factor maps poly[k] to
-    a poly[k] + poly[k - 1] in one pass of ``map``, so the loop runs in C."""
-    poly = [1]
-    for a in range(lo, hi):
-        nxt = [a * poly[0], *map(operator.add, map(operator.mul, poly[1:], itertools.repeat(a)), poly)]
-        if len(poly) <= top:
-            nxt.append(poly[-1])
-        poly = nxt
-    return poly
-
-
-def _rising_product(lo: int, hi: int, top: int) -> list[int]:
-    """``_rising_sequential(lo, hi, top)`` by a balanced product tree, truncated
-    at degree ``top``, whose leaves are runs of up to 32 factors."""
-    if hi - lo <= 32:
-        return _rising_sequential(lo, hi, top)
-    mid = (lo + hi) // 2
-    left, right = _rising_product(lo, mid, top), _rising_product(mid, hi, top)
-    out = [0] * min(len(left) + len(right) - 1, top + 1)
-    for i, x in enumerate(left):
-        for j in range(min(len(right), top + 1 - i)):
-            out[i + j] += x * right[j]
-    return out
-
-
 def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     """Exact [u^n] of (1-u)^(-alpha) * log(1/(1-u))^beta.
 
     Equals beta! * [t^beta] prod_{j<n} (alpha + j + t) / n!, the t-expansion
     of the binomial coefficient C(n + alpha + t - 1, n) of (1-u)^(-alpha-t).
-    The product is one integer polynomial product tree truncated at degree
-    beta, and the result is normalised once.  It shares no arithmetic with
+    The product is ``tables._rising(alpha, alpha + n, beta)``, truncated at
+    degree beta, and the result is normalised once.  It shares no arithmetic with
     the Gamma-derivative expansion it serves to check, nor with
     ``highprec_coefficient``.  Budgeted at n <= 100000, beta <= 6.
     """
     _check_oracle_budget(alpha, beta, n, ORACLE_MAX_BETA)
     if n > ORACLE_MAX_N:
         raise SeriesBudgetError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
-    poly = _rising_product(alpha, alpha + n, beta)
+    from .tables import _rising
+    poly = _rising(alpha, alpha + n, beta)
     coeff = poly[beta] if beta < len(poly) else 0
     return Fraction(math.factorial(beta) * coeff, math.factorial(n))
 

@@ -884,7 +884,10 @@ class TestLayerImports:
                 ("momentlab.cli", "table", "--model", "cycles", "--n", "5000"),
                 3, ["tables"], id="table-over-cap",
             ),
-            pytest.param(("momentlab.cli", *TRANSFER_ARGV), 0, ["transfer"], id="transfer"),
+            # the exact oracle's rising product is tables._rising
+            pytest.param(
+                ("momentlab.cli", *TRANSFER_ARGV), 0, ["tables", "transfer"], id="transfer"
+            ),
             pytest.param(
                 ("momentlab.cli", *SIMULATE_ARGV), 0, ["simulate", "tables"], id="simulate"
             ),
@@ -896,7 +899,7 @@ class TestLayerImports:
             pytest.param(
                 ("momentlab.cli", "moment", "--model", "cycles", "--n", "20", "--s", "2",
                  "--mode", "exact"),
-                0, ["moments", "tables", "transfer"], id="moment-cycles-exact",
+                0, ["moments", "tables"], id="moment-cycles-exact",
             ),
             pytest.param(
                 ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "2",
@@ -923,6 +926,31 @@ class TestLayerImports:
         assert got_code == code
         assert got_layers == [f"momentlab.{name}" for name in layers]
         assert not dataclasses_loaded
+
+
+BLAS_PROBE = """
+import os, sys
+from momentlab.cli import main
+code = main(sys.argv[1:])
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+class TestBlasThreads:
+    """``main`` asks OpenBLAS for one thread before a layer loads numpy,
+    unless the caller chose a number."""
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+    def test_one_thread_unless_set(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE, "table", "--model", "quicksort", "--n", "5"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {expected}"
 
 
 REPLAY = Path(__file__).resolve().parent.parent / "perfbench" / "replay.py"

@@ -246,6 +246,11 @@ class TestExactMoment:
             orders = range(n + 3) if n <= 60 else [*range(PGF_MAX_S + 1), 7, 10, 50, n, n + 1]
             for s in orders:
                 assert exact_moment(Model.CYCLES, n, s) == (factorial_moment(table, s), "pgf"), (n, s)
+        # at n = 1200 the product tree splits for every s <= 8, while the row
+        # is built by the loop alone
+        table = cycle_counts(1200)
+        for s in range(9):
+            assert exact_moment(Model.CYCLES, 1200, s) == (factorial_moment(table, s), "pgf"), s
 
     @pytest.mark.parametrize(
         "n, s, digest",
@@ -261,15 +266,16 @@ class TestExactMoment:
         assert hashlib.sha256(str(value).encode()).hexdigest() == digest
 
     def test_cycles_mass_guard(self, monkeypatch):
-        from momentlab import transfer
+        from momentlab import moments
 
-        product = transfer._rising_sequential
+        product = moments._rising
 
         def corrupted(lo, hi, top):
             poly = product(lo, hi, top)
             return [poly[0] - 1] + poly[1:]
 
-        monkeypatch.setattr(transfer, "_rising_sequential", corrupted)
+        # patched where the moment looks it up: moments binds tables._rising
+        monkeypatch.setattr(moments, "_rising", corrupted)
         with pytest.raises(ValueError, match="mass"):
             exact_moment(Model.CYCLES, 12, 8)
 

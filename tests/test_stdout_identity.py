@@ -130,5 +130,19 @@ def test_checked_in_moments_list():
     assert {o.get("precision") for o in transfers} == {None, "high"}
     assert any("order" in o for o in transfers)
     compares = [a for a in argvs if a[0] == "compare"]
-    assert len(compares) == 12
-    assert {a[a.index("--precision") + 1] for a in compares} == {"double", "high"}
+    oracle = [a for a in compares if "--precision" in a]
+    assert len(oracle) == 12
+    assert {a[a.index("--precision") + 1] for a in oracle} == {"double", "high"}
+    # the truncated rising product, by its tree and by its loop
+    assert [a for a in compares if a not in oracle] == [
+        ("compare", "--model", "cycles", "--s", "6", "--n-grid", "60,150,200")
+    ]
+    moments = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "moment"]
+    assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments} == {
+        *((str(n), str(s), f) for n in (1200, 3500, 4000) for s in range(1, 8) for f in ("csv", "json")),
+        ("1500", "300", "csv"),
+    }
+    assert all((o["model"], o["mode"]) == ("cycles", "exact") for o in moments)
+    tables = [a for a in argvs if a[0] == "table"]
+    assert tables == [("table", "--model", "cycles", "--n", "1500"),
+                      ("table", "--model", "cycles", "--n", "1500", "--format", "json")]

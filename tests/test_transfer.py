@@ -38,11 +38,10 @@ from momentlab.transfer import (
     _decimal_polygamma,
     _double_coefficient,
     _polygamma,
-    _rising_product,
-    _rising_sequential,
 )
+from momentlab import tables
 from momentlab.moments import exact_moment
-from momentlab.tables import Model
+from momentlab.tables import Model, _rising, _rising_rows
 
 
 def _decimal_polygamma_mpf(i, x):
@@ -324,20 +323,59 @@ def convolution_series(alpha: int, beta: int, n: int) -> list[Fraction]:
     return series
 
 
+# the most factors a node of the product tree multiplies by the loop at top = 6
+_LEAF_6 = max(tables._RISING_LEAF, tables._RISING_LEAF_PER_TOP2 * 6 * 6)
+
+
+def check_rising(length, tops):
+    """``_rising_rows`` and ``_rising`` against (lo + t)...(hi - 1 + t)
+    multiplied out term by term, for lo in 0, 1, 2, 7 and each top."""
+    for lo in (0, 1, 2, 7):
+        hi = lo + length
+        prefixes = [[1]]
+        for a in range(lo, hi):  # times a + t, truncated at the largest top
+            poly = prefixes[-1]
+            poly = [x + y for x, y in zip([a * c for c in poly] + [0], [0] + poly)]
+            prefixes.append(poly[: max(tops) + 1])
+        for top in tops:
+            expected = [poly[: top + 1] for poly in prefixes]
+            assert list(_rising_rows(lo, hi, top)) == expected, (lo, hi, top)
+            assert _rising(lo, hi, top) == expected[-1], (lo, hi, top)
+
+
 class TestRisingProduct:
+    """``tables._rising``, the product tree, and ``tables._rising_rows``, the
+    sequential loop, behind cycles rows, cycles moments and ``exact_coefficient``."""
+
     @pytest.mark.parametrize("length", [0, 1, 5, 31, 32, 33, 64, 65, 150])
     def test_tree_and_sequential_agree(self, length):
-        # the tree multiplies runs of up to 32 factors by the sequential loop
-        # and the runs' products pairwise, so past 32 factors their paths part
-        for lo in (1, 2, 7):
-            hi = lo + length
-            poly = [1]
-            for a in range(lo, hi):  # (lo + t)...(hi - 1 + t) in full
-                poly = [x + y for x, y in zip([a * c for c in poly] + [0], [0] + poly)]
-            for top in sorted({0, 1, 6, 40, max(length - 1, 0), length, 200}):
-                expected = poly[: top + 1]
-                assert _rising_sequential(lo, hi, top) == expected, (lo, hi, top)
-                assert _rising_product(lo, hi, top) == expected, (lo, hi, top)
+        # around the 32-factor leaf at small top, and top at or past the degree
+        check_rising(length, sorted({0, 1, 6, 40, max(length - 1, 0), length, length + 1, 200}))
+
+    @pytest.mark.parametrize("length", [_LEAF_6 - 1, _LEAF_6, _LEAF_6 + 1, 2 * _LEAF_6 + 1])
+    def test_around_the_top_squared_leaf(self, length):
+        check_rising(length, [6])
+
+    @pytest.mark.parametrize(
+        "top, length, nodes",
+        [
+            (1, 32, 1), (1, 33, 3), (1, 65, 5),
+            (6, _LEAF_6, 1), (6, _LEAF_6 + 1, 3), (6, 2 * _LEAF_6 + 1, 5),
+            (40, 40, 1), (40, 200, 1),
+        ],
+    )
+    def test_split_rule(self, monkeypatch, top, length, nodes):
+        # a node splits only while it holds more than max(32, c top^2) factors
+        calls = []
+        original = tables._rising
+
+        def counted(lo, hi, top):
+            calls.append(hi - lo)
+            return original(lo, hi, top)
+
+        monkeypatch.setattr(tables, "_rising", counted)
+        tables._rising(3, 3 + length, top)
+        assert len(calls) == nodes, calls
 
 
 class TestExactCoefficient:
