@@ -7,8 +7,11 @@ Every public name is imported from its submodule on first use (PEP 562),
 not when the package is: every CLI request is a fresh process that
 compiles the modules it imports, and most requests need only one or two
 of the five submodules (tables, moments, transfer, expansions, simulate).
+``Model`` and ``ResourceLimitError`` are the package's own names, defined
+here, so parsing a model and catching a resource guard load no submodule.
 """
 
+import enum
 import importlib
 
 __version__ = "0.1.0"
@@ -18,7 +21,6 @@ _EXPORTS = {
     "tables": (
         "DEFAULT_ROW_LIMITS",
         "DistributionTable",
-        "Model",
         "RowLimitError",
         "cycle_counts",
         "distribution_table",
@@ -70,7 +72,18 @@ _EXPORTS = {
     ),
 }
 
-__all__ = [name for names in _EXPORTS.values() for name in names] + ["ResourceLimitError", "__version__"]
+__all__ = [name for names in _EXPORTS.values() for name in names] + ["Model", "ResourceLimitError", "__version__"]
+
+
+class Model(enum.Enum):
+    """The three cost statistics this package analyzes."""
+
+    CYCLES = "cycles"
+    INVERSIONS = "inversions"
+    QUICKSORT = "quicksort"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 class ResourceLimitError(RuntimeError):

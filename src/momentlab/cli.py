@@ -44,8 +44,11 @@ The layers' names (``distribution_table``, ``exact_moment``,
 ``__getattr__``, and the handlers call them through the module object.
 Every request is a fresh process that compiles each module it imports, so
 a request loads only the submodules its route runs: ``table`` only
-``tables``, ``transfer`` only ``transfer``.  A function set on this module
-from outside, such as a wrapper that times a layer, is the one that runs.
+``tables``, ``simulate`` only ``simulate``, ``transfer`` ``transfer`` and
+the ``tables`` whose rising product its exact oracle expands.  ``Model``
+is the package root's own, so parsing loads no layer.  A function set on
+this module from outside, such as a wrapper that times a layer, is the one
+that runs.
 
 Conventions: natural logarithms everywhere (the gamma-constant corrections
 only hold for ln); CSV has a header row, counts as exact decimal integers,
@@ -65,15 +68,12 @@ import argparse
 import os
 import sys
 
-from . import ResourceLimitError, _first_use
-
-# The values of tables.Model, spelled out so that parsing loads no layer.
-MODELS = ("cycles", "inversions", "quicksort")
+from . import Model, ResourceLimitError, _first_use
 
 __getattr__ = _first_use(
     globals(),
     {
-        "tables": ("Model", "distribution_table"),
+        "tables": ("distribution_table",),
         # factorial_moment and quicksort_mean are not called here; perfbench's
         # traced replay wraps them under these names
         "moments": ("exact_moment", "factorial_moment", "quicksort_mean"),
@@ -105,12 +105,6 @@ CROSSCHECK_MAX_S = 10
 _CYCLES_EXACT_MAX_N = 200
 
 
-class CommandError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _fmt_exact(value) -> str:
     from fractions import Fraction
 
@@ -132,7 +126,7 @@ def compare_rows(
     """
     rows = []
     for n in grid:
-        if model is _layers.Model.CYCLES and n > _CYCLES_EXACT_MAX_N:
+        if model is Model.CYCLES and n > _CYCLES_EXACT_MAX_N:
             # the moment series of cycles is exactly a log-power series
             oracle = _layers.highprec_coefficient if high_precision else _layers._double_coefficient
             exact, source = oracle(1, s, n), "oracle"
@@ -206,7 +200,7 @@ def _emit(args, record: dict, columns: tuple[str, ...], rows: str | None = None)
 # ---------------------------------------------------------------------------
 
 def _cmd_table(args) -> int:
-    table = _layers.distribution_table(_layers.Model(args.model), args.n)
+    table = _layers.distribution_table(Model(args.model), args.n)
     if args.format == "csv":
         # the fields are plain digits, which csv.writer never quotes, so these
         # are its bytes; every line is built before the first is written, so a
@@ -220,11 +214,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    model = _layers.Model(args.model)
+    model = Model(args.model)
     want_exact = args.mode in ("exact", "both")
     want_asym = args.mode in ("asym", "both")
     if want_asym and (args.n < 2 or args.s < 1):
-        raise CommandError(2, "asymptotic moments require --n >= 2 and --s >= 1")
+        raise ValueError("asymptotic moments require --n >= 2 and --s >= 1")
     exact = _layers.exact_moment(model, args.n, args.s)[0] if want_exact else None
     asym = _layers.asymptotic_moment(model, args.n, args.s) if want_asym else None
     record = {
@@ -243,11 +237,11 @@ def _cmd_transfer(args) -> int:
     from fractions import Fraction
 
     if args.alpha < 1 or args.beta < 0:
-        raise CommandError(2, "--alpha must be >= 1 and --beta >= 0")
+        raise ValueError("--alpha must be >= 1 and --beta >= 0")
     if args.n < 2:
-        raise CommandError(2, "--n must be >= 2")
+        raise ValueError("--n must be >= 2")
     if args.order is not None and args.order < 0:
-        raise CommandError(2, "--order must be nonnegative")
+        raise ValueError("--order must be nonnegative")
     high_precision = args.precision == "high"
     _layers.check_double_range(args.alpha, args.beta, args.n, high_precision=high_precision)
     term = _layers.LogPowerTerm(Fraction(1), args.alpha, args.beta)
@@ -278,13 +272,13 @@ def _cmd_transfer(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.trials < 2:
-        raise CommandError(2, "--trials must be at least 2")
+        raise ValueError("--trials must be at least 2")
     if args.seed < 0 or args.seed >= 1 << 64:
-        raise CommandError(2, "--seed must be a 64-bit unsigned integer")
+        raise ValueError("--seed must be a 64-bit unsigned integer")
     if args.threads < 1:
-        raise CommandError(2, "--threads must be positive")
+        raise ValueError("--threads must be positive")
     est = _layers.estimate_factorial_moment(
-        _layers.Model(args.model), args.n, args.s, args.trials, args.seed, threads=args.threads
+        Model(args.model), args.n, args.s, args.trials, args.seed, threads=args.threads
     )
     record = {
         "model": args.model,
@@ -303,20 +297,20 @@ def _parse_grid(spec: str) -> list[int]:
     try:
         grid = [int(part) for part in spec.split(",") if part.strip() != ""]
     except ValueError:
-        raise CommandError(2, f"--n-grid must be comma-separated integers, got {spec!r}")
+        raise ValueError(f"--n-grid must be comma-separated integers, got {spec!r}") from None
     if not grid:
-        raise CommandError(2, "--n-grid is empty")
+        raise ValueError("--n-grid is empty")
     if any(n < 2 for n in grid):
-        raise CommandError(2, "--n-grid entries must be >= 2")
+        raise ValueError("--n-grid entries must be >= 2")
     return grid
 
 
 def _cmd_compare(args) -> int:
     if args.s < 1:
-        raise CommandError(2, "--s must be >= 1")
+        raise ValueError("--s must be >= 1")
     grid = _parse_grid(args.n_grid)
     rows = compare_rows(
-        _layers.Model(args.model), args.s, grid, high_precision=args.precision == "high"
+        Model(args.model), args.s, grid, high_precision=args.precision == "high"
     )
     columns = ("model", "s", "n", "exact", "asym", "abs_err", "rel_err", "source")
     _emit(args, {"model": args.model, "s": args.s, "rows": rows}, columns, "rows")
@@ -326,7 +320,7 @@ def _cmd_compare(args) -> int:
 def _cmd_verify(args) -> int:
     rows = []
     failures = 0
-    for model in _layers.Model:
+    for model in Model:
         for s in range(1, CROSSCHECK_MAX_S + 1):
             check = _layers.coefficient_crosscheck(model, s)
             for which, scale, pair, err in (
@@ -366,7 +360,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--model", choices=MODELS, required=True,
+        "--model", choices=[m.value for m in Model], required=True,
         help="which cost statistic",
     )
 
@@ -455,9 +449,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

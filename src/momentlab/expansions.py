@@ -30,7 +30,7 @@ import collections
 import math
 from fractions import Fraction
 
-from .tables import Model
+from . import Model
 from .transfer import (
     EULER_GAMMA,
     LogPowerTerm,

@@ -26,9 +26,9 @@ from collections.abc import Sequence
 from fractions import Fraction
 from operator import mul
 
+from . import Model
 from .tables import (
     DistributionTable,
-    Model,
     ROW_LIMIT_ENV,
     RowLimitError,
     _rising,

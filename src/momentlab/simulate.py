@@ -27,18 +27,22 @@ words from the same streams as the scalar ``random_permutation``,
 ``count_cycles``, ``count_inversions`` and ``quicksort_comparisons``, which
 stay as the per-sample API and the tests' reference.
 
+Every batch route follows one rejection policy.  ``randbelow(bound)``
+rejects a word only when it is below 2^64 mod bound, which is less than
+bound, so the batch takes every draw as word mod bound and marks each
+trial where some word is below its bound (for a shuffle, a share below
+n^2 / 2^65 of the trials).  After the block, each marked trial is computed
+again on its own, exactly as its stream draws.
+
 The descending Fisher-Yates shuffle draws its words in a fixed order: word
 t (t = 1..n-1) of a trial serves pos = n - t and gives
-j = word mod (pos + 1).  ``randbelow`` rejects a word only when it is below
-2^64 mod (pos + 1), which is less than pos + 1, so for every lane whose
-words are all at least their bound (all but a share below n^2 / 2^65) the
-draws are one vectorised (words x lanes) mix, ``_shuffle_draws``.  A lane
-with some word below its bound is drawn again on its own, exactly as the
-stream does, by ``_lane_draws``, which applies the rejection rule to a
-chunk of words at a time: cycles are counted from its draws by
-``_lane_cycles``, and inversions shuffled by ``_lane_permutation`` into an
-int32 array.  The draws are mixed at most ``_COUNT_CHUNK`` = 2^16 words at
-a time, so no temporary grows with the block.
+j = word mod (pos + 1), so a block's draws are one vectorised (words x
+lanes) mix, ``_shuffle_draws``.  A marked lane is drawn again by
+``_lane_draws``, which applies the rejection rule to a chunk of words at a
+time: cycles are counted from its draws by ``_lane_cycles``, and
+inversions shuffled by ``_lane_permutation`` into an int32 array.  The
+draws are mixed at most ``_COUNT_CHUNK`` = 2^16 words at a time, so no
+temporary grows with the block.
 
 - cycles: the shuffle closes a cycle exactly when step pos draws j = pos,
   so count_cycles = 1 + #{pos : j = pos} and no permutation is built (the
@@ -68,7 +72,8 @@ a time, so no temporary grows with the block.
   is refused before any work.
 - quicksort: ``_quicksort_batch`` runs blocks of 4096 trials in lockstep,
   one stack of subproblem sizes per trial; its draw order follows its
-  stack, so its words cannot be drawn ahead.  The lockstep spreads numpy's
+  stack, so its words cannot be drawn ahead.  A marked trial is run again
+  by the scalar ``quicksort_comparisons``.  The lockstep spreads numpy's
   per-call cost over the live trials, about 30 us per step, so a block of
   fewer than ``_LOCKSTEP_MIN_TRIALS`` = 30 trials runs the scalar loop,
   which draws the same words.
@@ -80,7 +85,9 @@ any work; the measurements behind the cap are next to it.
 
 numpy and the process pool are imported inside the functions that use
 them, not at module level, so importing this module for its scalar
-counters loads neither.
+counters loads neither.  The module loads no other layer, as ``Model``
+comes from the package root, and no ``fractions``: the mean and standard
+error are the exact sums' quotients, each rounded once by int / int.
 """
 
 from __future__ import annotations
@@ -88,11 +95,9 @@ from __future__ import annotations
 import collections
 import math
 import os
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import ResourceLimitError
-from .tables import Model
+from . import Model, ResourceLimitError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -246,29 +251,6 @@ def _stream_states(seed: int, start: int, stop: int) -> np.ndarray:
     import numpy as np
     idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
     return _mix64_np(np.uint64(seed) + idx * np.uint64(_GOLDEN))
-
-
-def _randbelow_batch(state: np.ndarray, bound) -> np.ndarray:
-    """``TrialStream.randbelow`` run once on every lane, as uint64.
-
-    ``state`` holds each lane's stream state and is advanced in place by
-    the words drawn.  ``bound`` is a uint64 scalar or one uint64 bound per
-    lane.  The rejection threshold 2^64 mod bound is below the bound, so it
-    is only computed, in uint64 as ((2^64 - 1) mod bound + 1) mod bound,
-    when some word is below the bound.
-    """
-    import numpy as np
-    golden = np.uint64(_GOLDEN)
-    state += golden
-    word = _mix64_np(state)
-    if (word < bound).any():
-        threshold = (np.uint64(_MASK64) % bound + np.uint64(1)) % bound
-        rejected = word < threshold
-        while rejected.any():
-            state[rejected] += golden
-            word[rejected] = _mix64_np(state[rejected])
-            rejected = word < threshold
-    return word % bound
 
 
 def _shuffle_draws(base: np.ndarray, n: int, first: int, last: int):
@@ -463,17 +445,21 @@ def _quicksort_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     """``quicksort_comparisons`` of trials start..stop-1, in lockstep.
 
     Every trial keeps its own stack of subproblem sizes; each step pops one
-    size per live trial and draws its pivot rank with that trial's stream,
-    in the scalar order.  Sizes below 2 are never pushed: the scalar code
-    pops them without drawing, so skipping them keeps every word in place.
-    Finished trials are dropped from the lanes, which stay contiguous.
+    size per live trial and draws its pivot rank, word mod size, from the
+    next word of that trial's stream, in the scalar order.  Sizes below 2
+    are never pushed: the scalar code pops them without drawing, so
+    skipping them keeps every word in place.  Finished trials are dropped
+    from the lanes, which stay contiguous.  A trial where some word is below
+    its size, and may have been rejected, is run again by the scalar
+    ``quicksort_comparisons``.
     """
     import numpy as np
     result = np.zeros(stop - start, dtype=np.int64)
     if n < 2:
         return result
-    one, two = np.uint64(1), np.uint64(2)
+    one, two, golden = np.uint64(1), np.uint64(2), np.uint64(_GOLDEN)
     lane = np.arange(stop - start)
+    suspect = np.zeros(lane.size, dtype=bool)
     state = _stream_states(seed, start, stop)
     total = np.zeros(lane.size, dtype=np.uint64)
     stack = np.full((lane.size, _STACK_COLUMNS), n, dtype=np.uint64)
@@ -484,7 +470,10 @@ def _quicksort_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
         size = stack[rows, depth]
         rest = size - one
         total += rest
-        rank = _randbelow_batch(state, size)
+        state += golden
+        word = _mix64_np(state)
+        suspect[lane[word < size]] = True
+        rank = word % size
         if depth.max() + 2 > stack.shape[1]:
             stack = np.concatenate([stack, np.zeros_like(stack)], axis=1)
         # write both parts, keeping each only if it is at least 2
@@ -501,6 +490,8 @@ def _quicksort_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
                 part[live] for part in (lane, state, total, stack, depth)
             )
             rows = np.arange(lane.size)
+    for i in np.flatnonzero(suspect).tolist():
+        result[i] = quicksort_comparisons(n, TrialStream(seed, start + i))
     return result
 
 
@@ -753,9 +744,8 @@ def estimate_factorial_moment(
             parts = list(pool.map(_range_worker, ranges))
         total = sum(p[0] for p in parts)
         total_sq = sum(p[1] for p in parts)
-    mean = float(Fraction(total, trials))
+    # int / int is the exact quotient rounded once to a double
+    mean = total / trials
     variance_num = trials * total_sq - total * total  # >= 0 (Cauchy-Schwarz)
-    stderr = math.sqrt(
-        float(Fraction(variance_num, trials * trials * (trials - 1)))
-    )
+    stderr = math.sqrt(variance_num / (trials * trials * (trials - 1)))
     return MomentEstimate(s, n, trials, mean, stderr, seed)

@@ -37,13 +37,14 @@ explicitly, and every row sums to n! exactly.
 
 numpy is imported inside the quicksort functions that use it, not at
 module level: every CLI request is a fresh process, and the cycles and
-inversions routes, like most requests, never need it.
+inversions routes, like most requests, never need it.  ``Model`` comes
+from the package root, so a layer that only names a model loads no row
+builder.
 """
 
 from __future__ import annotations
 
 import collections
-import enum
 import functools
 import itertools
 import math
@@ -51,7 +52,7 @@ import operator
 import os
 from typing import TYPE_CHECKING
 
-from . import ResourceLimitError
+from . import Model, ResourceLimitError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -103,17 +104,6 @@ DEFAULT_ROW_LIMITS = {
 }
 
 
-class Model(enum.Enum):
-    """The three cost statistics this package analyzes."""
-
-    CYCLES = "cycles"
-    INVERSIONS = "inversions"
-    QUICKSORT = "quicksort"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 class RowLimitError(ResourceLimitError):
     """Requested row exceeds the configured cap (resource guard, not math)."""
 
@@ -159,10 +149,10 @@ class DistributionTable(collections.namedtuple("DistributionTable", "model n cou
             raise ValueError("negative count")
 
 
-def _check_row_request(model: Model, n: int, limit: int | None) -> None:
+def _check_row_request(model: Model, n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    cap = row_limit(model) if limit is None else limit
+    cap = row_limit(model)
     if n > cap:
         raise RowLimitError(
             f"{model} row {n} exceeds the configured cap {cap}; "
@@ -496,30 +486,30 @@ def _rows(model: Model, n: int, every: bool):
     return list(_inversion_rows(n)) if every else collections.deque(_inversion_rows(n), maxlen=1)
 
 
-def cycle_counts(n: int, *, limit: int | None = None) -> DistributionTable:
+def cycle_counts(n: int) -> DistributionTable:
     """Exact row of cycle counts: counts[k] permutations of n with k cycles."""
-    return distribution_table(Model.CYCLES, n, limit=limit)
+    return distribution_table(Model.CYCLES, n)
 
 
-def inversion_counts(n: int, *, limit: int | None = None) -> DistributionTable:
+def inversion_counts(n: int) -> DistributionTable:
     """Exact row of inversion counts (palindromic, k = 0 .. n(n-1)/2)."""
-    return distribution_table(Model.INVERSIONS, n, limit=limit)
+    return distribution_table(Model.INVERSIONS, n)
 
 
-def quicksort_counts(n: int, *, limit: int | None = None) -> DistributionTable:
+def quicksort_counts(n: int) -> DistributionTable:
     """Exact row of quicksort comparison counts (k = 0 .. n(n-1)/2)."""
-    return distribution_table(Model.QUICKSORT, n, limit=limit)
+    return distribution_table(Model.QUICKSORT, n)
 
 
-def distribution_table(model: Model, n: int, *, limit: int | None = None) -> DistributionTable:
+def distribution_table(model: Model, n: int) -> DistributionTable:
     """Exact row n of the table for ``model``."""
-    _check_row_request(model, n, limit)
+    _check_row_request(model, n)
     (row,) = _rows(model, n, every=False)
     return DistributionTable(model, n, tuple(row))
 
 
-def distribution_tables(model: Model, n: int, *, limit: int | None = None) -> list[DistributionTable]:
+def distribution_tables(model: Model, n: int) -> list[DistributionTable]:
     """All rows 0..n in one bottom-up pass (cheaper than n separate calls)."""
-    _check_row_request(model, n, limit)
+    _check_row_request(model, n)
     rows = _rows(model, n, every=True)
     return [DistributionTable(model, m, tuple(row)) for m, row in enumerate(rows)]

@@ -860,6 +860,17 @@ layers = sorted(m for m in sys.modules if m.startswith("momentlab.") and m != "m
 print(json.dumps([code, layers, "dataclasses" in set(sys.modules) - before]))
 """
 
+# Runs one request in a fresh interpreter and prints its exit code and which of
+# fractions and decimal it loaded.
+EXACT_ARITHMETIC_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+import momentlab.cli
+with redirect_stdout(io.StringIO()):
+    code = momentlab.cli.main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("fractions", "decimal") if m in sys.modules]]))
+"""
+
 TRANSFER_ARGV = ("transfer", "--alpha", "2", "--beta", "1", "--n", "50")
 SIMULATE_ARGV = (
     "simulate", "--model", "cycles", "--n", "50", "--s", "2", "--trials", "100", "--seed", "1"
@@ -888,9 +899,8 @@ class TestLayerImports:
             pytest.param(
                 ("momentlab.cli", *TRANSFER_ARGV), 0, ["tables", "transfer"], id="transfer"
             ),
-            pytest.param(
-                ("momentlab.cli", *SIMULATE_ARGV), 0, ["simulate", "tables"], id="simulate"
-            ),
+            # Model is the package root's own, so naming one loads no tables
+            pytest.param(("momentlab.cli", *SIMULATE_ARGV), 0, ["simulate"], id="simulate"),
             pytest.param(
                 ("momentlab.cli", "moment", "--model", "inversions", "--n", "20", "--s", "2",
                  "--mode", "exact"),
@@ -904,7 +914,12 @@ class TestLayerImports:
             pytest.param(
                 ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "2",
                  "--mode", "asym"),
-                0, ["expansions", "tables", "transfer"], id="moment-asym",
+                0, ["expansions", "transfer"], id="moment-asym",
+            ),
+            pytest.param(
+                ("momentlab.cli", "compare", "--model", "cycles", "--s", "2", "--n-grid",
+                 "300,5000"),
+                0, ["expansions", "transfer"], id="compare-oracle",
             ),
             pytest.param(
                 ("momentlab.cli", "compare", "--model", "cycles", "--s", "2", "--n-grid",
@@ -926,6 +941,16 @@ class TestLayerImports:
         assert got_code == code
         assert got_layers == [f"momentlab.{name}" for name in layers]
         assert not dataclasses_loaded
+
+    @pytest.mark.parametrize("model", [m.value for m in Model])
+    def test_simulate_loads_no_exact_arithmetic(self, model):
+        # the mean and stderr are rounded from the exact sums by int / int
+        argv = ("simulate", "--model", model, *SIMULATE_ARGV[3:])
+        proc = subprocess.run(
+            [sys.executable, "-c", EXACT_ARITHMETIC_PROBE, *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, []]
 
 
 BLAS_PROBE = """
@@ -1026,10 +1051,22 @@ class TestReplayNames:
 
 
 class TestParser:
-    def test_model_choices_are_the_models(self):
-        from momentlab.cli import MODELS
+    def test_model_choices_are_the_models(self, capsys):
+        choices = ", ".join(repr(m.value) for m in Model)
+        assert choices == "'cycles', 'inversions', 'quicksort'"
+        for command in ("table", "moment", "simulate", "compare"):
+            with pytest.raises(SystemExit):
+                main([command, "--model", "heapsort"])
+            assert f"invalid choice: 'heapsort' (choose from {choices})\n" in capsys.readouterr().err
 
-        assert list(MODELS) == [m.value for m in Model]
+    def test_model_is_the_packages_own(self):
+        import momentlab
+        from momentlab import cli, expansions, moments, simulate, tables
+
+        assert momentlab.Model.__module__ == "momentlab"
+        assert "Model" in momentlab.__all__
+        for module in (cli, tables, moments, simulate, expansions):
+            assert module.Model is momentlab.Model
 
     def test_unknown_model_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -1049,3 +1086,40 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "45/2" in proc.stdout
+
+
+# The exit-2 route for arguments that parse but are out of range: one request
+# per message, and the one stderr line it prints.
+BAD_ARGUMENTS = [
+    pytest.param(("moment", "--model", "cycles", "--n", "1", "--s", "1", "--mode", "asym"),
+                 "asymptotic moments require --n >= 2 and --s >= 1", id="moment-asym"),
+    pytest.param(("transfer", "--alpha", "0", "--beta", "0", "--n", "10"),
+                 "--alpha must be >= 1 and --beta >= 0", id="transfer-alpha-beta"),
+    pytest.param(("transfer", "--alpha", "1", "--beta", "0", "--n", "1"),
+                 "--n must be >= 2", id="transfer-n"),
+    pytest.param(("transfer", "--alpha", "1", "--beta", "0", "--n", "9", "--order", "-1"),
+                 "--order must be nonnegative", id="transfer-order"),
+    pytest.param(("simulate", "--model", "cycles", "--n", "5", "--s", "1", "--trials", "1",
+                  "--seed", "0"),
+                 "--trials must be at least 2", id="simulate-trials"),
+    pytest.param(("simulate", "--model", "cycles", "--n", "5", "--s", "1", "--trials", "10",
+                  "--seed", str(1 << 64)),
+                 "--seed must be a 64-bit unsigned integer", id="simulate-seed"),
+    pytest.param(("simulate", "--model", "cycles", "--n", "5", "--s", "1", "--trials", "10",
+                  "--seed", "0", "--threads", "0"),
+                 "--threads must be positive", id="simulate-threads"),
+    pytest.param(("compare", "--model", "cycles", "--s", "0", "--n-grid", "10"),
+                 "--s must be >= 1", id="compare-s"),
+    pytest.param(("compare", "--model", "cycles", "--s", "1", "--n-grid", "10,x"),
+                 "--n-grid must be comma-separated integers, got '10,x'", id="grid-not-integers"),
+    pytest.param(("compare", "--model", "cycles", "--s", "1", "--n-grid", ",,"),
+                 "--n-grid is empty", id="grid-empty"),
+    pytest.param(("compare", "--model", "cycles", "--s", "1", "--n-grid", "1,10"),
+                 "--n-grid entries must be >= 2", id="grid-below-2"),
+]
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv, message", BAD_ARGUMENTS)
+    def test_exit_2_with_one_error_line(self, argv, message):
+        assert run_cli(*argv) == (2, "", f"error: {message}\n")

@@ -51,7 +51,6 @@ from momentlab.simulate import (
     _mix64,
     _permutation_batch,
     _quicksort_batch,
-    _randbelow_batch,
     _shuffle_draws,
     _stream_states,
     _trial_costs,
@@ -321,29 +320,6 @@ class TestBatchRoute:
             Model.QUICKSORT, 300, 3, 0, 40
         )
 
-    def test_bounded_draw_matches_randbelow_near_2_63(self):
-        # bounds just above 2^63 reject about half the words drawn
-        bounds = [2**63 + 1, 2**63 + 12345, 3 * 2**62, 2**64 - 1, 2**63, 6, 1]
-        lanes, seed = 70, 2**64 - 3
-        streams = [TrialStream(seed, i) for i in range(lanes)]
-        state = _stream_states(seed, 0, lanes)
-
-        def assert_same_words_drawn():
-            expected = [(r.base + r.counter * 0x9E3779B97F4A7C15) % 2**64 for r in streams]
-            assert state.tolist() == expected
-
-        for step in range(6):
-            bound = [bounds[(i + step) % len(bounds)] for i in range(lanes)]
-            drawn = _randbelow_batch(state, np.array(bound, dtype=np.uint64))
-            assert drawn.tolist() == [r.randbelow(b) for r, b in zip(streams, bound)]
-            assert_same_words_drawn()
-        scalar_bound = 2**63 + 7
-        drawn = _randbelow_batch(state, np.uint64(scalar_bound))
-        assert drawn.tolist() == [r.randbelow(scalar_bound) for r in streams]
-        assert_same_words_drawn()
-        # rejected words were redrawn: more words than draws
-        assert sum(r.counter for r in streams) > 7 * lanes
-
     # Values computed with the per-trial scalar counters before the batch route.
     GOLDEN = [
         (Model.CYCLES, 40, 2, 3000, 77, "0x1.0a2a53490b9afp+4", "0x1.004a9484fab29p-2"),
@@ -378,6 +354,20 @@ def unmix64(z):
     return _unxorshift(z, 30)
 
 
+class _BoundsStream(TrialStream):
+    """A trial stream that records (first word, bound) of each bounded draw."""
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, seed, index):
+        super().__init__(seed, index)
+        self.bounds = []
+
+    def randbelow(self, bound):
+        self.bounds.append((self.counter + 1, bound))
+        return super().randbelow(bound)
+
+
 class TestDrawMatrix:
     """The Fisher-Yates draws taken all at once, the Feller cycle count and
     the fallback of lanes whose words may have been rejected."""
@@ -405,6 +395,31 @@ class TestDrawMatrix:
         assert _permutation_batch(seed, n, 0, 8).tolist() == [
             random_permutation(n, trial_stream(seed, i)) for i in range(8)
         ]
+
+    @pytest.mark.parametrize(
+        "n,t,trial,accepted",
+        [
+            (10, 1, 3, False),
+            (64, 1, 0, True),  # bound 64 = 2^6: 2^64 mod 64 = 0 and the zero word stands
+            (64, 5, 9, True),  # bound 16
+            (64, 2, 7, False),
+            (30, 20, 17, False),
+            (200, 50, 1, False),
+            (1000, 300, 40, False),
+        ],
+    )
+    def test_rejected_quicksort_word_falls_back_to_scalar(self, n, t, trial, accepted):
+        # word t of the trial is mix64(0) = 0, below any bound it serves, so
+        # the lockstep marks the trial and the scalar loop runs it again
+        seed = (unmix64(-t * _GOLDEN & _MASK64) - (trial + 1) * _GOLDEN) & _MASK64
+        stream = _BoundsStream(seed, trial)
+        quicksort_comparisons(n, stream)
+        bound = dict(stream.bounds)[t]
+        assert ((1 << 64) % bound == 0) == accepted
+        assert stream.counter == len(stream.bounds) + (not accepted)
+        expected = scalar_costs(Model.QUICKSORT, n, seed, 1, 41)
+        assert _quicksort_batch(seed, n, 1, 41).tolist() == expected
+        assert batch_costs(Model.QUICKSORT, n, seed, 1, 41) == expected
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 1 << 16])
     @pytest.mark.parametrize("n,t,trial", [(10, 4, 3), (10, 1, 0), (10, 9, 2), (12, 5, 6)])

@@ -146,3 +146,24 @@ def test_checked_in_moments_list():
     tables = [a for a in argvs if a[0] == "table"]
     assert tables == [("table", "--model", "cycles", "--n", "1500"),
                       ("table", "--model", "cycles", "--n", "1500", "--format", "json")]
+
+
+def test_checked_in_simulate_list():
+    argvs = stdout_identity.read_argv_file(ROOT / "tools" / "simulate_outside_workloads.txt")
+    assert len(argvs) == 18
+    assert [a for a in argvs if "--help" in a] == [
+        (*command, "--help")
+        for command in ((), ("table",), ("moment",), ("transfer",), ("simulate",), ("compare",),
+                        ("verify",))
+    ]
+    simulations = [
+        stdout_identity._workloads().options(a)
+        for a in argvs if a[0] == "simulate" and "--help" not in a
+    ]
+    # quicksort blocks on both sides of the lockstep's threshold, and a tail block
+    quicksort = [o["trials"] for o in simulations if (o["model"], o["n"]) == ("quicksort", "2000")]
+    assert [int(t) for t in quicksort] == [29, 30, 31, 4096 + 31]
+    assert {o["model"] for o in simulations if o.get("threads") == "2"} == {
+        "cycles", "inversions", "quicksort"
+    }
+    assert {o["model"] for o in simulations} == {"cycles", "inversions", "quicksort", "heapsort"}

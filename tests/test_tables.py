@@ -24,6 +24,7 @@ from momentlab import (
     quicksort_counts,
     row_limit,
 )
+from momentlab.tables import ROW_LIMIT_ENV
 
 
 class TestExamples:
@@ -221,10 +222,11 @@ class TestQuicksortRoute:
         for row in rows:
             assert all(type(c) is int for c in row.counts)
 
-    def test_prime_coverage_limit(self):
+    def test_prime_coverage_limit(self, monkeypatch):
         # the primes p = 1 (mod 2^19) below 2^29 multiply to fewer bits than 1025!
+        monkeypatch.setenv(ROW_LIMIT_ENV, "1025")
         with pytest.raises(RowLimitError, match="2\\^29"):
-            quicksort_counts(1025, limit=1025)
+            quicksort_counts(1025)
 
 
 class TestLimits:
@@ -240,10 +242,11 @@ class TestLimits:
         with pytest.raises(RowLimitError):
             cycle_counts(5001)
 
-    def test_explicit_limit_argument(self):
+    def test_explicit_limit_argument(self, monkeypatch):
+        monkeypatch.setenv(ROW_LIMIT_ENV, "10")
         with pytest.raises(RowLimitError):
-            cycle_counts(11, limit=10)
-        assert cycle_counts(10, limit=10).n == 10
+            cycle_counts(11)
+        assert cycle_counts(10).n == 10
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "10")
