@@ -4,7 +4,9 @@ Subcommands
 -----------
 table     exact distribution row as k,count pairs (CSV) or a dense array (JSON)
 moment    exact and/or two-term asymptotic factorial moment at one size
-transfer  log-power coefficient estimate vs. the exact series oracle
+transfer  log-power coefficient estimate vs. the exact series oracle; a
+          report past the double range exits 3 before any work, and a
+          --precision high estimate below it exits 3 once computed
 simulate  Monte Carlo factorial moment with standard error (seeded, exact
           reproducibility independent of --threads); requests of more
           than 2^31 draws, (n - 1) x trials, and inversions requests
@@ -250,6 +252,11 @@ def _cmd_transfer(args) -> int:
     )
     oracle = _layers.exact_coefficient(args.alpha, args.beta, args.n)
     estimate_f = float(estimate)
+    if estimate_f == 0 and estimate != 0:
+        # a 60-digit estimate below the double range would print as a signed zero
+        raise FloatingPointError(
+            f"alpha={args.alpha}, beta={args.beta}, n={args.n} estimate rounds to zero in doubles"
+        )
     oracle_f = float(oracle)
     abs_err = abs(estimate_f - oracle_f)
     record = {
@@ -454,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OverflowError as exc:
         print(f"resource limit: result overflows the double range ({exc})", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"resource limit: result underflows the double range ({exc})", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"resource limit: out of memory ({exc})", file=sys.stderr)

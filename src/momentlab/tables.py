@@ -19,11 +19,17 @@ Every table row is exact, in arbitrary-precision integers:
                      The recurrence runs pointwise at the N-th roots of
                      unity modulo primes p = 1 (mod N) below 2^29, so 64
                      residue products sum below 2^64 and each sum of pair
-                     products is reduced once per 64 pairs.  Row n is zero
-                     below kmin(n), the fewest comparisons over all pivot
-                     choices, so N = 2^a 3^b need only cover its support,
-                     n(n-1)/2 - kmin(n) + 1 entries: the values then give
-                     the row modulo z^N - 1, one count per residue class.
+                     products is reduced once per 64 pairs.  It runs over
+                     one block of points at a time, about 8k residues
+                     (points x primes) per numpy call: a block holds rows
+                     0..n at its points, and only the wanted rows' values
+                     outlive it, so a single row holds one block and its
+                     own values, not every row at every point.  Row n is
+                     zero below kmin(n), the fewest comparisons over all
+                     pivot choices, so N = 2^a 3^b need only cover its
+                     support, n(n-1)/2 - kmin(n) + 1 entries: the values
+                     then give the row modulo z^N - 1, one count per
+                     residue class.
                      A mixed-radix inverse number-theoretic transform
                      recovers each row modulo every prime, and Garner's
                      Chinese remaindering rebuilds the counts (all in
@@ -75,14 +81,21 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 
 # Measured single-row builds at each cap, CPU time and peak RSS of the
 # process, on a 2-core x86-64 box with Python 3.11 and numpy 2.4: quicksort
-# `table --model quicksort --n 120` in 2.5-2.6 s and 122 MB (n = 70 in
-# 0.48-0.60 s and 37 MB), against 3.7 s and 136 MB (0.61-0.73 s and 43 MB)
+# `table --model quicksort --n 120` in 1.8-2.0 s and 41 MB (n = 70 in
+# 0.30-0.34 s and 31 MB), against 2.1-2.4 s and 122 MB (37 MB) when the
+# recurrence held rows 0..n at every point at once, and 3.7 s and 136 MB
 # with power-of-two transforms over the whole row length.
-# Above the quicksort cap, through MOMENTLAB_ROW_LIMIT, the PGF values of
-# _pgf_values grow as (n+1) x primes x N x 4 bytes.  _VALUES_BUDGET admits
-# n <= 188 (N = 17496, 40 primes, 505 MiB): `table --model quicksort --n
-# 188` took 22.7 s and 687 MB under a 1536 MiB address-space limit.  Row
-# 189 needs a 41st prime (519 MiB) and is refused at once.
+# Above the quicksort cap, through MOMENTLAB_ROW_LIMIT, _VALUES_BUDGET bounds
+# the residues held at once: one block of rows 0..n, the wanted rows at all
+# N points (4 bytes each) and the inverse transform's batch (_TRANSFORM_BYTES
+# each).  `table --model quicksort --n 188` takes 16.3-17.0 s and 98 MB
+# (22 s and 687 MB when it held rows 0..188 at every point).  A single row
+# passes the budget first at 382, by its transform: N = 73728 and 95 primes,
+# 519 MiB.  Row 381 (494 MiB) is admitted; its recurrence would run about
+# 9 minutes (814 blocks of 0.67 s), and its transform, digits and text peak
+# at 562 MB.  All rows (`distribution_tables`) pass it first at 173, by
+# their values: N = 15552 and 36 primes, 515 MiB; rows 0..172 took 28 s and
+# 613 MB in one process.
 # Inversions is the largest multiple of 50 whose `table --format csv`
 # request finished within 30 s CPU and 1536 MiB with the sliding-window
 # builder: 500 in 23.5-26 s and 239 MB, while 550 took 30.2 s and 305 MB
@@ -229,7 +242,9 @@ def _inversion_rows(n: int):
 _PRIME_BOUND = 1 << 29  # residue products stay below 2^58
 _PAIRS_PER_REDUCTION = 64  # 64 products below p^2 sum below 2^64
 _TRANSFORM_ELEMENTS = 1 << 21  # residues per inverse-transform batch
-_VALUES_BUDGET = 512 << 20  # bytes of PGF values held at once (see DEFAULT_ROW_LIMITS)
+_TRANSFORM_BYTES = 72  # peak bytes per residue of an inverse-transform batch
+_BLOCK_RESIDUES = 1 << 13  # residues per numpy call of the recurrence: width x primes
+_VALUES_BUDGET = 512 << 20  # bytes of residues held at once (see DEFAULT_ROW_LIMITS)
 
 
 def _is_prime(p: int) -> bool:
@@ -294,36 +309,47 @@ def _powers(bases: list[int], count: int, p: np.ndarray) -> np.ndarray:
     return out[:, :count]
 
 
-def _pgf_values(n: int, moduli, size: int) -> np.ndarray:
-    """P_0 .. P_n at the size-th roots of unity modulo each prime.
+def _pgf_values(n: int, moduli, size: int, first: int, width: int) -> np.ndarray:
+    """P_first .. P_n at the size-th roots of unity modulo each prime.
 
-    values[m, i, t] = P_m(w_i^t) mod p_i, shape (n+1, primes, size), stored
-    in 32 bits and multiplied in 64.  The recurrence pairs j with m+1-j,
-    whose products coincide.
+    values[m - first, i, t] = P_m(w_i^t) mod p_i, shape (n+1-first, primes,
+    size), stored in 32 bits and multiplied in 64.  The recurrence pairs j
+    with m+1-j, whose products coincide.  It is pointwise in t, so it runs
+    over blocks of ``width`` points: a block holds P_0 .. P_n there, and
+    only rows first .. n outlive it.
     """
     import numpy as np
     primes = [q for q, _ in moduli]
     p = np.array(primes, dtype=np.uint64)[:, None]
-    points = _powers([w for _, w in moduli], size, p)
-    values = np.empty((n + 1, len(primes), size), dtype=np.uint32)
-    values[0] = 1
-    shift = np.ones_like(points)  # z^(m-1) at every point
-    for m in range(1, n + 1):
-        acc = np.zeros_like(points)
-        half = m // 2
-        for lo in range(0, half, _PAIRS_PER_REDUCTION):
-            hi = min(lo + _PAIRS_PER_REDUCTION, half)
-            left, right = values[lo:hi], values[m - 1 - lo : m - 1 - hi : -1]
-            acc += np.einsum("jix,jix->ix", left, right, dtype=np.uint64) % p
-        acc *= 2
-        if m % 2:
-            middle = values[m // 2].astype(np.uint64)
-            acc += middle * middle % p
-        acc %= p
-        if m > 1:
-            shift = shift * points % p
-        inverse = np.array([pow(m, -1, q) for q in primes], dtype=np.uint64)[:, None]
-        values[m] = acc * shift % p * inverse % p
+    roots = [w for _, w in moduli]
+    steps = _powers(roots, min(width, size), p)  # w^t for t < width
+    inverses = np.array([[pow(m, -1, q) for q in primes] for m in range(1, n + 1)],
+                        dtype=np.uint64).reshape(n, len(primes), 1)
+    values = np.empty((n + 1 - first, len(primes), size), dtype=np.uint32)
+    buffer = np.empty((n + 1, len(primes), steps.shape[1]), dtype=np.uint32)
+    buffer[0] = 1
+    for start in range(0, size, width):
+        stop = min(start + width, size)
+        block = buffer[:, :, : stop - start]
+        offset = np.array([pow(w, start, q) for w, q in zip(roots, primes)], dtype=np.uint64)
+        points = steps[:, : stop - start] * offset[:, None] % p
+        shift = np.ones_like(points)  # z^(m-1) at every point
+        for m in range(1, n + 1):
+            acc = np.zeros_like(points)
+            half = m // 2
+            for lo in range(0, half, _PAIRS_PER_REDUCTION):
+                hi = min(lo + _PAIRS_PER_REDUCTION, half)
+                left, right = block[lo:hi], block[m - 1 - lo : m - 1 - hi : -1]
+                acc += np.einsum("jix,jix->ix", left, right, dtype=np.uint64) % p
+            acc *= 2
+            if m % 2:
+                middle = block[m // 2].astype(np.uint64)
+                acc += middle * middle % p
+            acc %= p
+            if m > 1:
+                shift = shift * points % p
+            block[m] = acc * shift % p * inverses[m - 1] % p
+        values[:, :, start:stop] = block[first:]
     return values
 
 
@@ -378,14 +404,16 @@ def _garner_digits(residues: np.ndarray, primes: list[int]) -> np.ndarray:
 def _from_digits(digits: np.ndarray, primes: list[int], slot: int) -> list[int]:
     """Python ints from Garner digits, shape (primes, count), by Horner's rule
     on one packed integer per digit level: ``slot``-byte fields, wide enough
-    for the product of the primes, so no field carries into the next."""
+    for the product of the primes, so no field carries into the next.  The
+    levels are packed one at a time into the same fields, whose bytes past
+    the first 4 stay zero."""
     import numpy as np
     count = digits.shape[1]
-    fields = np.zeros((len(primes), count, slot), dtype=np.uint8)
-    fields[:, :, :4] = digits.astype("<u4").view(np.uint8).reshape(len(primes), count, 4)
+    fields = np.zeros((count, slot), dtype=np.uint8)
     packed = 0
     for i in reversed(range(len(primes))):
-        packed = packed * primes[i] + int.from_bytes(fields[i].tobytes(), "little")
+        fields[:, :4] = digits[i].astype("<u4").view(np.uint8).reshape(count, 4)
+        packed = packed * primes[i] + int.from_bytes(fields.tobytes(), "little")
     raw = packed.to_bytes(count * slot, "little")
     return [int.from_bytes(raw[k : k + slot], "little") for k in range(0, count * slot, slot)]
 
@@ -438,43 +466,51 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
     kmin = _fewest_comparisons(n)
     divisors = [d for d in _smooth_numbers(size) if size % d == 0]
     moduli = _ntt_moduli(size, n)
-    held = (n + 1) * len(moduli) * size * 4  # the uint32 values of _pgf_values
-    if held > _VALUES_BUDGET:
-        raise RowLimitError(
-            f"quicksort row {n} would hold {held >> 20} MiB of residues, over the "
-            f"{_VALUES_BUDGET >> 20} MiB budget"
-        )
-    values = _pgf_values(n, moduli, size)
     primes = [q for q, _ in moduli]
-    wanted = range(n + 1) if every else [n]
+    first = 0 if every else n
+    width = max(1, _BLOCK_RESIDUES // len(primes))
     groups = collections.defaultdict(list)
-    for m in wanted:
-        width = _width(m, kmin[m])
-        groups[next(d for d in divisors if d >= width)].append(m)
-    rows = {}
+    for m in range(first, n + 1):
+        width_m = _width(m, kmin[m])
+        groups[next(d for d in divisors if d >= width_m)].append(m)
+    plans = []
     for length, members in groups.items():
         bound, count, product = math.factorial(max(members)), 0, 1
         while product <= bound:
             product *= primes[count]
             count += 1
+        batch = min(len(members), max(1, _TRANSFORM_ELEMENTS // (count * length)))
+        plans.append((length, members, count, product, batch))
+    block = (n + 1) * len(primes) * min(width, size)  # rows 0..n at one block of points
+    kept = (n + 1 - first) * len(primes) * size  # the wanted rows at every point
+    transform = max(batch * count * length for length, _, count, _, batch in plans)
+    held = 4 * (block + kept) + _TRANSFORM_BYTES * transform
+    if held > _VALUES_BUDGET:
+        raise RowLimitError(
+            f"quicksort row {n} would hold {held >> 20} MiB of residues, over the "
+            f"{_VALUES_BUDGET >> 20} MiB budget"
+        )
+    values = _pgf_values(n, moduli, size, first, width)
+    rows = {}
+    for length, members, count, product, batch in plans:
         group_primes = primes[:count]
         p = np.array(group_primes, dtype=np.uint64)[:, None]
         stride = size // length
         roots = [pow(w, -stride, q) for q, w in moduli[:count]]
         slot = (product.bit_length() + 7) // 8
-        batch = max(1, _TRANSFORM_ELEMENTS // (count * length))
         for lo in range(0, len(members), batch):
             chunk = members[lo : lo + batch]
             scale = np.array(
                 [[math.factorial(m) * pow(length, -1, q) % q for q in group_primes] for m in chunk],
                 dtype=np.uint64,
             )[:, :, None]
-            coefficients = _dft(values[chunk, :count, ::stride] * scale % p, roots, p)
+            scaled = values[[m - first for m in chunk], :count, ::stride] * scale % p
+            coefficients = _dft(scaled, roots, p)
             for m, residues in zip(chunk, coefficients):
                 support = np.arange(kmin[m], m * (m - 1) // 2 + 1) % length
                 digits = _garner_digits(residues.take(support, axis=1), group_primes)
                 rows[m] = [0] * kmin[m] + _from_digits(digits, group_primes, slot)
-    return [rows[m] for m in wanted]
+    return [rows[m] for m in range(first, n + 1)]
 
 
 def _rows(model: Model, n: int, every: bool):

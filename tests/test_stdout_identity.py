@@ -167,3 +167,14 @@ def test_checked_in_simulate_list():
         "cycles", "inversions", "quicksort"
     }
     assert {o["model"] for o in simulations} == {"cycles", "inversions", "quicksort", "heapsort"}
+
+
+def test_checked_in_tables_list():
+    argvs = stdout_identity.read_argv_file(ROOT / "tools" / "tables_outside_workloads.txt")
+    sizes = (0, 1, 2, 3, 4, 20, 39, 71, 90, 120)
+    assert argvs == [
+        *(("table", "--model", "quicksort", "--n", str(n), *fmt) for n in sizes
+          for fmt in ((), ("--format", "json"))),
+        ("table", "--model", "quicksort", "--n", "121"),
+    ]
+    assert not set(argvs) & set(stdout_identity.requests("tables", [1, 7, 2026]))

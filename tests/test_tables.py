@@ -3,6 +3,7 @@ structural invariants."""
 
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -222,6 +223,67 @@ class TestQuicksortRoute:
         for row in rows:
             assert all(type(c) is int for c in row.counts)
 
+    @pytest.mark.parametrize("width", [1, 5, 48, 100])
+    def test_blocked_values_match_direct_evaluation(self, width):
+        # N = 48 at n = 12: blocks of one point, of 5 with a ragged last block
+        # of 3, and one block holding every point (the unblocked recurrence)
+        n, size = 12, tables._transform_size(12)
+        assert size == 48
+        moduli = tables._ntt_moduli(size, n)
+        every = tables._pgf_values(n, moduli, size, 0, width)
+        assert every.shape == (n + 1, len(moduli), size)
+        assert (tables._pgf_values(n, moduli, size, n, width) == every[n:]).all()
+        assert (every == tables._pgf_values(n, moduli, size, 0, size)).all()
+        for m, row in enumerate(naive_quicksort_rows(n)):
+            for i, (q, w) in enumerate(moduli):
+                # P_m(z) = row_m(z) / m!, by Horner's rule at z = w^t
+                expected = []
+                for t in range(size):
+                    z, acc = pow(w, t, q), 0
+                    for c in reversed(row):
+                        acc = (acc * z + c) % q
+                    expected.append(acc * pow(math.factorial(m), -1, q) % q)
+                assert every[m, i].tolist() == expected
+
+    @pytest.mark.parametrize("width", [1, 7, 144, 1000])
+    def test_block_width_leaves_rows_unchanged(self, width, monkeypatch):
+        # N = 144 at n = 20; 7 leaves a ragged last block of 4 points
+        expected = naive_quicksort_rows(20)
+        monkeypatch.setattr(tables, "_BLOCK_RESIDUES", width * len(tables._ntt_moduli(144, 20)))
+        assert tables._transform_size(20) == 144
+        assert quicksort_counts(20).counts == expected[20]
+        assert [row.counts for row in distribution_tables(Model.QUICKSORT, 20)] == list(expected)
+
+    def test_single_row_holds_one_block(self):
+        # the whole-array recurrence held rows 0..70 at every point, 7.5 MB
+        # of residues, and peaked at 9 MiB; one block and row 70 take 3
+        quicksort_counts(70)  # caches the moduli
+        tracemalloc.start()
+        try:
+            quicksort_counts(70)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("every, edge", [(False, 381), (True, 172)])
+    def test_values_budget_edge(self, every, edge, monkeypatch):
+        # the budget counts one block of rows 0..n, the wanted rows at every
+        # point and the inverse transform's batch: a single row first passes
+        # it at 382, by its transform, and all rows at 173, by their values
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setenv(ROW_LIMIT_ENV, "1024")
+        monkeypatch.setattr(tables, "_pgf_values", admitted)
+        with pytest.raises(Admitted):
+            tables._quicksort_rows(edge, every)
+        with pytest.raises(RowLimitError, match="MiB budget"):
+            tables._quicksort_rows(edge + 1, every)
+
     def test_prime_coverage_limit(self, monkeypatch):
         # the primes p = 1 (mod 2^19) below 2^29 multiply to fewer bits than 1025!
         monkeypatch.setenv(ROW_LIMIT_ENV, "1025")
@@ -242,18 +304,13 @@ class TestLimits:
         with pytest.raises(RowLimitError):
             cycle_counts(5001)
 
-    def test_explicit_limit_argument(self, monkeypatch):
-        monkeypatch.setenv(ROW_LIMIT_ENV, "10")
-        with pytest.raises(RowLimitError):
-            cycle_counts(11)
-        assert cycle_counts(10).n == 10
-
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "10")
         assert row_limit(Model.CYCLES) == 10
         assert row_limit(Model.QUICKSORT) == 10
         with pytest.raises(RowLimitError):
             cycle_counts(11)
+        assert cycle_counts(10).n == 10
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "not-a-number")
         with pytest.raises(ValueError):
             row_limit(Model.CYCLES)
