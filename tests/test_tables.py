@@ -304,13 +304,18 @@ class TestLimits:
         with pytest.raises(RowLimitError):
             cycle_counts(5001)
 
+    def test_explicit_limit_argument(self, monkeypatch):
+        monkeypatch.setenv(ROW_LIMIT_ENV, "10")
+        with pytest.raises(RowLimitError):
+            cycle_counts(11)
+        assert cycle_counts(10).n == 10
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "10")
         assert row_limit(Model.CYCLES) == 10
         assert row_limit(Model.QUICKSORT) == 10
         with pytest.raises(RowLimitError):
             cycle_counts(11)
-        assert cycle_counts(10).n == 10
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "not-a-number")
         with pytest.raises(ValueError):
             row_limit(Model.CYCLES)
