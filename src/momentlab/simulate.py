@@ -40,9 +40,11 @@ j = word mod (pos + 1), so a block's draws are one vectorised (words x
 lanes) mix, ``_shuffle_draws``.  A marked lane is drawn again by
 ``_lane_draws``, which applies the rejection rule to a chunk of words at a
 time: cycles are counted from its draws by ``_lane_cycles``, and
-inversions shuffled by ``_lane_permutation`` into an int32 array.  The
-draws are mixed at most ``_COUNT_CHUNK`` = 2^16 words at a time, so no
-temporary grows with the block.
+inversions shuffled by ``_lane_permutation`` into an array of slots.  Slots
+are int16 below n = 2^15 and int32 from it, on every route.  The draws are
+mixed at most ``_COUNT_CHUNK`` = 2^16 words at a time, and the lockstep
+shuffle's at most ``_SHUFFLE_CHUNK`` = 2^14, so no temporary grows with the
+block.  ``_mix64_np`` writes its output in place beside one temporary.
 
 - cycles: the shuffle closes a cycle exactly when step pos draws j = pos,
   so count_cycles = 1 + #{pos : j = pos} and no permutation is built (the
@@ -53,10 +55,10 @@ temporary grows with the block.
 - inversions: ``_permutation_batch`` shuffles blocks of
   ``_shuffle_block(n)`` = min(2048, 2_000_000 // n) trials in lockstep,
   three fancy-index operations per position on all of the block's lanes,
-  into a position-major int32 array whose row k holds slot k of every
-  lane; a block of fewer than ``_LOCKSTEP_MIN_LANES`` = 6 lanes (n above
-  about 3.3 x 10^5, or few trials) is shuffled by ``_lane_permutation``
-  one lane at a time, which costs less there.  Up to n =
+  into a position-major array whose row k holds slot k of every lane; a
+  block of fewer than ``_LOCKSTEP_MIN_LANES`` = 6 lanes (n above about
+  3.3 x 10^5, or few trials) is shuffled by ``_lane_permutation`` one lane
+  at a time, which costs less there.  Up to n =
   ``_BITSET_MAX_N`` = 6000, ``_bitset_inversions`` counts the block in one
   sweep over its rows.  Each lane keeps a bitset of the values it has
   seen, in (n >> 6) + 1 uint64 words, and a running count of its seen
@@ -71,12 +73,15 @@ temporary grows with the block.
   whose block and merge would hold more than ``_INVERSIONS_BUDGET`` bytes
   is refused before any work.
 - quicksort: ``_quicksort_batch`` runs blocks of 4096 trials in lockstep,
-  one stack of subproblem sizes per trial; its draw order follows its
-  stack, so its words cannot be drawn ahead.  A marked trial is run again
-  by the scalar ``quicksort_comparisons``.  The lockstep spreads numpy's
-  per-call cost over the live trials, about 30 us per step, so a block of
-  fewer than ``_LOCKSTEP_MIN_TRIALS`` = 30 trials runs the scalar loop,
-  which draws the same words.
+  one stack of subproblem sizes per trial.  The stacks start
+  ``_STACK_COLUMNS`` = 16 uint64 columns deep and double when a trial's
+  pending subproblems fill them: no trial of a 4096-trial block at
+  n = 200 held more than 13, some at n = 2000 hold 20.  The draw order
+  follows the stack, so its words cannot be drawn ahead.  A marked trial
+  is run again by the scalar ``quicksort_comparisons``.  The lockstep
+  spreads numpy's per-call cost over the live trials, about 30 us per step,
+  so a block of fewer than ``_LOCKSTEP_MIN_TRIALS`` = 30 trials runs the
+  scalar loop, which draws the same words.
 
 Each block's costs are reduced to distinct values and multiplicities, and
 (X)_s and its square are summed as Python ints.  An estimate that needs
@@ -127,12 +132,14 @@ _BATCH = 4096  # trials per lockstep quicksort block
 # bitset each run a few numpy calls per position on all of a block's lanes,
 # so wider blocks spread the calls' fixed cost.  At n = 200 the bitset took
 # 0.013, 0.0057 and 0.0037 ms per trial on blocks of 512, 2048 and 4096
-# lanes (the merge 0.022-0.027 on any), and `simulate --model inversions
-# --n 200 --trials 5000` peaked at 31.8, 33.6 and 34.9 MB RSS, where a
-# quicksort request of the same size peaks at 33.2 MB.  2048 lanes hold
-# 1.6 MB of slots at n = 200.
+# lanes (the merge 0.022-0.027 on any), shuffle and bitset together
+# 0.014-0.016, 0.0073-0.0081 and 0.0074-0.0077 ms, and `simulate --model
+# inversions --n 200 --trials 5000` peaked at 29.5, 30.2 and 30.7 MB RSS
+# (medians of 5), where quicksort and cycles requests of the same size peak
+# at 29.7 and 29.5 MB.  2048 lanes hold 0.8 MB of int16 slots at n = 200.
 _SHUFFLE_LANES = 2048
 _SHUFFLE_ENTRIES = 2_000_000  # cap on the slots of one block
+_SHUFFLE_CHUNK = 1 << 14  # words a lockstep shuffle mixes at once
 # Blocks of fewer lanes are shuffled one lane at a time.  The lockstep pays
 # three numpy calls per position whatever the lanes, the per-lane swap
 # loop a fixed cost per slot.  CPU seconds, lockstep against per lane
@@ -152,13 +159,17 @@ _COUNT_CHUNK = 1 << 16  # permutation entries counted at once
 # the bitset is ahead again up to about n = 9000 (8193: 1.98/2.42, 9500:
 # 2.53/2.39), a stretch left to the merge so that one n splits the routes.
 _BITSET_MAX_N = 6000
-_STACK_COLUMNS = 64  # initial lockstep quicksort stack depth; doubles as needed
+_STACK_COLUMNS = 16  # initial lockstep quicksort stack depth; doubles as needed
 # Quicksort blocks with fewer trials run the scalar loop.  Lockstep costs
 # about the same for any block this small, the scalar loop grows with the
-# trials; CPU seconds, lockstep against scalar, at 10, 20, 30 and 40 trials
-# (Python 3.11, numpy 2.4, 2-core x86-64): n = 10^5 2.25/0.76, 2.12/1.56,
-# 2.41/2.78, 2.73/3.94; n = 10^4 0.22/0.07, 0.23/0.17, 0.23/0.24,
-# 0.22/0.29; n = 1000 0.023 against 0.016, 0.023 and 0.031 at 20-40.
+# trials.  CPU seconds of `_quicksort_batch` against the scalar loop in one
+# process, medians of 5 alternated runs at 10, 20, 30 and 40 trials (Python
+# 3.11, numpy 2.4, 2-core x86-64): n = 10^5 1.72/0.83, 1.70/1.38,
+# 2.02/2.64, 1.85/3.35; n = 10^4 0.120/0.060, 0.123/0.105, 0.124/0.165,
+# 0.159/0.261; n = 1000 0.014/0.005, 0.012/0.011, 0.017/0.019, 0.015/0.023.
+# The scalar loop leads at 20 and the lockstep at 30 at every n, as with
+# the 64-column stack (n = 10^5 2.25/2.01 and 2.22/2.80).  At 25 the
+# lockstep led by 7-9%, inside the host's drift, so the cut stays.
 _LOCKSTEP_MIN_TRIALS = 30
 # Cap on the draws of one estimate, (n - 1) x trials: every trial of every
 # model draws at most n - 1 bounded words, one per Fisher-Yates step or
@@ -173,11 +184,12 @@ _LOCKSTEP_MIN_TRIALS = 30
 # n = 10^12 with 2 trials would need hours to weeks and is refused at once.
 MAX_DRAWS = 1 << 31
 # Memory budget of one worker on the inversions route, ``_inversions_bytes``:
-# a block's int32 slots and, above _BITSET_MAX_N, the merge's runs and sort
-# temporaries, about seven int64 arrays of its rows padded to a power of
-# two.  `simulate --model inversions --trials 2` held, above the imports,
-# 61 MiB at n = 2^20 and 121 MiB at n = 2^21 (4 bytes a slot and 56 a
-# padded entry), and 117 MiB at n = 2^20 + 1, padded to 2^21.  The budget
+# a block's slots (``_slot_bytes``: int16 below n = 2^15, int32 from it, so
+# int32 at every n near the budget) and, above _BITSET_MAX_N, the merge's
+# runs and sort temporaries, about seven int64 arrays of its rows padded to
+# a power of two.  `simulate --model inversions --trials 2` held, above the
+# imports, 61 MiB at n = 2^20 and 121 MiB at n = 2^21 (4 bytes a slot and
+# 56 a padded entry), and 117 MiB at n = 2^20 + 1, padded to 2^21.  The budget
 # admits n <= 2^23 (480 MiB by the model), which took 35 s and peaked at
 # 454 MiB RSS; n = 2^27 would hold 7.5 GiB and is refused at once.
 _INVERSIONS_BUDGET = 512 << 20
@@ -238,10 +250,19 @@ def random_permutation(n: int, rng: TrialStream) -> list[int]:
 # -- vectorized batch twins ---------------------------------------------------
 
 def _mix64_np(z):
+    """``mix64`` of every word of the array ``z``, into a new array.  ``z``
+    is never written: the first shift allocates the output, and the steps
+    after it run in place beside one shift temporary."""
     import numpy as np
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    out = z >> np.uint64(30)
+    out ^= z
+    del z  # a temporary argument is freed here, not on return
+    out *= np.uint64(_MIX1)
+    shifted = out >> np.uint64(27)
+    out ^= shifted
+    out *= np.uint64(_MIX2)
+    out ^= np.right_shift(out, np.uint64(31), out=shifted)
+    return out
 
 
 def _stream_states(seed: int, start: int, stop: int) -> np.ndarray:
@@ -273,8 +294,8 @@ def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
 
     Word-for-word identical to driving ``random_permutation`` with each
     trial's ``TrialStream`` (asserted in the test suite).  The draws are
-    mixed by ``_shuffle_draws`` about ``_COUNT_CHUNK`` words at a time, and
-    each position is swapped on every lane at once in a position-major
+    mixed by ``_shuffle_draws`` about ``_SHUFFLE_CHUNK`` words at a time,
+    and each position is swapped on every lane at once in a position-major
     array, where slot k of lane i sits at flat index k * lanes + i, so the
     transpose of the result is that array.  A lane where a word may have
     been rejected is shuffled again by ``_lane_permutation``, as is every
@@ -286,11 +307,11 @@ def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
         perms = [_lane_permutation(seed, n, i) for i in range(start, stop)]
         return np.stack(perms, axis=1).T
     base = _stream_states(seed, start, stop)
-    slots = np.repeat(np.arange(1, n + 1, dtype=np.int32), lanes).reshape(n, lanes)
+    slots = np.repeat(np.arange(1, n + 1, dtype=_slot_dtype(n)), lanes).reshape(n, lanes)
     flat = slots.reshape(-1)
     lane = np.arange(lanes, dtype=np.intp)
     suspect = np.zeros(lanes, dtype=bool)
-    step = max(1, _COUNT_CHUNK // lanes)
+    step = max(1, _SHUFFLE_CHUNK // lanes)
     for first in range(1, n, step):
         last = min(first + step, n)
         j, rejected = _shuffle_draws(base, n, first, last)
@@ -362,11 +383,12 @@ def _lane_cycles(seed: int, n: int, index: int) -> int:
 
 
 def _lane_permutation(seed: int, n: int, index: int) -> np.ndarray:
-    """``random_permutation`` of trial ``index`` as an int32 array, 4 bytes
-    a slot, swapped by the draws of ``_lane_draws`` through a memoryview,
-    whose items are read and written at list speed."""
+    """``random_permutation`` of trial ``index`` as an array of
+    ``_slot_dtype(n)``, the lockstep's slots, swapped by the draws of
+    ``_lane_draws`` through a memoryview, whose items are read and written
+    at list speed."""
     import numpy as np
-    perm = np.arange(1, n + 1, dtype=np.int32)
+    perm = np.arange(1, n + 1, dtype=_slot_dtype(n))
     slot = memoryview(perm)
     for pos, j in _lane_draws(seed, n, index):
         for p, q in zip(range(pos, pos - j.size, -1), j.tolist()):
@@ -661,10 +683,19 @@ def _shuffle_block(n: int) -> int:
     return max(1, min(_SHUFFLE_LANES, _SHUFFLE_ENTRIES // n))
 
 
+def _slot_bytes(n: int) -> int:
+    """Bytes of one permutation slot at size n: int16 holds 1..n below 2^15."""
+    return 2 if n < 1 << 15 else 4
+
+
+def _slot_dtype(n: int) -> str:
+    return f"int{8 * _slot_bytes(n)}"
+
+
 def _inversions_bytes(n: int) -> int:
     """Bytes the inversions route holds at once at size n (see
     ``_INVERSIONS_BUDGET``)."""
-    held = 4 * n * _shuffle_block(n)
+    held = _slot_bytes(n) * n * _shuffle_block(n)
     if n > _BITSET_MAX_N:
         held += 56 * max(1, _COUNT_CHUNK // n) * (1 << (n - 1).bit_length())
     return held
@@ -682,6 +713,14 @@ def _accumulate_range(model: Model, n: int, s: int, seed: int, start: int, stop:
             total += count * ff
             total_sq += count * ff * ff
     return total, total_sq
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, which ``os.cpu_count`` ignores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _range_worker(args):
@@ -702,7 +741,8 @@ def estimate_factorial_moment(
     Per-trial streams make the result a pure function of (model, n, s,
     trials, seed); ``threads`` only changes how trial ranges are divided
     among worker processes, never the result.  At most one worker per CPU
-    is started, since more only add start-up cost.  A request of more than
+    of the process's affinity mask is started, since more only add
+    start-up cost.  A request of more than
     MAX_DRAWS draws, (n - 1) x trials, or an inversions request that would
     hold more than ``_INVERSIONS_BUDGET`` bytes in a worker, raises
     ``DrawLimitError`` before any work.
@@ -725,7 +765,7 @@ def estimate_factorial_moment(
             f"inversions estimate at n = {n} would hold {_inversions_bytes(n) >> 20} MiB "
             f"of permutations and merge runs, over the {_INVERSIONS_BUDGET >> 20} MiB budget"
         )
-    workers = min(threads, os.cpu_count() or 1)
+    workers = min(threads, _usable_cpus())
     if workers == 1:
         total, total_sq = _accumulate_range(model, n, s, seed, 0, trials)
     else:

@@ -4,6 +4,7 @@ distribution checks, and estimator accuracy."""
 import concurrent.futures
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -41,14 +42,17 @@ from momentlab.simulate import (
     _MASK64,
     _MIX1,
     _MIX2,
+    _STACK_COLUMNS,
     DrawLimitError,
     TrialStream,
+    _accumulate_range,
     _bitset_inversions,
     _inversions_batch,
     _inversions_bytes,
     _lane_cycles,
     _lane_permutation,
     _mix64,
+    _mix64_np,
     _permutation_batch,
     _quicksort_batch,
     _shuffle_draws,
@@ -125,6 +129,23 @@ class TestRandomPermutation:
         perms = _permutation_batch(seed, n, start, start + lanes)
         assert perms.tolist() == wide[:lanes].tolist()
         assert perms.dtype == wide.dtype and perms.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [(1 << 15) - 1, 1 << 15])
+    def test_slot_dtype_at_the_int16_edge(self, n):
+        # slots are int16 below 2^15 and int32 from it, on both routes
+        seed, start = 2**63 + 3, 5
+        lockstep = _permutation_batch(seed, n, start, start + _LOCKSTEP_MIN_LANES)
+        lane = _lane_permutation(seed, n, start)
+        expected = [
+            random_permutation(n, trial_stream(seed, i))
+            for i in range(start, start + _LOCKSTEP_MIN_LANES)
+        ]
+        assert lockstep.tolist() == expected
+        assert lane.tolist() == expected[0]
+        assert lockstep.dtype == lane.dtype == (np.int16 if n < 1 << 15 else np.int32)
+        assert _inversions_batch(lockstep[:2]).tolist() == [
+            count_inversions(perm) for perm in expected[:2]
+        ]
 
     def test_uniformity_chi_square(self):
         # all 24 outcomes for n = 4 over 1e5 draws; reject only below p = 1e-6
@@ -288,6 +309,20 @@ def batch_costs(model, n, seed, start, stop):
     return [c for chunk in _trial_costs(model, n, seed, start, stop) for c in chunk.tolist()]
 
 
+def deepest_stack(n, seed, index):
+    """Most subproblems of size 2 or more pending at once in quicksort
+    trial ``index``: the depth its lockstep stack reaches."""
+    rng = TrialStream(seed, index)
+    stack = [n]
+    deepest = 1
+    while stack:
+        size = stack.pop()
+        rank = rng.randbelow(size)
+        stack += [part for part in (rank, size - 1 - rank) if part >= 2]
+        deepest = max(deepest, len(stack))
+    return deepest
+
+
 class TestBatchRoute:
     """The numpy counters against the scalar per-sample reference."""
 
@@ -318,6 +353,15 @@ class TestBatchRoute:
         monkeypatch.setattr(simulate, "_STACK_COLUMNS", 1)
         assert batch_costs(Model.QUICKSORT, 300, 3, 0, 40) == scalar_costs(
             Model.QUICKSORT, 300, 3, 0, 40
+        )
+
+    def test_quicksort_stack_grows_past_its_start(self):
+        # trials of n = 2000 hold up to 17 pending subproblems, past the
+        # stack's first _STACK_COLUMNS columns
+        n, seed, start, stop = 2000, 3, 0, 60
+        assert max(deepest_stack(n, seed, i) for i in range(start, stop)) > _STACK_COLUMNS
+        assert _quicksort_batch(seed, n, start, stop).tolist() == scalar_costs(
+            Model.QUICKSORT, n, seed, start, stop
         )
 
     # Values computed with the per-trial scalar counters before the batch route.
@@ -375,6 +419,13 @@ class TestDrawMatrix:
     def test_unmix64(self):
         for z in (0, 1, 2**63, _MASK64, 0x0123456789ABCDEF):
             assert unmix64(_mix64(z)) == z == _mix64(unmix64(z))
+
+    def test_mix64_np_leaves_its_input(self):
+        # the quicksort lockstep mixes its stream states and keeps them
+        z = np.array([0, 1, 2**63, _MASK64, 0x0123456789ABCDEF], dtype=np.uint64)
+        before = z.tolist()
+        assert _mix64_np(z).tolist() == [_mix64(w) for w in before]
+        assert z.tolist() == before
 
     @pytest.mark.parametrize("model", [Model.CYCLES, Model.INVERSIONS])
     def test_rejected_word_falls_back_to_scalar(self, model):
@@ -511,10 +562,20 @@ class TestDrawMatrix:
         with pytest.raises(DrawLimitError, match="MiB budget"):
             estimate_factorial_moment(Model.INVERSIONS, (1 << 23) + 1, 1, 2, 0)
 
+    def test_inversions_bytes_count_the_slot_dtype(self):
+        # int16 slots below 2^15, int32 from it; at n = 2^15 - 1 and 2^15
+        # the blocks hold 61 lanes and the merge's runs are the same
+        assert _inversions_bytes(200) == 2 * 200 * 2048
+        edge = 1 << 15
+        slots = (4 * edge - 2 * (edge - 1)) * 61
+        assert _inversions_bytes(edge) - _inversions_bytes(edge - 1) == slots
+
     @pytest.mark.parametrize("model", list(Model))
     def test_draws_span_chunks(self, model, monkeypatch):
-        # 64-word chunks split each row of n = 150 into three column spans
+        # 64-word chunks split each row of n = 150 into three column spans,
+        # and the inversions lockstep's 40 lanes into a position per chunk
         monkeypatch.setattr(simulate, "_COUNT_CHUNK", 64)
+        monkeypatch.setattr(simulate, "_SHUFFLE_CHUNK", 64)
         assert batch_costs(model, 150, 11, 5, 45) == scalar_costs(model, 150, 11, 5, 45)
 
     @settings(max_examples=15, deadline=None)
@@ -531,6 +592,23 @@ class TestDrawMatrix:
         assert lockstep == scalar_costs(Model.QUICKSORT, 400, 13, 0, few)
         monkeypatch.setattr(simulate, "_quicksort_batch", None)
         assert batch_costs(Model.QUICKSORT, 400, 13, 0, few) == lockstep
+
+
+class TestWorkingSet:
+    """Peak traced allocation of a full block at the montecarlo workload's
+    top size, n = 200: 1.3-1.5 MiB, where a 4096 x 64 quicksort stack and
+    int32 slots mixed 2^16 words at a time held 4.45 and 3.61 MiB."""
+
+    @pytest.mark.parametrize("model,trials", [(Model.QUICKSORT, 4096), (Model.INVERSIONS, 2048)])
+    def test_block_peak(self, model, trials):
+        _accumulate_range(model, 200, 2, 5, 0, 64)  # imports numpy outside the trace
+        tracemalloc.start()
+        try:
+            _accumulate_range(model, 200, 2, 5, 0, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
 
 class RecordingExecutor:
@@ -566,9 +644,25 @@ class TestWorkerCount:
         assert est == estimate_factorial_moment(**self.ARGS, threads=1)
 
     def test_pool_sized_by_cpus_and_ranges(self, monkeypatch):
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        # the CPUs of the affinity mask, not every CPU of the machine
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         est = estimate_factorial_moment(**self.ARGS, threads=10_000)
         few = estimate_factorial_moment(**{**self.ARGS, "trials": 2}, threads=10_000)
         assert RecordingExecutor.asked == [3, 2]
         assert est == estimate_factorial_moment(**self.ARGS, threads=1)
         assert few == estimate_factorial_moment(**{**self.ARGS, "trials": 2})
+
+    def test_one_cpu_affinity_starts_no_pool(self, monkeypatch):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        est = estimate_factorial_moment(**self.ARGS, threads=2)
+        assert RecordingExecutor.asked == []
+        assert est == estimate_factorial_moment(**self.ARGS, threads=1)
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # platforms without sched_getaffinity fall back to os.cpu_count
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        estimate_factorial_moment(**self.ARGS, threads=10_000)
+        assert RecordingExecutor.asked == [3]

@@ -150,7 +150,7 @@ def test_checked_in_moments_list():
 
 def test_checked_in_simulate_list():
     argvs = stdout_identity.read_argv_file(ROOT / "tools" / "simulate_outside_workloads.txt")
-    assert len(argvs) == 18
+    assert len(argvs) == 22
     assert [a for a in argvs if "--help" in a] == [
         (*command, "--help")
         for command in ((), ("table",), ("moment",), ("transfer",), ("simulate",), ("compare",),
@@ -162,7 +162,10 @@ def test_checked_in_simulate_list():
     ]
     # quicksort blocks on both sides of the lockstep's threshold, and a tail block
     quicksort = [o["trials"] for o in simulations if (o["model"], o["n"]) == ("quicksort", "2000")]
-    assert [int(t) for t in quicksort] == [29, 30, 31, 4096 + 31]
+    assert [int(t) for t in quicksort] == [29, 30, 31, 4096 + 31, 4096 + 31]
+    # int16 slots below n = 2^15, int32 from it
+    inversions = {(o["n"], o["trials"]) for o in simulations if o["model"] == "inversions"}
+    assert {(str((1 << 15) - 1), "8"), (str(1 << 15), "8"), ("3000", "2000")} <= inversions
     assert {o["model"] for o in simulations if o.get("threads") == "2"} == {
         "cycles", "inversions", "quicksort"
     }
