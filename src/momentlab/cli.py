@@ -254,8 +254,9 @@ def _cmd_transfer(args) -> int:
     estimate_f = float(estimate)
     if estimate_f == 0 and estimate != 0:
         # a 60-digit estimate below the double range would print as a signed zero
-        raise FloatingPointError(
-            f"alpha={args.alpha}, beta={args.beta}, n={args.n} estimate rounds to zero in doubles"
+        raise ResourceLimitError(
+            f"result underflows the double range (alpha={args.alpha}, beta={args.beta}, "
+            f"n={args.n} estimate rounds to zero in doubles)"
         )
     oracle_f = float(oracle)
     abs_err = abs(estimate_f - oracle_f)
@@ -461,9 +462,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OverflowError as exc:
         print(f"resource limit: result overflows the double range ({exc})", file=sys.stderr)
-        return 3
-    except FloatingPointError as exc:
-        print(f"resource limit: result underflows the double range ({exc})", file=sys.stderr)
         return 3
     except MemoryError as exc:
         print(f"resource limit: out of memory ({exc})", file=sys.stderr)

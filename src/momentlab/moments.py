@@ -29,13 +29,12 @@ from operator import mul
 from . import Model
 from .tables import (
     DistributionTable,
-    ROW_LIMIT_ENV,
     RowLimitError,
+    _check_row_request,
     _rising,
     distribution_table,
     distribution_tables,
     k_max,
-    row_limit,
 )
 
 __all__ = [
@@ -235,12 +234,7 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
         # The row's cap: the product costs about what the row does (n = s =
         # 4000: 10.2-14.8 s against 12.4-13.4 s, both 40 MB; s = 6: 0.12 s), and
         # at n = 4060 the s = 6 numerator passes Python's 4300-digit limit.
-        cap = row_limit(model)
-        if n > cap:
-            raise RowLimitError(
-                f"cycles moment at n={n} exceeds the configured cap {cap}; "
-                f"set {ROW_LIMIT_ENV} to raise it"
-            )
+        _check_row_request(model, n)
         if s > n:
             return Fraction(0), "pgf"
         return _pgf_moment(_rising(1, n + 1, s), n, s), "pgf"

@@ -30,11 +30,11 @@ Every table row is exact, in arbitrary-precision integers:
                      support, n(n-1)/2 - kmin(n) + 1 entries: the values
                      then give the row modulo z^N - 1, one count per
                      residue class.
-                     A mixed-radix inverse number-theoretic transform
-                     recovers each row modulo every prime, and Garner's
-                     Chinese remaindering rebuilds the counts (all in
-                     [0, n!]) from enough primes that their product
-                     exceeds n!.
+                     Each wanted row m has an inverse transform of its
+                     own: a mixed-radix number-theoretic transform
+                     recovers it modulo the fewest primes whose product
+                     exceeds m!, and Garner's Chinese remaindering
+                     rebuilds its counts, all in [0, m!].
 
 The cycles and inversions recurrences keep only the previous row, so a
 single row costs the memory of a few rows, not of the whole triangle.
@@ -50,6 +50,7 @@ builder.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -87,15 +88,17 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 # with power-of-two transforms over the whole row length.
 # Above the quicksort cap, through MOMENTLAB_ROW_LIMIT, _VALUES_BUDGET bounds
 # the residues held at once: one block of rows 0..n, the wanted rows at all
-# N points (4 bytes each) and the inverse transform's batch (_TRANSFORM_BYTES
-# each).  `table --model quicksort --n 188` takes 16.3-17.0 s and 98 MB
-# (22 s and 687 MB when it held rows 0..188 at every point).  A single row
-# passes the budget first at 382, by its transform: N = 73728 and 95 primes,
-# 519 MiB.  Row 381 (494 MiB) is admitted; its recurrence would run about
-# 9 minutes (814 blocks of 0.67 s), and its transform, digits and text peak
-# at 562 MB.  All rows (`distribution_tables`) pass it first at 173, by
-# their values: N = 15552 and 36 primes, 515 MiB; rows 0..172 took 28 s and
-# 613 MB in one process.
+# N points (4 bytes each) and the largest row's inverse transform
+# (_TRANSFORM_BYTES each).  `table --model quicksort --n 188` takes
+# 16.3-17.0 s and 98 MB (22 s and 687 MB when it held rows 0..188 at every
+# point).  A single row passes the budget first at 382, by its transform:
+# N = 73728 and 95 primes, 519 MiB.  Row 381 (494 MiB) is admitted; its
+# recurrence would run about 9 minutes (814 blocks of 0.67 s), and its
+# transform, digits and text peak at 562 MB.  All rows
+# (`distribution_tables`) pass it first at 185, by their values: N = 16384
+# and 40 primes, 465 of 516 MiB; rows 0..184 took 32 s and 646 MB in one
+# process (rows 0..172 22 s and 489 MB, against 23 s and 625 MB when rows
+# of equal transform length shared one batched transform).
 # Inversions is the largest multiple of 50 whose `table --format csv`
 # request finished within 30 s CPU and 1536 MiB with the sliding-window
 # builder: 500 in 23.5-26 s and 239 MB, while 550 took 30.2 s and 305 MB
@@ -241,8 +244,7 @@ def _inversion_rows(n: int):
 
 _PRIME_BOUND = 1 << 29  # residue products stay below 2^58
 _PAIRS_PER_REDUCTION = 64  # 64 products below p^2 sum below 2^64
-_TRANSFORM_ELEMENTS = 1 << 21  # residues per inverse-transform batch
-_TRANSFORM_BYTES = 72  # peak bytes per residue of an inverse-transform batch
+_TRANSFORM_BYTES = 72  # peak bytes per residue of a row's inverse transform
 _BLOCK_RESIDUES = 1 << 13  # residues per numpy call of the recurrence: width x primes
 _VALUES_BUDGET = 512 << 20  # bytes of residues held at once (see DEFAULT_ROW_LIMITS)
 
@@ -388,26 +390,22 @@ def _dft(x: np.ndarray, roots: list[int], p: np.ndarray) -> np.ndarray:
     return out[..., 0]
 
 
-def _garner_digits(residues: np.ndarray, primes: list[int]) -> np.ndarray:
-    """Mixed-radix digits d with x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)).
+def _crt(residues: np.ndarray, primes: list[int]) -> list[int]:
+    """The ints x in [0, prod(primes)) with x = residues[i, k] mod primes[i],
+    one per column k of ``residues``, shape (primes, count).
 
-    ``residues[i]`` holds x mod primes[i]; the digits have the same shape.
+    Garner's algorithm gives the mixed-radix digits of x,
+    x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), and Horner's rule rebuilds x on
+    one packed integer per digit level: fields as wide as the product of the
+    primes, so no field carries into the next.  The levels are packed one at
+    a time into the same fields, whose bytes past the first 4 stay zero.
     """
     import numpy as np
     digits = residues.astype(np.int64)
     for i, q in enumerate(primes):
         for j in range(i):
             digits[i] = (digits[i] - digits[j]) * pow(primes[j], -1, q) % q
-    return digits
-
-
-def _from_digits(digits: np.ndarray, primes: list[int], slot: int) -> list[int]:
-    """Python ints from Garner digits, shape (primes, count), by Horner's rule
-    on one packed integer per digit level: ``slot``-byte fields, wide enough
-    for the product of the primes, so no field carries into the next.  The
-    levels are packed one at a time into the same fields, whose bytes past
-    the first 4 stay zero."""
-    import numpy as np
+    slot = (math.prod(primes).bit_length() + 7) // 8
     count = digits.shape[1]
     fields = np.zeros((count, slot), dtype=np.uint8)
     packed = 0
@@ -456,10 +454,10 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
     """Row n, or rows 0..n when ``every``, of the quicksort table.
 
     Row m is read from the values at the smallest divisor N_m of N at least
-    its width, every (N / N_m)-th root, modulo as many primes as m! needs;
-    rows of equal N_m share one inverse transform.  Count k of row m sits at
-    index k mod N_m of the transform, and the kmin(m) counts below its
-    support are written as zeros.
+    its width, every (N / N_m)-th root, modulo the fewest leading primes
+    whose product exceeds m!, by one inverse transform of its own.  Count k
+    of row m sits at index k mod N_m of the transform, and the kmin(m)
+    counts below its support are written as zeros.
     """
     import numpy as np
     size = _transform_size(n)
@@ -467,23 +465,16 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
     divisors = [d for d in _smooth_numbers(size) if size % d == 0]
     moduli = _ntt_moduli(size, n)
     primes = [q for q, _ in moduli]
+    products = list(itertools.accumulate(primes, operator.mul))
     first = 0 if every else n
     width = max(1, _BLOCK_RESIDUES // len(primes))
-    groups = collections.defaultdict(list)
+    plans = []  # (m, N_m, primes m! needs)
     for m in range(first, n + 1):
-        width_m = _width(m, kmin[m])
-        groups[next(d for d in divisors if d >= width_m)].append(m)
-    plans = []
-    for length, members in groups.items():
-        bound, count, product = math.factorial(max(members)), 0, 1
-        while product <= bound:
-            product *= primes[count]
-            count += 1
-        batch = min(len(members), max(1, _TRANSFORM_ELEMENTS // (count * length)))
-        plans.append((length, members, count, product, batch))
+        length = next(d for d in divisors if d >= _width(m, kmin[m]))
+        plans.append((m, length, bisect.bisect_right(products, math.factorial(m)) + 1))
     block = (n + 1) * len(primes) * min(width, size)  # rows 0..n at one block of points
     kept = (n + 1 - first) * len(primes) * size  # the wanted rows at every point
-    transform = max(batch * count * length for length, _, count, _, batch in plans)
+    transform = max(count * length for _, length, count in plans)  # the largest row's
     held = 4 * (block + kept) + _TRANSFORM_BYTES * transform
     if held > _VALUES_BUDGET:
         raise RowLimitError(
@@ -491,26 +482,18 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
             f"{_VALUES_BUDGET >> 20} MiB budget"
         )
     values = _pgf_values(n, moduli, size, first, width)
-    rows = {}
-    for length, members, count, product, batch in plans:
-        group_primes = primes[:count]
-        p = np.array(group_primes, dtype=np.uint64)[:, None]
+    rows = []
+    for m, length, count in plans:
+        row_primes = primes[:count]
+        p = np.array(row_primes, dtype=np.uint64)[:, None]
         stride = size // length
         roots = [pow(w, -stride, q) for q, w in moduli[:count]]
-        slot = (product.bit_length() + 7) // 8
-        for lo in range(0, len(members), batch):
-            chunk = members[lo : lo + batch]
-            scale = np.array(
-                [[math.factorial(m) * pow(length, -1, q) % q for q in group_primes] for m in chunk],
-                dtype=np.uint64,
-            )[:, :, None]
-            scaled = values[[m - first for m in chunk], :count, ::stride] * scale % p
-            coefficients = _dft(scaled, roots, p)
-            for m, residues in zip(chunk, coefficients):
-                support = np.arange(kmin[m], m * (m - 1) // 2 + 1) % length
-                digits = _garner_digits(residues.take(support, axis=1), group_primes)
-                rows[m] = [0] * kmin[m] + _from_digits(digits, group_primes, slot)
-    return [rows[m] for m in range(first, n + 1)]
+        scale = np.array([math.factorial(m) * pow(length, -1, q) % q for q in row_primes],
+                         dtype=np.uint64)[:, None]
+        residues = _dft(values[m - first, :count, ::stride] * scale % p, roots, p)
+        support = np.arange(kmin[m], m * (m - 1) // 2 + 1) % length
+        rows.append([0] * kmin[m] + _crt(residues.take(support, axis=1), row_primes))
+    return rows
 
 
 def _rows(model: Model, n: int, every: bool):

@@ -74,6 +74,23 @@ def test_changed_stub_is_caught(tmp_path, capsys):
     assert any("exit 0 -> 0" in line for line in lines[:-1])
 
 
+def test_traceback_on_both_sides_is_caught(tmp_path, capsys):
+    # both checkouts exit 1, as a traceback does, with the same empty stdout
+    body = 'if "json" in argv:\n    sys.exit(1)'
+    parent = stub_checkout(tmp_path / "parent", body=body)
+    change = stub_checkout(tmp_path / "change", body=body)
+    code = stdout_identity.main(["--parent", str(parent), "--change", str(change),
+                                 "--workload", "tables", "--seeds", "1"])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    expected = [a for a in stdout_identity.requests("tables", [1]) if "json" in a]
+    assert 0 < len(expected) < 8
+    assert lines == [
+        *(f"fails: {' '.join(a)}: exit 1 -> 1, stdout 0 -> 0 bytes" for a in expected),
+        f"tables seeds 1: 8 requests, 0 differ, {len(expected)} fail on both sides",
+    ]
+
+
 def test_argv_file_requests(tmp_path, capsys):
     argv_file = tmp_path / "requests.txt"
     argv_file.write_text(

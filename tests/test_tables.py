@@ -1,8 +1,11 @@
 """Distribution-table recurrences against brute-force enumeration and
 structural invariants."""
 
+import hashlib
 import itertools
+import json
 import math
+import random
 import tracemalloc
 from functools import lru_cache
 
@@ -216,6 +219,31 @@ class TestQuicksortRoute:
                             for k in range(size)]
                 assert got[r, i].tolist() == expected
 
+    def test_every_row_digest(self, quicksort_rows_120):
+        # rows past the naive oracles' reach are otherwise checked only through
+        # their moments and invariants; these are the bytes of rows 0..120
+        text = json.dumps([list(row.counts) for row in quicksort_rows_120])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ce22ed27ff705fa81c60c4c9e405baa5e13023dbe38a492cffd3efc00707d926"
+        )
+
+    @pytest.mark.parametrize("count", [1, 2, 40])
+    def test_crt_matches_plain_remaindering(self, count):
+        moduli = tables._ntt_moduli(16384, 185)
+        assert len(moduli) == 40
+        primes = [q for q, _ in moduli][:count]
+        product = math.prod(primes)
+        draw = random.Random(count)
+        values = [0, 1, product - 1, product // 2, *(draw.randrange(product) for _ in range(20))]
+        residues = np.array([[x % q for x in values] for q in primes], dtype=np.uint64)
+        # x = sum_i r_i M_i (M_i^-1 mod p_i) mod M, with M_i = M / p_i
+        plain = [sum(int(r) * (product // q) * pow(product // q, -1, q) for r, q in zip(column, primes))
+                 % product for column in residues.T]
+        assert plain == values
+        got = tables._crt(residues, primes)
+        assert got == values
+        assert all(type(x) is int for x in got)
+
     def test_counts_are_python_ints(self, quicksort_rows_120):
         rows = [distribution_table(model, 9) for model in Model]
         rows += distribution_tables(Model.INVERSIONS, 9) + distribution_tables(Model.CYCLES, 9)
@@ -266,11 +294,25 @@ class TestQuicksortRoute:
             tracemalloc.stop()
         assert peak < 4 << 20
 
-    @pytest.mark.parametrize("every, edge", [(False, 381), (True, 172)])
+    def test_every_row_holds_one_row_transform(self):
+        # rows 0..60 at all 1536 points and 10 primes are 3.6 MiB of residues;
+        # transforming rows of equal length in one batch peaked at 18 MiB
+        distribution_tables(Model.QUICKSORT, 60)  # caches the moduli
+        tracemalloc.start()
+        try:
+            distribution_tables(Model.QUICKSORT, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << 20
+
+    @pytest.mark.parametrize("every, edge", [(False, 381), (True, 184)])
     def test_values_budget_edge(self, every, edge, monkeypatch):
         # the budget counts one block of rows 0..n, the wanted rows at every
-        # point and the inverse transform's batch: a single row first passes
-        # it at 382, by its transform, and all rows at 173, by their values
+        # point and the largest row's inverse transform: a single row first
+        # passes it at 382, by its transform (N = 73728 and 95 primes), and
+        # all rows at 185, by their values (N = 16384 and 40 primes, 465 of
+        # 516 MiB)
         class Admitted(Exception):
             pass
 

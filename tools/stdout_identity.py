@@ -9,7 +9,9 @@ changed), or reads the requests of ``PATH``: one per line, its words split on
 whitespace, with blank lines and lines starting with ``#`` skipped.  Runs
 every distinct request once in each checkout as a fresh
 ``python -m momentlab.cli`` process with ``DIR/src`` on the path.  Lists each
-request whose exit code or stdout bytes differ and exits 1 if any do, else 0.
+request whose exit code or stdout bytes differ, or that exits on either side
+with a code the CLI does not document (a traceback exits 1), and exits 1 if
+any do, else 0.
 It runs none of the benchmark's measured code: no launcher, no limits, no
 checks against references.
 """
@@ -27,6 +29,8 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 # `perfbench/run.py --seconds 30` runs its list three times over and builds
 # it for a third of the seconds
 LIST_SECONDS = 30 / 3
+# the CLI's exit codes: success, bad arguments, a resource limit, a failed check
+EXIT_CODES = {0, 2, 3, 4}
 
 
 def _workloads():
@@ -62,11 +66,12 @@ def run(root: Path, argv: tuple) -> tuple[int, bytes]:
 
 def differences(parent: Path, change: Path, argvs: list[tuple]) -> list[tuple]:
     """(argv, parent result, change result) for each request whose exit code
-    or stdout differs between the two checkouts."""
+    or stdout differs between the two checkouts, or whose exit code on either
+    side is not in EXIT_CODES."""
     found = []
     for argv in argvs:
         before, after = run(parent, argv), run(change, argv)
-        if before != after:
+        if before != after or not {before[0], after[0]} <= EXIT_CODES:
             found.append((argv, before, after))
     return found
 
@@ -93,9 +98,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
     found = differences(args.parent.resolve(), args.change.resolve(), argvs)
     for request, (code_a, out_a), (code_b, out_b) in found:
-        print(f"differs: {' '.join(request)}: exit {code_a} -> {code_b}, "
+        kind = "fails" if (code_a, out_a) == (code_b, out_b) else "differs"
+        print(f"{kind}: {' '.join(request)}: exit {code_a} -> {code_b}, "
               f"stdout {len(out_a)} -> {len(out_b)} bytes")
-    print(f"{label}: {len(argvs)} requests, {len(found)} differ")
+    failed = sum(before == after for _, before, after in found)
+    print(f"{label}: {len(argvs)} requests, {len(found) - failed} differ"
+          + (f", {failed} fail on both sides" if failed else ""))
     return 1 if found else 0
 
 
