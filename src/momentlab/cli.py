@@ -27,9 +27,9 @@ field:
   table        inversions and quicksort at 6 < s <= k_max, inside the row
                caps: summation over the exact row
   oracle       cycles in ``compare`` above n = 200, s <= 16: the polygamma
-               series oracle, printed as a float; in double precision from
-               its 60-digit ``decimal`` identities, which import no mpmath,
-               and with ``--precision high`` from its 240-bit mpf value
+               series oracle, an 82-digit ``Decimal`` printed as a float;
+               in double precision it enters the error columns rounded to
+               a double, with ``--precision high`` as it is
 
 Each subcommand builds one record, and CSV and JSON are two views of it.
 The CSV view prints the record's columns under a header row, one line per
@@ -81,7 +81,6 @@ __getattr__ = _first_use(
         "moments": ("exact_moment", "factorial_moment", "quicksort_mean"),
         "transfer": (
             "_arithmetic",
-            "_double_coefficient",
             "LogPowerTerm",
             "check_double_range",
             "exact_coefficient",
@@ -101,9 +100,8 @@ CROSSCHECK_TOLERANCE = 1e-10
 CROSSCHECK_MAX_S = 10
 
 # In `compare`, cycles moments up to here come from `exact_moment` and print as
-# exact rationals; above it, from the polygamma oracle, printed as a float: its
-# double in double precision, its 240-bit value with `--precision high`.  The
-# cutoff fixes that output format, not a cost.
+# exact rationals; above it, from the polygamma oracle's 82-digit value,
+# printed as a float.  The cutoff fixes that output format, not a cost.
 _CYCLES_EXACT_MAX_N = 200
 
 
@@ -123,15 +121,15 @@ def compare_rows(
     closed-form or oracle).
 
     ``high_precision`` evaluates the asymptotic side and the error
-    arithmetic in >= 200-bit floats instead of doubles, and takes the cycles
-    oracle's 240-bit value instead of its double.
+    arithmetic in 82-digit ``decimal`` instead of doubles; the cycles
+    oracle's 82-digit value then enters them as it is, not rounded to a
+    double.
     """
     rows = []
     for n in grid:
         if model is Model.CYCLES and n > _CYCLES_EXACT_MAX_N:
             # the moment series of cycles is exactly a log-power series
-            oracle = _layers.highprec_coefficient if high_precision else _layers._double_coefficient
-            exact, source = oracle(1, s, n), "oracle"
+            exact, source = _layers.highprec_coefficient(1, s, n), "oracle"
         else:
             exact, source = _layers.exact_moment(model, n, s)
         asym = _layers.asymptotic_moment(model, n, s, high_precision=high_precision)
@@ -253,7 +251,7 @@ def _cmd_transfer(args) -> int:
     oracle = _layers.exact_coefficient(args.alpha, args.beta, args.n)
     estimate_f = float(estimate)
     if estimate_f == 0 and estimate != 0:
-        # a 60-digit estimate below the double range would print as a signed zero
+        # an 82-digit estimate below the double range would print as a signed zero
         raise ResourceLimitError(
             f"result underflows the double range (alpha={args.alpha}, beta={args.beta}, "
             f"n={args.n} estimate rounds to zero in doubles)"

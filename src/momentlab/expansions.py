@@ -85,7 +85,7 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
 
     Natural logarithms; requires n >= 2 and s >= 1.  For inversions at
     s = 1 the two terms sum to n(n-1)/4, the exact mean.  Returns a float,
-    or an mpf at 60 digits when ``high_precision`` is set.
+    or a Decimal at 82 digits when ``high_precision`` is set.
     """
     if n < 2:
         raise ValueError(f"asymptotic evaluation requires n >= 2, got {n}")

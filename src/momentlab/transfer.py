@@ -21,26 +21,27 @@ This module provides:
   expansion above for single terms and for term lists with a tracked
   dominated-remainder class;
 * ``exact_coefficient`` / ``highprec_coefficient`` -- two oracles for
-  [u^n] (1-u)^(-alpha) log(1/(1-u))^beta, exact and as a 240-bit float,
-  that do not use the expansion they check.
+  [u^n] (1-u)^(-alpha) log(1/(1-u))^beta, exact and as an 82-digit
+  ``Decimal``, that do not use the expansion they check.
 
 Each estimate, here and in ``expansions.asymptotic_moment`` and the error
 columns of ``cli.compare_rows``, is one formula written over the private
-arithmetic record ``_arithmetic(high_precision)``: doubles, or mpf at 60
-digits.  Only the mpf record imports mpmath.
+arithmetic record ``_arithmetic(high_precision)``: doubles, or ``decimal``
+at _DIGITS = 82 digits (240 bits and 32 guard bits).
 
-The polygamma values psi^(i)(x) at integers x >= 1 come by two routes that
-share no arithmetic.  The double record, ``gamma_recip_derivative`` and
-``_double_coefficient``, the double-precision oracle of ``cli.compare_rows``,
-take them at 60 digits in ``decimal`` from ``_decimal_polygamma``: the
-embedded constants and exact reciprocal power sums for small x, the
-Stirling series above.  So no double-precision request imports mpmath.  The
-mpf record's ``_ck`` and ``highprec_coefficient`` take them from
-``mp.psi``, whose exact bits high-precision output depends on (the -0 of
-``transfer --alpha 3000000 --beta 1 --n 2 --precision high`` among them).
-Both routes stay: each is the check of the other.  The C_k recurrence and
-the oracle's Newton identities are each written once, over either route's
-numbers.
+Every high-precision value comes by one route, in ``decimal`` at _DIGITS
+digits: the Stirling series at y >= _STIRLING_MIN_X, and exact integer sums
+and factorials below it.  It gives psi^(i)(x) (``_decimal_polygamma``) and
+ln Gamma(x) (``_log_gamma``) at integers x >= 1.  On them rest the C_k of
+``_decimal_ck``, which the double record rounds; Euler's constant of the
+high record, -psi(1); the high record's (alpha-1)!, exact below
+_STIRLING_MIN_X and exp(ln Gamma(alpha)) above, so that no huge integer is
+formed whatever alpha is (n^(alpha-1) is a rounded decimal power); and
+``highprec_coefficient``.  The decimal exponent range is the widest there
+is, so the estimate of ``transfer --alpha 3000000 --beta 1 --n 2
+--precision high``, near 10^-17225388, stays nonzero, and the CLI refuses
+it (exit 3) as below the double range.  The tests check this route against
+an independent library.
 
 Both oracles rest on one identity.  Since
 (1-u)^(-alpha-t) = (1-u)^(-alpha) exp(t log(1/(1-u))) and its coefficients
@@ -79,8 +80,6 @@ from . import ResourceLimitError
 
 __all__ = [
     "EULER_GAMMA",
-    "GAMMA_DIGITS",
-    "ZETA_DIGITS",
     "MAX_DERIVATIVE_ORDER",
     "ORACLE_MAX_N",
     "ORACLE_MAX_BETA",
@@ -98,42 +97,19 @@ __all__ = [
     "highprec_coefficient",
 ]
 
-# Euler-Mascheroni constant and zeta(2..17), 52 significant digits each.
-# Values as tabulated in standard references; the test suite re-derives
-# every one of them by direct series summation with Euler-Maclaurin tail
-# corrections, and checks the polygamma values at 1 against them:
-# psi(1) = -gamma and psi^(i)(1) = (-1)^(i+1) i! zeta(i+1).
-GAMMA_DIGITS = "0.5772156649015328606065120900824024310421593359399236"
-ZETA_DIGITS = {
-    2: "1.644934066848226436472415166646025189218949901206798",
-    3: "1.202056903159594285399738161511449990764986292340499",
-    4: "1.082323233711138191516003696541167902774750951918727",
-    5: "1.036927755143369926331365486457034168057080919501913",
-    6: "1.017343061984449139714517929790920527901817490032854",
-    7: "1.008349277381922826839797549849796759599863560565239",
-    8: "1.004077356197944339378685238508652465258960790649850",
-    9: "1.002008392826082214417852769232412060485605851394889",
-    10: "1.000994575127818085337145958900319017006019531564478",
-    11: "1.000494188604119464558702282526469936468606435758209",
-    12: "1.000246086553308048298637998047739670960416088458003",
-    13: "1.000122713347578489146751836526357395714275105895510",
-    14: "1.000061248135058704829258545105135333747481696169155",
-    15: "1.000030588236307020493551728510645062587627948706858",
-    16: "1.000015282259408651871732571487636722023237388990472",
-    17: "1.000007637197637899762273600293563029213088249090263",
-}
+# The Euler-Mascheroni constant as a double; the high record takes -psi(1).
+EULER_GAMMA = 0.5772156649015329
 
-EULER_GAMMA = float(Fraction(GAMMA_DIGITS.replace(".", "")) / 10**52)
-
-# Largest derivative order k: C_k needs psi .. psi^(k-1), and the embedded
-# zeta table pins psi^(i)(1) up to i = 16.
+# Largest derivative order k: C_k needs psi .. psi^(k-1), and the 33 terms of
+# _BERNOULLI carry the Stirling series of psi^(i) at _STIRLING_MIN_X to all
+# _DIGITS digits up to i = 15.
 MAX_DERIVATIVE_ORDER = 16
 
 # Budget guards for the coefficient oracles.  ORACLE_MAX_N caps n of the
-# exact oracle and min(n, alpha - 1) of the polygamma ones.  ORACLE_MAX_BETA
-# caps beta of the exact oracle only; the polygamma oracles, whose cost is
-# O(beta) polygamma values, take beta up to MAX_DERIVATIVE_ORDER (the 240-bit
-# one took 6-29 ms for beta = 7 and 16 at n = 201..10^9).  At the cap,
+# exact oracle and min(n, alpha - 1) of the polygamma one.  ORACLE_MAX_BETA
+# caps beta of the exact oracle only; the polygamma oracle, whose cost is
+# O(beta) polygamma values, takes beta up to MAX_DERIVATIVE_ORDER (it took
+# 5-15 ms for beta = 7 and 16 at n = 201..10^9).  At the cap,
 # `transfer --alpha 3 --beta 6 --n 100000` took 9.4-11.1 s CPU and 19 MB (alpha 1:
 # 11.7-12.1 s, 19 MB) on a 2-core x86-64 box with Python 3.11, within a 30 s and
 # 1536 MiB request limit; the product tree and the final normalisation take
@@ -141,8 +117,8 @@ MAX_DERIVATIVE_ORDER = 16
 ORACLE_MAX_N = 100_000
 ORACLE_MAX_BETA = 6
 
-_WORK_DPS = 60  # working precision of C_k and of the high-precision estimates
-_ORACLE_BITS = 240  # precision of the high-precision oracle's result
+# The digits of every high-precision value: 240 bits and 32 guard bits.
+_DIGITS = 82
 
 
 class OrderLimitError(ResourceLimitError):
@@ -154,12 +130,12 @@ class SeriesBudgetError(ResourceLimitError):
 
 
 # ---------------------------------------------------------------------------
-# C_k coefficients: derivatives of 1/Gamma at positive integers
+# The decimal route: psi^(i), ln Gamma and C_k at positive integers
 # ---------------------------------------------------------------------------
 
 # Bernoulli numbers B_2, B_4, ..., B_66 as (numerator, denominator): the
-# Stirling series of ``_decimal_polygamma`` needs these 33 terms at
-# x >= _STIRLING_MIN_X, where its first omitted term is below 10^-64 of the
+# Stirling series of ``_stirling`` needs these 33 terms at
+# y >= _STIRLING_MIN_X, where its first omitted term is below 10^-85 of the
 # value for every order i < MAX_DERIVATIVE_ORDER.  The test suite re-derives
 # them from the recurrence sum_(j<=m) C(m+1, j) B_j = 0.
 _BERNOULLI = (
@@ -197,71 +173,75 @@ _BERNOULLI = (
     (-106783830147866529886385444979142647942017, 510),
     (1472600022126335654051619428551932342241899101, 64722),
 )
-# The smallest x that ``_decimal_polygamma`` takes from the Stirling series;
-# below it, the embedded constants serve.
-_STIRLING_MIN_X = 64
-_DECIMAL = decimal.Context(prec=_WORK_DPS)  # the decimal route's arithmetic
+# The smallest y at which ``_stirling`` is summed; smaller arguments are
+# shifted up to it.
+_STIRLING_MIN_X = 128
+# the decimal route's arithmetic, with the widest exponent range, so that a
+# tiny or huge estimate neither flushes to zero nor overflows
+_DECIMAL = decimal.Context(prec=_DIGITS, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
-@functools.lru_cache(maxsize=None)
-def _polygamma(i: int, alpha: int):
-    """psi^(i)(alpha) at _WORK_DPS digits, by ``mp.psi``: its cost hardly
-    grows with alpha, where the sums -gamma + H_(alpha-1) and
-    zeta(i+1) - sum_(j<alpha) j^-(i+1) take O(alpha) terms and lose the
-    digits their difference cancels."""
-    import mpmath as mp
-    with mp.workdps(_WORK_DPS):
-        return mp.psi(i, alpha)
+def _stirling(i: int, y: int) -> decimal.Decimal:
+    """The Stirling series at an integer y >= _STIRLING_MIN_X over the 33
+    terms of _BERNOULLI, in the current context: for i >= 0 it is psi^(i)(y),
+
+        [i = 0] ln y + (-1)^(i+1) ([i > 0] (i-1)!/y^i + i!/(2y^(i+1))
+                                   + sum_k B_2k (2k+i-1)!/(2k)! y^-(2k+i)),
+
+    and for i = -1 the series of ln Gamma(y) less its constant ln(2 pi)/2,
+
+        (y - 1/2) ln y - y + sum_k B_2k (2k-2)!/(2k)! y^-(2k-1).
+    """
+    power = 1 / decimal.Decimal(y ** (i + 2))  # y^-(2k+i) at k = 1
+    inv2 = 1 / decimal.Decimal(y * y)
+    series = 0
+    for k, (num, den) in enumerate(_BERNOULLI, 1):
+        series += num * math.factorial(2 * k + i - 1) * power / (den * math.factorial(2 * k))
+        power *= inv2
+    if i < 0:
+        return (2 * y - 1) * decimal.Decimal(y).ln() / 2 - y + series
+    if i == 0:
+        return decimal.Decimal(y).ln() - 1 / decimal.Decimal(2 * y) - series
+    # (i-1)!/y^i + i!/(2y^(i+1)) as one quotient of integers, rounded once
+    head = decimal.Decimal(math.factorial(i - 1) * (2 * y + i)) / (2 * y ** (i + 1))
+    return (-1) ** (i + 1) * (head + series)
 
 
 @functools.lru_cache(maxsize=None)
 def _decimal_polygamma(i: int, x: int) -> decimal.Decimal:
-    """psi^(i)(x) for an integer x >= 1 as a Decimal at _WORK_DPS digits,
-    with no mpmath.
+    """psi^(i)(x) for an integer x >= 1 as a Decimal at _DIGITS digits.
 
-    Below _STIRLING_MIN_X, from the embedded constants and exact reciprocal
-    power sums, psi(x) = -gamma + H_(x-1) and
-    psi^(i)(x) = (-1)^(i+1) i! (zeta(i+1) - H^(i+1)_(x-1)), as one Fraction
-    rounded once.  There the constants' 52 digits lose what the difference
-    cancels, so at x = 63, i = 15 about 23 digits are left, ample for a
-    double.  From _STIRLING_MIN_X on, from the Stirling series
-    psi^(i)(x) = [i = 0] ln x + (-1)^(i+1) ([i > 0] (i-1)!/x^i + i!/(2x^(i+1))
-                 + sum_k B_2k (2k+i-1)!/(2k)! x^-(2k+i)),
-    over the 33 terms of _BERNOULLI, to nearly all 60 digits.
+    From _STIRLING_MIN_X on, the Stirling series.  Below, its value at
+    y = _STIRLING_MIN_X less the exact sum that the recurrence
+    psi^(i)(x+1) = psi^(i)(x) + (-1)^i i!/x^(i+1) adds on the way from x to y:
+
+        psi^(i)(x) = psi^(i)(y) - (-1)^i i! sum_(x<=j<y) j^-(i+1),
+
+    the sum over one common denominator, rounded once.  For i >= 1 the two
+    parts have the same sign, so nothing cancels; for i = 0 the subtraction
+    loses about one digit (psi(128) - H_127 at x = 1).
     """
-    if x < _STIRLING_MIN_X:
-        powers = sum(Fraction(1, j ** (i + 1)) for j in range(1, x))
-        if i == 0:
-            value = powers - Fraction(GAMMA_DIGITS)
-        else:
-            value = (-1) ** (i + 1) * math.factorial(i) * (Fraction(ZETA_DIGITS[i + 1]) - powers)
-        with decimal.localcontext(_DECIMAL):
-            return decimal.Decimal(value.numerator) / value.denominator
     with decimal.localcontext(_DECIMAL):
-        inv = 1 / decimal.Decimal(x)
-        inv2 = inv * inv
-        power = inv**i
-        total = math.factorial(i) * power * inv / 2
-        if i:
-            total += math.factorial(i - 1) * power
-        for k, (num, den) in enumerate(_BERNOULLI, 1):
-            power *= inv2
-            total += num * math.factorial(2 * k + i - 1) * power / (den * math.factorial(2 * k))
-        value = (-1) ** (i + 1) * total
-        return value + decimal.Decimal(x).ln() if i == 0 else value
+        if x >= _STIRLING_MIN_X:
+            return _stirling(i, x)
+        steps = range(x, _STIRLING_MIN_X)
+        common = math.lcm(*steps) ** (i + 1)
+        shift = (-1) ** i * math.factorial(i) * sum(common // j ** (i + 1) for j in steps)
+        return _decimal_polygamma(i, _STIRLING_MIN_X) - decimal.Decimal(shift) / common
 
 
-def _recip_gamma_recurrence(psi: list, g0, top: int) -> list:
-    """g(alpha), g'(alpha), ..., g^(top)(alpha) for g = c/Gamma, where
-    g0 = g(alpha) and psi[i] = psi^(i)(alpha), in the arithmetic of their
-    type (mpf or Decimal, at its working precision).
+def _log_gamma(x: int) -> decimal.Decimal:
+    """ln Gamma(x) for an integer x >= 1 as a Decimal at _DIGITS digits.
 
-    From g' = -psi*g:  g^(m+1) = -sum_i C(m,i) psi^(i) g^(m-i).
+    Up to _STIRLING_MIN_X it is ln (x-1)! of the exact integer; above, the
+    Stirling series of ``_stirling(-1, x)`` plus its constant ln(2 pi)/2,
+    taken as ln (_STIRLING_MIN_X - 1)! less the series at _STIRLING_MIN_X,
+    so that no pi is needed.
     """
-    g = [g0]
-    for m in range(top):
-        g.append(-sum(math.comb(m, i) * psi[i] * g[m - i] for i in range(m + 1)))
-    return g
+    with decimal.localcontext(_DECIMAL):
+        if x <= _STIRLING_MIN_X:
+            return decimal.Decimal(math.factorial(x - 1)).ln()
+        return _stirling(-1, x) - _stirling(-1, _STIRLING_MIN_X) + _log_gamma(_STIRLING_MIN_X)
 
 
 def _check_order(alpha: int, k: int) -> None:
@@ -277,48 +257,39 @@ def _check_order(alpha: int, k: int) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _recip_gamma_derivatives(alpha: int, top: int) -> tuple:
-    """g(alpha), g'(alpha), ..., g^(top)(alpha) for g = 1/Gamma, as mpf at
-    _WORK_DPS digits from ``mp.psi``."""
-    import mpmath as mp
-    psi = [_polygamma(i, alpha) for i in range(top)]
-    with mp.workdps(_WORK_DPS):
-        return tuple(_recip_gamma_recurrence(psi, mp.mpf(1) / mp.factorial(alpha - 1), top))
+def _decimal_ck(alpha: int, k: int) -> decimal.Decimal:
+    """C_k at ``alpha`` as a Decimal at _DIGITS digits.
 
-
-def _ck(alpha: int, k: int):
-    """C_k at ``alpha`` as an mpf at _WORK_DPS digits, from ``mp.psi``."""
-    import mpmath as mp
-    _check_order(alpha, k)
-    with mp.workdps(_WORK_DPS):
-        return mp.factorial(alpha - 1) * _recip_gamma_derivatives(alpha, k)[k]
-
-
-@functools.lru_cache(maxsize=None)
-def gamma_recip_derivative(alpha: int, k: int) -> float:
-    """C_k = (alpha-1)! * [d^k/dx^k 1/Gamma(x)] at x = alpha.
-
-    C_0 = 1 for every alpha; C_1 at alpha = 1 is the Euler-Mascheroni
-    constant.  Accurate to double precision: the recurrence runs at 60
-    digits in ``decimal``, on ``_decimal_polygamma``, and g(alpha) = 1
-    gives C_k itself, so no mpmath is imported.  The mpf record's ``_ck``
-    runs the same recurrence on ``mp.psi``; the two polygamma routes share
-    no arithmetic, and the tests hold each to the other.
+    For g = (alpha-1)!/Gamma, g(alpha) = 1 and g^(k)(alpha) = C_k, and from
+    g' = -psi*g,  g^(m+1) = -sum_i C(m,i) psi^(i) g^(m-i),  on the values of
+    ``_decimal_polygamma``.
     """
     _check_order(alpha, k)
     psi = [_decimal_polygamma(i, alpha) for i in range(k)]
     with decimal.localcontext(_DECIMAL):
-        return float(_recip_gamma_recurrence(psi, decimal.Decimal(1), k)[k])
+        g = [decimal.Decimal(1)]
+        for m in range(k):
+            g.append(-sum(math.comb(m, i) * psi[i] * g[m - i] for i in range(m + 1)))
+    return g[k]
+
+
+def gamma_recip_derivative(alpha: int, k: int) -> float:
+    """C_k = (alpha-1)! * [d^k/dx^k 1/Gamma(x)] at x = alpha.
+
+    C_0 = 1 for every alpha; C_1 at alpha = 1 is the Euler-Mascheroni
+    constant.  The double of the high record's C_k, ``_decimal_ck``.
+    """
+    return float(_decimal_ck(alpha, k))
 
 
 # ---------------------------------------------------------------------------
-# The arithmetic of an estimate: doubles or 60-digit mpf
+# The arithmetic of an estimate: doubles or 82-digit decimal
 # ---------------------------------------------------------------------------
 
 # Each estimate is one formula over these fields.  ``num`` leaves an int an
 # int for doubles, so that int ** int stays exact and int / int rounds once,
-# and gives an mpf otherwise; ``real`` gives a float or an mpf (a Fraction as
-# p/q rounded once, an mpf at its own precision).
+# and gives a Decimal otherwise; ``real`` gives a float or a Decimal (a
+# Fraction as p/q rounded once, a Decimal at its own precision).
 _Arithmetic = collections.namedtuple("_Arithmetic", "real num log factorial fsum ck gamma")
 
 _DOUBLE = _Arithmetic(
@@ -326,22 +297,30 @@ _DOUBLE = _Arithmetic(
 )
 
 
+def _decimal_real(x) -> decimal.Decimal:
+    if isinstance(x, Fraction):
+        return decimal.Decimal(x.numerator) / x.denominator
+    return decimal.Decimal(x)
+
+
+def _decimal_factorial(m: int):
+    """m! in the current context: the exact integer below _STIRLING_MIN_X,
+    and from there on exp(ln Gamma(m + 1)), whose cost does not grow with m."""
+    return math.factorial(m) if m < _STIRLING_MIN_X else _log_gamma(m + 1).exp()
+
+
 @contextlib.contextmanager
 def _arithmetic(high_precision: bool):
-    """The double record, or with ``high_precision`` the mpf record inside
-    ``mp.workdps(_WORK_DPS)``; only the latter imports mpmath."""
+    """The double record, or with ``high_precision`` the decimal record
+    inside its context, _DIGITS digits and the widest exponent range."""
     if not high_precision:
         yield _DOUBLE
         return
-    import mpmath as mp
-
-    def real(x):
-        if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / x.denominator
-        return x if isinstance(x, mp.mpf) else mp.mpf(x)
-
-    with mp.workdps(_WORK_DPS):
-        yield _Arithmetic(real, mp.mpf, mp.log, mp.factorial, mp.fsum, _ck, mp.mpf(GAMMA_DIGITS))
+    with decimal.localcontext(_DECIMAL):
+        yield _Arithmetic(
+            _decimal_real, decimal.Decimal, lambda x: decimal.Decimal(x).ln(), _decimal_factorial,
+            sum, _decimal_ck, -_decimal_polygamma(0, 1),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +409,7 @@ def transfer_term(
     truncates the bracket to k <= order (default: all beta+1 terms, which
     is the full finite sum).  Requires n >= 2 so ln n is positive.
 
-    Returns a float, or an mpf when ``high_precision`` is set.
+    Returns a float, or a Decimal when ``high_precision`` is set.
     """
     if n < 2:
         raise ValueError(f"transfer requires n >= 2, got {n}")
@@ -537,71 +516,45 @@ def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     return Fraction(math.factorial(beta) * coeff, math.factorial(n))
 
 
-def _check_polygamma_oracle(alpha: int, beta: int, n: int) -> None:
-    """The budget of both polygamma oracles: beta up to the polygamma orders
-    C_k needs, and the min(n, alpha - 1) factors of the exact binomial."""
+def highprec_coefficient(alpha: int, beta: int, n: int) -> decimal.Decimal:
+    """[u^n] of (1-u)^(-alpha) log(1/(1-u))^beta as a Decimal at _DIGITS digits.
+
+    The logarithm of the product in ``exact_coefficient`` gives the value as
+    C(n + alpha - 1, n) * beta! * e_beta, where e_k is the k-th elementary
+    symmetric function of the 1/(alpha + j), j < n.  Newton's identities
+    e_k = (1/k) sum_{i<=k} (-1)^(i-1) p_i e_(k-i) build it from the power sums
+    p_i = sum_{j<n} (alpha + j)^(-i)
+        = (-1)^(i-1) (psi^(i-1)(alpha + n) - psi^(i-1)(alpha)) / (i-1)!,
+    on the values of ``_decimal_polygamma``.  So the cost is O(beta^2)
+    polygamma and decimal operations whatever n is, plus the
+    min(n, alpha - 1) factors of the exact binomial, and n itself is not
+    budgeted, only min(n, alpha - 1) <= 100000 (1.2-1.4 s at alpha = 100001,
+    n = 10^9, nearly all of it the binomial) and beta <= MAX_DERIVATIVE_ORDER.
+    For n < beta the product has degree n, so the coefficient is exactly 0;
+    the identities would leave a rounding residue there, so 0 is returned
+    directly.  Kept apart from the exact oracle, whose product tree costs
+    seconds at n = 50000, so that each checks the other.
+    """
     _check_oracle_budget(alpha, beta, n, MAX_DERIVATIVE_ORDER)
     if min(n, alpha - 1) > ORACLE_MAX_N:
         raise SeriesBudgetError(
             f"high-precision oracle budget is min(n, alpha - 1) <= {ORACLE_MAX_N}, "
             f"got alpha={alpha}, n={n}"
         )
-
-
-def _newton_coefficient(psi, one, fsum, alpha: int, beta: int, n: int):
-    """C(n + alpha - 1, n) * beta! * e_beta in the arithmetic of ``one`` (mpf
-    or Decimal, at its working precision), with ``psi(i, x)`` the polygamma
-    function of that arithmetic and ``fsum`` its sum.
-
-    e_k is the k-th elementary symmetric function of the 1/(alpha + j),
-    j < n.  Newton's identities e_k = (1/k) sum_{i<=k} (-1)^(i-1) p_i e_(k-i)
-    build it from the power sums
-    p_i = sum_{j<n} (alpha + j)^(-i)
-        = (-1)^(i-1) (psi^(i-1)(alpha + n) - psi^(i-1)(alpha)) / (i-1)!.
-    """
-    p = [None]
-    for i in range(1, beta + 1):
-        diff = psi(i - 1, alpha + n) - psi(i - 1, alpha)
-        p.append((-1) ** (i - 1) * diff / math.factorial(i - 1))
-    e = [one]
-    for k in range(1, beta + 1):
-        e.append(fsum((-1) ** (i - 1) * p[i] * e[k - i] for i in range(1, k + 1)) / k)
-    return math.comb(n + alpha - 1, n) * math.factorial(beta) * e[beta]
-
-
-def highprec_coefficient(alpha: int, beta: int, n: int):
-    """[u^n] of (1-u)^(-alpha) log(1/(1-u))^beta as a 240-bit mpf.
-
-    The logarithm of the product in ``exact_coefficient`` gives the value as
-    C(n + alpha - 1, n) * beta! * e_beta, which ``_newton_coefficient``
-    builds from ``mp.psi`` differences, so the cost is O(beta^2) polygamma
-    and mpf operations whatever n is, plus the min(n, alpha - 1) factors of
-    the exact binomial.  So n itself is not budgeted, only
-    min(n, alpha - 1) <= 100000 (0.7 s at alpha = 100000; alpha = 10^6,
-    n = 10^7 took 47 s) and beta <= MAX_DERIVATIVE_ORDER.  Works with 32
-    guard bits and rounds to 240.  For n < beta the product has degree n, so
-    the coefficient is exactly 0; the identities would leave a rounding
-    residue there, so 0 is returned directly.  Kept apart from the exact
-    oracle, whose product tree costs seconds at n = 50000, so that each
-    checks the other.
-    """
-    import mpmath as mp
-    _check_polygamma_oracle(alpha, beta, n)
     if n < beta:
-        return mp.mpf(0)
-    with mp.workprec(_ORACLE_BITS + 32):
-        value = _newton_coefficient(mp.psi, mp.mpf(1), mp.fsum, alpha, beta, n)
-    with mp.workprec(_ORACLE_BITS):
-        return +value
-
-
-def _double_coefficient(alpha: int, beta: int, n: int) -> float:
-    """[u^n] of (1-u)^(-alpha) log(1/(1-u))^beta as a double, with no
-    mpmath: the identities of ``highprec_coefficient`` at _WORK_DPS digits
-    in ``decimal``, on ``_decimal_polygamma``, under the same budget; 0.0
-    for n < beta."""
-    _check_polygamma_oracle(alpha, beta, n)
-    if n < beta:
-        return 0.0
+        return decimal.Decimal(0)
+    psi = _decimal_polygamma
     with decimal.localcontext(_DECIMAL):
-        return float(_newton_coefficient(_decimal_polygamma, decimal.Decimal(1), sum, alpha, beta, n))
+        p = [None]
+        for i in range(1, beta + 1):
+            diff = psi(i - 1, alpha + n) - psi(i - 1, alpha)
+            p.append((-1) ** (i - 1) * diff / math.factorial(i - 1))
+        e = [decimal.Decimal(1)]
+        for k in range(1, beta + 1):
+            e.append(sum((-1) ** (i - 1) * p[i] * e[k - i] for i in range(1, k + 1)) / k)
+        # Decimal(int) converts every digit, in time quadratic in their number
+        # (3.4 s for the 443429 digits at alpha = 100001, n = 10^9); the top
+        # 320 bits carry all _DIGITS digits
+        binomial = math.comb(n + alpha - 1, n)
+        shift = max(binomial.bit_length() - 320, 0)
+        return (binomial >> shift) * decimal.Decimal(2) ** shift * math.factorial(beta) * e[beta]

@@ -260,19 +260,21 @@ class TestTransfer:
         assert "Traceback" not in proc.stderr
 
     def test_high_precision_large_alpha_is_fast(self):
-        # its polygamma values at alpha = 3 x 10^6 once took O(alpha) sums, 24 s
-        # its estimate lies below the double range and is refused once computed
-        start = children_cpu_seconds()
-        proc = run_cli_process(
-            "transfer", "--alpha", "3000000", "--beta", "1", "--n", "2", "--precision", "high"
-        )
-        assert children_cpu_seconds() - start < 2
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            3,
-            "",
-            "resource limit: result underflows the double range "
-            "(alpha=3000000, beta=1, n=2 estimate rounds to zero in doubles)\n",
-        )
+        # its polygamma values at alpha = 3 x 10^6 once took O(alpha) sums, 24 s,
+        # and the integer (alpha - 1)! alone takes a minute there; its estimate
+        # lies below the double range and is refused once computed
+        for alpha in (3_000_000, 10**9):
+            start = children_cpu_seconds()
+            proc = run_cli_process(
+                "transfer", "--alpha", str(alpha), "--beta", "1", "--n", "2", "--precision", "high"
+            )
+            assert children_cpu_seconds() - start < 2
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                3,
+                "",
+                "resource limit: result underflows the double range "
+                f"(alpha={alpha}, beta=1, n=2 estimate rounds to zero in doubles)\n",
+            )
 
     def test_exact_oracle_text_only_for_json(self):
         # the oracle H_10000 has a 4346-digit numerator, past Python's
@@ -453,8 +455,8 @@ class TestCompare:
 
 # Pinned from the series-convolution oracles that the product-tree and
 # polygamma routes replaced.  Above the table cutoff a cycles moment prints as
-# the double of a 240-bit value, and abs_err and rel_err of the high-precision
-# report use about 200 bits of it.
+# the double of an 82-digit value, and abs_err and rel_err of the
+# high-precision report use all of it.
 ORACLE_GRID = "201,4567,65432,100000"
 CYCLES_GOLDEN = {
     (1, 'double'): [
@@ -693,8 +695,8 @@ STDOUT_GOLDEN = [
         '{\n  "schema": 1,\n  "command": "compare",\n  "model": "quicksort",\n  "s": 3,\n  "rows": [\n    {\n      "n": 12,\n      "exact": "14271940259/415800",\n      "asym": -152234.79697574445,\n      "abs_err": 186558.84762269008,\n      "rel_err": 5.435222361766652,\n      "source": "pgf"\n    },\n    {\n      "n": 60,\n      "exact": "193480937127139369951257768711911066060774109423691/5212552565637110306298738816531196228800000",\n      "asym": -5040606.97159816,\n      "abs_err": 42158877.6635103,\n      "rel_err": 1.1357985401161612,\n      "source": "pgf"\n    }\n  ]\n}\n',
     ),
     (
-        # an mpf power and mp.factorial at huge alpha; the estimate is below the
-        # double range, so the request is refused and prints nothing
+        # (alpha - 1)! as exp(ln Gamma(alpha)) at huge alpha; the estimate is
+        # below the double range, so the request is refused and prints nothing
         'transfer --alpha 3000000 --beta 1 --n 2 --precision high --format csv',
         '',
     ),
@@ -743,9 +745,9 @@ print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 
 
 class TestImports:
-    """Every request is a fresh process, so numpy, mpmath and the process
-    pool are imported only on the routes that use them: mpmath only under
-    ``--precision high``."""
+    """Every request is a fresh process, so numpy and the process pool are
+    imported only on the routes that use them, and mpmath, the tests'
+    reference, by none."""
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -768,7 +770,7 @@ class TestImports:
             ),
             pytest.param(
                 ("transfer", "--alpha", "2", "--beta", "3", "--n", "500", "--precision", "high"),
-                ["mpmath"],
+                [],
                 id="transfer-high",
             ),
             pytest.param(
@@ -779,8 +781,14 @@ class TestImports:
             pytest.param(
                 ("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,5000",
                  "--precision", "high"),
-                ["mpmath"],
+                [],
                 id="compare-cycles-oracle-high",
+            ),
+            pytest.param(
+                ("compare", "--model", "quicksort", "--s", "3", "--n-grid", "12,60",
+                 "--precision", "high"),
+                [],
+                id="compare-quicksort-high",
             ),
             pytest.param(
                 ("compare", "--model", "quicksort", "--s", "1", "--n-grid", "2000"),

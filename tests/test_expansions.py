@@ -2,6 +2,7 @@
 cross-check that ties the transfer engine to the stated moment formulas."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -100,9 +101,12 @@ class TestAsymptoticMoment:
         assert asymptotic_moment(Model.INVERSIONS, 2, 512) == 28815.222222222223
 
     def test_inversions_lead_past_the_largest_double_high_precision(self):
-        # the 60-digit estimate rounds n^4 to an mpf before dividing by 16
+        # the 82-digit estimate divides the exact n^4 by 16, and its last digits
+        # hold the second term, 77 places below the first
         value = asymptotic_moment(Model.INVERSIONS, 2 * 10**77, 2, high_precision=True)
-        assert value._mpf_ == (0, 7151111669042734884346220195904089706134613496013204087912247, 821, 203)
+        assert value == Decimal(
+            "9.999999999999999999999999999999999999999999999999999999999999999999999999999922222E+307"
+        )
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

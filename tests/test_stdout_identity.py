@@ -141,15 +141,24 @@ def test_checked_in_moments_list():
     assert [a for a in argvs if a in workload] == [("verify", "--format", "csv"),
                                                     ("verify", "--format", "json")]
     transfers = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "transfer"]
+    # beside the grid of alpha, beta and n: huge alpha, which exits 3 under
+    # --precision high, and an estimate halfway between two doubles
     assert {(o["alpha"], o["beta"], o["n"]) for o in transfers} == {
-        (str(a), str(b), str(n)) for a in (1, 7, 40, 171) for b in range(7) for n in (2, 1000, 100000)
+        *((str(a), str(b), str(n)) for a in (1, 7, 40, 171) for b in range(7) for n in (2, 1000, 100000)),
+        *((str(a), str(b), str(n)) for a in (3000000, 1000000000) for b in (1, 6) for n in (2, 3)),
+        ("6", "0", "3015"),
     }
     assert {o.get("precision") for o in transfers} == {None, "high"}
     assert any("order" in o for o in transfers)
     compares = [a for a in argvs if a[0] == "compare"]
     oracle = [a for a in compares if "--precision" in a]
-    assert len(oracle) == 12
-    assert {a[a.index("--precision") + 1] for a in oracle} == {"double", "high"}
+    assert len(oracle) == 44
+    # the cycles oracle at s 1..16 in both precisions, and the high-precision
+    # asymptotics of the other two models
+    assert {(o["model"], o["s"], o["precision"]) for o in map(stdout_identity._workloads().options, oracle)} == {
+        *(("cycles", str(s), p) for s in range(1, 17) for p in ("double", "high")),
+        *((m, str(s), "high") for m in ("inversions", "quicksort") for s in range(1, 7)),
+    }
     # the truncated rising product, by its tree and by its loop
     assert [a for a in compares if a not in oracle] == [
         ("compare", "--model", "cycles", "--s", "6", "--n-grid", "60,150,200")

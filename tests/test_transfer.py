@@ -28,35 +28,60 @@ from momentlab import (
     transfer_term,
 )
 from momentlab.transfer import (
-    GAMMA_DIGITS,
     MAX_DERIVATIVE_ORDER,
     ORACLE_MAX_N,
-    ZETA_DIGITS,
     _BERNOULLI,
+    _DIGITS,
     _STIRLING_MIN_X,
-    _ck,
     _decimal_polygamma,
-    _double_coefficient,
-    _polygamma,
+    _log_gamma,
 )
 from momentlab import tables
 from momentlab.moments import exact_moment
 from momentlab.tables import Model, _rising, _rising_rows
 
+# mpmath is the tests' independent reference, at more digits than the
+# program's _DIGITS = 82
+REFERENCE_DPS = 100
+# x = 1..130 around the shift to the Stirling series at _STIRLING_MIN_X, a
+# log grid to 10^6, and the largest n the oracle tests probe
+POLYGAMMA_GRID = (*range(1, 131), *(round(10 ** (e / 4)) for e in range(9, 25)), 2 * 10**77)
 
-def _decimal_polygamma_mpf(i, x):
-    return mp.mpf(str(_decimal_polygamma(i, x)))
+
+def _mpf(value):
+    """A Decimal of the program as an mpf at the reference precision."""
+    with mp.workdps(REFERENCE_DPS):
+        return mp.mpf(str(value))
 
 
-# The two routes to psi^(i)(x) at integer x: mpmath's, which the mpf record
-# and the high-precision oracle use, and the decimal one of the double record
-# and the double-precision oracle.  They share no arithmetic.
-POLYGAMMA_ROUTES = {"mpmath": _polygamma, "decimal": _decimal_polygamma_mpf}
+def mpmath_recip_gamma_derivatives(alpha, top):
+    """C_0..C_top at alpha from g' = -psi*g on ``mp.psi``, as mpf."""
+    with mp.workdps(REFERENCE_DPS):
+        psi = [mp.psi(i, alpha) for i in range(top)]
+        g = [mp.mpf(1)]
+        for m in range(top):
+            g.append(-mp.fsum(math.comb(m, i) * psi[i] * g[m - i] for i in range(m + 1)))
+    return g
+
+
+def mpmath_oracle(alpha, beta, n):
+    """The Newton identities of ``highprec_coefficient`` on ``mp.psi``."""
+    with mp.workdps(REFERENCE_DPS):
+        p = [None] + [
+            (-1) ** (i - 1) * (mp.psi(i - 1, alpha + n) - mp.psi(i - 1, alpha)) / math.factorial(i - 1)
+            for i in range(1, beta + 1)
+        ]
+        e = [mp.mpf(1)]
+        for k in range(1, beta + 1):
+            e.append(mp.fsum((-1) ** (i - 1) * p[i] * e[k - i] for i in range(1, k + 1)) / k)
+        return math.comb(n + alpha - 1, n) * math.factorial(beta) * e[beta]
 
 
 class TestEmbeddedConstants:
-    """The embedded digit strings re-derived by direct series summation
-    (Euler-Maclaurin tail corrections), plus an independent library check."""
+    """Euler's constant and zeta(2..17), as -psi(1) and
+    psi^(k-1)(1) = (-1)^k (k-1)! zeta(k) of the decimal route, re-derived by
+    direct series summation (Euler-Maclaurin tail corrections), plus an
+    independent library check."""
 
     def test_gamma_by_series_summation(self):
         with mp.workdps(60):
@@ -64,9 +89,9 @@ class TestEmbeddedConstants:
             h = mp.fsum(mp.mpf(1) / j for j in range(1, M + 1))
             est = h - mp.log(M) - mp.mpf(1) / (2 * M) + mp.mpf(1) / (12 * M**2) \
                 - mp.mpf(1) / (120 * M**4)
-            assert abs(est - mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -20
+            assert abs(est + _mpf(_decimal_polygamma(0, 1))) < mp.mpf(10) ** -20
 
-    @pytest.mark.parametrize("k", sorted(ZETA_DIGITS))
+    @pytest.mark.parametrize("k", range(2, MAX_DERIVATIVE_ORDER + 2))
     def test_zeta_by_series_summation(self, k):
         with mp.workdps(60):
             M = 2000
@@ -77,16 +102,21 @@ class TestEmbeddedConstants:
                 + k * mp.mpf(M) ** (-k - 1) / 12
                 - k * (k + 1) * (k + 2) * mp.mpf(M) ** (-k - 3) / 720
             )
-            assert abs(partial + tail - mp.mpf(ZETA_DIGITS[k])) < mp.mpf(10) ** -15
+            zeta = (-1) ** k * _mpf(_decimal_polygamma(k - 1, 1)) / mp.factorial(k - 1)
+            assert abs(partial + tail - zeta) < mp.mpf(10) ** -15
 
     def test_against_mpmath(self):
-        with mp.workdps(55):
-            assert abs(mp.euler - mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -50
-            for k, digits in ZETA_DIGITS.items():
-                assert abs(mp.zeta(k) - mp.mpf(digits)) < mp.mpf(10) ** -50
+        # psi(1) = -gamma and psi^(i)(1) = (-1)^(i+1) i! zeta(i+1), for every
+        # order the oracle's beta cap reaches and one more
+        with mp.workdps(REFERENCE_DPS):
+            assert abs(_mpf(_decimal_polygamma(0, 1)) / -mp.euler - 1) < mp.mpf(10) ** -80
+            for i in range(1, MAX_DERIVATIVE_ORDER + 1):
+                expected = (-1) ** (i + 1) * mp.factorial(i) * mp.zeta(i + 1)
+                assert abs(_mpf(_decimal_polygamma(i, 1)) / expected - 1) < mp.mpf(10) ** -80, i
 
     def test_euler_gamma_float(self):
         assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-16)
+        assert EULER_GAMMA == float(-_decimal_polygamma(0, 1))
 
 
 class TestGammaRecipDerivative:
@@ -116,38 +146,34 @@ class TestGammaRecipDerivative:
         value = gamma_recip_derivative(alpha, k)
         assert value == pytest.approx(float(reference), rel=1e-8)
 
-    @pytest.mark.parametrize("route", sorted(POLYGAMMA_ROUTES))
-    def test_polygamma_against_embedded_zeta(self, route):
-        # psi(1) = -gamma and psi^(i)(1) = (-1)^(i+1) i! zeta(i+1), from the
-        # tabulated digits, for every order C_k up to the cap needs
-        psi = POLYGAMMA_ROUTES[route]
-        with mp.workdps(60):
-            assert abs(psi(0, 1) + mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -50
-            for i in range(1, MAX_DERIVATIVE_ORDER):
-                expected = (-1) ** (i + 1) * mp.factorial(i) * mp.mpf(ZETA_DIGITS[i + 1])
-                assert abs(psi(i, 1) / expected - 1) < mp.mpf(10) ** -50
-
-    @pytest.mark.parametrize("route", sorted(POLYGAMMA_ROUTES))
-    def test_polygamma_steps_by_reciprocal_powers(self, route):
+    def test_polygamma_steps_by_reciprocal_powers(self):
         # psi^(i)(a + 1) - psi^(i)(a) = (-1)^i i! / a^(i+1), the terms the
-        # finite sums at integer arguments add one at a time
-        psi = POLYGAMMA_ROUTES[route]
-        with mp.workdps(60):
-            for alpha in (1, 2, 3, 7, 30, 1000, 3_000_000):
+        # shift to the Stirling series adds one at a time; the step costs
+        # about log10(a) digits of the 82
+        with mp.workdps(REFERENCE_DPS):
+            for alpha in (1, 2, 3, 7, 30, _STIRLING_MIN_X - 1, _STIRLING_MIN_X, 1000, 3_000_000):
                 for i in range(MAX_DERIVATIVE_ORDER):
-                    step = psi(i, alpha + 1) - psi(i, alpha)
+                    step = _mpf(_decimal_polygamma(i, alpha + 1)) - _mpf(_decimal_polygamma(i, alpha))
                     expected = (-1) ** i * mp.factorial(i) / mp.mpf(alpha) ** (i + 1)
-                    assert abs(step / expected - 1) < mp.mpf(10) ** -40
+                    assert abs(step / expected - 1) < mp.mpf(10) ** -70, (i, alpha)
 
     def test_decimal_polygamma_against_mpmath(self):
-        # the Stirling side carries all 60 digits; below it the 52 digits of
-        # the embedded constants lose what zeta(i+1) - H^(i+1)_(x-1) cancels,
-        # at worst about 23 digits at x = 63, i = 15
-        with mp.workdps(60):
-            for x in (*range(1, _STIRLING_MIN_X + 3), 1000, 3_000_000, 10**9, 2 * 10**77):
-                bound = mp.mpf(10) ** (-55 if x >= _STIRLING_MIN_X else -22)
+        # to all 82 digits on both sides of _STIRLING_MIN_X: the shift's sum
+        # has the sign of the series for i >= 1, and costs one digit at i = 0
+        with mp.workdps(REFERENCE_DPS):
+            for x in POLYGAMMA_GRID:
                 for i in range(MAX_DERIVATIVE_ORDER):
-                    assert abs(_decimal_polygamma_mpf(i, x) / _polygamma(i, x) - 1) < bound, (i, x)
+                    value = _mpf(_decimal_polygamma(i, x))
+                    assert abs(value / mp.psi(i, x) - 1) < mp.mpf(10) ** -80, (i, x)
+
+    def test_log_gamma_against_mpmath(self):
+        # ln (x-1)! up to _STIRLING_MIN_X, and the series with the constant
+        # it takes from there on
+        with mp.workdps(REFERENCE_DPS):
+            for x in POLYGAMMA_GRID:
+                reference = mp.loggamma(x)
+                error = abs(_mpf(_log_gamma(x)) - reference)
+                assert error <= mp.mpf(10) ** -80 * max(1, abs(reference)), x
 
     def test_bernoulli_table(self):
         # sum_(j<=m) C(m+1, j) B_j = 0 for m >= 1, from B_0 = 1
@@ -157,15 +183,17 @@ class TestGammaRecipDerivative:
         assert [Fraction(*entry) for entry in _BERNOULLI] == b[2::2]
 
     def test_stirling_series_is_long_enough(self):
-        # the first omitted term of the series at the smallest x it serves is
-        # far below the 60 digits kept, for every polygamma order C_k needs
-        k, x = len(_BERNOULLI) + 1, _STIRLING_MIN_X
-        with mp.workdps(60):
-            for i in range(MAX_DERIVATIVE_ORDER):
+        # the first omitted term of the series at the smallest y it is summed
+        # at is far below the _DIGITS digits kept, for every polygamma order
+        # C_k needs and for ln Gamma (i = -1)
+        k, y = len(_BERNOULLI) + 1, _STIRLING_MIN_X
+        with mp.workdps(REFERENCE_DPS):
+            for i in range(-1, MAX_DERIVATIVE_ORDER):
                 omitted = abs(mp.bernoulli(2 * k)) * mp.factorial(2 * k + i - 1) / (
-                    mp.factorial(2 * k) * mp.mpf(x) ** (2 * k + i)
+                    mp.factorial(2 * k) * mp.mpf(y) ** (2 * k + i)
                 )
-                assert omitted < abs(_polygamma(i, x)) * mp.mpf(10) ** -64
+                value = mp.loggamma(y) if i < 0 else mp.psi(i, y)
+                assert omitted < abs(value) * mp.mpf(10) ** -(_DIGITS + 3), i
 
     @pytest.mark.parametrize(
         "alphas",
@@ -178,11 +206,12 @@ class TestGammaRecipDerivative:
         ],
     )
     def test_decimal_and_mpmath_records_agree(self, alphas):
-        # the double record rounds the decimal recurrence, the mpf record
-        # carries the mpmath one; each double is the same
+        # the double record rounds the decimal recurrence; the same recurrence
+        # on mp.psi at 100 digits gives each double
         for alpha in alphas:
+            reference = mpmath_recip_gamma_derivatives(alpha, MAX_DERIVATIVE_ORDER)
             for k in range(MAX_DERIVATIVE_ORDER + 1):
-                assert gamma_recip_derivative(alpha, k) == float(_ck(alpha, k)), (alpha, k)
+                assert gamma_recip_derivative(alpha, k) == float(reference[k]), (alpha, k)
 
     def test_order_cap(self):
         gamma_recip_derivative(1, MAX_DERIVATIVE_ORDER)
@@ -243,6 +272,17 @@ class TestTransferTerm:
         term = LogPowerTerm(Fraction(3, 2), 2, 2)
         hp = transfer_term(term, 500, high_precision=True)
         assert float(hp) == pytest.approx(transfer_term(term, 500), rel=1e-13)
+
+    def test_high_precision_leading_factor(self):
+        # 3015^5 / 5! lies exactly halfway between two doubles: below
+        # _STIRLING_MIN_X the factorial is exact, so the estimate keeps the
+        # value and rounds to the even double
+        hp = transfer_term(LogPowerTerm(1, 6, 0), 3015, high_precision=True)
+        assert Fraction(hp) == Fraction(3015**5, 120)
+        assert float(hp) == 2076133787584453.0
+        # above it the factorial is exp(ln Gamma), to about 80 digits
+        hp = transfer_term(LogPowerTerm(1, 200, 0), 3015, high_precision=True)
+        assert abs(Fraction(hp) / Fraction(3015**199, math.factorial(199)) - 1) < Fraction(1, 10**75)
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     def test_beta_zero_ratio_to_exact(self, alpha):
@@ -416,9 +456,7 @@ class TestExactCoefficient:
             assert exact == 0
             assert hp == 0
             return
-        with mp.workprec(320):
-            reference = mp.mpf(exact.numerator) / exact.denominator
-            assert abs(hp - reference) <= reference * mp.mpf(2) ** -200
+        assert abs(Fraction(hp) - exact) <= exact / 2**200
 
     def test_log_times_geometric_gives_harmonic(self):
         assert exact_coefficient(1, 1, 3) == Fraction(11, 6)
@@ -440,14 +478,12 @@ class TestExactCoefficient:
             assert exact_coefficient(1, 1, n) == harmonic(n)
 
     def test_higher_beta_against_highprec(self):
-        with mp.workprec(240):
-            for alpha in (1, 2, 3):
-                for beta in (0, 1, 2, 3, 4):
-                    for n in (17, 150):
-                        exact = exact_coefficient(alpha, beta, n)
-                        hp = highprec_coefficient(alpha, beta, n)
-                        err = abs(hp - mp.mpf(exact.numerator) / exact.denominator)
-                        assert err < mp.mpf(2) ** -180 * max(1, abs(hp))
+        for alpha in (1, 2, 3):
+            for beta in (0, 1, 2, 3, 4):
+                for n in (17, 150):
+                    exact = exact_coefficient(alpha, beta, n)
+                    hp = highprec_coefficient(alpha, beta, n)
+                    assert abs(Fraction(hp) - exact) < max(1, abs(exact)) / 2**180
 
     def test_budget_guards(self):
         with pytest.raises(SeriesBudgetError):
@@ -456,17 +492,16 @@ class TestExactCoefficient:
             exact_coefficient(1, 1, 100_001)
         with pytest.raises(ValueError):
             exact_coefficient(0, 1, 10)
-        # the polygamma oracles take O(beta) polygamma values, up to the
+        # the polygamma oracle takes O(beta) polygamma values, up to the
         # orders C_k needs
-        for oracle in (highprec_coefficient, _double_coefficient):
-            with pytest.raises(SeriesBudgetError):
-                oracle(1, MAX_DERIVATIVE_ORDER + 1, 10)
-            # the exact binomial C(n + alpha - 1, n) takes min(n, alpha - 1) factors
-            with pytest.raises(SeriesBudgetError):
-                oracle(ORACLE_MAX_N + 2, 1, ORACLE_MAX_N + 1)
-            with pytest.raises(ValueError):
-                oracle(0, 1, 10)
-            assert oracle(1, MAX_DERIVATIVE_ORDER, MAX_DERIVATIVE_ORDER - 1) == 0
+        with pytest.raises(SeriesBudgetError):
+            highprec_coefficient(1, MAX_DERIVATIVE_ORDER + 1, 10)
+        # the exact binomial C(n + alpha - 1, n) takes min(n, alpha - 1) factors
+        with pytest.raises(SeriesBudgetError):
+            highprec_coefficient(ORACLE_MAX_N + 2, 1, ORACLE_MAX_N + 1)
+        with pytest.raises(ValueError):
+            highprec_coefficient(0, 1, 10)
+        assert highprec_coefficient(1, MAX_DERIVATIVE_ORDER, MAX_DERIVATIVE_ORDER - 1) == 0
 
     @pytest.mark.parametrize("n", [201, 1000, 4000])
     @pytest.mark.parametrize("s", [7, MAX_DERIVATIVE_ORDER])
@@ -475,26 +510,24 @@ class TestExactCoefficient:
         # of the truncated rising product, which is the same coefficient
         exact, _ = exact_moment(Model.CYCLES, n, s)
         hp = highprec_coefficient(1, s, n)
-        with mp.workprec(320):
-            reference = mp.mpf(exact.numerator) / exact.denominator
-            assert abs(hp - reference) <= reference * mp.mpf(2) ** -240
-        assert _double_coefficient(1, s, n) == float(exact)
+        assert abs(Fraction(hp) - exact) <= exact / 2**240
+        assert float(hp) == float(exact)
 
     def test_double_oracle_is_the_rounded_highprec_oracle(self):
+        # the double-precision compare rounds the oracle to a double; the
+        # same identities on mp.psi at 100 digits give each double
         grid = [201, 202, 1000, 4567, 65_432, 100_001, 3 * 10**6, 2**40 + 3]
         grid += [10**e + 7 for e in range(15, 78, 8)] + [2 * 10**77]
         for n in grid:
             for s in range(1, MAX_DERIVATIVE_ORDER + 1):
-                assert _double_coefficient(1, s, n) == float(highprec_coefficient(1, s, n)), (n, s)
+                assert float(highprec_coefficient(1, s, n)) == float(mpmath_oracle(1, s, n)), (n, s)
 
     def test_highprec_has_no_n_budget(self):
         # its cost does not grow with n, so only the exact oracle caps n
         n = ORACLE_MAX_N + 1
         hp = highprec_coefficient(1, 1, n)
-        reference = harmonic(n)
-        with mp.workprec(320):
-            exact = mp.mpf(reference.numerator) / reference.denominator
-            assert abs(hp - exact) <= exact * mp.mpf(2) ** -200
+        exact = harmonic(n)
+        assert abs(Fraction(hp) - exact) <= exact / 2**200
 
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("beta", [0, 1, 2, 3])
