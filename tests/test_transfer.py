@@ -47,6 +47,31 @@ REFERENCE_DPS = 100
 # log grid to 10^6, and the largest n the oracle tests probe
 POLYGAMMA_GRID = (*range(1, 131), *(round(10 ** (e / 4)) for e in range(9, 25)), 2 * 10**77)
 
+# Euler's constant and zeta(2..17) to 52 digits, as tabulated digit strings
+# that share no arithmetic with the program or with mpmath
+GAMMA_DIGITS = "0.5772156649015328606065120900824024310421593359399236"
+ZETA_DIGITS = {
+    2: "1.644934066848226436472415166646025189218949901206798",
+    3: "1.202056903159594285399738161511449990764986292340499",
+    4: "1.082323233711138191516003696541167902774750951918727",
+    5: "1.036927755143369926331365486457034168057080919501913",
+    6: "1.017343061984449139714517929790920527901817490032854",
+    7: "1.008349277381922826839797549849796759599863560565239",
+    8: "1.004077356197944339378685238508652465258960790649850",
+    9: "1.002008392826082214417852769232412060485605851394889",
+    10: "1.000994575127818085337145958900319017006019531564478",
+    11: "1.000494188604119464558702282526469936468606435758209",
+    12: "1.000246086553308048298637998047739670960416088458003",
+    13: "1.000122713347578489146751836526357395714275105895510",
+    14: "1.000061248135058704829258545105135333747481696169155",
+    15: "1.000030588236307020493551728510645062587627948706858",
+    16: "1.000015282259408651871732571487636722023237388990472",
+    17: "1.000007637197637899762273600293563029213088249090263",
+}
+
+# The program's one route to psi^(i)(x) at integer x
+POLYGAMMA_ROUTES = {"decimal": _decimal_polygamma}
+
 
 def _mpf(value):
     """A Decimal of the program as an mpf at the reference precision."""
@@ -145,6 +170,17 @@ class TestGammaRecipDerivative:
             )
         value = gamma_recip_derivative(alpha, k)
         assert value == pytest.approx(float(reference), rel=1e-8)
+
+    @pytest.mark.parametrize("route", sorted(POLYGAMMA_ROUTES))
+    def test_polygamma_against_embedded_zeta(self, route):
+        # psi(1) = -gamma and psi^(i)(1) = (-1)^(i+1) i! zeta(i+1), from the
+        # tabulated digits, for every order C_k up to the cap needs
+        psi = POLYGAMMA_ROUTES[route]
+        with mp.workdps(60):
+            assert abs(_mpf(psi(0, 1)) + mp.mpf(GAMMA_DIGITS)) < mp.mpf(10) ** -50
+            for i in range(1, MAX_DERIVATIVE_ORDER):
+                expected = (-1) ** (i + 1) * mp.factorial(i) * mp.mpf(ZETA_DIGITS[i + 1])
+                assert abs(_mpf(psi(i, 1)) / expected - 1) < mp.mpf(10) ** -50, i
 
     def test_polygamma_steps_by_reciprocal_powers(self):
         # psi^(i)(a + 1) - psi^(i)(a) = (-1)^i i! / a^(i+1), the terms the
