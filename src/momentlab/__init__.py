@@ -22,18 +22,14 @@ _EXPORTS = {
         "DEFAULT_ROW_LIMITS",
         "DistributionTable",
         "RowLimitError",
-        "cycle_counts",
         "distribution_table",
         "distribution_tables",
-        "inversion_counts",
         "k_max",
-        "quicksort_counts",
         "row_limit",
     ),
     "moments": (
         "exact_moment",
         "factorial_moment",
-        "falling_factorial",
         "harmonic",
         "moment_sequence",
         "quicksort_mean",
@@ -68,7 +64,6 @@ _EXPORTS = {
         "quicksort_comparisons",
         "random_permutation",
         "sample_cost",
-        "trial_stream",
     ),
 }
 

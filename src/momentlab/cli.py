@@ -15,21 +15,14 @@ compare   convergence report of asymptotic vs. exact moments over an n-grid
 verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
 
 Exact moments of ``moment`` and ``compare`` come from
-``moments.exact_moment``; ``compare`` names the route in its ``source``
-field:
+``moments.exact_moment``, whose docstring describes its routes:
+closed-form, pgf and table.  ``compare`` names the route in its ``source``
+field, and has one more:
 
-  closed-form  quicksort, s = 1, at every n: 2(n+1)H_n - 4n; and the 0 of
-               inversions and quicksort at s > 6 past the support, k_max
-  pgf          Taylor coefficients of the PGF at z = 1, no row: cycles at
-               every s inside the row cap (in ``compare`` up to n = 200);
-               inversions at s <= 6; quicksort at s = 0 and 2 <= s <= 6,
-               n <= QUICKSORT_PGF_MAX_N
-  table        inversions and quicksort at 6 < s <= k_max, inside the row
-               caps: summation over the exact row
-  oracle       cycles in ``compare`` above n = 200, s <= 16: the polygamma
-               series oracle, an 82-digit ``Decimal`` printed as a float;
-               in double precision it enters the error columns rounded to
-               a double, with ``--precision high`` as it is
+  oracle       cycles above n = 200, s <= 16: the polygamma series oracle,
+               an 82-digit ``Decimal`` printed as a float; in double
+               precision it enters the error columns rounded to a double,
+               with ``--precision high`` as it is
 
 Each subcommand builds one record, and CSV and JSON are two views of it.
 The CSV view prints the record's columns under a header row, one line per
@@ -41,9 +34,10 @@ of ``moment``, ``oracle_exact`` of ``transfer``, ``tolerance`` and
 text only by that view: ``oracle_exact`` stays an exact rational until the
 JSON encoder writes it.
 
-The layers' names (``distribution_table``, ``exact_moment``,
-``transfer_term`` and the rest) are bound on first use, by this module's
-``__getattr__``, and the handlers call them through the module object.
+The layers' names, the package's public names and transfer's
+``_arithmetic`` and ``check_double_range``, are bound on first use by this
+module's ``__getattr__``, and the handlers call them through the module
+object.
 Every request is a fresh process that compiles each module it imports, so
 a request loads only the submodules its route runs: ``table`` only
 ``tables``, ``simulate`` only ``simulate``, ``transfer`` ``transfer`` and
@@ -70,26 +64,10 @@ import argparse
 import os
 import sys
 
-from . import Model, ResourceLimitError, _first_use
+from . import _EXPORTS, Model, ResourceLimitError, _first_use
 
 __getattr__ = _first_use(
-    globals(),
-    {
-        "tables": ("distribution_table",),
-        # factorial_moment and quicksort_mean are not called here; perfbench's
-        # traced replay wraps them under these names
-        "moments": ("exact_moment", "factorial_moment", "quicksort_mean"),
-        "transfer": (
-            "_arithmetic",
-            "LogPowerTerm",
-            "check_double_range",
-            "exact_coefficient",
-            "highprec_coefficient",
-            "transfer_term",
-        ),
-        "expansions": ("asymptotic_moment", "coefficient_crosscheck"),
-        "simulate": ("estimate_factorial_moment",),
-    },
+    globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic", "check_double_range")}
 )
 # This module: the handlers look the layers' names up on it, so that
 # ``__getattr__`` binds each on first use and a name set on the module from
@@ -243,7 +221,7 @@ def _cmd_transfer(args) -> int:
     if args.order is not None and args.order < 0:
         raise ValueError("--order must be nonnegative")
     high_precision = args.precision == "high"
-    _layers.check_double_range(args.alpha, args.beta, args.n, high_precision=high_precision)
+    _layers.check_double_range(args.alpha, args.beta, args.n)
     term = _layers.LogPowerTerm(Fraction(1), args.alpha, args.beta)
     estimate = _layers.transfer_term(
         term, args.n, order=args.order, high_precision=high_precision

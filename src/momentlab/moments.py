@@ -1,5 +1,4 @@
-"""Exact factorial moments, plus the small exact utilities (falling
-factorials, generalized harmonic numbers) they need.
+"""Exact factorial moments, plus the generalized harmonic numbers they need.
 
 The s-th factorial moment of a cost statistic X on inputs of size n is
 E[(X)_s] with (X)_s = X(X-1)...(X-s+1), the Taylor coefficient
@@ -8,10 +7,13 @@ s! [t^s] P_n(1+t) of the probability generating function P_n at z = 1.
 
 * ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, at every n, and
   the 0 of inversions and quicksort at s > max(PGF_MAX_S, k_max(model, n));
-* ``pgf`` -- from the first s + 1 Taylor coefficients of n! P_n(1+t), with
-  no row: cycles at every s inside the cycles row cap, where n! P_n(1+t) is
-  (1+t)(2+t)...(n+t), the rising product of the cycles rows from
-  ``tables._rising``, and inversions and quicksort at s <= PGF_MAX_S;
+* ``pgf`` -- from the PGF, with no row of size n: cycles at every s inside
+  the cycles row cap, from the first s + 1 Taylor coefficients of
+  n! P_n(1+t) = (1+t)(2+t)...(n+t), the rising product of the cycles rows
+  from ``tables._rising``; quicksort at s <= PGF_MAX_S, from its own
+  coefficients, by the recurrence of ``_quicksort_pgf``; and inversions at
+  s <= PGF_MAX_S, where E[(I_n)_s] is a polynomial of degree 2s in n,
+  interpolated once per s through the moments of rows 0..2s;
 * ``table`` -- inversions and quicksort at PGF_MAX_S < s <= k_max: direct
   summation over the exact row (``factorial_moment``), inside the row caps.
 
@@ -31,6 +33,7 @@ from .tables import (
     DistributionTable,
     RowLimitError,
     _check_row_request,
+    _inversion_rows,
     _rising,
     distribution_table,
     distribution_tables,
@@ -40,7 +43,6 @@ from .tables import (
 __all__ = [
     "PGF_MAX_S",
     "QUICKSORT_PGF_MAX_N",
-    "falling_factorial",
     "harmonic",
     "factorial_moment",
     "moment_sequence",
@@ -60,13 +62,6 @@ PGF_MAX_S = 6
 # box with Python 3.11: n = 800 in 21.4-22.6 s and 19 MB (27.1 s a fifth
 # slower), 750 in 15.1-16.6 s, 700 in 12.8-13.0 s.
 QUICKSORT_PGF_MAX_N = 800
-
-
-def falling_factorial(k: int, s: int) -> int:
-    """(k)_s = k (k-1) ... (k-s+1); equals 1 for s = 0 and 0 for s > k."""
-    if k < 0 or s < 0:
-        raise ValueError("falling_factorial requires nonnegative arguments")
-    return math.perm(k, s)
 
 
 def _harmonic_split(lo: int, hi: int, r: int) -> tuple[int, int]:
@@ -139,20 +134,6 @@ def _pgf_moment(poly: Sequence[int], n: int, s: int) -> Fraction:
     return Fraction(math.factorial(s) * poly[s], total)
 
 
-def _inversions_pgf(n: int, s: int) -> list[int]:
-    """[t^0..t^s] of n! P_n(1+t) for inversions.
-
-    P_n(z) = prod_(j<=n) (1 + z + ... + z^(j-1))/j (Knuth, TAOCP 3, 5.1.1),
-    and at z = 1+t each factor times j is ((1+t)^j - 1)/t, whose t^r
-    coefficient is C(j, r+1): an integer product truncated at t^s.
-    """
-    poly = [1] + [0] * s
-    for j in range(1, n + 1):
-        factor = [math.comb(j, r + 1) for r in range(s + 1)]
-        poly = [sum(poly[i] * factor[k - i] for i in range(k + 1)) for k in range(s + 1)]
-    return poly
-
-
 @functools.lru_cache(maxsize=None)
 def _inversions_polynomial(s: int) -> tuple[Fraction, ...]:
     """Coefficients, constant first, of the polynomial in n equal to
@@ -161,10 +142,14 @@ def _inversions_polynomial(s: int) -> tuple[Fraction, ...]:
     log P_n(1+t) is a sum over j <= n of series whose t^r coefficient is a
     polynomial of degree r in j, so [t^s] P_n(1+t) is a polynomial of
     degree 2s in n.  It is the Lagrange interpolant through its exact
-    values at n = 0..2s, built here in Newton's forward-difference form
+    values at n = 0..2s, the moments of the table rows 0..2s (built here
+    whatever the row cap), in Newton's forward-difference form
     sum_k (Delta^k at 0) C(n, k).
     """
-    values = [_pgf_moment(_inversions_pgf(m, s), m, s) for m in range(2 * s + 1)]
+    values = [
+        factorial_moment(DistributionTable(Model.INVERSIONS, m, tuple(row)), s)
+        for m, row in enumerate(_inversion_rows(2 * s))
+    ]
     coefficients = [Fraction(0)] * len(values)
     basis = [Fraction(1)]  # C(n, k) in powers of n
     for k in range(len(values)):

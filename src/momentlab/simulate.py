@@ -109,7 +109,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "TrialStream",
-    "trial_stream",
     "MomentEstimate",
     "random_permutation",
     "count_cycles",
@@ -228,11 +227,6 @@ class TrialStream:
             word = self.next_uint64()
             if word >= threshold:
                 return word % bound
-
-
-def trial_stream(seed: int, index: int = 0) -> TrialStream:
-    """The random stream of trial ``index`` under ``seed``."""
-    return TrialStream(seed, index)
 
 
 def random_permutation(n: int, rng: TrialStream) -> list[int]:
@@ -723,10 +717,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _range_worker(args):
-    return _accumulate_range(*args)
-
-
 def estimate_factorial_moment(
     model: Model,
     n: int,
@@ -755,6 +745,8 @@ def estimate_factorial_moment(
         raise ValueError(f"n must be positive, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be positive, got {threads}")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError("seed must fit in 64 bits")
     if (n - 1) * trials > MAX_DRAWS:
         raise DrawLimitError(
             f"{model} estimate needs (n-1) x trials = {(n - 1) * trials} draws, "
@@ -781,7 +773,7 @@ def estimate_factorial_moment(
             for lo in range(0, trials, step)
         ]
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(_range_worker, ranges))
+            parts = list(pool.map(_accumulate_range, *zip(*ranges)))
         total = sum(p[0] for p in parts)
         total_sq = sum(p[1] for p in parts)
     # int / int is the exact quotient rounded once to a double

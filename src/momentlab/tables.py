@@ -71,9 +71,6 @@ __all__ = [
     "DEFAULT_ROW_LIMITS",
     "row_limit",
     "k_max",
-    "cycle_counts",
-    "inversion_counts",
-    "quicksort_counts",
     "distribution_table",
     "distribution_tables",
 ]
@@ -503,21 +500,6 @@ def _rows(model: Model, n: int, every: bool):
     if model is Model.CYCLES:
         return list(_rising_rows(0, n, n)) if every else [_rising(0, n, n)]
     return list(_inversion_rows(n)) if every else collections.deque(_inversion_rows(n), maxlen=1)
-
-
-def cycle_counts(n: int) -> DistributionTable:
-    """Exact row of cycle counts: counts[k] permutations of n with k cycles."""
-    return distribution_table(Model.CYCLES, n)
-
-
-def inversion_counts(n: int) -> DistributionTable:
-    """Exact row of inversion counts (palindromic, k = 0 .. n(n-1)/2)."""
-    return distribution_table(Model.INVERSIONS, n)
-
-
-def quicksort_counts(n: int) -> DistributionTable:
-    """Exact row of quicksort comparison counts (k = 0 .. n(n-1)/2)."""
-    return distribution_table(Model.QUICKSORT, n)
 
 
 def distribution_table(model: Model, n: int) -> DistributionTable:

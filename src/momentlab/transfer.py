@@ -388,6 +388,14 @@ class SingularExpansion(collections.namedtuple("SingularExpansion", "terms remai
 # Numeric transfer
 # ---------------------------------------------------------------------------
 
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# Natural-log slack of a refusal past the double range: the lgamma values of
+# ``transfer_term`` and ``check_double_range`` are far closer to the truth
+# than a factor e, so every refused request is past the range, and none that
+# fits it is refused.
+_RANGE_MARGIN = 1.0
+
+
 def _bracket_orders(beta: int, order: int | None) -> int:
     top = beta if order is None else min(beta, order)
     if order is not None and order < 0:
@@ -415,6 +423,12 @@ def transfer_term(
         raise ValueError(f"transfer requires n >= 2, got {n}")
     a, b = term.alpha, term.beta
     top = _bracket_orders(b, order)
+    # the double record converts n^(alpha-1) and (alpha-1)! to doubles on the
+    # way to their quotient, so either one past the range is refused before
+    # it is formed
+    log_largest = max((a - 1) * math.log(n), math.lgamma(a))
+    if not high_precision and log_largest > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
+        raise OverflowError(f"alpha={a}, beta={b}, n={n} does not fit doubles")
     with _arithmetic(high_precision) as r:
         logn = r.log(n)
         bracket = r.real(0)
@@ -444,40 +458,25 @@ def transfer_expansion(
         )
 
 
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
-# Natural-log slack of a refusal: the lgamma values below are far closer to
-# the truth than a factor e, so every refused request is past the double
-# range, and none that fits it is refused.
-_RANGE_MARGIN = 1.0
+def check_double_range(alpha: int, beta: int, n: int) -> None:
+    """Raise OverflowError, before any work, when the exact oracle at
+    (alpha, beta, n) must pass the double range.
 
-
-def check_double_range(alpha: int, beta: int, n: int, *, high_precision: bool = False) -> None:
-    """Raise OverflowError, before any work, when a report of the estimate
-    and the exact oracle at (alpha, beta, n) must pass the double range.
-
-    * The oracle is beta! [t^beta] prod_(j<n) (alpha + j + t) / n!.  That
-      coefficient sums C(n, beta) products, each missing beta of the n
-      factors alpha + j and so at least prod_(j<n) (alpha + j) over
-      (alpha + n - 1)^beta.  For n >= beta the oracle is therefore at least
-      prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta), and when
-      that passes the range so does the oracle's conversion to a double.
-    * The double-precision estimate converts n^(alpha-1) and (alpha-1)! to
-      doubles on the way to their quotient, so either one past the range
-      fails too.  The high-precision estimate does not.
+    The oracle is beta! [t^beta] prod_(j<n) (alpha + j + t) / n!.  That
+    coefficient sums C(n, beta) products, each missing beta of the n factors
+    alpha + j and so at least prod_(j<n) (alpha + j) over
+    (alpha + n - 1)^beta.  For n >= beta the oracle is therefore at least
+    prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta), and when
+    that passes the range so does the oracle's conversion to a double.  The
+    double-precision estimate makes its own check in ``transfer_term``.
 
     This costs a few ``math.lgamma`` calls, where the request itself would
     run O(alpha) polygamma sums first.
     """
-    bound = _LOG_DOUBLE_MAX + _RANGE_MARGIN
-    logs = []
-    if n >= beta:
-        logs.append(
-            math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)
-            - beta * math.log(alpha + n - 1)
-        )
-    if not high_precision:
-        logs += [(alpha - 1) * math.log(n), math.lgamma(alpha)]
-    if any(value > bound for value in logs):
+    if n >= beta and (
+        math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)
+        - beta * math.log(alpha + n - 1)
+    ) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
         raise OverflowError(f"alpha={alpha}, beta={beta}, n={n} does not fit doubles")
 
 

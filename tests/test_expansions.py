@@ -12,10 +12,10 @@ from momentlab import (
     Model,
     asymptotic_moment,
     coefficient_crosscheck,
+    distribution_table,
     exact_coefficient,
     factorial_moment,
     harmonic,
-    inversion_counts,
     moment_sequence,
     quicksort_mean,
     singular_expansion,
@@ -78,7 +78,7 @@ class TestAsymptoticMoment:
                 Fraction(n * (n - 1), 4)
             )
             assert asymptotic_moment(Model.INVERSIONS, n, 1) == float(
-                factorial_moment(inversion_counts(n), 1)
+                factorial_moment(distribution_table(Model.INVERSIONS, n), 1)
             )
 
     def test_quicksort_example(self):

@@ -14,49 +14,49 @@ from momentlab import (
     DistributionTable,
     Model,
     RowLimitError,
-    cycle_counts,
+    distribution_table,
     distribution_tables,
     factorial_moment,
-    falling_factorial,
     harmonic,
-    inversion_counts,
     k_max,
     moment_sequence,
-    quicksort_counts,
     quicksort_mean,
     row_limit,
 )
 from momentlab.moments import (
     PGF_MAX_S,
     QUICKSORT_PGF_MAX_N,
-    _inversions_pgf,
     _inversions_polynomial,
     _pgf_moment,
     _quicksort_pgf,
     exact_moment,
 )
 from momentlab.simulate import comparisons_first_pivot
+from momentlab.tables import _rising
 
 
 class TestFallingFactorial:
+    """``math.perm`` is the falling factorial (k)_s that ``factorial_moment``
+    weighs each count by; it must vanish for s > k."""
+
     def test_examples(self):
-        assert falling_factorial(5, 2) == 20
-        assert falling_factorial(3, 5) == 0
+        assert math.perm(5, 2) == 20
+        assert math.perm(3, 5) == 0
         for k in (0, 1, 7, 123):
-            assert falling_factorial(k, 0) == 1
+            assert math.perm(k, 0) == 1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            falling_factorial(-1, 2)
+            math.perm(-1, 2)
         with pytest.raises(ValueError):
-            falling_factorial(2, -1)
+            math.perm(2, -1)
 
     @given(k=st.integers(0, 80), s=st.integers(0, 90))
     def test_matches_product_definition(self, k, s):
         product = 1
         for i in range(s):
             product *= k - i  # hits the factor 0 whenever s > k
-        assert falling_factorial(k, s) == product
+        assert math.perm(k, s) == product
 
 
 class TestHarmonic:
@@ -86,10 +86,10 @@ class TestFactorialMoment:
                 ) == 1
 
     def test_inversion_mean_example(self):
-        assert factorial_moment(inversion_counts(10), 1) == Fraction(45, 2)
+        assert factorial_moment(distribution_table(Model.INVERSIONS, 10), 1) == Fraction(45, 2)
 
     def test_quicksort_mean_example(self):
-        assert factorial_moment(quicksort_counts(3), 1) == Fraction(8, 3)
+        assert factorial_moment(distribution_table(Model.QUICKSORT, 3), 1) == Fraction(8, 3)
 
     def test_rejects_corrupt_row(self):
         bad = DistributionTable(Model.INVERSIONS, 3, (1, 2, 2, 2))
@@ -173,7 +173,7 @@ class TestFirstMomentIdentities:
 def test_cycle_mean_times_factorial_is_integer_row_identity():
     # sum_k k * counts[k] = n! * H_n exactly
     for n in (1, 7, 23, 50):
-        counts = cycle_counts(n).counts
+        counts = distribution_table(Model.CYCLES, n).counts
         assert sum(k * c for k, c in enumerate(counts)) == math.factorial(n) * harmonic(n)
 
 
@@ -199,12 +199,34 @@ class TestExactMoment:
             for s in range(PGF_MAX_S + 1):
                 assert exact_moment(Model.INVERSIONS, n, s) == (factorial_moment(table, s), "pgf")
 
-    @pytest.mark.parametrize("n", [150, 500])
+    @pytest.mark.parametrize("n", [150, 200])
     def test_inversions_match_direct_product(self, n):
         # above 2s the engine evaluates its interpolated polynomial
+        table = distribution_table(Model.INVERSIONS, n)
         for s in range(1, PGF_MAX_S + 1):
-            direct = _pgf_moment(_inversions_pgf(n, s), n, s)
-            assert exact_moment(Model.INVERSIONS, n, s)[0] == direct
+            assert exact_moment(Model.INVERSIONS, n, s)[0] == factorial_moment(table, s)
+
+    def test_inversions_read_rows_up_to_2s(self, monkeypatch):
+        from momentlab import moments
+
+        rows = moments._inversion_rows
+        asked = []
+
+        def recording(n):
+            asked.append(n)
+            return rows(n)
+
+        _inversions_polynomial.cache_clear()
+        monkeypatch.setattr(moments, "_inversion_rows", recording)
+        for s in range(PGF_MAX_S + 1):
+            exact_moment(Model.INVERSIONS, 10**9, s)
+        assert asked == [2 * s for s in range(PGF_MAX_S + 1)]
+
+    def test_inversions_ignore_the_row_cap(self, monkeypatch):
+        expected = factorial_moment(distribution_table(Model.INVERSIONS, 100), PGF_MAX_S)
+        _inversions_polynomial.cache_clear()
+        monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "0")
+        assert exact_moment(Model.INVERSIONS, 100, PGF_MAX_S) == (expected, "pgf")
 
     @pytest.mark.parametrize("s", range(1, PGF_MAX_S + 1))
     def test_inversions_top_coefficients_are_the_papers(self, s):
@@ -216,8 +238,8 @@ class TestExactMoment:
 
     def test_mass_guard(self):
         n, s = 4, 2
-        poly = _inversions_pgf(n, s)
-        assert _pgf_moment(poly, n, s) == factorial_moment(inversion_counts(n), s)
+        poly = _rising(1, n + 1, s)
+        assert _pgf_moment(poly, n, s) == factorial_moment(distribution_table(Model.CYCLES, n), s)
         with pytest.raises(ValueError, match="mass"):
             _pgf_moment([poly[0] + 1] + poly[1:], n, s)
 
@@ -233,9 +255,9 @@ class TestExactMoment:
 
     def test_routes(self):
         assert exact_moment(Model.QUICKSORT, 20000, 1) == (quicksort_mean(20000), "closed-form")
-        assert exact_moment(Model.CYCLES, 30, 2) == (factorial_moment(cycle_counts(30), 2), "pgf")
-        assert exact_moment(Model.CYCLES, 30, 7) == (factorial_moment(cycle_counts(30), 7), "pgf")
-        table = inversion_counts(12)
+        assert exact_moment(Model.CYCLES, 30, 2) == (factorial_moment(distribution_table(Model.CYCLES, 30), 2), "pgf")
+        assert exact_moment(Model.CYCLES, 30, 7) == (factorial_moment(distribution_table(Model.CYCLES, 30), 7), "pgf")
+        table = distribution_table(Model.INVERSIONS, 12)
         assert exact_moment(Model.INVERSIONS, 12, 7) == (factorial_moment(table, 7), "table")
         # a polynomial in n: no cap, exact at any size
         value, route = exact_moment(Model.INVERSIONS, 10**9, PGF_MAX_S)
@@ -248,7 +270,7 @@ class TestExactMoment:
                 assert exact_moment(Model.CYCLES, n, s) == (factorial_moment(table, s), "pgf"), (n, s)
         # at n = 1200 the product tree splits for every s <= 8, while the row
         # is built by the loop alone
-        table = cycle_counts(1200)
+        table = distribution_table(Model.CYCLES, 1200)
         for s in range(9):
             assert exact_moment(Model.CYCLES, 1200, s) == (factorial_moment(table, s), "pgf"), s
 

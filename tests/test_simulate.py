@@ -21,16 +21,13 @@ from momentlab import (
     comparisons_first_pivot,
     count_cycles,
     count_inversions,
-    cycle_counts,
+    distribution_table,
     estimate_factorial_moment,
     factorial_moment,
     harmonic,
-    inversion_counts,
     quicksort_comparisons,
-    quicksort_counts,
     random_permutation,
     sample_cost,
-    trial_stream,
 )
 from momentlab import simulate
 from momentlab.simulate import (
@@ -83,11 +80,11 @@ class TestTrialStream:
             TrialStream(1, -1)
 
     def test_randbelow_range_and_determinism(self):
-        rng = trial_stream(7)
+        rng = TrialStream(7)
         draws = [rng.randbelow(6) for _ in range(2000)]
         assert set(draws) <= set(range(6))
         assert min(draws) == 0 and max(draws) == 5
-        rng2 = trial_stream(7)
+        rng2 = TrialStream(7)
         assert draws == [rng2.randbelow(6) for _ in range(2000)]
         with pytest.raises(ValueError):
             rng.randbelow(0)
@@ -95,28 +92,28 @@ class TestTrialStream:
 
 class TestRandomPermutation:
     def test_single_element(self):
-        assert random_permutation(1, trial_stream(0)) == [1]
+        assert random_permutation(1, TrialStream(0)) == [1]
 
     def test_fixed_seed_is_reproducible(self):
-        first = random_permutation(5, trial_stream(42, 3))
-        assert random_permutation(5, trial_stream(42, 3)) == first
+        first = random_permutation(5, TrialStream(42, 3))
+        assert random_permutation(5, TrialStream(42, 3)) == first
         assert sorted(first) == [1, 2, 3, 4, 5]
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 64), seed=st.integers(0, 2**64 - 1), idx=st.integers(0, 99))
     def test_always_a_permutation(self, n, seed, idx):
-        perm = random_permutation(n, trial_stream(seed, idx))
+        perm = random_permutation(n, TrialStream(seed, idx))
         assert sorted(perm) == list(range(1, n + 1))
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            random_permutation(0, trial_stream(1))
+            random_permutation(0, TrialStream(1))
 
     @pytest.mark.parametrize("seed", [0, 7, 2**63 + 11])
     def test_batch_matches_scalar(self, seed):
         batch = _permutation_batch(seed, 17, 3, 40).tolist()
         scalar = [
-            random_permutation(17, trial_stream(seed, i)) for i in range(3, 40)
+            random_permutation(17, TrialStream(seed, i)) for i in range(3, 40)
         ]
         assert batch == scalar
 
@@ -137,7 +134,7 @@ class TestRandomPermutation:
         lockstep = _permutation_batch(seed, n, start, start + _LOCKSTEP_MIN_LANES)
         lane = _lane_permutation(seed, n, start)
         expected = [
-            random_permutation(n, trial_stream(seed, i))
+            random_permutation(n, TrialStream(seed, i))
             for i in range(start, start + _LOCKSTEP_MIN_LANES)
         ]
         assert lockstep.tolist() == expected
@@ -192,20 +189,20 @@ class TestCostStatistics:
             inv[count_inversions(perm)] += 1
         if n == 0:
             cyc = [1]
-        assert tuple(cyc) == cycle_counts(n).counts
-        assert tuple(inv) == inversion_counts(n).counts
+        assert tuple(cyc) == distribution_table(Model.CYCLES, n).counts
+        assert tuple(inv) == distribution_table(Model.INVERSIONS, n).counts
 
     @pytest.mark.parametrize("n", range(7))
     def test_first_pivot_histogram_matches_table(self, n):
         hist = [0] * (n * (n - 1) // 2 + 1)
         for perm in permutations(range(1, n + 1)):
             hist[comparisons_first_pivot(perm)] += 1
-        assert tuple(hist) == quicksort_counts(n).counts
+        assert tuple(hist) == distribution_table(Model.QUICKSORT, n).counts
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 50), seed=st.integers(0, 2**32))
     def test_merge_count_matches_quadratic_count(self, n, seed):
-        perm = random_permutation(n, trial_stream(seed))
+        perm = random_permutation(n, TrialStream(seed))
         slow = sum(
             perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)
         )
@@ -214,7 +211,7 @@ class TestCostStatistics:
 
 class TestQuicksortComparisons:
     def test_trivial_sizes(self):
-        rng = trial_stream(3)
+        rng = TrialStream(3)
         assert quicksort_comparisons(0, rng) == 0
         assert quicksort_comparisons(1, rng) == 0
         assert quicksort_comparisons(2, rng) == 1
@@ -222,10 +219,10 @@ class TestQuicksortComparisons:
     def test_n3_frequencies_within_4_sigma(self):
         trials = 100_000
         twos = sum(
-            quicksort_comparisons(3, trial_stream(11, i)) == 2 for i in range(trials)
+            quicksort_comparisons(3, TrialStream(11, i)) == 2 for i in range(trials)
         )
         p = Fraction(
-            quicksort_counts(3).counts[2], math.factorial(3)
+            distribution_table(Model.QUICKSORT, 3).counts[2], math.factorial(3)
         )  # = 1/3
         sigma = math.sqrt(float(p * (1 - p)) * trials)
         assert abs(twos - float(p) * trials) <= 4 * sigma
@@ -237,7 +234,7 @@ class TestQuicksortComparisons:
         trials = 40_000
         seen = {}
         for i in range(trials):
-            k = quicksort_comparisons(n, trial_stream(99, i))
+            k = quicksort_comparisons(n, TrialStream(99, i))
             seen[k] = seen.get(k, 0) + 1
         dist = pivot_sequence_distribution(n)
         assert set(seen) <= set(dist)
@@ -248,7 +245,7 @@ class TestQuicksortComparisons:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            quicksort_comparisons(-1, trial_stream(0))
+            quicksort_comparisons(-1, TrialStream(0))
 
 
 class TestEstimator:
@@ -271,7 +268,7 @@ class TestEstimator:
 
     def test_quicksort_second_moment_near_exact(self):
         est = estimate_factorial_moment(Model.QUICKSORT, 30, 2, 20_000, 4)
-        exact = float(factorial_moment(quicksort_counts(30), 2))
+        exact = float(factorial_moment(distribution_table(Model.QUICKSORT, 30), 2))
         assert abs(est.mean - exact) <= 4 * est.stderr
 
     def test_inversions_first_moment_near_exact(self):
@@ -295,10 +292,18 @@ class TestEstimator:
         with pytest.raises(ValueError):
             estimate_factorial_moment(Model.CYCLES, 10, 1, 10, 0, threads=0)
 
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, model, seed):
+        # the message TrialStream gives, not numpy's OverflowError; 40 trials
+        # take quicksort's lockstep route, which converts the seed in numpy
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
+            estimate_factorial_moment(model, 10, 1, 40, seed)
+
     def test_sample_cost_dispatch(self):
-        assert sample_cost(Model.CYCLES, 1, trial_stream(0)) == 1
-        assert sample_cost(Model.INVERSIONS, 1, trial_stream(0)) == 0
-        assert sample_cost(Model.QUICKSORT, 2, trial_stream(0)) == 1
+        assert sample_cost(Model.CYCLES, 1, TrialStream(0)) == 1
+        assert sample_cost(Model.INVERSIONS, 1, TrialStream(0)) == 0
+        assert sample_cost(Model.QUICKSORT, 2, TrialStream(0)) == 1
 
 
 def scalar_costs(model, n, seed, start, stop):
@@ -444,7 +449,7 @@ class TestDrawMatrix:
         assert rejected.tolist() == [i == trial for i in range(8)]
         assert batch_costs(model, n, seed, 0, 8) == scalar_costs(model, n, seed, 0, 8)
         assert _permutation_batch(seed, n, 0, 8).tolist() == [
-            random_permutation(n, trial_stream(seed, i)) for i in range(8)
+            random_permutation(n, TrialStream(seed, i)) for i in range(8)
         ]
 
     @pytest.mark.parametrize(
@@ -478,12 +483,12 @@ class TestDrawMatrix:
         # word t is 0 and rejected at bound n - t + 1; chunks of 1-4 words
         # put it at every place in its chunk
         seed = (unmix64(-t * _GOLDEN & _MASK64) - (trial + 1) * _GOLDEN) & _MASK64
-        expected = count_cycles(random_permutation(n, trial_stream(seed, trial)))
+        expected = count_cycles(random_permutation(n, TrialStream(seed, trial)))
         monkeypatch.setattr(simulate, "_COUNT_CHUNK", chunk)
         assert _lane_cycles(seed, n, trial) == expected
         for i in range(4):
             assert _lane_cycles(seed + i, 57, i) == count_cycles(
-                random_permutation(57, trial_stream(seed + i, i))
+                random_permutation(57, TrialStream(seed + i, i))
             )
 
     def test_cycles_build_no_permutation(self, monkeypatch):
@@ -504,14 +509,14 @@ class TestDrawMatrix:
     def test_lane_permutation_redraws_rejected_word(self, n, t, trial, chunk, monkeypatch):
         # as for cycles: word t is 0 and rejected, at every place in its chunk
         seed = (unmix64(-t * _GOLDEN & _MASK64) - (trial + 1) * _GOLDEN) & _MASK64
-        expected = random_permutation(n, trial_stream(seed, trial))
+        expected = random_permutation(n, TrialStream(seed, trial))
         monkeypatch.setattr(simulate, "_COUNT_CHUNK", chunk)
         lane = _lane_permutation(seed, n, trial)
         assert lane.tolist() == expected
         assert _bitset_inversions(lane[:, None]).tolist() == [count_inversions(expected)]
         for i in range(4):
             assert _lane_permutation(seed + i, 57, i).tolist() == random_permutation(
-                57, trial_stream(seed + i, i)
+                57, TrialStream(seed + i, i)
             )
 
     @settings(max_examples=25, deadline=None)
@@ -626,8 +631,8 @@ class RecordingExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 class TestWorkerCount:

@@ -159,16 +159,25 @@ def test_checked_in_moments_list():
         *(("cycles", str(s), p) for s in range(1, 17) for p in ("double", "high")),
         *((m, str(s), "high") for m in ("inversions", "quicksort") for s in range(1, 7)),
     }
-    # the truncated rising product, by its tree and by its loop
+    # the truncated rising product, by its tree and by its loop, and the
+    # inversions polynomial past the workloads' n <= 150
+    inversions_grid = ("compare", "--model", "inversions", "--s", "6", "--n-grid", "2,12,13,151,1000000000")
     assert [a for a in compares if a not in oracle] == [
-        ("compare", "--model", "cycles", "--s", "6", "--n-grid", "60,150,200")
+        ("compare", "--model", "cycles", "--s", "6", "--n-grid", "60,150,200"),
+        inversions_grid,
+        (*inversions_grid, "--format", "json"),
     ]
     moments = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "moment"]
-    assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments} == {
+    assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments if o["model"] == "cycles"} == {
         *((str(n), str(s), f) for n in (1200, 3500, 4000) for s in range(1, 8) for f in ("csv", "json")),
         ("1500", "300", "csv"),
     }
-    assert all((o["model"], o["mode"]) == ("cycles", "exact") for o in moments)
+    # around n = 2s, past the inversions row cap, and at 10^9
+    assert {(o["n"], o["s"]) for o in moments if o["model"] == "inversions"} == {
+        (str(n), str(s)) for n in (0, 1, 12, 13, 501, 1000000000) for s in range(7)
+    }
+    assert {o["model"] for o in moments} == {"cycles", "inversions"}
+    assert all(o["mode"] == "exact" for o in moments)
     tables = [a for a in argvs if a[0] == "table"]
     assert tables == [("table", "--model", "cycles", "--n", "1500"),
                       ("table", "--model", "cycles", "--n", "1500", "--format", "json")]

@@ -20,12 +20,9 @@ from momentlab import (
     DistributionTable,
     Model,
     RowLimitError,
-    cycle_counts,
     distribution_table,
     distribution_tables,
-    inversion_counts,
     k_max,
-    quicksort_counts,
     row_limit,
 )
 from momentlab.tables import ROW_LIMIT_ENV
@@ -33,32 +30,32 @@ from momentlab.tables import ROW_LIMIT_ENV
 
 class TestExamples:
     def test_cycle_row_base(self):
-        assert cycle_counts(0).counts == (1,)
+        assert distribution_table(Model.CYCLES, 0).counts == (1,)
 
     def test_cycle_row_3(self):
-        assert cycle_counts(3).counts == (0, 2, 3, 1)
+        assert distribution_table(Model.CYCLES, 3).counts == (0, 2, 3, 1)
 
     def test_cycle_row_4(self):
-        assert cycle_counts(4).counts == (0, 6, 11, 6, 1)
+        assert distribution_table(Model.CYCLES, 4).counts == (0, 6, 11, 6, 1)
 
     def test_inversion_row_3(self):
-        assert inversion_counts(3).counts == (1, 2, 2, 1)
+        assert distribution_table(Model.INVERSIONS, 3).counts == (1, 2, 2, 1)
 
     def test_inversion_row_4_at_3(self):
-        assert inversion_counts(4).counts[3] == 6
+        assert distribution_table(Model.INVERSIONS, 4).counts[3] == 6
 
     def test_inversion_row_1(self):
-        assert inversion_counts(1).counts == (1,)
+        assert distribution_table(Model.INVERSIONS, 1).counts == (1,)
 
     def test_quicksort_row_2(self):
-        assert quicksort_counts(2).counts == (0, 2)
+        assert distribution_table(Model.QUICKSORT, 2).counts == (0, 2)
 
     def test_quicksort_row_3(self):
         # 3! * G_3(z) = z^2 (2 + 4z)
-        assert quicksort_counts(3).counts == (0, 0, 2, 4)
+        assert distribution_table(Model.QUICKSORT, 3).counts == (0, 0, 2, 4)
 
     def test_quicksort_row_4_max(self):
-        assert quicksort_counts(4).counts[6] == 8
+        assert distribution_table(Model.QUICKSORT, 4).counts[6] == 8
 
 
 class TestBruteForce:
@@ -70,7 +67,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("n", range(6))
     def test_quicksort_pivot_sequences(self, n):
-        table = quicksort_counts(n)
+        table = distribution_table(Model.QUICKSORT, n)
         dist = pivot_sequence_distribution(n)
         total = math.factorial(n)
         for k, c in enumerate(table.counts):
@@ -88,14 +85,14 @@ class TestInvariants:
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_cycle_structure(self, n):
-        counts = cycle_counts(n).counts
+        counts = distribution_table(Model.CYCLES, n).counts
         assert counts[0] == 0
         assert counts[n] == 1
         assert counts[1] == math.factorial(n - 1)
 
     @pytest.mark.parametrize("n", range(51))
     def test_inversion_palindrome(self, n):
-        counts = inversion_counts(n).counts
+        counts = distribution_table(Model.INVERSIONS, n).counts
         assert counts == counts[::-1]
 
     def test_quicksort_top_count_and_leading_zeros(self, quicksort_rows_60):
@@ -171,7 +168,7 @@ class TestQuicksortRoute:
         naive = naive_quicksort_rows(30)
         assert [row.counts for row in distribution_tables(Model.QUICKSORT, 30)] == list(naive)
         for n in (0, 1, 2, 17, 29, 30):
-            assert quicksort_counts(n).counts == naive[n]
+            assert distribution_table(Model.QUICKSORT, n).counts == naive[n]
 
     @pytest.mark.parametrize("n", [10, 15, 18, 25, 41, 43, 44, 68, 69])
     def test_transform_size_edges(self, n, quicksort_rows_120):
@@ -179,7 +176,7 @@ class TestQuicksortRoute:
         # only; rows 15 and 18 fill N = 72 and 108 with no slack; N steps
         # from 768 to 864 between 43 and 44 and from 2048 to 2187 between 68
         # and 69.  The fixture reads these rows at divisors of its N = 6561.
-        table = quicksort_counts(n)
+        table = distribution_table(Model.QUICKSORT, n)
         assert table == quicksort_rows_120[n]
         assert table == distribution_tables(Model.QUICKSORT, n)[n]
         table.check()
@@ -279,16 +276,16 @@ class TestQuicksortRoute:
         expected = naive_quicksort_rows(20)
         monkeypatch.setattr(tables, "_BLOCK_RESIDUES", width * len(tables._ntt_moduli(144, 20)))
         assert tables._transform_size(20) == 144
-        assert quicksort_counts(20).counts == expected[20]
+        assert distribution_table(Model.QUICKSORT, 20).counts == expected[20]
         assert [row.counts for row in distribution_tables(Model.QUICKSORT, 20)] == list(expected)
 
     def test_single_row_holds_one_block(self):
         # the whole-array recurrence held rows 0..70 at every point, 7.5 MB
         # of residues, and peaked at 9 MiB; one block and row 70 take 3
-        quicksort_counts(70)  # caches the moduli
+        distribution_table(Model.QUICKSORT, 70)  # caches the moduli
         tracemalloc.start()
         try:
-            quicksort_counts(70)
+            distribution_table(Model.QUICKSORT, 70)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -330,34 +327,34 @@ class TestQuicksortRoute:
         # the primes p = 1 (mod 2^19) below 2^29 multiply to fewer bits than 1025!
         monkeypatch.setenv(ROW_LIMIT_ENV, "1025")
         with pytest.raises(RowLimitError, match="2\\^29"):
-            quicksort_counts(1025)
+            distribution_table(Model.QUICKSORT, 1025)
 
 
 class TestLimits:
     def test_negative_n(self):
         with pytest.raises(ValueError):
-            cycle_counts(-1)
+            distribution_table(Model.CYCLES, -1)
 
     def test_row_cap(self):
         with pytest.raises(RowLimitError):
-            quicksort_counts(121)
+            distribution_table(Model.QUICKSORT, 121)
         with pytest.raises(RowLimitError):
-            inversion_counts(1001)
+            distribution_table(Model.INVERSIONS, 1001)
         with pytest.raises(RowLimitError):
-            cycle_counts(5001)
+            distribution_table(Model.CYCLES, 5001)
 
     def test_explicit_limit_argument(self, monkeypatch):
         monkeypatch.setenv(ROW_LIMIT_ENV, "10")
         with pytest.raises(RowLimitError):
-            cycle_counts(11)
-        assert cycle_counts(10).n == 10
+            distribution_table(Model.CYCLES, 11)
+        assert distribution_table(Model.CYCLES, 10).n == 10
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "10")
         assert row_limit(Model.CYCLES) == 10
         assert row_limit(Model.QUICKSORT) == 10
         with pytest.raises(RowLimitError):
-            cycle_counts(11)
+            distribution_table(Model.CYCLES, 11)
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "not-a-number")
         with pytest.raises(ValueError):
             row_limit(Model.CYCLES)

@@ -2,6 +2,7 @@
 oracle, each checked against an independent route."""
 
 import math
+import time
 from fractions import Fraction
 from itertools import accumulate
 
@@ -13,14 +14,15 @@ from hypothesis import strategies as st
 from momentlab import (
     EULER_GAMMA,
     LogPowerTerm,
+    Model,
     NO_REMAINDER,
     OrderLimitError,
     RemainderClass,
     SeriesBudgetError,
     SingularExpansion,
+    distribution_table,
     exact_coefficient,
     factorial_moment,
-    cycle_counts,
     gamma_recip_derivative,
     harmonic,
     highprec_coefficient,
@@ -278,6 +280,15 @@ class TestTransferTerm:
         # at alpha = 1 an n past the double range never becomes a double
         assert transfer_term(LogPowerTerm(1.0, 1, 1), 10**400) == 921.6112528625198
 
+    @pytest.mark.parametrize("alpha, n", [(3_000_000, 10**9), (200, 2)])
+    def test_double_range_refused_before_any_work(self, alpha, n):
+        # n^(alpha-1), or (alpha-1)! at alpha = 200, is past the double range;
+        # unrefused, the first case built a 2.7 x 10^7-digit integer for 48 s
+        start = time.process_time()
+        with pytest.raises(OverflowError, match=f"^alpha={alpha}, beta=0, n={n} does not fit doubles$"):
+            transfer_term(LogPowerTerm(1, alpha, 0), n)
+        assert time.process_time() - start < 1
+
     def test_harmonic_estimate(self):
         expected = math.log(1000) + EULER_GAMMA
         assert transfer_term(LogPowerTerm(1.0, 1, 1), 1000) == pytest.approx(
@@ -466,7 +477,7 @@ class TestExactCoefficient:
         # [u^m] log(1/(1-u))^beta = beta! |s(m, beta)| / m!, and |s(m, beta)|
         # counts the permutations of m with beta cycles; the factor 1/(1-u)
         # makes exact_coefficient(1, beta, .) the running sum of these
-        counts = cycle_counts(m).counts
+        counts = distribution_table(Model.CYCLES, m).counts
         for beta in range(7):
             stirling = counts[beta] if beta <= m else 0
             expected = Fraction(math.factorial(beta) * stirling, math.factorial(m))
@@ -507,7 +518,7 @@ class TestExactCoefficient:
         # so [u^2] is exactly 1.  Independently: it equals the second
         # factorial moment of the cycle distribution at n = 2.
         assert exact_coefficient(1, 2, 2) == 1
-        assert factorial_moment(cycle_counts(2), 2) == 1
+        assert factorial_moment(distribution_table(Model.CYCLES, 2), 2) == 1
 
     def test_matches_harmonic_prefix(self):
         for n in (1, 10, 37):
