@@ -40,8 +40,10 @@ module's ``__getattr__``, and the handlers call them through the module
 object.
 Every request is a fresh process that compiles each module it imports, so
 a request loads only the submodules its route runs: ``table`` only
-``tables``, ``simulate`` only ``simulate``, ``transfer`` ``transfer`` and
-the ``tables`` whose rising product its exact oracle expands.  ``Model``
+``tables``, and ``_ntt``, the number-theoretic transforms, only for a
+quicksort row, which ``moment`` and ``compare`` build only at s > 6;
+``simulate`` only ``simulate``; ``transfer`` ``transfer`` and the
+``tables`` whose rising product its exact oracle expands.  ``Model``
 is the package root's own, so parsing loads no layer.  A function set on
 this module from outside, such as a wrapper that times a layer, is the one
 that runs.

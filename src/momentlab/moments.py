@@ -64,21 +64,34 @@ PGF_MAX_S = 6
 QUICKSORT_PGF_MAX_N = 800
 
 
+# Terms a leaf of ``_harmonic_split`` sums over one lcm: measured against 1..512
+# at n = 1000 to 10^5, 32 to 128 are within a tenth of one another, while merges
+# alone (1) take twice as long at n = 20000 and 512 half as long again.
+_HARMONIC_LEAF = 64
+
+
 def _harmonic_split(lo: int, hi: int, r: int) -> tuple[int, int]:
     """(p, q) with p/q = sum of 1/j^r for lo <= j < hi, by binary splitting:
-    q is the product of the j^r and nothing is reduced."""
-    if hi <= lo:
-        return 0, 1
-    if hi - lo == 1:
-        return 1, lo**r
+    q is lcm(lo, ..., hi - 1)^r, not the product of the j^r.
+
+    A leaf of up to _HARMONIC_LEAF terms takes its lcm and one sum of
+    q // j^r; a merge divides by the gcd of the two denominators.  p/q is
+    not reduced, but q has about n log2(e) r bits at lo = 1 against
+    log2(n!) r for the product (28.8 against 257 kbit at n = 20000, r = 1).
+    """
+    if hi - lo <= _HARMONIC_LEAF:
+        q = math.lcm(*range(lo, hi)) ** r
+        return sum(q // j**r for j in range(lo, hi)), q
     mid = (lo + hi) // 2
     p1, q1 = _harmonic_split(lo, mid, r)
     p2, q2 = _harmonic_split(mid, hi, r)
-    return p1 * q2 + p2 * q1, q1 * q2
+    g = math.gcd(q1, q2)
+    return p1 * (q2 // g) + p2 * (q1 // g), q1 // g * q2
 
 
 def harmonic(n: int, r: int = 1) -> Fraction:
-    """Generalized harmonic number: sum of 1/j^r for j = 1..n, exactly."""
+    """Generalized harmonic number: sum of 1/j^r for j = 1..n, exactly,
+    summed over the denominator lcm(1, ..., n)^r and then reduced."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if r < 1:
@@ -114,7 +127,9 @@ def quicksort_mean(n: int) -> Fraction:
     """Exact mean comparison count of randomized quicksort: 2(n+1)H_n - 4n.
 
     Closed form certified against exhaustive enumeration (n <= 7) and exact
-    tables (n <= 60) in the test suite; valid for every n >= 0.
+    tables (n <= 60) in the test suite; valid for every n >= 0.  H_n comes
+    from ``_harmonic_split`` over the denominator lcm(1, ..., n), and only
+    the result is reduced.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

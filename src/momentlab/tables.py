@@ -15,54 +15,33 @@ Every table row is exact, in arbitrary-precision integers:
 * ``quicksort``   -- permutations counted by total comparisons used when
                      sorted with a fixed-pivot quicksort (equivalently,
                      pivot histories of randomized quicksort).  Row n is
-                     n! times the PGF P_n(z) = z^(n-1)/n sum_j P_(j-1) P_(n-j).
-                     The recurrence runs pointwise at the N-th roots of
-                     unity modulo primes p = 1 (mod N) below 2^29, so 64
-                     residue products sum below 2^64 and each sum of pair
-                     products is reduced once per 64 pairs.  It runs over
-                     one block of points at a time, about 8k residues
-                     (points x primes) per numpy call: a block holds rows
-                     0..n at its points, and only the wanted rows' values
-                     outlive it, so a single row holds one block and its
-                     own values, not every row at every point.  Row n is
-                     zero below kmin(n), the fewest comparisons over all
-                     pivot choices, so N = 2^a 3^b need only cover its
-                     support, n(n-1)/2 - kmin(n) + 1 entries: the values
-                     then give the row modulo z^N - 1, one count per
-                     residue class.
-                     Each wanted row m has an inverse transform of its
-                     own: a mixed-radix number-theoretic transform
-                     recovers it modulo the fewest primes whose product
-                     exceeds m!, and Garner's Chinese remaindering
-                     rebuilds its counts, all in [0, m!].
+                     n! times the PGF P_n(z) = z^(n-1)/n sum_j P_(j-1) P_(n-j),
+                     evaluated at roots of unity modulo many primes and
+                     rebuilt by number-theoretic transforms in the private
+                     module ``_ntt``, which ``_rows`` imports on the first
+                     quicksort row.
 
 The cycles and inversions recurrences keep only the previous row, so a
 single row costs the memory of a few rows, not of the whole triangle.
 Rows are dense over k = 0 .. k_max with structural zeros stored
 explicitly, and every row sums to n! exactly.
 
-numpy is imported inside the quicksort functions that use it, not at
-module level: every CLI request is a fresh process, and the cycles and
-inversions routes, like most requests, never need it.  ``Model`` comes
-from the package root, so a layer that only names a model loads no row
-builder.
+numpy and the quicksort transforms load with ``_ntt``, not with this
+module: every CLI request is a fresh process that compiles what it
+imports, and the cycles and inversions routes, like most requests, never
+need them.  ``Model`` comes from the package root, so a layer that only
+names a model loads no row builder.
 """
 
 from __future__ import annotations
 
-import bisect
 import collections
-import functools
 import itertools
 import math
 import operator
 import os
-from typing import TYPE_CHECKING
 
 from . import Model, ResourceLimitError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Model",
@@ -83,10 +62,10 @@ ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 # 0.30-0.34 s and 31 MB), against 2.1-2.4 s and 122 MB (37 MB) when the
 # recurrence held rows 0..n at every point at once, and 3.7 s and 136 MB
 # with power-of-two transforms over the whole row length.
-# Above the quicksort cap, through MOMENTLAB_ROW_LIMIT, _VALUES_BUDGET bounds
+# Above the quicksort cap, through MOMENTLAB_ROW_LIMIT, _ntt._VALUES_BUDGET bounds
 # the residues held at once: one block of rows 0..n, the wanted rows at all
 # N points (4 bytes each) and the largest row's inverse transform
-# (_TRANSFORM_BYTES each).  `table --model quicksort --n 188` takes
+# (_ntt._TRANSFORM_BYTES each).  `table --model quicksort --n 188` takes
 # 16.3-17.0 s and 98 MB (22 s and 687 MB when it held rows 0..188 at every
 # point).  A single row passes the budget first at 382, by its transform:
 # N = 73728 and 95 primes, 519 MiB.  Row 381 (494 MiB) is admitted; its
@@ -235,267 +214,10 @@ def _inversion_rows(n: int):
         row = new
 
 
-# ---------------------------------------------------------------------------
-# quicksort rows by multi-modular evaluation
-# ---------------------------------------------------------------------------
-
-_PRIME_BOUND = 1 << 29  # residue products stay below 2^58
-_PAIRS_PER_REDUCTION = 64  # 64 products below p^2 sum below 2^64
-_TRANSFORM_BYTES = 72  # peak bytes per residue of a row's inverse transform
-_BLOCK_RESIDUES = 1 << 13  # residues per numpy call of the recurrence: width x primes
-_VALUES_BUDGET = 512 << 20  # bytes of residues held at once (see DEFAULT_ROW_LIMITS)
-
-
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for 1 < p < 3.2e9."""
-    for q in (2, 3, 5, 7):
-        if p % q == 0:
-            return p == q
-    d, r = p - 1, 0
-    while d % 2 == 0:
-        d, r = d // 2, r + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _root_of_unity(p: int, size: int) -> int:
-    """A primitive size-th root of unity modulo the prime p = 1 (mod size),
-    for size = 2^a 3^b: its order divides size and no size / f for f = 2, 3."""
-    for g in range(2, p):
-        w = pow(g, (p - 1) // size, p)
-        if all(pow(w, size // f, p) != 1 for f in (2, 3) if size % f == 0):
-            return w
-    raise ValueError(f"no primitive {size}-th root of unity modulo {p}")
-
-
-@functools.lru_cache(maxsize=None)
-def _ntt_moduli(size: int, n: int) -> tuple[tuple[int, int], ...]:
-    """(prime, primitive size-th root) pairs, primes p = 1 (mod size) below
-    2^29 taken largest first until their product exceeds n!."""
-    bound = math.factorial(n)
-    moduli, product = [], 1
-    for p in range((_PRIME_BOUND - 2) // size * size + 1, max(size, n), -size):
-        if product > bound:
-            break
-        if _is_prime(p):
-            moduli.append((p, _root_of_unity(p, size)))
-            product *= p
-    if product <= bound:
-        raise RowLimitError(
-            f"quicksort row {n} needs primes p = 1 (mod {size}) below 2^29 whose "
-            f"product exceeds n! ({bound.bit_length()} bits); they give only "
-            f"{product.bit_length() - 1} bits"
-        )
-    return tuple(moduli)
-
-
-def _powers(bases: list[int], count: int, p: np.ndarray) -> np.ndarray:
-    """bases[i]^e modulo p[i] for e = 0 .. count-1, shape (len(bases), count)."""
-    import numpy as np
-    out = np.ones((len(bases), 1), dtype=np.uint64)
-    while out.shape[1] < count:
-        step = [pow(b, out.shape[1], int(q)) for b, q in zip(bases, p[:, 0])]
-        out = np.concatenate([out, out * np.array(step, dtype=np.uint64)[:, None] % p], axis=1)
-    return out[:, :count]
-
-
-def _pgf_values(n: int, moduli, size: int, first: int, width: int) -> np.ndarray:
-    """P_first .. P_n at the size-th roots of unity modulo each prime.
-
-    values[m - first, i, t] = P_m(w_i^t) mod p_i, shape (n+1-first, primes,
-    size), stored in 32 bits and multiplied in 64.  The recurrence pairs j
-    with m+1-j, whose products coincide.  It is pointwise in t, so it runs
-    over blocks of ``width`` points: a block holds P_0 .. P_n there, and
-    only rows first .. n outlive it.
-    """
-    import numpy as np
-    primes = [q for q, _ in moduli]
-    p = np.array(primes, dtype=np.uint64)[:, None]
-    roots = [w for _, w in moduli]
-    steps = _powers(roots, min(width, size), p)  # w^t for t < width
-    inverses = np.array([[pow(m, -1, q) for q in primes] for m in range(1, n + 1)],
-                        dtype=np.uint64).reshape(n, len(primes), 1)
-    values = np.empty((n + 1 - first, len(primes), size), dtype=np.uint32)
-    buffer = np.empty((n + 1, len(primes), steps.shape[1]), dtype=np.uint32)
-    buffer[0] = 1
-    for start in range(0, size, width):
-        stop = min(start + width, size)
-        block = buffer[:, :, : stop - start]
-        offset = np.array([pow(w, start, q) for w, q in zip(roots, primes)], dtype=np.uint64)
-        points = steps[:, : stop - start] * offset[:, None] % p
-        shift = np.ones_like(points)  # z^(m-1) at every point
-        for m in range(1, n + 1):
-            acc = np.zeros_like(points)
-            half = m // 2
-            for lo in range(0, half, _PAIRS_PER_REDUCTION):
-                hi = min(lo + _PAIRS_PER_REDUCTION, half)
-                left, right = block[lo:hi], block[m - 1 - lo : m - 1 - hi : -1]
-                acc += np.einsum("jix,jix->ix", left, right, dtype=np.uint64) % p
-            acc *= 2
-            if m % 2:
-                middle = block[m // 2].astype(np.uint64)
-                acc += middle * middle % p
-            acc %= p
-            if m > 1:
-                shift = shift * points % p
-            block[m] = acc * shift % p * inverses[m - 1] % p
-        values[:, :, start:stop] = block[first:]
-    return values
-
-
-def _dft(x: np.ndarray, roots: list[int], p: np.ndarray) -> np.ndarray:
-    """sum_t x[..., i, t] roots[i]^(t k) mod p[i] for k = 0 .. L-1.
-
-    Mixed-radix Stockham transform along the last axis, whose length L is
-    2^a 3^b; roots[i] has order L modulo p[i].
-    """
-    import numpy as np
-    length = x.shape[-1]
-    twiddles = _powers(roots, length, p)
-    q = p[:, :, None]
-    # axes (..., prime, done, rest): done-point transforms of the rest
-    # interleaved subsequences, merged radix at a time until one remains
-    out = x[..., None, :]
-    done = 1
-    while done < length:
-        radix = 3 if length // done % 3 == 0 else 2
-        rest = length // (radix * done)
-        head, *tails = (out[..., c * rest : (c + 1) * rest] for c in range(radix))
-        t = [tail * twiddles[:, : c * rest * done : c * rest, None] % q
-             for c, tail in enumerate(tails, 1)]
-        if radix == 2:
-            blocks = [head + t[0], head + (q - t[0])]
-        else:
-            # X_j = T_0 + w^j T_1 + w^(2j) T_2 for w = roots^(L/3), and
-            # w^2 = -1 - w, so one product u = w (T_1 - T_2) serves j = 1, 2
-            u = (t[0] + (q - t[1])) * twiddles[:, length // 3, None, None] % q
-            blocks = [head + t[0] + t[1], head + (q - t[1]) + u, head + (q - t[0]) + (q - u)]
-        out = np.concatenate(blocks, axis=-2)
-        # out - q wraps below q, so each pass takes [0, rq) to [0, (r-1)q)
-        for _ in range(radix - 1):
-            out = np.minimum(out, out - q)
-        done *= radix
-    return out[..., 0]
-
-
-def _crt(residues: np.ndarray, primes: list[int]) -> list[int]:
-    """The ints x in [0, prod(primes)) with x = residues[i, k] mod primes[i],
-    one per column k of ``residues``, shape (primes, count).
-
-    Garner's algorithm gives the mixed-radix digits of x,
-    x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), and Horner's rule rebuilds x on
-    one packed integer per digit level: fields as wide as the product of the
-    primes, so no field carries into the next.  The levels are packed one at
-    a time into the same fields, whose bytes past the first 4 stay zero.
-    """
-    import numpy as np
-    digits = residues.astype(np.int64)
-    for i, q in enumerate(primes):
-        for j in range(i):
-            digits[i] = (digits[i] - digits[j]) * pow(primes[j], -1, q) % q
-    slot = (math.prod(primes).bit_length() + 7) // 8
-    count = digits.shape[1]
-    fields = np.zeros((count, slot), dtype=np.uint8)
-    packed = 0
-    for i in reversed(range(len(primes))):
-        fields[:, :4] = digits[i].astype("<u4").view(np.uint8).reshape(count, 4)
-        packed = packed * primes[i] + int.from_bytes(fields.tobytes(), "little")
-    raw = packed.to_bytes(count * slot, "little")
-    return [int.from_bytes(raw[k : k + slot], "little") for k in range(0, count * slot, slot)]
-
-
-def _fewest_comparisons(n: int) -> list[int]:
-    """kmin(m) for m = 0 .. n: the fewest comparisons quicksort makes on m
-    keys over all pivot choices, m - 1 + min_j kmin(j-1) + kmin(m-j)."""
-    best = [0]
-    for m in range(1, n + 1):
-        best.append(m - 1 + min(map(operator.add, best, reversed(best))))
-    return best
-
-
-def _width(m: int, kmin: int) -> int:
-    """Entries of row m from its first possible nonzero count, kmin, to its last."""
-    return m * (m - 1) // 2 - kmin + 1
-
-
-def _smooth_numbers(limit: int) -> list[int]:
-    """The numbers 2^a 3^b up to ``limit``, ascending."""
-    numbers, t = [], 1
-    while t <= limit:
-        numbers += [t << a for a in range((limit // t).bit_length())]
-        t *= 3
-    return sorted(numbers)
-
-
-def _transform_size(n: int) -> int:
-    """Smallest N = 2^a 3^b at least the width of row n.
-
-    Row n is zero below kmin(n), so its values at the N-th roots of unity
-    give the row modulo z^N - 1 with at most one nonzero count per residue
-    class.
-    """
-    width = _width(n, _fewest_comparisons(n)[n])
-    return next(size for size in _smooth_numbers(2 * width) if size >= width)
-
-
-def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
-    """Row n, or rows 0..n when ``every``, of the quicksort table.
-
-    Row m is read from the values at the smallest divisor N_m of N at least
-    its width, every (N / N_m)-th root, modulo the fewest leading primes
-    whose product exceeds m!, by one inverse transform of its own.  Count k
-    of row m sits at index k mod N_m of the transform, and the kmin(m)
-    counts below its support are written as zeros.
-    """
-    import numpy as np
-    size = _transform_size(n)
-    kmin = _fewest_comparisons(n)
-    divisors = [d for d in _smooth_numbers(size) if size % d == 0]
-    moduli = _ntt_moduli(size, n)
-    primes = [q for q, _ in moduli]
-    products = list(itertools.accumulate(primes, operator.mul))
-    first = 0 if every else n
-    width = max(1, _BLOCK_RESIDUES // len(primes))
-    plans = []  # (m, N_m, primes m! needs)
-    for m in range(first, n + 1):
-        length = next(d for d in divisors if d >= _width(m, kmin[m]))
-        plans.append((m, length, bisect.bisect_right(products, math.factorial(m)) + 1))
-    block = (n + 1) * len(primes) * min(width, size)  # rows 0..n at one block of points
-    kept = (n + 1 - first) * len(primes) * size  # the wanted rows at every point
-    transform = max(count * length for _, length, count in plans)  # the largest row's
-    held = 4 * (block + kept) + _TRANSFORM_BYTES * transform
-    if held > _VALUES_BUDGET:
-        raise RowLimitError(
-            f"quicksort row {n} would hold {held >> 20} MiB of residues, over the "
-            f"{_VALUES_BUDGET >> 20} MiB budget"
-        )
-    values = _pgf_values(n, moduli, size, first, width)
-    rows = []
-    for m, length, count in plans:
-        row_primes = primes[:count]
-        p = np.array(row_primes, dtype=np.uint64)[:, None]
-        stride = size // length
-        roots = [pow(w, -stride, q) for q, w in moduli[:count]]
-        scale = np.array([math.factorial(m) * pow(length, -1, q) % q for q in row_primes],
-                         dtype=np.uint64)[:, None]
-        residues = _dft(values[m - first, :count, ::stride] * scale % p, roots, p)
-        support = np.arange(kmin[m], m * (m - 1) // 2 + 1) % length
-        rows.append([0] * kmin[m] + _crt(residues.take(support, axis=1), row_primes))
-    return rows
-
-
 def _rows(model: Model, n: int, every: bool):
     """Row n, or rows 0..n when ``every``, of the table for ``model``."""
     if model is Model.QUICKSORT:
+        from ._ntt import _quicksort_rows
         return _quicksort_rows(n, every)
     if model is Model.CYCLES:
         return list(_rising_rows(0, n, n)) if every else [_rising(0, n, n)]

@@ -878,6 +878,11 @@ class TestLayerImports:
                 ("momentlab.cli", "table", "--model", "cycles", "--n", "5000"),
                 3, ["tables"], id="table-over-cap",
             ),
+            # only a quicksort row loads the number-theoretic transforms
+            pytest.param(
+                ("momentlab.cli", "table", "--model", "quicksort", "--n", "20"),
+                0, ["_ntt", "tables"], id="table-quicksort",
+            ),
             # the exact oracle's rising product is tables._rising
             pytest.param(
                 ("momentlab.cli", *TRANSFER_ARGV), 0, ["tables", "transfer"], id="transfer"
@@ -893,6 +898,12 @@ class TestLayerImports:
                 ("momentlab.cli", "moment", "--model", "cycles", "--n", "20", "--s", "2",
                  "--mode", "exact"),
                 0, ["moments", "tables"], id="moment-cycles-exact",
+            ),
+            # the quicksort PGF recurrence builds no row
+            pytest.param(
+                ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "3",
+                 "--mode", "exact"),
+                0, ["moments", "tables"], id="moment-quicksort-exact",
             ),
             pytest.param(
                 ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "2",

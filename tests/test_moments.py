@@ -26,6 +26,7 @@ from momentlab import (
 from momentlab.moments import (
     PGF_MAX_S,
     QUICKSORT_PGF_MAX_N,
+    _harmonic_split,
     _inversions_polynomial,
     _pgf_moment,
     _quicksort_pgf,
@@ -75,6 +76,24 @@ class TestHarmonic:
             harmonic(-1)
         with pytest.raises(ValueError):
             harmonic(3, 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129, 1000])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_leaf_edges_match_plain_sum(self, n, r):
+        # a leaf sums up to 64 terms: 64 is one leaf, 65 and 129 split
+        # into leaves of unequal lengths
+        assert harmonic(n, r) == sum((Fraction(1, j**r) for j in range(1, n + 1)), Fraction(0))
+
+    @pytest.mark.parametrize("n, r", [(20000, 1), (800, 2)])
+    def test_denominator_is_lcm_power(self, n, r):
+        # the bound that makes the split fast: lcm(1..n)^r, not the product
+        # of the j^r (28.8 against 257 kbit at n = 20000)
+        assert _harmonic_split(1, n + 1, r)[1] == math.lcm(*range(1, n + 1)) ** r
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 64, 65, 300])
+    def test_quicksort_mean_from_plain_sum(self, n):
+        plain = sum((Fraction(1, j) for j in range(1, n + 1)), Fraction(0))
+        assert quicksort_mean(n) == 2 * (n + 1) * plain - 4 * n
 
 
 class TestFactorialMoment:

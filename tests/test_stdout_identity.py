@@ -118,6 +118,35 @@ def test_argv_file_requests(tmp_path, capsys):
     ]
 
 
+def test_argv_file_sets_momentlab_variables(tmp_path, monkeypatch):
+    argv_file = tmp_path / "requests.txt"
+    argv_file.write_text(
+        "MOMENTLAB_ROW_LIMIT=140 table --n 121\n"
+        "MOMENTLAB_ROW_LIMIT=0 MOMENTLAB_OTHER=a=b moment --n 3\n"
+        "table --n 121\n"
+        "table MOMENTLAB_ROW_LIMIT=9\n"  # a setting only where a line begins
+    )
+    argvs = stdout_identity.read_argv_file(argv_file)
+    assert argvs[0] == ("MOMENTLAB_ROW_LIMIT=140", "table", "--n", "121")
+    # prints the two variables after its argv, "-" where one is unset
+    body = 'import os\nargv = argv + [os.environ.get(k, "-") for k in ("MOMENTLAB_ROW_LIMIT", "MOMENTLAB_OTHER")]'
+    stub = stub_checkout(tmp_path / "stub", body=body)
+    # the caller's own MOMENTLAB_* variables never reach either side
+    monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "7")
+    assert [stdout_identity.run(stub, a) for a in argvs] == [
+        (0, b"table --n 121 140 -\n"),
+        (0, b"moment --n 3 0 a=b\n"),
+        (0, b"table --n 121 - -\n"),
+        (0, b"table MOMENTLAB_ROW_LIMIT=9 - -\n"),
+    ]
+    # a change that reads the variable differently is caught under it
+    change = stub_checkout(tmp_path / "change", body=(
+        body + '\nif os.environ.get("MOMENTLAB_ROW_LIMIT") == "140":\n    sys.exit(3)'
+    ))
+    found = stdout_identity.differences(stub, change, argvs)
+    assert [(argv, after) for argv, _, after in found] == [(argvs[0], (3, b""))]
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -161,11 +190,14 @@ def test_checked_in_moments_list():
     }
     # the truncated rising product, by its tree and by its loop, and the
     # inversions polynomial past the workloads' n <= 150
+    # past the workloads' n <= 150, and the quicksort mean around a leaf of
+    # the harmonic split and at the last n whose mean prints
     inversions_grid = ("compare", "--model", "inversions", "--s", "6", "--n-grid", "2,12,13,151,1000000000")
     assert [a for a in compares if a not in oracle] == [
         ("compare", "--model", "cycles", "--s", "6", "--n-grid", "60,150,200"),
         inversions_grid,
         (*inversions_grid, "--format", "json"),
+        ("compare", "--model", "quicksort", "--s", "1", "--n-grid", "63,64,65,9869"),
     ]
     moments = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "moment"]
     assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments if o["model"] == "cycles"} == {
@@ -176,8 +208,20 @@ def test_checked_in_moments_list():
     assert {(o["n"], o["s"]) for o in moments if o["model"] == "inversions"} == {
         (str(n), str(s)) for n in (0, 1, 12, 13, 501, 1000000000) for s in range(7)
     }
-    assert {o["model"] for o in moments} == {"cycles", "inversions"}
+    # the quicksort mean at the edges of the harmonic split's leaves, up to
+    # the last n whose mean prints, and H_n^(2) in the PGF check at s 2
+    assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments if o["model"] == "quicksort"} == {
+        *((str(n), "1", "csv") for n in (0, 1, 2, 63, 64, 65, 129, 5000, 9869)),
+        ("9869", "1", "json"),
+        ("400", "2", "csv"),
+    }
+    assert {o["model"] for o in moments} == {"cycles", "inversions", "quicksort"}
     assert all(o["mode"] == "exact" for o in moments)
+    # the inversions polynomial whatever the row cap
+    assert [a for a in argvs if a[0].startswith("MOMENTLAB_")] == [
+        ("MOMENTLAB_ROW_LIMIT=0", "moment", "--model", "inversions", "--n", "100", "--s", "6",
+         "--mode", "exact"),
+    ]
     tables = [a for a in argvs if a[0] == "table"]
     assert tables == [("table", "--model", "cycles", "--n", "1500"),
                       ("table", "--model", "cycles", "--n", "1500", "--format", "json")]
@@ -214,5 +258,8 @@ def test_checked_in_tables_list():
         *(("table", "--model", "quicksort", "--n", str(n), *fmt) for n in sizes
           for fmt in ((), ("--format", "json"))),
         ("table", "--model", "quicksort", "--n", "121"),
+        # past the default cap, which the row limit raises
+        ("MOMENTLAB_ROW_LIMIT=140", "table", "--model", "quicksort", "--n", "121"),
+        ("MOMENTLAB_ROW_LIMIT=140", "table", "--model", "quicksort", "--n", "140", "--format", "json"),
     ]
     assert not set(argvs) & set(stdout_identity.requests("tables", [1, 7, 2026]))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_histogram, pivot_sequence_distribution
-from momentlab import tables
+from momentlab import _ntt
 from momentlab import (
     DistributionTable,
     Model,
@@ -184,7 +184,7 @@ class TestQuicksortRoute:
             assert table.counts == naive_quicksort_rows(46)[n]
 
     def test_fewest_comparisons_start_each_row(self, quicksort_rows_120):
-        kmin = tables._fewest_comparisons(120)
+        kmin = _ntt._fewest_comparisons(120)
         for n, row in enumerate(quicksort_rows_120):
             assert kmin[n] == next(k for k, c in enumerate(row.counts) if c)
 
@@ -195,21 +195,21 @@ class TestQuicksortRoute:
                     m //= f
             return m == 1
 
-        kmin = tables._fewest_comparisons(200)
+        kmin = _ntt._fewest_comparisons(200)
         for n in range(201):
             width = n * (n - 1) // 2 - kmin[n] + 1
-            assert tables._transform_size(n) == next(m for m in itertools.count(width) if smooth(m))
+            assert _ntt._transform_size(n) == next(m for m in itertools.count(width) if smooth(m))
 
     @pytest.mark.parametrize("size", [1, 2, 3, 6, 9, 12, 27, 48])
     def test_dft_matches_direct_sum(self, size):
-        moduli = tables._ntt_moduli(size, 20)
+        moduli = _ntt._ntt_moduli(size, 20)
         primes = [q for q, _ in moduli]
         for q, w in moduli:
             assert pow(w, size, q) == 1
             assert all(pow(w, size // f, q) != 1 for f in (2, 3) if size % f == 0)
         x = np.array([[[(2654435761 * t + 40503 * r + i) % q for t in range(size)]
                        for i, q in enumerate(primes)] for r in range(2)], dtype=np.uint64)
-        got = tables._dft(x, [w for _, w in moduli], np.array(primes, dtype=np.uint64)[:, None])
+        got = _ntt._dft(x, [w for _, w in moduli], np.array(primes, dtype=np.uint64)[:, None])
         for r in range(2):
             for i, (q, w) in enumerate(moduli):
                 expected = [sum(int(x[r, i, t]) * pow(w, t * k, q) for t in range(size)) % q
@@ -226,7 +226,7 @@ class TestQuicksortRoute:
 
     @pytest.mark.parametrize("count", [1, 2, 40])
     def test_crt_matches_plain_remaindering(self, count):
-        moduli = tables._ntt_moduli(16384, 185)
+        moduli = _ntt._ntt_moduli(16384, 185)
         assert len(moduli) == 40
         primes = [q for q, _ in moduli][:count]
         product = math.prod(primes)
@@ -237,7 +237,7 @@ class TestQuicksortRoute:
         plain = [sum(int(r) * (product // q) * pow(product // q, -1, q) for r, q in zip(column, primes))
                  % product for column in residues.T]
         assert plain == values
-        got = tables._crt(residues, primes)
+        got = _ntt._crt(residues, primes)
         assert got == values
         assert all(type(x) is int for x in got)
 
@@ -252,13 +252,13 @@ class TestQuicksortRoute:
     def test_blocked_values_match_direct_evaluation(self, width):
         # N = 48 at n = 12: blocks of one point, of 5 with a ragged last block
         # of 3, and one block holding every point (the unblocked recurrence)
-        n, size = 12, tables._transform_size(12)
+        n, size = 12, _ntt._transform_size(12)
         assert size == 48
-        moduli = tables._ntt_moduli(size, n)
-        every = tables._pgf_values(n, moduli, size, 0, width)
+        moduli = _ntt._ntt_moduli(size, n)
+        every = _ntt._pgf_values(n, moduli, size, 0, width)
         assert every.shape == (n + 1, len(moduli), size)
-        assert (tables._pgf_values(n, moduli, size, n, width) == every[n:]).all()
-        assert (every == tables._pgf_values(n, moduli, size, 0, size)).all()
+        assert (_ntt._pgf_values(n, moduli, size, n, width) == every[n:]).all()
+        assert (every == _ntt._pgf_values(n, moduli, size, 0, size)).all()
         for m, row in enumerate(naive_quicksort_rows(n)):
             for i, (q, w) in enumerate(moduli):
                 # P_m(z) = row_m(z) / m!, by Horner's rule at z = w^t
@@ -274,8 +274,8 @@ class TestQuicksortRoute:
     def test_block_width_leaves_rows_unchanged(self, width, monkeypatch):
         # N = 144 at n = 20; 7 leaves a ragged last block of 4 points
         expected = naive_quicksort_rows(20)
-        monkeypatch.setattr(tables, "_BLOCK_RESIDUES", width * len(tables._ntt_moduli(144, 20)))
-        assert tables._transform_size(20) == 144
+        monkeypatch.setattr(_ntt, "_BLOCK_RESIDUES", width * len(_ntt._ntt_moduli(144, 20)))
+        assert _ntt._transform_size(20) == 144
         assert distribution_table(Model.QUICKSORT, 20).counts == expected[20]
         assert [row.counts for row in distribution_tables(Model.QUICKSORT, 20)] == list(expected)
 
@@ -317,11 +317,11 @@ class TestQuicksortRoute:
             raise Admitted
 
         monkeypatch.setenv(ROW_LIMIT_ENV, "1024")
-        monkeypatch.setattr(tables, "_pgf_values", admitted)
+        monkeypatch.setattr(_ntt, "_pgf_values", admitted)
         with pytest.raises(Admitted):
-            tables._quicksort_rows(edge, every)
+            _ntt._quicksort_rows(edge, every)
         with pytest.raises(RowLimitError, match="MiB budget"):
-            tables._quicksort_rows(edge + 1, every)
+            _ntt._quicksort_rows(edge + 1, every)
 
     def test_prime_coverage_limit(self, monkeypatch):
         # the primes p = 1 (mod 2^19) below 2^29 multiply to fewer bits than 1025!

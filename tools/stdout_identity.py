@@ -6,9 +6,12 @@
 Builds the request lists that ``perfbench/run.py --seconds 30`` runs for each
 seed, from this repository's ``perfbench/workloads.py`` (imported, never
 changed), or reads the requests of ``PATH``: one per line, its words split on
-whitespace, with blank lines and lines starting with ``#`` skipped.  Runs
-every distinct request once in each checkout as a fresh
-``python -m momentlab.cli`` process with ``DIR/src`` on the path.  Lists each
+whitespace, with blank lines and lines starting with ``#`` skipped.  A line
+may begin with ``MOMENTLAB_NAME=value`` words, as in
+``MOMENTLAB_ROW_LIMIT=140 table --model quicksort --n 121``: both sides run
+that request with those variables set.  Runs every distinct request once in
+each checkout as a fresh ``python -m momentlab.cli`` process with
+``DIR/src`` on the path and no other ``MOMENTLAB_*`` variable.  Lists each
 request whose exit code or stdout bytes differ, or that exits on either side
 with a code the CLI does not document (a traceback exits 1), and exits 1 if
 any do, else 0.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
@@ -52,13 +56,20 @@ def read_argv_file(path: Path) -> list[tuple]:
     return list(dict.fromkeys(tuple(line.split()) for line in lines if line and not line.startswith("#")))
 
 
+def _is_setting(word: str) -> bool:
+    return word.startswith("MOMENTLAB_") and "=" in word
+
+
 def run(root: Path, argv: tuple) -> tuple[int, bytes]:
-    """Exit code and stdout of one request in the checkout at ``root``."""
+    """Exit code and stdout of one request in the checkout at ``root``, under
+    the ``MOMENTLAB_NAME=value`` words it begins with."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MOMENTLAB_")}
+    settings = list(itertools.takewhile(_is_setting, argv))
+    env.update(word.split("=", 1) for word in settings)
     # the benchmark's own environment: the checkout's sources, one BLAS thread
     env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "momentlab.cli", *argv],
+        [sys.executable, "-m", "momentlab.cli", *argv[len(settings):]],
         cwd=root, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
     )
     return proc.returncode, proc.stdout
