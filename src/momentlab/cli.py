@@ -57,12 +57,26 @@ output is built before the first is written, so a request that fails while
 formatting (such as on Python's 4300-digit limit on integer-to-text
 conversion) leaves stdout empty.
 Exit codes: 0 success, 2 invalid arguments, 3 resource limit exceeded,
-4 verification failure.
+4 verification failure; and 141 (128 + SIGPIPE, what a shell reports for a
+writer killed by a closed pipe) only when the reader of stdout stops early,
+as ``| head`` does, with no traceback and the rest of the output dropped.
+
+How a request ends: ``run``, the process entry of ``python -m
+momentlab.cli`` and of the ``momentlab`` script, calls ``main``, runs the
+registered atexit handlers, flushes stdout and stderr and leaves by
+``os._exit``, skipping the interpreter's teardown (module teardown, the
+last garbage collection, freeing every object), which costs more CPU than
+most requests' own work.  Nothing is left to finalize: the output is
+written, and the ``--threads`` pool has been joined.  When an exception or
+``SystemExit`` (``--help``, a parser error) leaves ``main``, or a flush
+fails, the interpreter ends the process as it ends any other.  ``main(argv)``
+itself returns the exit code and ends nothing, for callers in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 
@@ -449,5 +463,38 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run ``main`` on the process's argv and end the process with its exit code."""
+    try:
+        code = main()
+    except BrokenPipeError:
+        sys.exit(_reader_gone())
+    run_exitfuncs = getattr(atexit, "_run_exitfuncs", None)
+    if run_exitfuncs is None:
+        sys.exit(code)
+    # the interpreter's order: the handlers, whose output may still be buffered, then the flush
+    run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        sys.exit(_reader_gone())
+    except OSError:
+        # the interpreter's exit flushes again and reports the failure, as without ``run``
+        sys.exit(code)
+    os._exit(code)
+
+
+def _reader_gone() -> int:
+    """Point fd 1 at devnull once the reader has closed stdout, and return 141.
+
+    The exit's own flush of what is left then has nowhere to fail (the Python
+    docs' note on SIGPIPE).  SIGPIPE keeps Python's handling: its default
+    action would also kill this process when a pool worker's pipe breaks.
+    """
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 141
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -23,9 +23,14 @@ from momentlab.tables import Model, distribution_table
 
 
 def run_cli(*argv):
+    """Exit code, stdout and stderr of ``main`` in process; a parser error's
+    ``SystemExit`` gives its code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -1080,6 +1085,95 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "45/2" in proc.stdout
+
+
+# One request per subcommand in each format, a parser error (exit 2) and a row
+# cap (exit 3): the process path, which ends by ``run``, prints what ``main``
+# prints in process.
+PROCESS_REQUESTS = [
+    *((*argv, "--format", fmt) for argv in (
+        ("table", "--model", "quicksort", "--n", "6"),
+        ("moment", "--model", "cycles", "--n", "30", "--s", "2"),
+        ("transfer", "--alpha", "2", "--beta", "1", "--n", "50"),
+        ("simulate", "--model", "cycles", "--n", "20", "--s", "2", "--trials", "500", "--seed", "3"),
+        ("compare", "--model", "inversions", "--s", "2", "--n-grid", "10,40"),
+        ("verify",),
+    ) for fmt in ("csv", "json")),
+    ("moment", "--model", "heapsort", "--n", "5", "--s", "1"),
+    ("table", "--model", "cycles", "--n", "100000"),
+]
+
+
+def buffered_env():
+    """This environment with the standard streams buffered, as they are by default."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+class TestProcessEnd:
+    """``run`` ends a request by ``os._exit`` after the atexit handlers and a
+    flush, and exits 141 without a traceback when the reader closes stdout."""
+
+    @pytest.mark.parametrize("argv", PROCESS_REQUESTS, ids=" ".join)
+    def test_process_prints_what_main_prints(self, argv):
+        proc = run_cli_process(*argv, env=buffered_env())
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
+
+    def test_script_entry_is_run(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        assert 'momentlab = "momentlab.cli:run"\n' in pyproject.read_text()
+
+    def test_atexit_handlers_run_and_teardown_does_not(self):
+        # a handler registered before ``run`` prints on both streams; an
+        # object that only the interpreter's teardown frees is never freed
+        child = (
+            "import atexit, builtins, sys\n"
+            "atexit.register(print, 'handler ran')\n"
+            "atexit.register(print, 'handler stderr', file=sys.stderr)\n"
+            "class Freed:\n"
+            "    def __del__(self):\n"
+            "        print('torn down')\n"
+            "builtins.kept = Freed()\n"
+            "from momentlab.cli import run\n"
+            "run()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "table", "--model", "cycles", "--n", "3"],
+            capture_output=True, text=True, env=buffered_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "k,count\n1,2\n2,3\n3,1\nhandler ran\n"
+        assert proc.stderr == "handler stderr\n"
+
+    def test_no_worker_or_file_outlives_a_request(self, tmp_path):
+        tmpdir = tmp_path / "tmp"
+        tmpdir.mkdir()
+        with subprocess.Popen(
+            [sys.executable, "-m", "momentlab.cli", "simulate", "--model", "cycles", "--n", "200",
+             "--s", "2", "--trials", "5000", "--seed", "1", "--threads", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+            env={**os.environ, "TMPDIR": str(tmpdir)},
+        ) as proc:
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert list(tmpdir.iterdir()) == []
+        # the request led its own process group, which is now empty
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    # a row past the pipe's buffer fails inside ``main``; a short one at the
+    # flush in ``run``, since stdout to a pipe is block-buffered
+    @pytest.mark.parametrize("n", [1000, 3])
+    def test_closed_stdout_exits_141_quietly(self, n):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "momentlab.cli", "table", "--model", "cycles", "--n", str(n)],
+                stdout=write_end, stderr=subprocess.PIPE, env=buffered_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 # The exit-2 route for arguments that parse but are out of range: one request

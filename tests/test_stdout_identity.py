@@ -1,5 +1,5 @@
-"""tools/stdout_identity.py: exit codes and stdout of two checkouts compared
-over a benchmark's request lists or a file of requests."""
+"""tools/stdout_identity.py: exit codes, stdout and stderr of two checkouts
+compared over a benchmark's request lists or a file of requests."""
 
 import importlib.util
 from pathlib import Path
@@ -91,6 +91,25 @@ def test_traceback_on_both_sides_is_caught(tmp_path, capsys):
     ]
 
 
+def test_changed_stderr_is_caught(tmp_path, capsys):
+    argv_file = tmp_path / "requests.txt"
+    argv_file.write_text("table --n 5\nmoment --n 3\n")
+    # same exit code and stdout; one more stderr line for moment requests
+    parent = stub_checkout(tmp_path / "parent", body='print("note", file=sys.stderr)')
+    change = stub_checkout(tmp_path / "change", body=(
+        'print("note", file=sys.stderr)\n'
+        'if "moment" in argv:\n    print("extra", file=sys.stderr)'
+    ))
+    assert stdout_identity.run(parent, ("table", "--n", "5")) == (0, b"table --n 5\n", b"note\n")
+    code = stdout_identity.main(["--parent", str(parent), "--change", str(change),
+                                 "--argv-file", str(argv_file)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: moment --n 3: exit 0 -> 0, stdout 13 -> 13 bytes, stderr 5 -> 11 bytes",
+        "requests.txt: 2 requests, 1 differ",
+    ]
+
+
 def test_argv_file_requests(tmp_path, capsys):
     argv_file = tmp_path / "requests.txt"
     argv_file.write_text(
@@ -134,17 +153,17 @@ def test_argv_file_sets_momentlab_variables(tmp_path, monkeypatch):
     # the caller's own MOMENTLAB_* variables never reach either side
     monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "7")
     assert [stdout_identity.run(stub, a) for a in argvs] == [
-        (0, b"table --n 121 140 -\n"),
-        (0, b"moment --n 3 0 a=b\n"),
-        (0, b"table --n 121 - -\n"),
-        (0, b"table MOMENTLAB_ROW_LIMIT=9 - -\n"),
+        (0, b"table --n 121 140 -\n", b""),
+        (0, b"moment --n 3 0 a=b\n", b""),
+        (0, b"table --n 121 - -\n", b""),
+        (0, b"table MOMENTLAB_ROW_LIMIT=9 - -\n", b""),
     ]
     # a change that reads the variable differently is caught under it
     change = stub_checkout(tmp_path / "change", body=(
         body + '\nif os.environ.get("MOMENTLAB_ROW_LIMIT") == "140":\n    sys.exit(3)'
     ))
     found = stdout_identity.differences(stub, change, argvs)
-    assert [(argv, after) for argv, _, after in found] == [(argvs[0], (3, b""))]
+    assert [(argv, after) for argv, _, after in found] == [(argvs[0], (3, b"", b""))]
 
 
 @pytest.mark.parametrize(

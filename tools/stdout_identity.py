@@ -12,9 +12,10 @@ may begin with ``MOMENTLAB_NAME=value`` words, as in
 that request with those variables set.  Runs every distinct request once in
 each checkout as a fresh ``python -m momentlab.cli`` process with
 ``DIR/src`` on the path and no other ``MOMENTLAB_*`` variable.  Lists each
-request whose exit code or stdout bytes differ, or that exits on either side
-with a code the CLI does not document (a traceback exits 1), and exits 1 if
-any do, else 0.
+request whose exit code, stdout bytes or stderr bytes differ, or that exits
+on either side with a code the CLI does not document (a traceback exits 1),
+and exits 1 if any do, else 0.  Stderr counts because the CLI's exit path is
+where both streams are flushed.
 It runs none of the benchmark's measured code: no launcher, no limits, no
 checks against references.
 """
@@ -60,9 +61,9 @@ def _is_setting(word: str) -> bool:
     return word.startswith("MOMENTLAB_") and "=" in word
 
 
-def run(root: Path, argv: tuple) -> tuple[int, bytes]:
-    """Exit code and stdout of one request in the checkout at ``root``, under
-    the ``MOMENTLAB_NAME=value`` words it begins with."""
+def run(root: Path, argv: tuple) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of one request in the checkout at
+    ``root``, under the ``MOMENTLAB_NAME=value`` words it begins with."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MOMENTLAB_")}
     settings = list(itertools.takewhile(_is_setting, argv))
     env.update(word.split("=", 1) for word in settings)
@@ -70,15 +71,15 @@ def run(root: Path, argv: tuple) -> tuple[int, bytes]:
     env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "momentlab.cli", *argv[len(settings):]],
-        cwd=root, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        cwd=root, env=env, stdin=subprocess.DEVNULL, capture_output=True,
     )
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def differences(parent: Path, change: Path, argvs: list[tuple]) -> list[tuple]:
-    """(argv, parent result, change result) for each request whose exit code
-    or stdout differs between the two checkouts, or whose exit code on either
-    side is not in EXIT_CODES."""
+    """(argv, parent result, change result) for each request whose exit
+    code, stdout or stderr differs between the two checkouts, or whose exit
+    code on either side is not in EXIT_CODES."""
     found = []
     for argv in argvs:
         before, after = run(parent, argv), run(change, argv)
@@ -108,10 +109,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     found = differences(args.parent.resolve(), args.change.resolve(), argvs)
-    for request, (code_a, out_a), (code_b, out_b) in found:
-        kind = "fails" if (code_a, out_a) == (code_b, out_b) else "differs"
+    for request, (code_a, out_a, err_a), (code_b, out_b, err_b) in found:
+        kind = "fails" if (code_a, out_a, err_a) == (code_b, out_b, err_b) else "differs"
         print(f"{kind}: {' '.join(request)}: exit {code_a} -> {code_b}, "
-              f"stdout {len(out_a)} -> {len(out_b)} bytes")
+              f"stdout {len(out_a)} -> {len(out_b)} bytes"
+              + (f", stderr {len(err_a)} -> {len(err_b)} bytes" if err_a != err_b else ""))
     failed = sum(before == after for _, before, after in found)
     print(f"{label}: {len(argvs)} requests, {len(found) - failed} differ"
           + (f", {failed} fail on both sides" if failed else ""))
