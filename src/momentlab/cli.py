@@ -58,8 +58,9 @@ formatting (such as on Python's 4300-digit limit on integer-to-text
 conversion) leaves stdout empty.
 Exit codes: 0 success, 2 invalid arguments, 3 resource limit exceeded,
 4 verification failure; and 141 (128 + SIGPIPE, what a shell reports for a
-writer killed by a closed pipe) only when the reader of stdout stops early,
-as ``| head`` does, with no traceback and the rest of the output dropped.
+writer killed by a closed pipe) only when the reader of stdout or stderr
+stops early, as ``| head`` does, with no traceback and the rest of the
+output dropped.
 
 How a request ends: ``run``, the process entry of ``python -m
 momentlab.cli`` and of the ``momentlab`` script, calls ``main``, runs the
@@ -469,11 +470,8 @@ def run() -> None:
         code = main()
     except BrokenPipeError:
         sys.exit(_reader_gone())
-    run_exitfuncs = getattr(atexit, "_run_exitfuncs", None)
-    if run_exitfuncs is None:
-        sys.exit(code)
     # the interpreter's order: the handlers, whose output may still be buffered, then the flush
-    run_exitfuncs()
+    atexit._run_exitfuncs()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
@@ -486,13 +484,16 @@ def run() -> None:
 
 
 def _reader_gone() -> int:
-    """Point fd 1 at devnull once the reader has closed stdout, and return 141.
+    """Point fds 1 and 2 at devnull once a reader has closed one, and return 141.
 
-    The exit's own flush of what is left then has nowhere to fail (the Python
-    docs' note on SIGPIPE).  SIGPIPE keeps Python's handling: its default
-    action would also kill this process when a pool worker's pipe breaks.
+    The exit's own flush of what is left on either stream then has nowhere to
+    fail (the Python docs' note on SIGPIPE).  SIGPIPE keeps Python's handling:
+    its default action would also kill this process when a pool worker's pipe
+    breaks.
     """
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.dup2(devnull, sys.stderr.fileno())
     return 141
 
 

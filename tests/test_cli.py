@@ -1111,7 +1111,8 @@ def buffered_env():
 
 class TestProcessEnd:
     """``run`` ends a request by ``os._exit`` after the atexit handlers and a
-    flush, and exits 141 without a traceback when the reader closes stdout."""
+    flush, and exits 141 without a traceback when the reader closes stdout
+    or stderr."""
 
     @pytest.mark.parametrize("argv", PROCESS_REQUESTS, ids=" ".join)
     def test_process_prints_what_main_prints(self, argv):
@@ -1174,6 +1175,20 @@ class TestProcessEnd:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_closed_stderr_exits_141_quietly(self):
+        # ``2>&1 | head`` on a request that exits 3: its message to stderr
+        # fails inside ``main``, and the exit must not fail on it again
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "momentlab.cli", "table", "--model", "cycles", "--n", "100000"],
+                stdout=write_end, stderr=write_end, env=buffered_env(), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
 
 
 # The exit-2 route for arguments that parse but are out of range: one request
