@@ -24,6 +24,12 @@ field, and has one more:
                precision it enters the error columns rounded to a double,
                with ``--precision high`` as it is
 
+Under ``--precision high`` the error columns ``abs_err`` and ``rel_err`` of
+``compare`` are worked out to 82 digits and hold no correct digit once the
+relative error falls below about 10^-80: they then read 0 or rounding
+noise.  For example, ``--model cycles --s 1`` at n = 10^100 prints 0 for
+both, where the true error is about 5*10^-101.
+
 Each subcommand builds one record, and CSV and JSON are two views of it.
 The CSV view prints the record's columns under a header row, one line per
 entry of its row list (``compare``, ``verify``) or one line for the record
@@ -62,6 +68,17 @@ writer killed by a closed pipe) only when the reader of stdout or stderr
 stops early, as ``| head`` does, with no traceback and the rest of the
 output dropped.
 
+How argv is read: ``_COMMANDS`` declares every subcommand and option once.
+``main`` first reads argv strictly against it, accepting only
+``SUB (--FLAG VALUE)*`` where each flag is one of SUB's options, given once,
+every required option is given, and each value passes its option's type or
+choices and does not start with "-".  Such an argv gives the attributes
+argparse would, defaults filled in, without importing argparse.  Any other argv
+(``--help``, an abbreviation, ``--flag=value``, a repeat, a value such as
+``-2``, ``--``, an unknown or missing option, a bad value) goes to the
+argparse parser that ``build_parser`` builds from the same table, which
+parses it, prints the help or rejects it as it always has.
+
 How a request ends: ``run``, the process entry of ``python -m
 momentlab.cli`` and of the ``momentlab`` script, calls ``main``, runs the
 registered atexit handlers, flushes stdout and stderr and leaves by
@@ -76,10 +93,10 @@ itself returns the exit code and ends nothing, for callers in process.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import sys
+from types import SimpleNamespace
 
 from . import _EXPORTS, Model, ResourceLimitError, _first_use
 
@@ -355,18 +372,70 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+# The one declaration of the command line, read by ``_read_argv`` and by
+# ``build_parser``.  An option is (flag, kind, required, default, help): kind
+# is a type callable, a tuple of choices, or None for text, and the dest is
+# argparse's own, the flag without "--" and with "_" for "-".
+_MODEL = ("--model", tuple(m.value for m in Model), True, None, "which cost statistic")
+_PRECISION = ("--precision", ("double", "high"), False, "double", None)
+_FORMAT = ("--format", ("csv", "json"), False, "csv", None)
+# subcommand: (handler, help, options)
+_COMMANDS = {
+    "table": (_cmd_table, "exact distribution row", (
+        _MODEL,
+        ("--n", int, True, None, "input size (n >= 0)"),
+        _FORMAT,
+    )),
+    "moment": (_cmd_moment, "factorial moment at one size", (
+        _MODEL,
+        ("--n", int, True, None, None),
+        ("--s", int, True, None, "moment order (s >= 0)"),
+        ("--mode", ("exact", "asym", "both"), False, "both", None),
+        _FORMAT,
+    )),
+    "transfer": (
+        _cmd_transfer, "log-power coefficient: asymptotic estimate vs exact series oracle", (
+            ("--alpha", int, True, None, "power of 1/(1-u), >= 1"),
+            ("--beta", int, True, None, "power of log(1/(1-u)), >= 0"),
+            ("--n", int, True, None, "coefficient index (n >= 2)"),
+            ("--order", int, False, None,
+             "truncate the correction bracket at this order (default: full)"),
+            _PRECISION,
+            _FORMAT,
+        ),
+    ),
+    "simulate": (_cmd_simulate, "Monte Carlo factorial moment", (
+        _MODEL,
+        ("--n", int, True, None, None),
+        ("--s", int, True, None, None),
+        ("--trials", int, True, None, None),
+        ("--seed", int, True, None, "64-bit unsigned seed"),
+        ("--threads", int, False, 1,
+         "worker processes; never changes the result, only the wall time"),
+        _FORMAT,
+    )),
+    "compare": (_cmd_compare, "exact vs asymptotic over an n-grid", (
+        _MODEL,
+        ("--s", int, True, None, None),
+        ("--n-grid", None, True, None,
+         "comma-separated sizes, e.g. 100,1000,10000 (used literally)"),
+        _PRECISION,
+        _FORMAT,
+    )),
+    "verify": (
+        _cmd_verify,
+        "cross-check transferred expansion coefficients against the "
+        "stated asymptotics for s = 1..10",
+        (_FORMAT,),
+    ),
+}
 
 
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--model", choices=[m.value for m in Model], required=True,
-        help="which cost statistic",
-    )
+def build_parser():
+    """The argparse parser of ``_COMMANDS``: it writes ``--help`` and every
+    error message, and parses each argv that ``_read_argv`` declines."""
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momentlab",
         description=(
@@ -378,76 +447,57 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("table", help="exact distribution row")
-    _add_model(p)
-    p.add_argument("--n", type=int, required=True, help="input size (n >= 0)")
-    _add_format(p)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("moment", help="factorial moment at one size")
-    _add_model(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True, help="moment order (s >= 0)")
-    p.add_argument("--mode", choices=["exact", "asym", "both"], default="both")
-    _add_format(p)
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser(
-        "transfer",
-        help="log-power coefficient: asymptotic estimate vs exact series oracle",
-    )
-    p.add_argument("--alpha", type=int, required=True, help="power of 1/(1-u), >= 1")
-    p.add_argument("--beta", type=int, required=True, help="power of log(1/(1-u)), >= 0")
-    p.add_argument("--n", type=int, required=True, help="coefficient index (n >= 2)")
-    p.add_argument(
-        "--order", type=int, default=None,
-        help="truncate the correction bracket at this order (default: full)",
-    )
-    p.add_argument("--precision", choices=["double", "high"], default="double")
-    _add_format(p)
-    p.set_defaults(func=_cmd_transfer)
-
-    p = sub.add_parser("simulate", help="Monte Carlo factorial moment")
-    _add_model(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes; never changes the result, only the wall time",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("compare", help="exact vs asymptotic over an n-grid")
-    _add_model(p)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument(
-        "--n-grid", required=True,
-        help="comma-separated sizes, e.g. 100,1000,10000 (used literally)",
-    )
-    p.add_argument("--precision", choices=["double", "high"], default="double")
-    _add_format(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser(
-        "verify",
-        help="cross-check transferred expansion coefficients against the "
-        "stated asymptotics for s = 1..10",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, kind, required, default, text in options:
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(
+                flag, type=None if choices else kind, choices=choices,
+                required=required, default=default, help=text,
+            )
+        p.set_defaults(func=func)
     return parser
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, for an argv of the
+    form ``SUB (--FLAG VALUE)*``: each flag exactly one of SUB's options and
+    given once, every required option given, and each value passing its
+    option's type or choices without starting with "-".  None for any other
+    argv, which argparse parses, helps with or rejects."""
+    if not all(isinstance(word, str) for word in argv):
+        return None
+    command = argv and _COMMANDS.get(argv[0])
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if not command or 2 * len(given) != len(argv) - 1:
+        return None
+    func, _, options = command
+    values = {"command": argv[0], "func": func}
+    for flag, kind, required, default, _ in options:
+        value = given.pop(flag, None)
+        if value is None:
+            if required:
+                return None
+            value = default
+        elif value.startswith("-"):
+            return None
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        elif kind is not None:
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):  # what argparse reports as an invalid value
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    return None if given else SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     # read when a layer loads numpy: no BLAS routine runs, and idle threads cost CPU
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

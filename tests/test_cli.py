@@ -15,8 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from momentlab import harmonic, quicksort_mean
+from momentlab import cli, harmonic, quicksort_mean
 from momentlab.cli import main
 from momentlab.moments import QUICKSORT_PGF_MAX_N, exact_moment
 from momentlab.tables import Model, distribution_table
@@ -734,25 +736,29 @@ class TestStdoutGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[fmt]
 
 
-# Runs one request in a fresh interpreter and prints its exit code and which
-# heavy modules it loaded; the test process itself already holds them all.
+# Runs one request in a fresh interpreter and prints its exit code, or a
+# parser exit's code, and which heavy modules it loaded; the test process
+# itself already holds them all.
 IMPORT_PROBE = """
 import io, json, sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 import momentlab.cli
 code = None
 if sys.argv[1:]:
-    with redirect_stdout(io.StringIO()):
-        code = momentlab.cli.main(sys.argv[1:])
-heavy = ("numpy", "mpmath", "concurrent.futures.process")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = momentlab.cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+heavy = ("numpy", "mpmath", "concurrent.futures.process", "argparse")
 print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 """
 
 
 class TestImports:
     """Every request is a fresh process, so numpy and the process pool are
-    imported only on the routes that use them, and mpmath, the tests'
-    reference, by none."""
+    imported only on the routes that use them, argparse only for help and
+    parse errors, and mpmath, the tests' reference, by none."""
 
     @pytest.mark.parametrize(
         "argv, loaded",
@@ -830,6 +836,14 @@ class TestImports:
         code, modules = json.loads(proc.stdout)
         assert code == (0 if argv else None)
         assert modules == loaded
+
+    def test_parse_error_loads_argparse(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, "table", "--model", "heapsort", "--n", "3"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [2, ["argparse"]]
 
 
 # Imports the module named first in a fresh interpreter, runs the request
@@ -1085,6 +1099,271 @@ class TestParser:
         )
         assert proc.returncode == 0
         assert "45/2" in proc.stdout
+
+
+# argparse's own text, which only --help and parse errors print, byte for
+# byte as CPython 3.11 writes it; below, the table reader against argparse.
+
+# one digit past Python's 4300-digit limit on int()
+BIG = "1" + "0" * 4300
+
+# The --help of the program and of each subcommand at 80 columns.
+HELP = {
+    (): (
+        'usage: momentlab [-h] {table,moment,transfer,simulate,compare,verify} ...\n'
+        '\n'
+        'Exact cost distributions, factorial moments, and asymptotic estimates for\n'
+        'permutation cycle counts, inversion counts, and randomized-quicksort\n'
+        'comparisons. All logarithms are natural logs (base e), including in quicksort\n'
+        'outputs. The MOMENTLAB_ROW_LIMIT environment variable overrides the per-model\n'
+        'row caps.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {table,moment,transfer,simulate,compare,verify}\n'
+        '    table               exact distribution row\n'
+        '    moment              factorial moment at one size\n'
+        '    transfer            log-power coefficient: asymptotic estimate vs exact\n'
+        '                        series oracle\n'
+        '    simulate            Monte Carlo factorial moment\n'
+        '    compare             exact vs asymptotic over an n-grid\n'
+        '    verify              cross-check transferred expansion coefficients against\n'
+        '                        the stated asymptotics for s = 1..10\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    ('table',): (
+        'usage: momentlab table [-h] --model {cycles,inversions,quicksort} --n N\n'
+        '                       [--format {csv,json}]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --model {cycles,inversions,quicksort}\n'
+        '                        which cost statistic\n'
+        '  --n N                 input size (n >= 0)\n'
+        '  --format {csv,json}\n'
+    ),
+    ('moment',): (
+        'usage: momentlab moment [-h] --model {cycles,inversions,quicksort} --n N --s S\n'
+        '                        [--mode {exact,asym,both}] [--format {csv,json}]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --model {cycles,inversions,quicksort}\n'
+        '                        which cost statistic\n'
+        '  --n N\n'
+        '  --s S                 moment order (s >= 0)\n'
+        '  --mode {exact,asym,both}\n'
+        '  --format {csv,json}\n'
+    ),
+    ('transfer',): (
+        'usage: momentlab transfer [-h] --alpha ALPHA --beta BETA --n N [--order ORDER]\n'
+        '                          [--precision {double,high}] [--format {csv,json}]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --alpha ALPHA         power of 1/(1-u), >= 1\n'
+        '  --beta BETA           power of log(1/(1-u)), >= 0\n'
+        '  --n N                 coefficient index (n >= 2)\n'
+        '  --order ORDER         truncate the correction bracket at this order\n'
+        '                        (default: full)\n'
+        '  --precision {double,high}\n'
+        '  --format {csv,json}\n'
+    ),
+    ('simulate',): (
+        'usage: momentlab simulate [-h] --model {cycles,inversions,quicksort} --n N --s\n'
+        '                          S --trials TRIALS --seed SEED [--threads THREADS]\n'
+        '                          [--format {csv,json}]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --model {cycles,inversions,quicksort}\n'
+        '                        which cost statistic\n'
+        '  --n N\n'
+        '  --s S\n'
+        '  --trials TRIALS\n'
+        '  --seed SEED           64-bit unsigned seed\n'
+        '  --threads THREADS     worker processes; never changes the result, only the\n'
+        '                        wall time\n'
+        '  --format {csv,json}\n'
+    ),
+    ('compare',): (
+        'usage: momentlab compare [-h] --model {cycles,inversions,quicksort} --s S\n'
+        '                         --n-grid N_GRID [--precision {double,high}]\n'
+        '                         [--format {csv,json}]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --model {cycles,inversions,quicksort}\n'
+        '                        which cost statistic\n'
+        '  --s S\n'
+        '  --n-grid N_GRID       comma-separated sizes, e.g. 100,1000,10000 (used\n'
+        '                        literally)\n'
+        '  --precision {double,high}\n'
+        '  --format {csv,json}\n'
+    ),
+    ('verify',): (
+        'usage: momentlab verify [-h] [--format {csv,json}]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help           show this help message and exit\n'
+        '  --format {csv,json}\n'
+    ),
+}
+
+
+def usage(*command):
+    return HELP[command].split("\n\n", 1)[0] + "\n"
+
+
+# argparse's errors: each exits 2 with empty stdout and this stderr.
+ERRORS = [
+    pytest.param(
+        ["table", "--model", "heapsort", "--n", "3"],
+        usage("table") + "momentlab table: error: argument --model: invalid choice: 'heapsort' "
+        "(choose from 'cycles', 'inversions', 'quicksort')\n",
+        id="invalid-choice",
+    ),
+    pytest.param(
+        ["moment", "--model", "cycles", "--n", "5"],
+        usage("moment") + "momentlab moment: error: the following arguments are required: --s\n",
+        id="missing-option",
+    ),
+    pytest.param(
+        ["table", "--model", "cycles", "--n", "5", "--bogus", "1"],
+        usage() + "momentlab: error: unrecognized arguments: --bogus 1\n",
+        id="unknown-flag",
+    ),
+    pytest.param(
+        ["moment", "--model", "cycles", "--n", "5", "--s", "1", "--mo", "both"],
+        usage("moment")
+        + "momentlab moment: error: ambiguous option: --mo could match --model, --mode\n",
+        id="ambiguous-abbreviation",
+    ),
+    pytest.param(
+        ["table", "--model", "cycles", "--n", "x"],
+        usage("table") + "momentlab table: error: argument --n: invalid int value: 'x'\n",
+        id="invalid-int",
+    ),
+    pytest.param(
+        [],
+        usage() + "momentlab: error: the following arguments are required: command\n",
+        id="missing-subcommand",
+    ),
+    pytest.param(
+        ["table", "--model", "cycles", "--n", "5", "--format=xml"],
+        usage("table") + "momentlab table: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'csv', 'json')\n",
+        id="format-equals-xml",
+    ),
+    pytest.param(
+        ["table", "--model", "cycles", "--n", BIG],
+        usage("table") + f"momentlab table: error: argument --n: invalid int value: '{BIG}'\n",
+        id="int-past-the-digit-limit",
+    ),
+]
+
+
+class TestArgparseText:
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", HELP, ids=lambda c: " ".join(c) or "program")
+    def test_help(self, command):
+        assert run_cli(*command, "--help") == (0, HELP[command], "")
+
+    @pytest.mark.parametrize("argv, stderr", ERRORS)
+    def test_error(self, argv, stderr):
+        assert run_cli(*argv) == (2, "", stderr)
+
+
+FLAGS = sorted({option[0] for _, _, options in cli._COMMANDS.values() for option in options})
+CHOICES = sorted({c for _, _, options in cli._COMMANDS.values() for o in options
+                  if isinstance(o[1], tuple) for c in o[1]})
+# ints that int() reads beside plain digits
+INT_FORMS = ["+5", " 7", "5_0", "\u0663", "007"]
+# choice words, their near misses, odd ints and words that start with "-"
+ODD_VALUES = st.one_of(
+    st.sampled_from(CHOICES),
+    st.sampled_from(CHOICES).map(lambda c: c[:-1]),
+    st.sampled_from(CHOICES).map(str.upper),
+    st.sampled_from(["", "-", "--", "-h", "-1", "1.5", "x", BIG, "10,x", *INT_FORMS]),
+)
+STRAY_WORDS = st.one_of(st.sampled_from([*FLAGS, "--help", "--", "-x", "extra"]), ODD_VALUES)
+
+
+def good_value(kind):
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind is int:
+        return st.one_of(st.integers(0, 40).map(str), st.sampled_from(INT_FORMS))
+    return st.sampled_from(["10,20", "150,300", ""])
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed request: a subcommand, its required options and some
+    of the others in any order, with valid values; then up to three changes
+    that argparse reads in its own way or rejects: an odd value, an
+    abbreviation, ``--flag=value``, a missing or repeated option, a stray
+    word or another first word."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    pairs = [
+        [flag, draw(good_value(kind))]
+        for flag, kind, required, *_ in draw(st.permutations(cli._COMMANDS[command][2]))
+        if required or draw(st.booleans())
+    ]
+    for change in draw(st.lists(st.integers(0, 6), max_size=3)):
+        if change >= 5 or not pairs:
+            word = draw(STRAY_WORDS if change != 6 else st.sampled_from(
+                [*cli._COMMANDS, "tabl", "-h", "--", "--format"]))
+            if change == 6:
+                command = word
+            else:
+                pairs.insert(draw(st.integers(0, len(pairs))), [word])
+            continue
+        i = draw(st.integers(0, len(pairs) - 1))
+        flag, *value = pairs[i]
+        if change == 0 and value:
+            pairs[i] = [flag, draw(ODD_VALUES)]
+        elif change == 1 and len(flag) > 3:
+            pairs[i] = [flag[: draw(st.integers(3, len(flag) - 1))], *value]
+        elif change == 2:
+            pairs[i] = [f"{flag}={value[0] if value else ''}"]
+        elif change == 3:
+            del pairs[i]
+        elif change == 4:
+            pairs.insert(draw(st.integers(0, len(pairs))), [flag, draw(ODD_VALUES)])
+    return [command, *(word for pair in pairs for word in pair)]
+
+
+class TestTableReader:
+    """``main`` reads a well-formed argv from ``cli._COMMANDS`` itself and
+    gives every other argv to argparse."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(argvs())
+    # --n-grid takes any text, but argparse reads these as options, not as its value
+    @example(["compare", "--model", "cycles", "--s", "2", "--n-grid", "-h"])
+    @example(["compare", "--n-grid", "--", "--model", "cycles", "--s", "2"])
+    def test_reader_agrees_with_argparse(self, argv):
+        # the reader's namespace is argparse's; where argparse exits, the reader declined
+        read = cli._read_argv(argv)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                parsed = vars(cli.build_parser().parse_args(argv))
+            except SystemExit:
+                parsed = None
+        if read is not None:
+            assert vars(read) == parsed
+
+    def test_reader_accepts_only_strings(self):
+        # argparse fails on a word that is not a string, so the reader leaves it to argparse
+        assert cli._read_argv(["table", "--model", "cycles", "--n", 5]) is None
+        assert vars(cli._read_argv(["table", "--model", "cycles", "--n", "5"])) == {
+            "command": "table", "func": cli._cmd_table, "model": "cycles", "n": 5, "format": "csv",
+        }
 
 
 # One request per subcommand in each format, a parser error (exit 2) and a row

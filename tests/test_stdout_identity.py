@@ -282,3 +282,44 @@ def test_checked_in_tables_list():
         ("MOMENTLAB_ROW_LIMIT=140", "table", "--model", "quicksort", "--n", "140", "--format", "json"),
     ]
     assert not set(argvs) & set(stdout_identity.requests("tables", [1, 7, 2026]))
+
+
+def test_caller_unbuffered_streams_reach_neither_side(tmp_path, monkeypatch):
+    # prints PYTHONUNBUFFERED after its argv, "-" where it is unset
+    stub = stub_checkout(tmp_path / "stub", body=(
+        'import os\nargv = argv + [os.environ.get("PYTHONUNBUFFERED", "-")]'
+    ))
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    assert stdout_identity.run(stub, ("verify",)) == (0, b"verify -\n", b"")
+
+
+def test_checked_in_parser_list():
+    from momentlab.cli import _COMMANDS, _read_argv
+
+    argvs = stdout_identity.read_argv_file(ROOT / "tools" / "parser_outside_workloads.txt")
+    assert [a for a in argvs if a[-1] == "--help"] == [("--help",), *((c, "--help") for c in _COMMANDS)]
+    # a line of settings alone runs the program without a subcommand
+    assert ("MOMENTLAB_ROW_LIMIT=140",) in argvs
+    for request in [
+        ("table",),
+        ("moment", "--model", "cycles", "--n", "5", "--s", "1", "--mo", "both"),
+        ("compare", "--model", "cycles", "--s", "2", "--n", "300"),
+        ("table", "--model", "cycles", "--n", "3", "--n", "4"),
+        ("table", "--model", "cycles", "--n", "5", "--format=json"),
+        ("simulate", "--model", "cycles", "--n", "5", "--s", "1", "--trials", "10", "--seed", "-2"),
+        ("transfer", "--alpha", "1", "--beta", "0", "--n", "9", "--order", "-1"),
+        ("table", "--model", "cycles", "--", "--n", "5"),
+        ("table", "--model", "cycles", "--n", "1" + "0" * 4300),
+    ]:
+        assert request in argvs
+        assert _read_argv(list(request)) is None
+    # well-formed requests, which the table reader parses: every option of
+    # each subcommand in an order other than the help's, and each defaulted
+    # option left out
+    read = [a for a in argvs if _read_argv(list(a)) is not None]
+    for command, (_, _, options) in _COMMANDS.items():
+        flags = [flag for flag, *_ in options]
+        given = [list(a[1::2]) for a in read if a[0] == command]
+        assert any(sorted(g) == sorted(flags) and (g != flags or len(g) == 1) for g in given)
+        for flag, _, required, *_ in options:
+            assert required or any(flag not in g for g in given)

@@ -11,7 +11,9 @@ may begin with ``MOMENTLAB_NAME=value`` words, as in
 ``MOMENTLAB_ROW_LIMIT=140 table --model quicksort --n 121``: both sides run
 that request with those variables set.  Runs every distinct request once in
 each checkout as a fresh ``python -m momentlab.cli`` process with
-``DIR/src`` on the path and no other ``MOMENTLAB_*`` variable.  Lists each
+``DIR/src`` on the path, no other ``MOMENTLAB_*`` variable and no
+``PYTHONUNBUFFERED``, so that both sides write to buffered streams, the
+default that users get.  Lists each
 request whose exit code, stdout bytes or stderr bytes differ, or that exits
 on either side with a code the CLI does not document (a traceback exits 1),
 and exits 1 if any do, else 0.  Stderr counts because the CLI's exit path is
@@ -63,8 +65,12 @@ def _is_setting(word: str) -> bool:
 
 def run(root: Path, argv: tuple) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of one request in the checkout at
-    ``root``, under the ``MOMENTLAB_NAME=value`` words it begins with."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MOMENTLAB_")}
+    ``root``, under the ``MOMENTLAB_NAME=value`` words it begins with and
+    with buffered streams."""
+    env = {
+        k: v for k, v in os.environ.items()
+        if not k.startswith("MOMENTLAB_") and k != "PYTHONUNBUFFERED"
+    }
     settings = list(itertools.takewhile(_is_setting, argv))
     env.update(word.split("=", 1) for word in settings)
     # the benchmark's own environment: the checkout's sources, one BLAS thread
