@@ -21,8 +21,6 @@ numpy.  ``_VALUES_BUDGET`` and the primes' coverage of n! are checked here,
 before the recurrence runs.
 """
 
-from __future__ import annotations
-
 import bisect
 import functools
 import itertools

@@ -16,8 +16,8 @@ verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
 
 Exact moments of ``moment`` and ``compare`` come from
 ``moments.exact_moment``, whose docstring describes its routes:
-closed-form, pgf and table.  ``compare`` names the route in its ``source``
-field, and has one more:
+closed-form and pgf.  ``compare`` names the route in its ``source`` field,
+and has one more:
 
   oracle       cycles above n = 200, s <= 16: the polygamma series oracle,
                an 82-digit ``Decimal`` printed as a float; in double
@@ -46,13 +46,12 @@ module's ``__getattr__``, and the handlers call them through the module
 object.
 Every request is a fresh process that compiles each module it imports, so
 a request loads only the submodules its route runs: ``table`` only
-``tables``, and ``_ntt``, the number-theoretic transforms, only for a
-quicksort row, which ``moment`` and ``compare`` build only at s > 6;
-``simulate`` only ``simulate``; ``transfer`` ``transfer`` and the
-``tables`` whose rising product its exact oracle expands.  ``Model``
-is the package root's own, so parsing loads no layer.  A function set on
-this module from outside, such as a wrapper that times a layer, is the one
-that runs.
+``tables``, and ``_ntt``, the number-theoretic transforms, and numpy only
+for a quicksort row, which ``moment`` and ``compare`` never build;
+``simulate`` only ``simulate``; ``transfer`` ``transfer`` and the ``tables``
+whose rising product its exact oracle expands.  ``Model`` is the package
+root's own, so parsing loads no layer.  A function set on this module from
+outside, such as a wrapper that times a layer, is the one that runs.
 
 Conventions: natural logarithms everywhere (the gamma-constant corrections
 only hold for ln); CSV has a header row, counts as exact decimal integers,
@@ -91,8 +90,6 @@ fails, the interpreter ends the process as it ends any other.  ``main(argv)``
 itself returns the exit code and ends nothing, for callers in process.
 """
 
-from __future__ import annotations
-
 import atexit
 import os
 import sys
@@ -129,7 +126,7 @@ def compare_rows(
     model, s: int, grid: list[int], *, high_precision: bool = False
 ) -> list[dict]:
     """Convergence study: one row per grid point, with keys n, exact (text),
-    asym, abs_err, rel_err (None when exact == 0) and source (table, pgf,
+    asym, abs_err, rel_err (None when exact == 0) and source (pgf,
     closed-form or oracle).
 
     ``high_precision`` evaluates the asymptotic side and the error

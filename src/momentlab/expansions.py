@@ -24,8 +24,6 @@ the direct transfer of the second term, and the exact harmonic number in
 the latter must cancel against C_1(s+1) = gamma - H_s.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 from fractions import Fraction

@@ -1,32 +1,24 @@
 """Exact factorial moments, plus the generalized harmonic numbers they need.
 
 The s-th factorial moment of a cost statistic X on inputs of size n is
-E[(X)_s] with (X)_s = X(X-1)...(X-s+1), the Taylor coefficient
-s! [t^s] P_n(1+t) of the probability generating function P_n at z = 1.
+E[(X_n)_s] with (X)_s = X(X-1)...(X-s+1); f_s(u) = sum_n E[(X_n)_s] u^n.
 ``exact_moment`` is the one entry point and names the route it took:
 
-* ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, at every n, and
-  the 0 of inversions and quicksort at s > max(PGF_MAX_S, k_max(model, n));
-* ``pgf`` -- from the PGF, with no row of size n: cycles at every s inside
-  the cycles row cap, from the first s + 1 Taylor coefficients of
-  n! P_n(1+t) = (1+t)(2+t)...(n+t), the rising product of the cycles rows
-  from ``tables._rising``; quicksort at s <= PGF_MAX_S, from its own
-  coefficients, by the recurrence of ``_quicksort_pgf``; and inversions at
-  s <= PGF_MAX_S, where E[(I_n)_s] is a polynomial of degree 2s in n,
-  interpolated once per s through the moments of rows 0..2s;
-* ``table`` -- inversions and quicksort at PGF_MAX_S < s <= k_max: direct
-  summation over the exact row (``factorial_moment``), inside the row caps.
+* ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, at every n, and the
+  0 of inversions and quicksort at s > max(MOMENT_MAX_S[model], k_max(model, n));
+* ``pgf`` -- every other moment, with no row of size n: [u^n] f_s by
+  ``tables._log_power_coefficients`` for cycles, f_s = (1-u)^(-1) log^s(1/(1-u)),
+  and quicksort (``_quicksort_gf``); for inversions E[(I_n)_s], a polynomial
+  of degree 2s in n interpolated through the rows 0..2s.
 
-Every result is an exact rational.
+Every result is an exact rational; a request past a cap raises
+``RowLimitError`` before any work.
 """
 
-from __future__ import annotations
-
+import collections
 import functools
 import math
-from collections.abc import Sequence
 from fractions import Fraction
-from operator import mul
 
 from . import Model
 from .tables import (
@@ -34,14 +26,13 @@ from .tables import (
     RowLimitError,
     _check_row_request,
     _inversion_rows,
-    _rising,
-    distribution_table,
+    _log_power_coefficients,
     distribution_tables,
     k_max,
 )
 
 __all__ = [
-    "PGF_MAX_S",
+    "MOMENT_MAX_S",
     "QUICKSORT_PGF_MAX_N",
     "harmonic",
     "factorial_moment",
@@ -50,18 +41,17 @@ __all__ = [
     "exact_moment",
 ]
 
-# Largest inversions and quicksort moment order taken from PGF Taylor
-# coefficients; above it those moments come from table rows.
-PGF_MAX_S = 6
-# Cap on n for quicksort moments from the PGF: the largest multiple of 50
-# whose request finishes within 30 s CPU and 1536 MiB with room for the
-# host's speed, which drifts by up to a fifth.  The recurrence costs O(n^2)
-# products of integers of up to log2(n!) bits for each pair 1 <= a <= b
-# with a + b <= s, so s = 6 is the dearest order.  `moment --model quicksort
-# --s 6 --mode exact`, CSV and JSON, CPU and peak RSS on a 2-core x86-64
-# box with Python 3.11: n = 800 in 21.4-22.6 s and 19 MB (27.1 s a fifth
-# slower), 750 in 15.1-16.6 s, 700 in 12.8-13.0 s.
-QUICKSORT_PGF_MAX_N = 800
+# Largest order s of the inversions polynomial and the quicksort series: the
+# largest multiple of 32 whose dearest `moment --mode exact` takes 30 s CPU
+# and 1536 MiB with a fifth to spare, on a 2-core x86-64 box with Python 3.11:
+# inversions at n = 10^4300 - 1, s = 96 in 9.3-9.9 s and 20 MB, 128 in 29.5 s;
+# quicksort at n = 4000, s = 32 in 11.1-12.8 s and 47 MB, 40 in 30.0 s.  Both
+# then exit 2: the values pass Python's 4300-digit limit on int-to-text.
+MOMENT_MAX_S = {"inversions": 96, "quicksort": 32}
+# Cap on n for quicksort at s != 1: time allows more (0.30-0.33 s at s = 6,
+# where the PGF recurrence took 21-23 s at n = 800), but a little above it the
+# s = 6 numerator (14186 bits at 4000) passes that limit.
+QUICKSORT_PGF_MAX_N = 4000
 
 
 # Terms a leaf of ``_harmonic_split`` sums over one lcm: measured against 1..512
@@ -137,18 +127,6 @@ def quicksort_mean(n: int) -> Fraction:
     return Fraction(2 * (n + 1) * p - 4 * n * q, q)
 
 
-def _pgf_moment(poly: Sequence[int], n: int, s: int) -> Fraction:
-    """s! [t^s] P_n(1+t) from the coefficients ``poly`` of n! P_n(1+t).
-
-    Rejects a polynomial whose constant term, n! times the mass P_n(1), is
-    not exactly n! (the guard ``factorial_moment`` applies to rows).
-    """
-    total = math.factorial(n)
-    if poly[0] != total:
-        raise ValueError(f"PGF of size {n} does not have mass 1")
-    return Fraction(math.factorial(s) * poly[s], total)
-
-
 @functools.lru_cache(maxsize=None)
 def _inversions_polynomial(s: int) -> tuple[Fraction, ...]:
     """Coefficients, constant first, of the polynomial in n equal to
@@ -175,49 +153,73 @@ def _inversions_polynomial(s: int) -> tuple[Fraction, ...]:
     return tuple(coefficients)
 
 
-def _quicksort_pgf(n: int, s: int) -> list[tuple[int, ...]]:
-    """[t^0..t^s] of A_m(t) = m! P_m(1+t) for quicksort comparisons, for
-    every m = 0..n.
+# Quicksort's f_s lie in the ring Q[v, 1/v, L], v = 1 - u, L = log(1/(1-u)):
+# a series is ({(a, b): c}, d), the sum of (c/d) v^(-a) L^b over integers c.
+_ONE = ({(0, 0): 1}, 1)
 
-    From P_m(z) = z^(m-1)/m sum_j P_(j-1) P_(m-j),
-    A_m = (1+t)^(m-1) B_m with B_m = sum_(i+l=m-1) C(m-1, i) A_i A_l,
-    all truncated at t^s.  In B_m[k] the terms where one factor gives its
-    constant term A_i[0] = i! sum to (m-1)!/l! A_l[k] over l < m, a prefix
-    sum updated in O(1) per m.  Only the products of two non-constant
-    coefficients, a + b = k with a, b >= 1, need the O(m) sum, and the swap
-    i <-> l makes the sums for (a, b) and (b, a) equal, so only a <= b is
-    summed.  The prefix sums assume every smaller A_i has mass i!; the
-    constant term of A_n comes from the same sums, and ``_pgf_moment``
-    checks it.  ``exact_moment`` also checks A_n[1] and A_n[2] against the
-    mean and variance closed forms; those cover the prefix sums and the
-    pair a = b = 1, but not the pairs with a + b >= 3.
+
+def _gf(parts):
+    """The sum of w x y over the triples (w, x, y) of ``parts``."""
+    d = math.lcm(*(x[1] * y[1] for _, x, y in parts))
+    out = collections.Counter()
+    for w, (x, dx), (y, dy) in parts:
+        w *= d // (dx * dy)
+        for (a1, b1), c1 in x.items():
+            for (a2, b2), c2 in y.items():
+                out[a1 + a2, b1 + b2] += w * c1 * c2
+    return out, d
+
+
+@functools.lru_cache(maxsize=None)
+def _quicksort_falling(k: int, j: int):
+    """u^j (d/du)^j f_k, the series of (n)_j E[(X_n)_k], as (u d/du - j + 1) of
+    the one at j - 1; d/du v^(-a) L^b = a v^(-a-1) L^b + b v^(-a-1) L^(b-1)."""
+    if j == 0:
+        return _quicksort_gf(k)
+    terms, d = _quicksort_falling(k, j - 1)
+    out = collections.Counter()
+    for (a, b), c in terms.items():
+        for key, w in (((a + 1, b), a), ((a, b), 1 - a - j), ((a + 1, b - 1), b), ((a, b - 1), -b)):
+            if w:
+                out[key] += w * c
+    return out, d
+
+
+@functools.lru_cache(maxsize=None)
+def _quicksort_g(i: int):
+    """g_i = sum_(k<=i) C(i, k) u^(i-k) (d/du)^(i-k) f_k."""
+    return _gf([(math.comb(i, k), _quicksort_falling(k, i - k), _ONE) for k in range(i + 1)])
+
+
+@functools.lru_cache(maxsize=None)
+def _quicksort_gf(s: int):
+    """f_s of quicksort, reduced.  By the PGF recurrence F(u, z) = sum_n P_n(z) u^n
+    obeys dF/du = F(uz, z)^2, where F(uz, z) has the z-derivatives g_i at z = 1.
+    So f_s' = sum_i C(s, i) g_i g_(s-i) = 2 f_s/v + h_s, as g_0 = f_0 = 1/v, and
+    f_s = v^(-2) int_0^u v^2 h_s du for s >= 1, where f_s(0) = 0, term by term:
+    int_0^u v^(-1) L^b du = L^(b+1)/(b+1), and for m = 1 - a != 0,
+    int_0^u v^(-a) L^b du = (b! - sum_(j<=b) (b)_j m^(b-j) v^m L^(b-j)) / m^(b+1).
     """
-    columns = [[1]] + [[0] for _ in range(s)]  # columns[k][m] = A_m[k]
-    prefix = [0] * (s + 1)  # prefix[k] = sum_(l<m) (m-1)!/l! A_l[k]
-    for m in range(1, n + 1):
-        prefix = [(m - 1) * p + column[-1] for p, column in zip(prefix, columns)]
-        b_m = [prefix[0]] + [2 * p for p in prefix[1:]]
-        binomials = [1] * m
-        for i in range(1, m):
-            binomials[i] = binomials[i - 1] * (m - i) // i
-        for a in range(1, s // 2 + 1):
-            weighted = list(map(mul, binomials, columns[a]))
-            for b in range(a, s + 1 - a):
-                total = sum(map(mul, weighted, reversed(columns[b])))
-                b_m[a + b] += total if a == b else 2 * total
-        for k in range(s + 1):
-            columns[k].append(sum(math.comb(m - 1, k - c) * b_m[c] for c in range(k + 1)))
-    return list(zip(*columns))
+    if s == 0:
+        return {(1, 0): 1}, 1
+    h, d = _gf([(2 * math.comb(s, k), _quicksort_gf(0), _quicksort_falling(k, s - k)) for k in range(s)] + [
+        (math.comb(s, i) * (1 if 2 * i == s else 2), _quicksort_g(i), _quicksort_g(s - i))
+        for i in range(1, s // 2 + 1)
+    ])
+    integral = [(c, ({(2, b + 1): 1}, b + 1), _ONE) for (a, b), c in h.items() if a == 3]
+    for (a, b), c in h.items():  # the term c v^(2-a) L^b of v^2 h_s, at m = 3 - a
+        if a != 3:
+            terms = {(a - 1, b - j): -math.perm(b, j) * (3 - a) ** (b - j) for j in range(b + 1)}
+            integral.append((c, ({**terms, (2, 0): math.factorial(b)}, (3 - a) ** (b + 1)), _ONE))
+    terms, d2 = _gf(integral)
+    g = math.gcd(d * d2, *terms.values())
+    return {key: c // g for key, c in terms.items() if c}, d * d2 // g
 
 
 def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
-    """Exact s-th factorial moment at size n, and the route that gave it:
-    ``closed-form``, ``pgf`` or ``table`` (see the module docstring).
-
-    Quicksort ``pgf`` moments are capped at n <= QUICKSORT_PGF_MAX_N and
-    cycles moments at the cycles row cap; a request above its cap raises
-    ``RowLimitError`` before any work.  Inversions ``pgf`` moments evaluate
-    a polynomial in n and need no cap.
+    """Exact s-th factorial moment at size n and its route, ``closed-form`` or
+    ``pgf`` (see the module docstring).  Quicksort at s != 1 also checks [u^n]
+    f_1 and f_2 against the mean and variance closed forms: ValueError if not.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -225,32 +227,29 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
         raise ValueError(f"s must be nonnegative, got {s}")
     if model is Model.QUICKSORT and s == 1:
         return quicksort_mean(n), "closed-form"
-    if model is Model.INVERSIONS and s <= PGF_MAX_S:
-        value = Fraction(0)
-        for c in reversed(_inversions_polynomial(s)):
-            value = value * n + c
-        return value, "pgf"
     if model is Model.CYCLES:
         # The row's cap: the product costs about what the row does (n = s =
         # 4000: 10.2-14.8 s against 12.4-13.4 s, both 40 MB; s = 6: 0.12 s), and
         # at n = 4060 the s = 6 numerator passes Python's 4300-digit limit.
         _check_row_request(model, n)
-        if s > n:
-            return Fraction(0), "pgf"
-        return _pgf_moment(_rising(1, n + 1, s), n, s), "pgf"
-    if model is Model.QUICKSORT and s <= PGF_MAX_S:
-        if n > QUICKSORT_PGF_MAX_N:
-            raise RowLimitError(
-                f"quicksort moments of order {s} are capped at n <= {QUICKSORT_PGF_MAX_N}, got n={n}"
-            )
-        poly = _quicksort_pgf(n, s)[n]
-        if s >= 2:
-            # Var = 7n^2 - 4(n+1)^2 H_n^(2) - 2(n+1) H_n + 13n
-            mean = quicksort_mean(n)
-            variance = 7 * n**2 - 4 * (n + 1) ** 2 * harmonic(n, 2) - 2 * (n + 1) * harmonic(n) + 13 * n
-            if (_pgf_moment(poly, n, 1), _pgf_moment(poly, n, 2)) != (mean, variance + mean**2 - mean):
-                raise ValueError(f"quicksort PGF of size {n} disagrees with the mean or variance")
-        return _pgf_moment(poly, n, s), "pgf"
-    if s > k_max(model, n):
-        return Fraction(0), "closed-form"
-    return factorial_moment(distribution_table(model, n), s), "table"
+        return _log_power_coefficients([({(1, s): 1}, 1)], n)[0], "pgf"
+    if s > MOMENT_MAX_S[model.value]:
+        if s > k_max(model, n):
+            return Fraction(0), "closed-form"
+        raise RowLimitError(f"{model} moments are capped at s <= {MOMENT_MAX_S[model.value]}, got s={s}")
+    if model is Model.INVERSIONS:
+        value = Fraction(0)
+        for c in reversed(_inversions_polynomial(s)):
+            value = value * n + c
+        return value, "pgf"
+    if n > QUICKSORT_PGF_MAX_N:
+        raise RowLimitError(
+            f"quicksort moments of order {s} are capped at n <= {QUICKSORT_PGF_MAX_N}, got n={n}"
+        )
+    first, second, value = _log_power_coefficients([_quicksort_gf(k) for k in (1, 2, s)], n)
+    # Var = 7n^2 - 4(n+1)^2 H_n^(2) - 2(n+1) H_n + 13n
+    mean = quicksort_mean(n)
+    variance = 7 * n**2 - 4 * (n + 1) ** 2 * harmonic(n, 2) - 2 * (n + 1) * harmonic(n) + 13 * n
+    if (first, second) != (mean, variance + mean**2 - mean):
+        raise ValueError(f"quicksort moment series disagree with the mean or variance at n={n}")
+    return value, "pgf"

@@ -5,7 +5,7 @@ Every table row is exact, in arbitrary-precision integers:
 * ``cycles``      -- permutations of n counted by number of cycles,
                      via ``T[n][k] = (n-1) T[n-1][k] + T[n-1][k-1]``, the
                      coefficients of x(x+1)...(x+n-1), the rising product
-                     that cycles moments and the exact oracle truncate.
+                     that ``_log_power_coefficients`` truncates.
 * ``inversions``  -- permutations counted by number of inversions, the
                      coefficients of prod_(j<=n) (1 + z + ... + z^(j-1)):
                      each row is the previous one convolved with n ones,
@@ -32,8 +32,6 @@ imports, and the cycles and inversions routes, like most requests, never
 need them.  ``Model`` comes from the package root, so a layer that only
 names a model loads no row builder.
 """
-
-from __future__ import annotations
 
 import collections
 import itertools
@@ -188,6 +186,26 @@ def _rising(lo: int, hi: int, top: int) -> list[int]:
         for j in range(min(len(right), top + 1 - i)):
             out[i + j] += x * right[j]
     return out
+
+
+def _log_power_coefficients(series, n: int) -> list:
+    """[u^n] of each of ``series`` as a Fraction.  A series ({(alpha, beta): c}, d)
+    is the sum of (c/d) (1-u)^(-alpha) log^beta(1/(1-u)), alpha >= 1, and since
+    (1-u)^(-alpha-t) = (1-u)^(-alpha) exp(t log(1/(1-u))) has the coefficients
+    C(n + alpha + t - 1, n), [u^n] of one term is (c/d) beta! [t^beta] R / n! for
+    R = prod_(j<n) (alpha + j + t): one ``_rising`` per alpha, whose constant
+    term must be perm(alpha + n - 1, n) (the mass guard).  Terms with beta > n are 0.
+    """
+    from fractions import Fraction
+
+    series = [({key: c for key, c in terms.items() if key[1] <= n}, d) for terms, d in series]
+    top = max((b for terms, _ in series for _, b in terms), default=0)
+    products = {a: _rising(a, a + n, top) for a in {a for terms, _ in series for a, _ in terms}}
+    if any(poly[0] != math.perm(a + n - 1, n) for a, poly in products.items()):
+        raise ValueError(f"a rising product of size {n} has the wrong mass")
+    scale = math.factorial(n)
+    return [Fraction(sum(c * math.factorial(b) * products[a][b] for (a, b), c in terms.items()), d * scale)
+            for terms, d in series]
 
 
 def _inversion_rows(n: int):

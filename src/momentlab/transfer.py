@@ -43,14 +43,11 @@ is, so the estimate of ``transfer --alpha 3000000 --beta 1 --n 2
 it (exit 3) as below the double range.  The tests check this route against
 an independent library.
 
-Both oracles rest on one identity.  Since
-(1-u)^(-alpha-t) = (1-u)^(-alpha) exp(t log(1/(1-u))) and its coefficients
-are the binomials C(n + alpha + t - 1, n),
+Both oracles rest on one identity, derived in ``tables._log_power_coefficients``:
 
     [u^n] (1-u)^(-alpha) log(1/(1-u))^beta = beta! [t^beta] prod_{j<n} (alpha + j + t) / n!.
 
-The exact oracle expands the product by ``tables._rising``, loaded on its
-first call, and normalises one ``Fraction`` at the end.  The
+The exact oracle reads it by that function, as the exact moments do.  The
 high-precision oracle takes the product's logarithm instead: its power sums
 in 1/(alpha + j) are differences of polygamma values, and Newton's
 identities turn them into the t^beta coefficient in O(beta^2) operations
@@ -65,8 +62,6 @@ each checks the other.
 
 Natural logarithms throughout.
 """
-
-from __future__ import annotations
 
 import collections
 import contextlib
@@ -497,22 +492,16 @@ def _check_oracle_budget(alpha: int, beta: int, n: int, max_beta: int) -> None:
 
 
 def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
-    """Exact [u^n] of (1-u)^(-alpha) * log(1/(1-u))^beta.
-
-    Equals beta! * [t^beta] prod_{j<n} (alpha + j + t) / n!, the t-expansion
-    of the binomial coefficient C(n + alpha + t - 1, n) of (1-u)^(-alpha-t).
-    The product is ``tables._rising(alpha, alpha + n, beta)``, truncated at
-    degree beta, and the result is normalised once.  It shares no arithmetic with
-    the Gamma-derivative expansion it serves to check, nor with
+    """Exact [u^n] of (1-u)^(-alpha) * log(1/(1-u))^beta, by the rising
+    product of ``tables._log_power_coefficients``.  It shares no arithmetic
+    with the Gamma-derivative expansion it serves to check, nor with
     ``highprec_coefficient``.  Budgeted at n <= 100000, beta <= 6.
     """
     _check_oracle_budget(alpha, beta, n, ORACLE_MAX_BETA)
     if n > ORACLE_MAX_N:
         raise SeriesBudgetError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
-    from .tables import _rising
-    poly = _rising(alpha, alpha + n, beta)
-    coeff = poly[beta] if beta < len(poly) else 0
-    return Fraction(math.factorial(beta) * coeff, math.factorial(n))
+    from .tables import _log_power_coefficients
+    return _log_power_coefficients([({(alpha, beta): 1}, 1)], n)[0]
 
 
 def highprec_coefficient(alpha: int, beta: int, n: int) -> decimal.Decimal:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from momentlab import cli, harmonic, quicksort_mean
 from momentlab.cli import main
-from momentlab.moments import QUICKSORT_PGF_MAX_N, exact_moment
+from momentlab.moments import MOMENT_MAX_S, QUICKSORT_PGF_MAX_N, exact_moment
 from momentlab.tables import Model, distribution_table
 
 
@@ -201,6 +201,53 @@ class TestMoment:
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "c3b1e5700852ce67f89b03c372bfd58fa22054f5af39d3259dda06c7269e3376"
         )
+
+    def test_quicksort_at_the_old_cap_is_fast(self):
+        # the bytes this request printed through the PGF recurrence, which
+        # took 15-23 s of CPU
+        start = children_cpu_seconds()
+        proc = run_cli_process(
+            "moment", "--model", "quicksort", "--n", "800", "--s", "6", "--mode", "exact"
+        )
+        assert children_cpu_seconds() - start < 1
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+            "8fe8c2cb2b7986d135a017c5be66598a08a740bccdd05902b2992ba888aa141d"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("moment", "--model", "quicksort", "--n", str(QUICKSORT_PGF_MAX_N + 1), "--s", "2"),
+             f"quicksort moments of order 2 are capped at n <= {QUICKSORT_PGF_MAX_N}"),
+            (("moment", "--model", "quicksort", "--n", "30", "--s", str(MOMENT_MAX_S["quicksort"] + 1)),
+             f"quicksort moments are capped at s <= {MOMENT_MAX_S['quicksort']}"),
+            (("moment", "--model", "inversions", "--n", "30", "--s", str(MOMENT_MAX_S["inversions"] + 1)),
+             f"inversions moments are capped at s <= {MOMENT_MAX_S['inversions']}"),
+            (("compare", "--model", "quicksort", "--s", str(MOMENT_MAX_S["quicksort"] + 1), "--n-grid", "30"),
+             f"quicksort moments are capped at s <= {MOMENT_MAX_S['quicksort']}"),
+            (("compare", "--model", "inversions", "--s", str(MOMENT_MAX_S["inversions"] + 1), "--n-grid", "30"),
+             f"inversions moments are capped at s <= {MOMENT_MAX_S['inversions']}"),
+        ],
+    )
+    def test_past_each_cap_exits_3_fast(self, argv, message):
+        if argv[0] == "moment":
+            argv += ("--mode", "exact")
+        start = children_cpu_seconds()
+        proc = run_cli_process(*argv)
+        assert children_cpu_seconds() - start < 2
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith(f"resource limit: {message}")
+
+    @pytest.mark.parametrize("model, n", [("quicksort", 8), ("inversions", 8)])
+    def test_zero_past_the_s_cap(self, model, n):
+        # k_max(8) = 28 < s: no series and no polynomial is built
+        s = str(MOMENT_MAX_S[model] + 1)
+        start = children_cpu_seconds()
+        proc = run_cli_process("moment", "--model", model, "--n", str(n), "--s", s, "--mode", "exact")
+        assert children_cpu_seconds() - start < 2
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"model,s,n,exact,asym\n{model},{s},{n},0,\n"
 
     def test_zero_past_the_support_builds_no_row(self):
         # k_max = 500 * 499 / 2 = 124750 inversions
@@ -391,8 +438,8 @@ class TestCompare:
         assert code == 0
         assert out.splitlines()[1].split(",")[7] == "closed-form"
 
-    def test_quicksort_higher_moments_need_tables(self):
-        # s = 2..6 come from the PGF up to its cap; above it, exit 3 at once
+    def test_quicksort_moments_at_the_n_cap(self):
+        # s >= 2 come from the moment series up to the cap; above it, exit 3 at once
         start = children_cpu_seconds()
         proc = run_cli_process(
             "compare", "--model", "quicksort", "--s", "2", "--n-grid", str(QUICKSORT_PGF_MAX_N + 1)
@@ -440,11 +487,11 @@ class TestCompare:
         "model, sources",
         [
             ("cycles", ["pgf", "pgf", "pgf"]),
-            ("inversions", ["closed-form", "closed-form", "table"]),
-            ("quicksort", ["closed-form", "closed-form", "table"]),
+            ("inversions", ["pgf", "pgf", "pgf"]),
+            ("quicksort", ["pgf", "pgf", "pgf"]),
         ],
     )
-    def test_sources_above_the_pgf_orders(self, model, sources):
+    def test_sources_at_s_7(self, model, sources):
         code, out, _ = run_cli("compare", "--model", model, "--s", "7", "--n-grid", "3,4,5")
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -816,6 +863,16 @@ class TestImports:
                 [],
                 id="compare-quicksort-pgf",
             ),
+            pytest.param(
+                ("moment", "--model", "quicksort", "--n", "30", "--s", "7", "--mode", "exact"),
+                [],
+                id="moment-quicksort-s7",
+            ),
+            pytest.param(
+                ("compare", "--model", "quicksort", "--s", "7", "--n-grid", "30"),
+                [],
+                id="compare-quicksort-s7",
+            ),
             pytest.param(("verify",), [], id="verify"),
             pytest.param(
                 ("table", "--model", "quicksort", "--n", "30"), ["numpy"], id="table-quicksort"
@@ -918,11 +975,20 @@ class TestLayerImports:
                  "--mode", "exact"),
                 0, ["moments", "tables"], id="moment-cycles-exact",
             ),
-            # the quicksort PGF recurrence builds no row
+            # the quicksort moment series build no row, at any s
             pytest.param(
                 ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "3",
                  "--mode", "exact"),
                 0, ["moments", "tables"], id="moment-quicksort-exact",
+            ),
+            pytest.param(
+                ("momentlab.cli", "moment", "--model", "quicksort", "--n", "30", "--s", "7",
+                 "--mode", "exact"),
+                0, ["moments", "tables"], id="moment-quicksort-s7",
+            ),
+            pytest.param(
+                ("momentlab.cli", "compare", "--model", "quicksort", "--s", "7", "--n-grid", "30"),
+                0, ["expansions", "moments", "tables", "transfer"], id="compare-quicksort-s7",
             ),
             pytest.param(
                 ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "2",

@@ -5,11 +5,13 @@ import hashlib
 import math
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import brute_force_histogram
 from momentlab import (
     DistributionTable,
     Model,
@@ -23,17 +25,44 @@ from momentlab import (
     quicksort_mean,
     row_limit,
 )
+from momentlab.expansions import singular_expansion
 from momentlab.moments import (
-    PGF_MAX_S,
+    MOMENT_MAX_S,
     QUICKSORT_PGF_MAX_N,
     _harmonic_split,
     _inversions_polynomial,
-    _pgf_moment,
-    _quicksort_pgf,
+    _quicksort_gf,
     exact_moment,
 )
 from momentlab.simulate import comparisons_first_pivot
-from momentlab.tables import _rising
+from momentlab.tables import _log_power_coefficients
+
+
+def _quicksort_pgf(n: int, s: int) -> list[tuple[int, ...]]:
+    """[t^0..t^s] of A_m(t) = m! P_m(1+t) for quicksort comparisons, for
+    every m = 0..n: the reference for the moment series.
+
+    From P_m(z) = z^(m-1)/m sum_j P_(j-1) P_(m-j),
+    A_m = (1+t)^(m-1) B_m with B_m = sum_(i+l=m-1) C(m-1, i) A_i A_l,
+    all truncated at t^s.  In B_m[k] the terms where one factor gives its
+    constant term A_i[0] = i! sum to (m-1)!/l! A_l[k] over l < m, a prefix
+    sum updated in O(1) per m; the swap i <-> l makes the sums of the other
+    products for (a, b) and (b, a) equal, so only a <= b is summed.
+    """
+    columns = [[1]] + [[0] for _ in range(s)]  # columns[k][m] = A_m[k]
+    prefix = [0] * (s + 1)  # prefix[k] = sum_(l<m) (m-1)!/l! A_l[k]
+    for m in range(1, n + 1):
+        prefix = [(m - 1) * p + column[-1] for p, column in zip(prefix, columns)]
+        b_m = [prefix[0]] + [2 * p for p in prefix[1:]]
+        binomials = [math.comb(m - 1, i) for i in range(m)]
+        for a in range(1, s // 2 + 1):
+            weighted = list(map(mul, binomials, columns[a]))
+            for b in range(a, s + 1 - a):
+                total = sum(map(mul, weighted, reversed(columns[b])))
+                b_m[a + b] += total if a == b else 2 * total
+        for k in range(s + 1):
+            columns[k].append(sum(math.comb(m - 1, k - c) * b_m[c] for c in range(k + 1)))
+    return list(zip(*columns))
 
 
 class TestFallingFactorial:
@@ -198,31 +227,68 @@ def test_cycle_mean_times_factorial_is_integer_row_identity():
 
 class TestExactMoment:
     """Each route of ``exact_moment`` against an independent one: the table
-    rows, the direct truncated product, and the paper's coefficients."""
+    rows, the PGF recurrence, enumeration, the closed forms and the paper's
+    coefficients."""
+
+    def test_quicksort_pgf_reference_matches_rows(self, quicksort_rows_60):
+        polys = _quicksort_pgf(40, 6)
+        for n, table in enumerate(quicksort_rows_60[:41]):
+            for s in range(7):
+                assert Fraction(math.factorial(s) * polys[n][s], math.factorial(n)) == factorial_moment(table, s)
+
+    def test_quicksort_matches_the_pgf_recurrence(self):
+        polys = _quicksort_pgf(40, 6)
+        for n in range(41):
+            for s in range(7):
+                value, route = exact_moment(Model.QUICKSORT, n, s)
+                assert value == Fraction(math.factorial(s) * polys[n][s], math.factorial(n)), (n, s)
+                assert route == ("closed-form" if s == 1 else "pgf")
 
     def test_quicksort_matches_rows(self, quicksort_rows_120):
-        polys = _quicksort_pgf(120, PGF_MAX_S)
-        for n, table in enumerate(quicksort_rows_120):
-            for s in range(PGF_MAX_S + 1):
-                assert _pgf_moment(polys[n], n, s) == factorial_moment(table, s), (n, s)
-        # every truncation order, through the routing
-        for n in (0, 1, 2, 7, 120):
-            table = quicksort_rows_120[n]
-            for s in range(PGF_MAX_S + 1):
-                value, route = exact_moment(Model.QUICKSORT, n, s)
-                assert value == factorial_moment(table, s), (n, s)
-                assert route == ("closed-form" if s == 1 else "pgf")
+        for n, table in enumerate(quicksort_rows_120[:31]):
+            for s in range(7, 13):
+                assert exact_moment(Model.QUICKSORT, n, s) == (factorial_moment(table, s), "pgf"), (n, s)
+        table = quicksort_rows_120[120]
+        for s in range(13):
+            assert exact_moment(Model.QUICKSORT, 120, s)[0] == factorial_moment(table, s), s
+
+    def test_quicksort_matches_enumeration(self):
+        for n in range(8):
+            table = DistributionTable(Model.QUICKSORT, n, tuple(brute_force_histogram(Model.QUICKSORT, n)))
+            for s in range(9):
+                assert exact_moment(Model.QUICKSORT, n, s)[0] == factorial_moment(table, s), (n, s)
+
+    def test_quicksort_series(self):
+        # f_1 = 2(L - 1 + v)/v^2, v = 1 - u, L = log(1/(1-u)); every term of
+        # every f_s has alpha >= 1, as the extraction needs
+        assert _quicksort_gf(1) == ({(2, 1): 2, (2, 0): -2, (1, 0): 2}, 1)
+        for s in range(13):
+            terms, d = _quicksort_gf(s)
+            assert min(alpha for alpha, _ in terms) >= 1
+            assert max(terms) == (s + 1, s)
+            assert d > 0 and math.gcd(d, *terms.values()) == 1
+
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_quicksort_top_terms_are_the_papers(self, s):
+        terms, d = _quicksort_gf(s)
+        top = [(alpha, beta, Fraction(terms[alpha, beta], d)) for alpha, beta in sorted(terms, reverse=True)[:2]]
+        assert top == [(t.alpha, t.beta, t.coeff) for t in singular_expansion(Model.QUICKSORT, s).terms]
+
+    def test_quicksort_mean_matches_the_closed_form_far_out(self):
+        value = _log_power_coefficients([_quicksort_gf(1)], 20000)[0]
+        assert value == quicksort_mean(20000)
 
     def test_inversions_match_rows(self):
         for n, table in enumerate(distribution_tables(Model.INVERSIONS, 100)):
-            for s in range(PGF_MAX_S + 1):
-                assert exact_moment(Model.INVERSIONS, n, s) == (factorial_moment(table, s), "pgf")
+            orders = range(11) if n <= 30 else range(7)
+            for s in orders:
+                assert exact_moment(Model.INVERSIONS, n, s) == (factorial_moment(table, s), "pgf"), (n, s)
 
     @pytest.mark.parametrize("n", [150, 200])
     def test_inversions_match_direct_product(self, n):
         # above 2s the engine evaluates its interpolated polynomial
         table = distribution_table(Model.INVERSIONS, n)
-        for s in range(1, PGF_MAX_S + 1):
+        for s in range(1, 9):
             assert exact_moment(Model.INVERSIONS, n, s)[0] == factorial_moment(table, s)
 
     def test_inversions_read_rows_up_to_2s(self, monkeypatch):
@@ -237,17 +303,17 @@ class TestExactMoment:
 
         _inversions_polynomial.cache_clear()
         monkeypatch.setattr(moments, "_inversion_rows", recording)
-        for s in range(PGF_MAX_S + 1):
+        for s in range(11):
             exact_moment(Model.INVERSIONS, 10**9, s)
-        assert asked == [2 * s for s in range(PGF_MAX_S + 1)]
+        assert asked == [2 * s for s in range(11)]
 
     def test_inversions_ignore_the_row_cap(self, monkeypatch):
-        expected = factorial_moment(distribution_table(Model.INVERSIONS, 100), PGF_MAX_S)
+        expected = factorial_moment(distribution_table(Model.INVERSIONS, 100), 10)
         _inversions_polynomial.cache_clear()
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "0")
-        assert exact_moment(Model.INVERSIONS, 100, PGF_MAX_S) == (expected, "pgf")
+        assert exact_moment(Model.INVERSIONS, 100, 10) == (expected, "pgf")
 
-    @pytest.mark.parametrize("s", range(1, PGF_MAX_S + 1))
+    @pytest.mark.parametrize("s", range(1, 11))
     def test_inversions_top_coefficients_are_the_papers(self, s):
         # beta_s(n) = n^2s/4^s + s(2s-11)/(9*4^s) n^(2s-1) + O(n^(2s-2))
         coefficients = _inversions_polynomial(s)
@@ -255,20 +321,42 @@ class TestExactMoment:
         assert coefficients[2 * s] == Fraction(1, 4**s)
         assert coefficients[2 * s - 1] == Fraction(s * (2 * s - 11), 9 * 4**s)
 
-    def test_mass_guard(self):
+    def test_mass_guard(self, monkeypatch):
+        from momentlab import tables
+        from momentlab.transfer import exact_coefficient
+
         n, s = 4, 2
-        poly = _rising(1, n + 1, s)
-        assert _pgf_moment(poly, n, s) == factorial_moment(distribution_table(Model.CYCLES, n), s)
+        assert _log_power_coefficients([({(1, s): 1}, 1)], n) == [
+            factorial_moment(distribution_table(Model.CYCLES, n), s)
+        ]
+        product = tables._rising
+
+        def corrupted(lo, hi, top):
+            poly = product(lo, hi, top)
+            return [poly[0] + 1] + poly[1:]
+
+        # every caller reads the product through the helper, in tables
+        monkeypatch.setattr(tables, "_rising", corrupted)
         with pytest.raises(ValueError, match="mass"):
-            _pgf_moment([poly[0] + 1] + poly[1:], n, s)
+            _log_power_coefficients([({(1, s): 1}, 1)], n)
+        with pytest.raises(ValueError, match="mass"):
+            exact_moment(Model.QUICKSORT, 12, 3)
+        with pytest.raises(ValueError, match="mass"):
+            exact_coefficient(3, 2, 40)
 
     def test_quicksort_mean_and_variance_guard(self, monkeypatch):
-        def broken(n, s):
-            polys = _quicksort_pgf(n, s)
-            polys[n] = polys[n][:2] + (polys[n][2] + 1,) + polys[n][3:]
-            return polys
+        from momentlab import moments
 
-        monkeypatch.setattr("momentlab.moments._quicksort_pgf", broken)
+        exact_moment(Model.QUICKSORT, 9, 3)  # the derivatives and products, cached uncorrupted
+        series = moments._quicksort_gf
+
+        def corrupted(s):
+            terms, d = series(s)
+            if s == 2:
+                terms = {**terms, (1, 0): terms.get((1, 0), 0) + 1}
+            return terms, d
+
+        monkeypatch.setattr(moments, "_quicksort_gf", corrupted)
         with pytest.raises(ValueError, match="mean or variance"):
             exact_moment(Model.QUICKSORT, 9, 3)
 
@@ -277,14 +365,16 @@ class TestExactMoment:
         assert exact_moment(Model.CYCLES, 30, 2) == (factorial_moment(distribution_table(Model.CYCLES, 30), 2), "pgf")
         assert exact_moment(Model.CYCLES, 30, 7) == (factorial_moment(distribution_table(Model.CYCLES, 30), 7), "pgf")
         table = distribution_table(Model.INVERSIONS, 12)
-        assert exact_moment(Model.INVERSIONS, 12, 7) == (factorial_moment(table, 7), "table")
+        assert exact_moment(Model.INVERSIONS, 12, 7) == (factorial_moment(table, 7), "pgf")
+        table = distribution_table(Model.QUICKSORT, 12)
+        assert exact_moment(Model.QUICKSORT, 12, 7) == (factorial_moment(table, 7), "pgf")
         # a polynomial in n: no cap, exact at any size
-        value, route = exact_moment(Model.INVERSIONS, 10**9, PGF_MAX_S)
+        value, route = exact_moment(Model.INVERSIONS, 10**9, 6)
         assert route == "pgf" and value.denominator < 10**6
 
     def test_cycles_match_rows(self):
         for n, table in enumerate(distribution_tables(Model.CYCLES, 200)):
-            orders = range(n + 3) if n <= 60 else [*range(PGF_MAX_S + 1), 7, 10, 50, n, n + 1]
+            orders = range(n + 3) if n <= 60 else [*range(8), 10, 50, n, n + 1]
             for s in orders:
                 assert exact_moment(Model.CYCLES, n, s) == (factorial_moment(table, s), "pgf"), (n, s)
         # at n = 1200 the product tree splits for every s <= 8, while the row
@@ -307,16 +397,15 @@ class TestExactMoment:
         assert hashlib.sha256(str(value).encode()).hexdigest() == digest
 
     def test_cycles_mass_guard(self, monkeypatch):
-        from momentlab import moments
+        from momentlab import tables
 
-        product = moments._rising
+        product = tables._rising
 
         def corrupted(lo, hi, top):
             poly = product(lo, hi, top)
             return [poly[0] - 1] + poly[1:]
 
-        # patched where the moment looks it up: moments binds tables._rising
-        monkeypatch.setattr(moments, "_rising", corrupted)
+        monkeypatch.setattr(tables, "_rising", corrupted)
         with pytest.raises(ValueError, match="mass"):
             exact_moment(Model.CYCLES, 12, 8)
 
@@ -328,11 +417,11 @@ class TestExactMoment:
             (Model.CYCLES, 4000, "pgf"),
             (Model.INVERSIONS, 2, "pgf"),
             (Model.INVERSIONS, 3, "pgf"),
-            (Model.INVERSIONS, 4, "closed-form"),
+            (Model.INVERSIONS, 4, "pgf"),
             (Model.INVERSIONS, 500, "closed-form"),
             (Model.QUICKSORT, 1, "closed-form"),
             (Model.QUICKSORT, 3, "pgf"),
-            (Model.QUICKSORT, 4, "closed-form"),
+            (Model.QUICKSORT, 4, "pgf"),
             (Model.QUICKSORT, 120, "closed-form"),
         ],
     )
@@ -355,6 +444,15 @@ class TestExactMoment:
     def test_cycles_cap(self):
         with pytest.raises(RowLimitError, match="cap"):
             exact_moment(Model.CYCLES, row_limit(Model.CYCLES) + 1, 1)
+
+    @pytest.mark.parametrize("model", [Model.INVERSIONS, Model.QUICKSORT])
+    def test_s_cap(self, model):
+        # past the cap, s refused where the support reaches it and 0 elsewhere
+        s = MOMENT_MAX_S[model.value] + 1
+        n = min(m for m in range(s + 2) if k_max(model, m) >= s)
+        with pytest.raises(RowLimitError, match=f"capped at s <= {s - 1}"):
+            exact_moment(model, n, s)
+        assert exact_moment(model, n - 1, s) == (0, "closed-form")
 
     def test_quicksort_cap(self):
         with pytest.raises(RowLimitError, match="capped"):

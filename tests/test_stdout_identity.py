@@ -223,16 +223,22 @@ def test_checked_in_moments_list():
         *((str(n), str(s), f) for n in (1200, 3500, 4000) for s in range(1, 8) for f in ("csv", "json")),
         ("1500", "300", "csv"),
     }
-    # around n = 2s, past the inversions row cap, and at 10^9
+    # around n = 2s, past the inversions row cap, and at 10^9; and past the
+    # orders that a table row once answered
+    higher = {(str(n), str(s)) for n in (3, 10, 30) for s in range(7, 11)}
     assert {(o["n"], o["s"]) for o in moments if o["model"] == "inversions"} == {
-        (str(n), str(s)) for n in (0, 1, 12, 13, 501, 1000000000) for s in range(7)
+        *((str(n), str(s)) for n in (0, 1, 12, 13, 501, 1000000000) for s in range(7)),
+        *higher,
     }
     # the quicksort mean at the edges of the harmonic split's leaves, up to
-    # the last n whose mean prints, and H_n^(2) in the PGF check at s 2
+    # the last n whose mean prints; the moment series and their mean and
+    # variance check, up to the cap of the PGF recurrence they replaced
     assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments if o["model"] == "quicksort"} == {
         *((str(n), "1", "csv") for n in (0, 1, 2, 63, 64, 65, 129, 5000, 9869)),
         ("9869", "1", "json"),
-        ("400", "2", "csv"),
+        *((str(n), str(s), "csv") for n in (0, 1, 2, 3, 400) for s in range(2, 7)),
+        ("800", "2", "csv"),
+        *((n, s, "csv") for n, s in higher),
     }
     assert {o["model"] for o in moments} == {"cycles", "inversions", "quicksort"}
     assert all(o["mode"] == "exact" for o in moments)
