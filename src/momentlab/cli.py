@@ -136,12 +136,13 @@ def compare_rows(
     """
     rows = []
     for n in grid:
+        # first the estimate, which refuses a point past the double range at once
+        asym = _layers.asymptotic_moment(model, n, s, high_precision=high_precision)
         if model is Model.CYCLES and n > _CYCLES_EXACT_MAX_N:
             # the moment series of cycles is exactly a log-power series
             exact, source = _layers.highprec_coefficient(1, s, n), "oracle"
         else:
             exact, source = _layers.exact_moment(model, n, s)
-        asym = _layers.asymptotic_moment(model, n, s, high_precision=high_precision)
         with _layers._arithmetic(high_precision) as r:
             exact_r = r.real(exact)
             abs_err = abs(asym - exact_r)

@@ -6,10 +6,11 @@ E[(X_n)_s] with (X)_s = X(X-1)...(X-s+1); f_s(u) = sum_n E[(X_n)_s] u^n.
 
 * ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, at every n, and the
   0 of inversions and quicksort at s > max(MOMENT_MAX_S[model], k_max(model, n));
-* ``pgf`` -- every other moment, with no row of size n: [u^n] f_s by
-  ``tables._log_power_coefficients`` for cycles, f_s = (1-u)^(-1) log^s(1/(1-u)),
-  and quicksort (``_quicksort_gf``); for inversions E[(I_n)_s], a polynomial
-  of degree 2s in n interpolated through the rows 0..2s.
+* ``pgf`` -- every other moment, with no row of size n: [u^n] of the moment
+  series f_s (``moment_series``) by one ``tables._log_power_coefficients``
+  call, f_s = (1-u)^(-1) log^s(1/(1-u)) for cycles, a sum of powers of 1-u
+  built from the rows 0..2s for inversions (``_inversions_gf``), and
+  ``_quicksort_gf``; a 0 past the support, s > k_max(model, n), builds none.
 
 Every result is an exact rational; a request past a cap raises
 ``RowLimitError`` before any work.
@@ -39,14 +40,17 @@ __all__ = [
     "moment_sequence",
     "quicksort_mean",
     "exact_moment",
+    "moment_series",
 ]
 
-# Largest order s of the inversions polynomial and the quicksort series: the
-# largest multiple of 32 whose dearest `moment --mode exact` takes 30 s CPU
-# and 1536 MiB with a fifth to spare, on a 2-core x86-64 box with Python 3.11:
-# inversions at n = 10^4300 - 1, s = 96 in 9.3-9.9 s and 20 MB, 128 in 29.5 s;
-# quicksort at n = 4000, s = 32 in 11.1-12.8 s and 47 MB, 40 in 30.0 s.  Both
-# then exit 2: the values pass Python's 4300-digit limit on int-to-text.
+# Largest order s of the inversions and quicksort series: the largest
+# multiple of 32 whose dearest `moment --mode exact` takes 30 s CPU and 1536
+# MiB with a fifth to spare, on a 2-core x86-64 box with Python 3.11:
+# inversions at n = 10^4300 - 1, s = 96 in 5.8-9.9 s and 20 MB as the host's
+# speed drifts (the polynomial in n it replaced: 6.9-9.9 s in alternated
+# runs), s = 128 in 26 s in process; quicksort at n = 4000, s = 32 in
+# 11.1-12.8 s and 47 MB, 40 in 30.0 s.  Both then exit 2: the values pass
+# Python's 4300-digit limit on int-to-text.
 MOMENT_MAX_S = {"inversions": 96, "quicksort": 32}
 # Cap on n for quicksort at s != 1: time allows more (0.30-0.33 s at s = 6,
 # where the PGF recurrence took 21-23 s at n = 800), but a little above it the
@@ -127,35 +131,39 @@ def quicksort_mean(n: int) -> Fraction:
     return Fraction(2 * (n + 1) * p - 4 * n * q, q)
 
 
-@functools.lru_cache(maxsize=None)
-def _inversions_polynomial(s: int) -> tuple[Fraction, ...]:
-    """Coefficients, constant first, of the polynomial in n equal to
-    E[(I_n)_s] for every n >= 0.
+# Every f_s lies in the ring Q[v, 1/v, L], v = 1 - u, L = log(1/(1-u)): a
+# series is ({(a, b): c}, d), the sum of (c/d) v^(-a) L^b over integers c.
+_ONE = ({(0, 0): 1}, 1)
 
-    log P_n(1+t) is a sum over j <= n of series whose t^r coefficient is a
-    polynomial of degree r in j, so [t^s] P_n(1+t) is a polynomial of
-    degree 2s in n.  It is the Lagrange interpolant through its exact
-    values at n = 0..2s, the moments of the table rows 0..2s (built here
-    whatever the row cap), in Newton's forward-difference form
-    sum_k (Delta^k at 0) C(n, k).
+
+def moment_series(model: Model, s: int):
+    """f_s of ``model``, reduced: for cycles (1-u)^(-1) log^s(1/(1-u)) exactly."""
+    if model is Model.CYCLES:
+        return {(1, s): 1}, 1
+    return (_inversions_gf if model is Model.INVERSIONS else _quicksort_gf)(s)
+
+
+@functools.lru_cache(maxsize=None)
+def _inversions_gf(s: int):
+    """f_s of inversions.  log P_n(1+t) is a sum over j <= n of series whose t^r
+    coefficient is a polynomial of degree r in j, so E[(I_n)_s] is a polynomial
+    of degree 2s in n: sum_k Delta^k C(n, k), over the forward differences at 0
+    of its values at n = 0..2s, the moments of the table rows 0..2s (built here
+    whatever the row cap) as integers over (2s)!.  And sum_n C(n, k) u^n is
+    u^k v^(-(k+1)), where u^k = sum_j C(k, j) (-v)^j.
     """
+    scale = math.factorial(2 * s)
     values = [
-        factorial_moment(DistributionTable(Model.INVERSIONS, m, tuple(row)), s)
+        int(factorial_moment(DistributionTable(Model.INVERSIONS, m, tuple(row)), s) * scale)
         for m, row in enumerate(_inversion_rows(2 * s))
     ]
-    coefficients = [Fraction(0)] * len(values)
-    basis = [Fraction(1)]  # C(n, k) in powers of n
-    for k in range(len(values)):
-        for i, b in enumerate(basis):
-            coefficients[i] += values[0] * b
+    terms = collections.Counter()
+    for k in range(2 * s + 1):
+        for j in range(k + 1):
+            terms[k + 1 - j, 0] += (-1) ** j * math.comb(k, j) * values[0]
         values = [y - x for x, y in zip(values, values[1:])]
-        basis = [(lower - k * b) / (k + 1) for lower, b in zip([0] + basis, basis + [0])]
-    return tuple(coefficients)
-
-
-# Quicksort's f_s lie in the ring Q[v, 1/v, L], v = 1 - u, L = log(1/(1-u)):
-# a series is ({(a, b): c}, d), the sum of (c/d) v^(-a) L^b over integers c.
-_ONE = ({(0, 0): 1}, 1)
+    g = math.gcd(scale, *terms.values())
+    return {key: c // g for key, c in terms.items() if c}, scale // g
 
 
 def _gf(parts):
@@ -232,21 +240,19 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
         # 4000: 10.2-14.8 s against 12.4-13.4 s, both 40 MB; s = 6: 0.12 s), and
         # at n = 4060 the s = 6 numerator passes Python's 4300-digit limit.
         _check_row_request(model, n)
-        return _log_power_coefficients([({(1, s): 1}, 1)], n)[0], "pgf"
-    if s > MOMENT_MAX_S[model.value]:
+    elif s > MOMENT_MAX_S[model.value]:
         if s > k_max(model, n):
             return Fraction(0), "closed-form"
         raise RowLimitError(f"{model} moments are capped at s <= {MOMENT_MAX_S[model.value]}, got s={s}")
-    if model is Model.INVERSIONS:
-        value = Fraction(0)
-        for c in reversed(_inversions_polynomial(s)):
-            value = value * n + c
-        return value, "pgf"
-    if n > QUICKSORT_PGF_MAX_N:
+    elif model is Model.QUICKSORT and n > QUICKSORT_PGF_MAX_N:
         raise RowLimitError(
             f"quicksort moments of order {s} are capped at n <= {QUICKSORT_PGF_MAX_N}, got n={n}"
         )
-    first, second, value = _log_power_coefficients([_quicksort_gf(k) for k in (1, 2, s)], n)
+    if s > k_max(model, n):
+        return Fraction(0), "pgf"
+    if model is not Model.QUICKSORT:
+        return _log_power_coefficients([moment_series(model, s)], n)[0], "pgf"
+    first, second, value = _log_power_coefficients([moment_series(model, k) for k in (1, 2, s)], n)
     # Var = 7n^2 - 4(n+1)^2 H_n^(2) - 2(n+1) H_n + 13n
     mean = quicksort_mean(n)
     variance = 7 * n**2 - 4 * (n + 1) ** 2 * harmonic(n, 2) - 2 * (n + 1) * harmonic(n) + 13 * n

@@ -195,12 +195,28 @@ def _log_power_coefficients(series, n: int) -> list:
     C(n + alpha + t - 1, n), [u^n] of one term is (c/d) beta! [t^beta] R / n! for
     R = prod_(j<n) (alpha + j + t): one ``_rising`` per alpha, whose constant
     term must be perm(alpha + n - 1, n) (the mass guard).  Terms with beta > n are 0.
+    When every beta is 0, as for inversions, the terms are (c/d) C(n + alpha - 1,
+    alpha - 1): for the largest alpha A, (A - 1)! times their sum is
+    sum_alpha c perm(A - 1, A - alpha) (n + 1)...(n + alpha - 1), one integer
+    Horner pass over alpha of about A^2/2 word products, where each rising
+    product costs some n of them.  So it runs when A^2 is at most n times the
+    number of alphas, at any n (at n = 10^4300 no product of n factors could).
     """
     from fractions import Fraction
 
     series = [({key: c for key, c in terms.items() if key[1] <= n}, d) for terms, d in series]
     top = max((b for terms, _ in series for _, b in terms), default=0)
-    products = {a: _rising(a, a + n, top) for a in {a for terms, _ in series for a, _ in terms}}
+    alphas = {a for terms, _ in series for a, _ in terms}
+    if top == 0 and max(alphas, default=0) ** 2 <= len(alphas) * n:
+        values = []
+        for terms, d in series:
+            big = max((a for a, _ in terms), default=1)
+            acc = 0
+            for a in range(big, 0, -1):
+                acc = acc * (n + a) + terms.get((a, 0), 0) * math.perm(big - 1, big - a)
+            values.append(Fraction(acc, d * math.factorial(big - 1)))
+        return values
+    products = {a: _rising(a, a + n, top) for a in alphas}
     if any(poly[0] != math.perm(a + n - 1, n) for a, poly in products.items()):
         raise ValueError(f"a rising product of size {n} has the wrong mass")
     scale = math.factorial(n)

@@ -493,7 +493,8 @@ def _check_oracle_budget(alpha: int, beta: int, n: int, max_beta: int) -> None:
 
 def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     """Exact [u^n] of (1-u)^(-alpha) * log(1/(1-u))^beta, by the rising
-    product of ``tables._log_power_coefficients``.  It shares no arithmetic
+    product of ``tables._log_power_coefficients`` (at beta = 0 and alpha^2 <=
+    n, its Horner pass for C(n + alpha - 1, n)).  It shares no arithmetic
     with the Gamma-derivative expansion it serves to check, nor with
     ``highprec_coefficient``.  Budgeted at n <= 100000, beta <= 6.
     """

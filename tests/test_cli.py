@@ -249,6 +249,18 @@ class TestMoment:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"model,s,n,exact,asym\n{model},{s},{n},0,\n"
 
+    @pytest.mark.parametrize(
+        "model, n, s", [("quicksort", 5, MOMENT_MAX_S["quicksort"]), ("inversions", 2, MOMENT_MAX_S["inversions"])]
+    )
+    def test_zero_past_the_support_inside_the_s_cap(self, model, n, s):
+        # s > k_max(n): 0 before any series is built, where f_0..f_32 of
+        # quicksort took 3.7 s and the rows 0..192 of inversions 6.2 s
+        start = children_cpu_seconds()
+        proc = run_cli_process("moment", "--model", model, "--n", str(n), "--s", str(s), "--mode", "exact")
+        assert children_cpu_seconds() - start < 1
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"model,s,n,exact,asym\n{model},{s},{n},0,\n"
+
     def test_zero_past_the_support_builds_no_row(self):
         # k_max = 500 * 499 / 2 = 124750 inversions
         start = children_cpu_seconds()
@@ -459,6 +471,18 @@ class TestCompare:
         variance = 7 * n**2 - 4 * (n + 1) ** 2 * harmonic(n, 2) - 2 * (n + 1) * harmonic(n) + 13 * n
         assert Fraction(row[3]) == variance + mean**2 - mean
 
+    def test_estimate_past_the_double_range_exits_3_fast(self):
+        # the estimate is refused before the exact moment is worked out, which
+        # took 7 s here
+        start = children_cpu_seconds()
+        proc = run_cli_process("compare", "--model", "inversions", "--s", "96", "--n-grid", "100000")
+        assert children_cpu_seconds() - start < 1
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "resource limit: result overflows the double range "
+            "(integer division result too large for a float)\n"
+        )
+
     def test_cycles_oracle_past_the_exact_oracle_budget(self):
         # the high-precision oracle's cost does not grow with n, so the exact
         # oracle's n budget does not bind it
@@ -643,6 +667,30 @@ class TestVerify:
         assert payload["passed"] is True
         assert len(payload["results"]) == 60
 
+
+    @pytest.mark.parametrize("model", [Model.INVERSIONS, Model.QUICKSORT])
+    def test_checks_the_series(self, model, monkeypatch):
+        # the expansion is read off f_s, so a wrong second term of one f_s
+        # fails that row alone
+        from momentlab import moments
+
+        series = moments.moment_series
+
+        def corrupted(m, s):
+            terms, d = series(m, s)
+            if (m, s) == (model, 4):
+                second = sorted(terms, reverse=True)[1]
+                terms = {**terms, second: terms[second] + d}
+            return terms, d
+
+        monkeypatch.setattr(moments, "moment_series", corrupted)
+        code, out, err = run_cli("verify")
+        assert code == 4
+        assert err == "verify: 1 coefficient check(s) failed\n"
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 60
+        assert [r[:3] for r in rows if r[-1] == "FAIL"] == [[model.value, "4", "second"]]
+        assert all(r[-1] == "ok" for r in rows if r[:3] != [model.value, "4", "second"])
 
 # Every subcommand's stdout in each format, byte for byte: JSON indentation
 # and key order, CSV float formatting and empty cells.

@@ -9,17 +9,21 @@ import pytest
 
 from momentlab import (
     EULER_GAMMA,
+    LogPowerTerm,
     Model,
     asymptotic_moment,
     coefficient_crosscheck,
     distribution_table,
     exact_coefficient,
+    exact_moment,
     factorial_moment,
     harmonic,
     moment_sequence,
     quicksort_mean,
     singular_expansion,
+    transfer_term,
 )
+from momentlab import moments
 
 
 class TestSingularExpansionTerms:
@@ -43,7 +47,8 @@ class TestSingularExpansionTerms:
         t1, t2 = exp.terms
         assert (t1.coeff, t1.alpha, t1.beta) == (2, 2, 1)
         assert (t2.coeff, t2.alpha, t2.beta) == (-2, 2, 0)
-        assert (exp.remainder.p, exp.remainder.q) == (-1, 2)
+        # f_1 = 2(L - 1 + v)/v^2: the remainder sits at its third term, 2/v
+        assert (exp.remainder.p, exp.remainder.q) == (0, 1)
 
     @pytest.mark.parametrize("s", range(1, 8))
     def test_remainder_classes(self, s):
@@ -51,13 +56,22 @@ class TestSingularExpansionTerms:
         inv = singular_expansion(Model.INVERSIONS, s).remainder
         assert (inv.p, inv.q) == (0, 2 * s - 1)
         qs = singular_expansion(Model.QUICKSORT, s).remainder
-        assert (qs.p, qs.q) == (s - 2, s + 1)
+        assert (qs.p, qs.q) == ((s - 2, s + 1) if s > 1 else (0, 1))
 
-    @pytest.mark.parametrize("s", range(2, 6))
+    @pytest.mark.parametrize("s", range(1, 11))
     def test_quicksort_coefficients(self, s):
+        # the paper's coefficients, read off f_s
         t1, t2 = singular_expansion(Model.QUICKSORT, s).terms
+        assert (t1.alpha, t1.beta, t2.alpha, t2.beta) == (s + 1, s, s + 1, s - 1)
         assert t1.coeff == 2**s * math.factorial(s)
         assert t2.coeff == s * (harmonic(s) - 2) * 2**s * math.factorial(s)
+
+    @pytest.mark.parametrize("s", range(1, 11))
+    def test_inversions_coefficients(self, s):
+        t1, t2 = singular_expansion(Model.INVERSIONS, s).terms
+        assert (t1.alpha, t1.beta, t2.alpha, t2.beta) == (2 * s + 1, 0, 2 * s, 0)
+        assert t1.coeff == Fraction(math.factorial(2 * s), 4**s)
+        assert t2.coeff == -Fraction(s * (4 * s + 5) * math.factorial(2 * s - 1), 9 * 4 ** (s - 1))
 
     def test_rejects_s_zero(self):
         for model in Model:
@@ -148,6 +162,28 @@ class TestCoefficientCrosscheck:
             assert check.second[0] == pytest.approx(
                 2**s * s * (EULER_GAMMA - 2), rel=1e-12
             )
+
+
+class TestWholeSeriesTransfer:
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_error_falls_like_one_over_n(self, model, s, monkeypatch):
+        # every term of f_s transferred: what is left is the O(1/n) relative
+        # error of the singularity analysis, so each tenfold n cuts it about
+        # tenfold (ratios 0.055-0.112 here).  The caps are raised to reach
+        # n = 10^4.
+        monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "10000")
+        monkeypatch.setattr(moments, "QUICKSORT_PGF_MAX_N", 10**4)
+        terms, d = moments.moment_series(model, s)
+        errors = []
+        for n in (10**2, 10**3, 10**4):
+            estimate = sum(
+                transfer_term(LogPowerTerm(Fraction(c, d), alpha, beta), n, high_precision=True)
+                for (alpha, beta), c in terms.items()
+            )
+            exact = exact_moment(model, n, s)[0]
+            errors.append(abs(Fraction(estimate) - exact) / exact)
+        assert errors[1] <= errors[0] / 5 and errors[2] <= errors[1] / 5, [float(e) for e in errors]
 
 
 class TestCyclesSeriesIdentity:

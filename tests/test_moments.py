@@ -25,14 +25,14 @@ from momentlab import (
     quicksort_mean,
     row_limit,
 )
-from momentlab.expansions import singular_expansion
 from momentlab.moments import (
     MOMENT_MAX_S,
     QUICKSORT_PGF_MAX_N,
     _harmonic_split,
-    _inversions_polynomial,
+    _inversions_gf,
     _quicksort_gf,
     exact_moment,
+    moment_series,
 )
 from momentlab.simulate import comparisons_first_pivot
 from momentlab.tables import _log_power_coefficients
@@ -270,9 +270,11 @@ class TestExactMoment:
 
     @pytest.mark.parametrize("s", range(1, 11))
     def test_quicksort_top_terms_are_the_papers(self, s):
+        # 2^s s! v^(-s-1) L^s + s(H_s - 2) 2^s s! v^(-s-1) L^(s-1) + ...
         terms, d = _quicksort_gf(s)
         top = [(alpha, beta, Fraction(terms[alpha, beta], d)) for alpha, beta in sorted(terms, reverse=True)[:2]]
-        assert top == [(t.alpha, t.beta, t.coeff) for t in singular_expansion(Model.QUICKSORT, s).terms]
+        lead = 2**s * math.factorial(s)
+        assert top == [(s + 1, s, lead), (s + 1, s - 1, s * (harmonic(s) - 2) * lead)]
 
     def test_quicksort_mean_matches_the_closed_form_far_out(self):
         value = _log_power_coefficients([_quicksort_gf(1)], 20000)[0]
@@ -301,7 +303,7 @@ class TestExactMoment:
             asked.append(n)
             return rows(n)
 
-        _inversions_polynomial.cache_clear()
+        _inversions_gf.cache_clear()
         monkeypatch.setattr(moments, "_inversion_rows", recording)
         for s in range(11):
             exact_moment(Model.INVERSIONS, 10**9, s)
@@ -309,17 +311,33 @@ class TestExactMoment:
 
     def test_inversions_ignore_the_row_cap(self, monkeypatch):
         expected = factorial_moment(distribution_table(Model.INVERSIONS, 100), 10)
-        _inversions_polynomial.cache_clear()
+        _inversions_gf.cache_clear()
         monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "0")
         assert exact_moment(Model.INVERSIONS, 100, 10) == (expected, "pgf")
 
+    def test_inversions_series(self):
+        # f_1 = u^2/(2 v^3) = (1/v^3 - 2/v^2 + 1/v)/2, v = 1 - u: E[I_n] = n(n-1)/4
+        assert _inversions_gf(1) == ({(3, 0): 1, (2, 0): -2, (1, 0): 1}, 2)
+        for s in range(11):
+            terms, d = moment_series(Model.INVERSIONS, s)
+            assert sorted(terms) == [(alpha, 0) for alpha in range(1, 2 * s + 2)]
+            assert d > 0 and math.gcd(d, *terms.values()) == 1
+
     @pytest.mark.parametrize("s", range(1, 11))
     def test_inversions_top_coefficients_are_the_papers(self, s):
-        # beta_s(n) = n^2s/4^s + s(2s-11)/(9*4^s) n^(2s-1) + O(n^(2s-2))
-        coefficients = _inversions_polynomial(s)
-        assert len(coefficients) == 2 * s + 1
-        assert coefficients[2 * s] == Fraction(1, 4**s)
-        assert coefficients[2 * s - 1] == Fraction(s * (2 * s - 11), 9 * 4**s)
+        # f_s = (2s)!/4^s v^(-2s-1) - s(4s+5)(2s-1)!/(9*4^(s-1)) v^(-2s) + ...,
+        # whose transfer is n^2s/4^s + s(2s-11)/(9*4^s) n^(2s-1) + O(n^(2s-2))
+        terms, d = _inversions_gf(s)
+        assert Fraction(terms[2 * s + 1, 0], d) == Fraction(math.factorial(2 * s), 4**s)
+        assert Fraction(terms[2 * s, 0], d) == -Fraction(s * (4 * s + 5) * math.factorial(2 * s - 1), 9 * 4 ** (s - 1))
+
+    def test_powers_of_one_minus_u_at_any_n(self):
+        # terms with beta = 0 only: C(n + alpha - 1, alpha - 1), by the rising
+        # products at n 0 and 1 and by one Horner pass over alpha from n = 6 up
+        for n in (0, 1, 7, 10**30):
+            series = [({(1, 0): 3}, 1), ({(4, 0): 2, (2, 0): -5}, 7), ({}, 1)]
+            expected = [3, Fraction(2 * math.comb(n + 3, 3) - 5 * (n + 1), 7), 0]
+            assert _log_power_coefficients(series, n) == expected
 
     def test_mass_guard(self, monkeypatch):
         from momentlab import tables

@@ -207,28 +207,32 @@ def test_checked_in_moments_list():
         *(("cycles", str(s), p) for s in range(1, 17) for p in ("double", "high")),
         *((m, str(s), "high") for m in ("inversions", "quicksort") for s in range(1, 7)),
     }
-    # the truncated rising product, by its tree and by its loop, and the
-    # inversions polynomial past the workloads' n <= 150
-    # past the workloads' n <= 150, and the quicksort mean around a leaf of
-    # the harmonic split and at the last n whose mean prints
+    # the truncated rising product, by its tree and by its loop, the
+    # inversions series past the workloads' n <= 150, the quicksort mean
+    # around a leaf of the harmonic split and at the last n whose mean prints
     inversions_grid = ("compare", "--model", "inversions", "--s", "6", "--n-grid", "2,12,13,151,1000000000")
     assert [a for a in compares if a not in oracle] == [
         ("compare", "--model", "cycles", "--s", "6", "--n-grid", "60,150,200"),
         inversions_grid,
         (*inversions_grid, "--format", "json"),
         ("compare", "--model", "quicksort", "--s", "1", "--n-grid", "63,64,65,9869"),
+        # an estimate past the double range, refused before the exact moment
+        ("compare", "--model", "inversions", "--s", "96", "--n-grid", "100000"),
     ]
     moments = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "moment"]
     assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments if o["model"] == "cycles"} == {
         *((str(n), str(s), f) for n in (1200, 3500, 4000) for s in range(1, 8) for f in ("csv", "json")),
         ("1500", "300", "csv"),
     }
-    # around n = 2s, past the inversions row cap, and at 10^9; and past the
-    # orders that a table row once answered
+    # around n = 2s, past the inversions row cap, and at 10^9; past the
+    # orders that a table row once answered; a zero past the support at the
+    # s cap; and n = 10^100, read by one Horner pass over the powers of 1-u
     higher = {(str(n), str(s)) for n in (3, 10, 30) for s in range(7, 11)}
     assert {(o["n"], o["s"]) for o in moments if o["model"] == "inversions"} == {
         *((str(n), str(s)) for n in (0, 1, 12, 13, 501, 1000000000) for s in range(7)),
         *higher,
+        ("2", "96"),
+        *((str(10**100), str(s)) for s in (1, 7, 20, 32)),
     }
     # the quicksort mean at the edges of the harmonic split's leaves, up to
     # the last n whose mean prints; the moment series and their mean and
@@ -239,10 +243,11 @@ def test_checked_in_moments_list():
         *((str(n), str(s), "csv") for n in (0, 1, 2, 3, 400) for s in range(2, 7)),
         ("800", "2", "csv"),
         *((n, s, "csv") for n, s in higher),
+        ("5", "32", "csv"),
     }
     assert {o["model"] for o in moments} == {"cycles", "inversions", "quicksort"}
     assert all(o["mode"] == "exact" for o in moments)
-    # the inversions polynomial whatever the row cap
+    # the inversions series whatever the row cap
     assert [a for a in argvs if a[0].startswith("MOMENTLAB_")] == [
         ("MOMENTLAB_ROW_LIMIT=0", "moment", "--model", "inversions", "--n", "100", "--s", "6",
          "--mode", "exact"),
