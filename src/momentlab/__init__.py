@@ -37,15 +37,11 @@ _EXPORTS = {
     "transfer": (
         "EULER_GAMMA",
         "LogPowerTerm",
-        "NO_REMAINDER",
         "OrderLimitError",
-        "RemainderClass",
         "SeriesBudgetError",
-        "SingularExpansion",
         "exact_coefficient",
         "gamma_recip_derivative",
         "highprec_coefficient",
-        "transfer_expansion",
         "transfer_term",
     ),
     "expansions": (

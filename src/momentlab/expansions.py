@@ -28,15 +28,7 @@ import math
 from fractions import Fraction
 
 from . import Model
-from .transfer import (
-    EULER_GAMMA,
-    LogPowerTerm,
-    NO_REMAINDER,
-    RemainderClass,
-    SingularExpansion,
-    _arithmetic,
-    gamma_recip_derivative,
-)
+from .transfer import EULER_GAMMA, LogPowerTerm, _arithmetic, gamma_recip_derivative
 
 __all__ = [
     "singular_expansion",
@@ -46,10 +38,10 @@ __all__ = [
 ]
 
 
-def singular_expansion(model: Model, s: int) -> SingularExpansion:
-    """The two largest terms, in (alpha, beta) order, of the s-th moment series
-    f_s (``moments.moment_series``), with the dominated remainder class at its
-    third-largest term: none for cycles, where f_s is its single term.
+def singular_expansion(model: Model, s: int) -> tuple[LogPowerTerm, ...]:
+    """The leading terms of the s-th moment series f_s (``moments.moment_series``):
+    its two largest in (alpha, beta) order, or its single term for cycles.  The
+    rest of f_s is the exact remainder, every term of it dominated by these.
     Requires s >= 1 (the 0th moments are identically 1, the plain geometric
     series).
     """
@@ -59,9 +51,7 @@ def singular_expansion(model: Model, s: int) -> SingularExpansion:
     from .moments import moment_series
 
     terms, d = moment_series(model, s)
-    keys = sorted(terms, reverse=True)
-    remainder = RemainderClass(keys[2][1], keys[2][0]) if len(keys) > 2 else NO_REMAINDER
-    return SingularExpansion([LogPowerTerm(Fraction(terms[key], d), *key) for key in keys[:2]], remainder)
+    return tuple(LogPowerTerm(Fraction(terms[key], d), *key) for key in sorted(terms, reverse=True)[:2])
 
 
 def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = False):
@@ -119,7 +109,7 @@ def coefficient_crosscheck(model: Model, s: int) -> CoefficientCheck:
     rationals and the gamma constant directly.  So agreement checks both
     the series and the whole Gamma-derivative recurrence.
     """
-    t1, *rest = singular_expansion(model, s).terms
+    t1, *rest = singular_expansion(model, s)
     c1, fact = Fraction(t1.coeff), math.factorial(t1.alpha - 1)
     lead_t = gamma_recip_derivative(t1.alpha, 0) * float(c1 / fact)
     if model is Model.INVERSIONS:

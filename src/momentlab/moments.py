@@ -43,14 +43,14 @@ __all__ = [
     "moment_series",
 ]
 
-# Largest order s of the inversions and quicksort series: the largest
-# multiple of 32 whose dearest `moment --mode exact` takes 30 s CPU and 1536
-# MiB with a fifth to spare, on a 2-core x86-64 box with Python 3.11:
-# inversions at n = 10^4300 - 1, s = 96 in 5.8-9.9 s and 20 MB as the host's
-# speed drifts (the polynomial in n it replaced: 6.9-9.9 s in alternated
-# runs), s = 128 in 26 s in process; quicksort at n = 4000, s = 32 in
-# 11.1-12.8 s and 47 MB, 40 in 30.0 s.  Both then exit 2: the values pass
-# Python's 4300-digit limit on int-to-text.
+# Largest order s of the inversions and quicksort series: a multiple of 32
+# whose dearest `moment --mode exact` takes 30 s CPU and 1536 MiB with a
+# fifth to spare, on a 2-core x86-64 box with Python 3.11: inversions at
+# n = 10^4300 - 1, s = 96 in 3.4-4.7 s and 20 MB (7.0-7.9 s in alternated
+# runs before ``factorial_moment`` stepped its falling factorials), s = 128
+# in 10.7 s in process, so the inversions cap has room left; quicksort at
+# n = 4000, s = 32 in 11.1-12.8 s and 47 MB, 40 in 30.0 s.  Both then exit 2:
+# the values pass Python's 4300-digit limit on int-to-text.
 MOMENT_MAX_S = {"inversions": 96, "quicksort": 32}
 # Cap on n for quicksort at s != 1: time allows more (0.30-0.33 s at s = 6,
 # where the PGF recurrence took 21-23 s at n = 800), but a little above it the
@@ -97,15 +97,21 @@ def factorial_moment(table: DistributionTable, s: int) -> Fraction:
     """Exact s-th factorial moment of the distribution in ``table``.
 
     Rejects rows whose mass is not exactly n! (upstream corruption guard).
+    The falling factorials (k)_s are stepped along the row from (s)_s = s!,
+    by (k + 1)_s = (k)_s (k + 1) / (k + 1 - s), one small product and one
+    exact division per entry.
     """
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     total = math.factorial(table.n)
     if sum(table.counts) != total:
         raise ValueError(f"table row for n={table.n} does not sum to n!")
-    weighted = sum(
-        math.perm(k, s) * c for k, c in enumerate(table.counts[s:], start=s) if c
-    )
+    weighted = 0
+    falling = math.factorial(s)
+    for k, c in enumerate(table.counts[s:], start=s):
+        if c:
+            weighted += falling * c
+        falling = falling * (k + 1) // (k + 1 - s)
     return Fraction(weighted, total)
 
 

@@ -95,8 +95,6 @@ comes from the package root, and no ``fractions``: the mean and standard
 error are the exact sums' quotients, each rounded once by int / int.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 import os
@@ -259,7 +257,7 @@ def _mix64_np(z):
     return out
 
 
-def _stream_states(seed: int, start: int, stop: int) -> np.ndarray:
+def _stream_states(seed: int, start: int, stop: int) -> "np.ndarray":
     """SplitMix64 states of the streams of trials start..stop-1 before
     their first word: base_i, as uint64.  A stream that has drawn t words
     is at state base_i + t * GOLDEN."""
@@ -268,7 +266,7 @@ def _stream_states(seed: int, start: int, stop: int) -> np.ndarray:
     return _mix64_np(np.uint64(seed) + idx * np.uint64(_GOLDEN))
 
 
-def _shuffle_draws(base: np.ndarray, n: int, first: int, last: int):
+def _shuffle_draws(base: "np.ndarray", n: int, first: int, last: int):
     """The Fisher-Yates draws j = word mod (pos + 1) of words first..last-1
     of the lanes with stream states ``base``, one row per word (word t
     serves pos = n - t) and one column per lane, and the lanes where one of
@@ -283,7 +281,7 @@ def _shuffle_draws(base: np.ndarray, n: int, first: int, last: int):
     return np.remainder(words, bound, out=words), rejected
 
 
-def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+def _permutation_batch(seed: int, n: int, start: int, stop: int) -> "np.ndarray":
     """Permutations for trials start..stop-1, one per row.
 
     Word-for-word identical to driving ``random_permutation`` with each
@@ -323,7 +321,7 @@ def _permutation_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     return perms
 
 
-def _feller_cycles(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+def _feller_cycles(seed: int, n: int, start: int, stop: int) -> "np.ndarray":
     """``count_cycles`` of the permutations of trials start..stop-1,
     without building them (the Feller coupling, see the module docstring):
     1 + the number of steps whose draw j equals its pos.
@@ -376,7 +374,7 @@ def _lane_cycles(seed: int, n: int, index: int) -> int:
     return cycles
 
 
-def _lane_permutation(seed: int, n: int, index: int) -> np.ndarray:
+def _lane_permutation(seed: int, n: int, index: int) -> "np.ndarray":
     """``random_permutation`` of trial ``index`` as an array of
     ``_slot_dtype(n)``, the lockstep's slots, swapped by the draws of
     ``_lane_draws`` through a memoryview, whose items are read and written
@@ -390,7 +388,7 @@ def _lane_permutation(seed: int, n: int, index: int) -> np.ndarray:
     return perm
 
 
-def _bitset_inversions(slots: np.ndarray) -> np.ndarray:
+def _bitset_inversions(slots: "np.ndarray") -> "np.ndarray":
     """``count_inversions`` of every lane of a position-major block, where
     row k holds slot k of every lane, by one sweep from left to right.
 
@@ -424,7 +422,7 @@ def _bitset_inversions(slots: np.ndarray) -> np.ndarray:
     return n * (n - 1) // 2 - smaller
 
 
-def _inversions_batch(perms: np.ndarray) -> np.ndarray:
+def _inversions_batch(perms: "np.ndarray") -> "np.ndarray":
     """``count_inversions`` of every row, by a flattened bottom-up merge.
 
     Rows are padded to a power of two ``width`` with n+1, n+2, ..., which
@@ -457,7 +455,7 @@ def _inversions_batch(perms: np.ndarray) -> np.ndarray:
     return inversions
 
 
-def _quicksort_batch(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+def _quicksort_batch(seed: int, n: int, start: int, stop: int) -> "np.ndarray":
     """``quicksort_comparisons`` of trials start..stop-1, in lockstep.
 
     Every trial keeps its own stack of subproblem sizes; each step pops one
@@ -735,7 +733,8 @@ def estimate_factorial_moment(
     start-up cost.  A request of more than
     MAX_DRAWS draws, (n - 1) x trials, or an inversions request that would
     hold more than ``_INVERSIONS_BUDGET`` bytes in a worker, raises
-    ``DrawLimitError`` before any work.
+    ``DrawLimitError`` before any work; a worker that dies, killed from
+    outside, raises ``ResourceLimitError``.
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
@@ -761,7 +760,7 @@ def estimate_factorial_moment(
     if workers == 1:
         total, total_sq = _accumulate_range(model, n, s, seed, 0, trials)
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
         # imported here once, numpy is inherited by the forked workers,
         # which would otherwise each import it
@@ -772,8 +771,13 @@ def estimate_factorial_moment(
             (model, n, s, seed, lo, min(lo + step, trials))
             for lo in range(0, trials, step)
         ]
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(pool.map(_accumulate_range, *zip(*ranges)))
+        try:
+            with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+                parts = list(pool.map(_accumulate_range, *zip(*ranges)))
+        except BrokenExecutor:
+            # a worker killed from outside (by the out-of-memory killer, say) takes
+            # the sums of its range with it
+            raise ResourceLimitError("a worker process ended abruptly; no estimate") from None
         total = sum(p[0] for p in parts)
         total_sq = sum(p[1] for p in parts)
     # int / int is the exact quotient rounded once to a double

@@ -17,9 +17,9 @@ This module provides:
 
 * ``gamma_recip_derivative`` -- the C_k coefficients, from the recurrence
   g' = -psi*g with polygamma values at positive integers;
-* ``transfer_term`` / ``transfer_expansion`` -- numeric evaluation of the
-  expansion above for single terms and for term lists with a tracked
-  dominated-remainder class;
+* ``transfer_term`` -- numeric evaluation of the expansion above for one
+  ``LogPowerTerm``; a sum of terms, such as the leading terms of
+  ``expansions.singular_expansion``, transfers term by term;
 * ``exact_coefficient`` / ``highprec_coefficient`` -- two oracles for
   [u^n] (1-u)^(-alpha) log(1/(1-u))^beta, exact and as an 82-digit
   ``Decimal``, that do not use the expansion they check.
@@ -81,12 +81,8 @@ __all__ = [
     "OrderLimitError",
     "SeriesBudgetError",
     "LogPowerTerm",
-    "RemainderClass",
-    "NO_REMAINDER",
-    "SingularExpansion",
     "gamma_recip_derivative",
     "transfer_term",
-    "transfer_expansion",
     "check_double_range",
     "exact_coefficient",
     "highprec_coefficient",
@@ -285,10 +281,10 @@ def gamma_recip_derivative(alpha: int, k: int) -> float:
 # int for doubles, so that int ** int stays exact and int / int rounds once,
 # and gives a Decimal otherwise; ``real`` gives a float or a Decimal (a
 # Fraction as p/q rounded once, a Decimal at its own precision).
-_Arithmetic = collections.namedtuple("_Arithmetic", "real num log factorial fsum ck gamma")
+_Arithmetic = collections.namedtuple("_Arithmetic", "real num log factorial ck gamma")
 
 _DOUBLE = _Arithmetic(
-    float, lambda x: x, math.log, math.factorial, math.fsum, gamma_recip_derivative, EULER_GAMMA
+    float, lambda x: x, math.log, math.factorial, gamma_recip_derivative, EULER_GAMMA
 )
 
 
@@ -314,12 +310,12 @@ def _arithmetic(high_precision: bool):
     with decimal.localcontext(_DECIMAL):
         yield _Arithmetic(
             _decimal_real, decimal.Decimal, lambda x: decimal.Decimal(x).ln(), _decimal_factorial,
-            sum, _decimal_ck, -_decimal_polygamma(0, 1),
+            _decimal_ck, -_decimal_polygamma(0, 1),
         )
 
 
 # ---------------------------------------------------------------------------
-# Singular-expansion data types
+# The log-power term
 # ---------------------------------------------------------------------------
 
 class LogPowerTerm(collections.namedtuple("LogPowerTerm", "coeff alpha beta")):
@@ -334,49 +330,6 @@ class LogPowerTerm(collections.namedtuple("LogPowerTerm", "coeff alpha beta")):
         if beta < 0:
             raise ValueError(f"beta must be nonnegative, got {beta}")
         return super().__new__(cls, coeff, alpha, beta)
-
-
-class RemainderClass(collections.namedtuple("RemainderClass", "p q present", defaults=(True,))):
-    """Dominated tail: an unspecified combination of log-power terms with
-    (1-u)-exponent j and log-exponent i where j < q (any i), or j = q and
-    i <= p.  Contributes nothing to numeric evaluation; carried so reports
-    can label estimates as two-term (etc.) with an explicitly unmodeled tail.
-    """
-
-    __slots__ = ()
-
-    def absorbs(self, alpha: int, beta: int) -> bool:
-        """Would a (1-u)^(-alpha) log^beta term be swallowed by this tail?"""
-        if not self.present:
-            return False
-        return alpha < self.q or (alpha == self.q and beta <= self.p)
-
-
-NO_REMAINDER = RemainderClass(0, 0, present=False)
-
-
-class SingularExpansion(collections.namedtuple("SingularExpansion", "terms remainder")):
-    """Ordered log-power terms plus a dominated remainder class.
-
-    ``terms`` is stored as a tuple of LogPowerTerm; ``remainder`` defaults
-    to NO_REMAINDER.  Terms must be strictly decreasing in (alpha, beta)
-    lexicographic order and must each strictly dominate the remainder class.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, terms, remainder=NO_REMAINDER):
-        terms = tuple(terms)
-        keys = [(t.alpha, t.beta) for t in terms]
-        if any(nxt >= cur for nxt, cur in zip(keys[1:], keys)):
-            raise ValueError("terms must be strictly decreasing in (alpha, beta)")
-        for t in terms:
-            if remainder.absorbs(t.alpha, t.beta):
-                raise ValueError(
-                    f"term (alpha={t.alpha}, beta={t.beta}) does not dominate "
-                    f"the remainder class ({remainder.p}, {remainder.q})"
-                )
-        return super().__new__(cls, terms, remainder)
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +383,6 @@ def transfer_term(
         for k in range(top + 1):
             bracket += r.ck(a, k) / r.factorial(k) * math.perm(b, k) / logn**k
         return r.real(term.coeff) * r.num(n) ** (a - 1) / r.factorial(a - 1) * logn**b * bracket
-
-
-def transfer_expansion(
-    expansion: SingularExpansion,
-    n: int,
-    *,
-    order: int | None = None,
-    high_precision: bool = False,
-):
-    """Sum of ``transfer_term`` over all terms of ``expansion``.
-
-    The remainder class contributes 0; its omission is the (unmodeled)
-    error of the estimate.
-    """
-    if n < 2:
-        raise ValueError(f"transfer requires n >= 2, got {n}")
-    with _arithmetic(high_precision) as r:
-        return r.fsum(
-            transfer_term(t, n, order=order, high_precision=high_precision)
-            for t in expansion.terms
-        )
 
 
 def check_double_range(alpha: int, beta: int, n: int) -> None:

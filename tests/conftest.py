@@ -3,13 +3,16 @@ recurrence-based production code they check."""
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 import pytest
 
-from momentlab import Model, distribution_tables
+from momentlab import Model, distribution_tables, simulate
 from momentlab.simulate import (
     comparisons_first_pivot,
     count_cycles,
@@ -60,3 +63,19 @@ def quicksort_rows_120():
 @pytest.fixture(scope="session")
 def quicksort_rows_60(quicksort_rows_120):
     return quicksort_rows_120[:61]
+
+
+def _killed_in_a_worker(*args):
+    """Stands in for ``simulate._accumulate_range``: the pool worker that runs
+    it dies by SIGKILL, as if killed from outside."""
+    if multiprocessing.parent_process() is not None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise AssertionError("a two-worker estimate runs every range in a worker")
+
+
+@pytest.fixture
+def killed_workers(monkeypatch):
+    """Every pool worker of an estimate dies as it starts its range; two
+    usable CPUs, so a two-worker estimate starts its pool on any runner."""
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_accumulate_range", _killed_in_a_worker)

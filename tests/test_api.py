@@ -11,14 +11,11 @@ import pytest
 
 import momentlab
 from momentlab import (
-    NO_REMAINDER,
     CoefficientCheck,
     DistributionTable,
     LogPowerTerm,
     Model,
     MomentEstimate,
-    RemainderClass,
-    SingularExpansion,
 )
 
 # Resolves the package's names in a fresh interpreter, where no submodule has
@@ -80,11 +77,9 @@ class TestPublicNames:
         from momentlab import simulate, tables, transfer
 
         assert momentlab.distribution_table is tables.distribution_table
-        assert momentlab.NO_REMAINDER is transfer.NO_REMAINDER
+        assert momentlab.transfer_term is transfer.transfer_term
         assert momentlab.MomentEstimate is simulate.MomentEstimate
 
-
-TERM = LogPowerTerm(Fraction(1, 2), 2, 1)
 
 # (instance, its fields in order, its repr, an instance that differs in one field)
 RECORDS = [
@@ -103,26 +98,11 @@ RECORDS = [
         id="MomentEstimate",
     ),
     pytest.param(
-        TERM,
+        LogPowerTerm(Fraction(1, 2), 2, 1),
         ("coeff", "alpha", "beta"),
         "LogPowerTerm(coeff=Fraction(1, 2), alpha=2, beta=1)",
         LogPowerTerm(Fraction(1, 2), 2, 0),
         id="LogPowerTerm",
-    ),
-    pytest.param(
-        RemainderClass(1, 2),
-        ("p", "q", "present"),
-        "RemainderClass(p=1, q=2, present=True)",
-        RemainderClass(1, 2, present=False),
-        id="RemainderClass",
-    ),
-    pytest.param(
-        SingularExpansion((TERM,), RemainderClass(0, 1)),
-        ("terms", "remainder"),
-        "SingularExpansion(terms=(LogPowerTerm(coeff=Fraction(1, 2), alpha=2, beta=1),), "
-        "remainder=RemainderClass(p=0, q=1, present=True))",
-        SingularExpansion((TERM,)),
-        id="SingularExpansion",
     ),
     pytest.param(
         CoefficientCheck(
@@ -157,22 +137,8 @@ class TestRecords:
         with pytest.raises(AttributeError):
             record.extra = None
 
-    def test_defaults(self):
-        assert RemainderClass(1, 2).present is True
-        assert SingularExpansion([TERM]).remainder is NO_REMAINDER
-        assert SingularExpansion([TERM]).terms == (TERM,)
-
     def test_validation_errors(self):
         with pytest.raises(ValueError, match=r"^alpha must be a positive integer, got 0$"):
             LogPowerTerm(1.0, 0, 1)
         with pytest.raises(ValueError, match=r"^beta must be nonnegative, got -1$"):
             LogPowerTerm(1.0, 1, -1)
-        with pytest.raises(
-            ValueError, match=r"^terms must be strictly decreasing in \(alpha, beta\)$"
-        ):
-            SingularExpansion((LogPowerTerm(1.0, 1, 1), LogPowerTerm(1.0, 2, 0)))
-        with pytest.raises(
-            ValueError,
-            match=r"^term \(alpha=1, beta=2\) does not dominate the remainder class \(0, 2\)$",
-        ):
-            SingularExpansion((LogPowerTerm(1.0, 1, 2),), RemainderClass(0, 2))

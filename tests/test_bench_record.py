@@ -75,6 +75,44 @@ def test_collects_runs(tmp_path):
     assert cpu["change_won"] == 2
     assert moments["metrics"]["fail_frac"]["change_won"] == 3
     assert moments["metrics"]["peak_rss_mb"]["change_won"] == 0  # ties are not wins
+    # 2 of 3 pairs lower is no gain; fail_frac is no end-to-end metric
+    assert cpu["verdict"] == "same"
+    assert "verdict" not in moments["metrics"]["fail_frac"]
+
+
+PARENT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # quartiles 1.0225, 1.0675
+
+
+def test_bounds_are_the_benchmarks():
+    assert bench_record.bounds() == {"setup_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.1}
+
+
+def test_verdict_gain():
+    # 9 of 10 pairs lower, the tenth a tie, medians 0.1 apart against an IQR of 0.045
+    change = [p - 0.1 for p in PARENT[:9]] + [PARENT[9]]
+    assert bench_record.verdict(PARENT, change, 9, 10, 0.25) == "gain"
+    # 8 of 10 is short of the nine tenths, though every median is lower
+    assert bench_record.verdict(PARENT, change, 8, 10, 0.25) == "same"
+    # 9 of 10 lower, but the medians only 0.04 apart
+    assert bench_record.verdict(PARENT, [p - 0.04 for p in PARENT], 9, 10, 0.25) == "same"
+
+
+def test_verdict_worse():
+    assert bench_record.verdict(PARENT, [p * 1.3 for p in PARENT], 0, 10, 0.25) == "worse"
+    # by less than the bound of the parent's median: the same
+    assert bench_record.verdict(PARENT, [p * 1.2 for p in PARENT], 0, 10, 0.25) == "same"
+
+
+def test_verdict_unresolved():
+    # the parent's IQR, 1.0, is wider than 0.25 of its median, 1.5
+    parent = [1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+    assert bench_record.verdict(parent, [1.1, 1.1, 1.1, 1.9, 1.9, 1.9], 3, 6, 0.25) == "unresolved"
+    # unless every change run is below every parent run
+    assert bench_record.verdict(parent, [0.9] * 6, 6, 6, 0.25) == "same"
+
+
+def test_verdict_same():
+    assert bench_record.verdict(PARENT, PARENT, 0, 10, 0.25) == "same"
 
 
 def test_summary_pairs_only_shared_seeds(tmp_path):
@@ -94,8 +132,10 @@ def test_summary_pairs_only_shared_seeds(tmp_path):
     assert montecarlo["metrics"]["cpu_s"]["change_won"] == 1
     assert montecarlo["metrics"]["cpu_s"]["parent"] == {"q1": 1.5, "median": 2.0, "q3": 2.5}
     assert montecarlo["metrics"]["cpu_s"]["change"] == {"q1": 0.75, "median": 1.0, "q3": 1.25}
+    assert montecarlo["metrics"]["cpu_s"]["verdict"] == "unresolved"
     tables = summary["tables"]
     assert tables["pairs"] == 0 and "parent" not in tables["metrics"]["cpu_s"]
+    assert "verdict" not in tables["metrics"]["cpu_s"]  # one side has no runs
     assert tables["metrics"]["cpu_s"]["change"] == {"q1": 4.0, "median": 4.0, "q3": 4.0}
 
 

@@ -355,6 +355,20 @@ class TestTransfer:
         assert "limit" in err
 
 
+# Runs ``cli.run`` on the argv that follows with every pool worker killed by
+# SIGKILL as it starts its range, and two usable CPUs.
+KILLED_WORKER = """
+import os, signal, sys
+import momentlab.cli
+from momentlab import simulate
+def killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+simulate._accumulate_range = killed
+simulate._usable_cpus = lambda: 2
+momentlab.cli.run()
+"""
+
+
 class TestSimulate:
     def test_repeated_runs_byte_identical(self):
         argv = ("simulate", "--model", "cycles", "--n", "25", "--s", "1",
@@ -402,6 +416,16 @@ class TestSimulate:
         assert proc.returncode == 3
         assert "resource limit: out of memory" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_killed_worker_exit_code(self, killed_workers):
+        # a pool worker killed from outside ends the request with exit 3 and one
+        # line, in process and through ``cli.run`` in a fresh process
+        argv = ("simulate", "--model", "cycles", "--n", "50", "--s", "1",
+                "--trials", "1000", "--seed", "1", "--threads", "2")
+        expected = "resource limit: a worker process ended abruptly; no estimate\n"
+        assert run_cli(*argv) == (3, "", expected)
+        proc = subprocess.run([sys.executable, "-c", KILLED_WORKER, *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", expected)
 
     def test_inversions_memory_budget_exit_code(self):
         # n = 2^27 is inside the draw cap but would hold about 8 GiB
@@ -845,7 +869,7 @@ if sys.argv[1:]:
             code = momentlab.cli.main(sys.argv[1:])
         except SystemExit as exc:
             code = exc.code
-heavy = ("numpy", "mpmath", "concurrent.futures.process", "argparse")
+heavy = ("numpy", "mpmath", "concurrent.futures.process", "argparse", "__future__")
 print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 """
 
@@ -853,7 +877,8 @@ print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 class TestImports:
     """Every request is a fresh process, so numpy and the process pool are
     imported only on the routes that use them, argparse only for help and
-    parse errors, and mpmath, the tests' reference, by none."""
+    parse errors, and mpmath, the tests' reference, and ``__future__`` by
+    none."""
 
     @pytest.mark.parametrize(
         "argv, loaded",

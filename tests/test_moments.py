@@ -144,6 +144,19 @@ class TestFactorialMoment:
         with pytest.raises(ValueError):
             factorial_moment(bad, 1)
 
+    @pytest.mark.parametrize(
+        "model, top_n", [(Model.INVERSIONS, 40), (Model.CYCLES, 60), (Model.QUICKSORT, 30)]
+    )
+    def test_matches_the_perm_sum(self, model, top_n):
+        # the stepped falling factorials against math.perm, each (k, s) once
+        top = k_max(model, top_n) + 1
+        perms = [[math.perm(k, s) for k in range(top)] for s in range(top + 1)]
+        for table in distribution_tables(model, top_n):
+            total = math.factorial(table.n)
+            for s in range(k_max(model, table.n) + 2):
+                expected = Fraction(sum(map(mul, perms[s], table.counts)), total)
+                assert factorial_moment(table, s) == expected, (table.n, s)
+
     def test_vanishes_above_k_max(self):
         for model in Model:
             n = 4

@@ -18,6 +18,7 @@ from conftest import pivot_sequence_distribution
 from momentlab import (
     Model,
     MomentEstimate,
+    ResourceLimitError,
     comparisons_first_pivot,
     count_cycles,
     count_inversions,
@@ -614,6 +615,14 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+
+class TestDeadWorker:
+    def test_broken_pool_is_a_resource_limit(self, killed_workers):
+        with pytest.raises(ResourceLimitError) as info:
+            estimate_factorial_moment(Model.CYCLES, 50, 1, 1000, 1, threads=2)
+        assert str(info.value) == "a worker process ended abruptly; no estimate"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 class RecordingExecutor:

@@ -15,18 +15,14 @@ from momentlab import (
     EULER_GAMMA,
     LogPowerTerm,
     Model,
-    NO_REMAINDER,
     OrderLimitError,
-    RemainderClass,
     SeriesBudgetError,
-    SingularExpansion,
     distribution_table,
     exact_coefficient,
     factorial_moment,
     gamma_recip_derivative,
     harmonic,
     highprec_coefficient,
-    transfer_expansion,
     transfer_term,
 )
 from momentlab.transfer import (
@@ -339,62 +335,11 @@ class TestTransferTerm:
             exact = math.comb(n + alpha - 1, alpha - 1)
             assert abs(estimate - exact) / exact <= alpha**2 / n
 
-
-class TestTransferExpansion:
-    def test_singleton_equals_term(self):
-        term = LogPowerTerm(1.0, 2, 1)
-        exp = SingularExpansion((term,), NO_REMAINDER)
-        assert transfer_expansion(exp, 100) == transfer_term(term, 100)
-
-    def test_empty_sum_is_zero(self):
-        assert transfer_expansion(SingularExpansion((), NO_REMAINDER), 10) == 0.0
-
-    def test_harmonic_expansion_at_ten_thousand(self):
-        exp = SingularExpansion((LogPowerTerm(1.0, 1, 1),), NO_REMAINDER)
-        estimate = transfer_expansion(exp, 10**4)
+    def test_harmonic_term_at_ten_thousand(self):
+        estimate = transfer_term(LogPowerTerm(1.0, 1, 1), 10**4)
         assert estimate == pytest.approx(math.log(10**4) + EULER_GAMMA, rel=1e-15)
         exact = highprec_coefficient(1, 1, 10**4)
         assert abs(estimate - float(exact)) < 1 / 10**4
-
-    def test_remainder_contributes_nothing(self):
-        term = LogPowerTerm(1.0, 3, 1)
-        with_tail = SingularExpansion((term,), RemainderClass(5, 2))
-        without = SingularExpansion((term,), NO_REMAINDER)
-        assert transfer_expansion(with_tail, 60) == transfer_expansion(without, 60)
-
-
-class TestSingularExpansionInvariants:
-    def test_terms_must_decrease(self):
-        with pytest.raises(ValueError):
-            SingularExpansion(
-                (LogPowerTerm(1.0, 1, 1), LogPowerTerm(1.0, 2, 0)), NO_REMAINDER
-            )
-        with pytest.raises(ValueError):
-            SingularExpansion(
-                (LogPowerTerm(1.0, 2, 1), LogPowerTerm(1.0, 2, 1)), NO_REMAINDER
-            )
-
-    def test_terms_must_dominate_remainder(self):
-        with pytest.raises(ValueError):
-            SingularExpansion((LogPowerTerm(1.0, 1, 0),), RemainderClass(0, 1))
-        with pytest.raises(ValueError):
-            SingularExpansion((LogPowerTerm(1.0, 1, 2),), RemainderClass(0, 2))
-        # strictly above the tail: fine
-        SingularExpansion((LogPowerTerm(1.0, 2, 1),), RemainderClass(0, 2))
-
-    def test_absorbs(self):
-        tail = RemainderClass(1, 3)
-        assert tail.absorbs(2, 9)
-        assert tail.absorbs(3, 1)
-        assert not tail.absorbs(3, 2)
-        assert not tail.absorbs(4, 0)
-        assert not NO_REMAINDER.absorbs(1, 0)
-
-    def test_term_validation(self):
-        with pytest.raises(ValueError):
-            LogPowerTerm(1.0, 0, 1)
-        with pytest.raises(ValueError):
-            LogPowerTerm(1.0, 1, -1)
 
 
 def convolution_series(alpha: int, beta: int, n: int) -> list[Fraction]:

@@ -6,8 +6,10 @@ Reads the untraced run records ``DIR/.bench_out/run-<workload>-<seed>-trace0.jso
 that ``perfbench/run.py --trace 0`` leaves in each checkout, and writes one
 entry per run (workload, seed, side, the end-to-end metrics and fail_frac),
 the environment the first run reported, and a summary per workload and
-metric: each side's median and quartiles over its runs, and the number of
-pairs (runs of both sides with the same seed) in which the change is lower.
+metric: each side's median and quartiles over its runs, the number of
+pairs (runs of both sides with the same seed) in which the change is lower,
+and for each end-to-end metric of BENCHMARK.json a ``verdict`` by the rules
+a claim is judged by (see ``verdict``).
 The traced run records ``run-<workload>-<seed>-trace1.json`` of
 ``--trace 1`` add one entry per run under ``traced``: workload, seed, side
 and the per-layer metrics.
@@ -23,6 +25,7 @@ from pathlib import Path
 
 METRICS = ("cpu_s", "setup_s", "peak_rss_mb")  # all lower-is-better
 SUMMARISED = METRICS + ("fail_frac",)  # lower is better here too
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def runs(root: Path, side: str) -> list[dict]:
@@ -67,9 +70,34 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summary(entries: list[dict]) -> dict:
+def bounds() -> dict[str, float]:
+    """Each end-to-end metric's bound in BENCHMARK.json: the share of the
+    parent's median by which the change's median may exceed it."""
+    return {m["name"]: m["bound"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]}
+
+
+def verdict(parent: list[float], change: list[float], won: int, pairs: int, bound: float) -> str:
+    """``gain``: the change is lower in at least 9/10 of the pairs (ties count
+    for neither) and its median is below the parent's by more than the
+    parent's interquartile range; ``worse``: the change's median exceeds the
+    parent's by more than ``bound`` of it; ``unresolved``: the parent's
+    interquartile range is wider than ``bound`` of its median and not every
+    change run is below every parent run; ``same`` otherwise."""
+    p, c = quartiles(parent), quartiles(change)
+    spread = p["q3"] - p["q1"]
+    if pairs and 10 * won >= 9 * pairs and p["median"] - c["median"] > spread:
+        return "gain"
+    if c["median"] > p["median"] * (1 + bound):
+        return "worse"
+    if spread > bound * p["median"] and max(change) >= min(parent):
+        return "unresolved"
+    return "same"
+
+
+def summary(entries: list[dict], limits: dict[str, float]) -> dict:
     """Per workload: the seeds run by both sides, and per metric each
-    side's quartiles and the pairs in which the change is lower."""
+    side's quartiles and the pairs in which the change is lower; with runs
+    on both sides, each metric named in ``limits`` gets its ``verdict``."""
     result = {}
     for workload in sorted({e["workload"] for e in entries}):
         sides = {
@@ -79,14 +107,15 @@ def summary(entries: list[dict]) -> dict:
         paired = sides["parent"].keys() & sides["change"].keys()
         metrics = {}
         for name in SUMMARISED:
-            metrics[name] = {
-                side: quartiles([e[name] for e in runs.values()])
-                for side, runs in sides.items()
-                if runs
-            }
-            metrics[name]["change_won"] = sum(
+            values = {side: [e[name] for e in runs.values()] for side, runs in sides.items() if runs}
+            metrics[name] = {side: quartiles(v) for side, v in values.items()}
+            won = metrics[name]["change_won"] = sum(
                 sides["change"][seed][name] < sides["parent"][seed][name] for seed in paired
             )
+            if name in limits and len(values) == 2:
+                metrics[name]["verdict"] = verdict(
+                    values["parent"], values["change"], won, len(paired), limits[name]
+                )
         result[workload] = {"pairs": len(paired), "metrics": metrics}
     return result
 
@@ -104,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "schema": 3,
         "environment": environments[0],
-        "summary": summary(entries),
+        "summary": summary(entries, bounds()),
         "runs": entries,
         "traced": traced(args.parent, "parent") + traced(args.change, "change"),
     }
