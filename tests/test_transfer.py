@@ -23,6 +23,7 @@ from momentlab import (
     gamma_recip_derivative,
     harmonic,
     highprec_coefficient,
+    singular_expansion,
     transfer_term,
 )
 from momentlab.transfer import (
@@ -35,7 +36,7 @@ from momentlab.transfer import (
     _log_gamma,
 )
 from momentlab import tables
-from momentlab.moments import exact_moment
+from momentlab.moments import exact_moment, moment_series
 from momentlab.tables import Model, _rising, _rising_rows
 
 # mpmath is the tests' independent reference, at more digits than the
@@ -340,6 +341,37 @@ class TestTransferTerm:
         assert estimate == pytest.approx(math.log(10**4) + EULER_GAMMA, rel=1e-15)
         exact = highprec_coefficient(1, 1, 10**4)
         assert abs(estimate - float(exact)) < 1 / 10**4
+
+
+class TestSingularExpansionInvariants:
+    """The leading terms of ``singular_expansion`` are the largest (alpha, beta)
+    terms of f_s, in strictly decreasing order, and every other term of f_s
+    (the exact remainder) lies strictly below the last of them."""
+
+    CASES = [(model, s) for model in Model for s in range(1, 8)]
+
+    def test_terms_must_decrease(self):
+        for model, s in self.CASES:
+            keys = [(t.alpha, t.beta) for t in singular_expansion(model, s)]
+            assert keys == sorted(set(keys), reverse=True), (model, s)
+            assert len(keys) == (1 if model is Model.CYCLES else 2), (model, s)
+
+    def test_terms_must_dominate_remainder(self):
+        for model, s in self.CASES:
+            series, d = moment_series(model, s)
+            terms = singular_expansion(model, s)
+            rest = set(series) - {(t.alpha, t.beta) for t in terms}
+            assert all(key < (terms[-1].alpha, terms[-1].beta) for key in rest), (model, s)
+            # the leading terms are f_s's own, nonzero, and f_s is them plus the rest
+            for t in terms:
+                assert t.coeff != 0 and t.coeff == Fraction(series[(t.alpha, t.beta)], d)
+            assert len(rest) + len(terms) == len(series)
+
+    def test_term_validation(self):
+        with pytest.raises(ValueError):
+            LogPowerTerm(1.0, 0, 1)
+        with pytest.raises(ValueError):
+            LogPowerTerm(1.0, 1, -1)
 
 
 def convolution_series(alpha: int, beta: int, n: int) -> list[Fraction]:
