@@ -25,7 +25,6 @@ _EXPORTS = {
         "distribution_table",
         "distribution_tables",
         "k_max",
-        "row_limit",
     ),
     "moments": (
         "exact_moment",

@@ -12,13 +12,14 @@ over all pivot choices, so N = 2^a 3^b need only cover its support,
 n(n-1)/2 - kmin(n) + 1 entries: the values then give the row modulo
 z^N - 1, one count per residue class.  Each wanted row m has an inverse
 transform of its own: a mixed-radix number-theoretic transform recovers it
-modulo the fewest primes whose product exceeds m!, and Garner's Chinese
+modulo the fewest primes whose product exceeds m!, and Chinese
 remaindering rebuilds its counts, all in [0, m!].
 
 ``tables`` imports this module on its first quicksort row, after the row
 cap, so a request that builds no quicksort row compiles neither it nor
-numpy.  ``_VALUES_BUDGET`` and the primes' coverage of n! are checked here,
-before the recurrence runs.
+numpy.  That cap is fixed (``tables.DEFAULT_ROW_LIMITS``) and bounds the
+time and the residues held; the primes' coverage of n!, which the Chinese
+remaindering needs, is checked here, before the recurrence runs.
 """
 
 import bisect
@@ -33,9 +34,7 @@ from .tables import RowLimitError
 
 _PRIME_BOUND = 1 << 29  # residue products stay below 2^58
 _PAIRS_PER_REDUCTION = 64  # 64 products below p^2 sum below 2^64
-_TRANSFORM_BYTES = 72  # peak bytes per residue of a row's inverse transform
 _BLOCK_RESIDUES = 1 << 13  # residues per numpy call of the recurrence: width x primes
-_VALUES_BUDGET = 512 << 20  # bytes of residues held at once (see tables.DEFAULT_ROW_LIMITS)
 
 
 def _is_prime(p: int) -> bool:
@@ -177,28 +176,13 @@ def _dft(x: np.ndarray, roots: list[int], p: np.ndarray) -> np.ndarray:
 
 
 def _crt(residues: np.ndarray, primes: list[int]) -> list[int]:
-    """The ints x in [0, prod(primes)) with x = residues[i, k] mod primes[i],
-    one per column k of ``residues``, shape (primes, count).
-
-    Garner's algorithm gives the mixed-radix digits of x,
-    x = d_0 + p_0 (d_1 + p_1 (d_2 + ...)), and Horner's rule rebuilds x on
-    one packed integer per digit level: fields as wide as the product of the
-    primes, so no field carries into the next.  The levels are packed one at
-    a time into the same fields, whose bytes past the first 4 stay zero.
-    """
-    digits = residues.astype(np.int64)
-    for i, q in enumerate(primes):
-        for j in range(i):
-            digits[i] = (digits[i] - digits[j]) * pow(primes[j], -1, q) % q
-    slot = (math.prod(primes).bit_length() + 7) // 8
-    count = digits.shape[1]
-    fields = np.zeros((count, slot), dtype=np.uint8)
-    packed = 0
-    for i in reversed(range(len(primes))):
-        fields[:, :4] = digits[i].astype("<u4").view(np.uint8).reshape(count, 4)
-        packed = packed * primes[i] + int.from_bytes(fields.tobytes(), "little")
-    raw = packed.to_bytes(count * slot, "little")
-    return [int.from_bytes(raw[k : k + slot], "little") for k in range(0, count * slot, slot)]
+    """The ints x in [0, M), M = prod(primes), with x = residues[i, k] mod
+    primes[i], one per column k of ``residues``, shape (primes, count):
+    x = (sum_i r_i c_i) mod M for c_i = (M/p_i) ((M/p_i)^-1 mod p_i), which
+    is 1 modulo p_i and 0 modulo every other prime."""
+    total = math.prod(primes)
+    coefficients = [total // q * pow(total // q, -1, q) for q in primes]
+    return [sum(map(operator.mul, column.tolist(), coefficients)) % total for column in residues.T]
 
 
 def _fewest_comparisons(n: int) -> list[int]:
@@ -256,15 +240,6 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
     for m in range(first, n + 1):
         length = next(d for d in divisors if d >= _width(m, kmin[m]))
         plans.append((m, length, bisect.bisect_right(products, math.factorial(m)) + 1))
-    block = (n + 1) * len(primes) * min(width, size)  # rows 0..n at one block of points
-    kept = (n + 1 - first) * len(primes) * size  # the wanted rows at every point
-    transform = max(count * length for _, length, count in plans)  # the largest row's
-    held = 4 * (block + kept) + _TRANSFORM_BYTES * transform
-    if held > _VALUES_BUDGET:
-        raise RowLimitError(
-            f"quicksort row {n} would hold {held >> 20} MiB of residues, over the "
-            f"{_VALUES_BUDGET >> 20} MiB budget"
-        )
     values = _pgf_values(n, moduli, size, first, width)
     rows = []
     for m, length, count in plans:

@@ -440,8 +440,7 @@ def build_parser():
             "Exact cost distributions, factorial moments, and asymptotic "
             "estimates for permutation cycle counts, inversion counts, and "
             "randomized-quicksort comparisons.  All logarithms are natural "
-            "logs (base e), including in quicksort outputs.  The MOMENTLAB_ROW_LIMIT "
-            "environment variable overrides the per-model row caps."
+            "logs (base e), including in quicksort outputs."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

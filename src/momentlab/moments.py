@@ -46,12 +46,11 @@ __all__ = [
 # Largest order s of the inversions and quicksort series: a multiple of 32
 # whose dearest `moment --mode exact` takes 30 s CPU and 1536 MiB with a
 # fifth to spare, on a 2-core x86-64 box with Python 3.11: inversions at
-# n = 10^4300 - 1, s = 96 in 3.4-4.7 s and 20 MB (7.0-7.9 s in alternated
-# runs before ``factorial_moment`` stepped its falling factorials), s = 128
-# in 10.7 s in process, so the inversions cap has room left; quicksort at
-# n = 4000, s = 32 in 11.1-12.8 s and 47 MB, 40 in 30.0 s.  Both then exit 2:
-# the values pass Python's 4300-digit limit on int-to-text.
-MOMENT_MAX_S = {"inversions": 96, "quicksort": 32}
+# n = 10^4300 - 1, s = 128 in 10.4-13.7 s and 27 MB, while s = 160 took
+# 26.6-36.8 s and 38 MB and s = 192 73-85 s (fresh requests, three runs each);
+# quicksort at n = 4000, s = 32 in 11.1-12.8 s and 47 MB, 40 in 30.0 s.
+# Both then exit 2: the values pass Python's 4300-digit limit on int-to-text.
+MOMENT_MAX_S = {"inversions": 128, "quicksort": 32}
 # Cap on n for quicksort at s != 1: time allows more (0.30-0.33 s at s = 6,
 # where the PGF recurrence took 21-23 s at n = 800), but a little above it the
 # s = 6 numerator (14186 bits at 4000) passes that limit.

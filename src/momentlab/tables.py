@@ -24,7 +24,9 @@ Every table row is exact, in arbitrary-precision integers:
 The cycles and inversions recurrences keep only the previous row, so a
 single row costs the memory of a few rows, not of the whole triangle.
 Rows are dense over k = 0 .. k_max with structural zeros stored
-explicitly, and every row sums to n! exactly.
+explicitly, and every row sums to n! exactly.  Each model's rows stop at a
+fixed, measured cap, ``DEFAULT_ROW_LIMITS``; a row past it raises
+``RowLimitError`` before any work.
 
 numpy and the quicksort transforms load with ``_ntt``, not with this
 module: every CLI request is a fresh process that compiles what it
@@ -37,7 +39,6 @@ import collections
 import itertools
 import math
 import operator
-import os
 
 from . import Model, ResourceLimitError
 
@@ -46,33 +47,21 @@ __all__ = [
     "DistributionTable",
     "RowLimitError",
     "DEFAULT_ROW_LIMITS",
-    "row_limit",
     "k_max",
     "distribution_table",
     "distribution_tables",
 ]
-
-ROW_LIMIT_ENV = "MOMENTLAB_ROW_LIMIT"
 
 # Measured single-row builds at each cap, CPU time and peak RSS of the
 # process, on a 2-core x86-64 box with Python 3.11 and numpy 2.4: quicksort
 # `table --model quicksort --n 120` in 1.8-2.0 s and 41 MB (n = 70 in
 # 0.30-0.34 s and 31 MB), against 2.1-2.4 s and 122 MB (37 MB) when the
 # recurrence held rows 0..n at every point at once, and 3.7 s and 136 MB
-# with power-of-two transforms over the whole row length.
-# Above the quicksort cap, through MOMENTLAB_ROW_LIMIT, _ntt._VALUES_BUDGET bounds
-# the residues held at once: one block of rows 0..n, the wanted rows at all
-# N points (4 bytes each) and the largest row's inverse transform
-# (_ntt._TRANSFORM_BYTES each).  `table --model quicksort --n 188` takes
-# 16.3-17.0 s and 98 MB (22 s and 687 MB when it held rows 0..188 at every
-# point).  A single row passes the budget first at 382, by its transform:
-# N = 73728 and 95 primes, 519 MiB.  Row 381 (494 MiB) is admitted; its
-# recurrence would run about 9 minutes (814 blocks of 0.67 s), and its
-# transform, digits and text peak at 562 MB.  All rows
-# (`distribution_tables`) pass it first at 185, by their values: N = 16384
-# and 40 primes, 465 of 516 MiB; rows 0..184 took 32 s and 646 MB in one
-# process (rows 0..172 22 s and 489 MB, against 23 s and 625 MB when rows
-# of equal transform length shared one batched transform).
+# with power-of-two transforms over the whole row length.  At the cap the
+# residues held at once (one block of rows 0..n, the wanted rows at all
+# N = 6561 points and 23 primes, and the largest row's inverse transform at
+# about 72 bytes a residue) come to 14.7 MiB for row 120 and 83.8 MiB for
+# rows 0..120 (`distribution_tables`).
 # Inversions is the largest multiple of 50 whose `table --format csv`
 # request finished within 30 s CPU and 1536 MiB with the sliding-window
 # builder: 500 in 23.5-26 s and 239 MB, while 550 took 30.2 s and 305 MB
@@ -95,18 +84,7 @@ DEFAULT_ROW_LIMITS = {
 
 
 class RowLimitError(ResourceLimitError):
-    """Requested row exceeds the configured cap (resource guard, not math)."""
-
-
-def row_limit(model: Model) -> int:
-    """Effective row cap for ``model``; MOMENTLAB_ROW_LIMIT overrides all."""
-    env = os.environ.get(ROW_LIMIT_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{ROW_LIMIT_ENV} must be an integer, got {env!r}")
-    return DEFAULT_ROW_LIMITS[model.value]
+    """Requested row exceeds its model's fixed cap (resource guard, not math)."""
 
 
 def k_max(model: Model, n: int) -> int:
@@ -142,12 +120,9 @@ class DistributionTable(collections.namedtuple("DistributionTable", "model n cou
 def _check_row_request(model: Model, n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    cap = row_limit(model)
+    cap = DEFAULT_ROW_LIMITS[model.value]
     if n > cap:
-        raise RowLimitError(
-            f"{model} row {n} exceeds the configured cap {cap}; "
-            f"set {ROW_LIMIT_ENV} to raise it"
-        )
+        raise RowLimitError(f"{model} row {n} exceeds the cap {cap}")
 
 
 # A node of ``_rising``'s tree holding more than max(32, 4 top^2) factors splits:

@@ -23,7 +23,7 @@ from momentlab import (
     singular_expansion,
     transfer_term,
 )
-from momentlab import moments
+from momentlab import moments, tables
 
 
 def third_key(model, s):
@@ -172,7 +172,7 @@ class TestWholeSeriesTransfer:
         # error of the singularity analysis, so each tenfold n cuts it about
         # tenfold (ratios 0.055-0.112 here).  The caps are raised to reach
         # n = 10^4.
-        monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "10000")
+        monkeypatch.setitem(tables.DEFAULT_ROW_LIMITS, "cycles", 10**4)
         monkeypatch.setattr(moments, "QUICKSORT_PGF_MAX_N", 10**4)
         terms, d = moments.moment_series(model, s)
         errors = []

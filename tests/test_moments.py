@@ -23,7 +23,6 @@ from momentlab import (
     k_max,
     moment_sequence,
     quicksort_mean,
-    row_limit,
 )
 from momentlab.moments import (
     MOMENT_MAX_S,
@@ -35,7 +34,7 @@ from momentlab.moments import (
     moment_series,
 )
 from momentlab.simulate import comparisons_first_pivot
-from momentlab.tables import _log_power_coefficients
+from momentlab.tables import DEFAULT_ROW_LIMITS, _log_power_coefficients
 
 
 def _quicksort_pgf(n: int, s: int) -> list[tuple[int, ...]]:
@@ -148,9 +147,12 @@ class TestFactorialMoment:
         "model, top_n", [(Model.INVERSIONS, 40), (Model.CYCLES, 60), (Model.QUICKSORT, 30)]
     )
     def test_matches_the_perm_sum(self, model, top_n):
-        # the stepped falling factorials against math.perm, each (k, s) once
+        # the falling factorials stepped along the row against a table stepped
+        # along s, perm(k, s + 1) = perm(k, s) (k - s), each (k, s) once
         top = k_max(model, top_n) + 1
-        perms = [[math.perm(k, s) for k in range(top)] for s in range(top + 1)]
+        perms = [[1] * top]
+        for s in range(top):
+            perms.append(list(map(mul, perms[-1], range(-s, top - s))))
         for table in distribution_tables(model, top_n):
             total = math.factorial(table.n)
             for s in range(k_max(model, table.n) + 2):
@@ -325,7 +327,7 @@ class TestExactMoment:
     def test_inversions_ignore_the_row_cap(self, monkeypatch):
         expected = factorial_moment(distribution_table(Model.INVERSIONS, 100), 10)
         _inversions_gf.cache_clear()
-        monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "0")
+        monkeypatch.setitem(DEFAULT_ROW_LIMITS, "inversions", 0)
         assert exact_moment(Model.INVERSIONS, 100, 10) == (expected, "pgf")
 
     def test_inversions_series(self):
@@ -464,9 +466,9 @@ class TestExactMoment:
 
     def test_zero_past_the_support_needs_no_row(self):
         # no row is built, so the row caps do not bind
-        n = row_limit(Model.INVERSIONS) + 1
+        n = DEFAULT_ROW_LIMITS["inversions"] + 1
         assert exact_moment(Model.INVERSIONS, n, k_max(Model.INVERSIONS, n) + 1) == (0, "closed-form")
-        n = row_limit(Model.QUICKSORT) + 1
+        n = DEFAULT_ROW_LIMITS["quicksort"] + 1
         assert exact_moment(Model.QUICKSORT, n, k_max(Model.QUICKSORT, n) + 1) == (0, "closed-form")
 
     def test_cycles_mean_is_harmonic(self):
@@ -474,7 +476,7 @@ class TestExactMoment:
 
     def test_cycles_cap(self):
         with pytest.raises(RowLimitError, match="cap"):
-            exact_moment(Model.CYCLES, row_limit(Model.CYCLES) + 1, 1)
+            exact_moment(Model.CYCLES, DEFAULT_ROW_LIMITS["cycles"] + 1, 1)
 
     @pytest.mark.parametrize("model", [Model.INVERSIONS, Model.QUICKSORT])
     def test_s_cap(self, model):

@@ -224,7 +224,7 @@ def test_checked_in_moments_list():
         *((str(n), str(s), f) for n in (1200, 3500, 4000) for s in range(1, 8) for f in ("csv", "json")),
         ("1500", "300", "csv"),
     }
-    # around n = 2s, past the inversions row cap, and at 10^9; past the
+    # around n = 2s, at 100, past the inversions row cap, and at 10^9; past the
     # orders that a table row once answered; a zero past the support at the
     # s cap; and n = 10^100, read by one Horner pass over the powers of 1-u
     higher = {(str(n), str(s)) for n in (3, 10, 30) for s in range(7, 11)}
@@ -232,6 +232,8 @@ def test_checked_in_moments_list():
         *((str(n), str(s)) for n in (0, 1, 12, 13, 501, 1000000000) for s in range(7)),
         *higher,
         ("2", "96"),
+        ("2", "128"),
+        ("100", "6"),
         *((str(10**100), str(s)) for s in (1, 7, 20, 32)),
     }
     # the quicksort mean at the edges of the harmonic split's leaves, up to
@@ -247,11 +249,7 @@ def test_checked_in_moments_list():
     }
     assert {o["model"] for o in moments} == {"cycles", "inversions", "quicksort"}
     assert all(o["mode"] == "exact" for o in moments)
-    # the inversions series whatever the row cap
-    assert [a for a in argvs if a[0].startswith("MOMENTLAB_")] == [
-        ("MOMENTLAB_ROW_LIMIT=0", "moment", "--model", "inversions", "--n", "100", "--s", "6",
-         "--mode", "exact"),
-    ]
+    assert not [a for a in argvs if a[0].startswith("MOMENTLAB_")]
     tables = [a for a in argvs if a[0] == "table"]
     assert tables == [("table", "--model", "cycles", "--n", "1500"),
                       ("table", "--model", "cycles", "--n", "1500", "--format", "json")]
@@ -288,9 +286,6 @@ def test_checked_in_tables_list():
         *(("table", "--model", "quicksort", "--n", str(n), *fmt) for n in sizes
           for fmt in ((), ("--format", "json"))),
         ("table", "--model", "quicksort", "--n", "121"),
-        # past the default cap, which the row limit raises
-        ("MOMENTLAB_ROW_LIMIT=140", "table", "--model", "quicksort", "--n", "121"),
-        ("MOMENTLAB_ROW_LIMIT=140", "table", "--model", "quicksort", "--n", "140", "--format", "json"),
     ]
     assert not set(argvs) & set(stdout_identity.requests("tables", [1, 7, 2026]))
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_histogram, pivot_sequence_distribution
-from momentlab import _ntt
+from momentlab import _ntt, tables
 from momentlab import (
     DistributionTable,
     Model,
@@ -23,9 +23,7 @@ from momentlab import (
     distribution_table,
     distribution_tables,
     k_max,
-    row_limit,
 )
-from momentlab.tables import ROW_LIMIT_ENV
 
 
 class TestExamples:
@@ -233,10 +231,6 @@ class TestQuicksortRoute:
         draw = random.Random(count)
         values = [0, 1, product - 1, product // 2, *(draw.randrange(product) for _ in range(20))]
         residues = np.array([[x % q for x in values] for q in primes], dtype=np.uint64)
-        # x = sum_i r_i M_i (M_i^-1 mod p_i) mod M, with M_i = M / p_i
-        plain = [sum(int(r) * (product // q) * pow(product // q, -1, q) for r, q in zip(column, primes))
-                 % product for column in residues.T]
-        assert plain == values
         got = _ntt._crt(residues, primes)
         assert got == values
         assert all(type(x) is int for x in got)
@@ -303,31 +297,12 @@ class TestQuicksortRoute:
             tracemalloc.stop()
         assert peak < 10 << 20
 
-    @pytest.mark.parametrize("every, edge", [(False, 381), (True, 184)])
-    def test_values_budget_edge(self, every, edge, monkeypatch):
-        # the budget counts one block of rows 0..n, the wanted rows at every
-        # point and the largest row's inverse transform: a single row first
-        # passes it at 382, by its transform (N = 73728 and 95 primes), and
-        # all rows at 185, by their values (N = 16384 and 40 primes, 465 of
-        # 516 MiB)
-        class Admitted(Exception):
-            pass
-
-        def admitted(*args):
-            raise Admitted
-
-        monkeypatch.setenv(ROW_LIMIT_ENV, "1024")
-        monkeypatch.setattr(_ntt, "_pgf_values", admitted)
-        with pytest.raises(Admitted):
-            _ntt._quicksort_rows(edge, every)
-        with pytest.raises(RowLimitError, match="MiB budget"):
-            _ntt._quicksort_rows(edge + 1, every)
-
-    def test_prime_coverage_limit(self, monkeypatch):
-        # the primes p = 1 (mod 2^19) below 2^29 multiply to fewer bits than 1025!
-        monkeypatch.setenv(ROW_LIMIT_ENV, "1025")
+    def test_prime_coverage_limit(self):
+        # row 1025 transforms at N = 2^19, and the primes p = 1 (mod 2^19)
+        # below 2^29 multiply to fewer bits than 1025!: a wrong CRT is refused
+        assert _ntt._transform_size(1025) == 2**19
         with pytest.raises(RowLimitError, match="2\\^29"):
-            distribution_table(Model.QUICKSORT, 1025)
+            _ntt._ntt_moduli(2**19, 1025)
 
 
 class TestLimits:
@@ -344,20 +319,10 @@ class TestLimits:
             distribution_table(Model.CYCLES, 5001)
 
     def test_explicit_limit_argument(self, monkeypatch):
-        monkeypatch.setenv(ROW_LIMIT_ENV, "10")
-        with pytest.raises(RowLimitError):
+        monkeypatch.setitem(tables.DEFAULT_ROW_LIMITS, "cycles", 10)
+        with pytest.raises(RowLimitError, match="cycles row 11 exceeds the cap 10"):
             distribution_table(Model.CYCLES, 11)
         assert distribution_table(Model.CYCLES, 10).n == 10
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "10")
-        assert row_limit(Model.CYCLES) == 10
-        assert row_limit(Model.QUICKSORT) == 10
-        with pytest.raises(RowLimitError):
-            distribution_table(Model.CYCLES, 11)
-        monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "not-a-number")
-        with pytest.raises(ValueError):
-            row_limit(Model.CYCLES)
 
     def test_check_rejects_corruption(self):
         bad = DistributionTable(Model.CYCLES, 3, (0, 2, 3, 2))

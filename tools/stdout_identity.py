@@ -8,8 +8,8 @@ seed, from this repository's ``perfbench/workloads.py`` (imported, never
 changed), or reads the requests of ``PATH``: one per line, its words split on
 whitespace, with blank lines and lines starting with ``#`` skipped.  A line
 may begin with ``MOMENTLAB_NAME=value`` words, as in
-``MOMENTLAB_ROW_LIMIT=140 table --model quicksort --n 121``: both sides run
-that request with those variables set.  Runs every distinct request once in
+``MOMENTLAB_TRACE=1 moment --model cycles --n 5 --s 1``: both sides run that
+request with those variables set, whether or not the program reads them.  Runs every distinct request once in
 each checkout as a fresh ``python -m momentlab.cli`` process with
 ``DIR/src`` on the path, no other ``MOMENTLAB_*`` variable and no
 ``PYTHONUNBUFFERED``, so that both sides write to buffered streams, the
