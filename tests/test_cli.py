@@ -95,6 +95,15 @@ class TestTable:
         assert proc.stdout == ""
         assert proc.stderr == "resource limit: quicksort row 121 exceeds the cap 120\n"
 
+    @pytest.mark.parametrize("value", ["5", "not-a-number"])
+    def test_row_limit_variable_is_ignored(self, value, monkeypatch):
+        # the variable that once set every cap neither lowers one nor fails
+        # on a value that is not a number: the row prints as without it
+        expected = run_cli("table", "--model", "cycles", "--n", "6")
+        assert expected[0] == 0
+        monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", value)
+        assert run_cli("table", "--model", "cycles", "--n", "6") == expected
+
     def test_negative_n(self):
         code, _, _ = run_cli("table", "--model", "cycles", "--n", "-1")
         assert code == 2

@@ -235,6 +235,18 @@ class TestQuicksortRoute:
         assert got == values
         assert all(type(x) is int for x in got)
 
+    @pytest.mark.parametrize("n", [41, 120])
+    def test_crt_at_a_rows_primes(self, n):
+        # the primes row n reads its counts modulo: N = 729 at 41, and at the
+        # cap, 120, N = 6561; every x in [0, M) comes back, M = their product
+        primes = [q for q, _ in _ntt._ntt_moduli(_ntt._transform_size(n), n)]
+        product = math.prod(primes)
+        assert product > math.factorial(n)
+        draw = random.Random(n)
+        values = [0, 1, product - 1, math.factorial(n), *(draw.randrange(product) for _ in range(50))]
+        residues = np.array([[x % q for x in values] for q in primes], dtype=np.uint64)
+        assert _ntt._crt(residues, primes) == values
+
     def test_counts_are_python_ints(self, quicksort_rows_120):
         rows = [distribution_table(model, 9) for model in Model]
         rows += distribution_tables(Model.INVERSIONS, 9) + distribution_tables(Model.CYCLES, 9)
@@ -323,6 +335,15 @@ class TestLimits:
         with pytest.raises(RowLimitError, match="cycles row 11 exceeds the cap 10"):
             distribution_table(Model.CYCLES, 11)
         assert distribution_table(Model.CYCLES, 10).n == 10
+
+    def test_caps_ignore_the_environment(self, monkeypatch):
+        # a lower value, a value that is not a number and a higher one leave
+        # every cap where tables.DEFAULT_ROW_LIMITS puts it
+        for value in ("10", "not-a-number", "1024"):
+            monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", value)
+            assert distribution_table(Model.CYCLES, 11).n == 11
+            with pytest.raises(RowLimitError, match="quicksort row 121 exceeds the cap 120"):
+                distribution_table(Model.QUICKSORT, 121)
 
     def test_check_rejects_corruption(self):
         bad = DistributionTable(Model.CYCLES, 3, (0, 2, 3, 2))
