@@ -16,28 +16,33 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The public names of each submodule, in the order of ``__all__``.
+# The public names of each submodule, declared here only: each submodule's
+# ``__all__`` is its entry.
 _EXPORTS = {
     "tables": (
         "DEFAULT_ROW_LIMITS",
         "DistributionTable",
-        "RowLimitError",
         "distribution_table",
         "distribution_tables",
         "k_max",
     ),
     "moments": (
+        "MOMENT_MAX_S",
+        "QUICKSORT_PGF_MAX_N",
         "exact_moment",
         "factorial_moment",
         "harmonic",
         "moment_sequence",
+        "moment_series",
         "quicksort_mean",
     ),
     "transfer": (
         "EULER_GAMMA",
         "LogPowerTerm",
-        "OrderLimitError",
-        "SeriesBudgetError",
+        "MAX_DERIVATIVE_ORDER",
+        "ORACLE_MAX_BETA",
+        "ORACLE_MAX_N",
+        "check_double_range",
         "exact_coefficient",
         "gamma_recip_derivative",
         "highprec_coefficient",
@@ -50,6 +55,7 @@ _EXPORTS = {
         "singular_expansion",
     ),
     "simulate": (
+        "MAX_DRAWS",
         "MomentEstimate",
         "TrialStream",
         "comparisons_first_pivot",
@@ -77,7 +83,7 @@ class Model(enum.Enum):
 
 
 class ResourceLimitError(RuntimeError):
-    """A request past a resource guard; the CLI exits 3.  Catching it loads no submodule."""
+    """The one type every resource guard raises; the CLI exits 3.  Catching it loads no submodule."""
 
 
 def _first_use(namespace: dict, exports: dict[str, tuple[str, ...]]):

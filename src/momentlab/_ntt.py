@@ -30,7 +30,7 @@ import operator
 
 import numpy as np
 
-from .tables import RowLimitError
+from . import ResourceLimitError
 
 _PRIME_BOUND = 1 << 29  # residue products stay below 2^58
 _PAIRS_PER_REDUCTION = 64  # 64 products below p^2 sum below 2^64
@@ -81,7 +81,7 @@ def _ntt_moduli(size: int, n: int) -> tuple[tuple[int, int], ...]:
             moduli.append((p, _root_of_unity(p, size)))
             product *= p
     if product <= bound:
-        raise RowLimitError(
+        raise ResourceLimitError(
             f"quicksort row {n} needs primes p = 1 (mod {size}) below 2^29 whose "
             f"product exceeds n! ({bound.bit_length()} bits); they give only "
             f"{product.bit_length() - 1} bits"

@@ -40,10 +40,9 @@ of ``moment``, ``oracle_exact`` of ``transfer``, ``tolerance`` and
 text only by that view: ``oracle_exact`` stays an exact rational until the
 JSON encoder writes it.
 
-The layers' names, the package's public names and transfer's
-``_arithmetic`` and ``check_double_range``, are bound on first use by this
-module's ``__getattr__``, and the handlers call them through the module
-object.
+The layers' names, the package's public names and transfer's private
+``_arithmetic``, are bound on first use by this module's ``__getattr__``,
+and the handlers call them through the module object.
 Every request is a fresh process that compiles each module it imports, so
 a request loads only the submodules its route runs: ``table`` only
 ``tables``, and ``_ntt``, the number-theoretic transforms, and numpy only
@@ -97,9 +96,7 @@ from types import SimpleNamespace
 
 from . import _EXPORTS, Model, ResourceLimitError, _first_use
 
-__getattr__ = _first_use(
-    globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic", "check_double_range")}
-)
+__getattr__ = _first_use(globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic",)})
 # This module: the handlers look the layers' names up on it, so that
 # ``__getattr__`` binds each on first use and a name set on the module from
 # outside is the one called.
@@ -229,8 +226,9 @@ def _cmd_moment(args) -> int:
     want_asym = args.mode in ("asym", "both")
     if want_asym and (args.n < 2 or args.s < 1):
         raise ValueError("asymptotic moments require --n >= 2 and --s >= 1")
-    exact = _layers.exact_moment(model, args.n, args.s)[0] if want_exact else None
+    # first the estimate, which refuses a moment past the double range at once
     asym = _layers.asymptotic_moment(model, args.n, args.s) if want_asym else None
+    exact = _layers.exact_moment(model, args.n, args.s)[0] if want_exact else None
     record = {
         "model": args.model,
         "s": args.s,

@@ -27,15 +27,10 @@ import collections
 import math
 from fractions import Fraction
 
-from . import Model
+from . import _EXPORTS, Model
 from .transfer import EULER_GAMMA, LogPowerTerm, _arithmetic, gamma_recip_derivative
 
-__all__ = [
-    "singular_expansion",
-    "asymptotic_moment",
-    "CoefficientCheck",
-    "coefficient_crosscheck",
-]
+__all__ = _EXPORTS["expansions"]
 
 
 def singular_expansion(model: Model, s: int) -> tuple[LogPowerTerm, ...]:

@@ -12,8 +12,8 @@ E[(X_n)_s] with (X)_s = X(X-1)...(X-s+1); f_s(u) = sum_n E[(X_n)_s] u^n.
   built from the rows 0..2s for inversions (``_inversions_gf``), and
   ``_quicksort_gf``; a 0 past the support, s > k_max(model, n), builds none.
 
-Every result is an exact rational; a request past a cap raises
-``RowLimitError`` before any work.
+Every result is an exact rational; a request past a cap raises the
+package's ``ResourceLimitError`` before any work.
 """
 
 import collections
@@ -21,10 +21,9 @@ import functools
 import math
 from fractions import Fraction
 
-from . import Model
+from . import _EXPORTS, Model, ResourceLimitError
 from .tables import (
     DistributionTable,
-    RowLimitError,
     _check_row_request,
     _inversion_rows,
     _log_power_coefficients,
@@ -32,16 +31,7 @@ from .tables import (
     k_max,
 )
 
-__all__ = [
-    "MOMENT_MAX_S",
-    "QUICKSORT_PGF_MAX_N",
-    "harmonic",
-    "factorial_moment",
-    "moment_sequence",
-    "quicksort_mean",
-    "exact_moment",
-    "moment_series",
-]
+__all__ = _EXPORTS["moments"]
 
 # Largest order s of the inversions and quicksort series: a multiple of 32
 # whose dearest `moment --mode exact` takes 30 s CPU and 1536 MiB with a
@@ -248,9 +238,9 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
     elif s > MOMENT_MAX_S[model.value]:
         if s > k_max(model, n):
             return Fraction(0), "closed-form"
-        raise RowLimitError(f"{model} moments are capped at s <= {MOMENT_MAX_S[model.value]}, got s={s}")
+        raise ResourceLimitError(f"{model} moments are capped at s <= {MOMENT_MAX_S[model.value]}, got s={s}")
     elif model is Model.QUICKSORT and n > QUICKSORT_PGF_MAX_N:
-        raise RowLimitError(
+        raise ResourceLimitError(
             f"quicksort moments of order {s} are capped at n <= {QUICKSORT_PGF_MAX_N}, got n={n}"
         )
     if s > k_max(model, n):

@@ -100,24 +100,12 @@ import math
 import os
 from typing import TYPE_CHECKING
 
-from . import Model, ResourceLimitError
+from . import _EXPORTS, Model, ResourceLimitError
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = [
-    "TrialStream",
-    "MomentEstimate",
-    "random_permutation",
-    "count_cycles",
-    "count_inversions",
-    "quicksort_comparisons",
-    "comparisons_first_pivot",
-    "sample_cost",
-    "DrawLimitError",
-    "MAX_DRAWS",
-    "estimate_factorial_moment",
-]
+__all__ = _EXPORTS["simulate"]
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -627,11 +615,6 @@ def sample_cost(model: Model, n: int, rng: TrialStream) -> int:
 
 # -- moment estimation -------------------------------------------------------
 
-class DrawLimitError(ResourceLimitError):
-    """Requested estimate needs more than MAX_DRAWS draws, or more memory
-    than _INVERSIONS_BUDGET (resource guard)."""
-
-
 class MomentEstimate(collections.namedtuple("MomentEstimate", "s n trials mean stderr seed")):
     """Empirical factorial moment: sample ``mean`` of (X)_s with its
     ``stderr`` (floats), plus the ints ``s``, ``n``, ``trials`` and ``seed``
@@ -733,8 +716,8 @@ def estimate_factorial_moment(
     start-up cost.  A request of more than
     MAX_DRAWS draws, (n - 1) x trials, or an inversions request that would
     hold more than ``_INVERSIONS_BUDGET`` bytes in a worker, raises
-    ``DrawLimitError`` before any work; a worker that dies, killed from
-    outside, raises ``ResourceLimitError``.
+    ``ResourceLimitError`` before any work, as does a worker that dies,
+    killed from outside.
     """
     if trials < 2:
         raise ValueError(f"trials must be at least 2, got {trials}")
@@ -747,12 +730,12 @@ def estimate_factorial_moment(
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")
     if (n - 1) * trials > MAX_DRAWS:
-        raise DrawLimitError(
+        raise ResourceLimitError(
             f"{model} estimate needs (n-1) x trials = {(n - 1) * trials} draws, "
             f"above the cap {MAX_DRAWS}"
         )
     if model is Model.INVERSIONS and _inversions_bytes(n) > _INVERSIONS_BUDGET:
-        raise DrawLimitError(
+        raise ResourceLimitError(
             f"inversions estimate at n = {n} would hold {_inversions_bytes(n) >> 20} MiB "
             f"of permutations and merge runs, over the {_INVERSIONS_BUDGET >> 20} MiB budget"
         )

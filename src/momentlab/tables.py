@@ -25,8 +25,8 @@ The cycles and inversions recurrences keep only the previous row, so a
 single row costs the memory of a few rows, not of the whole triangle.
 Rows are dense over k = 0 .. k_max with structural zeros stored
 explicitly, and every row sums to n! exactly.  Each model's rows stop at a
-fixed, measured cap, ``DEFAULT_ROW_LIMITS``; a row past it raises
-``RowLimitError`` before any work.
+fixed, measured cap, ``DEFAULT_ROW_LIMITS``; a row past it raises the
+package's ``ResourceLimitError`` before any work.
 
 numpy and the quicksort transforms load with ``_ntt``, not with this
 module: every CLI request is a fresh process that compiles what it
@@ -40,17 +40,9 @@ import itertools
 import math
 import operator
 
-from . import Model, ResourceLimitError
+from . import _EXPORTS, Model, ResourceLimitError
 
-__all__ = [
-    "Model",
-    "DistributionTable",
-    "RowLimitError",
-    "DEFAULT_ROW_LIMITS",
-    "k_max",
-    "distribution_table",
-    "distribution_tables",
-]
+__all__ = _EXPORTS["tables"]
 
 # Measured single-row builds at each cap, CPU time and peak RSS of the
 # process, on a 2-core x86-64 box with Python 3.11 and numpy 2.4: quicksort
@@ -81,10 +73,6 @@ DEFAULT_ROW_LIMITS = {
     "inversions": 500,
     "quicksort": 120,
 }
-
-
-class RowLimitError(ResourceLimitError):
-    """Requested row exceeds its model's fixed cap (resource guard, not math)."""
 
 
 def k_max(model: Model, n: int) -> int:
@@ -122,7 +110,7 @@ def _check_row_request(model: Model, n: int) -> None:
         raise ValueError(f"n must be nonnegative, got {n}")
     cap = DEFAULT_ROW_LIMITS[model.value]
     if n > cap:
-        raise RowLimitError(f"{model} row {n} exceeds the cap {cap}")
+        raise ResourceLimitError(f"{model} row {n} exceeds the cap {cap}")
 
 
 # A node of ``_rising``'s tree holding more than max(32, 4 top^2) factors splits:

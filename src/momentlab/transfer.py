@@ -71,22 +71,9 @@ import math
 import sys
 from fractions import Fraction
 
-from . import ResourceLimitError
+from . import _EXPORTS, ResourceLimitError
 
-__all__ = [
-    "EULER_GAMMA",
-    "MAX_DERIVATIVE_ORDER",
-    "ORACLE_MAX_N",
-    "ORACLE_MAX_BETA",
-    "OrderLimitError",
-    "SeriesBudgetError",
-    "LogPowerTerm",
-    "gamma_recip_derivative",
-    "transfer_term",
-    "check_double_range",
-    "exact_coefficient",
-    "highprec_coefficient",
-]
+__all__ = _EXPORTS["transfer"]
 
 # The Euler-Mascheroni constant as a double; the high record takes -psi(1).
 EULER_GAMMA = 0.5772156649015329
@@ -110,14 +97,6 @@ ORACLE_MAX_BETA = 6
 
 # The digits of every high-precision value: 240 bits and 32 guard bits.
 _DIGITS = 82
-
-
-class OrderLimitError(ResourceLimitError):
-    """Derivative order above MAX_DERIVATIVE_ORDER (resource guard)."""
-
-
-class SeriesBudgetError(ResourceLimitError):
-    """Exact series coefficient request above the configured budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +220,7 @@ def _check_order(alpha: int, k: int) -> None:
     if k < 0:
         raise ValueError(f"derivative order must be nonnegative, got {k}")
     if k > MAX_DERIVATIVE_ORDER:
-        raise OrderLimitError(
+        raise ResourceLimitError(
             f"order {k} exceeds the embedded constant table "
             f"(max {MAX_DERIVATIVE_ORDER})"
         )
@@ -420,7 +399,7 @@ def _check_oracle_budget(alpha: int, beta: int, n: int, max_beta: int) -> None:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if beta > max_beta:
-        raise SeriesBudgetError(f"oracle budget is beta <= {max_beta}, got {beta}")
+        raise ResourceLimitError(f"oracle budget is beta <= {max_beta}, got {beta}")
 
 
 def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
@@ -432,7 +411,7 @@ def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     """
     _check_oracle_budget(alpha, beta, n, ORACLE_MAX_BETA)
     if n > ORACLE_MAX_N:
-        raise SeriesBudgetError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
+        raise ResourceLimitError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
     from .tables import _log_power_coefficients
     return _log_power_coefficients([({(alpha, beta): 1}, 1)], n)[0]
 
@@ -458,7 +437,7 @@ def highprec_coefficient(alpha: int, beta: int, n: int) -> decimal.Decimal:
     """
     _check_oracle_budget(alpha, beta, n, MAX_DERIVATIVE_ORDER)
     if min(n, alpha - 1) > ORACLE_MAX_N:
-        raise SeriesBudgetError(
+        raise ResourceLimitError(
             f"high-precision oracle budget is min(n, alpha - 1) <= {ORACLE_MAX_N}, "
             f"got alpha={alpha}, n={n}"
         )

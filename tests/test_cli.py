@@ -230,10 +230,14 @@ class TestMoment:
             # has an estimate past the double range, which compare refuses first
             (("compare", "--model", "inversions", "--s", str(MOMENT_MAX_S["inversions"] + 1), "--n-grid", "30"),
              "result overflows the double range"),
+            # at the cap the exact moment takes seconds, and moment --mode both,
+            # like compare, refuses the estimate before it
+            (("moment", "--model", "inversions", "--n", "30", "--s", str(MOMENT_MAX_S["inversions"]), "--mode", "both"),
+             "result overflows the double range (int too large to convert to float)"),
         ],
     )
     def test_past_each_cap_exits_3_fast(self, argv, message):
-        if argv[0] == "moment":
+        if argv[0] == "moment" and "--mode" not in argv:
             argv += ("--mode", "exact")
         start = children_cpu_seconds()
         proc = run_cli_process(*argv)

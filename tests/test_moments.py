@@ -15,7 +15,7 @@ from conftest import brute_force_histogram
 from momentlab import (
     DistributionTable,
     Model,
-    RowLimitError,
+    ResourceLimitError,
     distribution_table,
     distribution_tables,
     factorial_moment,
@@ -475,7 +475,7 @@ class TestExactMoment:
         assert exact_moment(Model.CYCLES, 3500, 1) == (harmonic(3500), "pgf")
 
     def test_cycles_cap(self):
-        with pytest.raises(RowLimitError, match="cap"):
+        with pytest.raises(ResourceLimitError, match="^cycles row 4001 exceeds the cap 4000$"):
             exact_moment(Model.CYCLES, DEFAULT_ROW_LIMITS["cycles"] + 1, 1)
 
     @pytest.mark.parametrize("model", [Model.INVERSIONS, Model.QUICKSORT])
@@ -483,12 +483,12 @@ class TestExactMoment:
         # past the cap, s refused where the support reaches it and 0 elsewhere
         s = MOMENT_MAX_S[model.value] + 1
         n = min(m for m in range(s + 2) if k_max(model, m) >= s)
-        with pytest.raises(RowLimitError, match=f"capped at s <= {s - 1}"):
+        with pytest.raises(ResourceLimitError, match=f"^{model} moments are capped at s <= {s - 1}, got"):
             exact_moment(model, n, s)
         assert exact_moment(model, n - 1, s) == (0, "closed-form")
 
     def test_quicksort_cap(self):
-        with pytest.raises(RowLimitError, match="capped"):
+        with pytest.raises(ResourceLimitError, match=f"^quicksort moments of order 2 are capped at n <= {QUICKSORT_PGF_MAX_N},"):
             exact_moment(Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2)
 
     def test_rejects_negative_arguments(self):

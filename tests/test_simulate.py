@@ -41,7 +41,6 @@ from momentlab.simulate import (
     _MIX1,
     _MIX2,
     _STACK_COLUMNS,
-    DrawLimitError,
     TrialStream,
     _accumulate_range,
     _bitset_inversions,
@@ -565,7 +564,7 @@ class TestDrawMatrix:
         # the budget admits n <= 2^23 and refuses more before any work
         assert _inversions_bytes(1 << 23) <= _INVERSIONS_BUDGET < _inversions_bytes((1 << 23) + 1)
         assert max(_inversions_bytes(n) for n in range(1, 20_000, 7)) < 32 << 20
-        with pytest.raises(DrawLimitError, match="MiB budget"):
+        with pytest.raises(ResourceLimitError, match="MiB budget"):
             estimate_factorial_moment(Model.INVERSIONS, (1 << 23) + 1, 1, 2, 0)
 
     def test_inversions_bytes_count_the_slot_dtype(self):

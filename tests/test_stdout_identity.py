@@ -220,6 +220,11 @@ def test_checked_in_moments_list():
         ("compare", "--model", "inversions", "--s", "96", "--n-grid", "100000"),
     ]
     moments = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "moment"]
+    # one moment --mode both, whose estimate passes the double range: refused
+    # before the exact moment at the s cap is worked out
+    assert [o for o in moments if o["mode"] != "exact"] == [
+        {"model": "inversions", "n": "30", "s": "128", "mode": "both"}
+    ]
     assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments if o["model"] == "cycles"} == {
         *((str(n), str(s), f) for n in (1200, 3500, 4000) for s in range(1, 8) for f in ("csv", "json")),
         ("1500", "300", "csv"),
@@ -233,6 +238,7 @@ def test_checked_in_moments_list():
         *higher,
         ("2", "96"),
         ("2", "128"),
+        ("30", "128"),
         ("100", "6"),
         *((str(10**100), str(s)) for s in (1, 7, 20, 32)),
     }
@@ -248,7 +254,6 @@ def test_checked_in_moments_list():
         ("5", "32", "csv"),
     }
     assert {o["model"] for o in moments} == {"cycles", "inversions", "quicksort"}
-    assert all(o["mode"] == "exact" for o in moments)
     assert not [a for a in argvs if a[0].startswith("MOMENTLAB_")]
     tables = [a for a in argvs if a[0] == "table"]
     assert tables == [("table", "--model", "cycles", "--n", "1500"),

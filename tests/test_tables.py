@@ -19,7 +19,7 @@ from momentlab import _ntt, tables
 from momentlab import (
     DistributionTable,
     Model,
-    RowLimitError,
+    ResourceLimitError,
     distribution_table,
     distribution_tables,
     k_max,
@@ -313,7 +313,7 @@ class TestQuicksortRoute:
         # row 1025 transforms at N = 2^19, and the primes p = 1 (mod 2^19)
         # below 2^29 multiply to fewer bits than 1025!: a wrong CRT is refused
         assert _ntt._transform_size(1025) == 2**19
-        with pytest.raises(RowLimitError, match="2\\^29"):
+        with pytest.raises(ResourceLimitError, match="2\\^29"):
             _ntt._ntt_moduli(2**19, 1025)
 
 
@@ -323,16 +323,16 @@ class TestLimits:
             distribution_table(Model.CYCLES, -1)
 
     def test_row_cap(self):
-        with pytest.raises(RowLimitError):
+        with pytest.raises(ResourceLimitError, match="^quicksort row 121 exceeds the cap 120$"):
             distribution_table(Model.QUICKSORT, 121)
-        with pytest.raises(RowLimitError):
+        with pytest.raises(ResourceLimitError, match="^inversions row 1001 exceeds the cap 500$"):
             distribution_table(Model.INVERSIONS, 1001)
-        with pytest.raises(RowLimitError):
+        with pytest.raises(ResourceLimitError, match="^cycles row 5001 exceeds the cap 4000$"):
             distribution_table(Model.CYCLES, 5001)
 
     def test_explicit_limit_argument(self, monkeypatch):
         monkeypatch.setitem(tables.DEFAULT_ROW_LIMITS, "cycles", 10)
-        with pytest.raises(RowLimitError, match="cycles row 11 exceeds the cap 10"):
+        with pytest.raises(ResourceLimitError, match="cycles row 11 exceeds the cap 10"):
             distribution_table(Model.CYCLES, 11)
         assert distribution_table(Model.CYCLES, 10).n == 10
 
@@ -342,7 +342,7 @@ class TestLimits:
         for value in ("10", "not-a-number", "1024"):
             monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", value)
             assert distribution_table(Model.CYCLES, 11).n == 11
-            with pytest.raises(RowLimitError, match="quicksort row 121 exceeds the cap 120"):
+            with pytest.raises(ResourceLimitError, match="quicksort row 121 exceeds the cap 120"):
                 distribution_table(Model.QUICKSORT, 121)
 
     def test_check_rejects_corruption(self):

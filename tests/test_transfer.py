@@ -15,8 +15,7 @@ from momentlab import (
     EULER_GAMMA,
     LogPowerTerm,
     Model,
-    OrderLimitError,
-    SeriesBudgetError,
+    ResourceLimitError,
     distribution_table,
     exact_coefficient,
     factorial_moment,
@@ -250,7 +249,7 @@ class TestGammaRecipDerivative:
 
     def test_order_cap(self):
         gamma_recip_derivative(1, MAX_DERIVATIVE_ORDER)
-        with pytest.raises(OrderLimitError):
+        with pytest.raises(ResourceLimitError, match=f"^order {MAX_DERIVATIVE_ORDER + 1} exceeds the embedded"):
             gamma_recip_derivative(1, MAX_DERIVATIVE_ORDER + 1)
 
     def test_bad_arguments(self):
@@ -510,18 +509,18 @@ class TestExactCoefficient:
                     assert abs(Fraction(hp) - exact) < max(1, abs(exact)) / 2**180
 
     def test_budget_guards(self):
-        with pytest.raises(SeriesBudgetError):
+        with pytest.raises(ResourceLimitError, match="^oracle budget is beta <= 6, got 7$"):
             exact_coefficient(1, 7, 10)
-        with pytest.raises(SeriesBudgetError):
+        with pytest.raises(ResourceLimitError, match="^exact oracle budget is n <= 100000, got 100001$"):
             exact_coefficient(1, 1, 100_001)
         with pytest.raises(ValueError):
             exact_coefficient(0, 1, 10)
         # the polygamma oracle takes O(beta) polygamma values, up to the
         # orders C_k needs
-        with pytest.raises(SeriesBudgetError):
+        with pytest.raises(ResourceLimitError, match=f"^oracle budget is beta <= {MAX_DERIVATIVE_ORDER}, got"):
             highprec_coefficient(1, MAX_DERIVATIVE_ORDER + 1, 10)
         # the exact binomial C(n + alpha - 1, n) takes min(n, alpha - 1) factors
-        with pytest.raises(SeriesBudgetError):
+        with pytest.raises(ResourceLimitError, match=r"^high-precision oracle budget is min\(n, alpha - 1\)"):
             highprec_coefficient(ORACLE_MAX_N + 2, 1, ORACLE_MAX_N + 1)
         with pytest.raises(ValueError):
             highprec_coefficient(0, 1, 10)
