@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 
 from . import _EXPORTS, Model
-from .transfer import EULER_GAMMA, LogPowerTerm, _arithmetic, gamma_recip_derivative
+from .transfer import _LOG_DOUBLE_MAX, _RANGE_MARGIN, EULER_GAMMA, LogPowerTerm, _arithmetic, gamma_recip_derivative
 
 __all__ = _EXPORTS["expansions"]
 
@@ -60,6 +60,8 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
         raise ValueError(f"asymptotic evaluation requires n >= 2, got {n}")
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
+    if not high_precision:
+        _check_estimate_range(model, n, s)
     with _arithmetic(high_precision) as r:
         if model is Model.INVERSIONS:
             lead = r.num(n ** (2 * s)) / 4**s
@@ -71,6 +73,23 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
             2**s * n**s * logn**s
             + 2**s * s * (r.gamma - 2) * n**s * logn ** (s - 1)
         )
+
+
+def _check_estimate_range(model: Model, n: int, s: int) -> None:
+    """Raise the OverflowError of a double estimate whose power of n passes the range by
+    over _RANGE_MARGIN before that power is formed: no power it forms reaches 3000 bits."""
+    limit, ln_n = _LOG_DOUBLE_MAX + _RANGE_MARGIN, math.log(n)
+    if model is Model.INVERSIONS:
+        # n^(2s) / 4^s rounds to a double, then n^(2s-1) converts; near the edge both are small
+        lead = s * (2 * ln_n - math.log(4))
+        if lead > limit:
+            raise OverflowError("integer division result too large for a float")
+        if lead < _LOG_DOUBLE_MAX - _RANGE_MARGIN and (2 * s - 1) * ln_n > limit:
+            raise OverflowError("int too large to convert to float")
+    elif model is Model.QUICKSORT and s * (math.log(2) + ln_n) > limit:
+        # 2^s n^s converts to a double after ln(n)^s, which raises first when it overflows
+        ln_n**s
+        raise OverflowError("int too large to convert to float")
 
 
 class CoefficientCheck(

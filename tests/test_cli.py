@@ -234,6 +234,11 @@ class TestMoment:
             # like compare, refuses the estimate before it
             (("moment", "--model", "inversions", "--n", "30", "--s", str(MOMENT_MAX_S["inversions"]), "--mode", "both"),
              "result overflows the double range (int too large to convert to float)"),
+            # far past the s cap the estimate is refused before n^(2s) is formed
+            (("moment", "--model", "inversions", "--n", str(10**100), "--s", "1000000", "--mode", "both"),
+             "result overflows the double range (integer division result too large for a float)"),
+            (("moment", "--model", "quicksort", "--n", str(10**100), "--s", "1000000", "--mode", "both"),
+             "result overflows the double range ((34, 'Numerical result out of range'))"),
         ],
     )
     def test_past_each_cap_exits_3_fast(self, argv, message):

@@ -2,6 +2,7 @@
 cross-check that ties the transfer engine to the stated moment formulas."""
 
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from momentlab import (
     singular_expansion,
     transfer_term,
 )
-from momentlab import moments, tables
+from momentlab import expansions, moments, tables
 
 
 def third_key(model, s):
@@ -121,6 +122,44 @@ class TestAsymptoticMoment:
         assert value == Decimal(
             "9.999999999999999999999999999999999999999999999999999999999999999999999999999922222E+307"
         )
+
+    @pytest.mark.parametrize(
+        "model, n, s, message",
+        [
+            (Model.INVERSIONS, 10**100, 10**6, "integer division result too large for a float"),
+            (Model.INVERSIONS, 2, 10**9, "int too large to convert to float"),
+            (Model.QUICKSORT, 10**100, 10**6, "(34, 'Numerical result out of range')"),
+            (Model.QUICKSORT, 2, 10**9, "int too large to convert to float"),
+        ],
+    )
+    def test_past_the_double_range_before_the_powers(self, model, n, s, message):
+        # n^(2s) alone has 2*10^8 digits at n = 10^100, s = 10^6, and 2^(2s)
+        # has 2*10^9 bits at n = 2, s = 10^9
+        start = time.process_time()
+        with pytest.raises(OverflowError) as info:
+            asymptotic_moment(model, n, s)
+        assert time.process_time() - start < 1
+        assert str(info.value) == message
+
+    def test_range_check_changes_no_outcome(self, monkeypatch):
+        # across the edge of the double range, each request gives the same
+        # value or the same OverflowError with and without the check
+        def outcome(model, n, s):
+            try:
+                return "value", repr(asymptotic_moment(model, n, s))
+            except OverflowError as exc:
+                return "error", str(exc)
+
+        grid = [
+            (model, n, s)
+            for model in (Model.INVERSIONS, Model.QUICKSORT)
+            for n in (2, 3, 30, 10**6, 2 * 10**77, 10**100, 10**400)
+            for s in [*range(1, 40), 127, 128, 129, 255, 256, 257, 511, 512, 513, 514]
+        ]
+        checked = [outcome(*key) for key in grid]
+        assert {kind for kind, _ in checked} == {"value", "error"}
+        monkeypatch.setattr(expansions, "_check_estimate_range", lambda *args: None)
+        assert [outcome(*key) for key in grid] == checked
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
