@@ -59,13 +59,12 @@ def _is_prime(p: int) -> bool:
 
 
 def _root_of_unity(p: int, size: int) -> int:
-    """A primitive size-th root of unity modulo the prime p = 1 (mod size),
-    for size = 2^a 3^b: its order divides size and no size / f for f = 2, 3."""
+    """A primitive size-th root of unity mod the prime p = 1 (mod size), size = 2^a 3^b: its
+    order divides size and no size / f for f = 2, 3.  A generator of the units ends the loop."""
     for g in range(2, p):
         w = pow(g, (p - 1) // size, p)
         if all(pow(w, size // f, p) != 1 for f in (2, 3) if size % f == 0):
             return w
-    raise ValueError(f"no primitive {size}-th root of unity modulo {p}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,15 +4,18 @@ Subcommands
 -----------
 table     exact distribution row as k,count pairs (CSV) or a dense array (JSON)
 moment    exact and/or two-term asymptotic factorial moment at one size
-transfer  log-power coefficient estimate vs. the exact series oracle; a
-          report past the double range exits 3 before any work, and a
-          --precision high estimate below it exits 3 once computed
+transfer  log-power coefficient estimate vs. the exact series oracle
 simulate  Monte Carlo factorial moment with standard error (seeded, exact
           reproducibility independent of --threads); requests of more
           than 2^31 draws, (n - 1) x trials, and inversions requests
           past a 512 MiB memory budget (n > 2^23) exit 3 before any work
 compare   convergence report of asymptotic vs. exact moments over an n-grid
 verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
+
+A value past the double range exits 3: before any work a ``transfer`` report
+and a ``moment`` or ``compare`` estimate whose powers of n pass it, else once
+computed, as does a ``transfer --precision high`` estimate below it.  The double
+estimate refuses a few values that fit; ``compare --precision high`` answers them.
 
 Exact moments of ``moment`` and ``compare`` come from
 ``moments.exact_moment``, whose docstring describes its routes:
@@ -145,6 +148,8 @@ def compare_rows(
             abs_err = abs(asym - exact_r)
             rel_err = float(abs_err / abs(exact_r)) if exact_r != 0 else None
             abs_err, asym = float(abs_err), float(asym)
+        if float("inf") in (abs(asym), abs_err):
+            raise OverflowError(f"{model} estimate at n={n}, s={s} does not fit doubles")
         rows.append({
             "n": n,
             "exact": _fmt_exact(exact),

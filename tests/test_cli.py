@@ -233,12 +233,13 @@ class TestMoment:
             # at the cap the exact moment takes seconds, and moment --mode both,
             # like compare, refuses the estimate before it
             (("moment", "--model", "inversions", "--n", "30", "--s", str(MOMENT_MAX_S["inversions"]), "--mode", "both"),
-             "result overflows the double range (int too large to convert to float)"),
+             f"result overflows the double range (inversions estimate at n=30, s={MOMENT_MAX_S['inversions']} "
+             "does not fit doubles)"),
             # far past the s cap the estimate is refused before n^(2s) is formed
             (("moment", "--model", "inversions", "--n", str(10**100), "--s", "1000000", "--mode", "both"),
-             "result overflows the double range (integer division result too large for a float)"),
+             f"result overflows the double range (inversions estimate at n={10**100}, s=1000000 does not fit doubles)"),
             (("moment", "--model", "quicksort", "--n", str(10**100), "--s", "1000000", "--mode", "both"),
-             "result overflows the double range ((34, 'Numerical result out of range'))"),
+             f"result overflows the double range (quicksort estimate at n={10**100}, s=1000000 does not fit doubles)"),
         ],
     )
     def test_past_each_cap_exits_3_fast(self, argv, message):
@@ -515,7 +516,36 @@ class TestCompare:
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == (
             "resource limit: result overflows the double range "
-            "(integer division result too large for a float)\n"
+            "(inversions estimate at n=100000, s=96 does not fit doubles)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, model, n, s",
+        [
+            # the product of quicksort's terms passed the range without raising:
+            # nan, "NaN" in JSON, and inf
+            (("moment", "--model", "quicksort", "--n", "1000000", "--s", "45", "--mode", "asym"),
+             "quicksort", 1000000, 45),
+            (("moment", "--model", "quicksort", "--n", "1000000", "--s", "47", "--mode", "asym", "--format", "json"),
+             "quicksort", 1000000, 47),
+            (("moment", "--model", "quicksort", "--n", str(10**306), "--s", "1", "--mode", "asym"),
+             "quicksort", 10**306, 1),
+            # an 82-digit estimate that rounds to -inf or inf in doubles
+            (("compare", "--model", "quicksort", "--s", "1000", "--n-grid", "2", "--precision", "high"),
+             "quicksort", 2, 1000),
+            (("compare", "--model", "inversions", "--s", "6", "--n-grid", "1612116149325441843301783290863681536",
+              "--precision", "high"),
+             "inversions", 1612116149325441843301783290863681536, 6),
+        ],
+    )
+    def test_estimate_never_prints_past_the_double_range(self, argv, model, n, s):
+        start = children_cpu_seconds()
+        proc = run_cli_process(*argv)
+        assert children_cpu_seconds() - start < 1
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            f"resource limit: result overflows the double range ({model} estimate at n={n}, s={s} "
+            "does not fit doubles)\n"
         )
 
     def test_cycles_oracle_past_the_exact_oracle_budget(self):

@@ -126,10 +126,10 @@ class TestAsymptoticMoment:
     @pytest.mark.parametrize(
         "model, n, s, message",
         [
-            (Model.INVERSIONS, 10**100, 10**6, "integer division result too large for a float"),
-            (Model.INVERSIONS, 2, 10**9, "int too large to convert to float"),
-            (Model.QUICKSORT, 10**100, 10**6, "(34, 'Numerical result out of range')"),
-            (Model.QUICKSORT, 2, 10**9, "int too large to convert to float"),
+            (Model.INVERSIONS, 10**100, 10**6, f"inversions estimate at n={10**100}, s=1000000 does not fit doubles"),
+            (Model.INVERSIONS, 2, 10**9, "inversions estimate at n=2, s=1000000000 does not fit doubles"),
+            (Model.QUICKSORT, 10**100, 10**6, f"quicksort estimate at n={10**100}, s=1000000 does not fit doubles"),
+            (Model.QUICKSORT, 2, 10**9, "quicksort estimate at n=2, s=1000000000 does not fit doubles"),
         ],
     )
     def test_past_the_double_range_before_the_powers(self, model, n, s, message):
@@ -160,6 +160,28 @@ class TestAsymptoticMoment:
         assert {kind for kind, _ in checked} == {"value", "error"}
         monkeypatch.setattr(expansions, "_check_estimate_range", lambda *args: None)
         assert [outcome(*key) for key in grid] == checked
+
+    def test_double_estimate_is_finite_or_refused(self):
+        # the products of quicksort's terms pass the range without raising at
+        # n = 10^6 from s = 42, where they summed to nan, and at n = 10^306
+        grid = [
+            (model, n, s)
+            for model in Model
+            for n in (2, 3, 30, 10**6, 2 * 10**77, 10**100, 10**400)
+            for s in [*range(1, 40), 127, 128, 129, 255, 256, 257, 511, 512, 513, 514]
+        ]
+        grid += [(Model.QUICKSORT, 10**6, s) for s in range(41, 49)] + [(Model.QUICKSORT, 10**306, 1)]
+        refused = set()
+        for model, n, s in grid:
+            try:
+                value = asymptotic_moment(model, n, s)
+            except OverflowError as exc:
+                assert str(exc) == f"{model} estimate at n={n}, s={s} does not fit doubles"
+                refused.add((model, n, s))
+            else:
+                assert type(value) is float and math.isfinite(value), (model, n, s, value)
+        assert {(Model.QUICKSORT, 10**6, s) for s in range(42, 49)} | {(Model.QUICKSORT, 10**306, 1)} <= refused
+        assert (Model.QUICKSORT, 10**6, 41) not in refused
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):

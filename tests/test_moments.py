@@ -142,6 +142,8 @@ class TestFactorialMoment:
         bad = DistributionTable(Model.INVERSIONS, 3, (1, 2, 2, 2))
         with pytest.raises(ValueError):
             factorial_moment(bad, 1)
+        with pytest.raises(ValueError, match="^s must be nonnegative, got -1$"):
+            factorial_moment(distribution_table(Model.INVERSIONS, 3), -1)
 
     @pytest.mark.parametrize(
         "model, top_n", [(Model.INVERSIONS, 40), (Model.CYCLES, 60), (Model.QUICKSORT, 30)]
@@ -496,3 +498,5 @@ class TestExactMoment:
             exact_moment(Model.INVERSIONS, -1, 2)
         with pytest.raises(ValueError):
             exact_moment(Model.QUICKSORT, 5, -1)
+        with pytest.raises(ValueError, match="^N must be nonnegative, got -1$"):
+            moment_sequence(Model.CYCLES, 1, -1)

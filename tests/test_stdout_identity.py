@@ -200,12 +200,15 @@ def test_checked_in_moments_list():
     assert any("order" in o for o in transfers)
     compares = [a for a in argvs if a[0] == "compare"]
     oracle = [a for a in compares if "--precision" in a]
-    assert len(oracle) == 44
-    # the cycles oracle at s 1..16 in both precisions, and the high-precision
-    # asymptotics of the other two models
+    assert len(oracle) == 47
+    # the cycles oracle at s 1..16 in both precisions, the high-precision
+    # asymptotics of the other two models, two 82-digit estimates past the
+    # double range and one that fits where the double route refuses it
     assert {(o["model"], o["s"], o["precision"]) for o in map(stdout_identity._workloads().options, oracle)} == {
         *(("cycles", str(s), p) for s in range(1, 17) for p in ("double", "high")),
         *((m, str(s), "high") for m in ("inversions", "quicksort") for s in range(1, 7)),
+        ("quicksort", "1000", "high"),
+        ("inversions", "100", "high"),
     }
     # the truncated rising product, by its tree and by its loop, the
     # inversions series past the workloads' n <= 150, the quicksort mean
@@ -221,9 +224,12 @@ def test_checked_in_moments_list():
     ]
     moments = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "moment"]
     # one moment --mode both, whose estimate passes the double range: refused
-    # before the exact moment at the s cap is worked out
+    # before the exact moment at the s cap is worked out; and two estimates
+    # that printed nan and inf
     assert [o for o in moments if o["mode"] != "exact"] == [
-        {"model": "inversions", "n": "30", "s": "128", "mode": "both"}
+        {"model": "inversions", "n": "30", "s": "128", "mode": "both"},
+        {"model": "quicksort", "n": "1000000", "s": "45", "mode": "asym"},
+        {"model": "quicksort", "n": str(10**306), "s": "1", "mode": "asym"},
     ]
     assert {(o["n"], o["s"], o.get("format", "csv")) for o in moments if o["model"] == "cycles"} == {
         *((str(n), str(s), f) for n in (1200, 3500, 4000) for s in range(1, 8) for f in ("csv", "json")),
@@ -252,6 +258,8 @@ def test_checked_in_moments_list():
         ("800", "2", "csv"),
         *((n, s, "csv") for n, s in higher),
         ("5", "32", "csv"),
+        ("1000000", "45", "csv"),
+        (str(10**306), "1", "csv"),
     }
     assert {o["model"] for o in moments} == {"cycles", "inversions", "quicksort"}
     assert not [a for a in argvs if a[0].startswith("MOMENTLAB_")]

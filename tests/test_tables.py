@@ -349,3 +349,7 @@ class TestLimits:
         bad = DistributionTable(Model.CYCLES, 3, (0, 2, 3, 2))
         with pytest.raises(ValueError):
             bad.check()
+        with pytest.raises(ValueError, match="^row has wrong length$"):
+            DistributionTable(Model.CYCLES, 3, (0, 2, 3, 1, 0)).check()
+        with pytest.raises(ValueError, match="^negative count$"):
+            DistributionTable(Model.CYCLES, 3, (0, 2, 5, -1)).check()

@@ -16,6 +16,7 @@ from momentlab import (
     LogPowerTerm,
     Model,
     ResourceLimitError,
+    check_double_range,
     distribution_table,
     exact_coefficient,
     factorial_moment,
@@ -30,6 +31,8 @@ from momentlab.transfer import (
     ORACLE_MAX_N,
     _BERNOULLI,
     _DIGITS,
+    _LOG_DOUBLE_MAX,
+    _RANGE_MARGIN,
     _STIRLING_MIN_X,
     _decimal_polygamma,
     _log_gamma,
@@ -285,6 +288,25 @@ class TestTransferTerm:
             transfer_term(LogPowerTerm(1, alpha, 0), n)
         assert time.process_time() - start < 1
 
+    def test_oracle_range_check_at_its_edge(self):
+        # the log of the oracle's lower bound C(alpha + n - 1, n) at beta = 0
+        # crosses _LOG_DOUBLE_MAX + _RANGE_MARGIN between n = 308 and 309
+        def log_bound(n):
+            return math.lgamma(1000 + n) - math.lgamma(1000) - math.lgamma(n + 1)
+
+        limit = _LOG_DOUBLE_MAX + _RANGE_MARGIN
+        assert log_bound(308) < limit < log_bound(309) < limit + 1
+        assert check_double_range(1000, 0, 308) is None
+        with pytest.raises(OverflowError, match="^alpha=1000, beta=0, n=309 does not fit doubles$"):
+            check_double_range(1000, 0, 309)
+
+    def test_oracle_range_check_skips_n_below_beta(self):
+        # the oracle is exactly 0 for n < beta, where the bound's
+        # lgamma(n - beta + 1) has no value; at beta = 0 this alpha and n are
+        # refused
+        assert check_double_range(1000, 310, 309) is None
+        assert check_double_range(1000, 400, 309) is None
+
     def test_harmonic_estimate(self):
         expected = math.log(1000) + EULER_GAMMA
         assert transfer_term(LogPowerTerm(1.0, 1, 1), 1000) == pytest.approx(
@@ -297,6 +319,8 @@ class TestTransferTerm:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             transfer_term(LogPowerTerm(1.0, 1, 1), 1)
+        with pytest.raises(ValueError, match="^order must be nonnegative, got -1$"):
+            transfer_term(LogPowerTerm(1.0, 1, 1), 10, order=-1)
 
     def test_bracket_has_beta_plus_one_terms(self):
         term = LogPowerTerm(1.0, 2, 3)
@@ -515,6 +539,10 @@ class TestExactCoefficient:
             exact_coefficient(1, 1, 100_001)
         with pytest.raises(ValueError):
             exact_coefficient(0, 1, 10)
+        with pytest.raises(ValueError, match="^beta must be nonnegative, got -1$"):
+            exact_coefficient(1, -1, 10)
+        with pytest.raises(ValueError, match="^n must be nonnegative, got -1$"):
+            exact_coefficient(1, 1, -1)
         # the polygamma oracle takes O(beta) polygamma values, up to the
         # orders C_k needs
         with pytest.raises(ResourceLimitError, match=f"^oracle budget is beta <= {MAX_DERIVATIVE_ORDER}, got"):
