@@ -6,9 +6,11 @@ table     exact distribution row as k,count pairs (CSV) or a dense array (JSON)
 moment    exact and/or two-term asymptotic factorial moment at one size
 transfer  log-power coefficient estimate vs. the exact series oracle
 simulate  Monte Carlo factorial moment with standard error (seeded, exact
-          reproducibility independent of --threads); requests of more
-          than 2^31 draws, (n - 1) x trials, and inversions requests
-          past a 512 MiB memory budget (n > 2^23) exit 3 before any work
+          reproducibility independent of --threads, which bounds the
+          workers: one per 2^22 draws, (n - 1) x trials, so a request
+          of fewer than 2^23 draws runs in one process); requests of
+          more than 2^31 draws and inversions requests past a 512 MiB
+          memory budget (n > 2^23) exit 3 before any work
 compare   convergence report of asymptotic vs. exact moments over an n-grid
 verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
 
@@ -16,6 +18,8 @@ A value past the double range exits 3: before any work a ``transfer`` report
 and a ``moment`` or ``compare`` estimate whose powers of n pass it, else once
 computed, as does a ``transfer --precision high`` estimate below it.  The double
 estimate refuses a few values that fit; ``compare --precision high`` answers them.
+Its 82-digit estimate has no range and forms its powers of n exactly, so it
+first checks the exact moment's caps, and a point past one exits 3 at once.
 
 Exact moments of ``moment`` and ``compare`` come from
 ``moments.exact_moment``, whose docstring describes its routes:
@@ -90,16 +94,30 @@ written, and the ``--threads`` pool has been joined.  When an exception or
 ``SystemExit`` (``--help``, a parser error) leaves ``main``, or a flush
 fails, the interpreter ends the process as it ends any other.  ``main(argv)``
 itself returns the exit code and ends nothing, for callers in process.
+
+``run`` also switches the cyclic garbage collector off before ``main``.  It
+ran about 30 collections during numpy's import alone, 4-5 ms of a
+``simulate`` request.  That is safe because no route builds reference
+cycles that grow with its work: the imports leave a few hundred objects in
+cycles (346 with numpy), the same at any size of request, reference
+counting frees the rest as before, and ``os._exit`` frees the process's
+memory whole.  A ``--threads`` worker, forked from it, inherits the
+setting.  ``main`` and the library leave the collector as they found it.
 """
 
 import atexit
+import gc
 import os
 import sys
 from types import SimpleNamespace
 
 from . import _EXPORTS, Model, ResourceLimitError, _first_use
 
-__getattr__ = _first_use(globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic",)})
+__getattr__ = _first_use(globals(), {
+    **_EXPORTS,
+    "moments": _EXPORTS["moments"] + ("_check_moment_caps",),
+    "transfer": _EXPORTS["transfer"] + ("_arithmetic",),
+})
 # This module: the handlers look the layers' names up on it, so that
 # ``__getattr__`` binds each on first use and a name set on the module from
 # outside is the one called.
@@ -136,9 +154,14 @@ def compare_rows(
     """
     rows = []
     for n in grid:
+        oracle = model is Model.CYCLES and n > _CYCLES_EXACT_MAX_N
+        if high_precision and not oracle:
+            # an 82-digit estimate has no range to refuse it, and forms its powers
+            # of n exactly, so the exact side's caps come first
+            _layers._check_moment_caps(model, n, s)
         # first the estimate, which refuses a point past the double range at once
         asym = _layers.asymptotic_moment(model, n, s, high_precision=high_precision)
-        if model is Model.CYCLES and n > _CYCLES_EXACT_MAX_N:
+        if oracle:
             # the moment series of cycles is exactly a log-power series
             exact, source = _layers.highprec_coefficient(1, s, n), "oracle"
         else:
@@ -515,7 +538,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    """Run ``main`` on the process's argv and end the process with its exit code."""
+    """Run ``main`` on the process's argv, with no cyclic garbage collection,
+    and end the process with its exit code."""
+    gc.disable()
     try:
         code = main()
     except BrokenPipeError:

@@ -88,6 +88,13 @@ Each block's costs are reduced to distinct values and multiplicities, and
 more than ``MAX_DRAWS`` = 2^31 draws, (n - 1) x trials, is refused before
 any work; the measurements behind the cap are next to it.
 
+``threads`` bounds the worker processes; the draws set how many run.  An
+estimate starts one worker per whole ``_DRAWS_PER_WORKER`` = 2^22 draws, at
+most ``threads`` and one per usable CPU, each counting an equal range of
+trials.  Below two quanta it runs in this process and starts no pool: a
+pool's fork, start and join cost more than a second worker saves on fewer
+draws (the measurements are next to the constant).
+
 numpy and the process pool are imported inside the functions that use
 them, not at module level, so importing this module for its scalar
 counters loads neither.  The module loads no other layer, as ``Model``
@@ -178,6 +185,24 @@ MAX_DRAWS = 1 << 31
 # admits n <= 2^23 (480 MiB by the model), which took 35 s and peaked at
 # 454 MiB RSS; n = 2^27 would hold 7.5 GiB and is refused at once.
 _INVERSIONS_BUDGET = 512 << 20
+# Draws, (n - 1) x trials, per worker process (see the module docstring).  A
+# worker's fork and the pool's start and join cost 25-60 ms CPU at every size,
+# and a second worker saves at most half the draws' wall time.  Wall seconds
+# of fresh `simulate --n 300 --s 2` requests on 1/2 workers, two runs (medians
+# of 7; from 2^22, of 5) on a 2-core x86-64 box shared with other load,
+# Python 3.11, numpy 2.4:
+#
+#   draws       2^20       2^21       2^22        2^23        2^24
+#   cycles      0.13/0.16  0.18/0.24  0.17/0.19;  0.22/0.26;  0.35/0.40;
+#                                     0.22/0.20   0.26/0.23   0.41/0.30
+#   inversions  0.14/0.17  0.18/0.21  0.25/0.28;  0.38/0.42;  0.70/0.45;
+#                                     0.28/0.24   0.46/0.37   0.80/0.50
+#   quicksort   0.14/0.17  0.14/0.15  0.19/0.19;  0.28/0.24;  0.48/0.33;
+#                                     0.24/0.22   0.31/0.26   0.69/0.40
+#
+# Two workers lost at 2^20 and 2^21 draws, and from 2^23 won in 9 of the 12
+# cells, every cell of the second run.
+_DRAWS_PER_WORKER = 1 << 22
 
 
 def _mix64(z: int) -> int:
@@ -711,9 +736,11 @@ def estimate_factorial_moment(
 
     Per-trial streams make the result a pure function of (model, n, s,
     trials, seed); ``threads`` only changes how trial ranges are divided
-    among worker processes, never the result.  At most one worker per CPU
-    of the process's affinity mask is started, since more only add
-    start-up cost.  A request of more than
+    among worker processes, never the result.  It is an upper bound: at
+    most one worker is started per CPU of the process's affinity mask and
+    per whole ``_DRAWS_PER_WORKER`` draws, since more only add start-up
+    cost, so an estimate of fewer than twice that many draws runs in this
+    process and starts no pool.  A request of more than
     MAX_DRAWS draws, (n - 1) x trials, or an inversions request that would
     hold more than ``_INVERSIONS_BUDGET`` bytes in a worker, raises
     ``ResourceLimitError`` before any work, as does a worker that dies,
@@ -729,17 +756,17 @@ def estimate_factorial_moment(
         raise ValueError(f"threads must be positive, got {threads}")
     if not 0 <= seed <= _MASK64:
         raise ValueError("seed must fit in 64 bits")
-    if (n - 1) * trials > MAX_DRAWS:
+    draws = (n - 1) * trials
+    if draws > MAX_DRAWS:
         raise ResourceLimitError(
-            f"{model} estimate needs (n-1) x trials = {(n - 1) * trials} draws, "
-            f"above the cap {MAX_DRAWS}"
+            f"{model} estimate needs (n-1) x trials = {draws} draws, above the cap {MAX_DRAWS}"
         )
     if model is Model.INVERSIONS and _inversions_bytes(n) > _INVERSIONS_BUDGET:
         raise ResourceLimitError(
             f"inversions estimate at n = {n} would hold {_inversions_bytes(n) >> 20} MiB "
             f"of permutations and merge runs, over the {_INVERSIONS_BUDGET >> 20} MiB budget"
         )
-    workers = min(threads, _usable_cpus())
+    workers = min(threads, _usable_cpus(), max(1, draws // _DRAWS_PER_WORKER))
     if workers == 1:
         total, total_sq = _accumulate_range(model, n, s, seed, 0, trials)
     else:

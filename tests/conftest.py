@@ -76,6 +76,8 @@ def _killed_in_a_worker(*args):
 @pytest.fixture
 def killed_workers(monkeypatch):
     """Every pool worker of an estimate dies as it starts its range; two
-    usable CPUs, so a two-worker estimate starts its pool on any runner."""
+    usable CPUs and one worker per draw, so a two-worker estimate starts its
+    pool on any runner and at any size."""
     monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_DRAWS_PER_WORKER", 1)
     monkeypatch.setattr(simulate, "_accumulate_range", _killed_in_a_worker)

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
 import csv
+import gc
 import hashlib
 import importlib.util
 import io
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentlab import cli, harmonic, quicksort_mean
+from momentlab import cli, harmonic, quicksort_mean, simulate
 from momentlab.cli import main
 from momentlab.moments import MOMENT_MAX_S, QUICKSORT_PGF_MAX_N, exact_moment
 from momentlab.tables import Model, distribution_table
@@ -368,7 +369,9 @@ class TestTransfer:
 
 
 # Runs ``cli.run`` on the argv that follows with every pool worker killed by
-# SIGKILL as it starts its range, and two usable CPUs.
+# SIGKILL as it starts its range, two usable CPUs and one worker per draw, so
+# that a two-worker estimate starts its pool at any size.  A range run in this
+# process would kill the request itself.
 KILLED_WORKER = """
 import os, signal, sys
 import momentlab.cli
@@ -376,6 +379,22 @@ from momentlab import simulate
 def killed(*args):
     os.kill(os.getpid(), signal.SIGKILL)
 simulate._accumulate_range = killed
+simulate._usable_cpus = lambda: 2
+simulate._DRAWS_PER_WORKER = 1
+momentlab.cli.run()
+"""
+
+# Runs ``cli.run`` on the argv that follows with two usable CPUs, and writes
+# the size of each process pool it starts to stderr.
+POOL_SIZES = """
+import concurrent.futures, sys
+import momentlab.cli
+from momentlab import simulate
+class Pool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers):
+        print(f"pool of {max_workers}", file=sys.stderr)
+        super().__init__(max_workers)
+concurrent.futures.ProcessPoolExecutor = Pool
 simulate._usable_cpus = lambda: 2
 momentlab.cli.run()
 """
@@ -390,10 +409,24 @@ class TestSimulate:
         assert first == second
         assert first[0] == 0
 
-    def test_threads_do_not_change_output(self):
+    def test_threads_do_not_change_output(self, monkeypatch):
+        # one worker per draw, so that two workers start below the real quantum
+        monkeypatch.setattr(simulate, "_DRAWS_PER_WORKER", 1)
         base = ("simulate", "--model", "inversions", "--n", "20", "--s", "2",
                 "--trials", "2000", "--seed", "5")
         assert run_cli(*base)[1] == run_cli(*base, "--threads", "2")[1]
+
+    @pytest.mark.parametrize("trials, pools", [(5000, ""), (42200, "pool of 2\n")])
+    def test_two_workers_only_past_two_draw_quanta(self, trials, pools):
+        # 199 x 5000 draws, the size of the benchmark's --threads 2 twin, run in
+        # this process; 199 x 42200, just past 2^23, on two workers
+        argv = ("simulate", "--model", "cycles", "--n", "200", "--s", "2",
+                "--trials", str(trials), "--seed", "1")
+        assert (199 * trials >= 2 * simulate._DRAWS_PER_WORKER) == bool(pools)
+        proc = subprocess.run([sys.executable, "-c", POOL_SIZES, *argv, "--threads", "2"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, pools)
+        assert proc.stdout == run_cli(*argv)[1]
 
     def test_csv_fields(self):
         code, out, _ = run_cli(
@@ -517,6 +550,19 @@ class TestCompare:
         assert proc.stderr == (
             "resource limit: result overflows the double range "
             "(inversions estimate at n=100000, s=96 does not fit doubles)\n"
+        )
+
+    @pytest.mark.parametrize("model", ["inversions", "quicksort"])
+    def test_high_precision_checks_the_caps_before_the_estimate(self, model):
+        # the 82-digit estimate forms n^(2s) or n^s as an exact integer, which
+        # ran past 20 s CPU before the exact side refused s
+        argv = ("compare", "--model", model, "--s", "100000", "--n-grid", str(10**100), "--precision", "high")
+        start = children_cpu_seconds()
+        proc = run_cli_process(*argv)
+        assert children_cpu_seconds() - start < 1
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            f"resource limit: {model} moments are capped at s <= {MOMENT_MAX_S[model]}, got s=100000\n"
         )
 
     @pytest.mark.parametrize(
@@ -1603,17 +1649,93 @@ class TestProcessEnd:
         assert proc.stdout == "k,count\n1,2\n2,3\n3,1\nhandler ran\n"
         assert proc.stderr == "handler stderr\n"
 
+    def test_run_switches_the_collector_off(self):
+        # the layer of a table request reports the cyclic collector's state
+        child = (
+            "import gc, sys\n"
+            "from momentlab import cli, tables\n"
+            "def table(model, n):\n"
+            "    print(f'collector on: {gc.isenabled()}', file=sys.stderr)\n"
+            "    return tables.distribution_table(model, n)\n"
+            "cli.distribution_table = table\n"
+            "print(f'collector on: {gc.isenabled()}', file=sys.stderr)\n"
+            "cli.run()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "table", "--model", "cycles", "--n", "3"],
+            capture_output=True, text=True, env=buffered_env(),
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "k,count\n1,2\n2,3\n3,1\n"
+        assert proc.stderr == "collector on: True\ncollector on: False\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, enabled, monkeypatch):
+        # a table request, and a simulate request on a pool of real workers
+        seen = []
+        real = cli.estimate_factorial_moment
+        monkeypatch.setattr(cli, "estimate_factorial_moment",
+                            lambda *args, **kw: seen.append(gc.isenabled()) or real(*args, **kw))
+        monkeypatch.setattr(simulate, "_DRAWS_PER_WORKER", 1)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run_cli("table", "--model", "cycles", "--n", "3")[0] == 0
+            assert gc.isenabled() is enabled
+            assert run_cli("simulate", "--model", "cycles", "--n", "20", "--s", "1",
+                           "--trials", "100", "--seed", "1", "--threads", "2")[0] == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [enabled]
+
+    @pytest.mark.parametrize(
+        "small, big",
+        [
+            ("table --model cycles --n 10", "table --model cycles --n 800"),
+            ("table --model quicksort --n 10 --format json", "table --model quicksort --n 60 --format json"),
+            ("moment --model inversions --n 30 --s 3", "moment --model inversions --n 3000 --s 20"),
+            ("compare --model cycles --s 3 --n-grid 10,300 --precision high",
+             "compare --model cycles --s 3 --n-grid 10,100,300,1000,5000,100000 --precision high"),
+            ("transfer --alpha 2 --beta 1 --n 100", "transfer --alpha 4 --beta 3 --n 3000 --precision high"),
+            ("simulate --model quicksort --n 10 --s 1 --trials 10 --seed 1 --threads 2",
+             "simulate --model quicksort --n 300 --s 2 --trials 50000 --seed 1 --threads 2"),
+            (f"compare --model inversions --s 100000 --n-grid {10**100} --precision high",
+             f"compare --model inversions --s 100000 --n-grid {10**100},{10**200} --precision high"),
+        ],
+        ids=["table", "table-json", "moment", "compare", "transfer", "simulate-pool", "exit-3"],
+    )
+    def test_no_route_leaves_cycles_that_grow_with_its_work(self, small, big, monkeypatch):
+        # what ``run`` relies on when it switches the collector off: with the
+        # route's modules loaded, a bigger request of a route leaves no more
+        # objects in reference cycles than a small one (a JSON encoder leaves 31)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+
+        def garbage(argv):
+            gc.collect()
+            gc.disable()
+            try:
+                run_cli(*argv.split())
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        garbage(small)
+        assert garbage(big) == garbage(small)
+
     def test_no_worker_or_file_outlives_a_request(self, tmp_path):
+        # 199 x 42200 draws, past two quanta, start a pool of two workers
         tmpdir = tmp_path / "tmp"
         tmpdir.mkdir()
         with subprocess.Popen(
-            [sys.executable, "-m", "momentlab.cli", "simulate", "--model", "cycles", "--n", "200",
-             "--s", "2", "--trials", "5000", "--seed", "1", "--threads", "2"],
+            [sys.executable, "-c", POOL_SIZES, "simulate", "--model", "cycles", "--n", "200",
+             "--s", "2", "--trials", "42200", "--seed", "1", "--threads", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
-            env={**os.environ, "TMPDIR": str(tmpdir)},
+            env={**os.environ, "TMPDIR": str(tmpdir)}, text=True,
         ) as proc:
             _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 0, err
+        assert (proc.returncode, err) == (0, "pool of 2\n")
         assert list(tmpdir.iterdir()) == []
         # the request led its own process group, which is now empty
         with pytest.raises(ProcessLookupError):

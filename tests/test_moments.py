@@ -27,6 +27,7 @@ from momentlab import (
 from momentlab.moments import (
     MOMENT_MAX_S,
     QUICKSORT_PGF_MAX_N,
+    _check_moment_caps,
     _harmonic_split,
     _inversions_gf,
     _quicksort_gf,
@@ -492,6 +493,36 @@ class TestExactMoment:
     def test_quicksort_cap(self):
         with pytest.raises(ResourceLimitError, match=f"^quicksort moments of order 2 are capped at n <= {QUICKSORT_PGF_MAX_N},"):
             exact_moment(Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2)
+
+    @pytest.mark.parametrize(
+        "model, n, s",
+        [
+            (Model.CYCLES, DEFAULT_ROW_LIMITS["cycles"] + 1, 1),
+            (Model.CYCLES, 30, 10**6),
+            (Model.INVERSIONS, 30, MOMENT_MAX_S["inversions"] + 1),
+            (Model.INVERSIONS, 16, MOMENT_MAX_S["inversions"] + 1),
+            (Model.INVERSIONS, 10**100, 100000),
+            (Model.INVERSIONS, 10**100, 3),
+            (Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2),
+            (Model.QUICKSORT, 10**100, 1),
+            (Model.QUICKSORT, 30, MOMENT_MAX_S["quicksort"] + 1),
+            (Model.QUICKSORT, 8, MOMENT_MAX_S["quicksort"] + 1),
+            (Model.QUICKSORT, 5, MOMENT_MAX_S["quicksort"]),
+        ],
+    )
+    def test_caps_are_checked_by_one_helper(self, model, n, s):
+        # what ``_check_moment_caps`` decides before any work, ``exact_moment`` does:
+        # the same refusal, the closed-form 0, or a moment it works out
+        try:
+            zero = _check_moment_caps(model, n, s)
+        except ResourceLimitError as refused:
+            with pytest.raises(ResourceLimitError, match=f"^{refused}$"):
+                exact_moment(model, n, s)
+            return
+        if zero:
+            assert exact_moment(model, n, s) == (0, "closed-form")
+        elif n < 100:
+            assert exact_moment(model, n, s)[1] == "pgf"
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):

@@ -253,7 +253,9 @@ class TestEstimator:
         est = estimate_factorial_moment(Model.INVERSIONS, 30, 0, 500, 9)
         assert est == MomentEstimate(0, 30, 500, 1.0, 0.0, 9)
 
-    def test_determinism_and_thread_independence(self):
+    def test_determinism_and_thread_independence(self, monkeypatch):
+        # one worker per draw, so that two workers start below the real quantum
+        monkeypatch.setattr(simulate, "_DRAWS_PER_WORKER", 1)
         kwargs = dict(model=Model.CYCLES, n=40, s=2, trials=4000, seed=77)
         a = estimate_factorial_moment(**kwargs)
         b = estimate_factorial_moment(**kwargs)
@@ -618,6 +620,7 @@ class TestWorkingSet:
 
 class TestDeadWorker:
     def test_broken_pool_is_a_resource_limit(self, killed_workers):
+        # only a pool raises this: in this process the killed range raises AssertionError
         with pytest.raises(ResourceLimitError) as info:
             estimate_factorial_moment(Model.CYCLES, 50, 1, 1000, 1, threads=2)
         assert str(info.value) == "a worker process ended abruptly; no estimate"
@@ -644,16 +647,21 @@ class RecordingExecutor:
 
 
 class TestWorkerCount:
+    """The CPUs bound the pool; one worker per draw, so the draws never do."""
+
     ARGS = dict(model=Model.INVERSIONS, n=30, s=2, trials=500, seed=8)
 
     @pytest.fixture(autouse=True)
     def fake_pool(self, monkeypatch):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(RecordingExecutor, "asked", [])
+        monkeypatch.setattr(simulate, "_DRAWS_PER_WORKER", 1)
 
     def test_at_most_one_worker_per_cpu(self):
         est = estimate_factorial_moment(**self.ARGS, threads=10_000)
-        assert all(w <= (os.cpu_count() or 1) for w in RecordingExecutor.asked)
+        cpus = simulate._usable_cpus()
+        assert RecordingExecutor.asked == ([cpus] if cpus > 1 else [])
+        assert cpus <= (os.cpu_count() or 1)
         assert est == estimate_factorial_moment(**self.ARGS, threads=1)
 
     def test_pool_sized_by_cpus_and_ranges(self, monkeypatch):
@@ -679,3 +687,37 @@ class TestWorkerCount:
         monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
         estimate_factorial_moment(**self.ARGS, threads=10_000)
         assert RecordingExecutor.asked == [3]
+
+
+class TestDrawQuantum:
+    """One worker per whole ``_DRAWS_PER_WORKER`` = 2^22 draws, (n - 1) x
+    trials, at its real value: cycles at n near 2^22 count these draws in
+    about 0.2 s.  The pool maps in this process and 8 CPUs are usable."""
+
+    Q = simulate._DRAWS_PER_WORKER
+
+    @pytest.fixture(autouse=True)
+    def fake_pool(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(RecordingExecutor, "asked", [])
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 8)
+
+    # 2^22 - 1 = 3 x 1398101 and 2^23 - 1 = 47 x 178481
+    @pytest.mark.parametrize("n, trials, quanta", [(1398102, 3, 1), (178482, 47, 2)])
+    def test_one_draw_below_runs_in_process(self, n, trials, quanta):
+        assert (n - 1) * trials == quanta * self.Q - 1
+        est = estimate_factorial_moment(Model.CYCLES, n, 2, trials, 3, threads=8)
+        assert RecordingExecutor.asked == []
+        assert est == estimate_factorial_moment(Model.CYCLES, n, 2, trials, 3, threads=1)
+
+    @pytest.mark.parametrize("n, trials, k", [(2**21 + 1, 2, 1), (2**22 + 1, 2, 2), (2**22 + 1, 3, 3)])
+    def test_k_quanta_start_k_workers(self, n, trials, k):
+        assert (n - 1) * trials == k * self.Q
+        est = estimate_factorial_moment(Model.CYCLES, n, 2, trials, 3, threads=8)
+        assert RecordingExecutor.asked == ([] if k == 1 else [k])
+        if k == 3:
+            assert est == estimate_factorial_moment(Model.CYCLES, n, 2, trials, 3, threads=1)
+
+    def test_threads_still_bound_the_workers(self):
+        estimate_factorial_moment(Model.CYCLES, 2**22 + 1, 2, 3, 3, threads=2)
+        assert RecordingExecutor.asked == [2]

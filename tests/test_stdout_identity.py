@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from momentlab import simulate
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "stdout_identity.py"
 spec = importlib.util.spec_from_file_location("stdout_identity", TOOL)
@@ -270,7 +272,7 @@ def test_checked_in_moments_list():
 
 def test_checked_in_simulate_list():
     argvs = stdout_identity.read_argv_file(ROOT / "tools" / "simulate_outside_workloads.txt")
-    assert len(argvs) == 22
+    assert len(argvs) == 25
     assert [a for a in argvs if "--help" in a] == [
         (*command, "--help")
         for command in ((), ("table",), ("moment",), ("transfer",), ("simulate",), ("compare",),
@@ -286,9 +288,13 @@ def test_checked_in_simulate_list():
     # int16 slots below n = 2^15, int32 from it
     inversions = {(o["n"], o["trials"]) for o in simulations if o["model"] == "inversions"}
     assert {(str((1 << 15) - 1), "8"), (str(1 << 15), "8"), ("3000", "2000")} <= inversions
-    assert {o["model"] for o in simulations if o.get("threads") == "2"} == {
-        "cycles", "inversions", "quicksort"
-    }
+    # --threads 2 runs of each model in one process and on two workers
+    quantum = simulate._DRAWS_PER_WORKER
+    for pooled in (False, True):
+        assert {
+            o["model"] for o in simulations
+            if o.get("threads") == "2" and ((int(o["n"]) - 1) * int(o["trials"]) >= 2 * quantum) == pooled
+        } == {"cycles", "inversions", "quicksort"}
     assert {o["model"] for o in simulations} == {"cycles", "inversions", "quicksort", "heapsort"}
 
 
