@@ -2,18 +2,18 @@
 
 Row n is n! times the PGF P_n(z) = z^(n-1)/n sum_j P_(j-1) P_(n-j).  The
 recurrence runs pointwise at the N-th roots of unity modulo primes
-p = 1 (mod N) below 2^29, so 64 residue products sum below 2^64 and each
-sum of pair products is reduced once per 64 pairs.  It runs over one block
-of points at a time, about 8k residues (points x primes) per numpy call: a
-block holds rows 0..n at its points, and only the wanted rows' values
-outlive it, so a single row holds one block and its own values, not every
-row at every point.  Row n is zero below kmin(n), the fewest comparisons
+p = 1 (mod N) below 2^29, one prime at a time over all N points at once:
+that prime's rows 0..n sit in one array, and each row is one sum of at
+most n/2 pair products below p^2, reduced once, which the row cap of 120
+keeps below 2^64.  Row n is zero below kmin(n), the fewest comparisons
 over all pivot choices, so N = 2^a 3^b need only cover its support,
 n(n-1)/2 - kmin(n) + 1 entries: the values then give the row modulo
 z^N - 1, one count per residue class.  Each wanted row m has an inverse
 transform of its own: a mixed-radix number-theoretic transform recovers it
 modulo the fewest primes whose product exceeds m!, and Chinese
-remaindering rebuilds its counts, all in [0, m!].
+remaindering rebuilds its counts, all in [0, m!].  A row keeps only the
+residues that transform reads, at N_m of the N points and for those
+primes, and gives them up once its counts are built.
 
 ``tables`` imports this module on its first quicksort row, after the row
 cap, so a request that builds no quicksort row compiles neither it nor
@@ -33,8 +33,6 @@ import numpy as np
 from . import ResourceLimitError
 
 _PRIME_BOUND = 1 << 29  # residue products stay below 2^58
-_PAIRS_PER_REDUCTION = 64  # 64 products below p^2 sum below 2^64
-_BLOCK_RESIDUES = 1 << 13  # residues per numpy call of the recurrence: width x primes
 
 
 def _is_prime(p: int) -> bool:
@@ -97,47 +95,26 @@ def _powers(bases: list[int], count: int, p: np.ndarray) -> np.ndarray:
     return out[:, :count]
 
 
-def _pgf_values(n: int, moduli, size: int, first: int, width: int) -> np.ndarray:
-    """P_first .. P_n at the size-th roots of unity modulo each prime.
+def _pgf_values(values: np.ndarray, p: int, root: int) -> None:
+    """Fills ``values``, shape (n+1, size), with P_0 .. P_n at the powers of
+    ``root``, a primitive size-th root of unity modulo the prime p:
+    values[m, t] = P_m(root^t) mod p.
 
-    values[m - first, i, t] = P_m(w_i^t) mod p_i, shape (n+1-first, primes,
-    size), stored in 32 bits and multiplied in 64.  The recurrence pairs j
-    with m+1-j, whose products coincide.  It is pointwise in t, so it runs
-    over blocks of ``width`` points: a block holds P_0 .. P_n there, and
-    only rows first .. n outlive it.
+    The recurrence pairs j with m+1-j, whose products coincide, so row m
+    sums at most m/2 products below p^2 < 2^58, one reduction for all of
+    them while m/2 < 64.
     """
-    primes = [q for q, _ in moduli]
-    p = np.array(primes, dtype=np.uint64)[:, None]
-    roots = [w for _, w in moduli]
-    steps = _powers(roots, min(width, size), p)  # w^t for t < width
-    inverses = np.array([[pow(m, -1, q) for q in primes] for m in range(1, n + 1)],
-                        dtype=np.uint64).reshape(n, len(primes), 1)
-    values = np.empty((n + 1 - first, len(primes), size), dtype=np.uint32)
-    buffer = np.empty((n + 1, len(primes), steps.shape[1]), dtype=np.uint32)
-    buffer[0] = 1
-    for start in range(0, size, width):
-        stop = min(start + width, size)
-        block = buffer[:, :, : stop - start]
-        offset = np.array([pow(w, start, q) for w, q in zip(roots, primes)], dtype=np.uint64)
-        points = steps[:, : stop - start] * offset[:, None] % p
-        shift = np.ones_like(points)  # z^(m-1) at every point
-        for m in range(1, n + 1):
-            acc = np.zeros_like(points)
-            half = m // 2
-            for lo in range(0, half, _PAIRS_PER_REDUCTION):
-                hi = min(lo + _PAIRS_PER_REDUCTION, half)
-                left, right = block[lo:hi], block[m - 1 - lo : m - 1 - hi : -1]
-                acc += np.einsum("jix,jix->ix", left, right, dtype=np.uint64) % p
-            acc *= 2
-            if m % 2:
-                middle = block[m // 2].astype(np.uint64)
-                acc += middle * middle % p
-            acc %= p
-            if m > 1:
-                shift = shift * points % p
-            block[m] = acc * shift % p * inverses[m - 1] % p
-        values[:, :, start:stop] = block[first:]
-    return values
+    points = _powers([root], values.shape[1], np.array([[p]], dtype=np.uint64))[0]
+    values[0] = 1
+    shift = np.ones_like(points)  # z^(m-1) at every point
+    for m in range(1, len(values)):
+        half = m // 2
+        acc = np.einsum("jt,jt->t", values[:half], values[m - 1 : m - 1 - half : -1]) % p * 2
+        if m % 2:
+            acc += values[half] * values[half] % p
+        if m > 1:
+            shift = shift * points % p
+        values[m] = acc % p * shift % p * pow(m, -1, p) % p
 
 
 def _dft(x: np.ndarray, roots: list[int], p: np.ndarray) -> np.ndarray:
@@ -223,32 +200,39 @@ def _quicksort_rows(n: int, every: bool) -> list[list[int]]:
 
     Row m is read from the values at the smallest divisor N_m of N at least
     its width, every (N / N_m)-th root, modulo the fewest leading primes
-    whose product exceeds m!, by one inverse transform of its own.  Count k
-    of row m sits at index k mod N_m of the transform, and the kmin(m)
-    counts below its support are written as zeros.
+    whose product exceeds m!, by one inverse transform of its own.  The
+    recurrence runs one prime at a time, and each wanted row keeps only
+    those residues of it.  Count k of row m sits at index k mod N_m of the
+    transform, and the kmin(m) counts below its support are written as
+    zeros.
     """
     size = _transform_size(n)
     kmin = _fewest_comparisons(n)
     divisors = [d for d in _smooth_numbers(size) if size % d == 0]
     moduli = _ntt_moduli(size, n)
-    primes = [q for q, _ in moduli]
-    products = list(itertools.accumulate(primes, operator.mul))
-    first = 0 if every else n
-    width = max(1, _BLOCK_RESIDUES // len(primes))
-    plans = []  # (m, N_m, primes m! needs)
-    for m in range(first, n + 1):
+    products = list(itertools.accumulate((q for q, _ in moduli), operator.mul))
+    plans = []  # (m, N_m, its residues: one row per prime m! needs)
+    for m in range(0 if every else n, n + 1):
         length = next(d for d in divisors if d >= _width(m, kmin[m]))
-        plans.append((m, length, bisect.bisect_right(products, math.factorial(m)) + 1))
-    values = _pgf_values(n, moduli, size, first, width)
+        count = bisect.bisect_right(products, math.factorial(m)) + 1
+        plans.append((m, length, np.empty((count, length), dtype=np.uint32)))
+    values = np.empty((n + 1, size), dtype=np.uint64)
+    for i, (q, w) in enumerate(moduli):
+        _pgf_values(values, q, w)
+        for m, length, kept in plans:
+            if i < len(kept):
+                kept[i] = values[m, :: size // length]
+    del values  # the transforms below take its place
     rows = []
-    for m, length, count in plans:
-        row_primes = primes[:count]
+    while plans:  # each row's residues go as its counts come
+        m, length, kept = plans.pop(0)
+        row_moduli = moduli[: len(kept)]
+        row_primes = [q for q, _ in row_moduli]
         p = np.array(row_primes, dtype=np.uint64)[:, None]
-        stride = size // length
-        roots = [pow(w, -stride, q) for q, w in moduli[:count]]
+        roots = [pow(w, -(size // length), q) for q, w in row_moduli]
         scale = np.array([math.factorial(m) * pow(length, -1, q) % q for q in row_primes],
                          dtype=np.uint64)[:, None]
-        residues = _dft(values[m - first, :count, ::stride] * scale % p, roots, p)
+        residues = _dft(kept * scale % p, roots, p)
         support = np.arange(kmin[m], m * (m - 1) // 2 + 1) % length
         rows.append([0] * kmin[m] + _crt(residues.take(support, axis=1), row_primes))
     return rows

@@ -46,14 +46,17 @@ __all__ = _EXPORTS["tables"]
 
 # Measured single-row builds at each cap, CPU time and peak RSS of the
 # process, on a 2-core x86-64 box with Python 3.11 and numpy 2.4: quicksort
-# `table --model quicksort --n 120` in 1.8-2.0 s and 41 MB (n = 70 in
-# 0.30-0.34 s and 31 MB), against 2.1-2.4 s and 122 MB (37 MB) when the
-# recurrence held rows 0..n at every point at once, and 3.7 s and 136 MB
-# with power-of-two transforms over the whole row length.  At the cap the
-# residues held at once (one block of rows 0..n, the wanted rows at all
-# N = 6561 points and 23 primes, and the largest row's inverse transform at
-# about 72 bytes a residue) come to 14.7 MiB for row 120 and 83.8 MiB for
-# rows 0..120 (`distribution_tables`).
+# `table --model quicksort --n 120` in 1.3-1.5 s and 43 MB (n = 70 in
+# 0.26-0.29 s and 31 MB), against 2.0 s and 41 MB (0.28-0.32 s and 31 MB)
+# when the recurrence ran over blocks of points at every prime at once,
+# 2.1-2.4 s and 122 MB (37 MB) when it held rows 0..n at every point and
+# prime at once, and 3.7 s and 136 MB with power-of-two transforms over the
+# whole row length.  At the cap the residues held at once come to 10.9 MiB
+# for row 120 and 30.3 MiB for rows 0..120 (`distribution_tables`): one
+# prime's rows 0..n at all N = 6561 points, 6.1 MiB, with the wanted rows'
+# residues at the points and primes they read, 0.6 and 24.3 MiB, and then
+# those residues with a row's inverse transform, at about 72 bytes a
+# residue.
 # Inversions is the largest multiple of 50 whose `table --format csv`
 # request finished within 30 s CPU and 1536 MiB with the sliding-window
 # builder: 500 in 23.5-26 s and 239 MB, while 550 took 30.2 s and 305 MB

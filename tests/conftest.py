@@ -55,7 +55,7 @@ def pivot_sequence_distribution(n: int) -> dict[int, Fraction]:
 @pytest.fixture(scope="session")
 def quicksort_rows_120():
     """All exact quicksort rows 0..120 from one multi-modular build, which
-    reads every row from a single pass of the recurrence; about 4 s on a
+    reads every row from a single pass of the recurrence; about 3 s on a
     2-core x86-64 box, still the heaviest fixture."""
     return distribution_tables(Model.QUICKSORT, 120)
 

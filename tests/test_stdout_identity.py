@@ -300,7 +300,7 @@ def test_checked_in_simulate_list():
 
 def test_checked_in_tables_list():
     argvs = stdout_identity.read_argv_file(ROOT / "tools" / "tables_outside_workloads.txt")
-    sizes = (0, 1, 2, 3, 4, 20, 39, 71, 90, 120)
+    sizes = (0, 1, 2, 3, 4, 12, 13, 20, 39, 71, 90, 117, 120)
     assert argvs == [
         *(("table", "--model", "quicksort", "--n", str(n), *fmt) for n in sizes
           for fmt in ((), ("--format", "json"))),

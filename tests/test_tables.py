@@ -254,19 +254,17 @@ class TestQuicksortRoute:
         for row in rows:
             assert all(type(c) is int for c in row.counts)
 
-    @pytest.mark.parametrize("width", [1, 5, 48, 100])
-    def test_blocked_values_match_direct_evaluation(self, width):
-        # N = 48 at n = 12: blocks of one point, of 5 with a ragged last block
-        # of 3, and one block holding every point (the unblocked recurrence)
-        n, size = 12, _ntt._transform_size(12)
-        assert size == 48
+    def test_values_match_direct_evaluation(self):
+        # N = 54 at n = 13, the first row that needs two primes: every row
+        # at every point, modulo each prime
+        n, size = 13, _ntt._transform_size(13)
+        assert size == 54
         moduli = _ntt._ntt_moduli(size, n)
-        every = _ntt._pgf_values(n, moduli, size, 0, width)
-        assert every.shape == (n + 1, len(moduli), size)
-        assert (_ntt._pgf_values(n, moduli, size, n, width) == every[n:]).all()
-        assert (every == _ntt._pgf_values(n, moduli, size, 0, size)).all()
-        for m, row in enumerate(naive_quicksort_rows(n)):
-            for i, (q, w) in enumerate(moduli):
+        assert len(moduli) == 2
+        values = np.empty((n + 1, size), dtype=np.uint64)
+        for q, w in moduli:
+            _ntt._pgf_values(values, q, w)
+            for m, row in enumerate(naive_quicksort_rows(n)):
                 # P_m(z) = row_m(z) / m!, by Horner's rule at z = w^t
                 expected = []
                 for t in range(size):
@@ -274,20 +272,18 @@ class TestQuicksortRoute:
                     for c in reversed(row):
                         acc = (acc * z + c) % q
                     expected.append(acc * pow(math.factorial(m), -1, q) % q)
-                assert every[m, i].tolist() == expected
+                assert values[m].tolist() == expected
 
-    @pytest.mark.parametrize("width", [1, 7, 144, 1000])
-    def test_block_width_leaves_rows_unchanged(self, width, monkeypatch):
-        # N = 144 at n = 20; 7 leaves a ragged last block of 4 points
-        expected = naive_quicksort_rows(20)
-        monkeypatch.setattr(_ntt, "_BLOCK_RESIDUES", width * len(_ntt._ntt_moduli(144, 20)))
-        assert _ntt._transform_size(20) == 144
-        assert distribution_table(Model.QUICKSORT, 20).counts == expected[20]
-        assert [row.counts for row in distribution_tables(Model.QUICKSORT, 20)] == list(expected)
+    def test_one_reduction_per_row_is_exact(self):
+        # row m sums m // 2 pair products, each below _PRIME_BOUND^2, before
+        # its one reduction; at the cap they still sum below 2^64
+        pairs = tables.DEFAULT_ROW_LIMITS["quicksort"] // 2
+        assert pairs * (_ntt._PRIME_BOUND - 1) ** 2 < 2**64
 
-    def test_single_row_holds_one_block(self):
+    def test_single_row_holds_one_primes_rows(self):
         # the whole-array recurrence held rows 0..70 at every point, 7.5 MB
-        # of residues, and peaked at 9 MiB; one block and row 70 take 3
+        # of residues, and peaked at 9 MiB; blocks of points took 2.9, and
+        # one prime's rows 0..70 and the residues row 70 reads take 1.9
         distribution_table(Model.QUICKSORT, 70)  # caches the moduli
         tracemalloc.start()
         try:
@@ -308,6 +304,19 @@ class TestQuicksortRoute:
         finally:
             tracemalloc.stop()
         assert peak < 10 << 20
+
+    def test_every_row_keeps_only_the_residues_it_reads(self):
+        # rows 0..64 read 1.4 MiB of residues, each at its N_m points and the
+        # primes its m! needs; kept at all 1944 points and 11 primes they
+        # took 5.3 MiB, and the build peaked at 8.9 MiB, where it takes 3.7
+        _ntt._ntt_moduli(_ntt._transform_size(64), 64)  # caches the moduli
+        tracemalloc.start()
+        try:
+            distribution_tables(Model.QUICKSORT, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
     def test_prime_coverage_limit(self):
         # row 1025 transforms at N = 2^19, and the primes p = 1 (mod 2^19)
