@@ -254,13 +254,16 @@ class TestQuicksortRoute:
         for row in rows:
             assert all(type(c) is int for c in row.counts)
 
-    def test_values_match_direct_evaluation(self):
-        # N = 54 at n = 13, the first row that needs two primes: every row
-        # at every point, modulo each prime
-        n, size = 13, _ntt._transform_size(13)
-        assert size == 54
+    @pytest.mark.parametrize("n, size, primes", [
+        (1, 1, 1), (2, 1, 1), (12, 48, 1), (13, 54, 2), (20, 144, 3),
+    ])
+    def test_values_match_direct_evaluation(self, n, size, primes):
+        # every row at every point, modulo each prime: a transform of one
+        # point, row 12, the last with one prime, row 13, the first with
+        # two, and row 20 with three
+        assert _ntt._transform_size(n) == size
         moduli = _ntt._ntt_moduli(size, n)
-        assert len(moduli) == 2
+        assert len(moduli) == primes
         values = np.empty((n + 1, size), dtype=np.uint64)
         for q, w in moduli:
             _ntt._pgf_values(values, q, w)
@@ -273,6 +276,17 @@ class TestQuicksortRoute:
                         acc = (acc * z + c) % q
                     expected.append(acc * pow(math.factorial(m), -1, q) % q)
                 assert values[m].tolist() == expected
+
+    def test_recurrence_overwrites_the_previous_primes_rows(self):
+        # _quicksort_rows reuses one array for every prime, so each row must
+        # be written whole, whatever the array held before
+        n, size = 20, _ntt._transform_size(20)
+        (q, w), *_ = _ntt._ntt_moduli(size, n)
+        clean = np.zeros((n + 1, size), dtype=np.uint64)
+        _ntt._pgf_values(clean, q, w)
+        stale = np.full_like(clean, q - 1)
+        _ntt._pgf_values(stale, q, w)
+        assert (stale == clean).all()
 
     def test_one_reduction_per_row_is_exact(self):
         # row m sums m // 2 pair products, each below _PRIME_BOUND^2, before
