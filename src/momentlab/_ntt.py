@@ -102,7 +102,9 @@ def _pgf_values(values: np.ndarray, p: int, root: int) -> None:
 
     The recurrence pairs j with m+1-j, whose products coincide, so row m
     sums at most m/2 products below p^2 < 2^58, one reduction for all of
-    them while m/2 < 64.
+    them while m/2 < 64.  That sum, doubled, plus the middle square stays
+    below 3p < 2^31, so it takes the factor z^(m-1) < p unreduced: their
+    product stays below 2^60.
     """
     points = _powers([root], values.shape[1], np.array([[p]], dtype=np.uint64))[0]
     values[0] = 1
@@ -114,7 +116,7 @@ def _pgf_values(values: np.ndarray, p: int, root: int) -> None:
             acc += values[half] * values[half] % p
         if m > 1:
             shift = shift * points % p
-        values[m] = acc % p * shift % p * pow(m, -1, p) % p
+        values[m] = acc * shift % p * pow(m, -1, p) % p
 
 
 def _dft(x: np.ndarray, roots: list[int], p: np.ndarray) -> np.ndarray:

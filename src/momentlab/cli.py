@@ -18,8 +18,8 @@ A value past the double range exits 3: before any work a ``transfer`` report
 and a ``moment`` or ``compare`` estimate whose powers of n pass it, else once
 computed, as does a ``transfer --precision high`` estimate below it.  The double
 estimate refuses a few values that fit; ``compare --precision high`` answers them.
-Its 82-digit estimate has no range and forms its powers of n exactly, so it
-first checks the exact moment's caps, and a point past one exits 3 at once.
+Its 82-digit estimate rounds every power it forms to 82 digits, and exits 3 the
+same way only past the decimal exponent range.
 
 Exact moments of ``moment`` and ``compare`` come from
 ``moments.exact_moment``, whose docstring describes its routes:
@@ -43,9 +43,10 @@ entry of its row list (``compare``, ``verify``) or one line for the record
 itself.  The JSON view prints the whole record after a "schema": 1 and a
 "command" field, so it also carries the fields only JSON prints: ``mode``
 of ``moment``, ``oracle_exact`` of ``transfer``, ``tolerance`` and
-``passed`` of ``verify``.  A field that only one view prints is turned into
-text only by that view: ``oracle_exact`` stays an exact rational until the
-JSON encoder writes it.
+``passed`` of ``verify``.  Every field stays a value in the record, and
+each view turns into text only the fields it prints: ``oracle_exact`` and
+``compare``'s ``exact`` stay exact rationals (or the oracle's Decimal) until
+a view writes them.
 
 The layers' names, the package's public names and transfer's private
 ``_arithmetic``, are bound on first use by this module's ``__getattr__``,
@@ -60,8 +61,9 @@ root's own, so parsing loads no layer.  A function set on this module from
 outside, such as a wrapper that times a layer, is the one that runs.
 
 Conventions: natural logarithms everywhere (the gamma-constant corrections
-only hold for ln); CSV has a header row, counts as exact decimal integers,
-rationals as "p/q", reals with 15 significant digits, LF line endings.
+only hold for ln); one rule, ``_text``, gives the text of every value in
+both views: counts as exact decimal integers, rationals as "p/q", reals with
+15 significant digits; CSV has a header row and LF line endings.
 Output is deterministic: identical flags (and seed) give byte-identical
 bytes, data on stdout, diagnostics on stderr.  Every byte of a request's
 output is built before the first is written, so a request that fails while
@@ -113,11 +115,9 @@ from types import SimpleNamespace
 
 from . import _EXPORTS, Model, ResourceLimitError, _first_use
 
-__getattr__ = _first_use(globals(), {
-    **_EXPORTS,
-    "moments": _EXPORTS["moments"] + ("_check_moment_caps",),
-    "transfer": _EXPORTS["transfer"] + ("_arithmetic",),
-})
+__getattr__ = _first_use(
+    globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic",)}
+)
 # This module: the handlers look the layers' names up on it, so that
 # ``__getattr__`` binds each on first use and a name set on the module from
 # outside is the one called.
@@ -132,20 +132,13 @@ CROSSCHECK_MAX_S = 10
 _CYCLES_EXACT_MAX_N = 200
 
 
-def _fmt_exact(value) -> str:
-    from fractions import Fraction
-
-    if isinstance(value, (Fraction, int)):
-        return str(value)
-    return format(float(value), ".15g")
-
-
 def compare_rows(
     model, s: int, grid: list[int], *, high_precision: bool = False
 ) -> list[dict]:
-    """Convergence study: one row per grid point, with keys n, exact (text),
-    asym, abs_err, rel_err (None when exact == 0) and source (pgf,
-    closed-form or oracle).
+    """Convergence study: one row per grid point, with keys n, exact, asym,
+    abs_err, rel_err (None when exact == 0) and source (pgf, closed-form or
+    oracle).  ``exact`` is a value, not text: a Fraction, or the oracle's
+    82-digit Decimal, which ``_text`` prints in either view.
 
     ``high_precision`` evaluates the asymptotic side and the error
     arithmetic in 82-digit ``decimal`` instead of doubles; the cycles
@@ -154,14 +147,9 @@ def compare_rows(
     """
     rows = []
     for n in grid:
-        oracle = model is Model.CYCLES and n > _CYCLES_EXACT_MAX_N
-        if high_precision and not oracle:
-            # an 82-digit estimate has no range to refuse it, and forms its powers
-            # of n exactly, so the exact side's caps come first
-            _layers._check_moment_caps(model, n, s)
-        # first the estimate, which refuses a point past the double range at once
+        # first the estimate, which refuses a point past its arithmetic's range at once
         asym = _layers.asymptotic_moment(model, n, s, high_precision=high_precision)
-        if oracle:
+        if model is Model.CYCLES and n > _CYCLES_EXACT_MAX_N:
             # the moment series of cycles is exactly a log-power series
             exact, source = _layers.highprec_coefficient(1, s, n), "oracle"
         else:
@@ -175,7 +163,7 @@ def compare_rows(
             raise OverflowError(f"{model} estimate at n={n}, s={s} does not fit doubles")
         rows.append({
             "n": n,
-            "exact": _fmt_exact(exact),
+            "exact": exact,
             "asym": asym,
             "abs_err": abs_err,
             "rel_err": rel_err,
@@ -188,21 +176,16 @@ def compare_rows(
 # output
 # ---------------------------------------------------------------------------
 
-def _cell(value) -> str:
+def _text(value) -> str:
+    """The one text rule of both views, a CSV cell and the JSON encoder's
+    ``default``: "" for None, text as it is, an exact rational (an int or a
+    Fraction, told by its denominator, so that no view imports fractions) as
+    "p/q", and a float or the oracle's Decimal with 15 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, float):
-        return format(value, ".15g")
-    return str(value)
-
-
-def _fraction_text(value) -> str:
-    """JSON encoder hook: an exact rational prints as "p/q" text."""
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
+    if isinstance(value, str) or hasattr(value, "denominator"):
         return str(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return format(float(value), ".15g")
 
 
 def _emit(args, record: dict, columns: tuple[str, ...], rows: str | None = None) -> None:
@@ -211,23 +194,22 @@ def _emit(args, record: dict, columns: tuple[str, ...], rows: str | None = None)
     JSON prints the whole record after its schema and command.  CSV prints
     ``columns`` for each entry of ``record[rows]``, or for ``record`` itself
     when ``rows`` is None; a column an entry lacks comes from ``record``.
+    Its cells are joined with "," as they are: the program makes every one
+    (digits, "p/q", names, scales such as "n^4 log^4(n)"), and none holds a
+    comma, quote or line break, so these are the bytes ``csv.writer`` writes.
     """
     if args.format == "json":
         import json
 
-        encoder = json.JSONEncoder(ensure_ascii=False, indent=2, default=_fraction_text)
+        encoder = json.JSONEncoder(ensure_ascii=False, indent=2, default=_text)
         # the chunks are written as they are, never joined into a second copy
         chunks = list(encoder.iterencode({"schema": 1, "command": args.command, **record}))
         chunks.append("\n")
         sys.stdout.writelines(chunks)
         return
-    import csv
-
     entries = [record] if rows is None else record[rows]
-    lines = [[_cell((entry if c in entry else record)[c]) for c in columns] for entry in entries]
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(lines)
+    cells = [[_text((entry if c in entry else record)[c]) for c in columns] for entry in entries]
+    sys.stdout.writelines([",".join(line) + "\n" for line in [columns, *cells]])
 
 
 # ---------------------------------------------------------------------------

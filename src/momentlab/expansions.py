@@ -24,6 +24,7 @@ cancel against C_1(s+1) = gamma - H_s.
 """
 
 import collections
+import decimal
 import math
 from fractions import Fraction
 
@@ -56,10 +57,14 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
     s = 1 the two terms sum to n(n-1)/4, the exact mean.  Returns a float,
     or a Decimal at 82 digits when ``high_precision`` is set.
 
-    A double estimate raises OverflowError "<model> estimate at n=.., s=.. does
-    not fit doubles" once a power of n it forms or its value leaves the double
-    range, so a few that fit are refused (inversions from s = 17 in a band of n,
-    quicksort at n = 2 from s = 508); ``compare --precision high`` answers them.
+    Each power is ``r.num(base) ** k`` in the record's own arithmetic: an
+    exact int for doubles, a Decimal rounded to 82 digits otherwise, so the
+    high record never forms a huge integer.  A double estimate raises
+    OverflowError "<model> estimate at n=.., s=.. does not fit doubles" once a
+    power of n it forms or its value leaves the double range, so a few that fit
+    are refused (inversions from s = 17 in a band of n, quicksort at n = 2 from
+    s = 508); ``compare --precision high`` answers them.  An 82-digit estimate
+    raises the same error once a power leaves the decimal exponent range.
     """
     if n < 2:
         raise ValueError(f"asymptotic evaluation requires n >= 2, got {n}")
@@ -70,17 +75,18 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
             _check_estimate_range(model, n, s)
         with _arithmetic(high_precision) as r:
             if model is Model.INVERSIONS:
-                lead = r.num(n ** (2 * s)) / 4**s
-                value = lead + r.num(s * (2 * s - 11)) / (9 * 4**s) * n ** (2 * s - 1)
+                lead = r.num(n) ** (2 * s) / r.num(4) ** s
+                value = lead + r.num(s * (2 * s - 11)) / (9 * r.num(4) ** s) * r.num(n) ** (2 * s - 1)
             else:
                 logn = r.log(n)
                 if model is Model.CYCLES:
                     value = logn**s + r.gamma * s * logn ** (s - 1)
                 else:
-                    value = 2**s * n**s * logn**s + 2**s * s * (r.gamma - 2) * n**s * logn ** (s - 1)
+                    value = (r.num(2) ** s * r.num(n) ** s * logn**s
+                             + r.num(2) ** s * s * (r.gamma - 2) * r.num(n) ** s * logn ** (s - 1))
         if high_precision or math.isfinite(value):
             return value
-    except OverflowError:
+    except (OverflowError, decimal.Overflow):
         pass
     raise OverflowError(f"{model} estimate at n={n}, s={s} does not fit doubles")
 

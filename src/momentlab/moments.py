@@ -12,8 +12,9 @@ E[(X_n)_s] with (X)_s = X(X-1)...(X-s+1); f_s(u) = sum_n E[(X_n)_s] u^n.
   built from the rows 0..2s for inversions (``_inversions_gf``), and
   ``_quicksort_gf``; a 0 past the support, s > k_max(model, n), builds none.
 
-Every result is an exact rational; a request past a cap raises the
-package's ``ResourceLimitError`` before any work.
+Every result is an exact rational.  ``exact_moment`` checks the caps
+itself, its first step after the quicksort mean, so a request past one
+raises the package's ``ResourceLimitError`` before any work, whoever calls.
 """
 
 import collections
@@ -219,31 +220,13 @@ def _quicksort_gf(s: int):
     return {key: c // g for key, c in terms.items() if c}, d * d2 // g
 
 
-def _check_moment_caps(model: Model, n: int, s: int) -> bool:
-    """Raise ResourceLimitError, before any work, when the exact s-th moment at
-    size n passes a cap; True when it is the closed-form 0 of an s above the s
-    cap and past the support, which no cap refuses.  The quicksort mean has no
-    cap."""
-    if model is Model.CYCLES:
-        # The row's cap: the product costs about what the row does (n = s =
-        # 4000: 10.2-14.8 s against 12.4-13.4 s, both 40 MB; s = 6: 0.12 s), and
-        # at n = 4060 the s = 6 numerator passes Python's 4300-digit limit.
-        _check_row_request(model, n)
-    elif s > MOMENT_MAX_S[model.value]:
-        if s > k_max(model, n):
-            return True
-        raise ResourceLimitError(f"{model} moments are capped at s <= {MOMENT_MAX_S[model.value]}, got s={s}")
-    elif model is Model.QUICKSORT and s != 1 and n > QUICKSORT_PGF_MAX_N:
-        raise ResourceLimitError(
-            f"quicksort moments of order {s} are capped at n <= {QUICKSORT_PGF_MAX_N}, got n={n}"
-        )
-    return False
-
-
 def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
     """Exact s-th factorial moment at size n and its route, ``closed-form`` or
-    ``pgf`` (see the module docstring).  Quicksort at s != 1 also checks [u^n]
-    f_1 and f_2 against the mean and variance closed forms: ValueError if not.
+    ``pgf`` (see the module docstring).  A moment past a cap raises
+    ResourceLimitError before any work; the quicksort mean, and a 0 past the
+    support above the s cap, pass every cap.  Quicksort at s != 1 also checks
+    [u^n] f_1 and f_2 against the mean and variance closed forms: ValueError
+    if not.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -251,8 +234,19 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
         raise ValueError(f"s must be nonnegative, got {s}")
     if model is Model.QUICKSORT and s == 1:
         return quicksort_mean(n), "closed-form"
-    if _check_moment_caps(model, n, s):
-        return Fraction(0), "closed-form"
+    if model is Model.CYCLES:
+        # The row's cap: the product costs about what the row does (n = s =
+        # 4000: 10.2-14.8 s against 12.4-13.4 s, both 40 MB; s = 6: 0.12 s), and
+        # at n = 4060 the s = 6 numerator passes Python's 4300-digit limit.
+        _check_row_request(model, n)
+    elif s > MOMENT_MAX_S[model.value]:
+        if s > k_max(model, n):
+            return Fraction(0), "closed-form"
+        raise ResourceLimitError(f"{model} moments are capped at s <= {MOMENT_MAX_S[model.value]}, got s={s}")
+    elif model is Model.QUICKSORT and n > QUICKSORT_PGF_MAX_N:
+        raise ResourceLimitError(
+            f"quicksort moments of order {s} are capped at n <= {QUICKSORT_PGF_MAX_N}, got n={n}"
+        )
     if s > k_max(model, n):
         return Fraction(0), "pgf"
     if model is not Model.QUICKSORT:

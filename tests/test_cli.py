@@ -554,8 +554,9 @@ class TestCompare:
 
     @pytest.mark.parametrize("model", ["inversions", "quicksort"])
     def test_high_precision_checks_the_caps_before_the_estimate(self, model):
-        # the 82-digit estimate forms n^(2s) or n^s as an exact integer, which
-        # ran past 20 s CPU before the exact side refused s
+        # the estimate comes first, as in doubles; the 82-digit one rounds its
+        # powers of n (once formed as exact integers, past 20 s CPU here) and
+        # fits the decimal range, so the exact side's refusal of s is printed
         argv = ("compare", "--model", model, "--s", "100000", "--n-grid", str(10**100), "--precision", "high")
         start = children_cpu_seconds()
         proc = run_cli_process(*argv)
@@ -564,6 +565,33 @@ class TestCompare:
         assert proc.stderr == (
             f"resource limit: {model} moments are capped at s <= {MOMENT_MAX_S[model]}, got s=100000\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            # rows past the support, whose exact moment is the closed-form 0 that
+            # no cap refuses: the 82-digit estimate ran past 15 s CPU forming
+            # 2^(2s) or 6^s as exact integers
+            (("compare", "--model", "inversions", "--s", "1000000", "--n-grid", "2", "--precision", "high"),
+             0, "model,s,n,exact,asym,abs_err,rel_err,source\n"
+                "inversions,1000000,2,0,111110500001,111110500001,,closed-form\n", ""),
+            (("compare", "--model", "quicksort", "--s", "1000000", "--n-grid", "3", "--precision", "high"),
+             3, "", "resource limit: result overflows the double range "
+                    "(quicksort estimate at n=3, s=1000000 does not fit doubles)\n"),
+            # powers past the decimal exponent range raise decimal.Overflow
+            (("compare", "--model", "inversions", "--s", str(10**20), "--n-grid", "2", "--precision", "high"),
+             3, "", "resource limit: result overflows the double range "
+                    f"(inversions estimate at n=2, s={10**20} does not fit doubles)\n"),
+            (("compare", "--model", "quicksort", "--s", str(10**20), "--n-grid", "3", "--precision", "high"),
+             3, "", "resource limit: result overflows the double range "
+                    f"(quicksort estimate at n=3, s={10**20} does not fit doubles)\n"),
+        ],
+    )
+    def test_high_precision_estimate_past_the_support_is_cheap(self, argv, code, out, err):
+        start = children_cpu_seconds()
+        proc = run_cli_process(*argv)
+        assert children_cpu_seconds() - start < 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
     @pytest.mark.parametrize(
         "argv, model, n, s",
@@ -582,6 +610,11 @@ class TestCompare:
             (("compare", "--model", "inversions", "--s", "6", "--n-grid", "1612116149325441843301783290863681536",
               "--precision", "high"),
              "inversions", 1612116149325441843301783290863681536, 6),
+            # an 82-digit estimate past the decimal exponent range, at an s past
+            # the cap: the estimate comes first, so its line is printed
+            (("compare", "--model", "inversions", "--s", str(10**16), "--n-grid", str(10**100),
+              "--precision", "high"),
+             "inversions", 10**100, 10**16),
         ],
     )
     def test_estimate_never_prints_past_the_double_range(self, argv, model, n, s):
@@ -942,6 +975,46 @@ class TestStdoutGolden:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[fmt]
 
 
+class TestCsvView:
+    """The CSV view joins its cells with "," itself; every cell is the
+    program's own, so its bytes are what ``csv.writer`` would write."""
+
+    @pytest.mark.parametrize(
+        "argv, sources",
+        [
+            ("moment --model quicksort --n 12 --s 2", None),
+            ("moment --model inversions --n 7 --s 3 --mode exact", None),
+            ("transfer --alpha 3 --beta 2 --n 40", None),
+            ("transfer --alpha 3 --beta 2 --n 40 --order 1", None),
+            ("transfer --alpha 3 --beta 2 --n 40 --precision high", None),
+            ("transfer --alpha 3 --beta 2 --n 40 --order 1 --precision high", None),
+            ("simulate --model quicksort --n 20 --s 2 --trials 50 --seed 3", None),
+            ("verify", None),
+            # a pgf row, and a pgf zero past the support with an empty rel_err
+            ("compare --model inversions --s 5 --n-grid 2,12", ["pgf", "pgf"]),
+            # closed-form zeros past the support above the s cap, and the mean
+            ("compare --model quicksort --s 40 --n-grid 5,8", ["closed-form", "closed-form"]),
+            ("compare --model quicksort --s 1 --n-grid 30", ["closed-form"]),
+            # a pgf row and a cycles oracle row, in both precisions
+            ("compare --model cycles --s 2 --n-grid 150,300", ["pgf", "oracle"]),
+            ("compare --model cycles --s 2 --n-grid 150,300 --precision high", ["pgf", "oracle"]),
+        ],
+    )
+    def test_matches_csv_writer(self, argv, sources):
+        code, out, _ = run_cli(*argv.split())
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        # a comma inside a cell would split it, and give a row more fields
+        assert {len(row) for row in rows} == {len(rows[0])}
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert out == expected.getvalue()
+        if sources is not None:
+            assert [row[-1] for row in rows[1:]] == sources
+            # a zero's rel_err is the empty cell
+            assert all((row[3] == "0") == (row[6] == "") for row in rows[1:])
+
+
 # Runs one request in a fresh interpreter and prints its exit code, or a
 # parser exit's code, and which heavy modules it loaded; the test process
 # itself already holds them all.
@@ -956,7 +1029,7 @@ if sys.argv[1:]:
             code = momentlab.cli.main(sys.argv[1:])
         except SystemExit as exc:
             code = exc.code
-heavy = ("numpy", "mpmath", "concurrent.futures.process", "argparse", "__future__")
+heavy = ("numpy", "mpmath", "concurrent.futures.process", "argparse", "__future__", "csv")
 print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 """
 
@@ -964,8 +1037,8 @@ print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
 class TestImports:
     """Every request is a fresh process, so numpy and the process pool are
     imported only on the routes that use them, argparse only for help and
-    parse errors, and mpmath, the tests' reference, and ``__future__`` by
-    none."""
+    parse errors, and mpmath, the tests' reference, ``__future__`` and
+    ``csv``, whose writer the CSV view does without, by none."""
 
     @pytest.mark.parametrize(
         "argv, loaded",

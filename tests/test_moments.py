@@ -3,6 +3,7 @@ order-monotonicity properties."""
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
@@ -27,7 +28,6 @@ from momentlab import (
 from momentlab.moments import (
     MOMENT_MAX_S,
     QUICKSORT_PGF_MAX_N,
-    _check_moment_caps,
     _harmonic_split,
     _inversions_gf,
     _quicksort_gf,
@@ -495,34 +495,47 @@ class TestExactMoment:
             exact_moment(Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2)
 
     @pytest.mark.parametrize(
-        "model, n, s",
+        "model, n, s, expected",
         [
-            (Model.CYCLES, DEFAULT_ROW_LIMITS["cycles"] + 1, 1),
-            (Model.CYCLES, 30, 10**6),
-            (Model.INVERSIONS, 30, MOMENT_MAX_S["inversions"] + 1),
-            (Model.INVERSIONS, 16, MOMENT_MAX_S["inversions"] + 1),
-            (Model.INVERSIONS, 10**100, 100000),
-            (Model.INVERSIONS, 10**100, 3),
-            (Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2),
-            (Model.QUICKSORT, 10**100, 1),
-            (Model.QUICKSORT, 30, MOMENT_MAX_S["quicksort"] + 1),
-            (Model.QUICKSORT, 8, MOMENT_MAX_S["quicksort"] + 1),
-            (Model.QUICKSORT, 5, MOMENT_MAX_S["quicksort"]),
+            (Model.CYCLES, DEFAULT_ROW_LIMITS["cycles"] + 1, 1, "cycles row 4001 exceeds the cap 4000"),
+            (Model.CYCLES, 30, 10**6, (0, "pgf")),  # cycles has no s cap
+            (Model.INVERSIONS, 30, MOMENT_MAX_S["inversions"] + 1,
+             "inversions moments are capped at s <= 128, got s=129"),
+            (Model.INVERSIONS, 16, MOMENT_MAX_S["inversions"] + 1, (0, "closed-form")),
+            (Model.INVERSIONS, 10**100, 100000, "inversions moments are capped at s <= 128, got s=100000"),
+            (Model.INVERSIONS, 10**100, 3, (None, "pgf")),  # its value unchecked
+            (Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2,
+             "quicksort moments of order 2 are capped at n <= 4000, got n=4001"),
+            (Model.QUICKSORT, 30, MOMENT_MAX_S["quicksort"] + 1,
+             "quicksort moments are capped at s <= 32, got s=33"),
+            (Model.QUICKSORT, 8, MOMENT_MAX_S["quicksort"] + 1, (0, "closed-form")),
+            (Model.QUICKSORT, 5, MOMENT_MAX_S["quicksort"], (0, "pgf")),
         ],
     )
-    def test_caps_are_checked_by_one_helper(self, model, n, s):
-        # what ``_check_moment_caps`` decides before any work, ``exact_moment`` does:
-        # the same refusal, the closed-form 0, or a moment it works out
-        try:
-            zero = _check_moment_caps(model, n, s)
-        except ResourceLimitError as refused:
-            with pytest.raises(ResourceLimitError, match=f"^{refused}$"):
+    def test_caps_come_before_any_work(self, model, n, s, expected, monkeypatch):
+        # ``exact_moment`` checks its own caps first: a refusal, the closed-form
+        # 0 past the support above the s cap, or a moment it works out; the
+        # series builders fail the test if a refusal reaches them
+        from momentlab import moments
+
+        if isinstance(expected, str):
+            def no_work(*args):
+                raise AssertionError("a refused moment built a series")
+
+            monkeypatch.setattr(moments, "moment_series", no_work)
+            monkeypatch.setattr(moments, "_log_power_coefficients", no_work)
+            with pytest.raises(ResourceLimitError, match=f"^{re.escape(expected)}$"):
                 exact_moment(model, n, s)
-            return
-        if zero:
-            assert exact_moment(model, n, s) == (0, "closed-form")
-        elif n < 100:
-            assert exact_moment(model, n, s)[1] == "pgf"
+        else:
+            value, route = exact_moment(model, n, s)
+            assert (value if expected[0] is not None else None, route) == expected
+
+    def test_quicksort_mean_has_no_cap(self, monkeypatch):
+        # every n goes to the closed form, past every cap on n
+        from momentlab import moments
+
+        monkeypatch.setattr(moments, "quicksort_mean", Fraction)
+        assert exact_moment(Model.QUICKSORT, 10**100, 1) == (10**100, "closed-form")
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):

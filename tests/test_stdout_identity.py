@@ -168,15 +168,51 @@ def test_argv_file_sets_momentlab_variables(tmp_path, monkeypatch):
     assert [(argv, after) for argv, _, after in found] == [(argvs[0], (3, b"", b""))]
 
 
+def test_workloads_and_files_in_one_call(tmp_path, capsys):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    first.write_text("table --n 5\n")
+    second.write_text("moment --n 3\nverify\n")
+    parent = stub_checkout(tmp_path / "parent")
+    # differs on the second file's verify request only
+    change = stub_checkout(tmp_path / "change", body='if "verify" in argv:\n    sys.exit(4)')
+    code = stdout_identity.main([
+        "--parent", str(parent), "--change", str(change), "--argv-file", str(first),
+        "--workload", "tables", "--workload", "montecarlo", "--seeds", "1", "--argv-file", str(second),
+    ])
+    assert code == 1
+    lines = capsys.readouterr().out.splitlines()
+    # one summary line per list: the workloads in their order, then the files in theirs
+    assert lines == [
+        "tables seeds 1: 8 requests, 0 differ",
+        f"montecarlo seeds 1: {len(stdout_identity.requests('montecarlo', [1]))} requests, 0 differ",
+        "first.txt: 1 requests, 0 differ",
+        "differs: verify: exit 0 -> 4, stdout 7 -> 0 bytes",
+        "second.txt: 2 requests, 1 differ",
+    ]
+    # the same lists against an unchanged checkout
+    code = stdout_identity.main([
+        "--parent", str(parent), "--change", str(parent), "--argv-file", str(first),
+        "--argv-file", str(second), "--workload", "tables", "--seeds", "1",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "tables seeds 1: 8 requests, 0 differ",
+        "first.txt: 1 requests, 0 differ",
+        "second.txt: 2 requests, 0 differ",
+    ]
+
+
 @pytest.mark.parametrize(
     "args",
     [
         [],
         ["--workload", "tables"],
         ["--argv-file", "requests.txt", "--seeds", "1"],
+        ["--seeds", "1"],
     ],
 )
 def test_argv_file_or_workload(args, capsys):
+    # at least one list, and --seeds exactly when a --workload is given
     with pytest.raises(SystemExit) as exc:
         stdout_identity.main(["--parent", ".", "--change", ".", *args])
     assert exc.value.code == 2

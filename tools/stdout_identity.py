@@ -2,10 +2,14 @@
 
     python3 tools/stdout_identity.py --parent DIR --change DIR --workload W --seeds 1,7,2026
     python3 tools/stdout_identity.py --parent DIR --change DIR --argv-file PATH
+    python3 tools/stdout_identity.py --parent DIR --change DIR \
+        --workload W1 --workload W2 --seeds 1,7 --argv-file PATH1 --argv-file PATH2
 
-Builds the request lists that ``perfbench/run.py --seconds 30`` runs for each
-seed, from this repository's ``perfbench/workloads.py`` (imported, never
-changed), or reads the requests of ``PATH``: one per line, its words split on
+Checks one list of requests per ``--workload`` and per ``--argv-file``, each
+option given as often as wanted.  A workload's list holds the requests that
+``perfbench/run.py --seconds 30`` runs for each of ``--seeds``, built from
+this repository's ``perfbench/workloads.py`` (imported, never changed); a
+file's list holds the requests of ``PATH``: one per line, its words split on
 whitespace, with blank lines and lines starting with ``#`` skipped.  A line
 may begin with ``MOMENTLAB_NAME=value`` words, as in
 ``MOMENTLAB_TRACE=1 moment --model cycles --n 5 --s 1``: both sides run that
@@ -16,7 +20,8 @@ each checkout as a fresh ``python -m momentlab.cli`` process with
 default that users get.  Lists each
 request whose exit code, stdout bytes or stderr bytes differ, or that exits
 on either side with a code the CLI does not document (a traceback exits 1),
-and exits 1 if any do, else 0.  Stderr counts because the CLI's exit path is
+then one summary line per list, and exits 1 if any list has such a request,
+else 0.  Stderr counts because the CLI's exit path is
 where both streams are flushed.
 It runs none of the benchmark's measured code: no launcher, no limits, no
 checks against references.
@@ -98,32 +103,35 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--workload", help="tables, moments or montecarlo")
-    parser.add_argument("--seeds", help="comma-separated seeds, e.g. 1,7,2026")
-    parser.add_argument("--argv-file", type=Path, help="requests, one per line, instead of a workload")
+    parser.add_argument("--workload", action="append", default=[],
+                        help="tables, moments or montecarlo; may be repeated")
+    parser.add_argument("--seeds", help="comma-separated seeds of every --workload, e.g. 1,7,2026")
+    parser.add_argument("--argv-file", action="append", default=[], type=Path,
+                        help="requests, one per line; may be repeated")
     args = parser.parse_args(argv)
-    if args.argv_file is None and (args.workload is None or args.seeds is None):
-        parser.error("give --workload and --seeds, or --argv-file")
-    if args.argv_file is not None and (args.workload is not None or args.seeds is not None):
-        parser.error("--argv-file replaces --workload and --seeds")
+    if not (args.workload or args.argv_file) or bool(args.workload) != (args.seeds is not None):
+        parser.error("give --workload with --seeds, --argv-file, or both")
+    lists = []  # (label, requests)
     try:
-        if args.argv_file is not None:
-            argvs, label = read_argv_file(args.argv_file), args.argv_file.name
-        else:
+        if args.workload:
             seeds = [int(s) for s in args.seeds.split(",")]
-            argvs, label = requests(args.workload, seeds), f"{args.workload} seeds {args.seeds}"
+            lists += [(f"{w} seeds {args.seeds}", requests(w, seeds)) for w in args.workload]
+        lists += [(path.name, read_argv_file(path)) for path in args.argv_file]
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    found = differences(args.parent.resolve(), args.change.resolve(), argvs)
-    for request, (code_a, out_a, err_a), (code_b, out_b, err_b) in found:
-        kind = "fails" if (code_a, out_a, err_a) == (code_b, out_b, err_b) else "differs"
-        print(f"{kind}: {' '.join(request)}: exit {code_a} -> {code_b}, "
-              f"stdout {len(out_a)} -> {len(out_b)} bytes"
-              + (f", stderr {len(err_a)} -> {len(err_b)} bytes" if err_a != err_b else ""))
-    failed = sum(before == after for _, before, after in found)
-    print(f"{label}: {len(argvs)} requests, {len(found) - failed} differ"
-          + (f", {failed} fail on both sides" if failed else ""))
-    return 1 if found else 0
+    differed = False
+    for label, argvs in lists:
+        found = differences(args.parent.resolve(), args.change.resolve(), argvs)
+        for request, (code_a, out_a, err_a), (code_b, out_b, err_b) in found:
+            kind = "fails" if (code_a, out_a, err_a) == (code_b, out_b, err_b) else "differs"
+            print(f"{kind}: {' '.join(request)}: exit {code_a} -> {code_b}, "
+                  f"stdout {len(out_a)} -> {len(out_b)} bytes"
+                  + (f", stderr {len(err_a)} -> {len(err_b)} bytes" if err_a != err_b else ""))
+        failed = sum(before == after for _, before, after in found)
+        print(f"{label}: {len(argvs)} requests, {len(found) - failed} differ"
+              + (f", {failed} fail on both sides" if failed else ""), flush=True)
+        differed = differed or bool(found)
+    return 1 if differed else 0
 
 
 if __name__ == "__main__":
