@@ -32,7 +32,6 @@ _EXPORTS = {
         "exact_moment",
         "factorial_moment",
         "harmonic",
-        "moment_sequence",
         "moment_series",
         "quicksort_mean",
     ),
@@ -64,7 +63,6 @@ _EXPORTS = {
         "estimate_factorial_moment",
         "quicksort_comparisons",
         "random_permutation",
-        "sample_cost",
     ),
 }
 

@@ -226,7 +226,8 @@ def _cmd_table(args) -> int:
         sys.stdout.write("k,count\n")
         sys.stdout.writelines(lines)
     else:
-        _emit(args, {"model": args.model, "n": args.n, "counts": list(table.counts)}, ())
+        # json writes the tuple as an array
+        _emit(args, {"model": args.model, "n": args.n, "counts": table.counts}, ())
     return 0
 
 

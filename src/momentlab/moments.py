@@ -28,7 +28,6 @@ from .tables import (
     _check_row_request,
     _inversion_rows,
     _log_power_coefficients,
-    distribution_tables,
     k_max,
 )
 
@@ -103,14 +102,6 @@ def factorial_moment(table: DistributionTable, s: int) -> Fraction:
             weighted += falling * c
         falling = falling * (k + 1) // (k + 1 - s)
     return Fraction(weighted, total)
-
-
-def moment_sequence(model: Model, s: int, N: int) -> list[Fraction]:
-    """The s-th factorial moments at sizes 0..N, i.e. the Maclaurin
-    coefficients of the moment generating series for ``model``."""
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
-    return [factorial_moment(t, s) for t in distribution_tables(model, N)]
 
 
 def quicksort_mean(n: int) -> Fraction:

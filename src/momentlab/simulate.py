@@ -629,15 +629,6 @@ def comparisons_first_pivot(perm) -> int:
     return total
 
 
-def sample_cost(model: Model, n: int, rng: TrialStream) -> int:
-    """Draw one cost sample of ``model`` at size n from ``rng``."""
-    if model is Model.CYCLES:
-        return count_cycles(random_permutation(n, rng))
-    if model is Model.INVERSIONS:
-        return count_inversions(random_permutation(n, rng))
-    return quicksort_comparisons(n, rng)
-
-
 # -- moment estimation -------------------------------------------------------
 
 class MomentEstimate(collections.namedtuple("MomentEstimate", "s n trials mean stderr seed")):

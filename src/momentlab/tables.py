@@ -95,14 +95,11 @@ class DistributionTable(collections.namedtuple("DistributionTable", "model n cou
 
     __slots__ = ()
 
-    def total(self) -> int:
-        return sum(self.counts)
-
     def check(self) -> None:
         """Raise ValueError unless the row passes its structural invariants."""
         if len(self.counts) != k_max(self.model, self.n) + 1:
             raise ValueError("row has wrong length")
-        if self.total() != math.factorial(self.n):
+        if sum(self.counts) != math.factorial(self.n):
             raise ValueError("row does not sum to n!")
         if any(c < 0 for c in self.counts):
             raise ValueError("negative count")
@@ -219,9 +216,8 @@ def _rows(model: Model, n: int, every: bool):
     if model is Model.QUICKSORT:
         from ._ntt import _quicksort_rows
         return _quicksort_rows(n, every)
-    if model is Model.CYCLES:
-        return list(_rising_rows(0, n, n)) if every else [_rising(0, n, n)]
-    return list(_inversion_rows(n)) if every else collections.deque(_inversion_rows(n), maxlen=1)
+    rows = _rising_rows(0, n, n) if model is Model.CYCLES else _inversion_rows(n)
+    return list(rows) if every else collections.deque(rows, maxlen=1)
 
 
 def distribution_table(model: Model, n: int) -> DistributionTable:

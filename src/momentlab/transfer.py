@@ -27,7 +27,10 @@ This module provides:
 Each estimate, here and in ``expansions.asymptotic_moment`` and the error
 columns of ``cli.compare_rows``, is one formula written over the private
 arithmetic record ``_arithmetic(high_precision)``: doubles, or ``decimal``
-at _DIGITS = 82 digits (240 bits and 32 guard bits).
+at _DIGITS = 82 digits (240 bits and 32 guard bits).  Both records are
+built per call, so a function set on this module in place of
+``gamma_recip_derivative``, such as a wrapper that times it, is the one an
+estimate calls.
 
 Every high-precision value comes by one route, in ``decimal`` at _DIGITS
 digits: the Stirling series at y >= _STIRLING_MIN_X, and exact integer sums
@@ -214,7 +217,14 @@ def _log_gamma(x: int) -> decimal.Decimal:
         return _stirling(-1, x) - _stirling(-1, _STIRLING_MIN_X) + _log_gamma(_STIRLING_MIN_X)
 
 
-def _check_order(alpha: int, k: int) -> None:
+@functools.lru_cache(maxsize=None)
+def _decimal_ck(alpha: int, k: int) -> decimal.Decimal:
+    """C_k at ``alpha`` as a Decimal at _DIGITS digits.
+
+    For g = (alpha-1)!/Gamma, g(alpha) = 1 and g^(k)(alpha) = C_k, and from
+    g' = -psi*g,  g^(m+1) = -sum_i C(m,i) psi^(i) g^(m-i),  on the values of
+    ``_decimal_polygamma``.
+    """
     if alpha < 1:
         raise ValueError(f"alpha must be a positive integer, got {alpha}")
     if k < 0:
@@ -224,17 +234,6 @@ def _check_order(alpha: int, k: int) -> None:
             f"order {k} exceeds the embedded constant table "
             f"(max {MAX_DERIVATIVE_ORDER})"
         )
-
-
-@functools.lru_cache(maxsize=None)
-def _decimal_ck(alpha: int, k: int) -> decimal.Decimal:
-    """C_k at ``alpha`` as a Decimal at _DIGITS digits.
-
-    For g = (alpha-1)!/Gamma, g(alpha) = 1 and g^(k)(alpha) = C_k, and from
-    g' = -psi*g,  g^(m+1) = -sum_i C(m,i) psi^(i) g^(m-i),  on the values of
-    ``_decimal_polygamma``.
-    """
-    _check_order(alpha, k)
     psi = [_decimal_polygamma(i, alpha) for i in range(k)]
     with decimal.localcontext(_DECIMAL):
         g = [decimal.Decimal(1)]
@@ -262,10 +261,6 @@ def gamma_recip_derivative(alpha: int, k: int) -> float:
 # Fraction as p/q rounded once, a Decimal at its own precision).
 _Arithmetic = collections.namedtuple("_Arithmetic", "real num log factorial ck gamma")
 
-_DOUBLE = _Arithmetic(
-    float, lambda x: x, math.log, math.factorial, gamma_recip_derivative, EULER_GAMMA
-)
-
 
 def _decimal_real(x) -> decimal.Decimal:
     if isinstance(x, Fraction):
@@ -282,9 +277,11 @@ def _decimal_factorial(m: int):
 @contextlib.contextmanager
 def _arithmetic(high_precision: bool):
     """The double record, or with ``high_precision`` the decimal record
-    inside its context, _DIGITS digits and the widest exponent range."""
+    inside its context, _DIGITS digits and the widest exponent range.  Both
+    are built per call, so their ``ck`` is the ``gamma_recip_derivative`` or
+    ``_decimal_ck`` this module holds at that call."""
     if not high_precision:
-        yield _DOUBLE
+        yield _Arithmetic(float, lambda x: x, math.log, math.factorial, gamma_recip_derivative, EULER_GAMMA)
         return
     with decimal.localcontext(_DECIMAL):
         yield _Arithmetic(
@@ -323,13 +320,6 @@ _LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 _RANGE_MARGIN = 1.0
 
 
-def _bracket_orders(beta: int, order: int | None) -> int:
-    top = beta if order is None else min(beta, order)
-    if order is not None and order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    return top
-
-
 def transfer_term(
     term: LogPowerTerm,
     n: int,
@@ -348,8 +338,10 @@ def transfer_term(
     """
     if n < 2:
         raise ValueError(f"transfer requires n >= 2, got {n}")
+    if order is not None and order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     a, b = term.alpha, term.beta
-    top = _bracket_orders(b, order)
+    top = b if order is None else min(b, order)
     # the double record converts n^(alpha-1) and (alpha-1)! to doubles on the
     # way to their quotient, so either one past the range is refused before
     # it is formed
@@ -376,8 +368,11 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
     that passes the range so does the oracle's conversion to a double.  The
     double-precision estimate makes its own check in ``transfer_term``.
 
-    This costs a few ``math.lgamma`` calls, where the request itself would
-    run O(alpha) polygamma sums first.
+    This costs a few ``math.lgamma`` calls.  The estimate's C_k cost only
+    O(beta) polygamma values at any alpha; what the check spares is the
+    exact oracle, 9.4-11.1 s at ``ORACLE_MAX_N``, whose double must then
+    overflow.  That matters under ``--precision high``, where
+    ``transfer_term`` refuses nothing and the oracle would run in full.
     """
     if n >= beta and (
         math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)

@@ -1361,6 +1361,22 @@ class TestReplayNames:
         assert code == 0
         assert calls
 
+    def test_wrapper_set_on_transfer_gives_each_ck(self, monkeypatch):
+        # the double record is built per call, so it holds the wrapper
+        from momentlab import transfer
+
+        calls = []
+        original = transfer.gamma_recip_derivative
+
+        def counting(alpha, k):
+            calls.append((alpha, k))
+            return original(alpha, k)
+
+        monkeypatch.setattr(transfer, "gamma_recip_derivative", counting)
+        code, _, _ = run_cli("transfer", "--alpha", "2", "--beta", "3", "--n", "500")
+        assert code == 0
+        assert calls == [(2, k) for k in range(4)]
+
 
 class TestParser:
     def test_model_choices_are_the_models(self, capsys):

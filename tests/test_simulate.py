@@ -28,7 +28,6 @@ from momentlab import (
     harmonic,
     quicksort_comparisons,
     random_permutation,
-    sample_cost,
 )
 from momentlab import simulate
 from momentlab.simulate import (
@@ -302,14 +301,15 @@ class TestEstimator:
         with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
             estimate_factorial_moment(model, 10, 1, 40, seed)
 
-    def test_sample_cost_dispatch(self):
-        assert sample_cost(Model.CYCLES, 1, TrialStream(0)) == 1
-        assert sample_cost(Model.INVERSIONS, 1, TrialStream(0)) == 0
-        assert sample_cost(Model.QUICKSORT, 2, TrialStream(0)) == 1
-
 
 def scalar_costs(model, n, seed, start, stop):
-    return [sample_cost(model, n, TrialStream(seed, i)) for i in range(start, stop)]
+    """Costs of trials start..stop-1, one trial at a time, by the reference
+    implementations."""
+    streams = [TrialStream(seed, i) for i in range(start, stop)]
+    if model is Model.QUICKSORT:
+        return [quicksort_comparisons(n, rng) for rng in streams]
+    count = count_cycles if model is Model.CYCLES else count_inversions
+    return [count(random_permutation(n, rng)) for rng in streams]
 
 
 def batch_costs(model, n, seed, start, stop):

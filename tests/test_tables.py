@@ -353,7 +353,7 @@ class TestLimits:
         with pytest.raises(ResourceLimitError, match="^cycles row 5001 exceeds the cap 4000$"):
             distribution_table(Model.CYCLES, 5001)
 
-    def test_explicit_limit_argument(self, monkeypatch):
+    def test_patched_cap_moves_the_edge(self, monkeypatch):
         monkeypatch.setitem(tables.DEFAULT_ROW_LIMITS, "cycles", 10)
         with pytest.raises(ResourceLimitError, match="cycles row 11 exceeds the cap 10"):
             distribution_table(Model.CYCLES, 11)
