@@ -481,6 +481,10 @@ class TestExactMoment:
     def test_cycles_mean_is_harmonic(self):
         assert exact_moment(Model.CYCLES, 3500, 1) == (harmonic(3500), "pgf")
 
+    def test_cycles_cap(self):
+        with pytest.raises(ResourceLimitError, match="^cycles row 4001 exceeds the cap 4000$"):
+            exact_moment(Model.CYCLES, DEFAULT_ROW_LIMITS["cycles"] + 1, 1)
+
     @pytest.mark.parametrize("model", [Model.INVERSIONS, Model.QUICKSORT])
     def test_s_cap(self, model):
         # past the cap, s refused where the support reaches it and 0 elsewhere
@@ -489,6 +493,10 @@ class TestExactMoment:
         with pytest.raises(ResourceLimitError, match=f"^{model} moments are capped at s <= {s - 1}, got"):
             exact_moment(model, n, s)
         assert exact_moment(model, n - 1, s) == (0, "closed-form")
+
+    def test_quicksort_cap(self):
+        with pytest.raises(ResourceLimitError, match=f"^quicksort moments of order 2 are capped at n <= {QUICKSORT_PGF_MAX_N},"):
+            exact_moment(Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2)
 
     @pytest.mark.parametrize(
         "model, n, s, expected",
