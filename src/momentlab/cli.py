@@ -14,12 +14,12 @@ simulate  Monte Carlo factorial moment with standard error (seeded, exact
 compare   convergence report of asymptotic vs. exact moments over an n-grid
 verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
 
-A value past the double range exits 3: before any work a ``transfer`` report
-and a ``moment`` or ``compare`` estimate whose powers of n pass it, else once
-computed, as does a ``transfer --precision high`` estimate below it.  The double
-estimate refuses a few values that fit; ``compare --precision high`` answers them.
-Its 82-digit estimate rounds every power it forms to 82 digits, and exits 3 the
-same way only past the decimal exponent range.
+One rule, in the arithmetic record ``transfer._arithmetic``, covers the double
+range: every estimate, and every double that ``transfer`` and ``compare`` print,
+goes through it, and a value past the range exits 3, as does a ``transfer
+--precision high`` estimate below it.  The double estimate refuses a few values
+that fit; ``compare --precision high`` answers them, and exits 3 the same way
+only past the decimal exponent range.
 
 Exact moments of ``moment`` and ``compare`` come from
 ``moments.exact_moment``, whose docstring describes its routes:
@@ -49,8 +49,8 @@ each view turns into text only the fields it prints: ``oracle_exact`` and
 a view writes them.
 
 The layers' names, the package's public names and transfer's private
-``_arithmetic``, are bound on first use by this module's ``__getattr__``,
-and the handlers call them through the module object.
+``_arithmetic`` and ``_check_exact_budget`` are bound on first use by this
+module's ``__getattr__``, and the handlers call them through the module object.
 Every request is a fresh process that compiles each module it imports, so
 a request loads only the submodules its route runs: ``table`` only
 ``tables``, and ``_ntt``, the number-theoretic transforms, and numpy only
@@ -116,7 +116,7 @@ from types import SimpleNamespace
 from . import _EXPORTS, Model, ResourceLimitError, _first_use
 
 __getattr__ = _first_use(
-    globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic",)}
+    globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic", "_check_exact_budget")}
 )
 # This module: the handlers look the layers' names up on it, so that
 # ``__getattr__`` binds each on first use and a name set on the module from
@@ -154,13 +154,11 @@ def compare_rows(
             exact, source = _layers.highprec_coefficient(1, s, n), "oracle"
         else:
             exact, source = _layers.exact_moment(model, n, s)
-        with _layers._arithmetic(high_precision) as r:
+        with _layers._arithmetic(high_precision, f"{model} estimate at n={n}, s={s}") as r:
             exact_r = r.real(exact)
             abs_err = abs(asym - exact_r)
-            rel_err = float(abs_err / abs(exact_r)) if exact_r != 0 else None
-            abs_err, asym = float(abs_err), float(asym)
-        if float("inf") in (abs(asym), abs_err):
-            raise OverflowError(f"{model} estimate at n={n}, s={s} does not fit doubles")
+            rel_err = r.double(abs_err / abs(exact_r)) if exact_r != 0 else None
+            abs_err, asym = r.double(abs_err), r.double(asym)
         rows.append({
             "n": n,
             "exact": exact,
@@ -253,30 +251,27 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
-    from fractions import Fraction
-
     if args.alpha < 1 or args.beta < 0:
         raise ValueError("--alpha must be >= 1 and --beta >= 0")
     if args.n < 2:
         raise ValueError("--n must be >= 2")
     if args.order is not None and args.order < 0:
         raise ValueError("--order must be nonnegative")
-    high_precision = args.precision == "high"
+    term = _layers.LogPowerTerm(1, args.alpha, args.beta)
+    estimate = _layers.transfer_term(term, args.n, order=args.order, high_precision=args.precision == "high")
+    # the oracle's cheap checks: its budget, then its double range
+    _layers._check_exact_budget(args.alpha, args.beta, args.n)
     _layers.check_double_range(args.alpha, args.beta, args.n)
-    term = _layers.LogPowerTerm(Fraction(1), args.alpha, args.beta)
-    estimate = _layers.transfer_term(
-        term, args.n, order=args.order, high_precision=high_precision
-    )
     oracle = _layers.exact_coefficient(args.alpha, args.beta, args.n)
-    estimate_f = float(estimate)
-    if estimate_f == 0 and estimate != 0:
-        # an 82-digit estimate below the double range would print as a signed zero
-        raise ResourceLimitError(
-            f"result underflows the double range (alpha={args.alpha}, beta={args.beta}, "
-            f"n={args.n} estimate rounds to zero in doubles)"
-        )
-    oracle_f = float(oracle)
-    abs_err = abs(estimate_f - oracle_f)
+    what = f"alpha={args.alpha}, beta={args.beta}, n={args.n}"
+    with _layers._arithmetic(False, what) as r:
+        estimate_f = r.double(estimate)
+        if estimate_f == 0 and estimate != 0:
+            # an 82-digit estimate below the double range would print as a signed zero
+            raise ResourceLimitError(f"result underflows the double range ({what} estimate rounds to zero in doubles)")
+        oracle_f = r.double(oracle)
+        abs_err = r.double(abs(estimate_f - oracle_f))
+        rel_err = r.double(abs_err / abs(oracle_f)) if oracle_f != 0 else None
     record = {
         "alpha": args.alpha,
         "beta": args.beta,
@@ -288,7 +283,7 @@ def _cmd_transfer(args) -> int:
         # the integer-to-text digit limit, so it stays a Fraction until then
         "oracle_exact": oracle,
         "abs_err": abs_err,
-        "rel_err": abs_err / abs(oracle_f) if oracle_f != 0 else None,
+        "rel_err": rel_err,
     }
     columns = ("alpha", "beta", "n", "order", "estimate", "oracle", "abs_err", "rel_err")
     _emit(args, record, columns)

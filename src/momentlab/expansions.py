@@ -24,12 +24,11 @@ cancel against C_1(s+1) = gamma - H_s.
 """
 
 import collections
-import decimal
 import math
 from fractions import Fraction
 
 from . import _EXPORTS, Model
-from .transfer import _LOG_DOUBLE_MAX, _RANGE_MARGIN, EULER_GAMMA, LogPowerTerm, _arithmetic, gamma_recip_derivative
+from .transfer import EULER_GAMMA, LogPowerTerm, _arithmetic, gamma_recip_derivative
 
 __all__ = _EXPORTS["expansions"]
 
@@ -57,51 +56,30 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
     s = 1 the two terms sum to n(n-1)/4, the exact mean.  Returns a float,
     or a Decimal at 82 digits when ``high_precision`` is set.
 
-    Each power is ``r.num(base) ** k`` in the record's own arithmetic: an
-    exact int for doubles, a Decimal rounded to 82 digits otherwise, so the
-    high record never forms a huge integer.  A double estimate raises
-    OverflowError "<model> estimate at n=.., s=.. does not fit doubles" once a
-    power of n it forms or its value leaves the double range, so a few that fit
-    are refused (inversions from s = 17 in a band of n, quicksort at n = 2 from
-    s = 508); ``compare --precision high`` answers them.  An 82-digit estimate
-    raises the same error once a power leaves the decimal exponent range.
+    Each power is ``r.power(base, k)`` in the record's arithmetic, and the
+    record refuses a double past the range, or an 82-digit estimate past the
+    decimal exponent range, as OverflowError "<model> estimate at n=.., s=..
+    does not fit doubles".  The double formula converts its powers of n to
+    doubles, so a few estimates that fit are refused (inversions from s = 17
+    in a band of n, quicksort at n = 2 from s = 508); ``compare --precision
+    high`` answers them.
     """
     if n < 2:
         raise ValueError(f"asymptotic evaluation requires n >= 2, got {n}")
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
-    try:
-        if not high_precision:
-            _check_estimate_range(model, n, s)
-        with _arithmetic(high_precision) as r:
-            if model is Model.INVERSIONS:
-                lead = r.num(n) ** (2 * s) / r.num(4) ** s
-                value = lead + r.num(s * (2 * s - 11)) / (9 * r.num(4) ** s) * r.num(n) ** (2 * s - 1)
+    with _arithmetic(high_precision, f"{model} estimate at n={n}, s={s}") as r:
+        if model is Model.INVERSIONS:
+            lead = r.power(n, 2 * s) / r.power(4, s)
+            value = lead + s * (2 * s - 11) / (9 * r.power(4, s)) * r.power(n, 2 * s - 1)
+        else:
+            logn = r.log(n)
+            if model is Model.CYCLES:
+                value = logn**s + r.gamma * s * logn ** (s - 1)
             else:
-                logn = r.log(n)
-                if model is Model.CYCLES:
-                    value = logn**s + r.gamma * s * logn ** (s - 1)
-                else:
-                    value = (r.num(2) ** s * r.num(n) ** s * logn**s
-                             + r.num(2) ** s * s * (r.gamma - 2) * r.num(n) ** s * logn ** (s - 1))
-        if high_precision or math.isfinite(value):
-            return value
-    except (OverflowError, decimal.Overflow):
-        pass
-    raise OverflowError(f"{model} estimate at n={n}, s={s} does not fit doubles")
-
-
-def _check_estimate_range(model: Model, n: int, s: int) -> None:
-    """Raise OverflowError before the double estimate forms its powers of n when the
-    largest passes the double range by over _RANGE_MARGIN: the formula would fail on
-    it, and no power it forms past this check reaches 3000 bits."""
-    ln_n = math.log(n)
-    if model is Model.INVERSIONS:
-        log_largest = max(s * (2 * ln_n - math.log(4)), (2 * s - 1) * ln_n)
-    else:
-        log_largest = 0 if model is Model.CYCLES else s * (math.log(2) + ln_n)
-    if log_largest > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
-        raise OverflowError
+                value = (r.power(2, s) * r.power(n, s) * logn**s
+                         + r.power(2, s) * s * (r.gamma - 2) * r.power(n, s) * logn ** (s - 1))
+        return r.real(value)
 
 
 class CoefficientCheck(

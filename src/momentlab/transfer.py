@@ -24,12 +24,15 @@ This module provides:
   [u^n] (1-u)^(-alpha) log(1/(1-u))^beta, exact and as an 82-digit
   ``Decimal``, that do not use the expansion they check.
 
-Each estimate, here and in ``expansions.asymptotic_moment`` and the error
-columns of ``cli.compare_rows``, is one formula written over the private
-arithmetic record ``_arithmetic(high_precision)``: doubles, or ``decimal``
-at _DIGITS = 82 digits (240 bits and 32 guard bits).  Both records are
-built per call, so a function set on this module in place of
-``gamma_recip_derivative``, such as a wrapper that times it, is the one an
+Each estimate, here and in ``expansions.asymptotic_moment``, is one formula
+over the private arithmetic record ``_arithmetic(high_precision, what)``:
+doubles, or ``decimal`` at _DIGITS = 82 digits (240 bits and 32 guard bits),
+with ``power``, ``factorial`` and a ``double`` that gives a finite float.  It
+is the one place that knows the double range: whatever overflows inside its
+block, an estimate, the bound of ``check_double_range`` or a double that
+``cli`` prints, leaves it as OverflowError("<what> does not fit doubles").
+Both records are built per call, so a function set on this module in place
+of ``gamma_recip_derivative``, such as a wrapper that times it, is the one an
 estimate calls.
 
 Every high-precision value comes by one route, in ``decimal`` at _DIGITS
@@ -255,11 +258,36 @@ def gamma_recip_derivative(alpha: int, k: int) -> float:
 # The arithmetic of an estimate: doubles or 82-digit decimal
 # ---------------------------------------------------------------------------
 
-# Each estimate is one formula over these fields.  ``num`` leaves an int an
-# int for doubles, so that int ** int stays exact and int / int rounds once,
-# and gives a Decimal otherwise; ``real`` gives a float or a Decimal (a
-# Fraction as p/q rounded once, a Decimal at its own precision).
-_Arithmetic = collections.namedtuple("_Arithmetic", "real num log factorial ck gamma")
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
+# Natural-log slack of a refusal past the double range: the lgamma and
+# k ln(base) values it rests on are far closer to the truth than a factor e,
+# so every refused request is past the range, and none that fits is refused.
+_RANGE_MARGIN = 1.0
+# The natural log of the largest int the double record forms.  An estimate that
+# fits doubles forms none larger: each int it forms converts to a double, or is
+# at most inversions' n^(2s), n times the double n^(2s-1).  So the bound only
+# caps the cost of an estimate that does not fit.
+_LOG_INT_MAX = 2 * _LOG_DOUBLE_MAX + _RANGE_MARGIN
+
+# ``real`` gives a finite float or a Decimal (a Fraction as p/q rounded once);
+# ``power(base, k)`` and ``factorial(m)`` exact ints for doubles, so that
+# int / int rounds once, and Decimals rounded to _DIGITS digits otherwise.
+_Arithmetic = collections.namedtuple("_Arithmetic", "real power log factorial double ck gamma")
+
+
+def _double(x) -> float:
+    """x as a finite double, else OverflowError (a nan is a sum of infinities)."""
+    value = float(x)
+    if not math.isfinite(value):
+        raise OverflowError
+    return value
+
+
+def _formed(log_size: float, make, *args) -> int:
+    """The int ``make(*args)`` of natural log ``log_size``, refused past _LOG_INT_MAX."""
+    if log_size > _LOG_INT_MAX:
+        raise OverflowError
+    return make(*args)
 
 
 def _decimal_real(x) -> decimal.Decimal:
@@ -275,19 +303,26 @@ def _decimal_factorial(m: int):
 
 
 @contextlib.contextmanager
-def _arithmetic(high_precision: bool):
-    """The double record, or with ``high_precision`` the decimal record
-    inside its context, _DIGITS digits and the widest exponent range.  Both
-    are built per call, so their ``ck`` is the ``gamma_recip_derivative`` or
-    ``_decimal_ck`` this module holds at that call."""
-    if not high_precision:
-        yield _Arithmetic(float, lambda x: x, math.log, math.factorial, gamma_recip_derivative, EULER_GAMMA)
-        return
-    with decimal.localcontext(_DECIMAL):
-        yield _Arithmetic(
-            _decimal_real, decimal.Decimal, lambda x: decimal.Decimal(x).ln(), _decimal_factorial,
-            _decimal_ck, -_decimal_polygamma(0, 1),
-        )
+def _arithmetic(high_precision: bool, what: str):
+    """The double record, or with ``high_precision`` the decimal record in
+    its context, _DIGITS digits and the widest exponent range, each built per
+    call, so that its ``ck`` is the one this module holds then.  The one
+    double-range rule: an OverflowError or decimal.Overflow raised inside the
+    block leaves it as OverflowError("<what> does not fit doubles")."""
+    try:
+        if high_precision:
+            with decimal.localcontext(_DECIMAL):
+                yield _Arithmetic(
+                    _decimal_real, lambda base, k: decimal.Decimal(base) ** k, lambda x: decimal.Decimal(x).ln(),
+                    _decimal_factorial, _double, _decimal_ck, -_decimal_polygamma(0, 1),
+                )
+        else:
+            yield _Arithmetic(
+                _double, lambda base, k: _formed(k * math.log(base), pow, base, k), math.log,
+                lambda m: _formed(math.lgamma(m + 1), math.factorial, m), _double, gamma_recip_derivative, EULER_GAMMA,
+            )
+    except (OverflowError, decimal.Overflow):
+        raise OverflowError(f"{what} does not fit doubles") from None
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +331,7 @@ def _arithmetic(high_precision: bool):
 
 class LogPowerTerm(collections.namedtuple("LogPowerTerm", "coeff alpha beta")):
     """One term c * (1-u)^(-alpha) * log(1/(1-u))^beta of a singular expansion:
-    ``coeff`` a float or Fraction, ``alpha`` >= 1 and ``beta`` >= 0 ints."""
+    ``coeff`` an int, float or Fraction, ``alpha`` >= 1 and ``beta`` >= 0 ints."""
 
     __slots__ = ()
 
@@ -311,14 +346,6 @@ class LogPowerTerm(collections.namedtuple("LogPowerTerm", "coeff alpha beta")):
 # ---------------------------------------------------------------------------
 # Numeric transfer
 # ---------------------------------------------------------------------------
-
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
-# Natural-log slack of a refusal past the double range: the lgamma values of
-# ``transfer_term`` and ``check_double_range`` are far closer to the truth
-# than a factor e, so every refused request is past the range, and none that
-# fits it is refused.
-_RANGE_MARGIN = 1.0
-
 
 def transfer_term(
     term: LogPowerTerm,
@@ -342,18 +369,14 @@ def transfer_term(
         raise ValueError(f"order must be nonnegative, got {order}")
     a, b = term.alpha, term.beta
     top = b if order is None else min(b, order)
-    # the double record converts n^(alpha-1) and (alpha-1)! to doubles on the
-    # way to their quotient, so either one past the range is refused before
-    # it is formed
-    log_largest = max((a - 1) * math.log(n), math.lgamma(a))
-    if not high_precision and log_largest > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
-        raise OverflowError(f"alpha={a}, beta={b}, n={n} does not fit doubles")
-    with _arithmetic(high_precision) as r:
+    with _arithmetic(high_precision, f"alpha={a}, beta={b}, n={n}") as r:
         logn = r.log(n)
+        # first the powers, which refuse a double past the range at once
+        lead = r.real(term.coeff) * r.power(n, a - 1) / r.factorial(a - 1) * logn**b
         bracket = r.real(0)
         for k in range(top + 1):
             bracket += r.ck(a, k) / r.factorial(k) * math.perm(b, k) / logn**k
-        return r.real(term.coeff) * r.num(n) ** (a - 1) / r.factorial(a - 1) * logn**b * bracket
+        return r.real(lead * bracket)
 
 
 def check_double_range(alpha: int, beta: int, n: int) -> None:
@@ -365,20 +388,19 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
     alpha + j and so at least prod_(j<n) (alpha + j) over
     (alpha + n - 1)^beta.  For n >= beta the oracle is therefore at least
     prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta), and when
-    that passes the range so does the oracle's conversion to a double.  The
-    double-precision estimate makes its own check in ``transfer_term``.
+    that passes the range so does the oracle's conversion to a double.
 
-    This costs a few ``math.lgamma`` calls.  The estimate's C_k cost only
-    O(beta) polygamma values at any alpha; what the check spares is the
-    exact oracle, 9.4-11.1 s at ``ORACLE_MAX_N``, whose double must then
-    overflow.  That matters under ``--precision high``, where
-    ``transfer_term`` refuses nothing and the oracle would run in full.
+    A few ``math.lgamma`` calls in the double record spare the exact oracle,
+    9.4-11.1 s at ``ORACLE_MAX_N``, whose double would overflow.  The CLI runs
+    this after the estimate and the oracle's budget check, as cheap, so that a
+    request the budget refuses gets the budget's line.
     """
-    if n >= beta and (
-        math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)
-        - beta * math.log(alpha + n - 1)
-    ) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
-        raise OverflowError(f"alpha={alpha}, beta={beta}, n={n} does not fit doubles")
+    with _arithmetic(False, f"alpha={alpha}, beta={beta}, n={n}"):
+        if n >= beta and (
+            math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)
+            - beta * math.log(alpha + n - 1)
+        ) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
+            raise OverflowError
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +419,13 @@ def _check_oracle_budget(alpha: int, beta: int, n: int, max_beta: int) -> None:
         raise ResourceLimitError(f"oracle budget is beta <= {max_beta}, got {beta}")
 
 
+def _check_exact_budget(alpha: int, beta: int, n: int) -> None:
+    """The arguments and the budget of ``exact_coefficient``."""
+    _check_oracle_budget(alpha, beta, n, ORACLE_MAX_BETA)
+    if n > ORACLE_MAX_N:
+        raise ResourceLimitError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
+
+
 def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     """Exact [u^n] of (1-u)^(-alpha) * log(1/(1-u))^beta, by the rising
     product of ``tables._log_power_coefficients`` (at beta = 0 and alpha^2 <=
@@ -404,9 +433,7 @@ def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     with the Gamma-derivative expansion it serves to check, nor with
     ``highprec_coefficient``.  Budgeted at n <= 100000, beta <= 6.
     """
-    _check_oracle_budget(alpha, beta, n, ORACLE_MAX_BETA)
-    if n > ORACLE_MAX_N:
-        raise ResourceLimitError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
+    _check_exact_budget(alpha, beta, n)
     from .tables import _log_power_coefficients
     return _log_power_coefficients([({(alpha, beta): 1}, 1)], n)[0]
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentlab import cli, harmonic, quicksort_mean, simulate
+from momentlab import ORACLE_MAX_N, cli, harmonic, quicksort_mean, simulate
 from momentlab.cli import main
 from momentlab.moments import MOMENT_MAX_S, QUICKSORT_PGF_MAX_N, exact_moment
 from momentlab.tables import Model, distribution_table
@@ -337,6 +337,39 @@ class TestTransfer:
         assert proc.returncode == 3
         assert "double range" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # 67^169 passes the double range by less than its margin
+            (("--alpha", "170", "--beta", "0", "--n", "67"),
+             "result overflows the double range (alpha=170, beta=0, n=67 does not fit doubles)"),
+            # (ln n)^300 passes it, past the oracle's beta budget
+            (("--alpha", "1", "--beta", "300", "--n", "100000", "--order", "0"),
+             "result overflows the double range (alpha=1, beta=300, n=100000 does not fit doubles)"),
+            # the estimate fits, the oracle does not
+            (("--alpha", "517", "--beta", "6", "--n", "517", "--precision", "high"),
+             "result overflows the double range (alpha=517, beta=6, n=517 does not fit doubles)"),
+            *[
+                (("--alpha", str(10**400), "--beta", "1", "--n", "2", "--precision", precision),
+                 f"result overflows the double range (alpha={10**400}, beta=1, n=2 does not fit doubles)")
+                for precision in ("double", "high")
+            ],
+            # the estimate is 921.6; the oracle's budget refuses n
+            *[
+                (("--alpha", "1", "--beta", "1", "--n", str(10**400), "--precision", precision),
+                 f"exact oracle budget is n <= {ORACLE_MAX_N}, got {10**400}")
+                for precision in ("double", "high")
+            ],
+        ],
+        ids=["margin-band", "log-power", "oracle-high", "alpha-double", "alpha-high", "n-double", "n-high"],
+    )
+    def test_refusal_prints_the_programs_line(self, argv, line):
+        # each once printed Python's own text of the OverflowError
+        start = children_cpu_seconds()
+        proc = run_cli_process("transfer", *argv)
+        assert children_cpu_seconds() - start < 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"resource limit: {line}\n")
 
     def test_high_precision_large_alpha_is_fast(self):
         # its polygamma values at alpha = 3 x 10^6 once took O(alpha) sums, 24 s,

@@ -24,7 +24,7 @@ from momentlab import (
     singular_expansion,
     transfer_term,
 )
-from momentlab import expansions, moments, tables
+from momentlab import expansions, moments, tables, transfer
 
 
 def third_key(model, s):
@@ -143,7 +143,8 @@ class TestAsymptoticMoment:
 
     def test_range_check_changes_no_outcome(self, monkeypatch):
         # across the edge of the double range, each request gives the same
-        # value or the same OverflowError with and without the check
+        # value or the same OverflowError with and without the double
+        # record's bound on the integers it forms
         def outcome(model, n, s):
             try:
                 return "value", repr(asymptotic_moment(model, n, s))
@@ -158,7 +159,7 @@ class TestAsymptoticMoment:
         ]
         checked = [outcome(*key) for key in grid]
         assert {kind for kind, _ in checked} == {"value", "error"}
-        monkeypatch.setattr(expansions, "_check_estimate_range", lambda *args: None)
+        monkeypatch.setattr(transfer, "_LOG_INT_MAX", math.inf)
         assert [outcome(*key) for key in grid] == checked
 
     def test_double_estimate_is_finite_or_refused(self):

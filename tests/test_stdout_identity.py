@@ -2,6 +2,7 @@
 compared over a benchmark's request lists or a file of requests."""
 
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,24 @@ def test_traceback_on_both_sides_is_caught(tmp_path, capsys):
     assert lines == [
         *(f"fails: {' '.join(a)}: exit 1 -> 1, stdout 0 -> 0 bytes" for a in expected),
         f"tables seeds 1: 8 requests, 0 differ, {len(expected)} fail on both sides",
+    ]
+
+
+def test_hung_request_is_timed_out(tmp_path, capsys, monkeypatch):
+    argv_file = tmp_path / "requests.txt"
+    argv_file.write_text("table --n 5\nmoment --n 3\n")
+    # the change hangs on moment requests; the parent answers them at once
+    parent = stub_checkout(tmp_path / "parent")
+    change = stub_checkout(tmp_path / "change", body='if "moment" in argv:\n    import time\n    time.sleep(60)')
+    monkeypatch.setattr(stdout_identity, "REQUEST_SECONDS", 1)
+    start = time.monotonic()
+    code = stdout_identity.main(["--parent", str(parent), "--change", str(change),
+                                 "--argv-file", str(argv_file)])
+    assert time.monotonic() - start < 30
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "timed out: moment --n 3: exit 0 -> timed out, stdout 13 -> 0 bytes",
+        "requests.txt: 2 requests, 0 differ, 1 timed out",
     ]
 
 

@@ -37,7 +37,7 @@ from momentlab.transfer import (
     _decimal_polygamma,
     _log_gamma,
 )
-from momentlab import tables
+from momentlab import tables, transfer
 from momentlab.moments import exact_moment, moment_series
 from momentlab.tables import Model, _rising, _rising_rows
 
@@ -287,6 +287,30 @@ class TestTransferTerm:
         with pytest.raises(OverflowError, match=f"^alpha={alpha}, beta=0, n={n} does not fit doubles$"):
             transfer_term(LogPowerTerm(1, alpha, 0), n)
         assert time.process_time() - start < 1
+
+    def test_range_guard_changes_no_outcome(self, monkeypatch):
+        # across the edge of the double range, and in its margin band, where
+        # 67^169 passes it by less than _RANGE_MARGIN, each estimate gives the
+        # same value or the same OverflowError with and without the double
+        # record's bound on the integers it forms
+        def outcome(alpha, n, beta):
+            try:
+                return "value", repr(transfer_term(LogPowerTerm(1, alpha, beta), n))
+            except OverflowError as exc:
+                return "error", str(exc)
+
+        grid = [
+            (alpha, n, beta)
+            for alpha in (2, 100, 170, 171, 200)
+            for n in (2, 67, 1000, 10**6)
+            for beta in (0, 1, 6)
+        ]
+        assert _LOG_DOUBLE_MAX < 169 * math.log(67) < _LOG_DOUBLE_MAX + _RANGE_MARGIN
+        checked = [outcome(*key) for key in grid]
+        assert {kind for kind, _ in checked} == {"value", "error"}
+        assert checked[grid.index((170, 67, 0))] == ("error", "alpha=170, beta=0, n=67 does not fit doubles")
+        monkeypatch.setattr(transfer, "_LOG_INT_MAX", math.inf)
+        assert [outcome(*key) for key in grid] == checked
 
     def test_oracle_range_check_at_its_edge(self):
         # the log of the oracle's lower bound C(alpha + n - 1, n) at beta = 0

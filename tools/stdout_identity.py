@@ -21,7 +21,9 @@ default that users get.  Lists each
 request whose exit code, stdout bytes or stderr bytes differ, or that exits
 on either side with a code the CLI does not document (a traceback exits 1),
 then one summary line per list, and exits 1 if any list has such a request,
-else 0.  Stderr counts because the CLI's exit path is
+else 0.  A request still running after REQUEST_SECONDS on either side is
+killed there and listed as timed out, so a hang fails the check instead of
+stalling it.  Stderr counts because the CLI's exit path is
 where both streams are flushed.
 It runs none of the benchmark's measured code: no launcher, no limits, no
 checks against references.
@@ -43,6 +45,11 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 LIST_SECONDS = 30 / 3
 # the CLI's exit codes: success, bad arguments, a resource limit, a failed check
 EXIT_CODES = {0, 2, 3, 4}
+# wall seconds of one request on one side, five times the dearest listed one
+# (the exact oracle at n = 100000 took up to 12 s on a 2-core x86-64 box)
+REQUEST_SECONDS = 60
+# the exit code ``run`` gives a request killed at REQUEST_SECONDS
+TIMED_OUT = "timed out"
 
 
 def _workloads():
@@ -71,7 +78,7 @@ def _is_setting(word: str) -> bool:
 def run(root: Path, argv: tuple) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of one request in the checkout at
     ``root``, under the ``MOMENTLAB_NAME=value`` words it begins with and
-    with buffered streams."""
+    with buffered streams; TIMED_OUT and no output past REQUEST_SECONDS."""
     env = {
         k: v for k, v in os.environ.items()
         if not k.startswith("MOMENTLAB_") and k != "PYTHONUNBUFFERED"
@@ -80,10 +87,13 @@ def run(root: Path, argv: tuple) -> tuple[int, bytes, bytes]:
     env.update(word.split("=", 1) for word in settings)
     # the benchmark's own environment: the checkout's sources, one BLAS thread
     env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "momentlab.cli", *argv[len(settings):]],
-        cwd=root, env=env, stdin=subprocess.DEVNULL, capture_output=True,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentlab.cli", *argv[len(settings):]],
+            cwd=root, env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=REQUEST_SECONDS,
+        )
+    except subprocess.TimeoutExpired:
+        return TIMED_OUT, b"", b""
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -122,14 +132,19 @@ def main(argv: list[str] | None = None) -> int:
     differed = False
     for label, argvs in lists:
         found = differences(args.parent.resolve(), args.change.resolve(), argvs)
+        kinds = []
         for request, (code_a, out_a, err_a), (code_b, out_b, err_b) in found:
-            kind = "fails" if (code_a, out_a, err_a) == (code_b, out_b, err_b) else "differs"
-            print(f"{kind}: {' '.join(request)}: exit {code_a} -> {code_b}, "
+            if TIMED_OUT in (code_a, code_b):
+                kinds.append(TIMED_OUT)
+            else:
+                kinds.append("fails" if (code_a, out_a, err_a) == (code_b, out_b, err_b) else "differs")
+            print(f"{kinds[-1]}: {' '.join(request)}: exit {code_a} -> {code_b}, "
                   f"stdout {len(out_a)} -> {len(out_b)} bytes"
                   + (f", stderr {len(err_a)} -> {len(err_b)} bytes" if err_a != err_b else ""))
-        failed = sum(before == after for _, before, after in found)
-        print(f"{label}: {len(argvs)} requests, {len(found) - failed} differ"
-              + (f", {failed} fail on both sides" if failed else ""), flush=True)
+        failed, timed_out = kinds.count("fails"), kinds.count(TIMED_OUT)
+        print(f"{label}: {len(argvs)} requests, {kinds.count('differs')} differ"
+              + (f", {failed} fail on both sides" if failed else "")
+              + (f", {timed_out} {TIMED_OUT}" if timed_out else ""), flush=True)
         differed = differed or bool(found)
     return 1 if differed else 0
 
