@@ -28,6 +28,7 @@ _EXPORTS = {
     ),
     "moments": (
         "MOMENT_MAX_S",
+        "QUICKSORT_MEAN_MAX_N",
         "QUICKSORT_PGF_MAX_N",
         "exact_moment",
         "factorial_moment",
@@ -37,7 +38,6 @@ _EXPORTS = {
     ),
     "transfer": (
         "EULER_GAMMA",
-        "LogPowerTerm",
         "MAX_DERIVATIVE_ORDER",
         "ORACLE_MAX_BETA",
         "ORACLE_MAX_N",

@@ -49,7 +49,7 @@ each view turns into text only the fields it prints: ``oracle_exact`` and
 a view writes them.
 
 The layers' names, the package's public names and transfer's private
-``_arithmetic`` and ``_check_exact_budget`` are bound on first use by this
+``_arithmetic``, the arithmetic record, are bound on first use by this
 module's ``__getattr__``, and the handlers call them through the module object.
 Every request is a fresh process that compiles each module it imports, so
 a request loads only the submodules its route runs: ``table`` only
@@ -115,9 +115,7 @@ from types import SimpleNamespace
 
 from . import _EXPORTS, Model, ResourceLimitError, _first_use
 
-__getattr__ = _first_use(
-    globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic", "_check_exact_budget")}
-)
+__getattr__ = _first_use(globals(), {**_EXPORTS, "transfer": _EXPORTS["transfer"] + ("_arithmetic",)})
 # This module: the handlers look the layers' names up on it, so that
 # ``__getattr__`` binds each on first use and a name set on the module from
 # outside is the one called.
@@ -257,10 +255,10 @@ def _cmd_transfer(args) -> int:
         raise ValueError("--n must be >= 2")
     if args.order is not None and args.order < 0:
         raise ValueError("--order must be nonnegative")
-    term = _layers.LogPowerTerm(1, args.alpha, args.beta)
-    estimate = _layers.transfer_term(term, args.n, order=args.order, high_precision=args.precision == "high")
-    # the oracle's cheap checks: its budget, then its double range
-    _layers._check_exact_budget(args.alpha, args.beta, args.n)
+    estimate = _layers.transfer_term(
+        args.alpha, args.beta, args.n, order=args.order, high_precision=args.precision == "high"
+    )
+    # the oracle's cheap pre-check: its budget, then its double range
     _layers.check_double_range(args.alpha, args.beta, args.n)
     oracle = _layers.exact_coefficient(args.alpha, args.beta, args.n)
     what = f"alpha={args.alpha}, beta={args.beta}, n={args.n}"
@@ -343,9 +341,10 @@ def _cmd_verify(args) -> int:
     for model in Model:
         for s in range(1, CROSSCHECK_MAX_S + 1):
             check = _layers.coefficient_crosscheck(model, s)
+            errors = check.rel_errors()
             for which, scale, pair, err in (
-                ("leading", check.leading_scale, check.leading, check.rel_errors()[0]),
-                ("second", check.second_scale, check.second, check.rel_errors()[1]),
+                ("leading", check.leading_scale, check.leading, errors[0]),
+                ("second", check.second_scale, check.second, errors[1]),
             ):
                 ok = err <= CROSSCHECK_TOLERANCE
                 if not ok:

@@ -9,8 +9,9 @@ c (1-u)^(-alpha) log^beta(1/(1-u)), built exactly by
 cycles, (1-u)^(-alpha) with alpha = 1..2s+1 for inversions, and for
 quicksort a top term (1-u)^(-(s+1)) log^s(1/(1-u)) followed by terms in
 lower powers of the log.  ``singular_expansion`` reads its two largest
-terms off f_s, and transferring them termwise must reproduce the two
-leading coefficients of the paper's moment asymptotics:
+terms off f_s, in f_s's own form ({(alpha, beta): c}, d), and transferring
+them termwise must reproduce the two leading coefficients of the paper's
+moment asymptotics:
 
 * cycles:      beta_s(n) ~ ln^s n + gamma*s ln^(s-1) n
 * inversions:  beta_s(n) ~ n^2s/4^s + s(2s-11)/(9*4^s) n^(2s-1)
@@ -28,17 +29,18 @@ import math
 from fractions import Fraction
 
 from . import _EXPORTS, Model
-from .transfer import EULER_GAMMA, LogPowerTerm, _arithmetic, gamma_recip_derivative
+from .transfer import EULER_GAMMA, _arithmetic, gamma_recip_derivative
 
 __all__ = _EXPORTS["expansions"]
 
 
-def singular_expansion(model: Model, s: int) -> tuple[LogPowerTerm, ...]:
-    """The leading terms of the s-th moment series f_s (``moments.moment_series``):
-    its two largest in (alpha, beta) order, or its single term for cycles.  The
-    rest of f_s is the exact remainder, every term of it dominated by these.
-    Requires s >= 1 (the 0th moments are identically 1, the plain geometric
-    series).
+def singular_expansion(model: Model, s: int) -> tuple[dict[tuple[int, int], int], int]:
+    """The leading terms of the s-th moment series f_s (``moments.moment_series``)
+    in its own form ({(alpha, beta): c}, d), the sum of c/d (1-u)^(-alpha)
+    log^beta(1/(1-u)): its two largest keys, in decreasing (alpha, beta) order,
+    or its single term for cycles, over f_s's denominator d.  The rest of f_s
+    is the exact remainder, every term of it dominated by these.  Requires
+    s >= 1 (the 0th moments are identically 1, the plain geometric series).
     """
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
@@ -46,7 +48,7 @@ def singular_expansion(model: Model, s: int) -> tuple[LogPowerTerm, ...]:
     from .moments import moment_series
 
     terms, d = moment_series(model, s)
-    return tuple(LogPowerTerm(Fraction(terms[key], d), *key) for key in sorted(terms, reverse=True)[:2])
+    return {key: terms[key] for key in sorted(terms, reverse=True)[:2]}, d
 
 
 def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = False):
@@ -113,24 +115,23 @@ def coefficient_crosscheck(model: Model, s: int) -> CoefficientCheck:
     rationals and the gamma constant directly.  So agreement checks both
     the series and the whole Gamma-derivative recurrence.
     """
-    t1, *rest = singular_expansion(model, s)
-    c1, fact = Fraction(t1.coeff), math.factorial(t1.alpha - 1)
-    lead_t = gamma_recip_derivative(t1.alpha, 0) * float(c1 / fact)
+    terms, d = singular_expansion(model, s)
+    (a1, c1), *rest = [(alpha, Fraction(c, d)) for (alpha, _), c in terms.items()]
+    fact = math.factorial(a1 - 1)
+    lead_t = gamma_recip_derivative(a1, 0) * float(c1 / fact)
     if model is Model.INVERSIONS:
-        (t2,) = rest
+        ((a2, c2),) = rest
         # beta = 0 terms: [u^n](1-u)^(-a) = C(n+a-1, a-1), a polynomial in n
         # whose top two coefficients are 1/(a-1)! and (a(a-1)/2)/(a-1)!.
-        second_t = float(
-            c1 * Fraction(t1.alpha * (t1.alpha - 1) // 2, fact) + Fraction(t2.coeff) / math.factorial(t2.alpha - 1)
-        )
+        second_t = float(c1 * Fraction(a1 * (a1 - 1) // 2, fact) + c2 / math.factorial(a2 - 1))
         scales = (f"n^{2 * s}", f"n^{2 * s - 1}")
         theorem = (float(Fraction(1, 4**s)), float(Fraction(s * (2 * s - 11), 9 * 4**s)))
     else:
         # C_1 correction of the leading term plus direct transfer of the second,
         # if any (not for cycles); for quicksort C_1(s+1) = gamma - H_s cancels
         # the harmonic number inside its coefficient.
-        second_t = float(c1 / fact) * gamma_recip_derivative(t1.alpha, 1) * s + sum(
-            gamma_recip_derivative(t.alpha, 0) * float(Fraction(t.coeff) / fact) for t in rest
+        second_t = float(c1 / fact) * gamma_recip_derivative(a1, 1) * s + sum(
+            gamma_recip_derivative(a, 0) * float(c / fact) for a, c in rest
         )
         scale = "" if model is Model.CYCLES else f"n^{s} "
         scales = (f"{scale}log^{s}(n)", f"{scale}log^{s - 1}(n)")

@@ -4,8 +4,9 @@ The s-th factorial moment of a cost statistic X on inputs of size n is
 E[(X_n)_s] with (X)_s = X(X-1)...(X-s+1); f_s(u) = sum_n E[(X_n)_s] u^n.
 ``exact_moment`` is the one entry point and names the route it took:
 
-* ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, at every n, and the
-  0 of inversions and quicksort at s > max(MOMENT_MAX_S[model], k_max(model, n));
+* ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, up to
+  QUICKSORT_MEAN_MAX_N, and the 0 of inversions and quicksort at
+  s > max(MOMENT_MAX_S[model], k_max(model, n));
 * ``pgf`` -- every other moment, with no row of size n: [u^n] of the moment
   series f_s (``moment_series``) by one ``tables._log_power_coefficients``
   call, f_s = (1-u)^(-1) log^s(1/(1-u)) for cycles, a sum of powers of 1-u
@@ -13,8 +14,8 @@ E[(X_n)_s] with (X)_s = X(X-1)...(X-s+1); f_s(u) = sum_n E[(X_n)_s] u^n.
   ``_quicksort_gf``; a 0 past the support, s > k_max(model, n), builds none.
 
 Every result is an exact rational.  ``exact_moment`` checks the caps
-itself, its first step after the quicksort mean, so a request past one
-raises the package's ``ResourceLimitError`` before any work, whoever calls.
+itself, its first step, so a request past one raises the package's
+``ResourceLimitError`` before any work, whoever calls.
 """
 
 import collections
@@ -45,6 +46,12 @@ MOMENT_MAX_S = {"inversions": 128, "quicksort": 32}
 # where the PGF recurrence took 21-23 s at n = 800), but a little above it the
 # s = 6 numerator (14186 bits at 4000) passes that limit.
 QUICKSORT_PGF_MAX_N = 4000
+# Cap on n for the quicksort mean, the largest multiple of 10^5 whose
+# `moment --mode exact` takes 30 s CPU with a fifth to spare, on the box above:
+# n = 10^6 in 19.9-21.7 s and 16 MB, 1.1 x 10^6 in 21.4-25.5 s (fresh
+# requests, three runs each).  Its text passes the 4300-digit limit above
+# n = 9869, where `moment` and `compare` exit 2 after the work.
+QUICKSORT_MEAN_MAX_N = 1_000_000
 
 
 # Terms a leaf of ``_harmonic_split`` sums over one lcm: measured against 1..512
@@ -214,17 +221,14 @@ def _quicksort_gf(s: int):
 def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
     """Exact s-th factorial moment at size n and its route, ``closed-form`` or
     ``pgf`` (see the module docstring).  A moment past a cap raises
-    ResourceLimitError before any work; the quicksort mean, and a 0 past the
-    support above the s cap, pass every cap.  Quicksort at s != 1 also checks
-    [u^n] f_1 and f_2 against the mean and variance closed forms: ValueError
-    if not.
+    ResourceLimitError before any work; a 0 past the support above the s cap
+    passes every cap.  Quicksort at s != 1 also checks [u^n] f_1 and f_2
+    against the mean and variance closed forms: ValueError if not.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
-    if model is Model.QUICKSORT and s == 1:
-        return quicksort_mean(n), "closed-form"
     if model is Model.CYCLES:
         # The row's cap: the product costs about what the row does (n = s =
         # 4000: 10.2-14.8 s against 12.4-13.4 s, both 40 MB; s = 6: 0.12 s), and
@@ -234,10 +238,12 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
         if s > k_max(model, n):
             return Fraction(0), "closed-form"
         raise ResourceLimitError(f"{model} moments are capped at s <= {MOMENT_MAX_S[model.value]}, got s={s}")
-    elif model is Model.QUICKSORT and n > QUICKSORT_PGF_MAX_N:
-        raise ResourceLimitError(
-            f"quicksort moments of order {s} are capped at n <= {QUICKSORT_PGF_MAX_N}, got n={n}"
-        )
+    elif model is Model.QUICKSORT:
+        cap = QUICKSORT_MEAN_MAX_N if s == 1 else QUICKSORT_PGF_MAX_N
+        if n > cap:
+            raise ResourceLimitError(f"quicksort moments of order {s} are capped at n <= {cap}, got n={n}")
+    if model is Model.QUICKSORT and s == 1:
+        return quicksort_mean(n), "closed-form"
     if s > k_max(model, n):
         return Fraction(0), "pgf"
     if model is not Model.QUICKSORT:

@@ -17,12 +17,16 @@ This module provides:
 
 * ``gamma_recip_derivative`` -- the C_k coefficients, from the recurrence
   g' = -psi*g with polygamma values at positive integers;
-* ``transfer_term`` -- numeric evaluation of the expansion above for one
-  ``LogPowerTerm``; a sum of terms, such as the leading terms of
-  ``expansions.singular_expansion``, transfers term by term;
+* ``transfer_term`` -- numeric evaluation of the expansion above at c = 1;
+  a series ({(alpha, beta): c}, d) of ``moments.moment_series`` transfers
+  term by term;
 * ``exact_coefficient`` / ``highprec_coefficient`` -- two oracles for
   [u^n] (1-u)^(-alpha) log(1/(1-u))^beta, exact and as an 82-digit
-  ``Decimal``, that do not use the expansion they check.
+  ``Decimal``, that do not use the expansion they check;
+* ``check_double_range`` -- the exact oracle's cheap pre-check: its budget,
+  then a bound that refuses a value past the double range before any work.
+
+All four take (alpha, beta, n), and one ``_check_term`` checks alpha and beta.
 
 Each estimate, here and in ``expansions.asymptotic_moment``, is one formula
 over the private arithmetic record ``_arithmetic(high_precision, what)``:
@@ -326,81 +330,41 @@ def _arithmetic(high_precision: bool, what: str):
 
 
 # ---------------------------------------------------------------------------
-# The log-power term
-# ---------------------------------------------------------------------------
-
-class LogPowerTerm(collections.namedtuple("LogPowerTerm", "coeff alpha beta")):
-    """One term c * (1-u)^(-alpha) * log(1/(1-u))^beta of a singular expansion:
-    ``coeff`` an int, float or Fraction, ``alpha`` >= 1 and ``beta`` >= 0 ints."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeff, alpha, beta):
-        if alpha < 1:
-            raise ValueError(f"alpha must be a positive integer, got {alpha}")
-        if beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {beta}")
-        return super().__new__(cls, coeff, alpha, beta)
-
-
-# ---------------------------------------------------------------------------
 # Numeric transfer
 # ---------------------------------------------------------------------------
 
-def transfer_term(
-    term: LogPowerTerm,
-    n: int,
-    *,
-    order: int | None = None,
-    high_precision: bool = False,
-):
-    """Asymptotic estimate of [u^n] for a single log-power term.
+def _check_term(alpha: int, beta: int) -> None:
+    """The arguments every coefficient function takes: alpha >= 1, beta >= 0."""
+    if alpha < 1:
+        raise ValueError(f"alpha must be a positive integer, got {alpha}")
+    if beta < 0:
+        raise ValueError(f"beta must be nonnegative, got {beta}")
 
-    Evaluates c * n^(alpha-1)/(alpha-1)! * (ln n)^beta * bracket, where the
+
+def transfer_term(alpha: int, beta: int, n: int, *, order: int | None = None, high_precision: bool = False):
+    """Asymptotic estimate of [u^n] (1-u)^(-alpha) log(1/(1-u))^beta.
+
+    Evaluates n^(alpha-1)/(alpha-1)! * (ln n)^beta * bracket, where the
     bracket's k-th entry is C_k/k! * (beta)_k / (ln n)^k.  ``order``
     truncates the bracket to k <= order (default: all beta+1 terms, which
     is the full finite sum).  Requires n >= 2 so ln n is positive.
 
     Returns a float, or a Decimal when ``high_precision`` is set.
     """
+    _check_term(alpha, beta)
     if n < 2:
         raise ValueError(f"transfer requires n >= 2, got {n}")
     if order is not None and order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    a, b = term.alpha, term.beta
-    top = b if order is None else min(b, order)
-    with _arithmetic(high_precision, f"alpha={a}, beta={b}, n={n}") as r:
+    top = beta if order is None else min(beta, order)
+    with _arithmetic(high_precision, f"alpha={alpha}, beta={beta}, n={n}") as r:
         logn = r.log(n)
         # first the powers, which refuse a double past the range at once
-        lead = r.real(term.coeff) * r.power(n, a - 1) / r.factorial(a - 1) * logn**b
+        lead = r.real(r.power(n, alpha - 1)) / r.factorial(alpha - 1) * logn**beta
         bracket = r.real(0)
         for k in range(top + 1):
-            bracket += r.ck(a, k) / r.factorial(k) * math.perm(b, k) / logn**k
+            bracket += r.ck(alpha, k) / r.factorial(k) * math.perm(beta, k) / logn**k
         return r.real(lead * bracket)
-
-
-def check_double_range(alpha: int, beta: int, n: int) -> None:
-    """Raise OverflowError, before any work, when the exact oracle at
-    (alpha, beta, n) must pass the double range.
-
-    The oracle is beta! [t^beta] prod_(j<n) (alpha + j + t) / n!.  That
-    coefficient sums C(n, beta) products, each missing beta of the n factors
-    alpha + j and so at least prod_(j<n) (alpha + j) over
-    (alpha + n - 1)^beta.  For n >= beta the oracle is therefore at least
-    prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta), and when
-    that passes the range so does the oracle's conversion to a double.
-
-    A few ``math.lgamma`` calls in the double record spare the exact oracle,
-    9.4-11.1 s at ``ORACLE_MAX_N``, whose double would overflow.  The CLI runs
-    this after the estimate and the oracle's budget check, as cheap, so that a
-    request the budget refuses gets the budget's line.
-    """
-    with _arithmetic(False, f"alpha={alpha}, beta={beta}, n={n}"):
-        if n >= beta and (
-            math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)
-            - beta * math.log(alpha + n - 1)
-        ) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
-            raise OverflowError
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +373,7 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
 
 def _check_oracle_budget(alpha: int, beta: int, n: int, max_beta: int) -> None:
     """The arguments every oracle takes, and its beta budget."""
-    if alpha < 1:
-        raise ValueError(f"alpha must be a positive integer, got {alpha}")
-    if beta < 0:
-        raise ValueError(f"beta must be nonnegative, got {beta}")
+    _check_term(alpha, beta)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if beta > max_beta:
@@ -424,6 +385,33 @@ def _check_exact_budget(alpha: int, beta: int, n: int) -> None:
     _check_oracle_budget(alpha, beta, n, ORACLE_MAX_BETA)
     if n > ORACLE_MAX_N:
         raise ResourceLimitError(f"exact oracle budget is n <= {ORACLE_MAX_N}, got {n}")
+
+
+def check_double_range(alpha: int, beta: int, n: int) -> None:
+    """The exact oracle's whole cheap pre-check at (alpha, beta, n): first its
+    arguments and budget, as ``exact_coefficient`` checks them (ValueError,
+    ResourceLimitError), then OverflowError, before any work, when its value
+    must pass the double range.
+
+    The oracle is beta! [t^beta] prod_(j<n) (alpha + j + t) / n!.  That
+    coefficient sums C(n, beta) products, each missing beta of the n factors
+    alpha + j and so at least prod_(j<n) (alpha + j) over
+    (alpha + n - 1)^beta.  For n >= beta the oracle is therefore at least
+    prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta), and when
+    that passes the range so does the oracle's conversion to a double.
+
+    A few ``math.lgamma`` calls in the double record spare the exact oracle,
+    9.4-11.1 s at ``ORACLE_MAX_N``, whose double would overflow.  The CLI runs
+    this after the estimate and before the oracle; a request the budget
+    refuses gets the budget's line.
+    """
+    _check_exact_budget(alpha, beta, n)
+    with _arithmetic(False, f"alpha={alpha}, beta={beta}, n={n}"):
+        if n >= beta and (
+            math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)
+            - beta * math.log(alpha + n - 1)
+        ) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
+            raise OverflowError
 
 
 def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:

@@ -5,7 +5,6 @@ import json
 import re
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +13,6 @@ from momentlab import _ntt
 from momentlab import (
     CoefficientCheck,
     DistributionTable,
-    LogPowerTerm,
     Model,
     MomentEstimate,
 )
@@ -66,6 +64,11 @@ GUARDS = [
         lambda: momentlab.exact_moment(Model.QUICKSORT, 4001, 2),
         r"quicksort moments of order 2 are capped at n <= 4000, got n=4001",
         id="quicksort-n-cap",
+    ),
+    pytest.param(
+        lambda: momentlab.exact_moment(Model.QUICKSORT, 10**6 + 1, 1),
+        r"quicksort moments of order 1 are capped at n <= 1000000, got n=1000001",
+        id="quicksort-mean-cap",
     ),
     pytest.param(
         lambda: momentlab.gamma_recip_derivative(1, 17),
@@ -152,13 +155,6 @@ RECORDS = [
         id="MomentEstimate",
     ),
     pytest.param(
-        LogPowerTerm(Fraction(1, 2), 2, 1),
-        ("coeff", "alpha", "beta"),
-        "LogPowerTerm(coeff=Fraction(1, 2), alpha=2, beta=1)",
-        LogPowerTerm(Fraction(1, 2), 2, 0),
-        id="LogPowerTerm",
-    ),
-    pytest.param(
         CoefficientCheck(
             Model.QUICKSORT, 1, leading_scale="n^1", second_scale="n^0",
             leading=(2.0, 2.0), second=(1.5, 1.5),
@@ -190,9 +186,3 @@ class TestRecords:
                 setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.extra = None
-
-    def test_validation_errors(self):
-        with pytest.raises(ValueError, match=r"^alpha must be a positive integer, got 0$"):
-            LogPowerTerm(1.0, 0, 1)
-        with pytest.raises(ValueError, match=r"^beta must be nonnegative, got -1$"):
-            LogPowerTerm(1.0, 1, -1)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from momentlab import ORACLE_MAX_N, cli, harmonic, quicksort_mean, simulate
 from momentlab.cli import main
-from momentlab.moments import MOMENT_MAX_S, QUICKSORT_PGF_MAX_N, exact_moment
+from momentlab.moments import MOMENT_MAX_S, QUICKSORT_MEAN_MAX_N, QUICKSORT_PGF_MAX_N, exact_moment
 from momentlab.tables import Model, distribution_table
 
 
@@ -221,6 +221,11 @@ class TestMoment:
         [
             (("moment", "--model", "quicksort", "--n", str(QUICKSORT_PGF_MAX_N + 1), "--s", "2"),
              f"quicksort moments of order 2 are capped at n <= {QUICKSORT_PGF_MAX_N}"),
+            # the mean at the cap takes about 20 s, and at n = 10^11 did not end in 8 s
+            (("moment", "--model", "quicksort", "--n", str(QUICKSORT_MEAN_MAX_N + 1), "--s", "1"),
+             f"quicksort moments of order 1 are capped at n <= {QUICKSORT_MEAN_MAX_N}, got n={QUICKSORT_MEAN_MAX_N + 1}"),
+            (("compare", "--model", "quicksort", "--s", "1", "--n-grid", str(10**11)),
+             f"quicksort moments of order 1 are capped at n <= {QUICKSORT_MEAN_MAX_N}, got n={10**11}"),
             (("moment", "--model", "quicksort", "--n", "30", "--s", str(MOMENT_MAX_S["quicksort"] + 1)),
              f"quicksort moments are capped at s <= {MOMENT_MAX_S['quicksort']}"),
             (("moment", "--model", "inversions", "--n", "30", "--s", str(MOMENT_MAX_S["inversions"] + 1)),

@@ -26,6 +26,7 @@ from momentlab import (
 )
 from momentlab.moments import (
     MOMENT_MAX_S,
+    QUICKSORT_MEAN_MAX_N,
     QUICKSORT_PGF_MAX_N,
     _harmonic_split,
     _inversions_gf,
@@ -510,6 +511,8 @@ class TestExactMoment:
             (Model.INVERSIONS, 10**100, 3, (None, "pgf")),  # its value unchecked
             (Model.QUICKSORT, QUICKSORT_PGF_MAX_N + 1, 2,
              "quicksort moments of order 2 are capped at n <= 4000, got n=4001"),
+            (Model.QUICKSORT, QUICKSORT_MEAN_MAX_N + 1, 1,
+             "quicksort moments of order 1 are capped at n <= 1000000, got n=1000001"),
             (Model.QUICKSORT, 30, MOMENT_MAX_S["quicksort"] + 1,
              "quicksort moments are capped at s <= 32, got s=33"),
             (Model.QUICKSORT, 8, MOMENT_MAX_S["quicksort"] + 1, (0, "closed-form")),
@@ -519,27 +522,34 @@ class TestExactMoment:
     def test_caps_come_before_any_work(self, model, n, s, expected, monkeypatch):
         # ``exact_moment`` checks its own caps first: a refusal, the closed-form
         # 0 past the support above the s cap, or a moment it works out; the
-        # series builders fail the test if a refusal reaches them
+        # series builders and the quicksort mean fail the test if a refusal
+        # reaches them
         from momentlab import moments
 
         if isinstance(expected, str):
             def no_work(*args):
-                raise AssertionError("a refused moment built a series")
+                raise AssertionError("a refused moment did work")
 
             monkeypatch.setattr(moments, "moment_series", no_work)
             monkeypatch.setattr(moments, "_log_power_coefficients", no_work)
+            monkeypatch.setattr(moments, "quicksort_mean", no_work)
             with pytest.raises(ResourceLimitError, match=f"^{re.escape(expected)}$"):
                 exact_moment(model, n, s)
         else:
             value, route = exact_moment(model, n, s)
             assert (value if expected[0] is not None else None, route) == expected
 
-    def test_quicksort_mean_has_no_cap(self, monkeypatch):
-        # every n goes to the closed form, past every cap on n
+    def test_quicksort_mean_cap(self, monkeypatch):
+        # up to its own cap, far above the cap of s != 1, n goes to the closed
+        # form; past it, the refusal comes before the closed form
         from momentlab import moments
 
         monkeypatch.setattr(moments, "quicksort_mean", Fraction)
-        assert exact_moment(Model.QUICKSORT, 10**100, 1) == (10**100, "closed-form")
+        assert QUICKSORT_MEAN_MAX_N > QUICKSORT_PGF_MAX_N
+        assert exact_moment(Model.QUICKSORT, QUICKSORT_MEAN_MAX_N, 1) == (QUICKSORT_MEAN_MAX_N, "closed-form")
+        message = f"quicksort moments of order 1 are capped at n <= {QUICKSORT_MEAN_MAX_N}, got n={10**100}"
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            exact_moment(Model.QUICKSORT, 10**100, 1)
 
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):

@@ -247,11 +247,18 @@ def test_checked_in_moments_list():
                                                     ("verify", "--format", "json")]
     transfers = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "transfer"]
     # beside the grid of alpha, beta and n: huge alpha, which exits 3 under
-    # --precision high, and an estimate halfway between two doubles
+    # --precision high, an estimate halfway between two doubles, and the
+    # transfer handler's checks, each of which exits 3
+    handler_checks = [
+        (170, 0, 67), (1, 300, 100000), (1, 290, 100000), (517, 6, 517), (10**400, 1, 2), (1, 1, 10**400),
+        (100, 0, 200000), (3000000, 17, 100), (2, 7, 50), (1000, 7, 400), (2, 1, 100001),
+        (1000, 0, 308), (1000, 0, 309), (1000, 6, 5),
+    ]
     assert {(o["alpha"], o["beta"], o["n"]) for o in transfers} == {
         *((str(a), str(b), str(n)) for a in (1, 7, 40, 171) for b in range(7) for n in (2, 1000, 100000)),
         *((str(a), str(b), str(n)) for a in (3000000, 1000000000) for b in (1, 6) for n in (2, 3)),
         ("6", "0", "3015"),
+        *((str(a), str(b), str(n)) for a, b, n in handler_checks),
     }
     assert {o.get("precision") for o in transfers} == {None, "high"}
     assert any("order" in o for o in transfers)

@@ -1,6 +1,7 @@
 """Gamma-derivative coefficients, numeric transfer, and the exact series
 oracle, each checked against an independent route."""
 
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from momentlab import (
     EULER_GAMMA,
-    LogPowerTerm,
     Model,
     ResourceLimitError,
     check_double_range,
@@ -264,20 +264,20 @@ class TestGammaRecipDerivative:
 
 class TestTransferTerm:
     def test_geometric_series_is_exact(self):
-        assert transfer_term(LogPowerTerm(1.0, 1, 0), 1000) == 1.0
+        assert transfer_term(1, 0, 1000) == 1.0
 
     def test_beta_zero_is_leading_power_only(self):
         # the estimate is n^(alpha-1)/(alpha-1)!; the exact coefficient
         # C(n+alpha-1, alpha-1) is strictly larger for alpha >= 2
-        assert transfer_term(LogPowerTerm(1.0, 2, 0), 10) == 10.0
+        assert transfer_term(2, 0, 10) == 10.0
         assert exact_coefficient(2, 0, 10) == 11
 
     def test_double_power_of_n_rounds_once(self):
         # n^(alpha-1) is an exact int that rounds once on the way to a double;
         # float(n) ** 2 would round twice and give 6.6513973236455675e+38
-        assert transfer_term(LogPowerTerm(1.0, 3, 0), 3**41) == 6.651397323645567e+38
+        assert transfer_term(3, 0, 3**41) == 6.651397323645567e+38
         # at alpha = 1 an n past the double range never becomes a double
-        assert transfer_term(LogPowerTerm(1.0, 1, 1), 10**400) == 921.6112528625198
+        assert transfer_term(1, 1, 10**400) == 921.6112528625198
 
     @pytest.mark.parametrize("alpha, n", [(3_000_000, 10**9), (200, 2)])
     def test_double_range_refused_before_any_work(self, alpha, n):
@@ -285,7 +285,7 @@ class TestTransferTerm:
         # unrefused, the first case built a 2.7 x 10^7-digit integer for 48 s
         start = time.process_time()
         with pytest.raises(OverflowError, match=f"^alpha={alpha}, beta=0, n={n} does not fit doubles$"):
-            transfer_term(LogPowerTerm(1, alpha, 0), n)
+            transfer_term(alpha, 0, n)
         assert time.process_time() - start < 1
 
     def test_range_guard_changes_no_outcome(self, monkeypatch):
@@ -295,7 +295,7 @@ class TestTransferTerm:
         # record's bound on the integers it forms
         def outcome(alpha, n, beta):
             try:
-                return "value", repr(transfer_term(LogPowerTerm(1, alpha, beta), n))
+                return "value", repr(transfer_term(alpha, beta, n))
             except OverflowError as exc:
                 return "error", str(exc)
 
@@ -328,12 +328,27 @@ class TestTransferTerm:
         # the oracle is exactly 0 for n < beta, where the bound's
         # lgamma(n - beta + 1) has no value; at beta = 0 this alpha and n are
         # refused
-        assert check_double_range(1000, 310, 309) is None
-        assert check_double_range(1000, 400, 309) is None
+        assert check_double_range(10**400, 6, 5) is None
+        with pytest.raises(OverflowError, match=f"^alpha={10**400}, beta=0, n=5 does not fit doubles$"):
+            check_double_range(10**400, 0, 5)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, n, message",
+        [
+            (2, 7, 50, "oracle budget is beta <= 6, got 7"),
+            # the range bound refuses alpha = 1000 from n = 309 at beta = 0
+            (1000, 7, 400, "oracle budget is beta <= 6, got 7"),
+            (2, 1, 100_001, "exact oracle budget is n <= 100000, got 100001"),
+        ],
+    )
+    def test_oracle_range_check_runs_the_budget_first(self, alpha, beta, n, message):
+        # the exact oracle's whole cheap pre-check: its budget, then its range
+        with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+            check_double_range(alpha, beta, n)
 
     def test_harmonic_estimate(self):
         expected = math.log(1000) + EULER_GAMMA
-        assert transfer_term(LogPowerTerm(1.0, 1, 1), 1000) == pytest.approx(
+        assert transfer_term(1, 1, 1000) == pytest.approx(
             expected, rel=1e-15
         )
         assert abs(float(harmonic(1000)) - expected) == pytest.approx(
@@ -342,52 +357,81 @@ class TestTransferTerm:
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            transfer_term(LogPowerTerm(1.0, 1, 1), 1)
+            transfer_term(1, 1, 1)
         with pytest.raises(ValueError, match="^order must be nonnegative, got -1$"):
-            transfer_term(LogPowerTerm(1.0, 1, 1), 10, order=-1)
+            transfer_term(1, 1, 10, order=-1)
 
     def test_bracket_has_beta_plus_one_terms(self):
-        term = LogPowerTerm(1.0, 2, 3)
-        full = transfer_term(term, 50)
-        assert transfer_term(term, 50, order=3) == full
-        assert transfer_term(term, 50, order=17) == full  # (beta)_k kills k > beta
-        truncations = [transfer_term(term, 50, order=k) for k in range(4)]
+        full = transfer_term(2, 3, 50)
+        assert transfer_term(2, 3, 50, order=3) == full
+        assert transfer_term(2, 3, 50, order=17) == full  # (beta)_k kills k > beta
+        truncations = [transfer_term(2, 3, 50, order=k) for k in range(4)]
         assert len(set(truncations)) == 4  # each bracket term contributes
 
     def test_leading_truncation(self):
-        term = LogPowerTerm(2.5, 3, 2)
         expected = 2.5 * 50**2 / 2 * math.log(50) ** 2
-        assert transfer_term(term, 50, order=0) == pytest.approx(expected, rel=1e-15)
+        assert 2.5 * transfer_term(3, 2, 50, order=0) == pytest.approx(expected, rel=1e-15)
 
     def test_high_precision_matches_float(self):
-        term = LogPowerTerm(Fraction(3, 2), 2, 2)
-        hp = transfer_term(term, 500, high_precision=True)
-        assert float(hp) == pytest.approx(transfer_term(term, 500), rel=1e-13)
+        hp = 3 * transfer_term(2, 2, 500, high_precision=True) / 2
+        assert float(hp) == pytest.approx(1.5 * transfer_term(2, 2, 500), rel=1e-13)
 
     def test_high_precision_leading_factor(self):
         # 3015^5 / 5! lies exactly halfway between two doubles: below
         # _STIRLING_MIN_X the factorial is exact, so the estimate keeps the
         # value and rounds to the even double
-        hp = transfer_term(LogPowerTerm(1, 6, 0), 3015, high_precision=True)
+        hp = transfer_term(6, 0, 3015, high_precision=True)
         assert Fraction(hp) == Fraction(3015**5, 120)
         assert float(hp) == 2076133787584453.0
         # above it the factorial is exp(ln Gamma), to about 80 digits
-        hp = transfer_term(LogPowerTerm(1, 200, 0), 3015, high_precision=True)
+        hp = transfer_term(200, 0, 3015, high_precision=True)
         assert abs(Fraction(hp) / Fraction(3015**199, math.factorial(199)) - 1) < Fraction(1, 10**75)
 
     @pytest.mark.parametrize("alpha", [1, 2, 3, 4])
     def test_beta_zero_ratio_to_exact(self, alpha):
         # relative error <= alpha^2/n for n >= 10*alpha
         for n in (10 * alpha, 40 * alpha, 400):
-            estimate = transfer_term(LogPowerTerm(1.0, alpha, 0), n)
+            estimate = transfer_term(alpha, 0, n)
             exact = math.comb(n + alpha - 1, alpha - 1)
             assert abs(estimate - exact) / exact <= alpha**2 / n
 
     def test_harmonic_term_at_ten_thousand(self):
-        estimate = transfer_term(LogPowerTerm(1.0, 1, 1), 10**4)
+        estimate = transfer_term(1, 1, 10**4)
         assert estimate == pytest.approx(math.log(10**4) + EULER_GAMMA, rel=1e-15)
         exact = highprec_coefficient(1, 1, 10**4)
         assert abs(estimate - float(exact)) < 1 / 10**4
+
+
+class TestOneInterface:
+    """The estimate, both oracles and the exact oracle's pre-check take
+    (alpha, beta, n), and one check refuses alpha and beta for all of them."""
+
+    FUNCTIONS = [transfer_term, exact_coefficient, highprec_coefficient, check_double_range]
+
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    def test_takes_alpha_beta_n(self, function):
+        positional = [
+            name for name, p in inspect.signature(function).parameters.items()
+            if p.kind is p.POSITIONAL_OR_KEYWORD
+        ]
+        assert positional == ["alpha", "beta", "n"]
+
+    def test_estimate_options_are_keywords(self):
+        parameters = inspect.signature(transfer_term).parameters
+        assert [(name, p.kind, p.default) for name, p in parameters.items()][3:] == [
+            ("order", inspect.Parameter.KEYWORD_ONLY, None),
+            ("high_precision", inspect.Parameter.KEYWORD_ONLY, False),
+        ]
+        assert transfer_term(alpha=1, beta=1, n=1000) == transfer_term(1, 1, 1000)
+
+    @pytest.mark.parametrize("function", FUNCTIONS)
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [(0, 1, "alpha must be a positive integer, got 0"), (1, -1, "beta must be nonnegative, got -1")],
+    )
+    def test_rejects_alpha_and_beta_alike(self, function, alpha, beta, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            function(alpha, beta, 10)
 
 
 class TestSingularExpansionInvariants:
@@ -399,26 +443,22 @@ class TestSingularExpansionInvariants:
 
     def test_terms_must_decrease(self):
         for model, s in self.CASES:
-            keys = [(t.alpha, t.beta) for t in singular_expansion(model, s)]
+            keys = list(singular_expansion(model, s)[0])
             assert keys == sorted(set(keys), reverse=True), (model, s)
             assert len(keys) == (1 if model is Model.CYCLES else 2), (model, s)
 
     def test_terms_must_dominate_remainder(self):
         for model, s in self.CASES:
             series, d = moment_series(model, s)
-            terms = singular_expansion(model, s)
-            rest = set(series) - {(t.alpha, t.beta) for t in terms}
-            assert all(key < (terms[-1].alpha, terms[-1].beta) for key in rest), (model, s)
-            # the leading terms are f_s's own, nonzero, and f_s is them plus the rest
-            for t in terms:
-                assert t.coeff != 0 and t.coeff == Fraction(series[(t.alpha, t.beta)], d)
+            terms, d_terms = singular_expansion(model, s)
+            rest = set(series) - set(terms)
+            assert all(key < min(terms) for key in rest), (model, s)
+            # the leading terms are f_s's own, nonzero, over f_s's denominator,
+            # and f_s is them plus the rest
+            assert d_terms == d
+            for key, c in terms.items():
+                assert c != 0 and c == series[key]
             assert len(rest) + len(terms) == len(series)
-
-    def test_term_validation(self):
-        with pytest.raises(ValueError):
-            LogPowerTerm(1.0, 0, 1)
-        with pytest.raises(ValueError):
-            LogPowerTerm(1.0, 1, -1)
 
 
 def convolution_series(alpha: int, beta: int, n: int) -> list[Fraction]:
@@ -607,11 +647,10 @@ class TestExactCoefficient:
     @pytest.mark.parametrize("alpha", [1, 2, 3])
     @pytest.mark.parametrize("beta", [0, 1, 2, 3])
     def test_transfer_improves_with_n(self, alpha, beta):
-        term = LogPowerTerm(1.0, alpha, beta)
         errs = []
         for n in (100, 400):
             exact = float(exact_coefficient(alpha, beta, n))
-            errs.append(abs(transfer_term(term, n) - exact) / exact)
+            errs.append(abs(transfer_term(alpha, beta, n) - exact) / exact)
         assert errs[1] <= 0.05
         if errs[0] == errs[1] == 0.0:
             assert alpha == 1 and beta == 0  # the one exactly-transferred case
