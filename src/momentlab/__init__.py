@@ -48,7 +48,6 @@ _EXPORTS = {
         "transfer_term",
     ),
     "expansions": (
-        "CoefficientCheck",
         "asymptotic_moment",
         "coefficient_crosscheck",
         "singular_expansion",

@@ -19,7 +19,9 @@ range: every estimate, and every double that ``transfer`` and ``compare`` print,
 goes through it, and a value past the range exits 3, as does a ``transfer
 --precision high`` estimate below it.  The double estimate refuses a few values
 that fit; ``compare --precision high`` answers them, and exits 3 the same way
-only past the decimal exponent range.
+only past the decimal exponent range.  A ``transfer`` request runs its exact
+oracle only after every cheap refusal: the oracle's budget and range bound,
+then the estimate's double.
 
 Exact moments of ``moment`` and ``compare`` come from
 ``moments.exact_moment``, whose docstring describes its routes:
@@ -260,13 +262,15 @@ def _cmd_transfer(args) -> int:
     )
     # the oracle's cheap pre-check: its budget, then its double range
     _layers.check_double_range(args.alpha, args.beta, args.n)
-    oracle = _layers.exact_coefficient(args.alpha, args.beta, args.n)
     what = f"alpha={args.alpha}, beta={args.beta}, n={args.n}"
+    # then the estimate's double, so that every refusal comes before the oracle's work
     with _layers._arithmetic(False, what) as r:
         estimate_f = r.double(estimate)
         if estimate_f == 0 and estimate != 0:
             # an 82-digit estimate below the double range would print as a signed zero
             raise ResourceLimitError(f"result underflows the double range ({what} estimate rounds to zero in doubles)")
+    oracle = _layers.exact_coefficient(args.alpha, args.beta, args.n)
+    with _layers._arithmetic(False, what) as r:
         oracle_f = r.double(oracle)
         abs_err = r.double(abs(estimate_f - oracle_f))
         rel_err = r.double(abs_err / abs(oracle_f)) if oracle_f != 0 else None
@@ -337,30 +341,24 @@ def _cmd_compare(args) -> int:
 
 def _cmd_verify(args) -> int:
     rows = []
-    failures = 0
     for model in Model:
         for s in range(1, CROSSCHECK_MAX_S + 1):
-            check = _layers.coefficient_crosscheck(model, s)
-            errors = check.rel_errors()
-            for which, scale, pair, err in (
-                ("leading", check.leading_scale, check.leading, errors[0]),
-                ("second", check.second_scale, check.second, errors[1]),
-            ):
-                ok = err <= CROSSCHECK_TOLERANCE
-                if not ok:
-                    failures += 1
+            triples = _layers.coefficient_crosscheck(model, s)
+            for which, (scale, from_transfer, from_theorem) in zip(("leading", "second"), triples):
+                rel_err = abs(from_transfer - from_theorem) / abs(from_theorem)
                 rows.append(
                     {
                         "model": model.value,
                         "s": s,
                         "coefficient": which,
                         "scale": scale,
-                        "from_transfer": pair[0],
-                        "from_theorem": pair[1],
-                        "rel_err": err,
-                        "status": "ok" if ok else "FAIL",
+                        "from_transfer": from_transfer,
+                        "from_theorem": from_theorem,
+                        "rel_err": rel_err,
+                        "status": "ok" if rel_err <= CROSSCHECK_TOLERANCE else "FAIL",
                     }
                 )
+    failures = sum(row["status"] == "FAIL" for row in rows)
     record = {"tolerance": CROSSCHECK_TOLERANCE, "results": rows, "passed": failures == 0}
     _emit(args, record, tuple(rows[0]), "results")
     if failures:

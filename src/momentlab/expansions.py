@@ -1,6 +1,6 @@
 """Singular expansions of the factorial-moment generating series for the
-three models, two-term asymptotic moment formulas, and the consistency
-check tying the two together.
+three models, two-term asymptotic moment formulas, and both sides of the
+consistency check tying the two together.
 
 For each model the generating series f_s(u) = sum_n beta_s(n) u^n of the
 s-th factorial moments is a finite sum of log-power terms
@@ -17,14 +17,14 @@ moment asymptotics:
 * inversions:  beta_s(n) ~ n^2s/4^s + s(2s-11)/(9*4^s) n^(2s-1)
 * quicksort:   beta_s(n) ~ 2^s n^s ln^s n + 2^s s(gamma-2) n^s ln^(s-1) n
 
-``coefficient_crosscheck`` performs that comparison, with these closed
-forms as its theorem side only; for quicksort the second coefficient
+``coefficient_crosscheck`` returns both sides of that comparison, as one
+(scale, from_transfer, from_theorem) triple per coefficient, with these
+closed forms as its theorem side only; for quicksort the second coefficient
 combines the C_1 correction of the leading term with the direct transfer
 of the second term, and the exact harmonic number in the latter must
 cancel against C_1(s+1) = gamma - H_s.
 """
 
-import collections
 import math
 from fractions import Fraction
 
@@ -84,30 +84,14 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
         return r.real(value)
 
 
-class CoefficientCheck(
-    collections.namedtuple(
-        "CoefficientCheck", "model s leading_scale second_scale leading second"
-    )
-):
-    """Two leading asymptotic coefficients, from two independent routes.
-
-    ``leading_scale`` and ``second_scale`` name the powers of n and ln n the
-    coefficients multiply.  ``leading`` and ``second`` are (from_transfer,
-    from_theorem) pairs of floats: the first entry extracted by transferring
-    the singular expansion symbolically in n, the second from the stated
-    asymptotic formula.
-    """
-
-    __slots__ = ()
-
-    def rel_errors(self) -> tuple[float, float]:
-        lt, lth = self.leading
-        st, sth = self.second
-        return abs(lt - lth) / abs(lth), abs(st - sth) / abs(sth)
-
-
-def coefficient_crosscheck(model: Model, s: int) -> CoefficientCheck:
-    """Compare transferred expansion coefficients against the stated ones.
+def coefficient_crosscheck(
+    model: Model, s: int
+) -> tuple[tuple[str, float, float], tuple[str, float, float]]:
+    """The leading and the second asymptotic coefficient of the s-th moment,
+    each a (scale, from_transfer, from_theorem) triple: ``scale`` names the
+    powers of n and ln n the coefficient multiplies, ``from_transfer`` is
+    extracted by transferring the singular expansion symbolically in n, and
+    ``from_theorem`` is the stated asymptotic formula's, both floats.
 
     The transfer side takes the terms of ``singular_expansion``, read off the
     exact series f_s, and uses ``gamma_recip_derivative`` for its C_k
@@ -136,4 +120,4 @@ def coefficient_crosscheck(model: Model, s: int) -> CoefficientCheck:
         scale = "" if model is Model.CYCLES else f"n^{s} "
         scales = (f"{scale}log^{s}(n)", f"{scale}log^{s - 1}(n)")
         theorem = (1.0, EULER_GAMMA * s) if model is Model.CYCLES else (float(2**s), 2**s * s * (EULER_GAMMA - 2))
-    return CoefficientCheck(model, s, *scales, (lead_t, theorem[0]), (second_t, theorem[1]))
+    return (scales[0], lead_t, theorem[0]), (scales[1], second_t, theorem[1])

@@ -402,8 +402,11 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
 
     A few ``math.lgamma`` calls in the double record spare the exact oracle,
     9.4-11.1 s at ``ORACLE_MAX_N``, whose double would overflow.  The CLI runs
-    this after the estimate and before the oracle; a request the budget
-    refuses gets the budget's line.
+    this after the estimate, then converts the estimate to a double, and only
+    then runs the oracle; a request the budget refuses gets the budget's line.
+    The bound drops the oracle's (ln n)^beta growth, so it lets through some
+    values past the range (alpha = 89 at beta = 6, n = 10^5); where the
+    estimate is past it too, that conversion refuses the request at once.
     """
     _check_exact_budget(alpha, beta, n)
     with _arithmetic(False, f"alpha={alpha}, beta={beta}, n={n}"):

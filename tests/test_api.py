@@ -11,7 +11,6 @@ import pytest
 import momentlab
 from momentlab import _ntt
 from momentlab import (
-    CoefficientCheck,
     DistributionTable,
     Model,
     MomentEstimate,
@@ -153,17 +152,6 @@ RECORDS = [
         "MomentEstimate(s=2, n=50, trials=100, mean=3.5, stderr=0.25, seed=7)",
         MomentEstimate(2, 50, 100, 3.5, 0.25, 8),
         id="MomentEstimate",
-    ),
-    pytest.param(
-        CoefficientCheck(
-            Model.QUICKSORT, 1, leading_scale="n^1", second_scale="n^0",
-            leading=(2.0, 2.0), second=(1.5, 1.5),
-        ),
-        ("model", "s", "leading_scale", "second_scale", "leading", "second"),
-        "CoefficientCheck(model=<Model.QUICKSORT: 'quicksort'>, s=1, leading_scale='n^1', "
-        "second_scale='n^0', leading=(2.0, 2.0), second=(1.5, 1.5))",
-        CoefficientCheck(Model.QUICKSORT, 1, "n^1", "n^0", (2.0, 2.0), (1.5, 1.4)),
-        id="CoefficientCheck",
     ),
 ]
 

@@ -355,6 +355,10 @@ class TestTransfer:
             # the estimate fits, the oracle does not
             (("--alpha", "517", "--beta", "6", "--n", "517", "--precision", "high"),
              "result overflows the double range (alpha=517, beta=6, n=517 does not fit doubles)"),
+            # the range bound lets it through, the 82-digit estimate does not fit:
+            # refused before the exact oracle, which takes 7.6-12 s there
+            (("--alpha", "89", "--beta", "6", "--n", "100000", "--precision", "high"),
+             "result overflows the double range (alpha=89, beta=6, n=100000 does not fit doubles)"),
             *[
                 (("--alpha", str(10**400), "--beta", "1", "--n", "2", "--precision", precision),
                  f"result overflows the double range (alpha={10**400}, beta=1, n=2 does not fit doubles)")
@@ -367,7 +371,7 @@ class TestTransfer:
                 for precision in ("double", "high")
             ],
         ],
-        ids=["margin-band", "log-power", "oracle-high", "alpha-double", "alpha-high", "n-double", "n-high"],
+        ids=["margin-band", "log-power", "oracle-high", "estimate-before-oracle", "alpha-double", "alpha-high", "n-double", "n-high"],
     )
     def test_refusal_prints_the_programs_line(self, argv, line):
         # each once printed Python's own text of the OverflowError

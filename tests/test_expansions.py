@@ -197,27 +197,35 @@ class TestAsymptoticMoment:
 class TestCoefficientCrosscheck:
     @pytest.mark.parametrize("model", list(Model))
     @pytest.mark.parametrize("s", range(1, 11))
+    def test_two_scale_transfer_theorem_triples(self, model, s):
+        triples = coefficient_crosscheck(model, s)
+        assert type(triples) is tuple and len(triples) == 2
+        for triple in triples:
+            assert type(triple) is tuple
+            assert [type(x) for x in triple] == [str, float, float]
+
+    @pytest.mark.parametrize("model", list(Model))
+    @pytest.mark.parametrize("s", range(1, 11))
     def test_agreement_to_1e_minus_10(self, model, s):
-        check = coefficient_crosscheck(model, s)
-        lead_err, second_err = check.rel_errors()
-        assert lead_err <= 1e-10
-        assert second_err <= 1e-10
+        (_, lt, lth), (_, st, sth) = coefficient_crosscheck(model, s)
+        assert abs(lt - lth) / abs(lth) <= 1e-10
+        assert abs(st - sth) / abs(sth) <= 1e-10
 
     def test_cycles_s3_coefficients(self):
-        check = coefficient_crosscheck(Model.CYCLES, 3)
-        assert check.leading[1] == 1.0
-        assert check.second[1] == pytest.approx(3 * EULER_GAMMA, rel=1e-15)
+        (_, _, lead_theorem), (_, _, second_theorem) = coefficient_crosscheck(Model.CYCLES, 3)
+        assert lead_theorem == 1.0
+        assert second_theorem == pytest.approx(3 * EULER_GAMMA, rel=1e-15)
 
     def test_inversions_s2_second_coefficient(self):
-        check = coefficient_crosscheck(Model.INVERSIONS, 2)
-        assert check.second[0] == pytest.approx(-7 / 72, rel=1e-12)
-        assert check.second[1] == pytest.approx(2 * (2 * 2 - 11) / (9 * 16), rel=1e-15)
+        _, (_, second_transfer, second_theorem) = coefficient_crosscheck(Model.INVERSIONS, 2)
+        assert second_transfer == pytest.approx(-7 / 72, rel=1e-12)
+        assert second_theorem == pytest.approx(2 * (2 * 2 - 11) / (9 * 16), rel=1e-15)
 
     def test_quicksort_harmonic_cancellation(self):
         # the transferred second coefficient collapses to 2^s s (gamma - 2)
         for s in (1, 2, 5, 10):
-            check = coefficient_crosscheck(Model.QUICKSORT, s)
-            assert check.second[0] == pytest.approx(
+            _, (_, second_transfer, _) = coefficient_crosscheck(Model.QUICKSORT, s)
+            assert second_transfer == pytest.approx(
                 2**s * s * (EULER_GAMMA - 2), rel=1e-12
             )
 

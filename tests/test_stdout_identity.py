@@ -247,12 +247,13 @@ def test_checked_in_moments_list():
                                                     ("verify", "--format", "json")]
     transfers = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "transfer"]
     # beside the grid of alpha, beta and n: huge alpha, which exits 3 under
-    # --precision high, an estimate halfway between two doubles, and the
-    # transfer handler's checks, each of which exits 3
+    # --precision high, an estimate halfway between two doubles, the
+    # transfer handler's checks, each of which exits 3, and last
+    # (88, 6, 100000), one alpha below a refused check, which answers
     handler_checks = [
         (170, 0, 67), (1, 300, 100000), (1, 290, 100000), (517, 6, 517), (10**400, 1, 2), (1, 1, 10**400),
         (100, 0, 200000), (3000000, 17, 100), (2, 7, 50), (1000, 7, 400), (2, 1, 100001),
-        (1000, 0, 308), (1000, 0, 309), (1000, 6, 5),
+        (1000, 0, 308), (1000, 0, 309), (1000, 6, 5), (89, 6, 100000), (88, 6, 100000),
     ]
     assert {(o["alpha"], o["beta"], o["n"]) for o in transfers} == {
         *((str(a), str(b), str(n)) for a in (1, 7, 40, 171) for b in range(7) for n in (2, 1000, 100000)),
