@@ -20,8 +20,9 @@ goes through it, and a value past the range exits 3, as does a ``transfer
 --precision high`` estimate below it.  The double estimate refuses a few values
 that fit; ``compare --precision high`` answers them, and exits 3 the same way
 only past the decimal exponent range.  A ``transfer`` request runs its exact
-oracle only after every cheap refusal: the oracle's budget and range bound,
-then the estimate's double.
+oracle only after every cheap refusal: the oracle's budget, a lower and an
+upper bound on its value with the 82-digit oracle asked when they straddle the
+range, then the estimate's double.
 
 Exact moments of ``moment`` and ``compare`` come from
 ``moments.exact_moment``, whose docstring describes its routes:

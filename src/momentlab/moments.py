@@ -7,10 +7,10 @@ E[(X_n)_s] with (X)_s = X(X-1)...(X-s+1); f_s(u) = sum_n E[(X_n)_s] u^n.
 * ``closed-form`` -- the quicksort mean 2(n+1)H_n - 4n, up to
   QUICKSORT_MEAN_MAX_N, and the 0 of inversions and quicksort at
   s > max(MOMENT_MAX_S[model], k_max(model, n));
-* ``pgf`` -- every other moment, with no row of size n: [u^n] of the moment
+* ``pgf`` -- every other moment, with no table row: [u^n] of the moment
   series f_s (``moment_series``) by one ``tables._log_power_coefficients``
   call, f_s = (1-u)^(-1) log^s(1/(1-u)) for cycles, a sum of powers of 1-u
-  built from the rows 0..2s for inversions (``_inversions_gf``), and
+  read off the PGF product at 1 + t for inversions (``_inversions_gf``), and
   ``_quicksort_gf``; a 0 past the support, s > k_max(model, n), builds none.
 
 Every result is an exact rational.  ``exact_moment`` checks the caps
@@ -27,7 +27,6 @@ from . import _EXPORTS, Model, ResourceLimitError
 from .tables import (
     DistributionTable,
     _check_row_request,
-    _inversion_rows,
     _log_power_coefficients,
     k_max,
 )
@@ -36,9 +35,9 @@ __all__ = _EXPORTS["moments"]
 
 # Largest order s of the inversions and quicksort series: a multiple of 32
 # whose dearest `moment --mode exact` takes 30 s CPU and 1536 MiB with a
-# fifth to spare, on a 2-core x86-64 box with Python 3.11: inversions at
-# n = 10^4300 - 1, s = 128 in 10.4-13.7 s and 27 MB, while s = 160 took
-# 26.6-36.8 s and 38 MB and s = 192 73-85 s (fresh requests, three runs each);
+# fifth to spare, on a 2-core x86-64 box with Python 3.11 (fresh requests, three
+# runs or more each): inversions at n = 10^4300 - 1, s = 128 in 3.4-3.5 s and
+# 17 MB, kept from when table rows took 9.5-13.7 s and s = 160 26.6-36.8 s;
 # quicksort at n = 4000, s = 32 in 11.1-12.8 s and 47 MB, 40 in 30.0 s.
 # Both then exit 2: the values pass Python's 4300-digit limit on int-to-text.
 MOMENT_MAX_S = {"inversions": 128, "quicksort": 32}
@@ -139,18 +138,21 @@ def moment_series(model: Model, s: int):
 
 @functools.lru_cache(maxsize=None)
 def _inversions_gf(s: int):
-    """f_s of inversions.  log P_n(1+t) is a sum over j <= n of series whose t^r
-    coefficient is a polynomial of degree r in j, so E[(I_n)_s] is a polynomial
-    of degree 2s in n: sum_k Delta^k C(n, k), over the forward differences at 0
-    of its values at n = 0..2s, the moments of the table rows 0..2s (built here
-    whatever the row cap) as integers over (2s)!.  And sum_n C(n, k) u^n is
-    u^k v^(-(k+1)), where u^k = sum_j C(k, j) (-v)^j.
+    """f_s of inversions.  log P_n(1+t) is a sum over j <= n of series whose t^r coefficient
+    is a polynomial of degree r in j, so E[(I_n)_s] is a polynomial of degree 2s in n:
+    sum_k Delta^k C(n, k), over the forward differences at 0 of its values at n = 0..2s,
+    s! [t^s] P_n(1+t) = s! [t^s] prod_(j<=n) Q_j(t)/n!, Q_j(t) = ((1+t)^j - 1)/t, by the
+    PGF (Knuth, TAOCP 3, 5.1.1), as integers over (2s)!; a product whose t^0 is not n!
+    raises ValueError.  And sum_n C(n, k) u^n is u^k v^(-(k+1)), u^k = sum_j C(k, j) (-v)^j.
     """
-    scale = math.factorial(2 * s)
-    values = [
-        int(factorial_moment(DistributionTable(Model.INVERSIONS, m, tuple(row)), s) * scale)
-        for m, row in enumerate(_inversion_rows(2 * s))
-    ]
+    scale, product = math.factorial(2 * s), [1] + [0] * s
+    values = [math.factorial(s) * product[s] * scale]
+    for m in range(1, 2 * s + 1):
+        q = [math.comb(m, i + 1) for i in range(min(m, s + 1))]
+        product = [sum(q[i] * product[r - i] for i in range(min(r + 1, m))) for r in range(s + 1)]
+        if product[0] != math.factorial(m):
+            raise ValueError(f"inversions PGF product at n={m} does not have constant term n!")
+        values.append(math.factorial(s) * product[s] * (scale // math.factorial(m)))
     terms = collections.Counter()
     for k in range(2 * s + 1):
         for j in range(k + 1):

@@ -24,7 +24,8 @@ This module provides:
   [u^n] (1-u)^(-alpha) log(1/(1-u))^beta, exact and as an 82-digit
   ``Decimal``, that do not use the expansion they check;
 * ``check_double_range`` -- the exact oracle's cheap pre-check: its budget,
-  then a bound that refuses a value past the double range before any work.
+  then a sandwich of bounds and, near the range, the 82-digit oracle, that
+  refuse a value past the double range before the exact oracle's work.
 
 All four take (alpha, beta, n), and one ``_check_term`` checks alpha and beta.
 
@@ -393,29 +394,34 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
     ResourceLimitError), then OverflowError, before any work, when its value
     must pass the double range.
 
-    The oracle is beta! [t^beta] prod_(j<n) (alpha + j + t) / n!.  That
-    coefficient sums C(n, beta) products, each missing beta of the n factors
-    alpha + j and so at least prod_(j<n) (alpha + j) over
-    (alpha + n - 1)^beta.  For n >= beta the oracle is therefore at least
-    prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta), and when
-    that passes the range so does the oracle's conversion to a double.
-
-    A few ``math.lgamma`` calls in the double record spare the exact oracle,
-    9.4-11.1 s at ``ORACLE_MAX_N``, whose double would overflow.  The CLI runs
-    this after the estimate, then converts the estimate to a double, and only
-    then runs the oracle; a request the budget refuses gets the budget's line.
-    The bound drops the oracle's (ln n)^beta growth, so it lets through some
-    values past the range (alpha = 89 at beta = 6, n = 10^5); where the
-    estimate is past it too, that conversion refuses the request at once.
+    The oracle is C(n + alpha - 1, n) beta! e_beta (``highprec_coefficient``),
+    and two bounds sandwich it.  Below: beta! e_beta sums C(n, beta) products,
+    each missing beta of the n factors alpha + j, so for n >= beta the oracle
+    is at least prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta).
+    Above: beta! e_beta <= p_1^beta, where p_1 = sum_(j<n) 1/(alpha + j) is at
+    most ln((alpha + n - 1)/(alpha - 1)), or 1 + ln n at alpha = 1.  A lower
+    bound past the range refuses at once; an upper bound within _RANGE_MARGIN
+    of it asks the 82-digit oracle (0.5-1.4 ms), which refuses when its double
+    lies past the range by more than its rounding, which grows with
+    (alpha + n)/n, the digits its psi differences lose.  Otherwise the exact
+    oracle decides.  At (89, 6, 93560) the upper bound lies 0.02 above ln of
+    the range and the lower 11.6 below it.  So the exact oracle, 9.4-11.1 s at
+    ``ORACLE_MAX_N``, never runs to a double that would overflow.  The CLI
+    runs this after the estimate, then converts the estimate to a double, and
+    only then runs the oracle; a request the budget refuses gets its line.
     """
     _check_exact_budget(alpha, beta, n)
-    with _arithmetic(False, f"alpha={alpha}, beta={beta}, n={n}"):
-        if n >= beta and (
-            math.lgamma(alpha + n) - math.lgamma(alpha) - math.lgamma(n - beta + 1)
-            - beta * math.log(alpha + n - 1)
-        ) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
+    with _arithmetic(False, f"alpha={alpha}, beta={beta}, n={n}") as r:
+        if n < max(beta, 1):
+            return  # the oracle is 0, or 1 at n = beta = 0
+        rising = math.lgamma(alpha + n) - math.lgamma(alpha)  # ln prod_(j<n) (alpha + j)
+        if rising - math.lgamma(n - beta + 1) - beta * math.log(alpha + n - 1) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
             raise OverflowError
-
+        p1 = math.log1p(n / (alpha - 1)) if alpha > 1 else 1 + math.log(n)
+        if rising - math.lgamma(n + 1) + beta * math.log(p1) > _LOG_DOUBLE_MAX - _RANGE_MARGIN:
+            with decimal.localcontext(_DECIMAL):
+                slack = 1 + decimal.Decimal(10) ** (12 - _DIGITS) * (alpha + n) / n
+                r.double(highprec_coefficient(alpha, beta, n) / slack)
 
 def exact_coefficient(alpha: int, beta: int, n: int) -> Fraction:
     """Exact [u^n] of (1-u)^(-alpha) * log(1/(1-u))^beta, by the rising

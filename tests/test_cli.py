@@ -359,6 +359,10 @@ class TestTransfer:
             # refused before the exact oracle, which takes 7.6-12 s there
             (("--alpha", "89", "--beta", "6", "--n", "100000", "--precision", "high"),
              "result overflows the double range (alpha=89, beta=6, n=100000 does not fit doubles)"),
+            # the 82-digit estimate fits, the 82-digit oracle does not: refused
+            # between the range bounds, before the exact oracle's 7 s
+            (("--alpha", "89", "--beta", "6", "--n", "93560", "--precision", "high"),
+             "result overflows the double range (alpha=89, beta=6, n=93560 does not fit doubles)"),
             *[
                 (("--alpha", str(10**400), "--beta", "1", "--n", "2", "--precision", precision),
                  f"result overflows the double range (alpha={10**400}, beta=1, n=2 does not fit doubles)")
@@ -371,7 +375,7 @@ class TestTransfer:
                 for precision in ("double", "high")
             ],
         ],
-        ids=["margin-band", "log-power", "oracle-high", "estimate-before-oracle", "alpha-double", "alpha-high", "n-double", "n-high"],
+        ids=["margin-band", "log-power", "oracle-high", "estimate-before-oracle", "between-bounds", "alpha-double", "alpha-high", "n-double", "n-high"],
     )
     def test_refusal_prints_the_programs_line(self, argv, line):
         # each once printed Python's own text of the OverflowError

@@ -35,7 +35,7 @@ from momentlab.moments import (
     moment_series,
 )
 from momentlab.simulate import comparisons_first_pivot
-from momentlab.tables import DEFAULT_ROW_LIMITS, _log_power_coefficients
+from momentlab.tables import DEFAULT_ROW_LIMITS, _inversion_rows, _log_power_coefficients
 
 
 def _quicksort_pgf(n: int, s: int) -> list[tuple[int, ...]]:
@@ -316,21 +316,40 @@ class TestExactMoment:
         for s in range(1, 9):
             assert exact_moment(Model.INVERSIONS, n, s)[0] == factorial_moment(table, s)
 
-    def test_inversions_read_rows_up_to_2s(self, monkeypatch):
-        from momentlab import moments
-
-        rows = moments._inversion_rows
-        asked = []
-
-        def recording(n):
-            asked.append(n)
-            return rows(n)
+    def test_inversions_build_no_row(self, monkeypatch):
+        from momentlab import moments, tables
 
         _inversions_gf.cache_clear()
-        monkeypatch.setattr(moments, "_inversion_rows", recording)
-        for s in range(11):
-            exact_moment(Model.INVERSIONS, 10**9, s)
-        assert asked == [2 * s for s in range(11)]
+        expected = [exact_moment(Model.INVERSIONS, 10**9, s) for s in range(11)]
+
+        def refused(*args):
+            raise AssertionError("the moment route built a table row")
+
+        _inversions_gf.cache_clear()
+        monkeypatch.setattr(tables, "_inversion_rows", refused)
+        monkeypatch.setattr(moments, "factorial_moment", refused)
+        assert [exact_moment(Model.INVERSIONS, 10**9, s) for s in range(11)] == expected
+
+    def test_inversions_values_match_rows(self):
+        # the series interpolates its values at n = 0..2s, read off the PGF
+        # product; the rows' factorial moments are the independent reference
+        rows = list(_inversion_rows(128))
+        for s in [*range(33), 48, 64]:
+            for m, row in enumerate(rows[: 2 * s + 1]):
+                expected = factorial_moment(DistributionTable(Model.INVERSIONS, m, tuple(row)), s)
+                assert _log_power_coefficients([_inversions_gf(s)], m) == [expected], (s, m)
+
+    def test_inversions_mass_guard(self, monkeypatch):
+        comb = math.comb
+
+        def corrupted(m, k):
+            # Q_3(0) = C(3, 1) off by one: the product's constant term is 8, not 3!
+            return comb(m, k) + (m == 3 and k == 1)
+
+        _inversions_gf.cache_clear()
+        monkeypatch.setattr(math, "comb", corrupted)
+        with pytest.raises(ValueError, match="^inversions PGF product at n=3 does not have constant term n!$"):
+            _inversions_gf(5)
 
     def test_inversions_ignore_the_row_cap(self, monkeypatch):
         expected = factorial_moment(distribution_table(Model.INVERSIONS, 100), 10)
@@ -346,7 +365,7 @@ class TestExactMoment:
             assert sorted(terms) == [(alpha, 0) for alpha in range(1, 2 * s + 2)]
             assert d > 0 and math.gcd(d, *terms.values()) == 1
 
-    @pytest.mark.parametrize("s", range(1, 11))
+    @pytest.mark.parametrize("s", [*range(1, 11), 32, 64, 128])
     def test_inversions_top_coefficients_are_the_papers(self, s):
         # f_s = (2s)!/4^s v^(-2s-1) - s(4s+5)(2s-1)!/(9*4^(s-1)) v^(-2s) + ...,
         # whose transfer is n^2s/4^s + s(2s-11)/(9*4^s) n^(2s-1) + O(n^(2s-2))

@@ -248,12 +248,14 @@ def test_checked_in_moments_list():
     transfers = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "transfer"]
     # beside the grid of alpha, beta and n: huge alpha, which exits 3 under
     # --precision high, an estimate halfway between two doubles, the
-    # transfer handler's checks, each of which exits 3, and last
-    # (88, 6, 100000), one alpha below a refused check, which answers
+    # transfer handler's checks, each of which exits 3, (88, 6, 100000), one
+    # alpha below a refused check, which answers, and last the band between
+    # the oracle's range bounds: (89, 6, 93560) exits 3, (89, 6, 93543) answers
     handler_checks = [
         (170, 0, 67), (1, 300, 100000), (1, 290, 100000), (517, 6, 517), (10**400, 1, 2), (1, 1, 10**400),
         (100, 0, 200000), (3000000, 17, 100), (2, 7, 50), (1000, 7, 400), (2, 1, 100001),
         (1000, 0, 308), (1000, 0, 309), (1000, 6, 5), (89, 6, 100000), (88, 6, 100000),
+        (89, 6, 93560), (89, 6, 93543),
     ]
     assert {(o["alpha"], o["beta"], o["n"]) for o in transfers} == {
         *((str(a), str(b), str(n)) for a in (1, 7, 40, 171) for b in range(7) for n in (2, 1000, 100000)),
@@ -302,7 +304,8 @@ def test_checked_in_moments_list():
     }
     # around n = 2s, at 100, past the inversions row cap, and at 10^9; past the
     # orders that a table row once answered; a zero past the support at the
-    # s cap; and n = 10^100, read by one Horner pass over the powers of 1-u
+    # s cap; n = 10^100, read by one Horner pass over the powers of 1-u; and
+    # the dearest series within the s cap, s 128 and 64
     higher = {(str(n), str(s)) for n in (3, 10, 30) for s in range(7, 11)}
     assert {(o["n"], o["s"]) for o in moments if o["model"] == "inversions"} == {
         *((str(n), str(s)) for n in (0, 1, 12, 13, 501, 1000000000) for s in range(7)),
@@ -312,6 +315,8 @@ def test_checked_in_moments_list():
         ("30", "128"),
         ("100", "6"),
         *((str(10**100), str(s)) for s in (1, 7, 20, 32)),
+        (str(10**16), "128"),
+        (str(10**30), "64"),
     }
     # the quicksort mean at the edges of the harmonic split's leaves, up to
     # the last n whose mean prints; the moment series and their mean and

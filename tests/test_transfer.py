@@ -1,6 +1,7 @@
 """Gamma-derivative coefficients, numeric transfer, and the exact series
 oracle, each checked against an independent route."""
 
+import decimal
 import inspect
 import math
 import time
@@ -312,7 +313,7 @@ class TestTransferTerm:
         monkeypatch.setattr(transfer, "_LOG_INT_MAX", math.inf)
         assert [outcome(*key) for key in grid] == checked
 
-    def test_oracle_range_check_at_its_edge(self):
+    def test_oracle_range_check_at_its_edge(self, monkeypatch):
         # the log of the oracle's lower bound C(alpha + n - 1, n) at beta = 0
         # crosses _LOG_DOUBLE_MAX + _RANGE_MARGIN between n = 308 and 309
         def log_bound(n):
@@ -320,6 +321,11 @@ class TestTransferTerm:
 
         limit = _LOG_DOUBLE_MAX + _RANGE_MARGIN
         assert log_bound(308) < limit < log_bound(309) < limit + 1
+        # below it the upper bound, here the same, asks the 82-digit oracle,
+        # which refuses C(1307, 308) too; an oracle that fits lets it through
+        with pytest.raises(OverflowError, match="^alpha=1000, beta=0, n=308 does not fit doubles$"):
+            check_double_range(1000, 0, 308)
+        monkeypatch.setattr(transfer, "highprec_coefficient", lambda *key: decimal.Decimal(1))
         assert check_double_range(1000, 0, 308) is None
         with pytest.raises(OverflowError, match="^alpha=1000, beta=0, n=309 does not fit doubles$"):
             check_double_range(1000, 0, 309)
@@ -331,6 +337,26 @@ class TestTransferTerm:
         assert check_double_range(10**400, 6, 5) is None
         with pytest.raises(OverflowError, match=f"^alpha={10**400}, beta=0, n=5 does not fit doubles$"):
             check_double_range(10**400, 0, 5)
+
+    def test_oracle_range_check_between_its_bounds(self):
+        # at (89, 6) the lower bound lies about 11.6 below ln of the double
+        # range; the upper bound comes within its margin from n = 93543 on,
+        # and there the 82-digit oracle decides
+        with pytest.raises(OverflowError, match="^alpha=89, beta=6, n=93560 does not fit doubles$"):
+            check_double_range(89, 6, 93560)
+        assert check_double_range(89, 6, 93543) is None
+        assert check_double_range(88, 6, 100000) is None
+
+    def test_oracle_range_check_spares_the_82_digit_rounding(self, monkeypatch):
+        # the least value whose double overflows, DBL_MAX + half an ulp: past
+        # it by less than the 82-digit oracle's rounding, the exact oracle
+        # decides; past it by more, the check refuses
+        edge = 2**1024 - 2**970
+        monkeypatch.setattr(transfer, "highprec_coefficient", lambda *key: decimal.Decimal(edge + edge // 10**75))
+        assert check_double_range(89, 6, 93560) is None
+        monkeypatch.setattr(transfer, "highprec_coefficient", lambda *key: decimal.Decimal(edge + edge // 10**65))
+        with pytest.raises(OverflowError, match="^alpha=89, beta=6, n=93560 does not fit doubles$"):
+            check_double_range(89, 6, 93560)
 
     @pytest.mark.parametrize(
         "alpha, beta, n, message",
