@@ -19,7 +19,8 @@ primes, and gives them up once its counts are built.
 cap, so a request that builds no quicksort row compiles neither it nor
 numpy.  That cap is fixed (``tables.DEFAULT_ROW_LIMITS``) and bounds the
 time and the residues held; the primes' coverage of n!, which the Chinese
-remaindering needs, is checked here, before the recurrence runs.
+remaindering needs, is checked here, before the recurrence runs
+(`python3 tools/limits.py prime-coverage` runs a request it refuses).
 """
 
 import bisect

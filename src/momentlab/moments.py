@@ -40,16 +40,19 @@ __all__ = _EXPORTS["moments"]
 # 17 MB, kept from when table rows took 9.5-13.7 s and s = 160 26.6-36.8 s;
 # quicksort at n = 4000, s = 32 in 11.1-12.8 s and 47 MB, 40 in 30.0 s.
 # Both then exit 2: the values pass Python's 4300-digit limit on int-to-text.
+# Re-measured by `python3 tools/limits.py inversions-s quicksort-s`.
 MOMENT_MAX_S = {"inversions": 128, "quicksort": 32}
 # Cap on n for quicksort at s != 1: time allows more (0.30-0.33 s at s = 6,
 # where the PGF recurrence took 21-23 s at n = 800), but a little above it the
-# s = 6 numerator (14186 bits at 4000) passes that limit.
+# s = 6 numerator (14186 bits at 4000) passes that limit.  Re-measured by
+# `python3 tools/limits.py quicksort-n`.
 QUICKSORT_PGF_MAX_N = 4000
 # Cap on n for the quicksort mean, the largest multiple of 10^5 whose
 # `moment --mode exact` takes 30 s CPU with a fifth to spare, on the box above:
 # n = 10^6 in 19.9-21.7 s and 16 MB, 1.1 x 10^6 in 21.4-25.5 s (fresh
 # requests, three runs each).  Its text passes the 4300-digit limit above
-# n = 9869, where `moment` and `compare` exit 2 after the work.
+# n = 9869, where `moment` and `compare` exit 2 after the work.  Re-measured
+# by `python3 tools/limits.py quicksort-mean`.
 QUICKSORT_MEAN_MAX_N = 1_000_000
 
 
@@ -235,6 +238,7 @@ def exact_moment(model: Model, n: int, s: int) -> tuple[Fraction, str]:
         # The row's cap: the product costs about what the row does (n = s =
         # 4000: 10.2-14.8 s against 12.4-13.4 s, both 40 MB; s = 6: 0.12 s), and
         # at n = 4060 the s = 6 numerator passes Python's 4300-digit limit.
+        # Re-measured by `python3 tools/limits.py cycles-moment`.
         _check_row_request(model, n)
     elif s > MOMENT_MAX_S[model.value]:
         if s > k_max(model, n):

@@ -174,6 +174,7 @@ _LOCKSTEP_MIN_TRIALS = 30
 # At the cap, cycles at n = 2^30 + 1 with 2 trials took 64 s and 34 MB;
 # the slowest rates above, 1.0e6-1.1e6, would need about half an hour.
 # n = 10^12 with 2 trials would need hours to weeks and is refused at once.
+# Re-measured by `python3 tools/limits.py max-draws`.
 MAX_DRAWS = 1 << 31
 # Memory budget of one worker on the inversions route, ``_inversions_bytes``:
 # a block's slots (``_slot_bytes``: int16 below n = 2^15, int32 from it, so
@@ -184,6 +185,7 @@ MAX_DRAWS = 1 << 31
 # 56 a padded entry), and 117 MiB at n = 2^20 + 1, padded to 2^21.  The budget
 # admits n <= 2^23 (480 MiB by the model), which took 35 s and peaked at
 # 454 MiB RSS; n = 2^27 would hold 7.5 GiB and is refused at once.
+# Re-measured by `python3 tools/limits.py inversions-memory`.
 _INVERSIONS_BUDGET = 512 << 20
 # Draws, (n - 1) x trials, per worker process (see the module docstring).  A
 # worker's fork and the pool's start and join cost 25-60 ms CPU at every size,

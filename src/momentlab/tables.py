@@ -70,7 +70,8 @@ __all__ = _EXPORTS["tables"]
 # 60 MB; 4500 took 27.0-28.7 s and 67 MB, and 5000 38 s and 75 MB.  With
 # the row built by `map`, 4000 takes 16.4-16.9 s and 41 MB.  From n = 1559
 # these requests end in exit 2 once the row is built: its counts pass
-# Python's 4300-digit limit on integer-to-text conversion.
+# Python's 4300-digit limit on integer-to-text conversion.  Re-measured by
+# `python3 tools/limits.py cycles-row inversions-row quicksort-row`.
 DEFAULT_ROW_LIMITS = {
     "cycles": 4000,
     "inversions": 500,

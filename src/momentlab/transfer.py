@@ -91,7 +91,8 @@ EULER_GAMMA = 0.5772156649015329
 
 # Largest derivative order k: C_k needs psi .. psi^(k-1), and the 33 terms of
 # _BERNOULLI carry the Stirling series of psi^(i) at _STIRLING_MIN_X to all
-# _DIGITS digits up to i = 15.
+# _DIGITS digits up to i = 15.  It also caps beta of the polygamma oracle
+# (below).  Re-measured by `python3 tools/limits.py ck-table highprec-beta`.
 MAX_DERIVATIVE_ORDER = 16
 
 # Budget guards for the coefficient oracles.  ORACLE_MAX_N caps n of the
@@ -102,7 +103,8 @@ MAX_DERIVATIVE_ORDER = 16
 # `transfer --alpha 3 --beta 6 --n 100000` took 9.4-11.1 s CPU and 19 MB (alpha 1:
 # 11.7-12.1 s, 19 MB) on a 2-core x86-64 box with Python 3.11, within a 30 s and
 # 1536 MiB request limit; the product tree and the final normalisation take
-# nearly all of it.
+# nearly all of it.  Re-measured by
+# `python3 tools/limits.py oracle-n oracle-beta highprec-binomial`.
 ORACLE_MAX_N = 100_000
 ORACLE_MAX_BETA = 6
 
@@ -399,7 +401,12 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
     each missing beta of the n factors alpha + j, so for n >= beta the oracle
     is at least prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta).
     Above: beta! e_beta <= p_1^beta, where p_1 = sum_(j<n) 1/(alpha + j) is at
-    most ln((alpha + n - 1)/(alpha - 1)), or 1 + ln n at alpha = 1.  A lower
+    most ln((alpha + n - 1)/(alpha - 1)), or 1 + ln n at alpha = 1.  Both
+    take ln prod_(j<n) (alpha + j) as lgamma(alpha + n) - lgamma(alpha) while
+    alpha < n; from alpha = n on that difference cancels in doubles (past
+    about 2^53 it can read 0), so there it is n ln alpha + fsum(log1p(j /
+    alpha)), at most 18 ms at n = 10^5, and a p_1 that underflows to 0 drops
+    its term, which leaves the upper bound above the oracle.  A lower
     bound past the range refuses at once; an upper bound within _RANGE_MARGIN
     of it asks the 82-digit oracle (0.5-1.4 ms), which refuses when its double
     lies past the range by more than its rounding, which grows with
@@ -414,11 +421,14 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
     with _arithmetic(False, f"alpha={alpha}, beta={beta}, n={n}") as r:
         if n < max(beta, 1):
             return  # the oracle is 0, or 1 at n = beta = 0
-        rising = math.lgamma(alpha + n) - math.lgamma(alpha)  # ln prod_(j<n) (alpha + j)
+        if alpha < n:
+            rising = math.lgamma(alpha + n) - math.lgamma(alpha)  # ln prod_(j<n) (alpha + j)
+        else:
+            rising = n * math.log(alpha) + math.fsum(math.log1p(j / alpha) for j in range(n))
         if rising - math.lgamma(n - beta + 1) - beta * math.log(alpha + n - 1) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
             raise OverflowError
         p1 = math.log1p(n / (alpha - 1)) if alpha > 1 else 1 + math.log(n)
-        if rising - math.lgamma(n + 1) + beta * math.log(p1) > _LOG_DOUBLE_MAX - _RANGE_MARGIN:
+        if rising - math.lgamma(n + 1) + (beta * math.log(p1) if p1 else 0) > _LOG_DOUBLE_MAX - _RANGE_MARGIN:
             with decimal.localcontext(_DECIMAL):
                 slack = 1 + decimal.Decimal(10) ** (12 - _DIGITS) * (alpha + n) / n
                 r.double(highprec_coefficient(alpha, beta, n) / slack)

@@ -2,14 +2,12 @@
 types."""
 
 import json
-import re
 import subprocess
 import sys
 
 import pytest
 
 import momentlab
-from momentlab import _ntt
 from momentlab import (
     DistributionTable,
     Model,
@@ -41,63 +39,6 @@ print(json.dumps([missing, sorted(set(momentlab.__all__) - set(star)), unknown, 
 """
 
 
-# One request past each resource guard, and the whole message it refuses with.
-GUARDS = [
-    pytest.param(
-        lambda: momentlab.distribution_table(Model.CYCLES, 4001),
-        r"cycles row 4001 exceeds the cap 4000",
-        id="row-cap",
-    ),
-    pytest.param(
-        lambda: _ntt._ntt_moduli(2**19, 1025),
-        r"quicksort row 1025 needs primes p = 1 \(mod 524288\) below 2\^29 whose "
-        r"product exceeds n! \(8780 bits\); they give only 2939 bits",
-        id="prime-coverage",
-    ),
-    pytest.param(
-        lambda: momentlab.exact_moment(Model.INVERSIONS, 30, 129),
-        r"inversions moments are capped at s <= 128, got s=129",
-        id="moment-s-cap",
-    ),
-    pytest.param(
-        lambda: momentlab.exact_moment(Model.QUICKSORT, 4001, 2),
-        r"quicksort moments of order 2 are capped at n <= 4000, got n=4001",
-        id="quicksort-n-cap",
-    ),
-    pytest.param(
-        lambda: momentlab.exact_moment(Model.QUICKSORT, 10**6 + 1, 1),
-        r"quicksort moments of order 1 are capped at n <= 1000000, got n=1000001",
-        id="quicksort-mean-cap",
-    ),
-    pytest.param(
-        lambda: momentlab.gamma_recip_derivative(1, 17),
-        r"order 17 exceeds the embedded constant table \(max 16\)",
-        id="derivative-order",
-    ),
-    pytest.param(
-        lambda: momentlab.exact_coefficient(1, 7, 10),
-        r"oracle budget is beta <= 6, got 7",
-        id="oracle-beta",
-    ),
-    pytest.param(
-        lambda: momentlab.exact_coefficient(1, 1, 100_001),
-        r"exact oracle budget is n <= 100000, got 100001",
-        id="oracle-n",
-    ),
-    pytest.param(
-        lambda: momentlab.estimate_factorial_moment(Model.QUICKSORT, 2**30 + 2, 1, 2, 0),
-        r"quicksort estimate needs \(n-1\) x trials = 2147483650 draws, above the cap 2147483648",
-        id="max-draws",
-    ),
-    pytest.param(
-        lambda: momentlab.estimate_factorial_moment(Model.INVERSIONS, 2**23 + 1, 1, 2, 0),
-        r"inversions estimate at n = 8388609 would hold \d+ MiB of permutations and merge "
-        r"runs, over the 512 MiB budget",
-        id="inversions-memory",
-    ),
-]
-
-
 class TestPublicNames:
     def test_every_name_resolves_in_a_fresh_process(self):
         proc = subprocess.run(
@@ -111,7 +52,8 @@ class TestPublicNames:
         assert drift == {}
 
     def test_resource_limit_error_is_the_packages_own(self):
-        # bound by the package itself, so catching it loads no submodule
+        # bound by the package itself, so catching it loads no submodule;
+        # tests/test_limits.py checks that every guard raises exactly it
         probe = (
             "import json, sys, momentlab; momentlab.ResourceLimitError; "
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('momentlab.'))))"
@@ -121,13 +63,6 @@ class TestPublicNames:
         assert json.loads(proc.stdout) == []
         assert "ResourceLimitError" in momentlab.__all__
         assert momentlab.ResourceLimitError.__module__ == "momentlab"
-
-    @pytest.mark.parametrize("guard, message", GUARDS)
-    def test_every_guard_raises_the_one_type(self, guard, message):
-        with pytest.raises(momentlab.ResourceLimitError) as exc:
-            guard()
-        assert type(exc.value) is momentlab.ResourceLimitError
-        assert re.fullmatch(message, str(exc.value))
 
     def test_names_are_the_submodules_objects(self):
         from momentlab import simulate, tables, transfer
