@@ -183,8 +183,8 @@ MAX_DRAWS = 1 << 31
 # a power of two.  `simulate --model inversions --trials 2` held, above the
 # imports, 61 MiB at n = 2^20 and 121 MiB at n = 2^21 (4 bytes a slot and
 # 56 a padded entry), and 117 MiB at n = 2^20 + 1, padded to 2^21.  The budget
-# admits n <= 2^23 (480 MiB by the model), which took 35 s and peaked at
-# 454 MiB RSS; n = 2^27 would hold 7.5 GiB and is refused at once.
+# admits n <= 2^23 (480 MiB by the model), which took 15-18 s CPU and
+# peaked at 455 MiB RSS; n = 2^27 would hold 7.5 GiB and is refused at once.
 # Re-measured by `python3 tools/limits.py inversions-memory`.
 _INVERSIONS_BUDGET = 512 << 20
 # Draws, (n - 1) x trials, per worker process (see the module docstring).  A

@@ -402,11 +402,11 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
     is at least prod_(j<n) (alpha + j) / ((n - beta)! (alpha + n - 1)^beta).
     Above: beta! e_beta <= p_1^beta, where p_1 = sum_(j<n) 1/(alpha + j) is at
     most ln((alpha + n - 1)/(alpha - 1)), or 1 + ln n at alpha = 1.  Both
-    take ln prod_(j<n) (alpha + j) as lgamma(alpha + n) - lgamma(alpha) while
-    alpha < n; from alpha = n on that difference cancels in doubles (past
-    about 2^53 it can read 0), so there it is n ln alpha + fsum(log1p(j /
-    alpha)), at most 18 ms at n = 10^5, and a p_1 that underflows to 0 drops
-    its term, which leaves the upper bound above the oracle.  A lower
+    take ln prod_(j<n) (alpha + j) as n ln alpha + fsum(log1p(j / alpha)),
+    which does not cancel as lgamma(alpha + n) - lgamma(alpha) does in
+    doubles (past alpha = 2^53 it can read 0); it takes at most 18 ms at
+    n = 10^5.  A p_1 that underflows to 0 drops its term, which leaves the
+    upper bound above the oracle.  A lower
     bound past the range refuses at once; an upper bound within _RANGE_MARGIN
     of it asks the 82-digit oracle (0.5-1.4 ms), which refuses when its double
     lies past the range by more than its rounding, which grows with
@@ -421,10 +421,7 @@ def check_double_range(alpha: int, beta: int, n: int) -> None:
     with _arithmetic(False, f"alpha={alpha}, beta={beta}, n={n}") as r:
         if n < max(beta, 1):
             return  # the oracle is 0, or 1 at n = beta = 0
-        if alpha < n:
-            rising = math.lgamma(alpha + n) - math.lgamma(alpha)  # ln prod_(j<n) (alpha + j)
-        else:
-            rising = n * math.log(alpha) + math.fsum(math.log1p(j / alpha) for j in range(n))
+        rising = n * math.log(alpha) + math.fsum(math.log1p(j / alpha) for j in range(n))  # ln prod_(j<n) (alpha + j)
         if rising - math.lgamma(n - beta + 1) - beta * math.log(alpha + n - 1) > _LOG_DOUBLE_MAX + _RANGE_MARGIN:
             raise OverflowError
         p1 = math.log1p(n / (alpha - 1)) if alpha > 1 else 1 + math.log(n)

@@ -646,6 +646,10 @@ class TestCompare:
         assert row[7] == "oracle"
         assert row[3] == format(float(exact_moment(Model.CYCLES, 201, 7)[0]), ".15g")
         assert run_cli(*argv, "--s", "16")[0] == 0
+        code, out, err = run_cli(*argv, "--s", "17")
+        assert code == 3
+        assert out == ""
+        assert err == "resource limit: oracle budget is beta <= 16, got 17\n"
 
     @pytest.mark.parametrize(
         "model, sources",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import math
 import os
 import resource
 import statistics
@@ -41,7 +42,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from momentlab._ntt import _PRIME_BOUND  # noqa: E402
+from momentlab._ntt import _PRIME_BOUND, _is_prime, _transform_size  # noqa: E402
 from momentlab.moments import MOMENT_MAX_S, QUICKSORT_MEAN_MAX_N, QUICKSORT_PGF_MAX_N  # noqa: E402
 from momentlab.simulate import _INVERSIONS_BUDGET, MAX_DRAWS, _inversions_bytes  # noqa: E402
 from momentlab.tables import DEFAULT_ROW_LIMITS  # noqa: E402
@@ -95,7 +96,14 @@ _CYCLES_N = DEFAULT_ROW_LIMITS["cycles"]
 _DRAWS_N = MAX_DRAWS // 2 + 1
 # the largest n whose inversions estimate stays within the memory budget
 _INVERSIONS_N = bisect_right(range(1, 2 * MAX_DRAWS), _INVERSIONS_BUDGET, key=_inversions_bytes)
-_HIGHPREC = "from momentlab import highprec_coefficient; highprec_coefficient({}, {}, 10**9)"
+_HIGHPREC_N = 10**9
+_HIGHPREC = "from momentlab import highprec_coefficient; highprec_coefficient({}, {}, %d)" % _HIGHPREC_N
+# a quicksort row far past its cap, which refuses it first, and its transform
+# size: the primes p = 1 (mod size) below the bound, all of them, do not
+# exceed n!
+_UNCOVERED_N = 1025
+_UNCOVERED_SIZE = _transform_size(_UNCOVERED_N)
+_UNCOVERED_PRIMES = math.prod(p for p in range(_UNCOVERED_SIZE + 1, _PRIME_BOUND, _UNCOVERED_SIZE) if _is_prime(p))
 
 LIMITS = [
     _row_cap("cycles", 1),
@@ -160,7 +168,7 @@ LIMITS = [
     Limit(
         "highprec-binomial", f"transfer.ORACLE_MAX_N = {ORACLE_MAX_N}",
         _HIGHPREC.format(ORACLE_MAX_N + 1, MAX_DERIVATIVE_ORDER), _HIGHPREC.format(ORACLE_MAX_N + 2, MAX_DERIVATIVE_ORDER),
-        f"high-precision oracle budget is min(n, alpha - 1) <= {ORACLE_MAX_N}, got alpha={ORACLE_MAX_N + 2}, n={10**9}",
+        f"high-precision oracle budget is min(n, alpha - 1) <= {ORACLE_MAX_N}, got alpha={ORACLE_MAX_N + 2}, n={_HIGHPREC_N}",
         False, None,
     ),
     # cycles holds no permutation, so it alone reaches the cap within memory
@@ -175,14 +183,13 @@ LIMITS = [
         f"of permutations and merge runs, over the {_INVERSIONS_BUDGET >> 20} MiB budget",
         False, None,
     ),
-    # no request reaches it: the row cap refuses row 1025 first, whose
-    # transform size 2^19 leaves too few primes p = 1 (mod 2^19) below the
-    # bound to exceed 1025!
+    # no request reaches it: the row cap refuses every row past 120 first
     Limit(
         "prime-coverage", f"_ntt._PRIME_BOUND = 2^{_PRIME_BOUND.bit_length() - 1}", None,
-        "from momentlab._ntt import _ntt_moduli; _ntt_moduli(2**19, 1025)",
-        f"quicksort row 1025 needs primes p = 1 (mod 524288) below 2^{_PRIME_BOUND.bit_length() - 1} whose "
-        "product exceeds n! (8780 bits); they give only 2939 bits",
+        f"from momentlab._ntt import _ntt_moduli; _ntt_moduli({_UNCOVERED_SIZE}, {_UNCOVERED_N})",
+        f"quicksort row {_UNCOVERED_N} needs primes p = 1 (mod {_UNCOVERED_SIZE}) below "
+        f"2^{_PRIME_BOUND.bit_length() - 1} whose product exceeds n! "
+        f"({math.factorial(_UNCOVERED_N).bit_length()} bits); they give only {_UNCOVERED_PRIMES.bit_length() - 1} bits",
         False, None,
     ),
 ]
