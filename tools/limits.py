@@ -98,8 +98,8 @@ _DRAWS_N = MAX_DRAWS // 2 + 1
 _INVERSIONS_N = bisect_right(range(1, 2 * MAX_DRAWS), _INVERSIONS_BUDGET, key=_inversions_bytes)
 _HIGHPREC_N = 10**9
 _HIGHPREC = "from momentlab import highprec_coefficient; highprec_coefficient({}, {}, %d)" % _HIGHPREC_N
-# a quicksort row far past its cap, which refuses it first, and its transform
-# size: the primes p = 1 (mod size) below the bound, all of them, do not
+# a quicksort row far past its cap and its transform size: all the primes
+# p = 1 (mod size) between the size, which exceeds n, and the bound do not
 # exceed n!
 _UNCOVERED_N = 1025
 _UNCOVERED_SIZE = _transform_size(_UNCOVERED_N)
@@ -183,7 +183,7 @@ LIMITS = [
         f"of permutations and merge runs, over the {_INVERSIONS_BUDGET >> 20} MiB budget",
         False, None,
     ),
-    # no request reaches it: the row cap refuses every row past 120 first
+    # no request reaches it: the quicksort row cap refuses such a row first
     Limit(
         "prime-coverage", f"_ntt._PRIME_BOUND = 2^{_PRIME_BOUND.bit_length() - 1}", None,
         f"from momentlab._ntt import _ntt_moduli; _ntt_moduli({_UNCOVERED_SIZE}, {_UNCOVERED_N})",
