@@ -17,9 +17,11 @@ verify    coefficient cross-check for s = 1..10, all models; exit 4 on failure
 One rule, in the arithmetic record ``transfer._arithmetic``, covers the double
 range: every estimate, and every double that ``transfer`` and ``compare`` print,
 goes through it, and a value past the range exits 3, as does a ``transfer
---precision high`` estimate below it.  The double estimate refuses a few values
-that fit; ``compare --precision high`` answers them, and exits 3 the same way
-only past the decimal exponent range.  A ``transfer`` request runs its exact
+--precision high`` estimate below it.  Where the double formula of an estimate
+overflows, it is worked out at 82 digits and rounded once, so a double estimate
+is refused only where its value does not fit, as ``--precision high`` refuses
+it; ``compare --precision high`` exits 3 the same way only past the decimal
+exponent range.  A ``transfer`` request runs its exact
 oracle only after every cheap refusal: the oracle's budget, a lower and an
 upper bound on its value with the 82-digit oracle asked when they straddle the
 range, then the estimate's double.

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 
 from . import _EXPORTS, Model
-from .transfer import EULER_GAMMA, _arithmetic, gamma_recip_derivative
+from .transfer import EULER_GAMMA, _estimate, gamma_recip_derivative
 
 __all__ = _EXPORTS["expansions"]
 
@@ -58,19 +58,19 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
     s = 1 the two terms sum to n(n-1)/4, the exact mean.  Returns a float,
     or a Decimal at 82 digits when ``high_precision`` is set.
 
-    Each power is ``r.power(base, k)`` in the record's arithmetic, and the
-    record refuses a double past the range, or an 82-digit estimate past the
-    decimal exponent range, as OverflowError "<model> estimate at n=.., s=..
-    does not fit doubles".  The double formula converts its powers of n to
-    doubles, so a few estimates that fit are refused (inversions from s = 17
-    in a band of n, quicksort at n = 2 from s = 508); ``compare --precision
-    high`` answers them.
+    Each power is ``r.power(base, k)`` in the record's arithmetic, by
+    ``transfer._estimate``: where the double formula overflows (inversions
+    from s = 17 in a band of n, quicksort at n = 2 from s = 508), the 82-digit
+    formula rounded once to a double.  A double past the range, or an
+    82-digit estimate past the decimal exponent range, is refused as
+    OverflowError "<model> estimate at n=.., s=.. does not fit doubles".
     """
     if n < 2:
         raise ValueError(f"asymptotic evaluation requires n >= 2, got {n}")
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
-    with _arithmetic(high_precision, f"{model} estimate at n={n}, s={s}") as r:
+
+    def formula(r):
         if model is Model.INVERSIONS:
             lead = r.power(n, 2 * s) / r.power(4, s)
             value = lead + s * (2 * s - 11) / (9 * r.power(4, s)) * r.power(n, 2 * s - 1)
@@ -82,6 +82,8 @@ def asymptotic_moment(model: Model, n: int, s: int, *, high_precision: bool = Fa
                 value = (r.power(2, s) * r.power(n, s) * logn**s
                          + r.power(2, s) * s * (r.gamma - 2) * r.power(n, s) * logn ** (s - 1))
         return r.real(value)
+
+    return _estimate(formula, high_precision, f"{model} estimate at n={n}, s={s}")
 
 
 def coefficient_crosscheck(

@@ -36,6 +36,9 @@ with ``power``, ``factorial`` and a ``double`` that gives a finite float.  It
 is the one place that knows the double range: whatever overflows inside its
 block, an estimate, the bound of ``check_double_range`` or a double that
 ``cli`` prints, leaves it as OverflowError("<what> does not fit doubles").
+``_estimate`` runs the formula: in doubles first, and where a power, a
+factorial or a product passes the range there, at 82 digits rounded once,
+so that a double estimate is refused only where its value does not fit.
 Both records are built per call, so a function set on this module in place
 of ``gamma_recip_derivative``, such as a wrapper that times it, is the one an
 estimate calls.
@@ -332,6 +335,28 @@ def _arithmetic(high_precision: bool, what: str):
         raise OverflowError(f"{what} does not fit doubles") from None
 
 
+def _estimate(formula, high_precision: bool, what: str):
+    """``formula(r)`` over the record of ``high_precision``.  In doubles,
+    where the double formula raises OverflowError, the same formula at
+    _DIGITS digits, rounded once to a double; that is refused as the record
+    refuses, OverflowError("<what> does not fit doubles"), only where the
+    rounding overflows or turns a nonzero value into 0."""
+    if not high_precision:
+        try:
+            with _arithmetic(False, what) as r:
+                return formula(r)
+        except OverflowError:
+            pass
+    with _arithmetic(True, what) as r:
+        value = formula(r)
+        if high_precision:
+            return value
+        double = r.double(value)
+        if double == 0 and value != 0:
+            raise OverflowError
+        return double
+
+
 # ---------------------------------------------------------------------------
 # Numeric transfer
 # ---------------------------------------------------------------------------
@@ -360,7 +385,8 @@ def transfer_term(alpha: int, beta: int, n: int, *, order: int | None = None, hi
     if order is not None and order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     top = beta if order is None else min(beta, order)
-    with _arithmetic(high_precision, f"alpha={alpha}, beta={beta}, n={n}") as r:
+
+    def formula(r):
         logn = r.log(n)
         # first the powers, which refuse a double past the range at once
         lead = r.real(r.power(n, alpha - 1)) / r.factorial(alpha - 1) * logn**beta
@@ -368,6 +394,8 @@ def transfer_term(alpha: int, beta: int, n: int, *, order: int | None = None, hi
         for k in range(top + 1):
             bracket += r.ck(alpha, k) / r.factorial(k) * math.perm(beta, k) / logn**k
         return r.real(lead * bracket)
+
+    return _estimate(formula, high_precision, f"alpha={alpha}, beta={beta}, n={n}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Shared test oracles: exhaustive enumerations that are independent of the
-recurrence-based production code they check."""
+recurrence-based production code they check; and the tools on the path."""
 
 from __future__ import annotations
 
 import multiprocessing
 import os
 import signal
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,10 @@ from momentlab.simulate import (
     count_cycles,
     count_inversions,
 )
+
+# the repository's tools, each a module of its own name (``import child``), as
+# when a tool runs as a script from there
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 
 def brute_force_histogram(model: Model, n: int) -> list[int]:

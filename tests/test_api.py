@@ -2,9 +2,9 @@
 types."""
 
 import json
-import subprocess
-import sys
+from pathlib import Path
 
+import child
 import pytest
 
 import momentlab
@@ -17,6 +17,8 @@ from momentlab import (
 # Resolves the package's names in a fresh interpreter, where no submodule has
 # been imported yet, and prints what it found: the names of each submodule's
 # star import that are not its entry of _EXPORTS, or missing from it, too.
+ROOT = Path(__file__).resolve().parent.parent
+
 NAMES_PROBE = """
 import json, sys
 import momentlab
@@ -41,11 +43,9 @@ print(json.dumps([missing, sorted(set(momentlab.__all__) - set(star)), unknown, 
 
 class TestPublicNames:
     def test_every_name_resolves_in_a_fresh_process(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", NAMES_PROBE], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        missing, not_starred, unknown, drift = json.loads(proc.stdout)
+        code, out, err, _, _ = child.run(ROOT, ("-c", NAMES_PROBE))
+        assert code == 0, err
+        missing, not_starred, unknown, drift = json.loads(out)
         assert missing == []
         assert not_starred == []
         assert unknown == "module 'momentlab' has no attribute 'no_such_name'"
@@ -58,9 +58,9 @@ class TestPublicNames:
             "import json, sys, momentlab; momentlab.ResourceLimitError; "
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('momentlab.'))))"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == []
+        code, out, err, _, _ = child.run(ROOT, ("-c", probe))
+        assert code == 0, err
+        assert json.loads(out) == []
         assert "ResourceLimitError" in momentlab.__all__
         assert momentlab.ResourceLimitError.__module__ == "momentlab"
 

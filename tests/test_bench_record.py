@@ -1,16 +1,11 @@
 """tools/bench_record.py: perfbench run records of two checkouts into one
 BENCH_*.json."""
 
-import importlib.util
 import json
 from pathlib import Path
 
+import bench_record
 import pytest
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
-spec = importlib.util.spec_from_file_location("bench_record", TOOL)
-bench_record = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_record)
 
 ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "mpmath": "1.3.0", "gmpy2": False, "nproc": 2}
 

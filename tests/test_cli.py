@@ -7,7 +7,6 @@ import importlib.util
 import io
 import json
 import os
-import resource
 import subprocess
 import sys
 import tracemalloc
@@ -15,11 +14,12 @@ from contextlib import redirect_stdout, redirect_stderr
 from fractions import Fraction
 from pathlib import Path
 
+import child
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from momentlab import ORACLE_MAX_N, cli, harmonic, quicksort_mean, simulate
+from momentlab import ORACLE_MAX_N, asymptotic_moment, cli, harmonic, quicksort_mean, simulate
 from momentlab.cli import main
 from momentlab.moments import MOMENT_MAX_S, QUICKSORT_MEAN_MAX_N, QUICKSORT_PGF_MAX_N, exact_moment
 from momentlab.tables import Model, distribution_table
@@ -37,15 +37,14 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_cli_process(*argv, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "momentlab.cli", *argv], capture_output=True, text=True, env=env
-    )
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def children_cpu_seconds():
-    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return usage.ru_utime + usage.ru_stime
+def fresh(*request):
+    """A request of the shared runner (CLI words, or ``-c`` and code) in a
+    fresh child: exit code, stdout and stderr as text, and its CPU seconds."""
+    code, out, err, cpu, _ = child.run(ROOT, request)
+    return code, out.decode(), err.decode(), cpu
 
 
 class TestTable:
@@ -71,15 +70,9 @@ class TestTable:
     def test_row_cap_is_fixed(self):
         # no environment variable raises a cap: the row past it is refused
         # before any work, in a fresh process
-        start = children_cpu_seconds()
-        proc = run_cli_process(
-            "table", "--model", "quicksort", "--n", "121",
-            env={**os.environ, "MOMENTLAB_ROW_LIMIT": "1024"},
-        )
-        assert children_cpu_seconds() - start < 1
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr == "resource limit: quicksort row 121 exceeds the cap 120\n"
+        code, out, err, cpu = fresh("MOMENTLAB_ROW_LIMIT=1024", "table", "--model", "quicksort", "--n", "121")
+        assert cpu < 1
+        assert (code, out, err) == (3, "", "resource limit: quicksort row 121 exceeds the cap 120\n")
 
     @pytest.mark.parametrize("value", ["5", "not-a-number"])
     def test_row_limit_variable_is_ignored(self, value, monkeypatch):
@@ -161,38 +154,45 @@ class TestMoment:
         )
 
     def test_double_overflow_exit_code(self):
-        proc = run_cli_process(
-            "moment", "--model", "quicksort", "--n", "50", "--s", "200", "--mode", "asym"
-        )
-        assert proc.returncode == 3
-        assert "double range" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err, _ = fresh("moment", "--model", "quicksort", "--n", "50", "--s", "200", "--mode", "asym")
+        assert code == 3
+        assert "double range" in err
+        assert "Traceback" not in err
 
     def test_cycles_exact_from_the_product(self):
         # the bytes this request printed when it summed the 3501-entry row,
         # which took 12 s of CPU
-        start = children_cpu_seconds()
-        proc = run_cli_process(
-            "moment", "--model", "cycles", "--n", "3500", "--s", "7", "--mode", "exact"
-        )
-        assert children_cpu_seconds() - start < 2
-        assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        code, out, err, cpu = fresh("moment", "--model", "cycles", "--n", "3500", "--s", "7", "--mode", "exact")
+        assert cpu < 2
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
             "c3b1e5700852ce67f89b03c372bfd58fa22054f5af39d3259dda06c7269e3376"
         )
 
     def test_quicksort_at_the_old_cap_is_fast(self):
         # the bytes this request printed through the PGF recurrence, which
         # took 15-23 s of CPU
-        start = children_cpu_seconds()
-        proc = run_cli_process(
-            "moment", "--model", "quicksort", "--n", "800", "--s", "6", "--mode", "exact"
-        )
-        assert children_cpu_seconds() - start < 1
-        assert proc.returncode == 0, proc.stderr
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        code, out, err, cpu = fresh("moment", "--model", "quicksort", "--n", "800", "--s", "6", "--mode", "exact")
+        assert cpu < 1
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
             "8fe8c2cb2b7986d135a017c5be66598a08a740bccdd05902b2992ba888aa141d"
         )
+
+    @pytest.mark.parametrize(
+        "model, n, s, asym",
+        [
+            ("inversions", 50, 100, "1.66521452338521e+281"),
+            ("inversions", 30, MOMENT_MAX_S["inversions"], "1.40636401676346e+303"),
+            ("quicksort", 2, 600, "-6.62801549051774e+268"),
+        ],
+    )
+    def test_estimate_that_fits_is_answered(self, model, n, s, asym):
+        # the double formula's powers of n pass the double range, its value
+        # does not: the 82-digit estimate, rounded once
+        code, out, err = run_cli("moment", "--model", model, "--n", str(n), "--s", str(s), "--mode", "asym")
+        assert (code, out, err) == (0, f"model,s,n,exact,asym\n{model},{s},{n},,{asym}\n", "")
+        assert asymptotic_moment(Model(model), n, s) == float(asymptotic_moment(Model(model), n, s, high_precision=True))
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -204,15 +204,10 @@ class TestMoment:
              f"quicksort moments of order 1 are capped at n <= {QUICKSORT_MEAN_MAX_N}, got n={10**11}"),
             (("compare", "--model", "quicksort", "--s", str(MOMENT_MAX_S["quicksort"] + 1), "--n-grid", "30"),
              f"quicksort moments are capped at s <= {MOMENT_MAX_S['quicksort']}"),
-            # past the inversions cap every n whose support reaches s (n >= 17)
-            # has an estimate past the double range, which compare refuses first
+            # the estimate at n = 30 fits doubles from the 82-digit formula, so
+            # the exact side's cap refuses s
             (("compare", "--model", "inversions", "--s", str(MOMENT_MAX_S["inversions"] + 1), "--n-grid", "30"),
-             "result overflows the double range"),
-            # at the cap the exact moment takes seconds, and moment --mode both,
-            # like compare, refuses the estimate before it
-            (("moment", "--model", "inversions", "--n", "30", "--s", str(MOMENT_MAX_S["inversions"]), "--mode", "both"),
-             f"result overflows the double range (inversions estimate at n=30, s={MOMENT_MAX_S['inversions']} "
-             "does not fit doubles)"),
+             f"inversions moments are capped at s <= {MOMENT_MAX_S['inversions']}"),
             # far past the s cap the estimate is refused before n^(2s) is formed
             (("moment", "--model", "inversions", "--n", str(10**100), "--s", "1000000", "--mode", "both"),
              f"result overflows the double range (inversions estimate at n={10**100}, s=1000000 does not fit doubles)"),
@@ -221,21 +216,18 @@ class TestMoment:
         ],
     )
     def test_past_each_cap_exits_3_fast(self, argv, message):
-        start = children_cpu_seconds()
-        proc = run_cli_process(*argv)
-        assert children_cpu_seconds() - start < 2
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr.startswith(f"resource limit: {message}")
+        code, out, err, cpu = fresh(*argv)
+        assert cpu < 2
+        assert (code, out) == (3, "")
+        assert err.startswith(f"resource limit: {message}")
 
     @pytest.mark.parametrize("model, n", [("quicksort", 8), ("inversions", 8)])
     def test_zero_past_the_s_cap(self, model, n):
         # k_max(8) = 28 < s: no series and no polynomial is built
         s = str(MOMENT_MAX_S[model] + 1)
-        start = children_cpu_seconds()
-        proc = run_cli_process("moment", "--model", model, "--n", str(n), "--s", s, "--mode", "exact")
-        assert children_cpu_seconds() - start < 2
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"model,s,n,exact,asym\n{model},{s},{n},0,\n"
+        code, out, err, cpu = fresh("moment", "--model", model, "--n", str(n), "--s", s, "--mode", "exact")
+        assert cpu < 2
+        assert (code, out, err) == (0, f"model,s,n,exact,asym\n{model},{s},{n},0,\n", "")
 
     @pytest.mark.parametrize(
         "model, n, s", [("quicksort", 5, MOMENT_MAX_S["quicksort"]), ("inversions", 2, MOMENT_MAX_S["inversions"])]
@@ -243,21 +235,15 @@ class TestMoment:
     def test_zero_past_the_support_inside_the_s_cap(self, model, n, s):
         # s > k_max(n): 0 before any series is built, where f_0..f_32 of
         # quicksort took 3.7 s and the rows 0..192 of inversions (s = 96) 6.2 s
-        start = children_cpu_seconds()
-        proc = run_cli_process("moment", "--model", model, "--n", str(n), "--s", str(s), "--mode", "exact")
-        assert children_cpu_seconds() - start < 1
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"model,s,n,exact,asym\n{model},{s},{n},0,\n"
+        code, out, err, cpu = fresh("moment", "--model", model, "--n", str(n), "--s", str(s), "--mode", "exact")
+        assert cpu < 1
+        assert (code, out, err) == (0, f"model,s,n,exact,asym\n{model},{s},{n},0,\n", "")
 
     def test_zero_past_the_support_builds_no_row(self):
         # k_max = 500 * 499 / 2 = 124750 inversions
-        start = children_cpu_seconds()
-        proc = run_cli_process(
-            "moment", "--model", "inversions", "--n", "500", "--s", "124751", "--mode", "exact"
-        )
-        assert children_cpu_seconds() - start < 2
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "model,s,n,exact,asym\ninversions,124751,500,0,\n"
+        code, out, err, cpu = fresh("moment", "--model", "inversions", "--n", "500", "--s", "124751", "--mode", "exact")
+        assert cpu < 2
+        assert (code, out, err) == (0, "model,s,n,exact,asym\ninversions,124751,500,0,\n", "")
 
 
 class TestTransfer:
@@ -289,32 +275,41 @@ class TestTransfer:
         payload = json.loads(out)
         assert payload["rel_err"] < 0.05
 
-    def test_double_overflow_exit_code(self):
-        proc = run_cli_process("transfer", "--alpha", "200", "--beta", "1", "--n", "2")
-        assert proc.returncode == 3
-        assert "double range" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    @pytest.mark.parametrize(
+        "argv, estimate",
+        [
+            # n^(alpha-1) and (alpha-1)! each pass the double range
+            (("--alpha", "171", "--beta", "1", "--n", "1000"), "2.43753237065034e+203"),
+            # 67^169 passes it by less than the range margin
+            (("--alpha", "170", "--beta", "0", "--n", "67"), "9469.09738303627"),
+            # a subnormal estimate
+            (("--alpha", "200", "--beta", "1", "--n", "2"), "-9.37821428696238e-313"),
+        ],
+    )
+    def test_estimate_that_fits_is_answered(self, argv, estimate):
+        # the double formula overflows, the 82-digit one rounded once answers:
+        # the bytes of --precision high in both views
+        for fmt in ("csv", "json"):
+            result = run_cli("transfer", *argv, "--format", fmt)
+            assert result == run_cli("transfer", *argv, "--format", fmt, "--precision", "high")
+        code, out, err = run_cli("transfer", *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[4] == estimate
 
     @pytest.mark.parametrize("precision", ["double", "high"])
     def test_double_overflow_refused_at_once(self, precision):
         # the oracle C(n + alpha - 1, n)-sized value is past the double range;
         # unrefused, the request ran for over 20 s before failing
-        start = children_cpu_seconds()
-        proc = run_cli_process(
-            "transfer", "--alpha", "3000000", "--beta", "1", "--n", "100", "--precision", precision
-        )
-        assert children_cpu_seconds() - start < 2
-        assert proc.returncode == 3
-        assert "double range" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err, cpu = fresh("transfer", "--alpha", "3000000", "--beta", "1", "--n", "100", "--precision", precision)
+        assert cpu < 2
+        assert code == 3
+        assert "double range" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv, line",
         [
-            # 67^169 passes the double range by less than its margin
-            (("--alpha", "170", "--beta", "0", "--n", "67"),
-             "result overflows the double range (alpha=170, beta=0, n=67 does not fit doubles)"),
-            # (ln n)^300 passes it, past the oracle's beta budget
+            # (ln n)^300 passes the double range, past the oracle's beta budget
             (("--alpha", "1", "--beta", "300", "--n", "100000", "--order", "0"),
              "result overflows the double range (alpha=1, beta=300, n=100000 does not fit doubles)"),
             # the estimate fits, the oracle does not
@@ -340,26 +335,22 @@ class TestTransfer:
                 for precision in ("double", "high")
             ],
         ],
-        ids=["margin-band", "log-power", "oracle-high", "estimate-before-oracle", "between-bounds", "alpha-double", "alpha-high", "n-double", "n-high"],
+        ids=["log-power", "oracle-high", "estimate-before-oracle", "between-bounds", "alpha-double", "alpha-high", "n-double", "n-high"],
     )
     def test_refusal_prints_the_programs_line(self, argv, line):
         # each once printed Python's own text of the OverflowError
-        start = children_cpu_seconds()
-        proc = run_cli_process("transfer", *argv)
-        assert children_cpu_seconds() - start < 1
-        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", f"resource limit: {line}\n")
+        code, out, err, cpu = fresh("transfer", *argv)
+        assert cpu < 1
+        assert (code, out, err) == (3, "", f"resource limit: {line}\n")
 
     def test_high_precision_large_alpha_is_fast(self):
         # its polygamma values at alpha = 3 x 10^6 once took O(alpha) sums, 24 s,
         # and the integer (alpha - 1)! alone takes a minute there; its estimate
         # lies below the double range and is refused once computed
         for alpha in (3_000_000, 10**9):
-            start = children_cpu_seconds()
-            proc = run_cli_process(
-                "transfer", "--alpha", str(alpha), "--beta", "1", "--n", "2", "--precision", "high"
-            )
-            assert children_cpu_seconds() - start < 2
-            assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out, err, cpu = fresh("transfer", "--alpha", str(alpha), "--beta", "1", "--n", "2", "--precision", "high")
+            assert cpu < 2
+            assert (code, out, err) == (
                 3,
                 "",
                 "resource limit: result underflows the double range "
@@ -434,10 +425,9 @@ class TestSimulate:
         argv = ("simulate", "--model", "cycles", "--n", "200", "--s", "2",
                 "--trials", str(trials), "--seed", "1")
         assert (199 * trials >= 2 * simulate._DRAWS_PER_WORKER) == bool(pools)
-        proc = subprocess.run([sys.executable, "-c", POOL_SIZES, *argv, "--threads", "2"],
-                              capture_output=True, text=True)
-        assert (proc.returncode, proc.stderr) == (0, pools)
-        assert proc.stdout == run_cli(*argv)[1]
+        code, out, err, _ = fresh("-c", POOL_SIZES, *argv, "--threads", "2")
+        assert (code, err) == (0, pools)
+        assert out == run_cli(*argv)[1]
 
     def test_csv_fields(self):
         code, out, _ = run_cli(
@@ -454,24 +444,19 @@ class TestSimulate:
         # n = 2^23 is inside the inversions memory budget; the child caps its
         # address space at what it maps once numpy and the CLI are loaded,
         # plus 32 MiB, so the first block's 64 MiB of slots cannot be had
-        child = (
+        probe = (
             "import resource, sys, numpy\n"
             "from momentlab.cli import main\n"
             "mapped = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
             "resource.setrlimit(resource.RLIMIT_AS, (mapped + (32 << 20),) * 2)\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        start = children_cpu_seconds()
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "simulate", "--model", "inversions",
-             "--n", str(1 << 23), "--s", "1", "--trials", "2", "--seed", "1"],
-            capture_output=True, text=True,
-            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
-        )
-        assert children_cpu_seconds() - start < 2
-        assert proc.returncode == 3
-        assert "resource limit: out of memory" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err, cpu = fresh("-c", probe, "simulate", "--model", "inversions",
+                                  "--n", str(1 << 23), "--s", "1", "--trials", "2", "--seed", "1")
+        assert cpu < 2
+        assert code == 3
+        assert "resource limit: out of memory" in err
+        assert "Traceback" not in err
 
     def test_killed_worker_exit_code(self, killed_workers):
         # a pool worker killed from outside ends the request with exit 3 and one
@@ -480,23 +465,19 @@ class TestSimulate:
                 "--trials", "1000", "--seed", "1", "--threads", "2")
         expected = "resource limit: a worker process ended abruptly; no estimate\n"
         assert run_cli(*argv) == (3, "", expected)
-        proc = subprocess.run([sys.executable, "-c", KILLED_WORKER, *argv], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", expected)
+        assert fresh("-c", KILLED_WORKER, *argv)[:3] == (3, "", expected)
 
     @pytest.mark.parametrize("model", ["cycles", "inversions", "quicksort"])
     def test_draw_limit_exit_code(self, model):
         # 2 x 10^12 draws: hours for cycles, which holds no permutation.  Every
         # model meets the draw cap before its own work, inversions before its
         # memory budget; the cap's edge is a row of tools/limits.py
-        start = children_cpu_seconds()
-        proc = run_cli_process(
-            "simulate", "--model", model, "--n", "1000000000000", "--s", "1",
-            "--trials", "2", "--seed", "1",
-        )
-        assert children_cpu_seconds() - start < 2
-        assert proc.returncode == 3
-        assert "resource limit:" in proc.stderr and "draws, above the cap" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        code, _, err, cpu = fresh("simulate", "--model", model, "--n", "1000000000000", "--s", "1",
+                                  "--trials", "2", "--seed", "1")
+        assert cpu < 2
+        assert code == 3
+        assert "resource limit:" in err and "draws, above the cap" in err
+        assert "Traceback" not in err
 
 
 class TestCompare:
@@ -521,14 +502,11 @@ class TestCompare:
 
     def test_quicksort_moments_at_the_n_cap(self):
         # s >= 2 come from the moment series up to the cap; above it, exit 3 at once
-        start = children_cpu_seconds()
-        proc = run_cli_process(
-            "compare", "--model", "quicksort", "--s", "2", "--n-grid", str(QUICKSORT_PGF_MAX_N + 1)
-        )
-        assert children_cpu_seconds() - start < 2
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("resource limit:")
-        assert "Traceback" not in proc.stderr
+        code, _, err, cpu = fresh("compare", "--model", "quicksort", "--s", "2", "--n-grid", str(QUICKSORT_PGF_MAX_N + 1))
+        assert cpu < 2
+        assert code == 3
+        assert err.startswith("resource limit:")
+        assert "Traceback" not in err
         n = QUICKSORT_PGF_MAX_N
         code, out, _ = run_cli("compare", "--model", "quicksort", "--s", "2", "--n-grid", str(n))
         assert code == 0
@@ -543,27 +521,21 @@ class TestCompare:
     def test_estimate_past_the_double_range_exits_3_fast(self):
         # the estimate is refused before the exact moment is worked out, which
         # took 7 s here
-        start = children_cpu_seconds()
-        proc = run_cli_process("compare", "--model", "inversions", "--s", "96", "--n-grid", "100000")
-        assert children_cpu_seconds() - start < 1
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == (
-            "resource limit: result overflows the double range "
-            "(inversions estimate at n=100000, s=96 does not fit doubles)\n"
-        )
+        code, out, err, cpu = fresh("compare", "--model", "inversions", "--s", "96", "--n-grid", "100000")
+        assert cpu < 1
+        assert (code, out, err) == (3, "", "resource limit: result overflows the double range "
+                                           "(inversions estimate at n=100000, s=96 does not fit doubles)\n")
 
     @pytest.mark.parametrize("model", ["inversions", "quicksort"])
     def test_high_precision_checks_the_caps_before_the_estimate(self, model):
         # the estimate comes first, as in doubles; the 82-digit one rounds its
         # powers of n (once formed as exact integers, past 20 s CPU here) and
         # fits the decimal range, so the exact side's refusal of s is printed
-        argv = ("compare", "--model", model, "--s", "100000", "--n-grid", str(10**100), "--precision", "high")
-        start = children_cpu_seconds()
-        proc = run_cli_process(*argv)
-        assert children_cpu_seconds() - start < 1
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == (
-            f"resource limit: {model} moments are capped at s <= {MOMENT_MAX_S[model]}, got s=100000\n"
+        code, out, err, cpu = fresh("compare", "--model", model, "--s", "100000", "--n-grid", str(10**100),
+                                    "--precision", "high")
+        assert cpu < 1
+        assert (code, out, err) == (
+            3, "", f"resource limit: {model} moments are capped at s <= {MOMENT_MAX_S[model]}, got s=100000\n"
         )
 
     @pytest.mark.parametrize(
@@ -588,10 +560,9 @@ class TestCompare:
         ],
     )
     def test_high_precision_estimate_past_the_support_is_cheap(self, argv, code, out, err):
-        start = children_cpu_seconds()
-        proc = run_cli_process(*argv)
-        assert children_cpu_seconds() - start < 1
-        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        result = fresh(*argv)
+        assert result[3] < 1
+        assert result[:3] == (code, out, err)
 
     @pytest.mark.parametrize(
         "argv, model, n, s",
@@ -618,23 +589,18 @@ class TestCompare:
         ],
     )
     def test_estimate_never_prints_past_the_double_range(self, argv, model, n, s):
-        start = children_cpu_seconds()
-        proc = run_cli_process(*argv)
-        assert children_cpu_seconds() - start < 1
-        assert (proc.returncode, proc.stdout) == (3, "")
-        assert proc.stderr == (
-            f"resource limit: result overflows the double range ({model} estimate at n={n}, s={s} "
-            "does not fit doubles)\n"
-        )
+        code, out, err, cpu = fresh(*argv)
+        assert cpu < 1
+        assert (code, out, err) == (3, "", f"resource limit: result overflows the double range ({model} estimate "
+                                           f"at n={n}, s={s} does not fit doubles)\n")
 
     def test_cycles_oracle_past_the_exact_oracle_budget(self):
         # the high-precision oracle's cost does not grow with n, so the exact
         # oracle's n budget does not bind it
-        start = children_cpu_seconds()
-        proc = run_cli_process("compare", "--model", "cycles", "--s", "2", "--n-grid", "150000")
-        assert children_cpu_seconds() - start < 2
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[1].split(",")[7] == "oracle"
+        code, out, err, cpu = fresh("compare", "--model", "cycles", "--s", "2", "--n-grid", "150000")
+        assert cpu < 2
+        assert code == 0, err
+        assert out.splitlines()[1].split(",")[7] == "oracle"
 
     @pytest.mark.parametrize("precision", ["double", "high"])
     def test_cycles_oracle_answers_every_order_of_c_k(self, precision):
@@ -1015,254 +981,112 @@ class TestCsvView:
             assert all((row[3] == "0") == (row[6] == "") for row in rows[1:])
 
 
-# Runs one request in a fresh interpreter and prints its exit code, or a
-# parser exit's code, and which heavy modules it loaded; the test process
-# itself already holds them all.
-IMPORT_PROBE = """
-import io, json, sys
-from contextlib import redirect_stderr, redirect_stdout
-import momentlab.cli
-code = None
-if sys.argv[1:]:
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        try:
-            code = momentlab.cli.main(sys.argv[1:])
-        except SystemExit as exc:
-            code = exc.code
-heavy = ("numpy", "mpmath", "concurrent.futures.process", "argparse", "__future__", "csv")
-print(json.dumps([code, [m for m in heavy if m in sys.modules]]))
-"""
-
-
-class TestImports:
-    """Every request is a fresh process, so numpy and the process pool are
-    imported only on the routes that use them, argparse only for help and
-    parse errors, and mpmath, the tests' reference, ``__future__`` and
-    ``csv``, whose writer the CSV view does without, by none."""
-
-    @pytest.mark.parametrize(
-        "argv, loaded",
-        [
-            pytest.param((), [], id="import-only"),
-            pytest.param(("table", "--model", "cycles", "--n", "30"), [], id="table-cycles"),
-            pytest.param(("table", "--model", "inversions", "--n", "20"), [], id="table-inversions"),
-            pytest.param(
-                ("moment", "--model", "inversions", "--n", "20", "--s", "2", "--mode", "exact"),
-                [],
-                id="moment-inversions-exact",
-            ),
-            pytest.param(
-                ("moment", "--model", "inversions", "--n", "20", "--s", "2", "--mode", "both"),
-                [],
-                id="moment-inversions-both",
-            ),
-            pytest.param(
-                ("transfer", "--alpha", "2", "--beta", "3", "--n", "500"), [], id="transfer"
-            ),
-            pytest.param(
-                ("transfer", "--alpha", "2", "--beta", "3", "--n", "500", "--precision", "high"),
-                [],
-                id="transfer-high",
-            ),
-            pytest.param(
-                ("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,5000"),
-                [],
-                id="compare-cycles-oracle",
-            ),
-            pytest.param(
-                ("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,5000",
-                 "--precision", "high"),
-                [],
-                id="compare-cycles-oracle-high",
-            ),
-            pytest.param(
-                ("compare", "--model", "quicksort", "--s", "3", "--n-grid", "12,60",
-                 "--precision", "high"),
-                [],
-                id="compare-quicksort-high",
-            ),
-            pytest.param(
-                ("compare", "--model", "quicksort", "--s", "1", "--n-grid", "2000"),
-                [],
-                id="compare-quicksort-mean",
-            ),
-            pytest.param(
-                ("moment", "--model", "quicksort", "--n", "31", "--s", "3", "--mode", "exact"),
-                [],
-                id="moment-quicksort-pgf",
-            ),
-            pytest.param(
-                ("compare", "--model", "quicksort", "--s", "3", "--n-grid", "60"),
-                [],
-                id="compare-quicksort-pgf",
-            ),
-            pytest.param(
-                ("moment", "--model", "quicksort", "--n", "30", "--s", "7", "--mode", "exact"),
-                [],
-                id="moment-quicksort-s7",
-            ),
-            pytest.param(
-                ("compare", "--model", "quicksort", "--s", "7", "--n-grid", "30"),
-                [],
-                id="compare-quicksort-s7",
-            ),
-            pytest.param(("verify",), [], id="verify"),
-            pytest.param(
-                ("table", "--model", "quicksort", "--n", "30"), ["numpy"], id="table-quicksort"
-            ),
-            pytest.param(
-                ("simulate", "--model", "cycles", "--n", "50", "--s", "2", "--trials", "100",
-                 "--seed", "1", "--threads", "1"),
-                ["numpy"],
-                id="simulate-one-worker",
-            ),
-        ],
-    )
-    def test_heavy_modules_loaded(self, argv, loaded):
-        proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, modules = json.loads(proc.stdout)
-        assert code == (0 if argv else None)
-        assert modules == loaded
-
-    def test_parse_error_loads_argparse(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, "table", "--model", "heapsort", "--n", "3"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [2, ["argparse"]]
-
-
-# Imports the module named first in a fresh interpreter, runs the request
-# that follows, if any, and prints its exit code, the momentlab submodules
-# loaded besides the CLI, and whether dataclasses was loaded on the way.
-LAYER_PROBE = """
+# Imports the module named first in a fresh interpreter, runs the request that
+# follows, if any, and prints its exit code, or a parser exit's code, the
+# momentlab submodules it loaded besides the CLI, and which of MODULES it
+# loaded; the test process itself already holds them all.
+MODULES = ("numpy", "mpmath", "concurrent.futures.process", "argparse", "__future__", "csv", "fractions", "decimal",
+           "dataclasses")
+IMPORT_PROBE = f"""
 import importlib, io, json, sys
-from contextlib import redirect_stdout
-before = set(sys.modules)
+from contextlib import redirect_stderr, redirect_stdout
 importlib.import_module(sys.argv[1])
 code = None
 if sys.argv[2:]:
-    with redirect_stdout(io.StringIO()):
-        code = sys.modules["momentlab.cli"].main(sys.argv[2:])
-layers = sorted(m for m in sys.modules if m.startswith("momentlab.") and m != "momentlab.cli")
-print(json.dumps([code, layers, "dataclasses" in set(sys.modules) - before]))
-"""
-
-# Runs one request in a fresh interpreter and prints its exit code and which of
-# fractions and decimal it loaded.
-EXACT_ARITHMETIC_PROBE = """
-import io, json, sys
-from contextlib import redirect_stdout
-import momentlab.cli
-with redirect_stdout(io.StringIO()):
-    code = momentlab.cli.main(sys.argv[1:])
-print(json.dumps([code, [m for m in ("fractions", "decimal") if m in sys.modules]]))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = sys.modules["momentlab.cli"].main(sys.argv[2:])
+        except SystemExit as exc:
+            code = exc.code
+layers = sorted(m[len("momentlab."):] for m in sys.modules if m.startswith("momentlab.") and m != "momentlab.cli")
+print(json.dumps([code, layers, [m for m in {MODULES!r} if m in sys.modules]]))
 """
 
 TRANSFER_ARGV = ("transfer", "--alpha", "2", "--beta", "1", "--n", "50")
 SIMULATE_ARGV = (
     "simulate", "--model", "cycles", "--n", "50", "--s", "2", "--trials", "100", "--seed", "1"
 )
+EXACT = ["fractions", "decimal"]
+LAYERS = ["expansions", "moments", "tables", "transfer"]
 
 
-class TestLayerImports:
-    """Every request is a fresh process that compiles the modules it
-    imports, so it loads only the momentlab submodules its route runs, and
-    none loads dataclasses."""
+class TestImports:
+    """Every request is a fresh process that compiles the modules it imports,
+    so it loads only the momentlab submodules its route runs: numpy and the
+    process pool only on the routes that use them, fractions and decimal only
+    on the exact and estimate routes, argparse only for help and parse errors,
+    and mpmath, the tests' reference, ``__future__``, ``csv``, whose writer the
+    CSV view does without, and dataclasses by none."""
 
     @pytest.mark.parametrize(
-        "argv, code, layers",
+        "argv, code, layers, modules",
         [
-            pytest.param(("momentlab",), None, [], id="import-package"),
-            pytest.param(("momentlab.cli",), None, [], id="import-cli"),
-            pytest.param(
-                ("momentlab.cli", "table", "--model", "inversions", "--n", "20"),
-                0, ["tables"], id="table",
-            ),
-            pytest.param(
-                ("momentlab.cli", "table", "--model", "cycles", "--n", "5000"),
-                3, ["tables"], id="table-over-cap",
-            ),
+            # None imports the package alone, () the CLI alone
+            pytest.param(None, None, [], [], id="import-package"),
+            pytest.param((), None, [], [], id="import-cli"),
+            pytest.param(("table", "--model", "cycles", "--n", "30"), 0, ["tables"], [], id="table-cycles"),
+            pytest.param(("table", "--model", "inversions", "--n", "20"), 0, ["tables"], [], id="table-inversions"),
+            pytest.param(("table", "--model", "cycles", "--n", "5000"), 3, ["tables"], [], id="table-over-cap"),
             # only a quicksort row loads the number-theoretic transforms
-            pytest.param(
-                ("momentlab.cli", "table", "--model", "quicksort", "--n", "20"),
-                0, ["_ntt", "tables"], id="table-quicksort",
-            ),
-            # the exact oracle's rising product is tables._rising
-            pytest.param(
-                ("momentlab.cli", *TRANSFER_ARGV), 0, ["tables", "transfer"], id="transfer"
-            ),
-            # Model is the package root's own, so naming one loads no tables
-            pytest.param(("momentlab.cli", *SIMULATE_ARGV), 0, ["simulate"], id="simulate"),
-            pytest.param(
-                ("momentlab.cli", "moment", "--model", "inversions", "--n", "20", "--s", "2",
-                 "--mode", "exact"),
-                0, ["moments", "tables"], id="moment-inversions-exact",
-            ),
-            pytest.param(
-                ("momentlab.cli", "moment", "--model", "cycles", "--n", "20", "--s", "2",
-                 "--mode", "exact"),
-                0, ["moments", "tables"], id="moment-cycles-exact",
-            ),
+            pytest.param(("table", "--model", "quicksort", "--n", "20"), 0, ["_ntt", "tables"], ["numpy"],
+                         id="table-quicksort-20"),
+            pytest.param(("table", "--model", "quicksort", "--n", "30"), 0, ["_ntt", "tables"], ["numpy"],
+                         id="table-quicksort"),
+            pytest.param(("table", "--model", "heapsort", "--n", "3"), 2, [], ["argparse"], id="parse-error"),
+            pytest.param(("moment", "--model", "inversions", "--n", "20", "--s", "2", "--mode", "exact"),
+                         0, ["moments", "tables"], EXACT, id="moment-inversions-exact"),
+            pytest.param(("moment", "--model", "inversions", "--n", "20", "--s", "2", "--mode", "both"),
+                         0, LAYERS, EXACT, id="moment-inversions-both"),
+            pytest.param(("moment", "--model", "cycles", "--n", "20", "--s", "2", "--mode", "exact"),
+                         0, ["moments", "tables"], EXACT, id="moment-cycles-exact"),
             # the quicksort moment series build no row, at any s
-            pytest.param(
-                ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "3",
-                 "--mode", "exact"),
-                0, ["moments", "tables"], id="moment-quicksort-exact",
-            ),
-            pytest.param(
-                ("momentlab.cli", "moment", "--model", "quicksort", "--n", "30", "--s", "7",
-                 "--mode", "exact"),
-                0, ["moments", "tables"], id="moment-quicksort-s7",
-            ),
-            pytest.param(
-                ("momentlab.cli", "compare", "--model", "quicksort", "--s", "7", "--n-grid", "30"),
-                0, ["expansions", "moments", "tables", "transfer"], id="compare-quicksort-s7",
-            ),
-            pytest.param(
-                ("momentlab.cli", "moment", "--model", "quicksort", "--n", "20", "--s", "2",
-                 "--mode", "asym"),
-                0, ["expansions", "transfer"], id="moment-asym",
-            ),
-            pytest.param(
-                ("momentlab.cli", "compare", "--model", "cycles", "--s", "2", "--n-grid",
-                 "300,5000"),
-                0, ["expansions", "transfer"], id="compare-oracle",
-            ),
-            pytest.param(
-                ("momentlab.cli", "compare", "--model", "cycles", "--s", "2", "--n-grid",
-                 "150,300"),
-                0, ["expansions", "moments", "tables", "transfer"], id="compare",
-            ),
-            pytest.param(
-                ("momentlab.cli", "verify"),
-                0, ["expansions", "moments", "tables", "transfer"], id="verify",
-            ),
+            pytest.param(("moment", "--model", "quicksort", "--n", "20", "--s", "3", "--mode", "exact"),
+                         0, ["moments", "tables"], EXACT, id="moment-quicksort-exact"),
+            pytest.param(("moment", "--model", "quicksort", "--n", "31", "--s", "3", "--mode", "exact"),
+                         0, ["moments", "tables"], EXACT, id="moment-quicksort-pgf"),
+            pytest.param(("moment", "--model", "quicksort", "--n", "30", "--s", "7", "--mode", "exact"),
+                         0, ["moments", "tables"], EXACT, id="moment-quicksort-s7"),
+            pytest.param(("moment", "--model", "quicksort", "--n", "20", "--s", "2", "--mode", "asym"),
+                         0, ["expansions", "transfer"], EXACT, id="moment-asym"),
+            # the exact oracle's rising product is tables._rising
+            pytest.param(TRANSFER_ARGV, 0, ["tables", "transfer"], EXACT, id="transfer"),
+            pytest.param(("transfer", "--alpha", "2", "--beta", "3", "--n", "500"),
+                         0, ["tables", "transfer"], EXACT, id="transfer-beta-3"),
+            pytest.param(("transfer", "--alpha", "2", "--beta", "3", "--n", "500", "--precision", "high"),
+                         0, ["tables", "transfer"], EXACT, id="transfer-high"),
+            pytest.param(("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,5000"),
+                         0, LAYERS, EXACT, id="compare-cycles-oracle"),
+            pytest.param(("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,5000", "--precision", "high"),
+                         0, LAYERS, EXACT, id="compare-cycles-oracle-high"),
+            pytest.param(("compare", "--model", "cycles", "--s", "2", "--n-grid", "300,5000"),
+                         0, ["expansions", "transfer"], EXACT, id="compare-oracle"),
+            pytest.param(("compare", "--model", "cycles", "--s", "2", "--n-grid", "150,300"),
+                         0, LAYERS, EXACT, id="compare"),
+            pytest.param(("compare", "--model", "quicksort", "--s", "3", "--n-grid", "12,60", "--precision", "high"),
+                         0, LAYERS, EXACT, id="compare-quicksort-high"),
+            pytest.param(("compare", "--model", "quicksort", "--s", "1", "--n-grid", "2000"),
+                         0, LAYERS, EXACT, id="compare-quicksort-mean"),
+            pytest.param(("compare", "--model", "quicksort", "--s", "3", "--n-grid", "60"),
+                         0, LAYERS, EXACT, id="compare-quicksort-pgf"),
+            pytest.param(("compare", "--model", "quicksort", "--s", "7", "--n-grid", "30"),
+                         0, LAYERS, EXACT, id="compare-quicksort-s7"),
+            pytest.param(("verify",), 0, LAYERS, EXACT, id="verify"),
+            # Model is the package root's own, so naming one loads no tables;
+            # the mean and stderr are rounded from the exact sums by int / int
+            pytest.param(SIMULATE_ARGV, 0, ["simulate"], ["numpy"], id="simulate"),
+            pytest.param((*SIMULATE_ARGV, "--threads", "1"), 0, ["simulate"], ["numpy"], id="simulate-one-worker"),
+            *[
+                pytest.param(("simulate", "--model", model, *SIMULATE_ARGV[3:]), 0, ["simulate"], ["numpy"],
+                             id=f"simulate-{model}")
+                for model in ("inversions", "quicksort")
+            ],
         ],
     )
-    def test_route_loads_only_its_modules(self, argv, code, layers):
-        proc = subprocess.run(
-            [sys.executable, "-c", LAYER_PROBE, *argv], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        got_code, got_layers, dataclasses_loaded = json.loads(proc.stdout)
-        assert got_code == code
-        assert got_layers == [f"momentlab.{name}" for name in layers]
-        assert not dataclasses_loaded
-
-    @pytest.mark.parametrize("model", [m.value for m in Model])
-    def test_simulate_loads_no_exact_arithmetic(self, model):
-        # the mean and stderr are rounded from the exact sums by int / int
-        argv = ("simulate", "--model", model, *SIMULATE_ARGV[3:])
-        proc = subprocess.run(
-            [sys.executable, "-c", EXACT_ARITHMETIC_PROBE, *argv], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [0, []]
+    def test_route_loads_only_its_modules(self, argv, code, layers, modules):
+        module = "momentlab" if argv is None else "momentlab.cli"
+        got_code, out, err, _ = fresh("-c", IMPORT_PROBE, module, *(argv or ()))
+        assert got_code == 0, err
+        assert json.loads(out) == [code, layers, modules]
 
 
 BLAS_PROBE = """
@@ -1279,7 +1103,9 @@ class TestBlasThreads:
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
     def test_one_thread_unless_set(self, preset, expected):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        # a direct launch: the runner always sets one thread
+        env = child.environment(ROOT)
+        del env["OPENBLAS_NUM_THREADS"]
         if preset is not None:
             env["OPENBLAS_NUM_THREADS"] = preset
         proc = subprocess.run(
@@ -1290,7 +1116,7 @@ class TestBlasThreads:
         assert proc.stdout.splitlines()[-1] == f"0 {expected}"
 
 
-REPLAY = Path(__file__).resolve().parent.parent / "perfbench" / "replay.py"
+REPLAY = ROOT / "perfbench" / "replay.py"
 
 # Resolves every name perfbench's traced replay wraps, in a fresh
 # interpreter as the replay does, and prints those that do not resolve.
@@ -1335,11 +1161,9 @@ class TestReplayNames:
     each name must resolve there and a wrapper set on it must be what runs."""
 
     def test_every_shim_resolves_in_a_fresh_process(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", SHIMS_PROBE, str(REPLAY)], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == []
+        code, out, err, _ = fresh("-c", SHIMS_PROBE, str(REPLAY))
+        assert code == 0, err
+        assert json.loads(out) == []
 
     def test_every_cli_shim_has_a_request(self):
         names = {attr for module, attr, *_ in replay_shims() if module == "momentlab.cli"}
@@ -1407,13 +1231,9 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "momentlab.cli", "moment", "--model",
-             "inversions", "--n", "10", "--s", "1", "--mode", "exact"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 0
-        assert "45/2" in proc.stdout
+        code, out, _, _ = fresh("moment", "--model", "inversions", "--n", "10", "--s", "1", "--mode", "exact")
+        assert code == 0
+        assert "45/2" in out
 
 
 # argparse's own text, which only --help and parse errors print, byte for
@@ -1697,11 +1517,6 @@ PROCESS_REQUESTS = [
 ]
 
 
-def buffered_env():
-    """This environment with the standard streams buffered, as they are by default."""
-    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-
-
 class TestProcessEnd:
     """``run`` ends a request by ``os._exit`` after the atexit handlers and a
     flush, and exits 141 without a traceback when the reader closes stdout
@@ -1709,17 +1524,16 @@ class TestProcessEnd:
 
     @pytest.mark.parametrize("argv", PROCESS_REQUESTS, ids=" ".join)
     def test_process_prints_what_main_prints(self, argv):
-        proc = run_cli_process(*argv, env=buffered_env())
-        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(*argv)
+        assert fresh(*argv)[:3] == run_cli(*argv)
 
     def test_script_entry_is_run(self):
-        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        pyproject = ROOT / "pyproject.toml"
         assert 'momentlab = "momentlab.cli:run"\n' in pyproject.read_text()
 
     def test_atexit_handlers_run_and_teardown_does_not(self):
         # a handler registered before ``run`` prints on both streams; an
         # object that only the interpreter's teardown frees is never freed
-        child = (
+        probe = (
             "import atexit, builtins, sys\n"
             "atexit.register(print, 'handler ran')\n"
             "atexit.register(print, 'handler stderr', file=sys.stderr)\n"
@@ -1730,17 +1544,12 @@ class TestProcessEnd:
             "from momentlab.cli import run\n"
             "run()\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "table", "--model", "cycles", "--n", "3"],
-            capture_output=True, text=True, env=buffered_env(),
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == "k,count\n1,2\n2,3\n3,1\nhandler ran\n"
-        assert proc.stderr == "handler stderr\n"
+        code, out, err, _ = fresh("-c", probe, "table", "--model", "cycles", "--n", "3")
+        assert (code, out, err) == (0, "k,count\n1,2\n2,3\n3,1\nhandler ran\n", "handler stderr\n")
 
     def test_run_switches_the_collector_off(self):
         # the layer of a table request reports the cyclic collector's state
-        child = (
+        probe = (
             "import gc, sys\n"
             "from momentlab import cli, tables\n"
             "def table(model, n):\n"
@@ -1750,13 +1559,8 @@ class TestProcessEnd:
             "print(f'collector on: {gc.isenabled()}', file=sys.stderr)\n"
             "cli.run()\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", child, "table", "--model", "cycles", "--n", "3"],
-            capture_output=True, text=True, env=buffered_env(),
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == "k,count\n1,2\n2,3\n3,1\n"
-        assert proc.stderr == "collector on: True\ncollector on: False\n"
+        code, out, err, _ = fresh("-c", probe, "table", "--model", "cycles", "--n", "3")
+        assert (code, out, err) == (0, "k,count\n1,2\n2,3\n3,1\n", "collector on: True\ncollector on: False\n")
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_main_leaves_the_collector_as_it_found_it(self, enabled, monkeypatch):
@@ -1814,14 +1618,15 @@ class TestProcessEnd:
         assert garbage(big) == garbage(small)
 
     def test_no_worker_or_file_outlives_a_request(self, tmp_path):
-        # 199 x 42200 draws, past two quanta, start a pool of two workers
+        # 199 x 42200 draws, past two quanta, start a pool of two workers; a
+        # direct launch, for a process group of its own and a TMPDIR
         tmpdir = tmp_path / "tmp"
         tmpdir.mkdir()
         with subprocess.Popen(
             [sys.executable, "-c", POOL_SIZES, "simulate", "--model", "cycles", "--n", "200",
              "--s", "2", "--trials", "42200", "--seed", "1", "--threads", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
-            env={**os.environ, "TMPDIR": str(tmpdir)}, text=True,
+            env={**child.environment(ROOT), "TMPDIR": str(tmpdir)}, text=True,
         ) as proc:
             _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (0, "pool of 2\n")
@@ -1831,7 +1636,8 @@ class TestProcessEnd:
             os.killpg(proc.pid, 0)
 
     # a row past the pipe's buffer fails inside ``main``; a short one at the
-    # flush in ``run``, since stdout to a pipe is block-buffered
+    # flush in ``run``, since stdout to a pipe is block-buffered.  Both tests
+    # launch directly, onto a pipe whose reader is closed
     @pytest.mark.parametrize("n", [1000, 3])
     def test_closed_stdout_exits_141_quietly(self, n):
         read_end, write_end = os.pipe()
@@ -1839,7 +1645,7 @@ class TestProcessEnd:
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "momentlab.cli", "table", "--model", "cycles", "--n", str(n)],
-                stdout=write_end, stderr=subprocess.PIPE, env=buffered_env(), timeout=60,
+                stdout=write_end, stderr=subprocess.PIPE, env=child.environment(ROOT), timeout=60,
             )
         finally:
             os.close(write_end)
@@ -1853,7 +1659,7 @@ class TestProcessEnd:
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "momentlab.cli", "table", "--model", "cycles", "--n", "100000"],
-                stdout=write_end, stderr=write_end, env=buffered_env(), timeout=60,
+                stdout=write_end, stderr=write_end, env=child.environment(ROOT), timeout=60,
             )
         finally:
             os.close(write_end)

@@ -2,18 +2,11 @@
 edge with its whole message, the edges that cost under a second answer, and
 the tool's own report judges a row by the contract."""
 
-import importlib.util
-from pathlib import Path
-
+import child
+import limits
 import pytest
 
 from momentlab import ResourceLimitError, cli
-
-ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "limits.py"
-spec = importlib.util.spec_from_file_location("limits", TOOL)
-limits = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(limits)
 
 ROWS = [pytest.param(row, id=row.name) for row in limits.LIMITS]
 
@@ -42,14 +35,14 @@ def test_past_raises_exactly_the_one_type(row):
 
 @pytest.mark.parametrize("row", ROWS)
 def test_past_exits_3_fast_in_a_fresh_child(row):
-    result = limits.run(row.past)
+    result = child.run(limits.ROOT, limits.request(row.past))
     assert result[:3] == (3, b"", f"resource limit: {row.message}\n".encode())
-    assert result[3] < limits.PAST_CPU_S
+    assert result.cpu < limits.PAST_CPU_S
 
 
 @pytest.mark.parametrize("row", [param for param in ROWS if param.values[0].cheap])
 def test_cheap_edge_answers(row):
-    code, out, err, _, _ = limits.run(row.edge)
+    code, out, err, _, _ = child.run(limits.ROOT, limits.request(row.edge))
     assert (code, err) == (0, b"")
     assert out or isinstance(row.edge, str)
 

@@ -1,19 +1,19 @@
 """tools/stdout_identity.py: exit codes, stdout and stderr of two checkouts
-compared over a benchmark's request lists or a file of requests."""
+compared over a benchmark's request lists or a file of requests; and the
+child runner, tools/child.py, that it shares with tools/limits.py and
+tier-1."""
 
-import importlib.util
+import signal
 import time
 from pathlib import Path
 
+import child
 import pytest
+import stdout_identity
 
 from momentlab import simulate
 
 ROOT = Path(__file__).resolve().parent.parent
-TOOL = ROOT / "tools" / "stdout_identity.py"
-spec = importlib.util.spec_from_file_location("stdout_identity", TOOL)
-stdout_identity = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(stdout_identity)
 
 # A stand-in CLI that echoes its argv; BODY changes what it prints.
 STUB = """import sys
@@ -38,7 +38,7 @@ def test_checkout_against_itself():
         ("table", "--model", "cycles", "--n", "-1"),  # exit 2, empty stdout
     ]
     assert stdout_identity.differences(ROOT, ROOT, argvs) == []
-    assert stdout_identity.run(ROOT, argvs[0])[0] == 0
+    assert child.run(ROOT, argvs[0]).code == 0
 
 
 def test_requests_are_the_benchmark_lists():
@@ -100,7 +100,7 @@ def test_hung_request_is_timed_out(tmp_path, capsys, monkeypatch):
     # the change hangs on moment requests; the parent answers them at once
     parent = stub_checkout(tmp_path / "parent")
     change = stub_checkout(tmp_path / "change", body='if "moment" in argv:\n    import time\n    time.sleep(60)')
-    monkeypatch.setattr(stdout_identity, "REQUEST_SECONDS", 1)
+    monkeypatch.setattr(child, "WALL_SECONDS", 1)
     start = time.monotonic()
     code = stdout_identity.main(["--parent", str(parent), "--change", str(change),
                                  "--argv-file", str(argv_file)])
@@ -112,6 +112,18 @@ def test_hung_request_is_timed_out(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_busy_loop_is_killed_at_the_cpu_limit(monkeypatch):
+    # a loop that never ends, under the runner's CPU limit patched to 1 s: at
+    # a soft limit equal to the hard one Linux sends SIGKILL, else SIGXCPU
+    monkeypatch.setattr(child, "CPU_SECONDS", 1)
+    start = time.monotonic()
+    result = child.run(ROOT, ("-c", "while True: pass"))
+    assert time.monotonic() - start < 10
+    assert result.code in (-signal.SIGKILL, -signal.SIGXCPU)
+    assert (result.out, result.err) == (b"", b"")
+    assert 0.9 < result.cpu < 2
+
+
 def test_changed_stderr_is_caught(tmp_path, capsys):
     argv_file = tmp_path / "requests.txt"
     argv_file.write_text("table --n 5\nmoment --n 3\n")
@@ -121,7 +133,7 @@ def test_changed_stderr_is_caught(tmp_path, capsys):
         'print("note", file=sys.stderr)\n'
         'if "moment" in argv:\n    print("extra", file=sys.stderr)'
     ))
-    assert stdout_identity.run(parent, ("table", "--n", "5")) == (0, b"table --n 5\n", b"note\n")
+    assert child.run(parent, ("table", "--n", "5"))[:3] == (0, b"table --n 5\n", b"note\n")
     code = stdout_identity.main(["--parent", str(parent), "--change", str(change),
                                  "--argv-file", str(argv_file)])
     assert code == 1
@@ -173,7 +185,7 @@ def test_argv_file_sets_momentlab_variables(tmp_path, monkeypatch):
     stub = stub_checkout(tmp_path / "stub", body=body)
     # the caller's own MOMENTLAB_* variables never reach either side
     monkeypatch.setenv("MOMENTLAB_ROW_LIMIT", "7")
-    assert [stdout_identity.run(stub, a) for a in argvs] == [
+    assert [child.run(stub, a)[:3] for a in argvs] == [
         (0, b"table --n 121 140 -\n", b""),
         (0, b"moment --n 3 0 a=b\n", b""),
         (0, b"table --n 121 - -\n", b""),
@@ -246,11 +258,14 @@ def test_checked_in_moments_list():
     assert [a for a in argvs if a in workload] == [("verify", "--format", "csv"),
                                                     ("verify", "--format", "json")]
     transfers = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "transfer"]
-    # beside the grid of alpha, beta and n: huge alpha, which exits 3 under
-    # --precision high, an estimate halfway between two doubles, the
-    # transfer handler's checks, each of which exits 3, (88, 6, 100000), one
-    # alpha below a refused check, which answers, and last the band between
-    # the oracle's range bounds: (89, 6, 93560) exits 3, (89, 6, 93543) answers
+    # beside the grid of alpha, beta and n, whose four double requests at
+    # alpha 171 and n 1000 answer from the 82-digit formula: huge alpha, which
+    # exits 3 under --precision high, an estimate halfway between two
+    # doubles, (170, 0, 67), whose estimate fits though 67^169 does not, the
+    # transfer handler's checks, each of which exits 3 ((1, 300, 100000) on
+    # the C_k table), (88, 6, 100000), one alpha below a refused check, which
+    # answers, and last the band between the oracle's range bounds:
+    # (89, 6, 93560) exits 3, (89, 6, 93543) answers
     handler_checks = [
         (170, 0, 67), (1, 300, 100000), (1, 290, 100000), (517, 6, 517), (10**400, 1, 2), (1, 1, 10**400),
         (100, 0, 200000), (3000000, 17, 100), (2, 7, 50), (1000, 7, 400), (2, 1, 100001),
@@ -270,7 +285,7 @@ def test_checked_in_moments_list():
     assert len(oracle) == 47
     # the cycles oracle at s 1..16 in both precisions, the high-precision
     # asymptotics of the other two models, two 82-digit estimates past the
-    # double range and one that fits where the double route refuses it
+    # double range and one that fits though its power n^199 does not
     assert {(o["model"], o["s"], o["precision"]) for o in map(stdout_identity._workloads().options, oracle)} == {
         *(("cycles", str(s), p) for s in range(1, 17) for p in ("double", "high")),
         *((m, str(s), "high") for m in ("inversions", "quicksort") for s in range(1, 7)),
@@ -290,9 +305,8 @@ def test_checked_in_moments_list():
         ("compare", "--model", "inversions", "--s", "96", "--n-grid", "100000"),
     ]
     moments = [stdout_identity._workloads().options(a) for a in argvs if a[0] == "moment"]
-    # one moment --mode both, whose estimate passes the double range: refused
-    # before the exact moment at the s cap is worked out; and two estimates
-    # that printed nan and inf
+    # one moment --mode both at the s cap, whose estimate fits though its
+    # power n^255 does not; and two estimates that printed nan and inf
     assert [o for o in moments if o["mode"] != "exact"] == [
         {"model": "inversions", "n": "30", "s": "128", "mode": "both"},
         {"model": "quicksort", "n": "1000000", "s": "45", "mode": "asym"},
@@ -383,7 +397,7 @@ def test_caller_unbuffered_streams_reach_neither_side(tmp_path, monkeypatch):
         'import os\nargv = argv + [os.environ.get("PYTHONUNBUFFERED", "-")]'
     ))
     monkeypatch.setenv("PYTHONUNBUFFERED", "1")
-    assert stdout_identity.run(stub, ("verify",)) == (0, b"verify -\n", b"")
+    assert child.run(stub, ("verify",))[:3] == (0, b"verify -\n", b"")
 
 
 def test_checked_in_parser_list():

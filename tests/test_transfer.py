@@ -275,14 +275,23 @@ class TestTransferTerm:
         # at alpha = 1 an n past the double range never becomes a double
         assert transfer_term(1, 1, 10**400) == 921.6112528625198
 
-    @pytest.mark.parametrize("alpha, n", [(3_000_000, 10**9), (200, 2)])
+    @pytest.mark.parametrize("alpha, n", [(3_000_000, 10**9), (200, 10**6)])
     def test_double_range_refused_before_any_work(self, alpha, n):
-        # n^(alpha-1), or (alpha-1)! at alpha = 200, is past the double range;
-        # unrefused, the first case built a 2.7 x 10^7-digit integer for 48 s
+        # n^(alpha-1) and the estimate are past the double range; unrefused,
+        # the first case built a 2.7 x 10^7-digit integer for 48 s
         start = time.process_time()
         with pytest.raises(OverflowError, match=f"^alpha={alpha}, beta=0, n={n} does not fit doubles$"):
             transfer_term(alpha, 0, n)
         assert time.process_time() - start < 1
+
+    @pytest.mark.parametrize("alpha, beta, n", [(171, 1, 1000), (170, 0, 67), (200, 1, 2), (200, 0, 2)])
+    def test_estimate_that_fits_is_the_rounded_82_digit_one(self, alpha, beta, n):
+        # n^(alpha-1) or (alpha-1)! passes the double range, the estimate does
+        # not (at alpha = 200 it is subnormal): the 82-digit formula, rounded once
+        start = time.process_time()
+        value = transfer_term(alpha, beta, n)
+        assert time.process_time() - start < 1
+        assert value == float(transfer_term(alpha, beta, n, high_precision=True)) != 0
 
     def test_range_guard_changes_no_outcome(self, monkeypatch):
         # across the edge of the double range, and in its margin band, where
@@ -304,7 +313,7 @@ class TestTransferTerm:
         assert _LOG_DOUBLE_MAX < 169 * math.log(67) < _LOG_DOUBLE_MAX + _RANGE_MARGIN
         checked = [outcome(*key) for key in grid]
         assert {kind for kind, _ in checked} == {"value", "error"}
-        assert checked[grid.index((170, 67, 0))] == ("error", "alpha=170, beta=0, n=67 does not fit doubles")
+        assert checked[grid.index((200, 10**6, 0))] == ("error", "alpha=200, beta=0, n=1000000 does not fit doubles")
         monkeypatch.setattr(transfer, "_LOG_INT_MAX", math.inf)
         assert [outcome(*key) for key in grid] == checked
 

@@ -13,14 +13,15 @@ item that owns the gap.
 
 tests/test_limits.py reads the table in tier-1.  ``main`` re-measures it: for
 each row (every row, or the NAMEs given) it runs the edge N times (default 3)
-and the past request once, one fresh child at a time under RLIMIT_CPU and
-RLIMIT_AS, which it sets in the child only.  It prints one line per row: the
-edge's exit codes, its CPU seconds (min/median/max) and its peak RSS, from
-``os.wait4``, then the past request's exit code and CPU seconds, and ``ok``,
-``over`` or ``gap: item N``.  It exits 1 when a row without a gap breaks the
-contract at its edge, or when a past request does not exit 3 with its message
-within PAST_CPU_S, else 0.  A library line runs as ``python -c``, which exits 3
-with the CLI's ``resource limit:`` line when the line raises exactly
+and the past request once, one fresh child at a time through the shared
+runner ``tools/child.py``, under the contract's limits set in the child only.
+It prints one line per row: the edge's exit codes, its CPU seconds
+(min/median/max) and its peak RSS, from ``os.wait4``, then the past request's
+exit code and CPU seconds, and ``ok``, ``over`` or ``gap: item N``.  It exits
+1 when a row without a gap breaks the contract at its edge, or when a past
+request does not exit 3 with its message within PAST_CPU_S, else 0.  A
+library line runs as ``python -c`` (``request``), which exits 3 with the
+CLI's ``resource limit:`` line when the line raises exactly
 ``ResourceLimitError``.
 """
 
@@ -29,18 +30,16 @@ from __future__ import annotations
 import argparse
 import collections
 import math
-import os
-import resource
 import statistics
-import subprocess
 import sys
-import tempfile
 from bisect import bisect_right
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
+import child
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
 
 from momentlab._ntt import _PRIME_BOUND, _is_prime, _transform_size  # noqa: E402
 from momentlab.moments import MOMENT_MAX_S, QUICKSORT_MEAN_MAX_N, QUICKSORT_PGF_MAX_N  # noqa: E402
@@ -48,11 +47,9 @@ from momentlab.simulate import _INVERSIONS_BUDGET, MAX_DRAWS, _inversions_bytes 
 from momentlab.tables import DEFAULT_ROW_LIMITS  # noqa: E402
 from momentlab.transfer import MAX_DERIVATIVE_ORDER, ORACLE_MAX_BETA, ORACLE_MAX_N  # noqa: E402
 
-# The contract of a request inside every cap, and the child's limits: CPU a
-# fifth above the contract, so that a run past it shows by how much
+# The CPU seconds of a request inside every cap; its memory is the child's
+# address space, child.MEMORY_MIB
 CONTRACT_CPU_S = 30
-CONTRACT_MIB = 1536
-CHILD_CPU_S = 36
 # CPU seconds within which a request past a cap must exit 3
 PAST_CPU_S = 1
 
@@ -207,60 +204,37 @@ except momentlab.ResourceLimitError as exc:
 """
 
 
-def _child_limits() -> None:
-    resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_S, CHILD_CPU_S))
-    resource.setrlimit(resource.RLIMIT_AS, (CONTRACT_MIB << 20, CONTRACT_MIB << 20))
-    resource.setrlimit(resource.RLIMIT_CORE, (0, 0))  # no core file from SIGXCPU
+def request(step: tuple[str, ...] | str) -> tuple[str, ...]:
+    """The runner's request for a row's edge or past request."""
+    return ("-c", _LIBRARY, step) if isinstance(step, str) else step
 
 
-def run(request: tuple[str, ...] | str) -> tuple[int, bytes, bytes, float, float]:
-    """Exit code (minus the signal's number if killed), stdout, stderr, CPU
-    seconds and peak RSS in MiB of one request in a fresh child under
-    CHILD_CPU_S and CONTRACT_MIB of address space, with this checkout's
-    sources, buffered streams and one BLAS thread."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MOMENTLAB_") and k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    if isinstance(request, str):
-        argv = [sys.executable, "-c", _LIBRARY, request]
-    else:
-        argv = [sys.executable, "-m", "momentlab.cli", *request]
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=out, stderr=err, env=env,
-                                preexec_fn=_child_limits)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        out.seek(0)
-        err.seek(0)
-        return proc.returncode, out.read(), err.read(), usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
-
-
-def refused(row: Limit, result: tuple) -> bool:
-    """Whether ``result``, of ``run(row.past)``, is the refusal the contract asks for."""
-    code, out, err, cpu, _ = result
-    return (code, out, err) == (3, b"", f"resource limit: {row.message}\n".encode()) and cpu < PAST_CPU_S
+def refused(row: Limit, result: child.Result) -> bool:
+    """Whether ``result``, of the row's past request, is the refusal the contract asks for."""
+    return result[:3] == (3, b"", f"resource limit: {row.message}\n".encode()) and result.cpu < PAST_CPU_S
 
 
 def measure(row: Limit, runs: int) -> tuple[str, bool]:
     """The report line of ``row`` and whether it fails the check."""
-    past = run(row.past)
+    past = child.run(ROOT, request(row.past))
     past_refused = refused(row, past)
     line = f"{row.name} ({row.constant}):"
     within = True
     if row.edge is not None:
-        edges = [run(row.edge) for _ in range(runs)]
-        cpus = sorted(edge[3] for edge in edges)
-        rss = max(edge[4] for edge in edges)
-        codes = [edge[0] for edge in edges]
-        within = set(codes) == {0} and cpus[-1] <= CONTRACT_CPU_S and rss <= CONTRACT_MIB
+        edges = [child.run(ROOT, request(row.edge)) for _ in range(runs)]
+        cpus = sorted(edge.cpu for edge in edges)
+        rss = max(edge.mib for edge in edges)
+        codes = [edge.code for edge in edges]
+        within = set(codes) == {0} and cpus[-1] <= CONTRACT_CPU_S and rss <= child.MEMORY_MIB
         line += (f" edge exit {','.join(map(str, codes))},"
                  f" cpu {cpus[0]:.2f}/{statistics.median(cpus):.2f}/{cpus[-1]:.2f} s, peak {rss:.0f} MiB;")
-    line += f" past exit {past[0]} in {past[3]:.2f} s;"
+    line += f" past exit {past.code} in {past.cpu:.2f} s;"
     if within:
         line += " ok" if row.gap is None else f" ok, no gap seen for item {row.gap}"
     else:
         line += " over" if row.gap is None else f" gap: item {row.gap}"
     if not past_refused:
-        line += f"; past not refused as stated: {past[2].decode(errors='replace').strip()!r}"
+        line += f"; past not refused as stated: {past.err.decode(errors='replace').strip()!r}"
     return line, not past_refused or not (within or row.gap)
 
 

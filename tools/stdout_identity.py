@@ -13,31 +13,30 @@ file's list holds the requests of ``PATH``: one per line, its words split on
 whitespace, with blank lines and lines starting with ``#`` skipped.  A line
 may begin with ``MOMENTLAB_NAME=value`` words, as in
 ``MOMENTLAB_TRACE=1 moment --model cycles --n 5 --s 1``: both sides run that
-request with those variables set, whether or not the program reads them.  Runs every distinct request once in
-each checkout as a fresh ``python -m momentlab.cli`` process with
-``DIR/src`` on the path, no other ``MOMENTLAB_*`` variable and no
-``PYTHONUNBUFFERED``, so that both sides write to buffered streams, the
-default that users get.  Lists each
-request whose exit code, stdout bytes or stderr bytes differ, or that exits
-on either side with a code the CLI does not document (a traceback exits 1),
-then one summary line per list, and exits 1 if any list has such a request,
-else 0.  A request still running after REQUEST_SECONDS on either side is
-killed there and listed as timed out, so a hang fails the check instead of
-stalling it.  Stderr counts because the CLI's exit path is
-where both streams are flushed.
-It runs none of the benchmark's measured code: no launcher, no limits, no
-checks against references.
+request with those variables set, whether or not the program reads them.
+Runs every distinct request once in each checkout as a fresh child of the
+shared runner ``tools/child.py``: ``python -m momentlab.cli`` with ``DIR/src``
+on the path, buffered streams, the default that users get, and the
+contract's limits of CPU, memory and wall time.  Lists each request whose
+exit code, stdout bytes or stderr bytes differ, or that exits on either side
+with a code the CLI does not document (a traceback exits 1, a child killed at
+a limit minus its signal's number), then one summary line per list, and exits
+1 if any list has such a request, else 0.  A request that breaks the contract
+alike on both sides reads ``fails``; one still running after
+``child.WALL_SECONDS`` on either side is killed there and listed as timed
+out, so a hang fails the check instead of stalling it.  Stderr counts because
+the CLI's exit path is where both streams are flushed.
+It runs none of the benchmark's measured code: no launcher and no checks
+against references.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
-import itertools
-import os
-import subprocess
-import sys
 from pathlib import Path
+
+import child
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 # `perfbench/run.py --seconds 30` runs its list three times over and builds
@@ -45,11 +44,6 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 LIST_SECONDS = 30 / 3
 # the CLI's exit codes: success, bad arguments, a resource limit, a failed check
 EXIT_CODES = {0, 2, 3, 4}
-# wall seconds of one request on one side, five times the dearest listed one
-# (the exact oracle at n = 100000 took up to 12 s on a 2-core x86-64 box)
-REQUEST_SECONDS = 60
-# the exit code ``run`` gives a request killed at REQUEST_SECONDS
-TIMED_OUT = "timed out"
 
 
 def _workloads():
@@ -71,39 +65,13 @@ def read_argv_file(path: Path) -> list[tuple]:
     return list(dict.fromkeys(tuple(line.split()) for line in lines if line and not line.startswith("#")))
 
 
-def _is_setting(word: str) -> bool:
-    return word.startswith("MOMENTLAB_") and "=" in word
-
-
-def run(root: Path, argv: tuple) -> tuple[int, bytes, bytes]:
-    """Exit code, stdout and stderr of one request in the checkout at
-    ``root``, under the ``MOMENTLAB_NAME=value`` words it begins with and
-    with buffered streams; TIMED_OUT and no output past REQUEST_SECONDS."""
-    env = {
-        k: v for k, v in os.environ.items()
-        if not k.startswith("MOMENTLAB_") and k != "PYTHONUNBUFFERED"
-    }
-    settings = list(itertools.takewhile(_is_setting, argv))
-    env.update(word.split("=", 1) for word in settings)
-    # the benchmark's own environment: the checkout's sources, one BLAS thread
-    env.update(PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "momentlab.cli", *argv[len(settings):]],
-            cwd=root, env=env, stdin=subprocess.DEVNULL, capture_output=True, timeout=REQUEST_SECONDS,
-        )
-    except subprocess.TimeoutExpired:
-        return TIMED_OUT, b"", b""
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 def differences(parent: Path, change: Path, argvs: list[tuple]) -> list[tuple]:
     """(argv, parent result, change result) for each request whose exit
     code, stdout or stderr differs between the two checkouts, or whose exit
     code on either side is not in EXIT_CODES."""
     found = []
     for argv in argvs:
-        before, after = run(parent, argv), run(change, argv)
+        before, after = child.run(parent, argv)[:3], child.run(change, argv)[:3]
         if before != after or not {before[0], after[0]} <= EXIT_CODES:
             found.append((argv, before, after))
     return found
@@ -134,17 +102,17 @@ def main(argv: list[str] | None = None) -> int:
         found = differences(args.parent.resolve(), args.change.resolve(), argvs)
         kinds = []
         for request, (code_a, out_a, err_a), (code_b, out_b, err_b) in found:
-            if TIMED_OUT in (code_a, code_b):
-                kinds.append(TIMED_OUT)
+            if child.TIMED_OUT in (code_a, code_b):
+                kinds.append(child.TIMED_OUT)
             else:
                 kinds.append("fails" if (code_a, out_a, err_a) == (code_b, out_b, err_b) else "differs")
             print(f"{kinds[-1]}: {' '.join(request)}: exit {code_a} -> {code_b}, "
                   f"stdout {len(out_a)} -> {len(out_b)} bytes"
                   + (f", stderr {len(err_a)} -> {len(err_b)} bytes" if err_a != err_b else ""))
-        failed, timed_out = kinds.count("fails"), kinds.count(TIMED_OUT)
+        failed, timed_out = kinds.count("fails"), kinds.count(child.TIMED_OUT)
         print(f"{label}: {len(argvs)} requests, {kinds.count('differs')} differ"
               + (f", {failed} fail on both sides" if failed else "")
-              + (f", {timed_out} {TIMED_OUT}" if timed_out else ""), flush=True)
+              + (f", {timed_out} {child.TIMED_OUT}" if timed_out else ""), flush=True)
         differed = differed or bool(found)
     return 1 if differed else 0
 
